@@ -37,6 +37,7 @@ from .vectorize import (
     diagram_records,
     fingerprint_dataset,
     graph_from_record,
+    kind_specs,
     prepare_graph,
     read_fingerprints_csv,
     write_fingerprints_csv,
@@ -79,12 +80,12 @@ def _prepare_table(cfg):
     table = fingerprint_dataset(records, cfg.kinds, k_grid, threads=cfg.threads,
                                 distance_mode=cfg.distance_mode,
                                 charge_thresholds=charge_thresholds)
-    return records, load_errors, table, k_grid
+    return records, load_errors, table, k_grid, charge_thresholds
 
 
 def _cmd_fingerprint(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    records, load_errors, table, k_grid = _prepare_table(cfg)
+    records, load_errors, table, k_grid, charge_thresholds = _prepare_table(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_fingerprints_csv(table, os.path.join(cfg.out_dir, "fingerprints.csv"))
     with open(os.path.join(cfg.out_dir, "errors.json"), "w", encoding="utf-8") as fh:
@@ -94,7 +95,7 @@ def _cmd_fingerprint(args) -> int:
         fh.write("\n")
     if args.dump_diagrams:
         path = os.path.join(cfg.out_dir, "diagrams.jsonl")
-        specs = [make_spec(k) for k in cfg.kinds]
+        specs = kind_specs(cfg.kinds, charge_thresholds)
         with open(path, "w", encoding="utf-8") as fh:
             for record in records:
                 try:
@@ -131,7 +132,7 @@ def _cmd_train(args) -> int:
         if missing:
             raise DataError(f"fingerprints reference unknown records: {missing[:10]}")
     else:
-        records, _, table, _ = _prepare_table(cfg)
+        records, _, table, _, _ = _prepare_table(cfg)
     matrix, targets, splits = _split_matrix(records, table)
     train_mask = [s == "TRAIN" for s in splits]
     if not any(train_mask):

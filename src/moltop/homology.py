@@ -2,16 +2,32 @@
 
 For a vertex subset, edges enter the complex at the hop distance between
 their endpoints and triangles at the largest of their three edge scales
-(clique rule, capped at dimension 2).  Dimension-0 pairs come from a
-union-find sweep over the edges in filtration order; dimension-1 pairs from
-GF(2) column reduction of the triangle boundary, with columns kept as
-integer bitmasks over the edge order.  Both agree with full boundary-matrix
-reduction, which the test suite checks against an independent rank oracle.
+(clique rule, capped at dimension 2).  The filtration order is (scale,
+dimension, sorted vertex tuple).  Triangles are never listed: an edge's
+cofacets are its in-range third vertices, read from the row's hop block.
+
+Reduction follows Ripser (Bauer 2021) in three steps:
+
+1. Apparent pairs, in one vectorized pass: an edge whose oldest cofacet has
+   that edge as its youngest face is paired with it without any reduction.
+   Every such pair enters at a single scale, so it has zero persistence.
+2. A union-find sweep over the other edges in filtration order yields the
+   dimension-0 pairs.  The edges that merge components die in dimension 0;
+   clearing (Chen & Kerber 2011) drops their coboundary columns, which
+   would reduce to zero.
+3. The few remaining cycle-creating edges are reduced as coboundary columns
+   over GF(2) in reverse filtration order (persistent cohomology, de Silva,
+   Morozov & Vejdemo-Johansson 2011).  Columns are computed lazily from the
+   hop block; the pivot table starts with the apparent pivots, apparent
+   columns are recomputed when a reduction needs them, and only reduced
+   columns are stored.  A column that reduces to zero is an essential class.
+
+Cohomology yields the same pairs as boundary-matrix reduction in the same
+order; the test suite checks that against a triangle-list reducer, naive
+single-matrix reduction and an independent rank oracle.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -61,35 +77,19 @@ def geodesic_distances(graph: MolecularGraph, within=None) -> DistanceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
-    """Simplices of dimension <= 2 with integer entry scales.
+    """Filtered clique 2-skeleton of one row, with the triangles left implicit.
 
-    Vertices enter at 0, edges at the geodesic distance of their endpoints,
-    triangles at the max of their three edge scales; the filtration order is
-    (scale, dimension, lexicographic vertex tuple).  Stored column-wise as
-    arrays; the ``edges``/``triangles`` properties expose plain tuples.
+    Vertices enter at 0 and edges at the hop distance of their endpoints, in
+    (scale, u, v) order.  A triangle exists where all three vertex pairs are
+    in range; it enters at the largest of the three hops and is ordered by
+    (scale, a, b, c).  Local ids index ``vertices`` and the hop block.
     """
     vertices: tuple[int, ...]
-    edge_eps: np.ndarray      # (E,) in filtration order
-    edge_pairs: np.ndarray    # (E, 2) global vertex ids, u < v
-    tri_eps: np.ndarray       # (T,) in filtration order
-    tri_verts: np.ndarray     # (T, 3) global vertex ids, a < b < c
-    tri_edge_pos: np.ndarray  # (T, 3) positions of the faces in the edge order
+    edge_eps: np.ndarray    # (E,) in filtration order
+    edge_local: np.ndarray  # (E, 2) local vertex ids, u < v
+    hops: np.ndarray        # (n, n) hop block of the row
+    in_range: np.ndarray    # (n, n) bool: the pair is joined by eps_max
     eps_max: int
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((int(e), int(u), int(v)) for e, (u, v)
-                     in zip(self.edge_eps.tolist(), self.edge_pairs.tolist()))
-
-    @property
-    def triangles(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple((int(e), int(a), int(b), int(c)) for e, (a, b, c)
-                     in zip(self.tri_eps.tolist(), self.tri_verts.tolist()))
-
-    def counts_at(self, eps: int) -> tuple[int, int, int]:
-        return (len(self.vertices),
-                int((self.edge_eps <= eps).sum()),
-                int((self.tri_eps <= eps).sum()))
 
 
 def build_vr_row(vertex_set, dist: DistanceMatrix, eps_max: int) -> FilteredComplex:
@@ -97,47 +97,13 @@ def build_vr_row(vertex_set, dist: DistanceMatrix, eps_max: int) -> FilteredComp
     verts = sorted(vertex_set)
     if not verts:
         raise DataError("vertex set must be non-empty")
-    n = len(verts)
-    vert_array = np.asarray(verts, dtype=np.int64)
-    sub = dist.hops[np.ix_(verts, verts)].astype(np.int64)
-
-    if n >= 2:
-        iu, ju = np.triu_indices(n, 1)
-        d = sub[iu, ju]
-        keep = (d != UNREACHABLE) & (d <= eps_max)
-        eu, ev, ee = iu[keep], ju[keep], d[keep]
-        order = np.lexsort((ev, eu, ee))
-        eu, ev, ee = eu[order], ev[order], ee[order]
-    else:
-        eu = ev = ee = np.empty(0, dtype=np.int64)
-    pos = np.full((n, n), -1, dtype=np.int64)
-    pos[eu, ev] = np.arange(len(ee))
-    edge_pairs = np.stack([vert_array[eu], vert_array[ev]], axis=1) if len(ee) \
-        else np.empty((0, 2), dtype=np.int64)
-
-    if n >= 3:
-        trio = np.fromiter(combinations(range(n), 3),
-                           dtype=np.dtype((np.intp, 3)), count=math.comb(n, 3))
-        d01 = sub[trio[:, 0], trio[:, 1]]
-        d02 = sub[trio[:, 0], trio[:, 2]]
-        d12 = sub[trio[:, 1], trio[:, 2]]
-        teps = np.maximum(np.maximum(d01, d02), d12)
-        ok = ((d01 != UNREACHABLE) & (d02 != UNREACHABLE) & (d12 != UNREACHABLE)
-              & (teps <= eps_max))
-        trio, teps = trio[ok], teps[ok]
-        torder = np.lexsort((trio[:, 2], trio[:, 1], trio[:, 0], teps))
-        trio, teps = trio[torder], teps[torder]
-        tri_edge_pos = np.stack([pos[trio[:, 0], trio[:, 1]],
-                                 pos[trio[:, 0], trio[:, 2]],
-                                 pos[trio[:, 1], trio[:, 2]]], axis=1)
-        tri_verts = vert_array[trio]
-    else:
-        teps = np.empty(0, dtype=np.int64)
-        tri_verts = np.empty((0, 3), dtype=np.int64)
-        tri_edge_pos = np.empty((0, 3), dtype=np.int64)
-
-    return FilteredComplex(tuple(verts), ee.astype(np.int64), edge_pairs,
-                           teps.astype(np.int64), tri_verts, tri_edge_pos,
+    hops = dist.hops[np.ix_(verts, verts)]
+    in_range = (hops > 0) & (hops <= eps_max)  # > 0: off the diagonal, reachable
+    eu, ev = np.nonzero(np.triu(in_range))     # (u, v) order
+    eps = hops[eu, ev]
+    order = np.argsort(eps, kind="stable")
+    return FilteredComplex(tuple(verts), eps[order],
+                           np.stack([eu[order], ev[order]], axis=1), hops, in_range,
                            int(eps_max))
 
 
@@ -149,50 +115,41 @@ class PersistenceDiagram:
     eps_max: int
 
 
-class _UnionFind:
-    __slots__ = ("parent", "count")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
+def _validate(cx: FilteredComplex):
+    n = len(cx.vertices)
+    hops = cx.hops
+    if (hops.shape != (n, n) or cx.in_range.shape != (n, n)
+            or not np.array_equal(hops, hops.T) or np.any(np.diagonal(hops) != 0)):
+        raise InternalInvariantError("hop block is not symmetric with a zero diagonal")
+    if not len(cx.edge_eps):
+        return
+    u, v = cx.edge_local.T
+    if u.min() < 0 or v.max() >= n:
+        raise InternalInvariantError("an edge has an endpoint outside the vertex set")
+    key = (cx.edge_eps.astype(np.int64) * n + u) * n + v
+    if not (np.all(u < v) and np.all(np.diff(key) > 0)):
+        raise InternalInvariantError("edges are not sorted by (eps, u, v)")
 
 
-def _validate_faces(cx: FilteredComplex):
-    vset = set(cx.vertices)
-    edge_eps = {}
-    for eps, u, v in cx.edges:
-        if u not in vset or v not in vset:
-            raise InternalInvariantError(f"edge ({u},{v}) has a missing vertex")
-        edge_eps[(u, v)] = eps
-    for eps, a, b, c in cx.triangles:
-        for face in ((a, b), (a, c), (b, c)):
-            face_eps = edge_eps.get(face)
-            if face_eps is None:
-                raise InternalInvariantError(f"triangle {(a, b, c)} missing edge {face}")
-            if face_eps > eps:
-                raise InternalInvariantError(
-                    f"face {face} enters after triangle {(a, b, c)}")
-    if len(cx.tri_edge_pos) and not (
-            np.all(cx.tri_edge_pos >= 0)
-            and np.all(cx.tri_edge_pos < len(cx.edge_eps))):
-        raise InternalInvariantError("triangle face positions out of range")
+def _triangle_key(n, eps, a, b, c):
+    """Rank key of the triangle a < b < c entering at eps: keys order like
+    (eps, a, b, c), and key // n**3 is eps."""
+    return ((eps * n + a) * n + b) * n + c
+
+
+def _coboundary(n: int, tri_eps: np.ndarray, eps_max: int, u: int, v: int) -> set:
+    """Keys of the cofacets of edge (u, v), u < v; ``tri_eps[w]`` is the scale
+    of the triangle {u, v, w}, above eps_max where there is none."""
+    col = set()
+    for w, eps in enumerate(tri_eps.tolist()):
+        if eps <= eps_max:
+            if w < u:
+                col.add(_triangle_key(n, eps, w, u, v))
+            elif w < v:
+                col.add(_triangle_key(n, eps, u, w, v))
+            else:
+                col.add(_triangle_key(n, eps, u, v, w))
+    return col
 
 
 def reduce_complex(cx: FilteredComplex, validate: bool = True
@@ -204,56 +161,87 @@ def reduce_complex(cx: FilteredComplex, validate: bool = True
     kill in filtration order.
     """
     if validate:
-        _validate_faces(cx)
-    local = {v: i for i, v in enumerate(cx.vertices)}
-    uf = _UnionFind(len(cx.vertices))
-    n_edges = len(cx.edge_eps)
+        _validate(cx)
+    n = len(cx.vertices)
+    eps_max = cx.eps_max
+    eps = cx.edge_eps
+    n_edges = len(eps)
+    u, v = cx.edge_local.T
+    rows = np.arange(n_edges)
+
+    # 1. Apparent pairs.  tri_eps[i, w] is the scale of the triangle on edge
+    # i and vertex w, eps_max + 1 where there is none.  The cofacets of one
+    # edge order like their third vertex within a scale, so argmin (the first
+    # minimum) finds the oldest.  The youngest face sets a triangle's scale,
+    # so an apparent pair has zero persistence and is never recorded.
+    capped = np.where(cx.in_range, cx.hops, eps_max + 1)
+    tri_eps = np.maximum(capped[u], capped[v])
+    np.maximum(tri_eps, eps[:, None], out=tri_eps)
+    w = tri_eps.argmin(axis=1)
+    oldest = tri_eps[rows, w]  # scale of each edge's oldest cofacet
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[u, v] = pos[v, u] = rows
+    apparent = (oldest <= eps_max) & (np.maximum(pos[u, w], pos[v, w]) < rows)
+
+    # 2. Union-find over the other edges: an apparent edge closes a cycle, so
+    # skipping it leaves the components unchanged.
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
     pd0_pairs = []
-    births = [-1] * n_edges  # birth scale of still-unpaired cycle creators
-    alive = 0
-    edge_eps = cx.edge_eps.tolist()
-    for pos, (u, v) in enumerate(cx.edge_pairs.tolist()):
-        if uf.union(local[u], local[v]):
-            pd0_pairs.append((0, edge_eps[pos]))
+    positive = []
+    others = np.flatnonzero(~apparent)
+    for i, a, b, e in zip(others.tolist(), u[others].tolist(), v[others].tolist(),
+                          eps[others].tolist()):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            positive.append((i, a, b, e))
         else:
-            births[pos] = edge_eps[pos]
-            alive += 1
+            parent[rb] = ra
+            pd0_pairs.append((0, e))
 
+    # 3. Cohomology reduction of the remaining cycle creators, youngest first.
     pd1_pairs = []
-    if alive:
-        lows: list[int | None] = [None] * n_edges
-        tri_eps = cx.tri_eps.tolist()
-        for t, (p0, p1, p2) in enumerate(cx.tri_edge_pos.tolist()):
-            col = (1 << p0) | (1 << p1) | (1 << p2)
-            low = p2 if p2 > p1 else p1  # faces share vertices, positions differ
-            if p0 > low:
-                low = p0
-            while True:
-                other = lows[low]
-                if other is None:
+    essentials = []
+    reduced = {}
+    if positive:
+        app = np.flatnonzero(apparent)
+        lo = np.minimum(u[app], w[app])
+        hi = np.maximum(v[app], w[app])
+        keys = _triangle_key(n, oldest[app].astype(np.int64), lo,
+                             u[app] + v[app] + w[app] - lo - hi, hi)
+        pivot_of = dict(zip(keys.tolist(), app.tolist()))
+        for i, a, b, e in reversed(positive):
+            col = _coboundary(n, tri_eps[i], eps_max, a, b)
+            while col:
+                low = min(col)
+                j = pivot_of.get(low)
+                if j is None:
                     break
+                other = reduced.get(j)
+                if other is None:  # an apparent column, recomputed on demand
+                    other = _coboundary(n, tri_eps[j], eps_max, int(u[j]), int(v[j]))
                 col ^= other
-                if not col:
-                    break
-                low = col.bit_length() - 1
             if col:
-                lows[low] = col
-                birth = births[low]
-                if birth < 0:
-                    raise InternalInvariantError(
-                        "reduction paired a non-creator edge; complex is inconsistent")
-                births[low] = -1
-                eps = tri_eps[t]
-                if birth < eps:
-                    pd1_pairs.append((birth, eps))
-                alive -= 1
-                if not alive:
-                    break
+                pivot_of[low] = i
+                reduced[i] = col
+                if low // n ** 3 > e:
+                    pd1_pairs.append((e, low // n ** 3))
+            else:
+                essentials.append(e)
 
-    pd0 = PersistenceDiagram(0, tuple(sorted(pd0_pairs)), (0,) * uf.count, cx.eps_max)
-    pd1 = PersistenceDiagram(1, tuple(sorted(pd1_pairs)),
-                             tuple(sorted(b for b in births if b >= 0)), cx.eps_max)
+    n_apparent = int(np.count_nonzero(apparent))
+    if len(pd0_pairs) + n_apparent + len(reduced) + len(essentials) != n_edges:
+        raise InternalInvariantError(
+            "negative, apparent, reduced and essential edges do not add up to the edges")
+    pd0 = PersistenceDiagram(0, tuple(sorted(pd0_pairs)), (0,) * (n - len(pd0_pairs)),
+                             eps_max)
+    pd1 = PersistenceDiagram(1, tuple(sorted(pd1_pairs)), tuple(sorted(essentials)),
+                             eps_max)
     return pd0, pd1
 
 

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, LayoutMismatchError
 from .homology import PersistenceDiagram
-from .vectorize import Fingerprint, assemble, row_diagrams
+from .vectorize import Fingerprint, fingerprint_from_rows, row_diagrams
 
 
 def wasserstein(pd_a: PersistenceDiagram, pd_b: PersistenceDiagram,
@@ -93,6 +93,7 @@ class MatchingDistanceReport:
 def matching_report(graph_a, graph_b, specs, k_grid: int, p: float = 1.0,
                     distance_mode: str = "full_graph") -> MatchingDistanceReport:
     """Per-row diagram distances and the induced fingerprint distance for a pair."""
+    specs = list(specs)
     rows_a = row_diagrams(graph_a, specs, k_grid, distance_mode)
     rows_b = row_diagrams(graph_b, specs, k_grid, distance_mode)
     if len(rows_a) != len(rows_b):
@@ -103,8 +104,8 @@ def matching_report(graph_a, graph_b, specs, k_grid: int, p: float = 1.0,
         w1 = wasserstein(a1, b1, p)
         per_row.append(math.inf if math.isinf(w0) or math.isinf(w1) else w0 + w1)
     induced = math.inf if any(math.isinf(w) for w in per_row) else sum(per_row)
-    fp_a = assemble(graph_a, specs, k_grid, distance_mode)
-    fp_b = assemble(graph_b, specs, k_grid, distance_mode)
+    fp_a = fingerprint_from_rows(rows_a, specs, k_grid, graph_a.name)
+    fp_b = fingerprint_from_rows(rows_b, specs, k_grid, graph_b.name)
     vector_distance = fingerprint_distance(fp_a, fp_b)
     ratio = None
     if induced > 0 and not math.isinf(induced):

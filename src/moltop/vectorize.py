@@ -173,13 +173,9 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
     return out
 
 
-def assemble(graph: MolecularGraph, specs, k_grid: int,
-             distance_mode: str = "full_graph",
-             record_id: str | None = None) -> Fingerprint:
-    """Full per-molecule pipeline: sequences -> VR rows -> diagrams -> curves."""
-    specs = list(specs)
+def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerprint:
+    """Betti curves of ``row_diagrams`` output, flattened in layout order."""
     layout = FingerprintLayout(LAYOUT_VERSION, tuple(s.kind for s in specs), k_grid)
-    rows = row_diagrams(graph, specs, k_grid, distance_mode)
     by_kind: dict[str, list] = {s.kind: [] for s in specs}
     for kind, _, pd0, pd1 in rows:
         by_kind[kind].append((pd0, pd1))
@@ -191,8 +187,17 @@ def assemble(graph: MolecularGraph, specs, k_grid: int,
     vector = np.concatenate(chunks)
     if vector.shape[0] != layout.length:
         raise DataError("assembled vector does not match the layout length")
-    return Fingerprint(record_id if record_id is not None else graph.name,
-                       layout, vector)
+    return Fingerprint(record_id, layout, vector)
+
+
+def assemble(graph: MolecularGraph, specs, k_grid: int,
+             distance_mode: str = "full_graph",
+             record_id: str | None = None) -> Fingerprint:
+    """Full per-molecule pipeline: sequences -> VR rows -> diagrams -> curves."""
+    specs = list(specs)
+    rows = row_diagrams(graph, specs, k_grid, distance_mode)
+    return fingerprint_from_rows(rows, specs, k_grid,
+                                 record_id if record_id is not None else graph.name)
 
 
 def diagram_records(graph: MolecularGraph, specs, k_grid: int,
@@ -230,15 +235,21 @@ class FingerprintTable:
         return [fp.record_id for fp in self.fingerprints]
 
 
+def kind_specs(kinds, charge_thresholds=None):
+    """Specs for ``kinds``; charge thresholds put the partial-charge spec in
+    global-decile mode."""
+    return [make_spec(k, charge_thresholds if k == PARTIAL_CHARGE_KIND else None)
+            for k in kinds]
+
+
 def _fingerprint_one(args):
     record, kinds, charge_thresholds, k_grid, distance_mode = args
     try:
         graph = graph_from_record(record)
-        specs = [make_spec(k, charge_thresholds if k == PARTIAL_CHARGE_KIND else None)
-                 for k in kinds]
-        fp = assemble(graph, specs, k_grid, distance_mode, record_id=record.record_id)
+        fp = assemble(graph, kind_specs(kinds, charge_thresholds), k_grid,
+                      distance_mode, record_id=record.record_id)
         return ("ok", fp)
-    except Exception as exc:  # per-record isolation: one bad record never aborts a run
+    except DataError as exc:  # a bad record never aborts a run; a bug does
         return ("err", {"record_id": record.record_id, "error": str(exc)})
 
 
@@ -247,7 +258,8 @@ def fingerprint_dataset(records, kinds, k_grid: int, threads: int = 1,
                         charge_thresholds=None) -> FingerprintTable:
     """One fingerprint per record, in input order, independent of thread count.
 
-    Per-record failures are collected; the run fails only if nothing succeeds.
+    Per-record data errors are collected; the run fails if nothing succeeds.
+    Any other exception, such as an InternalInvariantError, propagates.
     """
     records = list(records)
     if not records:

@@ -178,6 +178,108 @@ def naive_persistence(vertices, hops, eps_max):
 
 
 # ---------------------------------------------------------------------------
+# Triangle-list persistence: every triangle built, boundary columns reduced
+
+def triangle_complex(vertices, hops, eps_max):
+    """Edge and triangle arrays of the capped clique 2-skeleton.
+
+    Returns (edge_eps, edge_pairs, tri_eps, tri_verts, tri_edge_pos): edges
+    sorted by (eps, u, v), triangles by (eps, a, b, c), and each triangle's
+    three faces as positions in the edge order.  Built from all C(n, 3)
+    vertex triples.
+    """
+    verts = sorted(vertices)
+    n = len(verts)
+    vert_array = np.asarray(verts, dtype=np.int64)
+    sub = np.asarray(hops)[np.ix_(verts, verts)].astype(np.int64)
+
+    if n >= 2:
+        iu, ju = np.triu_indices(n, 1)
+        d = sub[iu, ju]
+        keep = (d != UNREACHABLE) & (d <= eps_max)
+        eu, ev, ee = iu[keep], ju[keep], d[keep]
+        order = np.lexsort((ev, eu, ee))
+        eu, ev, ee = eu[order], ev[order], ee[order]
+    else:
+        eu = ev = ee = np.empty(0, dtype=np.int64)
+    pos = np.full((n, n), -1, dtype=np.int64)
+    pos[eu, ev] = np.arange(len(ee))
+    edge_pairs = np.stack([vert_array[eu], vert_array[ev]], axis=1) if len(ee) \
+        else np.empty((0, 2), dtype=np.int64)
+
+    if n >= 3:
+        trio = np.fromiter(combinations(range(n), 3),
+                           dtype=np.dtype((np.intp, 3)), count=math.comb(n, 3))
+        d01 = sub[trio[:, 0], trio[:, 1]]
+        d02 = sub[trio[:, 0], trio[:, 2]]
+        d12 = sub[trio[:, 1], trio[:, 2]]
+        teps = np.maximum(np.maximum(d01, d02), d12)
+        ok = ((d01 != UNREACHABLE) & (d02 != UNREACHABLE) & (d12 != UNREACHABLE)
+              & (teps <= eps_max))
+        trio, teps = trio[ok], teps[ok]
+        torder = np.lexsort((trio[:, 2], trio[:, 1], trio[:, 0], teps))
+        trio, teps = trio[torder], teps[torder]
+        tri_edge_pos = np.stack([pos[trio[:, 0], trio[:, 1]],
+                                 pos[trio[:, 0], trio[:, 2]],
+                                 pos[trio[:, 1], trio[:, 2]]], axis=1)
+        tri_verts = vert_array[trio]
+    else:
+        teps = np.empty(0, dtype=np.int64)
+        tri_verts = np.empty((0, 3), dtype=np.int64)
+        tri_edge_pos = np.empty((0, 3), dtype=np.int64)
+    return ee, edge_pairs, teps, tri_verts, tri_edge_pos
+
+
+def triangle_persistence(vertices, hops, eps_max):
+    """Pairs by union-find over the edges and left-to-right GF(2) reduction
+    of the triangle boundary columns, kept as bitmasks over the edge order.
+
+    Returns {dim: (sorted finite pairs, sorted essential births)} for
+    dimensions 0 and 1, with zero-persistence pairs dropped.
+    """
+    edge_eps, edge_pairs, tri_eps, _, tri_edge_pos = triangle_complex(
+        vertices, hops, eps_max)
+    verts = sorted(vertices)
+    local = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pd0_pairs = []
+    births = [-1] * len(edge_eps)  # birth scale of still-unpaired cycle creators
+    for pos, (u, v) in enumerate(edge_pairs.tolist()):
+        ru, rv = find(local[u]), find(local[v])
+        if ru != rv:
+            parent[rv] = ru
+            pd0_pairs.append((0, int(edge_eps[pos])))
+        else:
+            births[pos] = int(edge_eps[pos])
+
+    pd1_pairs = []
+    lows = {}
+    for t, (p0, p1, p2) in enumerate(tri_edge_pos.tolist()):
+        col = (1 << p0) | (1 << p1) | (1 << p2)
+        while col:
+            low = col.bit_length() - 1
+            if low not in lows:
+                break
+            col ^= lows[low]
+        if col:
+            low = col.bit_length() - 1
+            lows[low] = col
+            birth, births[low] = births[low], -1
+            assert birth >= 0, "a triangle paired a component-merging edge"
+            if birth < tri_eps[t]:
+                pd1_pairs.append((birth, int(tri_eps[t])))
+    components = len(verts) - len(pd0_pairs)
+    return {0: (sorted(pd0_pairs), [0] * components),
+            1: (sorted(pd1_pairs), sorted(b for b in births if b >= 0))}
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive Wasserstein matching
 
 def exhaustive_wasserstein(pairs_a, pairs_b, p=1.0):

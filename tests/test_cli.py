@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from moltop.cli import main
+from moltop.errors import InternalInvariantError
+from moltop.homology import PersistenceDiagram
+from moltop.vectorize import betti_curve, read_fingerprints_csv
 
 
 @pytest.fixture()
@@ -55,6 +59,45 @@ def test_fingerprint_then_train_then_predict_then_evaluate(config_path, tmp_path
     ranked = json.loads((out / "ranked.json").read_text())
     assert len(ranked) == 3
     capsys.readouterr()
+
+
+def test_global_decile_dump_matches_fingerprints(config_path, tmp_path, capsys):
+    # In global decile mode the dumped partial-charge diagrams must be the
+    # ones the fingerprint was built from.
+    doc = json.loads(config_path.read_text())
+    doc["decile_mode"] = "global"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["fingerprint", "--config", str(config_path), "--dump-diagrams"]) == 0
+    table = read_fingerprints_csv(out / "fingerprints.csv")
+    curves = {}
+    for line in (out / "diagrams.jsonl").read_text().splitlines():
+        entry = json.loads(line)
+        if entry["param"] == "PARTIAL_CHARGE":
+            pd = PersistenceDiagram(entry["dim"], tuple(map(tuple, entry["pairs"])),
+                                    tuple(entry["essentials"]), table.layout.k_grid)
+            curves.setdefault((entry["molecule"], entry["dim"]), []).append(
+                (entry["row"], betti_curve(pd, table.layout.k_grid)))
+    blocks = table.layout.block_slices()
+    assert len(table.fingerprints) > 10
+    for fp in table.fingerprints:
+        for dim in (0, 1):
+            rows = [curve for _, curve in sorted(curves[(fp.record_id, dim)],
+                                                 key=lambda rc: rc[0])]
+            assert np.array_equal(np.concatenate(rows),
+                                  fp.vector[blocks[("PARTIAL_CHARGE", dim)]])
+    capsys.readouterr()
+
+
+def test_internal_invariant_error_exits_4(config_path, monkeypatch, capsys):
+    from moltop import vectorize
+
+    def broken(cx, validate=True):
+        raise InternalInvariantError("reducer bookkeeping broken")
+
+    monkeypatch.setattr(vectorize, "reduce_complex", broken)
+    assert main(["fingerprint", "--config", str(config_path)]) == 4
+    assert "internal invariant" in capsys.readouterr().err
 
 
 def test_bench_command(config_path, tmp_path, capsys):

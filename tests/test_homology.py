@@ -1,4 +1,6 @@
 import importlib.resources
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,20 +9,25 @@ from moltop.errors import DataError, InternalInvariantError
 from moltop.homology import (
     UNREACHABLE,
     DistanceMatrix,
-    FilteredComplex,
+    PersistenceDiagram,
     betti_at,
     build_vr_row,
     geodesic_distances,
     reduce_complex,
 )
-from moltop.molgraph import load_graph_json, parse_smiles, relabel
-from moltop.vectorize import prepare_graph
+from moltop import homology
+from moltop.datagen import generate_dataset
+from moltop.filtration import FILTRATION_KINDS, build_sequence, make_spec
+from moltop.molgraph import DatasetRecord, load_graph_json, parse_smiles, relabel
+from moltop.vectorize import graph_from_record, prepare_graph
 
 from oracles import (
     betti_numbers_at,
+    complex_at,
     hop_distances,
     load_graph6_file,
     naive_persistence,
+    triangle_persistence,
 )
 
 
@@ -88,27 +95,44 @@ class TestGeodesicDistances:
                     assert got.distance(u, v) == expected[u, v]
 
 
+def edge_pairs(cx):
+    """(E, 2) global vertex ids of a row's edges."""
+    return np.asarray(cx.vertices)[cx.edge_local]
+
+
+def oracle_counts(cx, hops, eps):
+    """(vertices, edges, triangles) at eps by the oracle; the row's edges
+    must be the oracle's."""
+    verts, edges, triangles = complex_at(cx.vertices, hops, eps)
+    built = sorted(tuple(p) for p, e in zip(edge_pairs(cx).tolist(), cx.edge_eps.tolist())
+                   if e <= eps)
+    assert built == edges
+    return len(verts), len(edges), len(triangles)
+
+
 class TestBuildVrRow:
     def test_singleton(self):
         hops = np.zeros((1, 1), dtype=np.int32)
         cx = build_vr_row({0}, DistanceMatrix(hops, 0), 0)
         assert cx.vertices == (0,)
         assert len(cx.edge_eps) == 0
-        assert len(cx.tri_eps) == 0
+        assert oracle_counts(cx, hops, 0) == (1, 0, 0)
 
     def test_four_cycle_counts(self):
-        cx = build_vr_row({0, 1, 2, 3}, cycle_distances(4), 2)
-        assert cx.counts_at(1) == (4, 4, 0)
-        assert cx.counts_at(2) == (4, 6, 4)
+        dist = cycle_distances(4)
+        cx = build_vr_row({0, 1, 2, 3}, dist, 2)
+        assert oracle_counts(cx, dist.hops, 1) == (4, 4, 0)
+        assert oracle_counts(cx, dist.hops, 2) == (4, 6, 4)
 
     def test_complete_skeleton_at_diameter(self):
         dist = cycle_distances(6)
         cx = build_vr_row(set(range(6)), dist, 3)
-        assert cx.counts_at(3) == (6, 15, 20)
+        assert oracle_counts(cx, dist.hops, 3) == (6, 15, 20)
 
     def test_cap_clips_edges(self):
-        cx = build_vr_row(set(range(6)), cycle_distances(6), 1)
-        assert cx.counts_at(1) == (6, 6, 0)
+        dist = cycle_distances(6)
+        cx = build_vr_row(set(range(6)), dist, 1)
+        assert oracle_counts(cx, dist.hops, 1) == (6, 6, 0)
         assert len(cx.edge_eps) == 6
 
     def test_unreachable_pairs_never_join(self):
@@ -120,8 +144,10 @@ class TestBuildVrRow:
         g = random_graphs[0]
         dist = geodesic_distances(g)
         cx = build_vr_row({a.id for a in g.atoms}, dist, dist.diameter)
-        assert list(cx.edges) == sorted(cx.edges)
-        assert list(cx.triangles) == sorted(cx.triangles)
+        edges = [(e, u, v) for e, (u, v) in zip(cx.edge_eps.tolist(),
+                                                 edge_pairs(cx).tolist())]
+        assert edges == sorted(edges)
+        assert oracle_counts(cx, dist.hops, dist.diameter)[1] == len(edges)
 
 
 class TestReduce:
@@ -154,17 +180,21 @@ class TestReduce:
         assert len(pd1.pairs) == 1
 
     def test_face_closure_violation_raises(self):
-        # a triangle whose edges are absent from the complex
-        cx = FilteredComplex(
-            vertices=(0, 1, 2),
-            edge_eps=np.array([1], dtype=np.int64),
-            edge_pairs=np.array([[0, 1]], dtype=np.int64),
-            tri_eps=np.array([1], dtype=np.int64),
-            tri_verts=np.array([[0, 1, 2]], dtype=np.int64),
-            tri_edge_pos=np.array([[0, 0, 0]], dtype=np.int64),
-            eps_max=2)
-        with pytest.raises(InternalInvariantError):
-            reduce_complex(cx, validate=True)
+        # each corruption of a valid row breaks one structural check
+        cx = build_vr_row(set(range(6)), cycle_distances(6), 3)
+        reduce_complex(cx, validate=True)
+        asymmetric = cx.hops.copy()
+        asymmetric[0, 1] = 2
+        nonzero_diagonal = cx.hops.copy()
+        nonzero_diagonal[2, 2] = 1
+        outside = cx.edge_local.copy()
+        outside[0, 1] = 6
+        unsorted = cx.edge_local[::-1].copy()
+        for bad in (replace(cx, hops=asymmetric), replace(cx, hops=nonzero_diagonal),
+                    replace(cx, edge_local=outside), replace(cx, edge_local=unsorted),
+                    replace(cx, edge_eps=cx.edge_eps[::-1].copy())):
+            with pytest.raises(InternalInvariantError):
+                reduce_complex(bad, validate=True)
 
     def test_clipped_cap_creates_essential_cycle(self):
         # cap below the kill scale: the hexagon class never dies
@@ -230,7 +260,7 @@ class TestOracleEquivalence:
             cx = build_vr_row(verts, dist, dist.diameter)
             pd0, pd1 = reduce_complex(cx)
             for eps in range(dist.diameter + 1):
-                nv, ne, nt = cx.counts_at(eps)
+                nv, ne, nt = oracle_counts(cx, dist.hops, eps)
                 b0, b1, b2 = betti_numbers_at(verts, dist.hops, eps)
                 assert nv - ne + nt == b0 - b1 + b2
                 assert betti_at(pd0, eps) == b0
@@ -298,3 +328,95 @@ class TestOracleEquivalence:
                                   "coordinates", "conformer"}
         params = set(inspect.signature(assemble).parameters)
         assert params == {"graph", "specs", "k_grid", "distance_mode", "record_id"}
+
+
+GRAPH6_PATH = Path(__file__).parent / "data" / "connected_graphs_le7.g6"
+
+
+@pytest.fixture()
+def step3_columns(monkeypatch):
+    """Edge positions whose coboundary the reducer computed lazily, one list
+    per reduce_complex call; a column is only computed there in step 3."""
+    calls = []
+    original = homology._coboundary
+
+    def counted(n, tri_eps, eps_max, u, v):
+        calls[-1].append((u, v))
+        return original(n, tri_eps, eps_max, u, v)
+
+    monkeypatch.setattr(homology, "_coboundary", counted)
+    return calls
+
+
+class TestCohomologyMatchesTriangleReducer:
+    """The cohomology reducer against the triangle-list reducer it replaced."""
+
+    @staticmethod
+    def check(vertices, hops, cap, calls=None):
+        dist = DistanceMatrix(np.asarray(hops, dtype=np.int32), cap)
+        cx = build_vr_row(vertices, dist, cap)
+        if calls is not None:
+            calls.append([])
+        got = reduce_complex(cx)
+        ref = triangle_persistence(vertices, hops, cap)
+        want = tuple(PersistenceDiagram(dim, tuple(ref[dim][0]), tuple(ref[dim][1]), cap)
+                     for dim in (0, 1))
+        assert got == want, (sorted(vertices), cap)
+        if calls:
+            position = {tuple(p): i for i, p in enumerate(cx.edge_local.tolist())}
+            calls[-1] = [position[e] for e in calls[-1]]
+        return got
+
+    @staticmethod
+    def assert_step3_reduced(calls):
+        # Step 3 reduces columns youngest first, so a call for a younger edge
+        # than the previous one is an apparent column added to a reduction.
+        assert any(calls), "no row reached the cohomology reduction"
+        assert any(b > a for seq in calls for a, b in zip(seq, seq[1:])), \
+            "no reduction added an apparent column"
+
+    def test_bundled_graphs_every_cap(self, step3_columns):
+        graphs = load_graph6_file(str(GRAPH6_PATH))
+        assert len(graphs) == 996
+        rng = np.random.default_rng(23)
+        for adj in graphs:
+            n = len(adj)
+            hops = hop_distances(adj)
+            for cap in range(int(hops.max()) + 1):
+                self.check(range(n), hops, cap, step3_columns)
+                for _ in range(2):
+                    size = int(rng.integers(1, n + 1))
+                    subset = rng.choice(n, size=size, replace=False).tolist()
+                    self.check(subset, hops, cap, step3_columns)
+        self.assert_step3_reduced(step3_columns)
+
+    def test_datagen_sublevel_rows(self, step3_columns):
+        rows = 0
+        for doc in generate_dataset(20, seed=7):
+            graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0,
+                                                    graph=doc["graph"]))
+            full = geodesic_distances(graph)
+            distinct = {frozenset(s) for kind in FILTRATION_KINDS
+                        for s in build_sequence(graph, make_spec(kind)).subsets if s}
+            for row in sorted(distinct, key=sorted):
+                rows += 1
+                self.check(row, full.hops, 14, step3_columns)
+                self.check(row, geodesic_distances(graph, within=row).hops, 14,
+                           step3_columns)
+                self.check(row, full.hops, 2, step3_columns)
+        assert rows > 200
+        self.assert_step3_reduced(step3_columns)
+
+    def test_small_and_disconnected_rows(self):
+        hops = cycle_distances(6).hops
+        for row in ({0}, {0, 1}, {0, 3}, {0, 2, 4}, {0, 1, 3, 4}):
+            for cap in (0, 1, 2, 3):
+                self.check(row, hops, cap)
+        apart = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]])
+        pd0, pd1 = self.check({0, 1}, apart, 3)
+        assert pd0.essentials == (0, 0) and pd1 == PersistenceDiagram(1, (), (), 3)
+        g = prepare_graph(parse_smiles("C1CCC1.C1CCCC1.O"))
+        dist = geodesic_distances(g)
+        for cap in range(dist.diameter + 1):
+            pd0, _ = self.check(range(g.n_atoms), dist.hops, cap)
+        assert len(pd0.essentials) == 3

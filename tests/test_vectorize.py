@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moltop.datagen import assign_reference_charges
-from moltop.errors import DataError, LayoutMismatchError
+from moltop.errors import DataError, InternalInvariantError, LayoutMismatchError
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, make_spec
 from moltop.homology import PersistenceDiagram
 from moltop.molgraph import DatasetRecord, mirror, parse_smiles, relabel
@@ -152,6 +152,17 @@ class TestDatasetFingerprinting:
         assert len(table.fingerprints) == 5
         assert len(table.errors) == 1
         assert table.errors[0]["record_id"] == "bad"
+
+    def test_internal_invariant_error_is_not_isolated(self, monkeypatch):
+        # a reducer bug must fail the run, not pass as a per-record error
+        from moltop import vectorize
+
+        def broken(cx, validate=True):
+            raise InternalInvariantError("reducer bookkeeping broken")
+
+        monkeypatch.setattr(vectorize, "reduce_complex", broken)
+        with pytest.raises(InternalInvariantError):
+            fingerprint_dataset(self.make_records(3), FILTRATION_KINDS, 8)
 
     def test_all_failed_raises(self):
         records = [DatasetRecord("a", 1.0, smiles="C")]
