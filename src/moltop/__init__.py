@@ -43,7 +43,6 @@ from .homology import (
     DistanceMatrix,
     FilteredComplex,
     PersistenceDiagram,
-    betti_at,
     build_vr_row,
     geodesic_distances,
     reduce_complex,
@@ -62,7 +61,6 @@ from .metrics import (
     fingerprint_distance,
     induced_distance,
     matching_report,
-    stability_probe,
     wasserstein,
 )
 from .sglb import (
@@ -73,7 +71,6 @@ from .sglb import (
     decompose_classification,
     decompose_regression,
     fit,
-    fit_classical_reference,
     fit_ensemble,
     rank_by_uncertainty,
 )

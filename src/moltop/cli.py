@@ -17,11 +17,16 @@ import numpy as np
 from .errors import ConfigError, DataError, InternalInvariantError, MoltopError
 from .filtration import FILTRATION_KINDS
 from .harness import (
-    apply_split,
     evaluate,
     load_dataset,
+    load_records,
     load_run_config,
+    prediction_rows,
+    prepare_run,
     run_benchmark,
+    training_matrix,
+    write_fingerprint_artifacts,
+    write_predictions_csv,
 )
 from .metrics import matching_report
 from .molgraph import load_graph_json, parse_smiles
@@ -35,15 +40,11 @@ from .sglb import (
 )
 from .vectorize import (
     diagram_records,
-    fingerprint_dataset,
     graph_from_record,
     kind_specs,
     prepare_graph,
     read_fingerprints_csv,
-    write_fingerprints_csv,
 )
-from .filtration import decile_boundaries, make_spec
-from .harness import K_GRID_CAP, _prescan
 
 
 def _apply_overrides(cfg, args):
@@ -60,84 +61,49 @@ def _apply_overrides(cfg, args):
     return replace(cfg, **updates) if updates else cfg
 
 
-def _prepare_table(cfg):
-    records, load_errors = load_dataset(cfg.dataset_path, cfg.dataset_format)
-    if cfg.split_mode == "file" or not all(r.split for r in records):
-        records = apply_split(records, cfg.split_mode, cfg.split_path,
-                              cfg.split_ratios, cfg.seed)
-    k_grid = cfg.k_grid
-    charge_thresholds = None
-    if k_grid is None or cfg.decile_mode == "global":
-        diameters, charges = _prescan(records)
-        if k_grid is None:
-            if not diameters:
-                raise DataError("no graphs available to choose k_grid from")
-            k_grid = min(K_GRID_CAP, max(max(diameters), 1))
-        if cfg.decile_mode == "global":
-            if not charges:
-                raise DataError("global decile mode needs partial charges")
-            charge_thresholds = decile_boundaries(charges)
-    table = fingerprint_dataset(records, cfg.kinds, k_grid, threads=cfg.threads,
-                                distance_mode=cfg.distance_mode,
-                                charge_thresholds=charge_thresholds)
-    return records, load_errors, table, k_grid, charge_thresholds
+def _emit(text, out_dir, name) -> int:
+    """Print ``text``; with an output directory, also save it there as ``name``."""
+    print(text)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return 0
 
 
 def _cmd_fingerprint(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    records, load_errors, table, k_grid, charge_thresholds = _prepare_table(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_fingerprints_csv(table, os.path.join(cfg.out_dir, "fingerprints.csv"))
-    with open(os.path.join(cfg.out_dir, "errors.json"), "w", encoding="utf-8") as fh:
-        json.dump({"load_errors": list(load_errors),
-                   "fingerprint_errors": list(table.errors)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    prep = prepare_run(cfg)
+    write_fingerprint_artifacts(cfg.out_dir, prep.table, prep.load_errors)
     if args.dump_diagrams:
         path = os.path.join(cfg.out_dir, "diagrams.jsonl")
-        specs = kind_specs(cfg.kinds, charge_thresholds)
+        specs = kind_specs(cfg.kinds, prep.charge_thresholds)
         with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
+            for record in prep.records:
                 try:
                     graph = graph_from_record(record)
-                    for doc in diagram_records(graph, specs, k_grid,
+                    for doc in diagram_records(graph, specs, prep.k_grid,
                                                cfg.distance_mode, record.record_id):
                         fh.write(json.dumps(doc, sort_keys=True) + "\n")
-                except MoltopError:
+                except DataError:
                     continue  # already in the error report
-    print(f"fingerprinted {len(table.fingerprints)} of {len(records)} records "
-          f"(k_grid={k_grid}) -> {cfg.out_dir}")
+    print(f"fingerprinted {len(prep.table.fingerprints)} of {len(prep.records)} "
+          f"records (k_grid={prep.k_grid}) -> {cfg.out_dir}")
     return 0
-
-
-def _split_matrix(records, table):
-    by_id = {r.record_id: r for r in records}
-    matrix = table.matrix().astype(np.float64)
-    targets = np.array([by_id[fp.record_id].target for fp in table.fingerprints],
-                       dtype=np.float64)
-    splits = [by_id[fp.record_id].split for fp in table.fingerprints]
-    return matrix, targets, splits
 
 
 def _cmd_train(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     if args.fingerprints:
         table = read_fingerprints_csv(args.fingerprints)
-        records, _ = load_dataset(cfg.dataset_path, cfg.dataset_format)
-        if cfg.split_mode == "file" or not all(r.split for r in records):
-            records = apply_split(records, cfg.split_mode, cfg.split_path,
-                                  cfg.split_ratios, cfg.seed)
-        known = {r.record_id for r in records}
-        missing = [fp.record_id for fp in table.fingerprints if fp.record_id not in known]
-        if missing:
-            raise DataError(f"fingerprints reference unknown records: {missing[:10]}")
+        records, _ = load_records(cfg)
     else:
-        records, _, table, _, _ = _prepare_table(cfg)
-    matrix, targets, splits = _split_matrix(records, table)
-    train_mask = [s == "TRAIN" for s in splits]
-    if not any(train_mask):
+        prep = prepare_run(cfg)
+        records, table = prep.records, prep.table
+    matrix, targets, split_rows = training_matrix(records, table)
+    rows = split_rows["TRAIN"]
+    if not rows:
         raise DataError("no TRAIN rows to fit on")
-    rows = np.nonzero(train_mask)[0]
     ensemble = fit_ensemble(matrix[rows], targets[rows], cfg.sglb,
                             layout=table.layout, threads=cfg.threads)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -155,15 +121,7 @@ def _cmd_predict(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "predictions.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "prediction", "total_uncertainty",
-                         "knowledge_uncertainty", "data_uncertainty"])
-        for i, fp in enumerate(table.fingerprints):
-            writer.writerow([fp.record_id, f"{report.prediction[i]:.10g}",
-                             f"{report.total[i]:.10g}",
-                             f"{report.knowledge[i]:.10g}",
-                             f"{report.data[i]:.10g}"])
+    write_predictions_csv(path, prediction_rows(table.ids(), report))
     print(f"wrote predictions for {len(table.fingerprints)} records -> {path}")
     return 0
 
@@ -188,12 +146,7 @@ def _cmd_evaluate(args) -> int:
     if set(metrics) == {"ALL"}:
         metrics = metrics["ALL"]
     text = json.dumps(metrics, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0
+    return _emit(text, args.out, "metrics.json")
 
 
 def _cmd_rank(args) -> int:
@@ -204,12 +157,7 @@ def _cmd_rank(args) -> int:
                                  table.matrix().astype(np.float64),
                                  args.criterion, args.k)
     text = json.dumps(ranked, indent=2)
-    print(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "ranked.json"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0
+    return _emit(text, args.out, "ranked.json")
 
 
 def _molecule_from_doc(doc):
@@ -229,7 +177,7 @@ def _cmd_distance(args) -> int:
     bad = [k for k in kinds if k not in FILTRATION_KINDS]
     if bad:
         raise ConfigError(f"unknown filtration kinds {bad}")
-    specs = [make_spec(k) for k in kinds]
+    specs = kind_specs(kinds)
     lines = []
     ratios = []
     for i, doc in enumerate(docs):
@@ -246,12 +194,7 @@ def _cmd_distance(args) -> int:
                                          "max_ratio": max(ratios) if ratios else None}},
                             sort_keys=True))
     text = "\n".join(lines)
-    print(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "distances.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0
+    return _emit(text, args.out, "distances.jsonl")
 
 
 def _cmd_bench(args) -> int:

@@ -80,27 +80,6 @@ def chirality_value(atom, degree: int) -> int:
     return 1 if atom.chirality == CHI_CW else 2
 
 
-def bond_type_value(atom_id: int, graph: MolecularGraph, rings: set[int] | None = None) -> int:
-    """0 ring member, 1 triple-incident, 2 double-incident, 3 otherwise.
-
-    Atoms in several categories take the minimum; ring flags must already
-    be computed on the graph's bonds.
-    """
-    if rings is None:
-        rings = ring_atoms(graph)
-    if atom_id in rings:
-        return 0
-    best = 3
-    for bond in graph.bonds:
-        if atom_id not in bond.endpoints:
-            continue
-        if bond.order == "TRIPLE":
-            return 1
-        if bond.order == "DOUBLE":
-            best = 2
-    return best
-
-
 def decile_boundaries(values) -> tuple[float, ...]:
     """Nearest-rank decile boundaries of a value multiset."""
     ordered = sorted(values)

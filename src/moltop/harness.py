@@ -1,7 +1,7 @@
 """Run configuration, dataset ingestion, splits, evaluation metrics, and the
 benchmark orchestrator behind the CLI."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import csv
 import json
@@ -19,11 +19,12 @@ from .sglb import (
     TASK_REGRESSION,
     SglbConfig,
     decompose,
-    ensemble_to_dict,
     fit_ensemble,
+    save_ensemble,
 )
 from .vectorize import (
     KIND_ABBREV,
+    FingerprintTable,
     fingerprint_dataset,
     graph_from_record,
     slice_table,
@@ -39,6 +40,8 @@ _TASK_ALIASES = {
 }
 
 K_GRID_CAP = 20
+PREDICTION_COLUMNS = ("prediction", "total_uncertainty", "knowledge_uncertainty",
+                      "data_uncertainty")
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,8 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     sglb_doc = dict(doc.get("sglb", {}))
     sglb_doc.setdefault("task", task)
     sglb_doc.setdefault("seed", seed)
-    if sglb_doc.get("beta") == "inf":
-        sglb_doc["beta"] = math.inf
     try:
-        sglb = SglbConfig(**sglb_doc)
+        sglb = SglbConfig.from_dict(sglb_doc)
     except TypeError as exc:
         raise ConfigError(f"invalid sglb config: {exc}") from None
     if sglb.task != task:
@@ -192,12 +193,13 @@ def load_dataset(path, dataset_format: str | None = None):
         dataset_format = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}.get(ext)
         if dataset_format is None:
             raise ConfigError(f"cannot infer dataset format from {path!r}")
-    if dataset_format == "csv":
-        records, errors = _load_csv(path)
-    elif dataset_format == "jsonl":
-        records, errors = _load_jsonl(path)
-    else:
+    loader = {"csv": _load_csv, "jsonl": _load_jsonl}.get(dataset_format)
+    if loader is None:
         raise ConfigError(f"unknown dataset format {dataset_format!r}")
+    try:
+        records, errors = loader(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not records:
         raise DataError(f"{path}: no usable records"
                         + (f" ({len(errors)} rows failed)" if errors else ""))
@@ -223,10 +225,10 @@ def _load_csv(path):
             record_id = (row.get(id_col) or f"row{i}") if id_col else f"row{i}"
             try:
                 smiles = (row.get(smiles_col) or "").strip()
-                target = float(row[target_col])
+                target = _target(row.get(target_col))
                 parse_smiles(smiles)  # reject unparsable rows up front
                 records.append(DatasetRecord(record_id, target, smiles=smiles))
-            except Exception as exc:
+            except DataError as exc:
                 errors.append({"record_id": record_id, "error": str(exc)})
     return records, errors
 
@@ -240,30 +242,44 @@ def _load_jsonl(path):
                 continue
             record_id = f"row{i}"
             try:
-                doc = json.loads(line)
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"invalid JSON: {exc}") from None
+                if not isinstance(doc, dict):
+                    raise DataError("record must be a JSON object")
                 record_id = str(doc.get("record_id", record_id))
-                target = doc.get("target")
-                if target is None:
-                    raise DataError("missing target")
-                target = float(target)
-                split = doc.get("split")
-                kwargs = {}
-                if "graph" in doc:
-                    load_graph_json(doc["graph"])  # validate up front
-                    kwargs["graph"] = doc["graph"]
-                elif "graph_path" in doc:
-                    graph_path = os.path.join(base_dir, doc["graph_path"])
-                    load_graph_json(graph_path)
-                    kwargs["graph_path"] = graph_path
-                elif "smiles" in doc:
-                    parse_smiles(doc["smiles"])
-                    kwargs["smiles"] = doc["smiles"]
-                else:
-                    raise DataError("record needs graph, graph_path, or smiles")
-                records.append(DatasetRecord(record_id, target, split=split, **kwargs))
-            except Exception as exc:
+                records.append(_jsonl_record(doc, record_id, base_dir))
+            except DataError as exc:
                 errors.append({"record_id": record_id, "error": str(exc)})
     return records, errors
+
+
+def _jsonl_record(doc, record_id, base_dir) -> DatasetRecord:
+    target = _target(doc.get("target"))
+    split = doc.get("split")
+    if split is not None and split not in SPLIT_TAGS:
+        raise DataError(f"invalid split tag {split!r}")
+    key = next((k for k in ("graph", "graph_path", "smiles") if k in doc), None)
+    if key is None:
+        raise DataError("record needs graph, graph_path, or smiles")
+    value = doc[key]
+    if not isinstance(value, dict if key == "graph" else str):
+        raise DataError(f"{key} must be " + ("an object" if key == "graph" else "a string"))
+    if key == "graph_path":
+        value = os.path.join(base_dir, value)
+    if key == "smiles":
+        parse_smiles(value)  # validate up front
+    else:
+        load_graph_json(value)
+    return DatasetRecord(record_id, target, split=split, **{key: value})
+
+
+def _target(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):  # None when the target is missing
+        raise DataError(f"missing or non-numeric target {value!r}") from None
 
 
 def apply_split(records, split_mode: str = "random", split_path=None,
@@ -431,19 +447,89 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 # Benchmark orchestration
 
+def load_records(cfg: RunConfig):
+    """Split-tagged records plus the load error report; the file's own tags
+    are kept unless the config splits by file or a record has none."""
+    records, load_errors = load_dataset(cfg.dataset_path, cfg.dataset_format)
+    if cfg.split_mode == "file" or not all(r.split for r in records):
+        records = apply_split(records, cfg.split_mode, cfg.split_path,
+                              cfg.split_ratios, cfg.seed)
+    return records, load_errors
+
+
+@dataclass(frozen=True)
+class PreparedRun:
+    records: list
+    load_errors: list
+    table: FingerprintTable
+    k_grid: int
+    charge_thresholds: tuple[float, ...] | None  # global deciles, else None
+    fingerprint_seconds: float
+
+
+def prepare_run(cfg: RunConfig) -> PreparedRun:
+    """Load and split the dataset, pre-scan it, and fingerprint every record.
+
+    The pre-scan picks k_grid (the largest graph diameter, capped at
+    K_GRID_CAP) when the config leaves it open, and pools partial charges
+    for global deciles.
+    """
+    records, load_errors = load_records(cfg)
+    k_grid = cfg.k_grid
+    charge_thresholds = None
+    if k_grid is None or cfg.decile_mode == "global":
+        diameters, charges = _prescan(records)
+        if k_grid is None:
+            if not diameters:
+                raise DataError("no graphs available to choose k_grid from")
+            k_grid = min(K_GRID_CAP, max(max(diameters), 1))
+        if cfg.decile_mode == "global":
+            if not charges:
+                raise DataError("global decile mode needs partial charges")
+            charge_thresholds = decile_boundaries(charges)
+    t0 = time.perf_counter()
+    table = fingerprint_dataset(records, cfg.kinds, k_grid, threads=cfg.threads,
+                                distance_mode=cfg.distance_mode,
+                                charge_thresholds=charge_thresholds)
+    return PreparedRun(records, load_errors, table, k_grid, charge_thresholds,
+                       time.perf_counter() - t0)
+
+
 def _prescan(records):
-    """Graph diameters and the pooled charge multiset (failures deferred)."""
+    """Graph diameters and the pooled charge multiset."""
     diameters = []
     charges = []
     for record in records:
         try:
             graph = graph_from_record(record)
-        except Exception:
+        except DataError:
             continue  # the fingerprint stage reports per-record failures
         diameters.append(geodesic_distances(graph).diameter)
         charges.extend(a.partial_charge for a in graph.atoms
                        if a.partial_charge is not None)
     return diameters, charges
+
+
+def training_matrix(records, table: FingerprintTable):
+    """Float feature matrix, targets and the table rows of each split tag."""
+    by_id = {r.record_id: r for r in records}
+    missing = [fp.record_id for fp in table.fingerprints if fp.record_id not in by_id]
+    if missing:
+        raise DataError(f"fingerprints reference unknown records: {missing[:10]}")
+    split_rows: dict[str, list[int]] = {tag: [] for tag in SPLIT_TAGS}
+    for row, fp in enumerate(table.fingerprints):
+        split_rows[by_id[fp.record_id].split].append(row)
+    targets = np.array([by_id[fp.record_id].target for fp in table.fingerprints],
+                       dtype=np.float64)
+    return table.matrix().astype(np.float64), targets, split_rows
+
+
+def write_fingerprint_artifacts(out_dir, table: FingerprintTable, load_errors):
+    """``fingerprints.csv`` and ``errors.json`` (load and fingerprint errors)."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_fingerprints_csv(table, os.path.join(out_dir, "fingerprints.csv"))
+    _write_json(os.path.join(out_dir, "errors.json"),
+                {"load_errors": list(load_errors), "fingerprint_errors": list(table.errors)})
 
 
 def _metric_summary(values_by_metric):
@@ -466,42 +552,14 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
     """Fingerprint, train, evaluate; write all artifacts under cfg.out_dir."""
     timing = {}
     t_start = time.perf_counter()
-
-    records, load_errors = load_dataset(cfg.dataset_path, cfg.dataset_format)
-    if cfg.split_mode == "file" or not all(r.split for r in records):
-        records = apply_split(records, cfg.split_mode, cfg.split_path,
-                              cfg.split_ratios, cfg.seed)
-
-    k_grid = cfg.k_grid
-    charge_thresholds = None
-    if k_grid is None or cfg.decile_mode == "global":
-        diameters, charges = _prescan(records)
-        if k_grid is None:
-            if not diameters:
-                raise DataError("no graphs available to choose k_grid from")
-            k_grid = min(K_GRID_CAP, max(max(diameters), 1))
-        if cfg.decile_mode == "global":
-            if not charges:
-                raise DataError("global decile mode needs partial charges")
-            charge_thresholds = decile_boundaries(charges)
-
-    t0 = time.perf_counter()
-    table = fingerprint_dataset(records, cfg.kinds, k_grid, threads=cfg.threads,
-                                distance_mode=cfg.distance_mode,
-                                charge_thresholds=charge_thresholds)
-    timing["fingerprint_seconds"] = time.perf_counter() - t0
-
-    by_id = {r.record_id: r for r in records}
-    split_rows: dict[str, list[int]] = {tag: [] for tag in SPLIT_TAGS}
-    for row, fp in enumerate(table.fingerprints):
-        split_rows[by_id[fp.record_id].split].append(row)
+    prep = prepare_run(cfg)
+    records, table = prep.records, prep.table
+    timing["fingerprint_seconds"] = prep.fingerprint_seconds
+    matrix, targets, split_rows = training_matrix(records, table)
     if not split_rows["TRAIN"] or not split_rows["TEST"]:
         raise DataError("TRAIN and TEST splits must both be non-empty after "
                         "fingerprinting")
-
-    matrix = table.matrix().astype(np.float64)
-    targets = np.array([by_id[fp.record_id].target for fp in table.fingerprints],
-                       dtype=np.float64)
+    write_fingerprint_artifacts(cfg.out_dir, table, prep.load_errors)
 
     if ablation:
         subsets = [(k,) for k in cfg.kinds]
@@ -510,7 +568,6 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
     else:
         subsets = [tuple(cfg.kinds)]
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     runs = {}
     first_predictions = []
     timing["train_seconds"] = {}
@@ -529,9 +586,7 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
         train_times, predict_times = [], []
 
         for repeat in range(cfg.repeats):
-            seed_r = cfg.seed + 7919 * repeat
-            config_r = SglbConfig(**{**cfg.sglb.to_dict(), "seed": seed_r,
-                                     "beta": cfg.sglb.beta})
+            config_r = replace(cfg.sglb, seed=cfg.sglb.seed + 7919 * repeat)
             t0 = time.perf_counter()
             ensemble = fit_ensemble(X_train, y_train, config_r,
                                     layout=sub.layout, threads=cfg.threads)
@@ -552,23 +607,14 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
                 for name, value in metrics.items():
                     bucket.setdefault(name, []).append(value)
                 if repeat == 0 and label == main_label:
-                    for j, row in enumerate(rows):
-                        fp = table.fingerprints[row]
-                        first_predictions.append({
-                            "record_id": fp.record_id, "split": tag,
-                            "target": float(targets[row]),
-                            "prediction": float(report.prediction[j]),
-                            "total_uncertainty": float(report.total[j]),
-                            "knowledge_uncertainty": float(report.knowledge[j]),
-                            "data_uncertainty": float(report.data[j]),
-                        })
+                    ids = [table.fingerprints[row].record_id for row in rows]
+                    for row, entry in zip(rows, prediction_rows(ids, report)):
+                        first_predictions.append(
+                            {**entry, "split": tag, "target": float(targets[row])})
             predict_times.append(time.perf_counter() - t0)
 
             if repeat == 0 and label == main_label:
-                with open(os.path.join(cfg.out_dir, "model.json"), "w",
-                          encoding="utf-8") as fh:
-                    json.dump(ensemble_to_dict(ensemble), fh, sort_keys=True)
-                    fh.write("\n")
+                save_ensemble(ensemble, os.path.join(cfg.out_dir, "model.json"))
 
         runs[label] = {"kinds": list(kinds),
                        "metrics": {tag: _metric_summary(vals)
@@ -576,22 +622,18 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
         timing["train_seconds"][label] = train_times
         timing["predict_seconds"][label] = predict_times
 
-    write_fingerprints_csv(table, os.path.join(cfg.out_dir, "fingerprints.csv"))
-    _write_json(os.path.join(cfg.out_dir, "errors.json"),
-                {"load_errors": list(load_errors), "fingerprint_errors": list(table.errors)})
-
     first_predictions.sort(key=lambda row: row["record_id"])
-    _write_predictions_csv(os.path.join(cfg.out_dir, "predictions.csv"),
-                           first_predictions)
+    write_predictions_csv(os.path.join(cfg.out_dir, "predictions.csv"),
+                          first_predictions, ("record_id", "split", "target"))
 
     report = {
         "format_version": "1",
         "config": cfg.to_dict(),
-        "k_grid": k_grid,
+        "k_grid": prep.k_grid,
         "dataset": {
             "records": len(records),
             "fingerprinted": len(table.fingerprints),
-            "load_errors": len(load_errors),
+            "load_errors": len(prep.load_errors),
             "fingerprint_errors": len(table.errors),
             "split_sizes": {tag: len(rows) for tag, rows in split_rows.items()},
         },
@@ -615,18 +657,22 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_predictions_csv(path, rows):
+def prediction_rows(record_ids, report) -> list[dict]:
+    """One row per record: its id, the prediction and the uncertainty parts."""
+    parts = (report.prediction, report.total, report.knowledge, report.data)
+    return [{"record_id": rid, **{c: float(p[j]) for c, p in zip(PREDICTION_COLUMNS, parts)}}
+            for j, rid in enumerate(record_ids)]
+
+
+def write_predictions_csv(path, rows, id_columns=("record_id",)):
+    """Prediction rows as CSV, numbers to 10 significant digits."""
+    columns = tuple(id_columns) + PREDICTION_COLUMNS
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["record_id", "split", "target", "prediction",
-                         "total_uncertainty", "knowledge_uncertainty",
-                         "data_uncertainty"])
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([row["record_id"], row["split"],
-                             f"{row['target']:.10g}", f"{row['prediction']:.10g}",
-                             f"{row['total_uncertainty']:.10g}",
-                             f"{row['knowledge_uncertainty']:.10g}",
-                             f"{row['data_uncertainty']:.10g}"])
+            writer.writerow([row[c] if isinstance(row[c], str) else f"{row[c]:.10g}"
+                             for c in columns])
 
 
 # ---------------------------------------------------------------------------

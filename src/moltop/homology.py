@@ -243,13 +243,3 @@ def reduce_complex(cx: FilteredComplex, validate: bool = True
     pd1 = PersistenceDiagram(1, tuple(sorted(pd1_pairs)), tuple(sorted(essentials)),
                              eps_max)
     return pd0, pd1
-
-
-def betti_at(pd: PersistenceDiagram, t: int) -> int:
-    """Number of classes alive at scale t: finite pairs with b <= t < d plus
-    essentials with b <= t."""
-    if not 0 <= t <= pd.eps_max:
-        raise ValueError(f"scale {t} outside the grid [0, {pd.eps_max}]")
-    alive = sum(1 for b, d in pd.pairs if b <= t < d)
-    alive += sum(1 for b in pd.essentials if b <= t)
-    return alive

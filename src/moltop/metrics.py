@@ -111,16 +111,3 @@ def matching_report(graph_a, graph_b, specs, k_grid: int, p: float = 1.0,
     if induced > 0 and not math.isinf(induced):
         ratio = vector_distance / induced
     return MatchingDistanceReport(p, tuple(per_row), induced, vector_distance, ratio)
-
-
-def stability_probe(graph_pairs, specs, k_grid: int, p: float = 1.0,
-                    distance_mode: str = "full_graph"):
-    """Reports for each pair plus the max observed vector/diagram ratio.
-
-    The max ratio is an empirical surrogate for the stability constant; it
-    is reported, never asserted against.
-    """
-    reports = [matching_report(a, b, specs, k_grid, p, distance_mode)
-               for a, b in graph_pairs]
-    ratios = [r.ratio for r in reports if r.ratio is not None]
-    return reports, (max(ratios) if ratios else None)

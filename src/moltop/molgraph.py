@@ -20,6 +20,7 @@ geometrically.
 from dataclasses import dataclass, field, replace
 
 import json
+import sys
 
 from .elements import (
     AROMATIC_SYMBOLS,
@@ -572,6 +573,7 @@ def relabel(graph: MolecularGraph, perm: list[int]) -> MolecularGraph:
 
 _ATOM_KEYS = {"element", "formal_charge", "partial_charge", "chirality"}
 _BOND_KEYS = {"a", "b", "order"}
+_FLOAT_MAX = sys.float_info.max  # NaN and the infinities fall outside
 
 
 def graph_to_json_dict(graph: MolecularGraph) -> dict:
@@ -596,6 +598,8 @@ def load_graph_json(source, strict: bool = True) -> MolecularGraph:
     Fields are taken verbatim (no hydrogens are owed); ring flags are
     recomputed.  Schema or invariant violations raise with the JSON path.
     """
+    if isinstance(source, int):  # open() would read, then close, that file descriptor
+        raise SchemaError(f"cannot read molecule source {source!r}")
     if isinstance(source, dict):
         doc = source
     else:
@@ -603,11 +607,11 @@ def load_graph_json(source, strict: bool = True) -> MolecularGraph:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, TypeError):
+        except (OSError, TypeError, ValueError):
             if isinstance(source, str):
                 text = source
             else:
-                raise SchemaError(f"cannot read molecule source {source!r}")
+                raise SchemaError(f"cannot read molecule source {source!r}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -653,8 +657,11 @@ def graph_from_json_dict(doc: dict, strict: bool = True) -> MolecularGraph:
         if not isinstance(charge, int) or isinstance(charge, bool):
             raise SchemaError("formal_charge must be an integer", path + ".formal_charge")
         partial = entry.get("partial_charge")
-        if partial is not None and not isinstance(partial, (int, float)):
-            raise SchemaError("partial_charge must be a number", path + ".partial_charge")
+        if partial is not None and (isinstance(partial, bool)
+                                    or not isinstance(partial, (int, float))
+                                    or not -_FLOAT_MAX <= partial <= _FLOAT_MAX):
+            raise SchemaError("partial_charge must be a finite number",
+                              path + ".partial_charge")
         tag = entry.get("chirality", CHI_NONE)
         if tag not in CHIRALITY_TAGS:
             raise SchemaError(f"invalid chirality {tag!r}", path + ".chirality")

@@ -372,30 +372,6 @@ def fit(X, y, config: SglbConfig, layout: FingerprintLayout | None = None) -> Sg
     return SglbModel(config, base, tuple(trees), X.shape[1], layout)
 
 
-def fit_classical_reference(X, y, config: SglbConfig,
-                            layout: FingerprintLayout | None = None) -> SglbModel:
-    """Plain gradient boosting (no gradient noise, no shrinking term).
-
-    Reference path: the noisy trainer must reproduce it tree for tree when
-    its noise is disabled and gamma is zero.
-    """
-    X, y = _validate_training_data(X, y, config.task)
-    grower = _TreeGrower(_Binned(X, config.max_bins), config.max_depth,
-                         config.min_samples_split)
-    grad_fn = (_regression_negative_gradients if config.task == TASK_REGRESSION
-               else _classification_negative_gradients)
-    base = _base_prediction(config.task, y)
-    eta = config.learning_rate
-    F = np.tile(base, (len(y), 1))
-    trees = []
-    for _ in range(config.iterations):
-        tree = grower.grow(grad_fn(F, y))
-        trees.append(tree)
-        F = F + eta * tree.predict(X)
-    reference_config = replace(config, gamma=0.0, beta=math.inf)
-    return SglbModel(reference_config, base, tuple(trees), X.shape[1], layout)
-
-
 @dataclass(frozen=True)
 class SglbEnsemble:
     config: SglbConfig

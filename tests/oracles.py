@@ -4,13 +4,27 @@ Everything here favors directness over speed: dense GF(2) Gaussian
 elimination for Betti numbers, the textbook single-matrix column reduction
 for persistence pairs, exhaustive matching enumeration for Wasserstein
 distances, and naive threshold loops for the classification metrics.  None
-of it shares code with the production paths.
+of it shares code with the production paths, except the classical boosting
+reference, which reuses the trainer's binning and tree growing so that the
+trees it is compared with can be equal.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
+
+from moltop.sglb import (
+    TASK_REGRESSION,
+    SglbModel,
+    _base_prediction,
+    _Binned,
+    _classification_negative_gradients,
+    _regression_negative_gradients,
+    _TreeGrower,
+    _validate_training_data,
+)
 
 UNREACHABLE = -1
 
@@ -116,6 +130,15 @@ def betti_numbers_at(vertices, hops, eps):
     beta1 = len(edges) - r1 - r2
     beta2 = len(triangles) - r2  # no 3-simplices in the capped complex
     return beta0, beta1, beta2
+
+
+def betti_at(pd, t: int) -> int:
+    """Classes of a diagram alive at scale t, counted one pair at a time."""
+    if not 0 <= t <= pd.eps_max:
+        raise ValueError(f"scale {t} outside the grid [0, {pd.eps_max}]")
+    alive = sum(1 for b, d in pd.pairs if b <= t < d)
+    alive += sum(1 for b in pd.essentials if b <= t)
+    return alive
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +376,32 @@ def naive_f1(scores, labels, threshold=0.5):
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
+
+
+# ---------------------------------------------------------------------------
+# Classical gradient boosting
+
+def fit_classical_reference(X, y, config, layout=None):
+    """Plain gradient boosting (no gradient noise, no shrinking term).
+
+    The noisy trainer must reproduce it tree for tree when its noise is
+    disabled and gamma is zero.
+    """
+    X, y = _validate_training_data(X, y, config.task)
+    grower = _TreeGrower(_Binned(X, config.max_bins), config.max_depth,
+                         config.min_samples_split)
+    grad_fn = (_regression_negative_gradients if config.task == TASK_REGRESSION
+               else _classification_negative_gradients)
+    base = _base_prediction(config.task, y)
+    eta = config.learning_rate
+    F = np.tile(base, (len(y), 1))
+    trees = []
+    for _ in range(config.iterations):
+        tree = grower.grow(grad_fn(F, y))
+        trees.append(tree)
+        F = F + eta * tree.predict(X)
+    reference_config = replace(config, gamma=0.0, beta=math.inf)
+    return SglbModel(reference_config, base, tuple(trees), X.shape[1], layout)
 
 
 # ---------------------------------------------------------------------------

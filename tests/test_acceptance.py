@@ -22,7 +22,6 @@ from moltop.harness import apply_split, f1_score, prc_auc, rmse, roc_auc, \
 from moltop.homology import (
     DistanceMatrix,
     PersistenceDiagram,
-    betti_at,
     build_vr_row,
     geodesic_distances,
     reduce_complex,
@@ -34,7 +33,6 @@ from moltop.sglb import (
     classification_uncertainty,
     decompose_regression,
     fit,
-    fit_classical_reference,
     fit_ensemble,
     regression_uncertainty,
 )
@@ -47,8 +45,10 @@ from moltop.vectorize import (
 )
 
 from oracles import (
+    betti_at,
     betti_numbers_at,
     exhaustive_wasserstein,
+    fit_classical_reference,
     hop_distances,
     load_graph6_file,
     naive_f1,

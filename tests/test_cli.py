@@ -100,6 +100,49 @@ def test_internal_invariant_error_exits_4(config_path, monkeypatch, capsys):
     assert "internal invariant" in capsys.readouterr().err
 
 
+def test_internal_invariant_error_at_load_exits_4(tmp_path, monkeypatch, capsys):
+    # A bug in the parser must fail the run, not be skipped as a bad row.
+    from moltop import harness
+
+    def broken(text, name=""):
+        raise InternalInvariantError("parser bookkeeping broken")
+
+    data = tmp_path / "data.csv"
+    data.write_text("id,smiles,target\na,CCO,1.0\nb,CCN,2.0\n")
+    monkeypatch.setattr(harness, "parse_smiles", broken)
+    with pytest.raises(InternalInvariantError):
+        harness.load_dataset(data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"path": str(data)}, "task": "regression",
+                               "out_dir": str(tmp_path / "out")}))
+    assert main(["bench", "--config", str(cfg)]) == 4
+    assert "internal invariant" in capsys.readouterr().err
+
+
+def test_bench_matches_fingerprint_then_train(config_path, tmp_path, capsys):
+    # With sglb.seed set apart from the run seed, `bench` trains its first
+    # repeat exactly like `train`, and both paths write the same artifacts.
+    doc = json.loads(config_path.read_text())
+    doc["sglb"]["seed"] = 5
+    config_path.write_text(json.dumps(doc))
+    steps = tmp_path / "steps"
+    assert main(["fingerprint", "--config", str(config_path), "--out", str(steps)]) == 0
+    assert main(["train", "--config", str(config_path), "--out", str(steps),
+                 "--fingerprints", str(steps / "fingerprints.csv")]) == 0
+    direct = tmp_path / "direct"
+    assert main(["train", "--config", str(config_path), "--out", str(direct)]) == 0
+    bench = tmp_path / "bench"
+    assert main(["bench", "--config", str(config_path), "--out", str(bench),
+                 "--repeats", "1"]) == 0
+    for name in ("fingerprints.csv", "errors.json", "model.json"):
+        assert (bench / name).read_bytes() == (steps / name).read_bytes(), name
+    assert (direct / "model.json").read_bytes() == (bench / "model.json").read_bytes()
+    report = json.loads((bench / "report.json").read_text())
+    assert json.loads((bench / "model.json").read_text())["config"]["seed"] == 5
+    assert report["config"]["sglb"]["seed"] == 5
+    capsys.readouterr()
+
+
 def test_bench_command(config_path, tmp_path, capsys):
     assert main(["bench", "--config", str(config_path), "--ablation"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())

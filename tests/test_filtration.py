@@ -9,7 +9,6 @@ from moltop.filtration import (
     FiltrationSpec,
     atomic_mass_sequence,
     bond_type_sequence,
-    bond_type_value,
     build_sequence,
     chirality_sequence,
     chirality_value,
@@ -121,31 +120,43 @@ class TestPartialCharge:
         assert decile_boundaries([1.0, 2.0]) == (1.0,) * 5 + (2.0,) * 5
 
 
+def bond_category(atom_id, g):
+    """Index of the first bond-type sublevel holding the atom (its value)."""
+    levels = bond_type_sequence(g).subsets
+    return next(i for i, level in enumerate(levels) if atom_id in level)
+
+
 class TestBondType:
     def test_benzene_carbon_is_ring(self):
         g = prepared("c1ccccc1")
-        assert bond_type_value(0, g) == 0
+        assert bond_category(0, g) == 0
 
     def test_terminal_alkyne_carbon(self):
         g = prepared("CC#C")
         seq = bond_type_sequence(g)
-        assert bond_type_value(2, g) == 1
+        assert bond_category(2, g) == 1
         assert 2 in seq.subsets[1]
         assert 2 not in seq.subsets[0]
 
     def test_methane_carbon_single_only(self):
         g = prepared("C")
-        assert bond_type_value(0, g) == 3
+        assert bond_category(0, g) == 3
 
     def test_isolated_atom_lowest_category(self):
         g = MolecularGraph("ion", (make_atom(0, "Cl", formal_charge=-1),), ())
-        assert bond_type_value(0, g) == 3
+        assert bond_category(0, g) == 3
+
+    def test_double_bond_category(self):
+        g = prepared("CC=O")
+        assert bond_category(1, g) == bond_category(2, g) == 2
+        assert bond_category(0, g) == 3
 
     def test_minimum_category_wins(self):
         # ring atom that also touches a double bond stays in category 0
         g = prepared("O=C1CCC1")
         carbonyl = 1
-        assert bond_type_value(carbonyl, g) == 0
+        assert bond_category(carbonyl, g) == 0
+        assert bond_category(0, g) == 2  # the carbonyl oxygen
 
 
 class TestBuildSequence:

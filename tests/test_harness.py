@@ -61,6 +61,27 @@ class TestLoadDataset:
         assert errors == []
         assert records[0].graph_path.endswith("h2.json")
 
+    def test_jsonl_malformed_lines_are_load_errors(self, tmp_path):
+        good = {"record_id": "ok", "target": 1.0, "smiles": "CCO"}
+        lines = [json.dumps(good), "{not json", "[1, 2]",
+                 json.dumps({**good, "record_id": "t", "target": "high"}),
+                 json.dumps({"record_id": "m", "smiles": "CCO"}),
+                 json.dumps({**good, "record_id": "s", "split": "train"}),
+                 json.dumps({"record_id": "p", "target": 1.0, "graph_path": 7}),
+                 json.dumps({"record_id": "g", "target": 1.0, "graph": 0})]
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        records, errors = load_dataset(path)
+        assert [r.record_id for r in records] == ["ok"]
+        assert [e["record_id"] for e in errors] == ["row1", "row2", "t", "m", "s",
+                                                    "p", "g"]
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"id,smiles,target\na,CCO,1.0\nb,C\xff\xfeC,2.0\n")
+        with pytest.raises(DataError):
+            load_dataset(path)
+
     def test_empty_after_skips_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_csv_dataset(path, [["a", "C1CC", "1.0"]])

@@ -10,7 +10,6 @@ from moltop.homology import (
     UNREACHABLE,
     DistanceMatrix,
     PersistenceDiagram,
-    betti_at,
     build_vr_row,
     geodesic_distances,
     reduce_complex,
@@ -22,6 +21,7 @@ from moltop.molgraph import DatasetRecord, load_graph_json, parse_smiles, relabe
 from moltop.vectorize import graph_from_record, prepare_graph
 
 from oracles import (
+    betti_at,
     betti_numbers_at,
     complex_at,
     hop_distances,

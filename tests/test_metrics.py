@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from moltop.cli import main
 from moltop.datagen import assign_reference_charges
 from moltop.errors import DataError, LayoutMismatchError
 from moltop.filtration import FILTRATION_KINDS, make_spec
@@ -11,10 +13,9 @@ from moltop.metrics import (
     fingerprint_distance,
     induced_distance,
     matching_report,
-    stability_probe,
     wasserstein,
 )
-from moltop.molgraph import mirror, parse_smiles
+from moltop.molgraph import graph_to_json_dict, mirror, parse_smiles
 from moltop.vectorize import Fingerprint, FingerprintLayout, assemble, prepare_graph
 
 from oracles import exhaustive_wasserstein
@@ -151,11 +152,10 @@ class TestFingerprintDistance:
 class TestStabilityProbe:
     def test_identical_pair_skipped_ratio(self):
         g = assign_reference_charges(prepare_graph(parse_smiles("CCO")))
-        reports, max_ratio = stability_probe([(g, g)], ALL_SPECS, 8)
-        assert reports[0].induced == 0.0
-        assert reports[0].vector_distance == 0.0
-        assert reports[0].ratio is None
-        assert max_ratio is None
+        report = matching_report(g, g, ALL_SPECS, 8)
+        assert report.induced == 0.0
+        assert report.vector_distance == 0.0
+        assert report.ratio is None
 
     def test_single_perturbation_finite_ratio(self):
         g = assign_reference_charges(prepare_graph(parse_smiles("N[C@@H](C)C(=O)O")))
@@ -165,11 +165,18 @@ class TestStabilityProbe:
         assert report.ratio == pytest.approx(report.vector_distance / report.induced)
         assert len(report.per_row) == sum(s.levels for s in ALL_SPECS)
 
-    def test_probe_reports_max_ratio(self, random_graphs):
-        pairs = [(g, mirror(g)) for g in random_graphs[:6]]
-        reports, max_ratio = stability_probe(pairs, ALL_SPECS, 10)
-        ratios = [r.ratio for r in reports if r.ratio is not None]
-        if ratios:
-            assert max_ratio == max(ratios)
-        else:
-            assert max_ratio is None
+    def test_probe_reports_max_ratio(self, random_graphs, tmp_path, capsys):
+        # `moltop distance` summarizes mirror pairs by their largest ratio
+        graphs = random_graphs[:6]
+        pairs = [{"a": graph_to_json_dict(g), "b": graph_to_json_dict(mirror(g))}
+                 for g in graphs]
+        (tmp_path / "pairs.json").write_text(json.dumps(pairs))
+        assert main(["distance", "--pairs", str(tmp_path / "pairs.json"),
+                     "--k-grid", "10", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "distances.jsonl").read_text().splitlines()
+        ratios = [matching_report(g, mirror(g), ALL_SPECS, 10).ratio for g in graphs]
+        assert [json.loads(line)["ratio"] for line in lines[:-1]] == ratios
+        ratios = [r for r in ratios if r is not None]
+        expected = max(ratios) if ratios else None
+        assert json.loads(lines[-1])["summary"]["max_ratio"] == expected

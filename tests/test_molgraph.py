@@ -1,10 +1,12 @@
+import copy
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moltop.datagen import random_molecule
+from moltop.datagen import assign_reference_charges, random_molecule
 from moltop.errors import SchemaError, SmilesParseError
 from moltop.molgraph import (
     CHI_CCW,
@@ -14,6 +16,7 @@ from moltop.molgraph import (
     components,
     detect_rings,
     expand_hydrogens,
+    graph_from_json_dict,
     graph_to_json_dict,
     load_graph_json,
     mirror,
@@ -244,6 +247,29 @@ class TestJsonFormat:
         g = load_graph_json(doc, strict=False)
         assert any("unknown" in w for w in g.warnings)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "1e999"])
+    def test_non_finite_partial_charge_rejected(self, value):
+        # json.loads accepts NaN and Infinity; such a charge would poison the
+        # decile thresholds and drop its atom from the last sublevel.
+        doc = json.loads('{"atoms": [{"element": "H", "partial_charge": %s}, '
+                         '{"element": "H", "partial_charge": 0.4}], '
+                         '"bonds": [{"a": 0, "b": 1, "order": "SINGLE"}]}' % value)
+        with pytest.raises(SchemaError) as err:
+            graph_from_json_dict(doc)
+        assert err.value.path == "$.atoms[0].partial_charge"
+
+    def test_file_descriptor_numbers_are_not_sources(self):
+        # open() takes an int as a file descriptor: it would read and close it
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            for source in (read_end, [1]):
+                with pytest.raises(SchemaError):
+                    load_graph_json(source)
+            os.fstat(read_end)  # still open
+        finally:
+            os.close(read_end)
+
     def test_valence_invariant_enforced(self):
         doc = {"name": "bad-o", "atoms": [{"element": "O"}], "bonds": []}
         with pytest.raises(SchemaError):
@@ -307,3 +333,67 @@ def test_dataset_record_validation():
     with pytest.raises(ValueError):
         DatasetRecord("r", 1.0, smiles="C", split="train")
     DatasetRecord("r", 1.0, smiles="C", split="TRAIN")
+
+
+def _json_containers(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3))
+
+
+# Arbitrary JSON values, for corrupting molecule documents.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    _json_containers, max_leaves=6)
+_BASE_DOCS = [graph_to_json_dict(assign_reference_charges(prepared(smiles)))
+              for smiles in ("CCO", "c1ccccc1", "N[C@@H](C)C(=O)O", "C#N", "[NH4+]")]
+_FIELDS = {"$": ("name", "atoms", "bonds", "extra"),
+           "atoms": ("element", "formal_charge", "partial_charge", "chirality", "x"),
+           "bonds": ("a", "b", "order", "x")}
+
+
+@st.composite
+def molecule_documents(draw):
+    """A valid molecule document with up to four fields replaced or deleted,
+    or now and then an arbitrary JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_json_values)
+    doc = copy.deepcopy(draw(st.sampled_from(_BASE_DOCS)))
+    for _ in range(draw(st.integers(0, 4))):
+        where = draw(st.sampled_from(sorted(_FIELDS)))
+        target = doc
+        if where != "$":
+            entries = doc.get(where)
+            if not isinstance(entries, list) or not entries:
+                continue
+            target = draw(st.sampled_from(entries))
+            if not isinstance(target, dict):
+                continue
+        key = draw(st.sampled_from(_FIELDS[where]))
+        if key in target and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(st.integers(-2, 12) | _json_values)
+    return doc
+
+
+_SMILES_ALPHABET = "BCNOSPFIHclbrnosp[]()=#:-+/\\@%.*0123456789 "
+
+
+class TestRejectionTaxonomy:
+    """Malformed input is rejected with a DataError carrying its location."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=molecule_documents(), strict=st.booleans())
+    def test_molecule_documents(self, doc, strict):
+        try:
+            graph_from_json_dict(doc, strict=strict)
+        except SchemaError as exc:
+            assert exc.path.startswith("$")
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.text(alphabet=_SMILES_ALPHABET, max_size=24))
+    def test_smiles_strings(self, text):
+        try:
+            parse_smiles(text)
+        except SmilesParseError as exc:
+            assert 0 <= exc.offset <= len(text)

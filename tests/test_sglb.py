@@ -14,13 +14,14 @@ from moltop.sglb import (
     ensemble_from_dict,
     ensemble_to_dict,
     fit,
-    fit_classical_reference,
     fit_ensemble,
     quantile_bin_edges,
     rank_by_uncertainty,
     regression_uncertainty,
 )
 from moltop.vectorize import FingerprintLayout
+
+from oracles import fit_classical_reference
 
 
 def toy_regression(n=120, features=6, seed=0):
