@@ -132,12 +132,21 @@ def _cmd_evaluate(args) -> int:
     targets = {r.record_id: r.target for r in records}
     groups: dict[str, tuple[list, list]] = {}
     with open(args.predictions, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for column in ("record_id", "prediction"):
+            if column not in (reader.fieldnames or ()):
+                raise DataError(f"{args.predictions}: no {column!r} column")
+        for row in reader:
             rid = row["record_id"]
             if rid not in targets:
                 raise DataError(f"prediction for unknown record {rid!r}")
+            try:
+                prediction = float(row["prediction"])
+            except (TypeError, ValueError):  # TypeError: the row has too few fields
+                raise DataError(f"{args.predictions} line {reader.line_num}: "
+                                f"non-numeric prediction {row['prediction']!r}") from None
             bucket = groups.setdefault(row.get("split") or "ALL", ([], []))
-            bucket[0].append(float(row["prediction"]))
+            bucket[0].append(prediction)
             bucket[1].append(float(targets[rid]))
     if not groups:
         raise DataError(f"{args.predictions}: no prediction rows")
@@ -164,7 +173,7 @@ def _molecule_from_doc(doc):
     if isinstance(doc, str):
         return prepare_graph(parse_smiles(doc))
     if isinstance(doc, dict):
-        return prepare_graph(load_graph_json(doc))
+        return load_graph_json(doc)
     raise DataError("pair entries must be SMILES strings or molecule objects")
 
 

@@ -257,9 +257,6 @@ def _load_jsonl(path):
 
 def _jsonl_record(doc, record_id, base_dir) -> DatasetRecord:
     target = _target(doc.get("target"))
-    split = doc.get("split")
-    if split is not None and split not in SPLIT_TAGS:
-        raise DataError(f"invalid split tag {split!r}")
     key = next((k for k in ("graph", "graph_path", "smiles") if k in doc), None)
     if key is None:
         raise DataError("record needs graph, graph_path, or smiles")
@@ -272,7 +269,7 @@ def _jsonl_record(doc, record_id, base_dir) -> DatasetRecord:
         parse_smiles(value)  # validate up front
     else:
         load_graph_json(value)
-    return DatasetRecord(record_id, target, split=split, **{key: value})
+    return DatasetRecord(record_id, target, split=doc.get("split"), **{key: value})
 
 
 def _target(value) -> float:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, LayoutMismatchError
 from .homology import PersistenceDiagram
@@ -21,6 +20,8 @@ from .vectorize import Fingerprint, fingerprint_from_rows, row_diagrams
 def wasserstein(pd_a: PersistenceDiagram, pd_b: PersistenceDiagram,
                 p: float = 1.0) -> float:
     """Exact p-Wasserstein matching distance via optimal assignment."""
+    # Imported here: scipy.optimize is slow to import and only `distance` needs it.
+    from scipy.optimize import linear_sum_assignment
     if p < 1:
         raise ValueError("p must be at least 1")
     if len(pd_a.essentials) != len(pd_b.essentials):

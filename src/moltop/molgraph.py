@@ -20,6 +20,7 @@ geometrically.
 from dataclasses import dataclass, field, replace
 
 import json
+import os
 import sys
 
 from .elements import (
@@ -29,7 +30,7 @@ from .elements import (
     allowed_valences,
     atomic_mass,
 )
-from .errors import SchemaError, SmilesParseError
+from .errors import DataError, SchemaError, SmilesParseError
 
 CHI_NONE = "NONE"
 CHI_CW = "CW"
@@ -111,9 +112,9 @@ class DatasetRecord:
 
     def __post_init__(self):
         if sum(s is not None for s in (self.smiles, self.graph, self.graph_path)) != 1:
-            raise ValueError("record needs exactly one of smiles/graph/graph_path")
+            raise DataError("record needs exactly one of smiles/graph/graph_path")
         if self.split is not None and self.split not in SPLIT_TAGS:
-            raise ValueError(f"invalid split tag {self.split!r}")
+            raise DataError(f"invalid split tag {self.split!r}")
 
 
 def make_atom(atom_id, element, formal_charge=0, partial_charge=None,
@@ -281,6 +282,8 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     flags are not yet computed.  Chirality tags are normalized to ascending
     neighbor-id order so isomorphic inputs produce identical tags.
     """
+    if not isinstance(text, str):
+        raise SmilesParseError(f"SMILES must be a string, not {type(text).__name__}", 0)
     if not text:
         raise SmilesParseError("empty SMILES", 0)
 
@@ -593,29 +596,24 @@ def graph_to_json_dict(graph: MolecularGraph) -> dict:
 
 
 def load_graph_json(source, strict: bool = True) -> MolecularGraph:
-    """Load a molecule from a JSON file path, JSON text, or parsed dict.
+    """Load a molecule from a parsed dict or a JSON file path.
 
     Fields are taken verbatim (no hydrogens are owed); ring flags are
     recomputed.  Schema or invariant violations raise with the JSON path.
     """
-    if isinstance(source, int):  # open() would read, then close, that file descriptor
-        raise SchemaError(f"cannot read molecule source {source!r}")
     if isinstance(source, dict):
-        doc = source
-    else:
-        text = None
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, TypeError, ValueError):
-            if isinstance(source, str):
-                text = source
-            else:
-                raise SchemaError(f"cannot read molecule source {source!r}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from None
+        return graph_from_json_dict(source, strict=strict)
+    if not isinstance(source, (str, os.PathLike)):
+        raise SchemaError(f"cannot read molecule source {source!r}")
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, or not UTF-8
+        raise SchemaError(f"cannot read molecule file {os.fspath(source)!r}: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
     return graph_from_json_dict(doc, strict=strict)
 
 

@@ -21,7 +21,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ConfigError, DataError, LayoutMismatchError
 from .vectorize import FingerprintLayout
@@ -334,12 +333,6 @@ class SglbModel:
             return F[:, 0]
         return _sigmoid(F[:, 0])
 
-    def predicted_variance(self, X: np.ndarray) -> np.ndarray:
-        if self.config.task != TASK_REGRESSION:
-            raise ConfigError("predicted_variance is a regression-only output")
-        F = self.raw_predict(X)
-        return np.exp(np.clip(F[:, 1], -30.0, 30.0))
-
 
 def _noise_std(config: SglbConfig, n: int) -> float:
     beta = float(n) if config.beta is None else config.beta
@@ -391,14 +384,6 @@ class SglbEnsemble:
                 "fingerprint layout does not match the one the ensemble was "
                 f"trained on: {layout.to_dict()} vs {self.layout.to_dict()}")
 
-    def member_outputs(self, X: np.ndarray):
-        """Regression: (means, variances), each (M, n); classification: probs (M, n)."""
-        if self.task == TASK_REGRESSION:
-            means = np.vstack([m.raw_predict(X)[:, 0] for m in self.members])
-            variances = np.vstack([m.predicted_variance(X) for m in self.members])
-            return means, variances
-        return np.vstack([m.predict(X) for m in self.members])
-
 
 def _member_seed(base_seed: int, m: int) -> int:
     return base_seed + m
@@ -435,6 +420,8 @@ class UncertaintyReport:
 
 def binary_entropy(p: np.ndarray) -> np.ndarray:
     """Entropy in nats of a Bernoulli(p), with 0 log 0 = 0."""
+    # Imported here: scipy.special is slow to import and only classification needs it.
+    from scipy.special import xlogy
     p = np.asarray(p, dtype=np.float64)
     return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
 
@@ -459,23 +446,12 @@ def regression_uncertainty(member_means: np.ndarray,
                              knowledge, data)
 
 
-def decompose_classification(ensemble: SglbEnsemble, X) -> UncertaintyReport:
-    if ensemble.task != TASK_CLASSIFICATION:
-        raise ConfigError("ensemble was not trained for classification")
-    return classification_uncertainty(ensemble.member_outputs(np.asarray(X, dtype=np.float64)))
-
-
-def decompose_regression(ensemble: SglbEnsemble, X) -> UncertaintyReport:
-    if ensemble.task != TASK_REGRESSION:
-        raise ConfigError("ensemble was not trained for regression")
-    means, variances = ensemble.member_outputs(np.asarray(X, dtype=np.float64))
-    return regression_uncertainty(means, variances)
-
-
 def decompose(ensemble: SglbEnsemble, X) -> UncertaintyReport:
+    """Uncertainty report for the ensemble's task, from one forward pass per member."""
+    F = np.stack([m.raw_predict(X) for m in ensemble.members])  # (M, n, out_dim)
     if ensemble.task == TASK_REGRESSION:
-        return decompose_regression(ensemble, X)
-    return decompose_classification(ensemble, X)
+        return regression_uncertainty(F[..., 0], np.exp(np.clip(F[..., 1], -30.0, 30.0)))
+    return classification_uncertainty(_sigmoid(F[..., 0]))
 
 
 RANK_CRITERIA = ("TOTAL", "KNOWLEDGE", "DATA")

@@ -127,13 +127,12 @@ def prepare_graph(graph: MolecularGraph) -> MolecularGraph:
 
 
 def graph_from_record(record: DatasetRecord) -> MolecularGraph:
+    """The record's molecule in canonical form; JSON graphs load in that form."""
     if record.smiles is not None:
-        graph = parse_smiles(record.smiles, name=record.record_id)
-    elif record.graph is not None:
-        graph = load_graph_json(record.graph)
-    else:
-        graph = load_graph_json(record.graph_path)
-    return prepare_graph(graph)
+        return prepare_graph(parse_smiles(record.smiles, name=record.record_id))
+    if record.graph is not None:
+        return load_graph_json(record.graph)
+    return load_graph_json(record.graph_path)
 
 
 def row_diagrams(graph: MolecularGraph, specs, k_grid: int,

@@ -31,7 +31,7 @@ from moltop.molgraph import DatasetRecord, load_graph_json, mirror, parse_smiles
 from moltop.sglb import (
     SglbConfig,
     classification_uncertainty,
-    decompose_regression,
+    decompose,
     fit,
     fit_ensemble,
     regression_uncertainty,
@@ -251,8 +251,8 @@ def test_c06_uncertainty_identities_and_ood():
     ens = fit_ensemble(x[:, None], y,
                        SglbConfig(iterations=150, max_depth=3, ensemble_size=8,
                                   seed=0))
-    on = decompose_regression(ens, np.linspace(0, 1, 50)[:, None])
-    off = decompose_regression(ens, np.linspace(3, 4, 50)[:, None])
+    on = decompose(ens, np.linspace(0, 1, 50)[:, None])
+    off = decompose(ens, np.linspace(3, 4, 50)[:, None])
     assert np.median(off.knowledge) > np.median(on.knowledge)
     print("\nACCEPTANCE 06 PASS — entropy and total-variance identities hold to "
           "1e-12 on 1000 synthetic ensembles; off-support knowledge "
@@ -286,7 +286,7 @@ def test_c08_ablation_trend(pipeline):
                   ("CHIRALITY",), FILTRATION_KINDS]:
         X = slice_table(table, kinds).matrix().astype(np.float64)
         ens = fit_ensemble(X[train], targets[train], TREND_CONFIG, threads=2)
-        report = decompose_regression(ens, X[test])
+        report = decompose(ens, X[test])
         results[kinds] = rmse(report.prediction, targets[test])
     from moltop.vectorize import KIND_ABBREV
     all_rmse = results[FILTRATION_KINDS]
@@ -304,7 +304,7 @@ def test_c09_baseline_beating_floor(pipeline):
     train, test = pipeline["train_rows"], pipeline["test_rows"]
     X = table.matrix().astype(np.float64)
     ens = fit_ensemble(X[train], targets[train], TREND_CONFIG, threads=2)
-    model_rmse = rmse(decompose_regression(ens, X[test]).prediction, targets[test])
+    model_rmse = rmse(decompose(ens, X[test]).prediction, targets[test])
     constant_rmse = rmse(np.full(len(test), targets[train].mean()), targets[test])
     improvement = 1.0 - model_rmse / constant_rmse
     assert improvement >= 0.25, (model_rmse, constant_rmse)

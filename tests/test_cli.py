@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import moltop
 from moltop.cli import main
 from moltop.errors import InternalInvariantError
 from moltop.homology import PersistenceDiagram
@@ -186,6 +190,34 @@ def test_exit_code_data_error(tmp_path, capsys):
                                "out_dir": str(tmp_path / "out")}))
     assert main(["fingerprint", "--config", str(cfg)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header,prediction,named", [
+    ("record_id,prediction", "abc", "line 2"),
+    ("id,prediction", "1.0", "'record_id' column"),
+])
+def test_evaluate_bad_predictions_exit_3(config_path, tiny_dataset_path, tmp_path,
+                                         capsys, header, prediction, named):
+    rid = json.loads(tiny_dataset_path.read_text().splitlines()[0])["record_id"]
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text(f"{header}\n{rid},{prediction}\n")
+    assert main(["evaluate", "--config", str(config_path),
+                 "--predictions", str(predictions)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and named in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the two functions that need it, so the
+    # regression commands do not pay for loading it.
+    src = os.path.dirname(os.path.dirname(moltop.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, moltop.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_datagen_module_cli(tmp_path, capsys):

@@ -61,6 +61,17 @@ class TestLoadDataset:
         assert errors == []
         assert records[0].graph_path.endswith("h2.json")
 
+    def test_jsonl_missing_graph_path_is_a_load_error(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        lines = [{"record_id": "ok", "target": 1.0, "smiles": "CCO"},
+                 {"record_id": "x", "target": 1.0, "graph_path": "gone.json"}]
+        data.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        records, errors = load_dataset(data)
+        assert [r.record_id for r in records] == ["ok"]
+        assert [e["record_id"] for e in errors] == ["x"]
+        assert "cannot read molecule file" in errors[0]["error"]
+        assert "gone.json" in errors[0]["error"]
+
     def test_jsonl_malformed_lines_are_load_errors(self, tmp_path):
         good = {"record_id": "ok", "target": 1.0, "smiles": "CCO"}
         lines = [json.dumps(good), "{not json", "[1, 2]",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moltop.datagen import assign_reference_charges, random_molecule
-from moltop.errors import SchemaError, SmilesParseError
+from moltop.errors import DataError, SchemaError, SmilesParseError
 from moltop.molgraph import (
     CHI_CCW,
     CHI_CW,
@@ -150,6 +150,13 @@ class TestParseSmiles:
             parse_smiles("CCCC(O")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("value", [["C"], 123, b"C"])
+    def test_non_string_input_rejected(self, value):
+        with pytest.raises(SmilesParseError) as err:
+            parse_smiles(value)
+        assert err.value.offset == 0
+        assert "must be a string" in str(err.value)
+
 
 class TestExpandHydrogens:
     @pytest.mark.parametrize("smiles,n_atoms,n_bonds", [
@@ -270,6 +277,17 @@ class TestJsonFormat:
         finally:
             os.close(read_end)
 
+    @pytest.mark.parametrize("case", ["missing", "nul", "not_utf8", "pathlike"])
+    def test_unreadable_file_names_the_file(self, tmp_path, case):
+        path = tmp_path / "mol.json"
+        if case == "not_utf8":
+            path.write_bytes(b'{"name": "\xff", "atoms": []}')
+        source = {"nul": str(path) + "\0", "pathlike": path}.get(case, str(path))
+        with pytest.raises(SchemaError) as err:
+            load_graph_json(source)
+        assert "cannot read molecule file" in str(err.value)
+        assert "mol.json" in str(err.value)
+
     def test_valence_invariant_enforced(self):
         doc = {"name": "bad-o", "atoms": [{"element": "O"}], "bonds": []}
         with pytest.raises(SchemaError):
@@ -326,11 +344,11 @@ def test_permutation_parity_matches_inversion_count():
 
 
 def test_dataset_record_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         DatasetRecord("r", 1.0)  # no source
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         DatasetRecord("r", 1.0, smiles="C", graph_path="x.json")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         DatasetRecord("r", 1.0, smiles="C", split="train")
     DatasetRecord("r", 1.0, smiles="C", split="TRAIN")
 

@@ -9,8 +9,7 @@ from moltop.sglb import (
     SglbConfig,
     TASK_CLASSIFICATION,
     classification_uncertainty,
-    decompose_classification,
-    decompose_regression,
+    decompose,
     ensemble_from_dict,
     ensemble_to_dict,
     fit,
@@ -143,7 +142,7 @@ class TestEnsemble:
     def test_single_member_has_zero_knowledge(self):
         X, y = toy_regression()
         cfg = SglbConfig(iterations=15, max_depth=3, ensemble_size=1, seed=0)
-        report = decompose_regression(fit_ensemble(X, y, cfg), X)
+        report = decompose(fit_ensemble(X, y, cfg), X)
         assert np.allclose(report.knowledge, 0.0)
 
     def test_ten_members_are_distinct(self):
@@ -160,8 +159,8 @@ class TestEnsemble:
         b = fit_ensemble(X, y, cfg, threads=3)
         for ma, mb in zip(a.members, b.members):
             assert ma.trees == mb.trees
-        assert np.array_equal(decompose_regression(a, X).total,
-                              decompose_regression(b, X).total)
+        assert np.array_equal(decompose(a, X).total,
+                              decompose(b, X).total)
 
 
 class TestUncertainty:
@@ -199,12 +198,6 @@ class TestUncertainty:
         report = regression_uncertainty(means, variances)
         assert np.all(np.abs(report.total - (report.knowledge + report.data)) < 1e-12)
 
-    def test_task_mismatch_raises(self):
-        X, y = toy_regression()
-        ens = fit_ensemble(X, y, SglbConfig(iterations=5, ensemble_size=2, seed=0))
-        with pytest.raises(ConfigError):
-            decompose_classification(ens, X)
-
     def test_ood_knowledge_grows_off_support(self):
         # Steep structure at the right edge of the support forces thin,
         # contested boundary leaves; inputs beyond the support inherit them,
@@ -214,8 +207,8 @@ class TestUncertainty:
         y = 1.0 / (1.05 - x) + 0.05 * rng.normal(size=400)
         cfg = SglbConfig(iterations=150, max_depth=3, ensemble_size=8, seed=0)
         ens = fit_ensemble(x[:, None], y, cfg)
-        on = decompose_regression(ens, np.linspace(0, 1, 50)[:, None])
-        off = decompose_regression(ens, np.linspace(3, 4, 50)[:, None])
+        on = decompose(ens, np.linspace(0, 1, 50)[:, None])
+        off = decompose(ens, np.linspace(3, 4, 50)[:, None])
         assert np.median(off.knowledge) > np.median(on.knowledge)
 
 
@@ -229,7 +222,7 @@ class TestRanking:
         ens, X = self.make_ensemble()
         ids = [f"id{i}" for i in range(len(X))]
         top = rank_by_uncertainty(ens, ids, X, "KNOWLEDGE", 5)
-        report = decompose_regression(ens, X)
+        report = decompose(ens, X)
         scores = dict(zip(ids, report.knowledge))
         assert len(top) == 5
         values = [scores[i] for i in top]
@@ -268,8 +261,8 @@ class TestSerialization:
         ens = fit_ensemble(X, y, cfg, layout=layout)
         back = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(ens))))
         assert back.config == ens.config
-        assert np.array_equal(decompose_regression(back, X).prediction,
-                              decompose_regression(ens, X).prediction)
+        assert np.array_equal(decompose(back, X).prediction,
+                              decompose(ens, X).prediction)
         for ma, mb in zip(ens.members, back.members):
             assert ma.trees == mb.trees
             assert ma.layout == mb.layout
