@@ -131,23 +131,26 @@ def _cmd_evaluate(args) -> int:
     records, _ = load_dataset(cfg.dataset_path, cfg.dataset_format)
     targets = {r.record_id: r.target for r in records}
     groups: dict[str, tuple[list, list]] = {}
-    with open(args.predictions, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("record_id", "prediction"):
-            if column not in (reader.fieldnames or ()):
-                raise DataError(f"{args.predictions}: no {column!r} column")
-        for row in reader:
-            rid = row["record_id"]
-            if rid not in targets:
-                raise DataError(f"prediction for unknown record {rid!r}")
-            try:
-                prediction = float(row["prediction"])
-            except (TypeError, ValueError):  # TypeError: the row has too few fields
-                raise DataError(f"{args.predictions} line {reader.line_num}: "
-                                f"non-numeric prediction {row['prediction']!r}") from None
-            bucket = groups.setdefault(row.get("split") or "ALL", ([], []))
-            bucket[0].append(prediction)
-            bucket[1].append(float(targets[rid]))
+    try:
+        with open(args.predictions, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            for column in ("record_id", "prediction"):
+                if column not in (reader.fieldnames or ()):
+                    raise DataError(f"{args.predictions}: no {column!r} column")
+            for row in reader:
+                rid = row["record_id"]
+                if rid not in targets:
+                    raise DataError(f"prediction for unknown record {rid!r}")
+                try:
+                    prediction = float(row["prediction"])
+                except (TypeError, ValueError):  # TypeError: the row has too few fields
+                    raise DataError(f"{args.predictions} line {reader.line_num}: "
+                                    f"non-numeric prediction {row['prediction']!r}") from None
+                bucket = groups.setdefault(row.get("split") or "ALL", ([], []))
+                bucket[0].append(prediction)
+                bucket[1].append(float(targets[rid]))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{args.predictions}: cannot read predictions ({exc})") from None
     if not groups:
         raise DataError(f"{args.predictions}: no prediction rows")
     metrics = {tag: evaluate(preds, labels, cfg.task)

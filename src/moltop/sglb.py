@@ -8,6 +8,13 @@ output (mean shift, log-variance shift) trained against the Gaussian
 negative log-likelihood; classification trees carry one logit column trained
 against log-loss.
 
+Trees grow from histograms of quantile-binned codes.  A column whose codes
+repeat an earlier column's is dropped, and a histogram row is one slot wider
+than the longest edge list.  The trees equal a 256-slot grower's bit for bit:
+argmax keeps the first maximum, cumsum is sequential so trailing empty slots
+change no prefix, and a leaf value is summed over a zero-padded 256-slot row
+because np.sum is pairwise and its rounding depends on the row length.
+
 Ensembles are independently seeded models; disagreement among members gives
 the knowledge (epistemic) part of the uncertainty, the average per-member
 spread gives the data (aleatoric) part.
@@ -134,29 +141,29 @@ class Tree:
 def quantile_bin_edges(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
     """Per-feature ascending split-candidate values from training quantiles."""
     probs = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-    edges = []
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        if col[0] == col.min() == col.max():
-            edges.append(np.empty(0))
-            continue
-        edges.append(np.unique(np.quantile(col, probs)))
+    varying = np.flatnonzero((X != X[0]).any(axis=0))
+    quantiles = np.quantile(X[:, varying], probs, axis=0)
+    edges = [np.empty(0)] * X.shape[1]
+    for j, f in enumerate(varying):
+        edges[f] = np.unique(quantiles[:, j])
     return edges
 
 
 class _Binned:
-    """Quantile-binned view of the training features."""
+    """Quantile-binned training features, one code column per distinct varying one."""
 
     def __init__(self, X: np.ndarray, max_bins: int):
         self.edges = quantile_bin_edges(X, max_bins)
-        self.active = np.array([f for f, e in enumerate(self.edges) if e.size],
-                               dtype=np.intp)
-        n = X.shape[0]
-        self.codes = np.zeros((n, len(self.active)), dtype=np.uint8)
-        for j, f in enumerate(self.active):
+        varying = [f for f, e in enumerate(self.edges) if e.size]
+        codes = np.zeros((X.shape[0], len(varying)), dtype=np.uint8)
+        for j, f in enumerate(varying):
             # code <= c exactly when x <= edges[c]
-            self.codes[:, j] = np.searchsorted(self.edges[f], X[:, f], side="left")
-        self.offsets = (np.arange(len(self.active)) * 256).astype(np.intp)
+            codes[:, j] = np.searchsorted(self.edges[f], X[:, f], side="left")
+        keep = np.sort(np.unique(codes, axis=1, return_index=True)[1])
+        self.active = np.array(varying, dtype=np.intp)[keep]
+        self.codes = codes[:, keep]
+        self.width = 1 + max((self.edges[f].size for f in self.active), default=0)
+        self.offsets = np.arange(len(self.active), dtype=np.intp) * self.width
 
 
 class _TreeGrower:
@@ -167,32 +174,28 @@ class _TreeGrower:
 
     def _histogram(self, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
         binned = self.binned
-        ncand = len(binned.active)
-        out = np.zeros((1 + targets.shape[1], ncand * 256))
+        ncand, width = len(binned.active), binned.width
+        out = np.zeros((1 + targets.shape[1], ncand * width))
         flat = (binned.codes[idx].astype(np.intp) + binned.offsets[None, :]).ravel()
-        out[0] = np.bincount(flat, minlength=ncand * 256)
+        out[0] = np.bincount(flat, minlength=ncand * width)
         for d in range(targets.shape[1]):
             out[1 + d] = np.bincount(flat, weights=np.repeat(targets[idx, d], ncand),
-                                     minlength=ncand * 256)
-        return out.reshape(1 + targets.shape[1], ncand, 256)
+                                     minlength=ncand * width)
+        return out.reshape(1 + targets.shape[1], ncand, width)
 
     def _best_split(self, hist: np.ndarray):
-        cnt = np.cumsum(hist[0], axis=1)
-        m = cnt[0, -1]
-        nl = cnt[:, :-1]
+        sums = np.cumsum(hist, axis=2)
+        m = sums[0, 0, -1]
+        nl = sums[0, :, :-1]
         nr = m - nl
         valid = (nl > 0) & (nr > 0)
         if not valid.any():
             return None
-        gain = np.zeros_like(nl)
-        base = 0.0
+        total = sums[1:, 0, -1, None, None]
+        sl = sums[1:, :, :-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for d in range(1, hist.shape[0]):
-                sums = np.cumsum(hist[d], axis=1)
-                total = sums[0, -1]
-                sl = sums[:, :-1]
-                gain += np.where(valid, sl * sl / nl + (total - sl) ** 2 / nr, -np.inf)
-                base += total * total / m
+            gain = (sl * sl / nl + (total - sl) ** 2 / nr).sum(axis=0)
+        base = (total * total / m).sum()
         gain = np.where(valid, gain - base, -np.inf)
         flat_best = int(np.argmax(gain))
         j, cut = divmod(flat_best, gain.shape[1])
@@ -231,7 +234,10 @@ class _TreeGrower:
             if depth < self.max_depth and m >= self.min_split:
                 split = self._best_split(hist)
             if split is None:
-                value[node] = hist[1:, 0, :].sum(axis=1) / m
+                # np.sum is pairwise: its rounding depends on the row length
+                row = np.zeros((dim, 256))
+                row[:, :binned.width] = hist[1:, 0, :]
+                value[node] = row.sum(axis=1) / m
                 continue
             j, cut = split
             codes = binned.codes[idx, j]
@@ -520,5 +526,9 @@ def save_ensemble(ensemble: SglbEnsemble, path):
 
 
 def load_ensemble(path) -> SglbEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise DataError(f"{path}: cannot read model ({exc})") from None
+    return ensemble_from_dict(doc)

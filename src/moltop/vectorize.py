@@ -319,24 +319,37 @@ def write_fingerprints_csv(table: FingerprintTable, path):
 
 
 def read_fingerprints_csv(path) -> FingerprintTable:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _parse_fingerprints_csv(fh, path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read fingerprint CSV ({exc})") from None
+
+
+def _parse_fingerprints_csv(fh, path) -> FingerprintTable:
     abbrev_to_kind = {v: k for k, v in KIND_ABBREV.items()}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        magic = fh.readline().strip()
-        if not magic.startswith(_CSV_MAGIC):
-            raise DataError(f"{path}: not a fingerprint CSV")
+    magic = fh.readline().strip()
+    if not magic.startswith(_CSV_MAGIC):
+        raise DataError(f"{path}: not a fingerprint CSV")
+    try:
         meta = dict(part.split("=", 1) for part in magic.split()[1:])
         kinds = tuple(abbrev_to_kind[a] for a in meta["kinds"].split(","))
         layout = FingerprintLayout(meta["version"], kinds, int(meta["k_grid"]))
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[1:] != layout.column_names():
-            raise DataError(f"{path}: column names do not match the declared layout")
-        fps = []
-        for row in reader:
+    except (KeyError, ValueError):
+        raise DataError(f"{path}: malformed header line {magic!r}") from None
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if header[1:] != layout.column_names():
+        raise DataError(f"{path}: column names do not match the declared layout")
+    fps = []
+    for row in reader:
+        try:
             vector = np.array([int(x) for x in row[1:]], dtype=np.int64)
-            if vector.shape[0] != layout.length:
-                raise DataError(f"{path}: row {row[0]} has the wrong width")
-            fps.append(Fingerprint(row[0], layout, vector))
+        except ValueError:
+            raise DataError(f"{path} line {reader.line_num}: non-integer entry") from None
+        if vector.shape[0] != layout.length:
+            raise DataError(f"{path} line {reader.line_num}: wrong number of entries")
+        fps.append(Fingerprint(row[0], layout, vector))
     return FingerprintTable(layout, tuple(fps), ())
 
 

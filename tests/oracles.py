@@ -3,9 +3,10 @@
 Everything here favors directness over speed: dense GF(2) Gaussian
 elimination for Betti numbers, the textbook single-matrix column reduction
 for persistence pairs, exhaustive matching enumeration for Wasserstein
-distances, and naive threshold loops for the classification metrics.  None
-of it shares code with the production paths, except the classical boosting
-reference, which reuses the trainer's binning and tree growing so that the
+distances, naive threshold loops for the classification metrics, and a
+plain 256-slot histogram tree grower for the boosting trainer.  None of it
+shares code with the production paths, except the classical boosting
+reference, which reuses the trainer's losses and base prediction so that the
 trees it is compared with can be equal.
 """
 
@@ -16,13 +17,13 @@ from itertools import combinations, permutations
 import numpy as np
 
 from moltop.sglb import (
+    _MIN_GAIN,
     TASK_REGRESSION,
     SglbModel,
+    Tree,
     _base_prediction,
-    _Binned,
     _classification_negative_gradients,
     _regression_negative_gradients,
-    _TreeGrower,
     _validate_training_data,
 )
 
@@ -379,6 +380,136 @@ def naive_f1(scores, labels, threshold=0.5):
 
 
 # ---------------------------------------------------------------------------
+# Plain 256-slot histogram tree growing: every varying column, duplicates
+# included, gets a full 256-slot histogram row.
+
+def quantile_bin_edges_loop(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
+    """Per-feature ascending split-candidate values, one np.quantile per column."""
+    probs = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    edges = []
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        if col[0] == col.min() == col.max():
+            edges.append(np.empty(0))
+            continue
+        edges.append(np.unique(np.quantile(col, probs)))
+    return edges
+
+
+class ReferenceBinned:
+    """Quantile-binned view of the training features."""
+
+    def __init__(self, X: np.ndarray, max_bins: int):
+        self.edges = quantile_bin_edges_loop(X, max_bins)
+        self.active = np.array([f for f, e in enumerate(self.edges) if e.size],
+                               dtype=np.intp)
+        n = X.shape[0]
+        self.codes = np.zeros((n, len(self.active)), dtype=np.uint8)
+        for j, f in enumerate(self.active):
+            # code <= c exactly when x <= edges[c]
+            self.codes[:, j] = np.searchsorted(self.edges[f], X[:, f], side="left")
+        self.offsets = (np.arange(len(self.active)) * 256).astype(np.intp)
+
+
+class ReferenceTreeGrower:
+    def __init__(self, binned: ReferenceBinned, max_depth: int, min_samples_split: int):
+        self.binned = binned
+        self.max_depth = max_depth
+        self.min_split = max(2, min_samples_split)
+
+    def _histogram(self, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        binned = self.binned
+        ncand = len(binned.active)
+        out = np.zeros((1 + targets.shape[1], ncand * 256))
+        flat = (binned.codes[idx].astype(np.intp) + binned.offsets[None, :]).ravel()
+        out[0] = np.bincount(flat, minlength=ncand * 256)
+        for d in range(targets.shape[1]):
+            out[1 + d] = np.bincount(flat, weights=np.repeat(targets[idx, d], ncand),
+                                     minlength=ncand * 256)
+        return out.reshape(1 + targets.shape[1], ncand, 256)
+
+    def _best_split(self, hist: np.ndarray):
+        cnt = np.cumsum(hist[0], axis=1)
+        m = cnt[0, -1]
+        nl = cnt[:, :-1]
+        nr = m - nl
+        valid = (nl > 0) & (nr > 0)
+        if not valid.any():
+            return None
+        gain = np.zeros_like(nl)
+        base = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for d in range(1, hist.shape[0]):
+                sums = np.cumsum(hist[d], axis=1)
+                total = sums[0, -1]
+                sl = sums[:, :-1]
+                gain += np.where(valid, sl * sl / nl + (total - sl) ** 2 / nr, -np.inf)
+                base += total * total / m
+        gain = np.where(valid, gain - base, -np.inf)
+        flat_best = int(np.argmax(gain))
+        j, cut = divmod(flat_best, gain.shape[1])
+        if not gain[j, cut] > _MIN_GAIN:
+            return None
+        return j, cut
+
+    def grow(self, targets: np.ndarray) -> Tree:
+        n, dim = targets.shape
+        feature, threshold, left, right, value = [], [], [], [], []
+
+        def new_node():
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(np.zeros(dim))
+            return len(feature) - 1
+
+        root = new_node()
+        binned = self.binned
+        if len(binned.active) == 0:  # every feature constant: nothing to split on
+            value[root] = targets.mean(axis=0)
+            return Tree(np.array(feature, dtype=np.int32),
+                        np.array(threshold, dtype=np.float64),
+                        np.array(left, dtype=np.int32),
+                        np.array(right, dtype=np.int32),
+                        np.vstack(value))
+        stack = [(root, np.arange(n, dtype=np.intp), 0, None)]
+        while stack:
+            node, idx, depth, hist = stack.pop()
+            if hist is None:
+                hist = self._histogram(idx, targets)
+            m = len(idx)
+            split = None
+            if depth < self.max_depth and m >= self.min_split:
+                split = self._best_split(hist)
+            if split is None:
+                value[node] = hist[1:, 0, :].sum(axis=1) / m
+                continue
+            j, cut = split
+            codes = binned.codes[idx, j]
+            go_left = codes <= cut
+            left_idx = idx[go_left]
+            right_idx = idx[~go_left]
+            feature[node] = int(binned.active[j])
+            threshold[node] = float(binned.edges[binned.active[j]][cut])
+            lchild, rchild = new_node(), new_node()
+            left[node], right[node] = lchild, rchild
+            if len(left_idx) <= len(right_idx):
+                small_idx, big_idx, small_node, big_node = left_idx, right_idx, lchild, rchild
+            else:
+                small_idx, big_idx, small_node, big_node = right_idx, left_idx, rchild, lchild
+            small_hist = self._histogram(small_idx, targets)
+            stack.append((big_node, big_idx, depth + 1, hist - small_hist))
+            stack.append((small_node, small_idx, depth + 1, small_hist))
+
+        return Tree(np.array(feature, dtype=np.int32),
+                    np.array(threshold, dtype=np.float64),
+                    np.array(left, dtype=np.int32),
+                    np.array(right, dtype=np.int32),
+                    np.vstack(value))
+
+
+# ---------------------------------------------------------------------------
 # Classical gradient boosting
 
 def fit_classical_reference(X, y, config, layout=None):
@@ -388,8 +519,8 @@ def fit_classical_reference(X, y, config, layout=None):
     disabled and gamma is zero.
     """
     X, y = _validate_training_data(X, y, config.task)
-    grower = _TreeGrower(_Binned(X, config.max_bins), config.max_depth,
-                         config.min_samples_split)
+    grower = ReferenceTreeGrower(ReferenceBinned(X, config.max_bins), config.max_depth,
+                                 config.min_samples_split)
     grad_fn = (_regression_negative_gradients if config.task == TASK_REGRESSION
                else _classification_negative_gradients)
     base = _base_prediction(config.task, y)

@@ -207,6 +207,64 @@ def test_evaluate_bad_predictions_exit_3(config_path, tiny_dataset_path, tmp_pat
     assert err.startswith("data error:") and named in err
 
 
+@pytest.fixture(scope="module")
+def trained(tiny_dataset_path, tmp_path_factory):
+    """A run config, its fingerprints.csv and a model.json trained from them."""
+    out = tmp_path_factory.mktemp("trained")
+    config = out / "cfg.json"
+    config.write_text(json.dumps({
+        "dataset": {"path": str(tiny_dataset_path)}, "task": "regression",
+        "k_grid": 8, "threads": 1, "out_dir": str(out),
+        "sglb": {"iterations": 5, "max_depth": 2, "ensemble_size": 2}}))
+    assert main(["fingerprint", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config),
+                 "--fingerprints", str(out / "fingerprints.csv")]) == 0
+    return {"--config": config, "--fingerprints": out / "fingerprints.csv",
+            "--model": out / "model.json"}
+
+
+def _bad_file(kind, good_csv, path):
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe\xfa not text\n")
+    elif kind == "bad-json":
+        path.write_text('{"format_version": ')
+    elif kind == "bad-magic":
+        path.write_text("#moltop-fingerprints version=1 kinds=XX k_grid=8\nrecord_id\n")
+    elif kind == "non-integer":
+        lines = good_csv.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
+        path.write_text("\n".join(lines) + "\n")
+    elif kind == "blank-line":
+        lines = good_csv.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    return path  # "missing": never written
+
+
+@pytest.mark.parametrize("command,flag,kind", [
+    ("predict", "--model", "missing"),
+    ("predict", "--model", "not-utf8"),
+    ("predict", "--model", "bad-json"),
+    ("rank-uncertainty", "--model", "bad-json"),
+    *[(command, "--fingerprints", kind)
+      for command in ("train", "predict", "rank-uncertainty")
+      for kind in ("missing", "not-utf8", "bad-magic", "non-integer", "blank-line")],
+    ("evaluate", "--predictions", "missing"),
+    ("evaluate", "--predictions", "not-utf8"),
+])
+def test_unreadable_input_file_exits_3(trained, tmp_path, capsys, command, flag, kind):
+    flags = {"train": ["--config", "--fingerprints"],
+             "predict": ["--model", "--fingerprints"],
+             "rank-uncertainty": ["--model", "--fingerprints"],
+             "evaluate": ["--config", "--predictions"]}[command]
+    bad = _bad_file(kind, trained["--fingerprints"], tmp_path / f"bad-{kind}")
+    argv = [command, "--out", str(tmp_path / "out")]
+    for name in flags:
+        argv += [name, str(bad if name == flag else trained[name])]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported inside the two functions that need it, so the
     # regression commands do not pay for loading it.

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from moltop import sglb
+from moltop.datagen import generate_dataset
 from moltop.errors import ConfigError, DataError, LayoutMismatchError
+from moltop.filtration import FILTRATION_KINDS
+from moltop.molgraph import DatasetRecord
 from moltop.sglb import (
     SglbConfig,
     TASK_CLASSIFICATION,
@@ -18,9 +22,14 @@ from moltop.sglb import (
     rank_by_uncertainty,
     regression_uncertainty,
 )
-from moltop.vectorize import FingerprintLayout
+from moltop.vectorize import FingerprintLayout, fingerprint_dataset, slice_table
 
-from oracles import fit_classical_reference
+from oracles import (
+    ReferenceBinned,
+    ReferenceTreeGrower,
+    fit_classical_reference,
+    quantile_bin_edges_loop,
+)
 
 
 def toy_regression(n=120, features=6, seed=0):
@@ -130,6 +139,98 @@ class TestFit:
         a, b = fit(X, y, cfg), fit(X, y, cfg)
         assert a.trees == b.trees
         assert np.array_equal(a.predict(X), b.predict(X))
+
+
+def awkward_columns(n=96, seed=5):
+    """Duplicate, constant and tied columns around a few informative ones."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n)
+    b = rng.integers(0, 4, size=n).astype(float)     # four tied levels
+    c = np.round(rng.normal(size=n), 1)              # many ties
+    X = np.column_stack([np.zeros(n), a, b, a, c, np.full(n, 3.0), b,
+                         2.0 * a + 1.0,              # same codes as a, other edges
+                         c, rng.normal(size=n)])
+    y = a - 0.5 * b + 0.3 * c + 0.1 * rng.normal(size=n)
+    return X, y
+
+
+def distinct_value_columns(n=300, seed=6):
+    """One column per distinct-value count 1..255, each value drawn at least once."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.permutation(np.arange(n) % k).astype(float) * 0.5 for k in range(1, 256)]
+    X = np.column_stack(cols)
+    y = X[:, 4] - 0.01 * X[:, 200] + 0.1 * rng.normal(size=n)
+    return X, y
+
+
+@pytest.fixture(scope="module")
+def datagen_matrix():
+    records = [DatasetRecord(r["record_id"], r["target"], graph=r["graph"])
+               for r in generate_dataset(48, seed=13)]
+    table = fingerprint_dataset(records, FILTRATION_KINDS, 10)
+    targets = {r.record_id: r.target for r in records}
+    return table, np.array([targets[rid] for rid in table.ids()])
+
+
+class TestCompactTrainerMatchesReference:
+    """The compact-histogram grower gives the 256-slot reference grower's trees."""
+
+    @staticmethod
+    def assert_same_trees(monkeypatch, X, y, cfg):
+        ours = fit(X, y, cfg).trees
+        with monkeypatch.context() as patched:
+            patched.setattr(sglb, "_Binned", ReferenceBinned)
+            patched.setattr(sglb, "_TreeGrower", ReferenceTreeGrower)
+            reference = fit(X, y, cfg).trees
+        assert len(ours) == len(reference)
+        assert all(a == b for a, b in zip(ours, reference))
+        edges = quantile_bin_edges(X, cfg.max_bins)
+        expected = quantile_bin_edges_loop(X, cfg.max_bins)
+        assert len(edges) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(edges, expected))
+
+    @pytest.mark.parametrize("max_bins", [2, 7, 255])
+    @pytest.mark.parametrize("min_samples_split", [2, 9])
+    def test_duplicate_constant_and_tied_columns(self, monkeypatch, max_bins,
+                                                 min_samples_split):
+        X, y = awkward_columns()
+        cfg = SglbConfig(iterations=15, max_depth=4, max_bins=max_bins,
+                         min_samples_split=min_samples_split, seed=1)
+        self.assert_same_trees(monkeypatch, X, y, cfg)
+
+    def test_duplicates_keep_their_first_column(self):
+        X, _ = awkward_columns()
+        binned = sglb._Binned(X, 255)
+        assert binned.active.tolist() == [1, 2, 4, 9]  # 3, 6, 7, 8 repeat earlier codes
+        assert binned.width == 1 + max(e.size for e in binned.edges)
+
+    @pytest.mark.parametrize("max_bins", [2, 7, 255])
+    def test_one_to_255_distinct_values(self, monkeypatch, max_bins):
+        X, y = distinct_value_columns()
+        cfg = SglbConfig(iterations=6, max_depth=3, max_bins=max_bins,
+                         min_samples_split=5, seed=2)
+        self.assert_same_trees(monkeypatch, X, y, cfg)
+
+    @pytest.mark.parametrize("max_bins", [2, 7, 255])
+    def test_classification(self, monkeypatch, max_bins):
+        X, y = awkward_columns(seed=8)
+        y = (y > np.median(y)).astype(float)
+        cfg = SglbConfig(task=TASK_CLASSIFICATION, iterations=15, max_depth=3,
+                         max_bins=max_bins, min_samples_split=4, seed=3)
+        self.assert_same_trees(monkeypatch, X, y, cfg)
+
+    def test_every_feature_constant(self, monkeypatch):
+        X = np.ones((20, 3))
+        y = np.arange(20.0)
+        self.assert_same_trees(monkeypatch, X, y, SglbConfig(iterations=3, seed=4))
+
+    @pytest.mark.parametrize("kinds", [(k,) for k in FILTRATION_KINDS] + [FILTRATION_KINDS],
+                             ids=lambda kinds: "+".join(k[:4] for k in kinds))
+    def test_datagen_ablation_slices(self, monkeypatch, datagen_matrix, kinds):
+        table, y = datagen_matrix
+        X = slice_table(table, kinds).matrix().astype(np.float64)
+        cfg = SglbConfig(iterations=20, max_depth=4, seed=5)
+        self.assert_same_trees(monkeypatch, X, y, cfg)
 
 
 class TestEnsemble:
