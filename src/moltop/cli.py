@@ -181,14 +181,19 @@ def _molecule_from_doc(doc):
 
 
 def _cmd_distance(args) -> int:
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        docs = json.load(fh)
-    if not isinstance(docs, list):
-        raise DataError("pairs file must hold a JSON array")
     kinds = args.kinds or list(FILTRATION_KINDS)
     bad = [k for k in kinds if k not in FILTRATION_KINDS]
     if bad:
         raise ConfigError(f"unknown filtration kinds {bad}")
+    if args.k_grid < 1 or not args.p >= 1:  # `not >=` also rejects NaN
+        raise ConfigError("--k-grid must be positive and --p at least 1")
+    try:
+        with open(args.pairs, "r", encoding="utf-8") as fh:
+            docs = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise DataError(f"{args.pairs}: cannot read pairs ({exc})") from None
+    if not isinstance(docs, list):
+        raise DataError(f"{args.pairs}: pairs file must hold a JSON array")
     specs = kind_specs(kinds)
     lines = []
     ratios = []

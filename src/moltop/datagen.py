@@ -114,10 +114,7 @@ def random_molecule(rng: np.random.Generator, name: str) -> MolecularGraph:
                            tuple(Bond(a, b, order) for a, b, order in sorted(bonds)))
     graph = detect_rings(expand_hydrogens(graph))
 
-    degree = [0] * graph.n_atoms
-    for bond in graph.bonds:
-        degree[bond.a] += 1
-        degree[bond.b] += 1
+    degree = graph.degrees()
     tagged = 0
     new_atoms = list(graph.atoms)
     for atom in graph.atoms:

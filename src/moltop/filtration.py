@@ -115,10 +115,7 @@ def partial_charge_sequence(graph: MolecularGraph,
 
 def chirality_sequence(graph: MolecularGraph) -> SublevelSequence:
     spec = make_spec(CHIRALITY_KIND)
-    degree = [0] * graph.n_atoms
-    for bond in graph.bonds:
-        degree[bond.a] += 1
-        degree[bond.b] += 1
+    degree = graph.degrees()
     values = {a.id: chirality_value(a, degree[a.id]) for a in graph.atoms}
     return _sublevels(spec, graph, lambda a: values[a.id])
 

@@ -4,6 +4,7 @@ benchmark orchestrator behind the CLI."""
 from dataclasses import dataclass, field, replace
 
 import csv
+import io
 import json
 import math
 import os
@@ -86,6 +87,13 @@ _CONFIG_KEYS = {"dataset", "task", "kinds", "k_grid", "decile_mode",
                 "repeats", "out_dir"}
 
 
+def _typed(value, kind, key):
+    """``value`` if it is a ``kind`` (a bool is no number), else a ConfigError naming key."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key} has the wrong type: {value!r}")
+    return value
+
+
 def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
@@ -98,7 +106,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
         dataset = {"path": dataset}
     if not isinstance(dataset, dict) or "path" not in dataset:
         raise ConfigError("config needs dataset.path")
-    dataset_path = os.path.join(base_dir, dataset["path"])
+    dataset_path = os.path.join(base_dir, _typed(dataset["path"], str, "dataset.path"))
     if not os.path.exists(dataset_path):
         raise ConfigError(f"dataset file not found: {dataset_path}")
 
@@ -106,9 +114,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     if task is None:
         raise ConfigError(f"task must be regression or classification, got {doc.get('task')!r}")
 
-    kinds = doc.get("kinds")
-    if kinds is None:
-        kinds = list(FILTRATION_KINDS)
+    kinds = _typed(doc.get("kinds", list(FILTRATION_KINDS)), list, "kinds")
     bad = [k for k in kinds if k not in FILTRATION_KINDS]
     if bad:
         raise ConfigError(f"unknown filtration kinds {bad}")
@@ -117,7 +123,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigError("at least one filtration kind is required")
 
     k_grid = doc.get("k_grid")
-    if k_grid is not None and (not isinstance(k_grid, int) or k_grid < 1):
+    if k_grid is not None and _typed(k_grid, int, "k_grid") < 1:
         raise ConfigError("k_grid must be a positive integer or null")
 
     decile_mode = doc.get("decile_mode", "per_molecule")
@@ -127,7 +133,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     if distance_mode not in ("full_graph", "induced_subgraph"):
         raise ConfigError(f"invalid distance_mode {distance_mode!r}")
 
-    split = doc.get("split", {"mode": "random"})
+    split = _typed(doc.get("split", {"mode": "random"}), dict, "split")
     split_mode = split.get("mode", "random")
     split_path = None
     ratios = (0.8, 0.1, 0.1)
@@ -135,11 +141,12 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
         split_path = split.get("path")
         if split_path is None:
             raise ConfigError("file split needs split.path")
-        split_path = os.path.join(base_dir, split_path)
+        split_path = os.path.join(base_dir, _typed(split_path, str, "split.path"))
         if not os.path.exists(split_path):
             raise ConfigError(f"split file not found: {split_path}")
     elif split_mode == "random":
-        ratios = tuple(split.get("ratios", (0.8, 0.1, 0.1)))
+        ratios = _typed(split.get("ratios", [0.8, 0.1, 0.1]), list, "split.ratios")
+        ratios = tuple(_typed(r, (int, float), "split.ratios") for r in ratios)
         if len(ratios) != 3 or any(r < 0 for r in ratios):
             raise ConfigError("split.ratios must be three non-negative numbers")
         if abs(sum(ratios) - 1.0) > 1e-9:
@@ -147,8 +154,8 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     else:
         raise ConfigError(f"invalid split mode {split_mode!r}")
 
-    seed = int(doc.get("seed", 0))
-    sglb_doc = dict(doc.get("sglb", {}))
+    seed = _typed(doc.get("seed", 0), int, "seed")
+    sglb_doc = dict(_typed(doc.get("sglb", {}), dict, "sglb"))
     sglb_doc.setdefault("task", task)
     sglb_doc.setdefault("seed", seed)
     try:
@@ -158,10 +165,11 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     if sglb.task != task:
         raise ConfigError("sglb.task must match the run task")
 
-    threads = int(doc.get("threads", 1))
-    repeats = int(doc.get("repeats", 3))
+    threads = _typed(doc.get("threads", 1), int, "threads")
+    repeats = _typed(doc.get("repeats", 3), int, "repeats")
     if threads < 1 or repeats < 1:
         raise ConfigError("threads and repeats must be >= 1")
+    out_dir = _typed(doc.get("out_dir", "out"), str, "out_dir")
 
     return RunConfig(dataset_path=dataset_path, task=task,
                      dataset_format=dataset.get("format"), kinds=kinds,
@@ -169,7 +177,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
                      distance_mode=distance_mode, split_mode=split_mode,
                      split_ratios=ratios, split_path=split_path, sglb=sglb,
                      threads=threads, seed=seed, repeats=repeats,
-                     out_dir=os.path.join(base_dir, doc.get("out_dir", "out")))
+                     out_dir=os.path.join(base_dir, out_dir))
 
 
 def load_run_config(path) -> RunConfig:
@@ -285,17 +293,23 @@ def apply_split(records, split_mode: str = "random", split_path=None,
     records = list(records)
     if split_mode == "file":
         assignment = {}
-        with open(split_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = {name.strip().lower(): name for name in (reader.fieldnames or [])}
-            id_col, split_col = fields.get("record_id"), fields.get("split")
-            if id_col is None or split_col is None:
-                raise DataError(f"{split_path}: split CSV needs record_id and split columns")
-            for row in reader:
-                tag = row[split_col].strip().upper()
-                if tag not in SPLIT_TAGS:
-                    raise DataError(f"{split_path}: invalid split tag {tag!r}")
-                assignment[row[id_col]] = tag
+        with open(split_path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{split_path} line {line}: not UTF-8 text") from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        fields = {name.strip().lower(): name for name in (reader.fieldnames or [])}
+        id_col, split_col = fields.get("record_id"), fields.get("split")
+        if id_col is None or split_col is None:
+            raise DataError(f"{split_path}: split CSV needs record_id and split columns")
+        for row in reader:
+            tag = (row[split_col] or "").strip().upper()  # None: the row is short
+            if tag not in SPLIT_TAGS:
+                raise DataError(f"{split_path} line {reader.line_num}: invalid split tag {tag!r}")
+            assignment[row[id_col]] = tag
         missing = [r.record_id for r in records if r.record_id not in assignment]
         if missing:
             shown = ", ".join(missing[:20])

@@ -52,20 +52,6 @@ def wasserstein(pd_a: PersistenceDiagram, pd_b: PersistenceDiagram,
     return total ** (1.0 / p)
 
 
-def induced_distance(rows_a, rows_b, p: float = 1.0) -> float:
-    """Sum of per-row Wasserstein distances between two diagram sequences."""
-    rows_a, rows_b = list(rows_a), list(rows_b)
-    if len(rows_a) != len(rows_b):
-        raise DataError(f"row-count mismatch: {len(rows_a)} vs {len(rows_b)}")
-    total = 0.0
-    for pa, pb in zip(rows_a, rows_b):
-        w = wasserstein(pa, pb, p)
-        if math.isinf(w):
-            return math.inf
-        total += w
-    return total
-
-
 def fingerprint_distance(fp_a: Fingerprint, fp_b: Fingerprint) -> float:
     """Sum over rows of the L1 distance between Betti-curve row vectors.
 

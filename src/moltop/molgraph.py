@@ -17,7 +17,7 @@ carries them verbatim, and downstream code never reinterprets them
 geometrically.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import json
 import os
@@ -79,7 +79,6 @@ class MolecularGraph:
     name: str
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def n_atoms(self) -> int:
@@ -92,8 +91,12 @@ class MolecularGraph:
             adj[bond.b].append(bond.a)
         return adj
 
-    def degree(self, atom_id: int) -> int:
-        return sum(1 for b in self.bonds if atom_id in b.endpoints)
+    def degrees(self) -> list[int]:
+        degree = [0] * self.n_atoms
+        for bond in self.bonds:
+            degree[bond.a] += 1
+            degree[bond.b] += 1
+        return degree
 
 
 SPLIT_TAGS = ("TRAIN", "VALID", "TEST")
@@ -148,27 +151,6 @@ def _flip_tag(tag: str) -> str:
     if tag == CHI_CCW:
         return CHI_CW
     return tag
-
-
-def components(graph: MolecularGraph) -> list[list[int]]:
-    adj = graph.adjacency()
-    seen = [False] * graph.n_atoms
-    out = []
-    for start in range(graph.n_atoms):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +414,7 @@ def _finish_parse(atoms, bonds, name) -> MolecularGraph:
                                    chirality=tag, implicit_hydrogens=implicit_h))
 
     out_bonds = tuple(Bond(a, b, order) for (a, b), (order, _) in sorted(bonds.items()))
-    graph = MolecularGraph(name, tuple(out_atoms), out_bonds)
-    warnings = ()
-    if graph.n_atoms and len(components(graph)) > 1:
-        warnings = ("disconnected input",)
-    return replace(graph, warnings=warnings)
+    return MolecularGraph(name, tuple(out_atoms), out_bonds)
 
 
 def _implicit_hydrogens(parsed: _ParsedAtom, bond_x2: int, degree: int) -> int:
@@ -595,14 +573,14 @@ def graph_to_json_dict(graph: MolecularGraph) -> dict:
     return {"name": graph.name, "atoms": atoms, "bonds": bonds}
 
 
-def load_graph_json(source, strict: bool = True) -> MolecularGraph:
+def load_graph_json(source) -> MolecularGraph:
     """Load a molecule from a parsed dict or a JSON file path.
 
     Fields are taken verbatim (no hydrogens are owed); ring flags are
     recomputed.  Schema or invariant violations raise with the JSON path.
     """
     if isinstance(source, dict):
-        return graph_from_json_dict(source, strict=strict)
+        return graph_from_json_dict(source)
     if not isinstance(source, (str, os.PathLike)):
         raise SchemaError(f"cannot read molecule source {source!r}")
     try:
@@ -614,19 +592,15 @@ def load_graph_json(source, strict: bool = True) -> MolecularGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
-    return graph_from_json_dict(doc, strict=strict)
+    return graph_from_json_dict(doc)
 
 
-def graph_from_json_dict(doc: dict, strict: bool = True) -> MolecularGraph:
+def graph_from_json_dict(doc: dict) -> MolecularGraph:
     if not isinstance(doc, dict):
         raise SchemaError("molecule document must be an object")
-    warnings: list[str] = []
     extra = set(doc) - {"name", "atoms", "bonds"}
     if extra:
-        msg = f"unknown keys {sorted(extra)}"
-        if strict:
-            raise SchemaError(msg)
-        warnings.append(msg)
+        raise SchemaError(f"unknown keys {sorted(extra)}")
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise SchemaError("name must be a string", "$.name")
@@ -644,10 +618,7 @@ def graph_from_json_dict(doc: dict, strict: bool = True) -> MolecularGraph:
             raise SchemaError("atom must be an object", path)
         extra = set(entry) - _ATOM_KEYS
         if extra:
-            msg = f"unknown atom keys {sorted(extra)}"
-            if strict:
-                raise SchemaError(msg, path)
-            warnings.append(f"{msg} at {path}")
+            raise SchemaError(f"unknown atom keys {sorted(extra)}", path)
         element = entry.get("element")
         if element not in SUPPORTED_ELEMENTS:
             raise SchemaError(f"unsupported element {element!r}", path + ".element")
@@ -674,10 +645,7 @@ def graph_from_json_dict(doc: dict, strict: bool = True) -> MolecularGraph:
             raise SchemaError("bond must be an object", path)
         extra = set(entry) - _BOND_KEYS
         if extra:
-            msg = f"unknown bond keys {sorted(extra)}"
-            if strict:
-                raise SchemaError(msg, path)
-            warnings.append(f"{msg} at {path}")
+            raise SchemaError(f"unknown bond keys {sorted(extra)}", path)
         a, b, order = entry.get("a"), entry.get("b"), entry.get("order")
         for key, val in (("a", a), ("b", b)):
             if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < len(atoms):
@@ -694,20 +662,16 @@ def graph_from_json_dict(doc: dict, strict: bool = True) -> MolecularGraph:
 
     graph = MolecularGraph(name, tuple(atoms), tuple(sorted(bonds, key=lambda b: (b.a, b.b))))
     _validate_loaded(graph)
-    graph = detect_rings(graph)
-    if len(components(graph)) > 1:
-        warnings.append("disconnected input")
-    return replace(graph, warnings=tuple(warnings))
+    return detect_rings(graph)
 
 
 def _validate_loaded(graph: MolecularGraph):
     bond_x2 = [0] * graph.n_atoms
-    degree = [0] * graph.n_atoms
+    degree = graph.degrees()
     aromatic = [False] * graph.n_atoms
     for bond in graph.bonds:
         for v in bond.endpoints:
             bond_x2[v] += _ORDER_X2[bond.order]
-            degree[v] += 1
             if bond.order == "AROMATIC":
                 aromatic[v] = True
     for atom in graph.atoms:
@@ -725,11 +689,3 @@ def _validate_loaded(graph: MolecularGraph):
                 f"valence {slots} not allowed for {atom.element} "
                 f"(charge {atom.formal_charge})", path)
 
-
-def valence_slots(graph: MolecularGraph) -> list[float]:
-    """Per-atom bond-order sum plus owed hydrogens (diagnostic helper)."""
-    totals = [0.0] * graph.n_atoms
-    for bond in graph.bonds:
-        for v in bond.endpoints:
-            totals[v] += _ORDER_X2[bond.order] / 2.0
-    return [t + a.implicit_hydrogens for t, a in zip(totals, graph.atoms)]

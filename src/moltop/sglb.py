@@ -128,11 +128,13 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tree":
-        return cls(np.array(doc["feature"], dtype=np.int32),
-                   np.array(doc["threshold"], dtype=np.float64),
-                   np.array(doc["left"], dtype=np.int32),
-                   np.array(doc["right"], dtype=np.int32),
-                   np.array(doc["value"], dtype=np.float64))
+        feature, threshold, left, right, value = _fields(
+            doc, ("feature", "threshold", "left", "right", "value"), "tree")
+        return cls(np.array(feature, dtype=np.int32),
+                   np.array(threshold, dtype=np.float64),
+                   np.array(left, dtype=np.int32),
+                   np.array(right, dtype=np.int32),
+                   np.array(value, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +497,37 @@ def model_to_dict(model: SglbModel) -> dict:
             "trees": [t.to_dict() for t in model.trees]}
 
 
-def model_from_dict(doc: dict) -> SglbModel:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+def _fields(doc, keys, what) -> list:
+    """``doc[key]`` for each key.  Raises DataError if doc is not an object or
+    lacks a key, and ConfigError if a ``format_version`` key names another format."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} is not an object")
+    if "format_version" in keys and doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model format {doc.get('format_version')!r}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise DataError(f"{what} lacks {', '.join(missing)}")
+    return [doc[k] for k in keys]
+
+
+def _config_from_dict(doc, what) -> SglbConfig:
+    _fields(doc, (), what)
+    unknown = sorted(set(doc) - set(SglbConfig.__dataclass_fields__))
+    if unknown:
+        raise DataError(f"{what} has unknown keys {unknown}")
+    return SglbConfig.from_dict(doc)
+
+
+def model_from_dict(doc: dict) -> SglbModel:
+    _, config, base, trees, feature_count = _fields(
+        doc, ("format_version", "config", "base", "trees", "feature_count"), "member")
+    if not isinstance(trees, list):
+        raise DataError("member trees must be a list")
     layout = doc.get("layout")
-    return SglbModel(SglbConfig.from_dict(doc["config"]),
-                     np.array(doc["base"], dtype=np.float64),
-                     tuple(Tree.from_dict(t) for t in doc["trees"]),
-                     int(doc["feature_count"]),
+    return SglbModel(_config_from_dict(config, "member config"),
+                     np.array(base, dtype=np.float64),
+                     tuple(Tree.from_dict(t) for t in trees),
+                     int(feature_count),
                      None if layout is None else FingerprintLayout.from_dict(layout))
 
 
@@ -513,10 +538,11 @@ def ensemble_to_dict(ensemble: SglbEnsemble) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> SglbEnsemble:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format {doc.get('format_version')!r}")
-    return SglbEnsemble(SglbConfig.from_dict(doc["config"]),
-                        tuple(model_from_dict(m) for m in doc["members"]))
+    _, config, members = _fields(doc, ("format_version", "config", "members"), "model")
+    if not isinstance(members, list) or not members:
+        raise DataError("model members must be a non-empty list")
+    return SglbEnsemble(_config_from_dict(config, "model config"),
+                        tuple(model_from_dict(m) for m in members))
 
 
 def save_ensemble(ensemble: SglbEnsemble, path):
@@ -531,4 +557,7 @@ def load_ensemble(path) -> SglbEnsemble:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise DataError(f"{path}: cannot read model ({exc})") from None
-    return ensemble_from_dict(doc)
+    try:
+        return ensemble_from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import csv
-import json
 
 import numpy as np
 
@@ -352,30 +351,3 @@ def _parse_fingerprints_csv(fh, path) -> FingerprintTable:
         fps.append(Fingerprint(row[0], layout, vector))
     return FingerprintTable(layout, tuple(fps), ())
 
-
-def write_fingerprints_jsonl(table: FingerprintTable, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for fp in table.fingerprints:
-            doc = {"record_id": fp.record_id, "layout": fp.layout.to_dict(),
-                   "vector": fp.vector.tolist()}
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_fingerprints_jsonl(path) -> FingerprintTable:
-    fps = []
-    layout = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            this_layout = FingerprintLayout.from_dict(doc["layout"])
-            if layout is None:
-                layout = this_layout
-            elif layout != this_layout:
-                raise LayoutMismatchError(f"{path}: mixed layouts in one file")
-            fps.append(Fingerprint(doc["record_id"], layout,
-                                   np.array(doc["vector"], dtype=np.int64)))
-    if layout is None:
-        raise DataError(f"{path}: no fingerprints")
-    return FingerprintTable(layout, tuple(fps), ())

@@ -558,3 +558,40 @@ def cycle_edges(n, edges):
         if edge[1] in seen:
             out.add(tuple(sorted(edge)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Molecular-graph helpers: connected components and valence slots
+
+def components(graph) -> list[list[int]]:
+    """Sorted atom ids of each connected component, by depth-first search."""
+    adj = graph.adjacency()
+    seen = [False] * graph.n_atoms
+    out = []
+    for start in range(graph.n_atoms):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+_BOND_ORDER = {"SINGLE": 1.0, "DOUBLE": 2.0, "TRIPLE": 3.0, "AROMATIC": 1.5}
+
+
+def valence_slots(graph) -> list[float]:
+    """Per-atom bond-order sum plus owed hydrogens."""
+    totals = [float(a.implicit_hydrogens) for a in graph.atoms]
+    for bond in graph.bonds:
+        totals[bond.a] += _BOND_ORDER[bond.order]
+        totals[bond.b] += _BOND_ORDER[bond.order]
+    return totals

@@ -223,8 +223,35 @@ def trained(tiny_dataset_path, tmp_path_factory):
             "--model": out / "model.json"}
 
 
-def _bad_file(kind, good_csv, path):
-    if kind == "not-utf8":
+def _bad_model(kind, good_model):
+    """A JSON document that is not an ensemble, made from a good model.json."""
+    if kind == "not-object":
+        return []
+    if kind == "no-config":
+        return {"format_version": "1"}
+    doc = json.loads(good_model.read_text())
+    if kind == "no-members":
+        doc["members"] = []
+    elif kind == "member-no-keys":
+        doc["members"][0] = {"format_version": "1"}
+    elif kind == "member-not-object":
+        doc["members"][0] = 5
+    elif kind == "tree-not-object":
+        doc["members"][0]["trees"][0] = 5
+    elif kind == "config-unknown-key":
+        doc["config"]["colour"] = "red"
+    return doc
+
+
+_BAD_MODELS = ("not-object", "no-config", "no-members", "member-no-keys",
+               "member-not-object", "tree-not-object", "config-unknown-key")
+
+
+def _bad_file(kind, trained, path):
+    good_csv = trained["--fingerprints"]
+    if kind in _BAD_MODELS:
+        path.write_text(json.dumps(_bad_model(kind, trained["--model"])))
+    elif kind == "not-utf8":
         path.write_bytes(b"\xff\xfe\xfa not text\n")
     elif kind == "bad-json":
         path.write_text('{"format_version": ')
@@ -245,24 +272,48 @@ def _bad_file(kind, good_csv, path):
     ("predict", "--model", "not-utf8"),
     ("predict", "--model", "bad-json"),
     ("rank-uncertainty", "--model", "bad-json"),
+    *[(command, "--model", kind)
+      for command in ("predict", "rank-uncertainty") for kind in _BAD_MODELS],
     *[(command, "--fingerprints", kind)
       for command in ("train", "predict", "rank-uncertainty")
       for kind in ("missing", "not-utf8", "bad-magic", "non-integer", "blank-line")],
     ("evaluate", "--predictions", "missing"),
     ("evaluate", "--predictions", "not-utf8"),
+    ("distance", "--pairs", "missing"),
+    ("distance", "--pairs", "not-utf8"),
+    ("distance", "--pairs", "bad-json"),
 ])
 def test_unreadable_input_file_exits_3(trained, tmp_path, capsys, command, flag, kind):
     flags = {"train": ["--config", "--fingerprints"],
              "predict": ["--model", "--fingerprints"],
              "rank-uncertainty": ["--model", "--fingerprints"],
-             "evaluate": ["--config", "--predictions"]}[command]
-    bad = _bad_file(kind, trained["--fingerprints"], tmp_path / f"bad-{kind}")
+             "evaluate": ["--config", "--predictions"],
+             "distance": ["--pairs"]}[command]
+    bad = _bad_file(kind, trained, tmp_path / f"bad-{kind}")
     argv = [command, "--out", str(tmp_path / "out")]
     for name in flags:
         argv += [name, str(bad if name == flag else trained[name])]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(bad) in err
+
+
+@pytest.mark.parametrize("flag,value", [("--k-grid", "0"), ("--p", "0.5"), ("--p", "nan")])
+def test_distance_bad_flag_exits_2(tmp_path, capsys, flag, value):
+    # The pair's first molecule does not parse: flags are checked before it.
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"a": "C(", "b": "C"}]))
+    assert main(["distance", "--pairs", str(pairs), flag, value]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_wrongly_typed_config_field_exits_2(config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    doc["threads"] = "x"
+    config_path.write_text(json.dumps(doc))
+    assert main(["fingerprint", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "threads" in err
 
 
 def test_cli_import_loads_no_scipy():

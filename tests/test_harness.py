@@ -125,6 +125,17 @@ class TestApplySplit:
             apply_split(records, "file", split)
         assert "r1" in str(err.value) and "r2" in str(err.value)
 
+    @pytest.mark.parametrize("content,line", [
+        (b"record_id,split\nr0,TRAIN\nr1,\xff\n", 3),
+        (b"record_id,split\nr0,TRAIN\nr1\n", 3),
+    ], ids=["not-utf8", "short-row"])
+    def test_bad_split_file_names_file_and_line(self, tmp_path, content, line):
+        split = tmp_path / "split.csv"
+        split.write_bytes(content)
+        with pytest.raises(DataError) as err:
+            apply_split(self.make_records(2), "file", split)
+        assert f"{split} line {line}:" in str(err.value)
+
     def test_random_sizes_80_10_10(self):
         tagged = apply_split(self.make_records(100), "random", seed=0)
         counts = {tag: sum(1 for r in tagged if r.split == tag)
@@ -208,6 +219,24 @@ class TestRunConfig:
         doc["split"] = {"mode": "random", "ratios": [0.8, 0.1, 0.2]}
         with pytest.raises(ConfigError):
             run_config_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("threads", "x", "threads"),
+        ("seed", "x", "seed"),
+        ("repeats", None, "repeats"),
+        ("sglb", [1], "sglb"),
+        ("split", "random", "split"),
+        ("split", {"mode": "random", "ratios": [0.5, "a", 0.5]}, "split.ratios"),
+        ("out_dir", 5, "out_dir"),
+        ("dataset", {"path": 5}, "dataset.path"),
+        ("kinds", 5, "kinds"),
+    ])
+    def test_wrongly_typed_field_rejected(self, small_dataset_path, key, value, named):
+        doc = self.base_doc(small_dataset_path)
+        doc[key] = value
+        with pytest.raises(ConfigError) as err:
+            run_config_from_dict(doc)
+        assert named in str(err.value)
 
     def test_missing_dataset_file(self):
         with pytest.raises(ConfigError):

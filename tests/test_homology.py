@@ -24,6 +24,7 @@ from oracles import (
     betti_at,
     betti_numbers_at,
     complex_at,
+    components,
     hop_distances,
     load_graph6_file,
     naive_persistence,
@@ -310,7 +311,6 @@ class TestOracleEquivalence:
         dist = geodesic_distances(g)
         pd0, _ = reduce_complex(
             build_vr_row({a.id for a in g.atoms}, dist, max(dist.diameter, 1)))
-        from moltop.molgraph import components
         assert len(pd0.essentials) == len(components(g))
 
     def test_pipeline_consumes_no_coordinates(self):

@@ -6,17 +6,18 @@ import pytest
 
 from moltop.cli import main
 from moltop.datagen import assign_reference_charges
-from moltop.errors import DataError, LayoutMismatchError
+from moltop.errors import LayoutMismatchError
 from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.homology import PersistenceDiagram
-from moltop.metrics import (
-    fingerprint_distance,
-    induced_distance,
-    matching_report,
-    wasserstein,
-)
+from moltop.metrics import fingerprint_distance, matching_report, wasserstein
 from moltop.molgraph import graph_to_json_dict, mirror, parse_smiles
-from moltop.vectorize import Fingerprint, FingerprintLayout, assemble, prepare_graph
+from moltop.vectorize import (
+    Fingerprint,
+    FingerprintLayout,
+    assemble,
+    prepare_graph,
+    row_diagrams,
+)
 
 from oracles import exhaustive_wasserstein
 
@@ -80,37 +81,53 @@ class TestWasserstein:
             wasserstein(pd_of([]), pd_of([]), 0.5)
 
 
+def charged(smiles):
+    return assign_reference_charges(prepare_graph(parse_smiles(smiles)))
+
+
+def row_oracle(a, b):
+    """W1 between two diagrams: essentials by sorted birth, pairs enumerated."""
+    if len(a.essentials) != len(b.essentials):
+        return math.inf
+    return (sum(abs(x - y) for x, y in zip(sorted(a.essentials), sorted(b.essentials)))
+            + exhaustive_wasserstein(a.pairs, b.pairs, 1.0))
+
+
 class TestInducedDistance:
-    def test_identical_rows_zero(self):
-        rows = [pd_of([(0, 2)]), pd_of([(1, 4)])]
-        assert induced_distance(rows, rows, 1.0) == 0.0
+    """``matching_report(...).induced`` sums the per-row W1 distances."""
+
+    def test_identical_rows_zero(self, random_graphs):
+        for g in random_graphs[:3]:
+            assert matching_report(g, g, ALL_SPECS, 10).induced == 0.0
 
     def test_single_differing_row(self):
-        rows_a = [pd_of([(0, 2)]), pd_of([])]
-        rows_b = [pd_of([(0, 2)]), pd_of([(0, 2)])]
-        w = wasserstein(pd_of([]), pd_of([(0, 2)]), 1.0)
-        assert induced_distance(rows_a, rows_b, 1.0) == pytest.approx(w)
+        # Mirroring alanine's one stereocenter changes only the chirality
+        # level that holds the CW centers.
+        g = charged("N[C@@H](C)C(=O)O")
+        report = matching_report(g, mirror(g), ALL_SPECS, 10)
+        differing = [i for i, w in enumerate(report.per_row) if w != 0]
+        assert len(differing) == 1
+        (_, _, a0, a1) = row_diagrams(g, ALL_SPECS, 10)[differing[0]]
+        (_, _, b0, b1) = row_diagrams(mirror(g), ALL_SPECS, 10)[differing[0]]
+        assert report.induced == wasserstein(a0, b0) + wasserstein(a1, b1) > 0
 
     def test_three_row_toy_matches_per_row_oracle(self):
-        rng = np.random.default_rng(3)
-        rows_a = [random_diagram(rng) for _ in range(3)]
-        rows_b = [random_diagram(rng) for _ in range(3)]
-        expected = sum(exhaustive_wasserstein(a.pairs, b.pairs, 1.0)
-                       for a, b in zip(rows_a, rows_b))
-        assert induced_distance(rows_a, rows_b, 1.0) == pytest.approx(expected, abs=1e-12)
+        specs = [make_spec("CHIRALITY")]
+        chiral = charged("F[C@H](Cl)Br")
+        for a, b in ((chiral, mirror(chiral)), (charged("O"), charged("C")),
+                     (charged("C#N"), charged("CO"))):
+            expected = sum(row_oracle(a0, b0) + row_oracle(a1, b1)
+                           for (_, _, a0, a1), (_, _, b0, b1)
+                           in zip(row_diagrams(a, specs, 4), row_diagrams(b, specs, 4)))
+            induced = matching_report(a, b, specs, 4).induced
+            assert induced == pytest.approx(expected, abs=1e-12)
 
-    def test_row_count_mismatch(self):
-        with pytest.raises(DataError):
-            induced_distance([pd_of([])], [pd_of([]), pd_of([])], 1.0)
-
-    def test_symmetry_and_nonnegativity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            rows_a = [random_diagram(rng) for _ in range(3)]
-            rows_b = [random_diagram(rng) for _ in range(3)]
-            d = induced_distance(rows_a, rows_b, 1.0)
+    def test_symmetry_and_nonnegativity(self, random_graphs):
+        graphs = random_graphs[:5]
+        for a, b in zip(graphs, graphs[1:] + [mirror(graphs[0])]):
+            d = matching_report(a, b, ALL_SPECS, 10).induced
             assert d >= 0
-            assert d == induced_distance(rows_b, rows_a, 1.0)
+            assert d == matching_report(b, a, ALL_SPECS, 10).induced
 
 
 class TestFingerprintDistance:

@@ -13,7 +13,6 @@ from moltop.molgraph import (
     CHI_CW,
     CHI_NONE,
     DatasetRecord,
-    components,
     detect_rings,
     expand_hydrogens,
     graph_from_json_dict,
@@ -24,11 +23,10 @@ from moltop.molgraph import (
     permutation_parity,
     relabel,
     ring_atoms,
-    valence_slots,
 )
 from moltop.elements import VALENCES
 
-from oracles import cycle_edges
+from oracles import components, cycle_edges, valence_slots
 
 
 def prepared(smiles):
@@ -79,7 +77,6 @@ class TestParseSmiles:
         assert g.atoms[0].formal_charge == 1
         assert g.atoms[0].implicit_hydrogens == 4
         assert g.atoms[1].formal_charge == -1
-        assert "disconnected input" in g.warnings
 
     def test_aromatic_ring(self):
         g = parse_smiles("c1ccccc1")
@@ -242,17 +239,17 @@ class TestJsonFormat:
             load_graph_json(doc)
         assert "duplicate" in str(err.value)
 
-    def test_unknown_keys_strict_vs_lenient(self):
-        doc = {"name": "x", "atoms": [{"element": "H", "color": "red"}],
-               "bonds": [], "extra": 1}
-        with pytest.raises(SchemaError):
-            load_graph_json(doc, strict=True)
-        # single H atom is fine valence-wise only as part of H2; use H2 here
-        doc = {"name": "x", "extra": 1,
-               "atoms": [{"element": "H"}, {"element": "H", "color": "red"}],
-               "bonds": [{"a": 0, "b": 1, "order": "SINGLE"}]}
-        g = load_graph_json(doc, strict=False)
-        assert any("unknown" in w for w in g.warnings)
+    def test_unknown_keys_rejected(self):
+        base = {"name": "x",
+                "atoms": [{"element": "H"}, {"element": "H"}],
+                "bonds": [{"a": 0, "b": 1, "order": "SINGLE"}]}
+        load_graph_json(base)
+        for where, path in (("$", "$"), ("atoms", "$.atoms[1]"), ("bonds", "$.bonds[0]")):
+            doc = copy.deepcopy(base)
+            (doc if where == "$" else doc[where][-1])["color"] = "red"
+            with pytest.raises(SchemaError) as err:
+                load_graph_json(doc)
+            assert "unknown" in str(err.value) and err.value.path == path
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "1e999"])
     def test_non_finite_partial_charge_rejected(self, value):
@@ -401,10 +398,10 @@ class TestRejectionTaxonomy:
     """Malformed input is rejected with a DataError carrying its location."""
 
     @settings(max_examples=400, deadline=None)
-    @given(doc=molecule_documents(), strict=st.booleans())
-    def test_molecule_documents(self, doc, strict):
+    @given(doc=molecule_documents())
+    def test_molecule_documents(self, doc):
         try:
-            graph_from_json_dict(doc, strict=strict)
+            graph_from_json_dict(doc)
         except SchemaError as exc:
             assert exc.path.startswith("$")
 

@@ -14,10 +14,8 @@ from moltop.vectorize import (
     fingerprint_dataset,
     prepare_graph,
     read_fingerprints_csv,
-    read_fingerprints_jsonl,
     slice_table,
     write_fingerprints_csv,
-    write_fingerprints_jsonl,
 )
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
@@ -199,15 +197,6 @@ class TestOnDiskFormats:
         back = read_fingerprints_csv(path)
         assert back.layout == table.layout
         assert back.ids() == table.ids()
-        assert np.array_equal(back.matrix(), table.matrix())
-
-    def test_jsonl_roundtrip_bit_exact(self, tmp_path):
-        table = fingerprint_dataset(TestDatasetFingerprinting().make_records(4),
-                                    FILTRATION_KINDS, 6)
-        path = tmp_path / "fp.jsonl"
-        write_fingerprints_jsonl(table, path)
-        back = read_fingerprints_jsonl(path)
-        assert back.layout == table.layout
         assert np.array_equal(back.matrix(), table.matrix())
 
     def test_corrupt_header_rejected(self, tmp_path):
