@@ -7,6 +7,7 @@ distance, bench.  Exit codes: 0 ok, 2 config error, 3 data error,
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -14,7 +15,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InternalInvariantError, MoltopError
+from .errors import (
+    ConfigError,
+    DataError,
+    InternalInvariantError,
+    MoltopError,
+    read_json,
+    read_text,
+)
 from .filtration import FILTRATION_KINDS
 from .harness import (
     evaluate,
@@ -127,30 +135,27 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = load_run_config(args.config)
     records, _ = load_dataset(cfg.dataset_path, cfg.dataset_format)
     targets = {r.record_id: r.target for r in records}
     groups: dict[str, tuple[list, list]] = {}
-    try:
-        with open(args.predictions, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for column in ("record_id", "prediction"):
-                if column not in (reader.fieldnames or ()):
-                    raise DataError(f"{args.predictions}: no {column!r} column")
-            for row in reader:
-                rid = row["record_id"]
-                if rid not in targets:
-                    raise DataError(f"prediction for unknown record {rid!r}")
-                try:
-                    prediction = float(row["prediction"])
-                except (TypeError, ValueError):  # TypeError: the row has too few fields
-                    raise DataError(f"{args.predictions} line {reader.line_num}: "
-                                    f"non-numeric prediction {row['prediction']!r}") from None
-                bucket = groups.setdefault(row.get("split") or "ALL", ([], []))
-                bucket[0].append(prediction)
-                bucket[1].append(float(targets[rid]))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{args.predictions}: cannot read predictions ({exc})") from None
+    reader = csv.DictReader(io.StringIO(read_text(args.predictions, "predictions"),
+                                        newline=""))
+    for column in ("record_id", "prediction"):
+        if column not in (reader.fieldnames or ()):
+            raise DataError(f"{args.predictions}: no {column!r} column")
+    for row in reader:
+        rid = row["record_id"]
+        if rid not in targets:
+            raise DataError(f"prediction for unknown record {rid!r}")
+        try:
+            prediction = float(row["prediction"])
+        except (TypeError, ValueError):  # TypeError: the row has too few fields
+            raise DataError(f"{args.predictions} line {reader.line_num}: "
+                            f"non-numeric prediction {row['prediction']!r}") from None
+        bucket = groups.setdefault(row.get("split") or "ALL", ([], []))
+        bucket[0].append(prediction)
+        bucket[1].append(float(targets[rid]))
     if not groups:
         raise DataError(f"{args.predictions}: no prediction rows")
     metrics = {tag: evaluate(preds, labels, cfg.task)
@@ -187,11 +192,7 @@ def _cmd_distance(args) -> int:
         raise ConfigError(f"unknown filtration kinds {bad}")
     if args.k_grid < 1 or not args.p >= 1:  # `not >=` also rejects NaN
         raise ConfigError("--k-grid must be positive and --p at least 1")
-    try:
-        with open(args.pairs, "r", encoding="utf-8") as fh:
-            docs = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise DataError(f"{args.pairs}: cannot read pairs ({exc})") from None
+    docs = read_json(args.pairs, "pairs")
     if not isinstance(docs, list):
         raise DataError(f"{args.pairs}: pairs file must hold a JSON array")
     specs = kind_specs(kinds)
@@ -231,11 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "boosted-tree ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p, config=True):
+    def shared(p, config=True, runs=True):
         if config:
             p.add_argument("--config", required=True, help="run-config JSON path")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if runs:  # only the commands that fingerprint or train read these
+            p.add_argument("--threads", type=int, default=None)
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("fingerprint", help="compute fingerprints for a dataset")
@@ -251,18 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict with uncertainty decomposition")
-    shared(p, config=False)
+    shared(p, config=False, runs=False)
     p.add_argument("--model", required=True)
     p.add_argument("--fingerprints", required=True)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a predictions file against targets")
-    shared(p)
+    shared(p, runs=False)
     p.add_argument("--predictions", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("rank-uncertainty", help="top-k pool records by uncertainty")
-    shared(p, config=False)
+    shared(p, config=False, runs=False)
     p.add_argument("--model", required=True)
     p.add_argument("--fingerprints", required=True)
     p.add_argument("--criterion", choices=RANK_CRITERIA, default="KNOWLEDGE")
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("distance", help="diagram/fingerprint distances for molecule pairs")
-    shared(p, config=False)
+    shared(p, config=False, runs=False)
     p.add_argument("--pairs", required=True, help="JSON array of {a, b} molecules")
     p.add_argument("--kinds", nargs="*", default=None)
     p.add_argument("--k-grid", type=int, default=10)

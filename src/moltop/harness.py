@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json, read_text, typed
 from .filtration import FILTRATION_KINDS, decile_boundaries
 from .molgraph import SPLIT_TAGS, DatasetRecord, parse_smiles, load_graph_json
 from .sglb import (
@@ -87,13 +87,6 @@ _CONFIG_KEYS = {"dataset", "task", "kinds", "k_grid", "decile_mode",
                 "repeats", "out_dir"}
 
 
-def _typed(value, kind, key):
-    """``value`` if it is a ``kind`` (a bool is no number), else a ConfigError naming key."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{key} has the wrong type: {value!r}")
-    return value
-
-
 def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
@@ -106,15 +99,17 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
         dataset = {"path": dataset}
     if not isinstance(dataset, dict) or "path" not in dataset:
         raise ConfigError("config needs dataset.path")
-    dataset_path = os.path.join(base_dir, _typed(dataset["path"], str, "dataset.path"))
+    dataset_path = os.path.join(base_dir, typed(dataset["path"], str, "dataset.path"))
     if not os.path.exists(dataset_path):
         raise ConfigError(f"dataset file not found: {dataset_path}")
+    dataset_format = typed(dataset.get("format"), (str, type(None)), "dataset.format")
 
-    task = _TASK_ALIASES.get(doc.get("task"))
+    task = doc.get("task")
+    task = _TASK_ALIASES.get(task) if isinstance(task, str) else None
     if task is None:
         raise ConfigError(f"task must be regression or classification, got {doc.get('task')!r}")
 
-    kinds = _typed(doc.get("kinds", list(FILTRATION_KINDS)), list, "kinds")
+    kinds = typed(doc.get("kinds", list(FILTRATION_KINDS)), list, "kinds")
     bad = [k for k in kinds if k not in FILTRATION_KINDS]
     if bad:
         raise ConfigError(f"unknown filtration kinds {bad}")
@@ -123,7 +118,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigError("at least one filtration kind is required")
 
     k_grid = doc.get("k_grid")
-    if k_grid is not None and _typed(k_grid, int, "k_grid") < 1:
+    if k_grid is not None and typed(k_grid, int, "k_grid") < 1:
         raise ConfigError("k_grid must be a positive integer or null")
 
     decile_mode = doc.get("decile_mode", "per_molecule")
@@ -133,7 +128,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     if distance_mode not in ("full_graph", "induced_subgraph"):
         raise ConfigError(f"invalid distance_mode {distance_mode!r}")
 
-    split = _typed(doc.get("split", {"mode": "random"}), dict, "split")
+    split = typed(doc.get("split", {"mode": "random"}), dict, "split")
     split_mode = split.get("mode", "random")
     split_path = None
     ratios = (0.8, 0.1, 0.1)
@@ -141,12 +136,12 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
         split_path = split.get("path")
         if split_path is None:
             raise ConfigError("file split needs split.path")
-        split_path = os.path.join(base_dir, _typed(split_path, str, "split.path"))
+        split_path = os.path.join(base_dir, typed(split_path, str, "split.path"))
         if not os.path.exists(split_path):
             raise ConfigError(f"split file not found: {split_path}")
     elif split_mode == "random":
-        ratios = _typed(split.get("ratios", [0.8, 0.1, 0.1]), list, "split.ratios")
-        ratios = tuple(_typed(r, (int, float), "split.ratios") for r in ratios)
+        ratios = typed(split.get("ratios", [0.8, 0.1, 0.1]), list, "split.ratios")
+        ratios = tuple(typed(r, (int, float), "split.ratios") for r in ratios)
         if len(ratios) != 3 or any(r < 0 for r in ratios):
             raise ConfigError("split.ratios must be three non-negative numbers")
         if abs(sum(ratios) - 1.0) > 1e-9:
@@ -154,25 +149,22 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     else:
         raise ConfigError(f"invalid split mode {split_mode!r}")
 
-    seed = _typed(doc.get("seed", 0), int, "seed")
-    sglb_doc = dict(_typed(doc.get("sglb", {}), dict, "sglb"))
+    seed = typed(doc.get("seed", 0), int, "seed")
+    sglb_doc = dict(typed(doc.get("sglb", {}), dict, "sglb"))
     sglb_doc.setdefault("task", task)
     sglb_doc.setdefault("seed", seed)
-    try:
-        sglb = SglbConfig.from_dict(sglb_doc)
-    except TypeError as exc:
-        raise ConfigError(f"invalid sglb config: {exc}") from None
+    sglb = SglbConfig.from_dict(sglb_doc, ConfigError)
     if sglb.task != task:
         raise ConfigError("sglb.task must match the run task")
 
-    threads = _typed(doc.get("threads", 1), int, "threads")
-    repeats = _typed(doc.get("repeats", 3), int, "repeats")
+    threads = typed(doc.get("threads", 1), int, "threads")
+    repeats = typed(doc.get("repeats", 3), int, "repeats")
     if threads < 1 or repeats < 1:
         raise ConfigError("threads and repeats must be >= 1")
-    out_dir = _typed(doc.get("out_dir", "out"), str, "out_dir")
+    out_dir = typed(doc.get("out_dir", "out"), str, "out_dir")
 
     return RunConfig(dataset_path=dataset_path, task=task,
-                     dataset_format=dataset.get("format"), kinds=kinds,
+                     dataset_format=dataset_format, kinds=kinds,
                      k_grid=k_grid, decile_mode=decile_mode,
                      distance_mode=distance_mode, split_mode=split_mode,
                      split_ratios=ratios, split_path=split_path, sglb=sglb,
@@ -181,14 +173,8 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return run_config_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    return run_config_from_dict(read_json(path, "run config", ConfigError),
+                                base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +190,7 @@ def load_dataset(path, dataset_format: str | None = None):
     loader = {"csv": _load_csv, "jsonl": _load_jsonl}.get(dataset_format)
     if loader is None:
         raise ConfigError(f"unknown dataset format {dataset_format!r}")
-    try:
-        records, errors = loader(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    records, errors = loader(read_text(path, "dataset"), path)
     if not records:
         raise DataError(f"{path}: no usable records"
                         + (f" ({len(errors)} rows failed)" if errors else ""))
@@ -217,49 +200,48 @@ def load_dataset(path, dataset_format: str | None = None):
     return records, errors
 
 
-def _load_csv(path):
+def _load_csv(text, path):
     records, errors = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: missing CSV header")
-        fields = {name.strip().lower(): name for name in reader.fieldnames}
-        smiles_col = fields.get("smiles")
-        target_col = fields.get("target")
-        id_col = fields.get("id") or fields.get("record_id")
-        if smiles_col is None or target_col is None:
-            raise DataError(f"{path}: CSV needs smiles and target columns")
-        for i, row in enumerate(reader):
-            record_id = (row.get(id_col) or f"row{i}") if id_col else f"row{i}"
-            try:
-                smiles = (row.get(smiles_col) or "").strip()
-                target = _target(row.get(target_col))
-                parse_smiles(smiles)  # reject unparsable rows up front
-                records.append(DatasetRecord(record_id, target, smiles=smiles))
-            except DataError as exc:
-                errors.append({"record_id": record_id, "error": str(exc)})
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: missing CSV header")
+    fields = {name.strip().lower(): name for name in reader.fieldnames}
+    smiles_col = fields.get("smiles")
+    target_col = fields.get("target")
+    id_col = fields.get("id") or fields.get("record_id")
+    if smiles_col is None or target_col is None:
+        raise DataError(f"{path}: CSV needs smiles and target columns")
+    for i, row in enumerate(reader):
+        record_id = (row.get(id_col) or f"row{i}") if id_col else f"row{i}"
+        try:
+            smiles = (row.get(smiles_col) or "").strip()
+            target = _target(row.get(target_col))
+            parse_smiles(smiles)  # reject unparsable rows up front
+            records.append(DatasetRecord(record_id, target, smiles=smiles))
+        except DataError as exc:
+            errors.append({"record_id": record_id, "error": str(exc)})
     return records, errors
 
 
-def _load_jsonl(path):
+def _load_jsonl(text, path):
     records, errors = [], []
     base_dir = os.path.dirname(os.path.abspath(str(path)))
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if not line.strip():
-                continue
-            record_id = f"row{i}"
+    # newline=None splits at \n, \r and \r\n, as reading the file as text does
+    for i, line in enumerate(io.StringIO(text, newline=None)):
+        if not line.strip():
+            continue
+        record_id = f"row{i}"
+        try:
             try:
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"invalid JSON: {exc}") from None
-                if not isinstance(doc, dict):
-                    raise DataError("record must be a JSON object")
-                record_id = str(doc.get("record_id", record_id))
-                records.append(_jsonl_record(doc, record_id, base_dir))
-            except DataError as exc:
-                errors.append({"record_id": record_id, "error": str(exc)})
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"invalid JSON: {exc}") from None
+            if not isinstance(doc, dict):
+                raise DataError("record must be a JSON object")
+            record_id = str(doc.get("record_id", record_id))
+            records.append(_jsonl_record(doc, record_id, base_dir))
+        except DataError as exc:
+            errors.append({"record_id": record_id, "error": str(exc)})
     return records, errors
 
 
@@ -293,13 +275,7 @@ def apply_split(records, split_mode: str = "random", split_path=None,
     records = list(records)
     if split_mode == "file":
         assignment = {}
-        with open(split_path, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise DataError(f"{split_path} line {line}: not UTF-8 text") from None
+        text = read_text(split_path, "split file")
         reader = csv.DictReader(io.StringIO(text, newline=""))
         fields = {name.strip().lower(): name for name in (reader.fieldnames or [])}
         id_col, split_col = fields.get("record_id"), fields.get("split")
@@ -315,9 +291,7 @@ def apply_split(records, split_mode: str = "random", split_path=None,
             shown = ", ".join(missing[:20])
             more = "" if len(missing) <= 20 else f" (+{len(missing) - 20} more)"
             raise DataError(f"split file does not cover record ids: {shown}{more}")
-        return [DatasetRecord(r.record_id, r.target, r.smiles, r.graph,
-                              r.graph_path, assignment[r.record_id])
-                for r in records]
+        return [replace(r, split=assignment[r.record_id]) for r in records]
 
     if split_mode != "random":
         raise ConfigError(f"invalid split mode {split_mode!r}")
@@ -333,9 +307,7 @@ def apply_split(records, split_mode: str = "random", split_path=None,
             tags[rec_idx] = "VALID"
         else:
             tags[rec_idx] = "TEST"
-    return [DatasetRecord(r.record_id, r.target, r.smiles, r.graph,
-                          r.graph_path, tags[i])
-            for i, r in enumerate(records)]
+    return [replace(r, split=tags[i]) for i, r in enumerate(records)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,63 +328,40 @@ def _check_binary(labels) -> np.ndarray:
     return labels
 
 
-def roc_auc(scores, labels) -> float:
-    """Trapezoidal area under TPR vs FPR over all distinct score thresholds."""
-    labels = _check_binary(labels)
+def _score_sweep(scores, labels):
+    """The distinct scores in descending order, with the positives and the
+    samples scoring at least each one (cumulative counts over the sorted
+    scores; the test oracles recount every threshold naively)."""
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    s, l = scores[order], labels[order]
-    # indices closing each distinct-score group
-    boundary = np.nonzero(np.diff(s))[0]
-    ends = np.concatenate([boundary, [len(s) - 1]])
-    cum_tp = np.cumsum(l)[ends]
-    cum_fp = np.cumsum(1.0 - l)[ends]
+    s = scores[order]
+    ends = np.concatenate([np.nonzero(np.diff(s))[0], [len(s) - 1]])  # last of each group
+    return s[ends], np.cumsum(labels[order])[ends], (ends + 1).astype(np.float64)
+
+
+def roc_auc(scores, labels) -> float:
+    """Trapezoidal area under TPR vs FPR over all distinct score thresholds."""
+    _, cum_tp, cum_called = _score_sweep(scores, _check_binary(labels))
+    cum_fp = cum_called - cum_tp
     tpr = np.concatenate([[0.0], cum_tp / cum_tp[-1]])
     fpr = np.concatenate([[0.0], cum_fp / cum_fp[-1]])
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
-def _pr_points(scores, labels):
-    """(recall, precision) for q over the distinct scores and q = 0.
-
-    Counts use the strict rule: a sample is called positive at q when its
-    score exceeds q.  Undefined-precision points (no positives called) are
-    skipped.  Computed from cumulative counts over the descending score
-    order; the test oracle recounts every threshold naively.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    total_pos = labels.sum()
-    order = np.argsort(-scores, kind="stable")
-    s, l = scores[order], labels[order]
-    ends = np.concatenate([np.nonzero(np.diff(s))[0], [len(s) - 1]])
-    values = s[ends]  # distinct scores, descending
-    cum_tp = np.cumsum(l)[ends]
-    cum_called = (ends + 1).astype(np.float64)
-
-    # at q = values[k] the strictly-greater samples are groups 0..k-1
-    tp_gt = np.concatenate([[0.0], cum_tp[:-1]])
-    called_gt = np.concatenate([[0.0], cum_called[:-1]])
-    qs = values
-    if not (values == 0.0).any():
-        above_zero = values > 0.0
-        qs = np.concatenate([values, [0.0]])
-        tp_gt = np.concatenate([tp_gt, [cum_tp[above_zero][-1] if above_zero.any() else 0.0]])
-        called_gt = np.concatenate(
-            [called_gt, [cum_called[above_zero][-1] if above_zero.any() else 0.0]])
-
-    keep = called_gt > 0
-    recalls = tp_gt[keep] / total_pos
-    precisions = tp_gt[keep] / called_gt[keep]
-    return list(zip(recalls.tolist(), precisions.tolist()))
-
-
 def prc_auc(scores, labels) -> float:
-    """Step-rule area under precision vs recall from the threshold sweep."""
-    labels = _check_binary(labels)
+    """Step-rule area under precision vs recall, swept over q in the distinct
+    scores and q = 0 in descending order.  A sample is called positive at q
+    when its score exceeds q; thresholds that call no sample are skipped."""
+    values, cum_tp, cum_called = _score_sweep(scores, _check_binary(labels))
+    qs = np.union1d(values, [0.0])[::-1]
+    above = np.searchsorted(-values, -qs, side="left")  # groups scoring above each q
+    tp_gt = np.concatenate([[0.0], cum_tp])[above]
+    called_gt = np.concatenate([[0.0], cum_called])[above]
+    keep = called_gt > 0
     area = 0.0
     prev_recall = 0.0
-    for recall, precision in _pr_points(scores, labels):
+    for recall, precision in zip((tp_gt[keep] / cum_tp[-1]).tolist(),
+                                 (tp_gt[keep] / called_gt[keep]).tolist()):
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return float(area)

@@ -42,9 +42,6 @@ class DistanceMatrix:
     hops: np.ndarray  # (n, n) int32, UNREACHABLE for cross-component pairs
     diameter: int     # max finite entry
 
-    def distance(self, u: int, v: int) -> int:
-        return int(self.hops[u, v])
-
 
 def geodesic_distances(graph: MolecularGraph, within=None) -> DistanceMatrix:
     """BFS hop distances; ``within`` restricts the walk to an induced subgraph."""

@@ -12,14 +12,13 @@ remaining three, ids ascending, turn counterclockwise or clockwise), so any
 writing of the same molecule parses to the same tags.  Hydrogens that are
 still implicit count as larger than every existing id, which stays true
 after expansion because new hydrogens are appended after all heavy atoms.
-Once stored, tags are opaque per-atom data: mirror() flips them, relabel()
-carries them verbatim, and downstream code never reinterprets them
-geometrically.
+Once stored, tags are opaque per-atom data: a vertex relabeling carries them
+verbatim, a reflection swaps CW and CCW, and downstream code never
+reinterprets them geometrically.
 """
 
 from dataclasses import dataclass, replace
 
-import json
 import os
 import sys
 
@@ -30,7 +29,7 @@ from .elements import (
     allowed_valences,
     atomic_mass,
 )
-from .errors import DataError, SchemaError, SmilesParseError
+from .errors import DataError, SchemaError, SmilesParseError, read_json
 
 CHI_NONE = "NONE"
 CHI_CW = "CW"
@@ -41,6 +40,8 @@ BOND_ORDERS = ("SINGLE", "DOUBLE", "TRIPLE", "AROMATIC")
 # Twice the bond order, so aromatic (1.5) stays integral.
 _ORDER_X2 = {"SINGLE": 2, "DOUBLE": 4, "TRIPLE": 6, "AROMATIC": 3}
 _BOND_SYMBOLS = {"-": "SINGLE", "=": "DOUBLE", "#": "TRIPLE", ":": "AROMATIC"}
+# Most neighbors an aromatic atom may have.
+_AROMATIC_MAX_DEGREE = {"C": 3, "N": 3, "O": 2, "S": 2}
 
 
 @dataclass(frozen=True)
@@ -143,14 +144,6 @@ def permutation_parity(values) -> int:
             length += 1
         parity ^= (length - 1) & 1
     return parity
-
-
-def _flip_tag(tag: str) -> str:
-    if tag == CHI_CW:
-        return CHI_CCW
-    if tag == CHI_CCW:
-        return CHI_CW
-    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +380,20 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     return _finish_parse(atoms, bonds, name)
 
 
-def _finish_parse(atoms, bonds, name) -> MolecularGraph:
-    bond_x2 = [0] * len(atoms)
-    degree = [0] * len(atoms)
-    for (a, b), (order, _) in bonds.items():
-        bond_x2[a] += _ORDER_X2[order]
-        bond_x2[b] += _ORDER_X2[order]
-        degree[a] += 1
-        degree[b] += 1
+def _valence_tally(n_atoms, bonds):
+    """Per atom: twice its bond-order sum, its degree, and whether it has an aromatic bond."""
+    bond_x2, degree, aromatic = [0] * n_atoms, [0] * n_atoms, [False] * n_atoms
+    for bond in bonds:
+        for v in bond.endpoints:
+            bond_x2[v] += _ORDER_X2[bond.order]
+            degree[v] += 1
+            aromatic[v] = aromatic[v] or bond.order == "AROMATIC"
+    return bond_x2, degree, aromatic
 
+
+def _finish_parse(atoms, bonds, name) -> MolecularGraph:
+    out_bonds = tuple(Bond(a, b, order) for (a, b), (order, _) in sorted(bonds.items()))
+    bond_x2, degree, _ = _valence_tally(len(atoms), out_bonds)
     out_atoms = []
     for idx, parsed in enumerate(atoms):
         implicit_h = _implicit_hydrogens(parsed, bond_x2[idx], degree[idx])
@@ -407,34 +405,23 @@ def _finish_parse(atoms, bonds, name) -> MolecularGraph:
                     parsed.offset)
             ordered = [s.partner if isinstance(s, _RingSlot) else s
                        for s in parsed.neighbor_order]
-            tag = CHI_CW if parsed.stereo == "@@" else CHI_CCW
-            if permutation_parity(ordered):
-                tag = _flip_tag(tag)
+            # an odd reordering of the written neighbors reverses the turn
+            clockwise = (parsed.stereo == "@@") != bool(permutation_parity(ordered))
+            tag = CHI_CW if clockwise else CHI_CCW
         out_atoms.append(make_atom(idx, parsed.element, parsed.charge,
                                    chirality=tag, implicit_hydrogens=implicit_h))
-
-    out_bonds = tuple(Bond(a, b, order) for (a, b), (order, _) in sorted(bonds.items()))
     return MolecularGraph(name, tuple(out_atoms), out_bonds)
 
 
 def _implicit_hydrogens(parsed: _ParsedAtom, bond_x2: int, degree: int) -> int:
     """Implicit hydrogen count under the valence model; raises on overflow."""
     if parsed.aromatic:
-        # Aromatic connection targets: c wants 3 explicit neighbors, n 2-3,
-        # o/s exactly 2; only bare aromatic carbon earns an implicit H.
-        total = degree + parsed.h_count
-        limits = {"C": 3, "N": 3, "O": 2, "S": 2}[parsed.element]
-        if parsed.bracket:
-            if total > limits:
-                raise SmilesParseError("valence overflow", parsed.offset)
-            return parsed.h_count
-        if parsed.element == "C":
-            if degree > 3:
-                raise SmilesParseError("valence overflow", parsed.offset)
-            return max(0, 3 - degree)
-        if degree > limits:
+        limit = _AROMATIC_MAX_DEGREE[parsed.element]
+        if degree + parsed.h_count > limit:  # h_count is 0 outside brackets
             raise SmilesParseError("valence overflow", parsed.offset)
-        return 0
+        if parsed.bracket or parsed.element != "C":
+            return parsed.h_count
+        return limit - degree  # only bare aromatic carbon earns implicit hydrogens
 
     slots = (bond_x2 + 1) // 2
     allowed = allowed_valences(parsed.element, parsed.charge)
@@ -524,31 +511,6 @@ def ring_atoms(graph: MolecularGraph) -> set[int]:
     return out
 
 
-def mirror(graph: MolecularGraph) -> MolecularGraph:
-    """Reflected copy: every CW tag becomes CCW and vice versa."""
-    atoms = tuple(replace(a, chirality=_flip_tag(a.chirality)) for a in graph.atoms)
-    return replace(graph, atoms=atoms)
-
-
-def relabel(graph: MolecularGraph, perm: list[int]) -> MolecularGraph:
-    """Apply a vertex relabeling (old id -> perm[old id]).
-
-    All atom fields, chirality tags included, travel verbatim with their
-    atoms: tags are opaque input data here, so a relabeled graph carries
-    exactly the same tag multiset and downstream fingerprints are identical.
-    """
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(graph.n_atoms)):
-        raise ValueError("perm must be a permutation of the atom ids")
-    new_atoms: list[Atom | None] = [None] * graph.n_atoms
-    for atom in graph.atoms:
-        new_atoms[perm[atom.id]] = replace(atom, id=perm[atom.id])
-    new_bonds = tuple(sorted(
-        (replace(b, a=perm[b.a], b=perm[b.b]) for b in graph.bonds),
-        key=lambda b: (b.a, b.b)))
-    return replace(graph, atoms=tuple(new_atoms), bonds=new_bonds)
-
-
 # ---------------------------------------------------------------------------
 # JSON molecule format
 
@@ -583,16 +545,7 @@ def load_graph_json(source) -> MolecularGraph:
         return graph_from_json_dict(source)
     if not isinstance(source, (str, os.PathLike)):
         raise SchemaError(f"cannot read molecule source {source!r}")
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, or not UTF-8
-        raise SchemaError(f"cannot read molecule file {os.fspath(source)!r}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    return graph_from_json_dict(doc)
+    return graph_from_json_dict(read_json(source, "molecule file", SchemaError))
 
 
 def graph_from_json_dict(doc: dict) -> MolecularGraph:
@@ -666,20 +619,13 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
 
 
 def _validate_loaded(graph: MolecularGraph):
-    bond_x2 = [0] * graph.n_atoms
-    degree = graph.degrees()
-    aromatic = [False] * graph.n_atoms
-    for bond in graph.bonds:
-        for v in bond.endpoints:
-            bond_x2[v] += _ORDER_X2[bond.order]
-            if bond.order == "AROMATIC":
-                aromatic[v] = True
+    bond_x2, degree, aromatic = _valence_tally(graph.n_atoms, graph.bonds)
     for atom in graph.atoms:
         path = f"$.atoms[{atom.id}]"
         if atom.chirality != CHI_NONE and degree[atom.id] != 4:
             raise SchemaError("chirality tag on an atom without four distinct neighbors", path)
         if aromatic[atom.id]:
-            limit = {"C": 3, "N": 3, "O": 2, "S": 2}.get(atom.element)
+            limit = _AROMATIC_MAX_DEGREE.get(atom.element)
             if limit is None or degree[atom.id] > limit:
                 raise SchemaError("aromatic valence violation", path)
             continue

@@ -25,11 +25,12 @@ from dataclasses import dataclass, replace
 
 import json
 import math
+import typing
 import warnings
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LayoutMismatchError
+from .errors import ConfigError, DataError, LayoutMismatchError, read_json, typed
 from .vectorize import FingerprintLayout
 
 TASK_REGRESSION = "REGRESSION_WITH_UNCERTAINTY"
@@ -82,10 +83,19 @@ class SglbConfig:
                 "max_bins": self.max_bins, "seed": self.seed}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SglbConfig":
-        doc = dict(doc)
-        if doc.get("beta") == "inf":
-            doc["beta"] = math.inf
+    def from_dict(cls, doc: dict, error=ConfigError) -> "SglbConfig":
+        """Config from its JSON object; an unknown key or a value whose JSON type
+        does not fit the field raises ``error``."""
+        if not isinstance(doc, dict):
+            raise error("sglb config is not an object")
+        doc = {**doc, "beta": math.inf} if doc.get("beta") == "inf" else doc
+        for key, value in doc.items():
+            field = cls.__dataclass_fields__.get(key)
+            if field is None:
+                raise error(f"unknown sglb config key {key!r}")
+            kinds = typing.get_args(field.type) or (field.type,)
+            kinds += (int,) if float in kinds else ()
+            typed(value, kinds, f"sglb config {key}", error)
         return cls(**doc)
 
 
@@ -128,13 +138,21 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tree":
+        """Tree from its JSON form; DataError unless every array holds one entry
+        per node and each split node's children come after it."""
         feature, threshold, left, right, value = _fields(
             doc, ("feature", "threshold", "left", "right", "value"), "tree")
-        return cls(np.array(feature, dtype=np.int32),
-                   np.array(threshold, dtype=np.float64),
-                   np.array(left, dtype=np.int32),
-                   np.array(right, dtype=np.int32),
-                   np.array(value, dtype=np.float64))
+        feature, left, right = (_array(a, "iu", 1, "tree ids") for a in (feature, left, right))
+        threshold = _array(threshold, "iuf", 1, "tree thresholds")
+        value = _array(value, "iuf", 2, "tree values")
+        n, split = len(feature), np.flatnonzero(feature >= 0)
+        if any(len(a) != n for a in (threshold, left, right, value)):
+            raise DataError("tree arrays differ in length")
+        if not all(((c[split] > split) & (c[split] < n)).all() for c in (left, right)):
+            raise DataError("a tree child id is not after its parent")
+        return cls(feature.astype(np.int32), threshold.astype(np.float64),
+                   left.astype(np.int32), right.astype(np.int32),
+                   value.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +237,10 @@ class _TreeGrower:
 
         root = new_node()
         binned = self.binned
+        stack = [(root, np.arange(n, dtype=np.intp), 0, None)]
         if len(binned.active) == 0:  # every feature constant: nothing to split on
             value[root] = targets.mean(axis=0)
-            return Tree(np.array(feature, dtype=np.int32),
-                        np.array(threshold, dtype=np.float64),
-                        np.array(left, dtype=np.int32),
-                        np.array(right, dtype=np.int32),
-                        np.vstack(value))
-        stack = [(root, np.arange(n, dtype=np.intp), 0, None)]
+            stack = []
         while stack:
             node, idx, depth, hist = stack.pop()
             if hist is None:
@@ -334,12 +348,6 @@ class SglbModel:
         for tree in self.trees:
             F = keep * F + eta * tree.predict(X)
         return F
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        F = self.raw_predict(X)
-        if self.config.task == TASK_REGRESSION:
-            return F[:, 0]
-        return _sigmoid(F[:, 0])
 
 
 def _noise_std(config: SglbConfig, n: int) -> float:
@@ -510,24 +518,33 @@ def _fields(doc, keys, what) -> list:
     return [doc[k] for k in keys]
 
 
-def _config_from_dict(doc, what) -> SglbConfig:
-    _fields(doc, (), what)
-    unknown = sorted(set(doc) - set(SglbConfig.__dataclass_fields__))
-    if unknown:
-        raise DataError(f"{what} has unknown keys {unknown}")
-    return SglbConfig.from_dict(doc)
+def _array(values, kinds, ndim, what) -> np.ndarray:
+    """``values`` as an ``ndim``-D array of dtype kind in ``kinds`` ("iu" or "iuf")."""
+    try:
+        array = np.array(values)
+    except ValueError:  # a ragged nested list
+        array = None
+    if array is None or array.ndim != ndim or array.dtype.kind not in kinds:
+        raise DataError(f"{what}: expected a {ndim}-D array of "
+                        + ("integers" if kinds == "iu" else "numbers"))
+    return array
 
 
 def model_from_dict(doc: dict) -> SglbModel:
     _, config, base, trees, feature_count = _fields(
         doc, ("format_version", "config", "base", "trees", "feature_count"), "member")
+    config = SglbConfig.from_dict(config, DataError)
+    base = _array(base, "iuf", 1, "member base").astype(np.float64)
     if not isinstance(trees, list):
         raise DataError("member trees must be a list")
+    trees = tuple(Tree.from_dict(t) for t in trees)
+    typed(feature_count, int, "member feature_count", DataError)
+    out_dim = 2 if config.task == TASK_REGRESSION else 1
+    if len(base) != out_dim or any(t.value.shape[1] != out_dim
+                                   or t.feature.max() >= feature_count for t in trees):
+        raise DataError("member trees do not fit its task and feature_count")
     layout = doc.get("layout")
-    return SglbModel(_config_from_dict(config, "member config"),
-                     np.array(base, dtype=np.float64),
-                     tuple(Tree.from_dict(t) for t in trees),
-                     int(feature_count),
+    return SglbModel(config, base, trees, feature_count,
                      None if layout is None else FingerprintLayout.from_dict(layout))
 
 
@@ -541,8 +558,11 @@ def ensemble_from_dict(doc: dict) -> SglbEnsemble:
     _, config, members = _fields(doc, ("format_version", "config", "members"), "model")
     if not isinstance(members, list) or not members:
         raise DataError("model members must be a non-empty list")
-    return SglbEnsemble(_config_from_dict(config, "model config"),
-                        tuple(model_from_dict(m) for m in members))
+    config = SglbConfig.from_dict(config, DataError)
+    members = tuple(model_from_dict(m) for m in members)
+    if any(m.config.task != config.task for m in members):
+        raise DataError("model members must share the model's task")
+    return SglbEnsemble(config, members)
 
 
 def save_ensemble(ensemble: SglbEnsemble, path):
@@ -552,11 +572,7 @@ def save_ensemble(ensemble: SglbEnsemble, path):
 
 
 def load_ensemble(path) -> SglbEnsemble:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise DataError(f"{path}: cannot read model ({exc})") from None
+    doc = read_json(path, "model")
     try:
         return ensemble_from_dict(doc)
     except DataError as exc:

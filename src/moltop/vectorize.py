@@ -12,10 +12,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import csv
+import io
 
 import numpy as np
 
-from .errors import DataError, LayoutMismatchError
+from .errors import DataError, LayoutMismatchError, read_text, typed
 from .filtration import (
     FILTRATION_KINDS,
     LEVEL_COUNTS,
@@ -93,7 +94,15 @@ class FingerprintLayout:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FingerprintLayout":
-        return cls(doc["version"], tuple(doc["kinds"]), int(doc["k_grid"]))
+        """Layout from its JSON form; DataError unless it is a valid layout."""
+        if not isinstance(doc, dict):
+            raise DataError("fingerprint layout is not an object")
+        try:
+            return cls(typed(doc.get("version"), str, "layout version", DataError),
+                       tuple(typed(doc.get("kinds"), list, "layout kinds", DataError)),
+                       typed(doc.get("k_grid"), int, "layout k_grid", DataError))
+        except ValueError as exc:  # the layout's own checks
+            raise DataError(f"invalid fingerprint layout: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -318,14 +327,7 @@ def write_fingerprints_csv(table: FingerprintTable, path):
 
 
 def read_fingerprints_csv(path) -> FingerprintTable:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _parse_fingerprints_csv(fh, path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: cannot read fingerprint CSV ({exc})") from None
-
-
-def _parse_fingerprints_csv(fh, path) -> FingerprintTable:
+    fh = io.StringIO(read_text(path, "fingerprint CSV"), newline="")
     abbrev_to_kind = {v: k for k, v in KIND_ABBREV.items()}
     magic = fh.readline().strip()
     if not magic.startswith(_CSV_MAGIC):

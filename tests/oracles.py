@@ -16,6 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from moltop.molgraph import CHI_CCW, CHI_CW
 from moltop.sglb import (
     _MIN_GAIN,
     TASK_REGRESSION,
@@ -561,7 +562,37 @@ def cycle_edges(n, edges):
 
 
 # ---------------------------------------------------------------------------
-# Molecular-graph helpers: connected components and valence slots
+# Molecular-graph helpers: reflection, relabeling, connected components and
+# valence slots
+
+_MIRROR_TAG = {CHI_CW: CHI_CCW, CHI_CCW: CHI_CW}
+
+
+def mirror(graph):
+    """Reflected copy: every CW tag becomes CCW and vice versa."""
+    atoms = tuple(replace(a, chirality=_MIRROR_TAG.get(a.chirality, a.chirality))
+                  for a in graph.atoms)
+    return replace(graph, atoms=atoms)
+
+
+def relabel(graph, perm: list[int]):
+    """Apply a vertex relabeling (old id -> perm[old id]).
+
+    All atom fields, chirality tags included, travel verbatim with their
+    atoms: tags are opaque input data here, so a relabeled graph carries
+    exactly the same tag multiset and downstream fingerprints are identical.
+    """
+    perm = [int(p) for p in perm]
+    if sorted(perm) != list(range(graph.n_atoms)):
+        raise ValueError("perm must be a permutation of the atom ids")
+    new_atoms = [None] * graph.n_atoms
+    for atom in graph.atoms:
+        new_atoms[perm[atom.id]] = replace(atom, id=perm[atom.id])
+    new_bonds = tuple(sorted(
+        (replace(b, a=perm[b.a], b=perm[b.b]) for b in graph.bonds),
+        key=lambda b: (b.a, b.b)))
+    return replace(graph, atoms=tuple(new_atoms), bonds=new_bonds)
+
 
 def components(graph) -> list[list[int]]:
     """Sorted atom ids of each connected component, by depth-first search."""

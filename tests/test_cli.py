@@ -230,6 +230,7 @@ def _bad_model(kind, good_model):
     if kind == "no-config":
         return {"format_version": "1"}
     doc = json.loads(good_model.read_text())
+    member, tree = doc["members"][0], doc["members"][0]["trees"][0]
     if kind == "no-members":
         doc["members"] = []
     elif kind == "member-no-keys":
@@ -240,11 +241,25 @@ def _bad_model(kind, good_model):
         doc["members"][0]["trees"][0] = 5
     elif kind == "config-unknown-key":
         doc["config"]["colour"] = "red"
+    elif kind == "iterations-not-int":
+        doc["config"]["iterations"] = "x"
+    elif kind == "feature-not-int":
+        tree["feature"] = "x"
+    elif kind == "feature-count-not-int":
+        member["feature_count"] = "x"
+    elif kind == "base-not-number":
+        member["base"] = "x"
+    elif kind == "layout-no-kinds":
+        del member["layout"]["kinds"]
+    elif kind == "left-short":
+        tree["left"] = tree["left"][:-1]
     return doc
 
 
 _BAD_MODELS = ("not-object", "no-config", "no-members", "member-no-keys",
-               "member-not-object", "tree-not-object", "config-unknown-key")
+               "member-not-object", "tree-not-object", "config-unknown-key",
+               "iterations-not-int", "feature-not-int", "feature-count-not-int",
+               "base-not-number", "layout-no-kinds", "left-short")
 
 
 def _bad_file(kind, trained, path):
@@ -305,6 +320,24 @@ def test_distance_bad_flag_exits_2(tmp_path, capsys, flag, value):
     pairs.write_text(json.dumps([{"a": "C(", "b": "C"}]))
     assert main(["distance", "--pairs", str(pairs), flag, value]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("kind,code", [("config-not-utf8", 2), ("dataset-is-directory", 3)])
+def test_unreadable_run_input_exit_code(config_path, tmp_path, capsys, kind, code):
+    # The run config is a config error to read, the dataset it names a data error.
+    if kind == "config-not-utf8":
+        named = config_path
+        config_path.write_bytes(b'{"task": "\xff"}')
+    else:
+        named = tmp_path / "data.jsonl"
+        named.mkdir()
+        doc = json.loads(config_path.read_text())
+        doc["dataset"]["path"] = str(named)
+        config_path.write_text(json.dumps(doc))
+    assert main(["fingerprint", "--config", str(config_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "data error:")
+    assert str(named) in err
 
 
 def test_wrongly_typed_config_field_exits_2(config_path, capsys):

@@ -20,12 +20,12 @@ from moltop.molgraph import (
     CHI_CW,
     MolecularGraph,
     make_atom,
-    mirror,
-    relabel,
 )
 from moltop.vectorize import prepare_graph
 from moltop.molgraph import parse_smiles
 from dataclasses import replace
+
+from oracles import mirror, relabel
 
 
 def prepared(smiles):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from moltop import harness
 from moltop.errors import ConfigError, DataError
 from moltop.harness import (
     apply_split,
@@ -13,14 +14,16 @@ from moltop.harness import (
     load_dataset,
     load_run_config,
     prc_auc,
+    prepare_run,
     rmse,
     roc_auc,
     run_benchmark,
     run_config_from_dict,
 )
-from moltop.molgraph import DatasetRecord
+from moltop.molgraph import DatasetRecord, parse_smiles
+from moltop.vectorize import prepare_graph
 
-from oracles import naive_f1, naive_prc_auc, naive_roc_auc
+from oracles import hop_distances, naive_f1, naive_prc_auc, naive_roc_auc
 
 
 def write_csv_dataset(path, rows):
@@ -86,6 +89,15 @@ class TestLoadDataset:
         assert [r.record_id for r in records] == ["ok"]
         assert [e["record_id"] for e in errors] == ["row1", "row2", "t", "m", "s",
                                                     "p", "g"]
+
+    def test_jsonl_splits_lines_at_any_newline(self, tmp_path):
+        # Lines end at \n, \r or \r\n, so unnamed records keep their row ids.
+        good = json.dumps({"target": 1.0, "smiles": "CCO"})
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(f"{good}\r\n{good}\r{{bad\n{good}\n".encode())
+        records, errors = load_dataset(path)
+        assert [r.record_id for r in records] == ["row0", "row1", "row3"]
+        assert [e["record_id"] for e in errors] == ["row2"]
 
     def test_non_utf8_file_is_a_data_error(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -161,6 +173,11 @@ class TestMetrics:
         labels = [1, 1, 0, 0]
         assert f1_score(scores, labels) == pytest.approx(2.0 / 3.0)
 
+    def test_prc_threshold_zero_sorts_among_negative_scores(self):
+        # q = 0 lies between the positive and the negative scores, not last.
+        assert prc_auc([0.5, -0.2, -0.5], [1, 1, 0]) == naive_prc_auc(
+            [0.5, -0.2, -0.5], [1, 1, 0]) == 1.0
+
     def test_prc_toy_matches_naive_sweep(self):
         scores = [0.9, 0.7, 0.7, 0.4, 0.2, 0.1]
         labels = [1, 0, 1, 1, 0, 0]
@@ -183,7 +200,7 @@ class TestMetrics:
             labels = rng.integers(0, 2, n).astype(float)
             if labels.min() == labels.max():
                 labels[0] = 1.0 - labels[0]
-            scores = rng.choice([0.1, 0.25, 0.5, 0.5, 0.8, 0.9], n)
+            scores = rng.choice([-0.4, -0.1, 0.0, 0.1, 0.25, 0.5, 0.5, 0.8, 0.9], n)
             assert roc_auc(scores, labels) == pytest.approx(
                 naive_roc_auc(scores, labels), abs=1e-12)
             assert prc_auc(scores, labels) == pytest.approx(
@@ -230,10 +247,12 @@ class TestRunConfig:
         ("out_dir", 5, "out_dir"),
         ("dataset", {"path": 5}, "dataset.path"),
         ("kinds", 5, "kinds"),
+        ("task", [], "task"),
+        ("dataset", {"format": ["csv"]}, "dataset.format"),
     ])
     def test_wrongly_typed_field_rejected(self, small_dataset_path, key, value, named):
         doc = self.base_doc(small_dataset_path)
-        doc[key] = value
+        doc[key] = {**doc[key], **value} if key == "dataset" else value
         with pytest.raises(ConfigError) as err:
             run_config_from_dict(doc)
         assert named in str(err.value)
@@ -251,6 +270,28 @@ class TestRunConfig:
         cfg = load_run_config(cfg_path)
         assert cfg.seed == 3
         assert cfg.sglb.seed == 3
+
+
+class TestPrepareRun:
+    def test_open_k_grid_is_the_largest_diameter_capped(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        smiles = ["C", "CCO", "CCCCCC", "C1CC1"]
+        write_csv_dataset(data, [[f"m{i}", s, "1.0"] for i, s in enumerate(smiles)])
+        cfg = run_config_from_dict({"dataset": {"path": str(data)}, "task": "regression",
+                                    "kinds": ["ATOMIC_MASS"]})
+        diameters = []
+        for s in smiles:
+            graph = prepare_graph(parse_smiles(s))
+            adj = np.zeros((graph.n_atoms, graph.n_atoms), dtype=int)
+            for bond in graph.bonds:
+                adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1
+            diameters.append(int(hop_distances(adj).max()))
+        assert max(diameters) == 7  # hexane, hydrogen to hydrogen
+        prep = prepare_run(cfg)
+        assert prep.k_grid == prep.table.layout.k_grid == 7
+        monkeypatch.setattr(harness, "K_GRID_CAP", 5)
+        prep = prepare_run(cfg)
+        assert prep.k_grid == prep.table.layout.k_grid == 5
 
 
 def bench_config(dataset_path, out_dir, **overrides):

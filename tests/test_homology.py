@@ -17,7 +17,7 @@ from moltop.homology import (
 from moltop import homology
 from moltop.datagen import generate_dataset
 from moltop.filtration import FILTRATION_KINDS, build_sequence, make_spec
-from moltop.molgraph import DatasetRecord, load_graph_json, parse_smiles, relabel
+from moltop.molgraph import DatasetRecord, load_graph_json, parse_smiles
 from moltop.vectorize import graph_from_record, prepare_graph
 
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     hop_distances,
     load_graph6_file,
     naive_persistence,
+    relabel,
     triangle_persistence,
 )
 
@@ -47,19 +48,19 @@ class TestGeodesicDistances:
     def test_path(self):
         g = prepare_graph(parse_smiles("OO"))  # H-O-O-H after expansion
         d = geodesic_distances(g)
-        assert d.distance(2, 3) == 3  # hydrogen to hydrogen across the path
+        assert d.hops[2, 3] == 3  # hydrogen to hydrogen across the path
         assert d.diameter == 3
 
     def test_six_cycle(self):
         g = prepare_graph(parse_smiles("c1ccccc1"))
         d = geodesic_distances(g)
         ring = [a.id for a in g.atoms if a.element == "C"]
-        assert max(d.distance(u, v) for u in ring for v in ring) == 3
+        assert max(d.hops[u, v] for u in ring for v in ring) == 3
 
     def test_disconnected_unreachable(self):
         g = parse_smiles("[Cl-].[Cl-]")
         d = geodesic_distances(g)
-        assert d.distance(0, 1) == UNREACHABLE
+        assert d.hops[0, 1] == UNREACHABLE
 
     def test_empty_graph_rejected(self):
         from moltop.molgraph import MolecularGraph
@@ -76,9 +77,9 @@ class TestGeodesicDistances:
     def test_induced_subgraph_mode(self):
         g = prepare_graph(parse_smiles("CCC"))  # propane: C0-C1-C2
         full = geodesic_distances(g)
-        assert full.distance(0, 2) == 2
+        assert full.hops[0, 2] == 2
         sub = geodesic_distances(g, within={0, 2})
-        assert sub.distance(0, 2) == UNREACHABLE  # the middle carbon is gone
+        assert sub.hops[0, 2] == UNREACHABLE  # the middle carbon is gone
 
     def test_induced_mode_matches_oracle_on_random_subsets(self, random_graphs):
         rng = np.random.default_rng(8)
@@ -93,7 +94,7 @@ class TestGeodesicDistances:
             got = geodesic_distances(g, within=subset)
             for u in subset:
                 for v in subset:
-                    assert got.distance(u, v) == expected[u, v]
+                    assert got.hops[u, v] == expected[u, v]
 
 
 def edge_pairs(cx):

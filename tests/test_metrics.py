@@ -10,7 +10,7 @@ from moltop.errors import LayoutMismatchError
 from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.homology import PersistenceDiagram
 from moltop.metrics import fingerprint_distance, matching_report, wasserstein
-from moltop.molgraph import graph_to_json_dict, mirror, parse_smiles
+from moltop.molgraph import graph_to_json_dict, parse_smiles
 from moltop.vectorize import (
     Fingerprint,
     FingerprintLayout,
@@ -19,7 +19,7 @@ from moltop.vectorize import (
     row_diagrams,
 )
 
-from oracles import exhaustive_wasserstein
+from oracles import exhaustive_wasserstein, mirror
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 

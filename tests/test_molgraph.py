@@ -18,15 +18,13 @@ from moltop.molgraph import (
     graph_from_json_dict,
     graph_to_json_dict,
     load_graph_json,
-    mirror,
     parse_smiles,
     permutation_parity,
-    relabel,
     ring_atoms,
 )
 from moltop.elements import VALENCES
 
-from oracles import components, cycle_edges, valence_slots
+from oracles import components, cycle_edges, mirror, relabel, valence_slots
 
 
 def prepared(smiles):

@@ -81,7 +81,7 @@ class TestFit:
         cfg = SglbConfig(iterations=500, max_depth=3, gamma=0.0, beta=math.inf,
                          seed=3)
         model = fit(X, y, cfg)
-        assert np.allclose(model.predict(X), 5.0, atol=1e-6)
+        assert np.allclose(model.raw_predict(X)[:, 0], 5.0, atol=1e-6)
 
     def test_reduction_to_classical_boosting(self):
         X, y = toy_regression()
@@ -92,7 +92,8 @@ class TestFit:
         assert len(noisy_path.trees) == len(reference.trees)
         for ours, ref in zip(noisy_path.trees, reference.trees):
             assert ours == ref
-        assert np.allclose(noisy_path.predict(X), reference.predict(X), atol=1e-12)
+        assert np.allclose(noisy_path.raw_predict(X)[:, 0], reference.raw_predict(X)[:, 0],
+                           atol=1e-12)
 
     def test_classification_reduction_to_classical(self):
         X, y = toy_classification()
@@ -105,7 +106,7 @@ class TestFit:
         cfg = SglbConfig(iterations=30, max_depth=3, seed=0)
         a = fit(X, y, cfg)
         b = fit(X, y, SglbConfig(iterations=30, max_depth=3, seed=1))
-        assert not np.allclose(a.predict(X), b.predict(X))
+        assert not np.allclose(a.raw_predict(X)[:, 0], b.raw_predict(X)[:, 0])
 
     def test_shrinkage_law_single_iteration(self):
         X, y = toy_regression(seed=4)
@@ -138,7 +139,7 @@ class TestFit:
         cfg = SglbConfig(iterations=25, max_depth=3, seed=9)
         a, b = fit(X, y, cfg), fit(X, y, cfg)
         assert a.trees == b.trees
-        assert np.array_equal(a.predict(X), b.predict(X))
+        assert np.array_equal(a.raw_predict(X)[:, 0], b.raw_predict(X)[:, 0])
 
 
 def awkward_columns(n=96, seed=5):
@@ -250,7 +251,7 @@ class TestEnsemble:
         X, y = toy_regression()
         cfg = SglbConfig(iterations=12, max_depth=3, ensemble_size=10, seed=0)
         ens = fit_ensemble(X, y, cfg)
-        preds = np.vstack([m.predict(X) for m in ens.members])
+        preds = np.vstack([m.raw_predict(X)[:, 0] for m in ens.members])
         assert len({tuple(np.round(p, 12)) for p in preds}) == 10
 
     def test_bit_identical_rerun_and_thread_independence(self):

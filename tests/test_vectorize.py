@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from moltop.datagen import assign_reference_charges
 from moltop.errors import DataError, InternalInvariantError, LayoutMismatchError
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, make_spec
 from moltop.homology import PersistenceDiagram
-from moltop.molgraph import DatasetRecord, mirror, parse_smiles, relabel
+from moltop.molgraph import DatasetRecord, parse_smiles
 from moltop.vectorize import (
     FingerprintLayout,
     assemble,
@@ -17,6 +19,8 @@ from moltop.vectorize import (
     slice_table,
     write_fingerprints_csv,
 )
+
+from oracles import mirror, relabel
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 
@@ -161,6 +165,20 @@ class TestDatasetFingerprinting:
         monkeypatch.setattr(vectorize, "reduce_complex", broken)
         with pytest.raises(InternalInvariantError):
             fingerprint_dataset(self.make_records(3), FILTRATION_KINDS, 8)
+
+    def test_graph_path_record_matches_inline_graph(self, tmp_path):
+        # A record naming a molecule JSON file fingerprints like the same
+        # molecule given inline.
+        inline = self.make_records(5)
+        from_file = []
+        for record in inline:
+            path = tmp_path / f"{record.record_id}.json"
+            path.write_text(json.dumps(record.graph))
+            from_file.append(DatasetRecord(f"file-{record.record_id}", 1.0,
+                                           graph_path=str(path)))
+        table = fingerprint_dataset(inline + from_file, FILTRATION_KINDS, 8)
+        assert table.errors == ()
+        assert np.array_equal(table.matrix()[:5], table.matrix()[5:])
 
     def test_all_failed_raises(self):
         records = [DatasetRecord("a", 1.0, smiles="C")]
