@@ -121,15 +121,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
+def _model_and_fingerprints(args):
+    """The --model ensemble, the --fingerprints table and its feature matrix."""
     ensemble = load_ensemble(args.model)
     table = read_fingerprints_csv(args.fingerprints)
     ensemble.require_layout(table.layout)
-    report = decompose(ensemble, table.matrix().astype(np.float64))
+    return ensemble, table, table.matrix().astype(np.float64)
+
+
+def _cmd_predict(args) -> int:
+    ensemble, table, X = _model_and_fingerprints(args)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "predictions.csv")
-    write_predictions_csv(path, prediction_rows(table.ids(), report))
+    write_predictions_csv(path, prediction_rows(table.ids(), decompose(ensemble, X)))
     print(f"wrote predictions for {len(table.fingerprints)} records -> {path}")
     return 0
 
@@ -167,14 +172,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    ensemble = load_ensemble(args.model)
-    table = read_fingerprints_csv(args.fingerprints)
-    ensemble.require_layout(table.layout)
-    ranked = rank_by_uncertainty(ensemble, table.ids(),
-                                 table.matrix().astype(np.float64),
-                                 args.criterion, args.k)
-    text = json.dumps(ranked, indent=2)
-    return _emit(text, args.out, "ranked.json")
+    ensemble, table, X = _model_and_fingerprints(args)
+    ranked = rank_by_uncertainty(ensemble, table.ids(), X, args.criterion, args.k)
+    return _emit(json.dumps(ranked, indent=2), args.out, "ranked.json")
 
 
 def _molecule_from_doc(doc):

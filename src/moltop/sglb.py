@@ -8,12 +8,16 @@ output (mean shift, log-variance shift) trained against the Gaussian
 negative log-likelihood; classification trees carry one logit column trained
 against log-loss.
 
-Trees grow from histograms of quantile-binned codes.  A column whose codes
-repeat an earlier column's is dropped, and a histogram row is one slot wider
-than the longest edge list.  The trees equal a 256-slot grower's bit for bit:
-argmax keeps the first maximum, cumsum is sequential so trailing empty slots
-change no prefix, and a leaf value is summed over a zero-padded 256-slot row
-because np.sum is pairwise and its rounding depends on the row length.
+Trees grow from histograms of quantile-binned codes, binned once per ensemble.
+A column whose codes repeat an earlier column's is dropped, and a histogram row
+is one slot wider than the longest edge list.  One bincount fills the count and
+target rows; the split search scores only the cuts with rows on both sides, and
+two leaf children get a histogram of code column 0 alone, the only one a leaf
+value reads.  The training predictions F are updated from each row's leaf id.
+The trees equal a 256-slot grower's bit for bit: argmax keeps the first
+maximum, cumsum is sequential so trailing empty slots change no prefix, and a
+leaf value is summed over a zero-padded 256-slot row because np.sum is pairwise
+and its rounding depends on the row length.
 
 Ensembles are independently seeded models; disagreement among members gives
 the knowledge (epistemic) part of the uncertainty, the average per-member
@@ -65,7 +69,7 @@ class SglbConfig:
             raise ConfigError("learning_rate must be in (0, 1]")
         if self.beta is not None and not self.beta > 0:
             raise ConfigError("beta must be positive")
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # `not >=` also rejects NaN
             raise ConfigError("gamma must be non-negative")
         if self.gamma * self.learning_rate >= 1.0:
             raise ConfigError("gamma * learning_rate must be below 1")
@@ -96,7 +100,10 @@ class SglbConfig:
             kinds = typing.get_args(field.type) or (field.type,)
             kinds += (int,) if float in kinds else ()
             typed(value, kinds, f"sglb config {key}", error)
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except ConfigError as exc:
+            raise error(str(exc)) from None
 
 
 @dataclass
@@ -183,7 +190,8 @@ class _Binned:
         self.active = np.array(varying, dtype=np.intp)[keep]
         self.codes = codes[:, keep]
         self.width = 1 + max((self.edges[f].size for f in self.active), default=0)
-        self.offsets = np.arange(len(self.active), dtype=np.intp) * self.width
+        # histogram slot of each row's code: column j's slots start at j * width
+        self.slots = self.codes + np.arange(len(self.active), dtype=np.intp) * self.width
 
 
 class _TreeGrower:
@@ -192,38 +200,36 @@ class _TreeGrower:
         self.max_depth = max_depth
         self.min_split = max(2, min_samples_split)
 
-    def _histogram(self, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def _histogram(self, idx: np.ndarray, targets: np.ndarray, ncols: int) -> np.ndarray:
+        """Row counts and target sums, (1 + dim, ncols, width), of code columns :ncols."""
         binned = self.binned
-        ncand, width = len(binned.active), binned.width
-        out = np.zeros((1 + targets.shape[1], ncand * width))
-        flat = (binned.codes[idx].astype(np.intp) + binned.offsets[None, :]).ravel()
-        out[0] = np.bincount(flat, minlength=ncand * width)
-        for d in range(targets.shape[1]):
-            out[1 + d] = np.bincount(flat, weights=np.repeat(targets[idx, d], ncand),
-                                     minlength=ncand * width)
-        return out.reshape(1 + targets.shape[1], ncand, width)
+        rows, size = 1 + targets.shape[1], ncols * binned.width
+        flat = binned.slots[idx, :ncols] + np.arange(0, rows * size, size)[:, None, None]
+        weights = np.empty(flat.shape)
+        weights[0] = 1.0
+        weights[1:] = targets[idx].T[:, :, None]
+        hist = np.bincount(flat.ravel(), weights.ravel(), minlength=rows * size)
+        return hist.reshape(rows, ncols, binned.width)
 
     def _best_split(self, hist: np.ndarray):
-        sums = np.cumsum(hist, axis=2)
-        m = sums[0, 0, -1]
-        nl = sums[0, :, :-1]
-        nr = m - nl
-        valid = (nl > 0) & (nr > 0)
-        if not valid.any():
+        width = self.binned.width
+        sums = np.cumsum(hist, axis=2).reshape(hist.shape[0], -1)
+        cnt, m = sums[0], sums[0, width - 1]
+        cand = np.flatnonzero((cnt > 0) & (cnt < m))  # never a column's last slot
+        if cand.size == 0:
             return None
-        total = sums[1:, 0, -1, None, None]
-        sl = sums[1:, :, :-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = (sl * sl / nl + (total - sl) ** 2 / nr).sum(axis=0)
-        base = (total * total / m).sum()
-        gain = np.where(valid, gain - base, -np.inf)
-        flat_best = int(np.argmax(gain))
-        j, cut = divmod(flat_best, gain.shape[1])
-        if not gain[j, cut] > _MIN_GAIN:
+        # np.take and a contiguous total: broadcasting over strided views is slow
+        nl, sl = cnt[cand], np.take(sums[1:], cand, axis=1)
+        total = sums[1:, width - 1:width].copy()  # column 0's: others round differently
+        gain = (sl * sl / nl + (total - sl) ** 2 / (m - nl)).sum(axis=0)
+        gain -= (total * total / m).sum()
+        best = int(np.argmax(gain))
+        if not gain[best] > _MIN_GAIN:
             return None
-        return j, cut
+        return divmod(int(cand[best]), width)
 
-    def grow(self, targets: np.ndarray) -> Tree:
+    def grow(self, targets: np.ndarray) -> tuple[Tree, np.ndarray]:
+        """The tree fitted to ``targets`` and each training row's leaf id."""
         n, dim = targets.shape
         feature, threshold, left, right, value = [], [], [], [], []
 
@@ -237,14 +243,16 @@ class _TreeGrower:
 
         root = new_node()
         binned = self.binned
+        ncand = len(binned.active)
+        leaf_of = np.zeros(n, dtype=np.intp)
         stack = [(root, np.arange(n, dtype=np.intp), 0, None)]
-        if len(binned.active) == 0:  # every feature constant: nothing to split on
+        if ncand == 0:  # every feature constant: nothing to split on
             value[root] = targets.mean(axis=0)
             stack = []
         while stack:
             node, idx, depth, hist = stack.pop()
             if hist is None:
-                hist = self._histogram(idx, targets)
+                hist = self._histogram(idx, targets, ncand)
             m = len(idx)
             split = None
             if depth < self.max_depth and m >= self.min_split:
@@ -254,6 +262,7 @@ class _TreeGrower:
                 row = np.zeros((dim, 256))
                 row[:, :binned.width] = hist[1:, 0, :]
                 value[node] = row.sum(axis=1) / m
+                leaf_of[idx] = node
                 continue
             j, cut = split
             codes = binned.codes[idx, j]
@@ -268,15 +277,18 @@ class _TreeGrower:
                 small_idx, big_idx, small_node, big_node = left_idx, right_idx, lchild, rchild
             else:
                 small_idx, big_idx, small_node, big_node = right_idx, left_idx, rchild, lchild
-            small_hist = self._histogram(small_idx, targets)
-            stack.append((big_node, big_idx, depth + 1, hist - small_hist))
+            # Two leaves read only code column 0 of their histograms.
+            leaves = depth + 1 >= self.max_depth or len(big_idx) < self.min_split
+            ncols = 1 if leaves else ncand
+            small_hist = self._histogram(small_idx, targets, ncols)
+            stack.append((big_node, big_idx, depth + 1, hist[:, :ncols] - small_hist))
             stack.append((small_node, small_idx, depth + 1, small_hist))
 
         return Tree(np.array(feature, dtype=np.int32),
                     np.array(threshold, dtype=np.float64),
                     np.array(left, dtype=np.int32),
                     np.array(right, dtype=np.int32),
-                    np.vstack(value))
+                    np.vstack(value)), leaf_of
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +369,17 @@ def _noise_std(config: SglbConfig, n: int) -> float:
     return math.sqrt(2.0 / (beta * config.learning_rate))
 
 
-def fit(X, y, config: SglbConfig, layout: FingerprintLayout | None = None) -> SglbModel:
-    """Train one model: noisy-gradient boosting with the shrinking update."""
+def fit(X, y, config: SglbConfig, layout: FingerprintLayout | None = None,
+        binned: _Binned | None = None) -> SglbModel:
+    """Train one model: noisy-gradient boosting with the shrinking update.
+
+    ``binned`` is X's binning at ``config.max_bins``, if already built."""
     X, y = _validate_training_data(X, y, config.task)
     rng = np.random.default_rng(config.seed)
     noise_std = _noise_std(config, len(y))
-    grower = _TreeGrower(_Binned(X, config.max_bins), config.max_depth,
-                         config.min_samples_split)
+    if binned is None:
+        binned = _Binned(X, config.max_bins)
+    grower = _TreeGrower(binned, config.max_depth, config.min_samples_split)
     grad_fn = (_regression_negative_gradients if config.task == TASK_REGRESSION
                else _classification_negative_gradients)
     base = _base_prediction(config.task, y)
@@ -375,9 +391,10 @@ def fit(X, y, config: SglbConfig, layout: FingerprintLayout | None = None) -> Sg
         grads = grad_fn(F, y)
         if noise_std > 0.0:
             grads = grads + rng.normal(0.0, noise_std, grads.shape)
-        tree = grower.grow(grads)
+        tree, leaf_of = grower.grow(grads)
         trees.append(tree)
-        F = keep * F + eta * tree.predict(X)
+        # == tree.predict(X): a row's code is <= cut exactly when x <= edges[cut]
+        F = keep * F + eta * tree.value[leaf_of]
     return SglbModel(config, base, tuple(trees), X.shape[1], layout)
 
 
@@ -406,14 +423,16 @@ def _member_seed(base_seed: int, m: int) -> int:
 
 
 def _fit_member(args):
-    X, y, config, layout = args
-    return fit(X, y, config, layout)
+    return fit(*args)
 
 
 def fit_ensemble(X, y, config: SglbConfig, layout: FingerprintLayout | None = None,
                  threads: int = 1) -> SglbEnsemble:
-    """Train ensemble_size independent models with member seeds seed + m."""
-    tasks = [(X, y, replace(config, seed=_member_seed(config.seed, m)), layout)
+    """Train ensemble_size independent models with member seeds seed + m,
+    all from one binning of X."""
+    X, y = _validate_training_data(X, y, config.task)
+    binned = _Binned(X, config.max_bins)
+    tasks = [(X, y, replace(config, seed=_member_seed(config.seed, m)), layout, binned)
              for m in range(config.ensemble_size)]
     if threads <= 1 or len(tasks) == 1:
         members = [_fit_member(t) for t in tasks]

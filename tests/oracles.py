@@ -453,7 +453,8 @@ class ReferenceTreeGrower:
             return None
         return j, cut
 
-    def grow(self, targets: np.ndarray) -> Tree:
+    def grow(self, targets: np.ndarray) -> tuple[Tree, np.ndarray]:
+        """The tree and each training row's leaf id, as the compact grower returns."""
         n, dim = targets.shape
         feature, threshold, left, right, value = [], [], [], [], []
 
@@ -467,13 +468,14 @@ class ReferenceTreeGrower:
 
         root = new_node()
         binned = self.binned
+        leaf_of = np.zeros(n, dtype=np.intp)
         if len(binned.active) == 0:  # every feature constant: nothing to split on
             value[root] = targets.mean(axis=0)
             return Tree(np.array(feature, dtype=np.int32),
                         np.array(threshold, dtype=np.float64),
                         np.array(left, dtype=np.int32),
                         np.array(right, dtype=np.int32),
-                        np.vstack(value))
+                        np.vstack(value)), leaf_of
         stack = [(root, np.arange(n, dtype=np.intp), 0, None)]
         while stack:
             node, idx, depth, hist = stack.pop()
@@ -485,6 +487,7 @@ class ReferenceTreeGrower:
                 split = self._best_split(hist)
             if split is None:
                 value[node] = hist[1:, 0, :].sum(axis=1) / m
+                leaf_of[idx] = node
                 continue
             j, cut = split
             codes = binned.codes[idx, j]
@@ -507,7 +510,7 @@ class ReferenceTreeGrower:
                     np.array(threshold, dtype=np.float64),
                     np.array(left, dtype=np.int32),
                     np.array(right, dtype=np.int32),
-                    np.vstack(value))
+                    np.vstack(value)), leaf_of
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +532,7 @@ def fit_classical_reference(X, y, config, layout=None):
     F = np.tile(base, (len(y), 1))
     trees = []
     for _ in range(config.iterations):
-        tree = grower.grow(grad_fn(F, y))
+        tree, _ = grower.grow(grad_fn(F, y))
         trees.append(tree)
         F = F + eta * tree.predict(X)
     reference_config = replace(config, gamma=0.0, beta=math.inf)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -253,13 +254,15 @@ def _bad_model(kind, good_model):
         del member["layout"]["kinds"]
     elif kind == "left-short":
         tree["left"] = tree["left"][:-1]
+    elif kind == "max-depth-zero":
+        member["config"]["max_depth"] = 0
     return doc
 
 
 _BAD_MODELS = ("not-object", "no-config", "no-members", "member-no-keys",
                "member-not-object", "tree-not-object", "config-unknown-key",
                "iterations-not-int", "feature-not-int", "feature-count-not-int",
-               "base-not-number", "layout-no-kinds", "left-short")
+               "base-not-number", "layout-no-kinds", "left-short", "max-depth-zero")
 
 
 def _bad_file(kind, trained, path):
@@ -347,6 +350,15 @@ def test_wrongly_typed_config_field_exits_2(config_path, capsys):
     assert main(["fingerprint", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "threads" in err
+
+
+def test_nan_gamma_config_exits_2(config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    doc["sglb"]["gamma"] = math.nan  # json writes the NaN literal, which json reads back
+    config_path.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gamma" in err
 
 
 def test_cli_import_loads_no_scipy():

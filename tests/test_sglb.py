@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"iterations": 0}, {"max_depth": 0}, {"ensemble_size": 0},
         {"learning_rate": 0.0}, {"learning_rate": 1.5},
-        {"beta": 0.0}, {"gamma": -1.0},
+        {"beta": 0.0}, {"gamma": -1.0}, {"gamma": math.nan},
         {"gamma": 30.0, "learning_rate": 0.05},  # gamma * eta >= 1
         {"task": "MULTICLASS"},
     ])
@@ -199,6 +200,23 @@ class TestCompactTrainerMatchesReference:
                          min_samples_split=min_samples_split, seed=1)
         self.assert_same_trees(monkeypatch, X, y, cfg)
 
+    @pytest.mark.parametrize("max_depth,min_samples_split", [(1, 2), (2, 2), (4, 40)])
+    def test_leaf_children(self, monkeypatch, max_depth, min_samples_split):
+        # Children at max_depth, or both below min_samples_split, are leaves
+        # whose histograms hold code column 0 alone.
+        X, y = awkward_columns()
+        cfg = SglbConfig(iterations=15, max_depth=max_depth,
+                         min_samples_split=min_samples_split, seed=6)
+        self.assert_same_trees(monkeypatch, X, y, cfg)
+
+    def test_leaf_ids_predict_the_training_rows(self, datagen_matrix):
+        table, y = datagen_matrix
+        for X, targets in (awkward_columns(), (table.matrix().astype(np.float64), y)):
+            grower = sglb._TreeGrower(sglb._Binned(X, 255), 4, 2)
+            tree, leaf_of = grower.grow(np.column_stack([targets, targets ** 2]))
+            assert tree.n_nodes > 1
+            assert np.array_equal(tree.value[leaf_of], tree.predict(X))
+
     def test_duplicates_keep_their_first_column(self):
         X, _ = awkward_columns()
         binned = sglb._Binned(X, 255)
@@ -240,6 +258,17 @@ class TestEnsemble:
         cfg = SglbConfig(iterations=10, max_depth=3, ensemble_size=4, seed=100)
         ens = fit_ensemble(X, y, cfg)
         assert [m.config.seed for m in ens.members] == [100, 101, 102, 103]
+
+    def test_members_equal_separate_fits(self, datagen_matrix):
+        # The members share one binning; each is still the model fit() trains alone.
+        table, y = datagen_matrix
+        X = table.matrix().astype(np.float64)
+        cfg = SglbConfig(iterations=8, max_depth=3, ensemble_size=3, seed=20)
+        ens = fit_ensemble(X, y, cfg)
+        for m, member in enumerate(ens.members):
+            alone = fit(X, y, replace(cfg, seed=cfg.seed + m))
+            assert member.trees == alone.trees
+            assert np.array_equal(member.base, alone.base)
 
     def test_single_member_has_zero_knowledge(self):
         X, y = toy_regression()
