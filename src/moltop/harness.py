@@ -553,11 +553,12 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
             train_times.append(time.perf_counter() - t0)
 
             t0 = time.perf_counter()
+            every_row = decompose(ensemble, sub_matrix)
             for tag in SPLIT_TAGS:
                 rows = split_rows[tag]
                 if not rows:
                     continue
-                report = decompose(ensemble, sub_matrix[rows])
+                report = every_row.take(rows)
                 metrics = evaluate(report.prediction, targets[rows], cfg.task)
                 if cfg.task == TASK_REGRESSION:
                     const = float(np.mean(y_train))

@@ -9,15 +9,17 @@ negative log-likelihood; classification trees carry one logit column trained
 against log-loss.
 
 Trees grow from histograms of quantile-binned codes, binned once per ensemble.
-A column whose codes repeat an earlier column's is dropped, and a histogram row
-is one slot wider than the longest edge list.  One bincount fills the count and
-target rows; the split search scores only the cuts with rows on both sides, and
-two leaf children get a histogram of code column 0 alone, the only one a leaf
-value reads.  The training predictions F are updated from each row's leaf id.
-The trees equal a 256-slot grower's bit for bit: argmax keeps the first
-maximum, cumsum is sequential so trailing empty slots change no prefix, and a
-leaf value is summed over a zero-padded 256-slot row because np.sum is pairwise
-and its rounding depends on the row length.
+A column whose codes repeat an earlier column's is dropped, and each kept
+column's codes are ranked among the codes it occupies, so a histogram row is
+as wide as the most codes any kept column occupies.  One bincount fills the
+count and target rows; the split search scores only the cuts with rows on both
+sides, and two leaf children get a histogram of code column 0 alone, the only
+one a leaf value reads.  The training predictions F are updated from each
+row's leaf id.  The trees equal a 256-slot grower's bit for bit: argmax keeps
+the first maximum, cumsum is sequential so empty slots change no prefix, and a
+leaf value is summed over a zero-padded 256-slot row with each total at its
+original code, because np.sum is pairwise and its rounding depends on where
+the values sit.
 
 Ensembles are independently seeded models; disagreement among members gives
 the knowledge (epistemic) part of the uncertainty, the average per-member
@@ -177,7 +179,11 @@ def quantile_bin_edges(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
 
 
 class _Binned:
-    """Quantile-binned training features, one code column per distinct varying one."""
+    """Quantile-binned training features, one code column per distinct varying one.
+
+    A kept column's code is the rank of the row's quantile bin among the bins
+    the column occupies, so cut ``r`` of column ``j`` is the threshold
+    ``edges[active[j]][occupied[j][r]]``."""
 
     def __init__(self, X: np.ndarray, max_bins: int):
         self.edges = quantile_bin_edges(X, max_bins)
@@ -188,10 +194,14 @@ class _Binned:
             codes[:, j] = np.searchsorted(self.edges[f], X[:, f], side="left")
         keep = np.sort(np.unique(codes, axis=1, return_index=True)[1])
         self.active = np.array(varying, dtype=np.intp)[keep]
-        self.codes = codes[:, keep]
-        self.width = 1 + max((self.edges[f].size for f in self.active), default=0)
+        self.codes = np.empty((X.shape[0], keep.size), dtype=np.uint8)
+        self.occupied = []  # each kept column's occupied bin codes, ascending
+        for j, k in enumerate(keep):
+            occupied, self.codes[:, j] = np.unique(codes[:, k], return_inverse=True)
+            self.occupied.append(occupied)
+        self.width = max((o.size for o in self.occupied), default=0)
         # histogram slot of each row's code: column j's slots start at j * width
-        self.slots = self.codes + np.arange(len(self.active), dtype=np.intp) * self.width
+        self.slots = self.codes + np.arange(keep.size, dtype=np.intp) * self.width
 
 
 class _TreeGrower:
@@ -258,9 +268,10 @@ class _TreeGrower:
             if depth < self.max_depth and m >= self.min_split:
                 split = self._best_split(hist)
             if split is None:
-                # np.sum is pairwise: its rounding depends on the row length
+                # np.sum is pairwise: its rounding depends on where the totals sit
+                occupied = binned.occupied[0]
                 row = np.zeros((dim, 256))
-                row[:, :binned.width] = hist[1:, 0, :]
+                row[:, occupied] = hist[1:, 0, :occupied.size]
                 value[node] = row.sum(axis=1) / m
                 leaf_of[idx] = node
                 continue
@@ -269,8 +280,9 @@ class _TreeGrower:
             go_left = codes <= cut
             left_idx = idx[go_left]
             right_idx = idx[~go_left]
-            feature[node] = int(binned.active[j])
-            threshold[node] = float(binned.edges[binned.active[j]][cut])
+            f = binned.active[j]
+            feature[node] = int(f)
+            threshold[node] = float(binned.edges[f][binned.occupied[j][cut]])
             lchild, rchild = new_node(), new_node()
             left[node], right[node] = lchild, rchild
             if len(left_idx) <= len(right_idx):
@@ -393,7 +405,7 @@ def fit(X, y, config: SglbConfig, layout: FingerprintLayout | None = None,
             grads = grads + rng.normal(0.0, noise_std, grads.shape)
         tree, leaf_of = grower.grow(grads)
         trees.append(tree)
-        # == tree.predict(X): a row's code is <= cut exactly when x <= edges[cut]
+        # == tree.predict(X): a row goes left exactly when x <= the cut threshold
         F = keep * F + eta * tree.value[leaf_of]
     return SglbModel(config, base, tuple(trees), X.shape[1], layout)
 
@@ -451,6 +463,11 @@ class UncertaintyReport:
     total: np.ndarray
     knowledge: np.ndarray   # epistemic: ensemble disagreement
     data: np.ndarray        # aleatoric: expected per-member spread
+
+    def take(self, rows) -> "UncertaintyReport":
+        """The report of the rows at ``rows``."""
+        return UncertaintyReport(self.prediction[rows], self.total[rows],
+                                 self.knowledge[rows], self.data[rows])
 
 
 def binary_entropy(p: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ birth.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import csv
@@ -16,7 +17,7 @@ import io
 
 import numpy as np
 
-from .errors import DataError, LayoutMismatchError, read_text, typed
+from .errors import DataError, LayoutMismatchError, MoltopError, read_text, typed
 from .filtration import (
     FILTRATION_KINDS,
     LEVEL_COUNTS,
@@ -266,7 +267,9 @@ def fingerprint_dataset(records, kinds, k_grid: int, threads: int = 1,
     """One fingerprint per record, in input order, independent of thread count.
 
     Per-record data errors are collected; the run fails if nothing succeeds.
-    Any other exception, such as an InternalInvariantError, propagates.
+    Any other exception, such as an InternalInvariantError, propagates.  A
+    worker process that dies raises a MoltopError naming the records whose
+    results had not returned.
     """
     records = list(records)
     if not records:
@@ -278,8 +281,16 @@ def fingerprint_dataset(records, kinds, k_grid: int, threads: int = 1,
         results = [_fingerprint_one(t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_fingerprint_one, tasks, chunksize=chunk))
+        results = []
+        try:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                for result in pool.map(_fingerprint_one, tasks, chunksize=chunk):
+                    results.append(result)
+        except BrokenProcessPool:
+            lost = [r.record_id for r in records[len(results):]]
+            raise MoltopError(
+                f"a fingerprint worker died; {len(lost)} records had not returned: "
+                + ", ".join(lost[:10]) + (", ..." if len(lost) > 10 else "")) from None
     fingerprints = []
     errors = []
     for status, payload in results:

@@ -14,6 +14,7 @@ from moltop.harness import (
     load_dataset,
     load_run_config,
     prc_auc,
+    prediction_rows,
     prepare_run,
     rmse,
     roc_auc,
@@ -21,7 +22,8 @@ from moltop.harness import (
     run_config_from_dict,
 )
 from moltop.molgraph import DatasetRecord, parse_smiles
-from moltop.vectorize import prepare_graph
+from moltop.sglb import decompose, load_ensemble
+from moltop.vectorize import prepare_graph, read_fingerprints_csv
 
 from oracles import hop_distances, naive_f1, naive_prc_auc, naive_roc_auc
 
@@ -390,6 +392,27 @@ class TestRunBenchmark:
         sizes = json.load(open(os.path.join(cfg.out_dir, "report.json")))
         assert sizes["dataset"]["split_sizes"]["TRAIN"] == 32
         assert "TEST" in report.metrics["ALL"]["metrics"]
+
+    def test_predictions_are_the_saved_models_on_every_row(self, tiny_dataset_path,
+                                                           tmp_path):
+        # A one-record split and eight members: numpy sums a lone column of
+        # member predictions pairwise, so predicting that split alone differs.
+        records, _ = load_dataset(tiny_dataset_path)
+        split = tmp_path / "split.csv"
+        split.write_text("record_id,split\n" + "".join(
+            f"{r.record_id},{'VALID' if i == 0 else 'TEST' if i % 4 == 0 else 'TRAIN'}\n"
+            for i, r in enumerate(records)), encoding="utf-8")
+        cfg = bench_config(tiny_dataset_path, tmp_path / "out",
+                           split={"mode": "file", "path": str(split)},
+                           sglb={"iterations": 10, "max_depth": 3, "ensemble_size": 8})
+        report = run_benchmark(cfg)
+        ensemble = load_ensemble(os.path.join(cfg.out_dir, "model.json"))
+        table = read_fingerprints_csv(os.path.join(cfg.out_dir, "fingerprints.csv"))
+        expected = prediction_rows(table.ids(), decompose(
+            ensemble, table.matrix().astype(np.float64)))
+        got = [{k: row[k] for k in expected[0]} for row in report.predictions]
+        assert [row["split"] for row in report.predictions].count("VALID") == 1
+        assert got == sorted(expected, key=lambda row: row["record_id"])
 
     def test_classification_bench(self, small_records, tmp_path):
         targets = np.array([r["target"] for r in small_records])

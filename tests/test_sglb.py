@@ -13,6 +13,7 @@ from moltop.molgraph import DatasetRecord
 from moltop.sglb import (
     SglbConfig,
     TASK_CLASSIFICATION,
+    TASKS,
     classification_uncertainty,
     decompose,
     ensemble_from_dict,
@@ -165,6 +166,20 @@ def distinct_value_columns(n=300, seed=6):
     return X, y
 
 
+def few_level_columns(n=96, seed=9):
+    """Integer columns of a few far-apart levels, as in Betti curves: their
+    quantile edges far outnumber the bins they occupy.  Column 0 holds fewer
+    levels than the widest column."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.0, 1.0, 2.0, 5.0, 40.0])
+    p = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
+    X = np.column_stack([rng.choice(levels[[0, 3, 4]], n, p=[0.6, 0.3, 0.1])]
+                        + [rng.choice(levels, n, p=p) for _ in range(4)]
+                        + [rng.choice(levels[:3], n)])
+    y = X[:, 1] - 0.1 * X[:, 0] + np.sqrt(X[:, 2]) + 0.1 * rng.normal(size=n)
+    return X, y
+
+
 @pytest.fixture(scope="module")
 def datagen_matrix():
     records = [DatasetRecord(r["record_id"], r["target"], graph=r["graph"])
@@ -221,7 +236,10 @@ class TestCompactTrainerMatchesReference:
         X, _ = awkward_columns()
         binned = sglb._Binned(X, 255)
         assert binned.active.tolist() == [1, 2, 4, 9]  # 3, 6, 7, 8 repeat earlier codes
-        assert binned.width == 1 + max(e.size for e in binned.edges)
+        # a row is as wide as the most bins any kept column occupies
+        assert binned.width == max(
+            np.unique(np.searchsorted(binned.edges[f], X[:, f], side="left")).size
+            for f in binned.active)
 
     @pytest.mark.parametrize("max_bins", [2, 7, 255])
     def test_one_to_255_distinct_values(self, monkeypatch, max_bins):
@@ -236,6 +254,19 @@ class TestCompactTrainerMatchesReference:
         y = (y > np.median(y)).astype(float)
         cfg = SglbConfig(task=TASK_CLASSIFICATION, iterations=15, max_depth=3,
                          max_bins=max_bins, min_samples_split=4, seed=3)
+        self.assert_same_trees(monkeypatch, X, y, cfg)
+
+    @pytest.mark.parametrize("max_bins", [2, 7, 255])
+    @pytest.mark.parametrize("task", TASKS)
+    def test_few_occupied_bins(self, monkeypatch, task, max_bins):
+        X, y = few_level_columns()
+        if task == TASK_CLASSIFICATION:
+            y = (y > np.median(y)).astype(float)
+        binned = sglb._Binned(X, max_bins)
+        if max_bins == 255:
+            assert max(e.size for e in binned.edges) > 2 * binned.width
+        cfg = SglbConfig(task=task, iterations=15, max_depth=3, max_bins=max_bins,
+                         min_samples_split=4, seed=8)
         self.assert_same_trees(monkeypatch, X, y, cfg)
 
     def test_every_feature_constant(self, monkeypatch):

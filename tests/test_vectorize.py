@@ -1,10 +1,17 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from moltop.datagen import assign_reference_charges
-from moltop.errors import DataError, InternalInvariantError, LayoutMismatchError
+from moltop.errors import (
+    DataError,
+    InternalInvariantError,
+    LayoutMismatchError,
+    MoltopError,
+)
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, make_spec
 from moltop.homology import PersistenceDiagram
 from moltop.molgraph import DatasetRecord, parse_smiles
@@ -165,6 +172,22 @@ class TestDatasetFingerprinting:
         monkeypatch.setattr(vectorize, "reduce_complex", broken)
         with pytest.raises(InternalInvariantError):
             fingerprint_dataset(self.make_records(3), FILTRATION_KINDS, 8)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the patched function")
+    def test_dead_worker_names_the_records_not_returned(self, monkeypatch):
+        from moltop import vectorize
+        real = vectorize.assemble
+
+        def dies_on_r003(graph, specs, k_grid, distance_mode, record_id):
+            if record_id == "r003":
+                os._exit(1)
+            return real(graph, specs, k_grid, distance_mode, record_id=record_id)
+
+        monkeypatch.setattr(vectorize, "assemble", dies_on_r003)
+        with pytest.raises(MoltopError, match="had not returned: .*r003") as info:
+            fingerprint_dataset(self.make_records(6), FILTRATION_KINDS, 8, threads=2)
+        assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
 
     def test_graph_path_record_matches_inline_graph(self, tmp_path):
         # A record naming a molecule JSON file fingerprints like the same
