@@ -27,8 +27,10 @@ spread gives the data (aleatoric) part.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
+import functools
 import json
 import math
 import typing
@@ -36,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LayoutMismatchError, read_json, typed
+from .errors import ConfigError, DataError, LayoutMismatchError, MoltopError, read_json, typed
 from .vectorize import FingerprintLayout
 
 TASK_REGRESSION = "REGRESSION_WITH_UNCERTAINTY"
@@ -449,8 +451,13 @@ def fit_ensemble(X, y, config: SglbConfig, layout: FingerprintLayout | None = No
     if threads <= 1 or len(tasks) == 1:
         members = [_fit_member(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            members = list(pool.map(_fit_member, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+                members = list(pool.map(_fit_member, tasks))
+        except BrokenProcessPool:
+            raise MoltopError(
+                f"an SGLB worker died fitting the {len(tasks)}-member ensemble "
+                f"with seed {config.seed}") from None
     return SglbEnsemble(config, tuple(members))
 
 
@@ -478,12 +485,20 @@ def binary_entropy(p: np.ndarray) -> np.ndarray:
     return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
 
 
+def _member_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the member axis, adding one member at a time.  numpy sums a
+    lone column pairwise but a wider matrix member by member, so with
+    ``mean(axis=0)`` a row decomposed alone could differ in the last bits
+    from the same row decomposed in a batch."""
+    return functools.reduce(np.add, values) / len(values)
+
+
 def classification_uncertainty(member_probs: np.ndarray) -> UncertaintyReport:
     """Entropy decomposition: total = knowledge (mutual information) + data."""
     member_probs = np.atleast_2d(np.asarray(member_probs, dtype=np.float64))
-    prediction = member_probs.mean(axis=0)
+    prediction = _member_mean(member_probs)
     total = binary_entropy(prediction)
-    data = binary_entropy(member_probs).mean(axis=0)
+    data = _member_mean(binary_entropy(member_probs))
     return UncertaintyReport(prediction, total, total - data, data)
 
 
@@ -492,10 +507,11 @@ def regression_uncertainty(member_means: np.ndarray,
     """Law of total variance: total = variance of means + mean of variances."""
     member_means = np.atleast_2d(np.asarray(member_means, dtype=np.float64))
     member_variances = np.atleast_2d(np.asarray(member_variances, dtype=np.float64))
-    knowledge = member_means.var(axis=0)
-    data = member_variances.mean(axis=0)
-    return UncertaintyReport(member_means.mean(axis=0), knowledge + data,
-                             knowledge, data)
+    prediction = _member_mean(member_means)
+    spread = member_means - prediction
+    knowledge = _member_mean(spread * spread)
+    data = _member_mean(member_variances)
+    return UncertaintyReport(prediction, knowledge + data, knowledge, data)
 
 
 def decompose(ensemble: SglbEnsemble, X) -> UncertaintyReport:

@@ -10,7 +10,7 @@ birth.
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import csv
 import io
@@ -30,6 +30,7 @@ from .homology import (
     build_vr_row,
     geodesic_distances,
     reduce_complex,
+    strong_collapse,
 )
 from .molgraph import (
     DatasetRecord,
@@ -119,15 +120,19 @@ class Fingerprint:
                 and np.array_equal(self.vector, other.vector))
 
 
-def betti_curve(pd: PersistenceDiagram, k_grid: int) -> np.ndarray:
-    """Betti numbers at scales 0..k_grid as a step-function vector."""
-    diff = np.zeros(k_grid + 2, dtype=np.int64)
-    for b, d in pd.pairs:
-        diff[b] += 1
-        diff[min(d, k_grid + 1)] -= 1
-    for b in pd.essentials:
-        diff[b] += 1
-    return np.cumsum(diff[:-1])
+def betti_curves(diagrams, k_grid: int) -> np.ndarray:
+    """(len(diagrams), k_grid + 1) Betti numbers at scales 0..k_grid, from
+    one bincount of births minus one of deaths, all diagrams side by side."""
+    width = k_grid + 2  # the last slot takes deaths past the grid
+    births, deaths = [], []
+    for base, pd in zip(range(0, len(diagrams) * width, width), diagrams):
+        births += [base + b for b, _ in pd.pairs]
+        births += [base + b for b in pd.essentials]
+        deaths += [base + min(d, k_grid + 1) for _, d in pd.pairs]
+    size = len(diagrams) * width
+    diff = (np.bincount(np.array(births, dtype=np.intp), minlength=size)
+            - np.bincount(np.array(deaths, dtype=np.intp), minlength=size))
+    return np.cumsum(diff.reshape(-1, width)[:, :-1], axis=1)
 
 
 def prepare_graph(graph: MolecularGraph) -> MolecularGraph:
@@ -150,35 +155,43 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
 
     Distances default to hop counts in the full molecular graph restricted
     to each row; induced_subgraph mode re-walks within each row instead.
-    Rows with identical vertex sets share one computation.
+    Each distinct row is strongly collapsed first and only the vertices left
+    are built and reduced; every removed vertex gives PD_0 back its (0, 1)
+    pair.  Rows that keep the same vertices share one reduction.
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
     if any(a.implicit_hydrogens for a in graph.atoms):
         raise DataError("graph must be hydrogen-expanded before fingerprinting")
     full = geodesic_distances(graph)
-    empty = (PersistenceDiagram(0, (), (), k_grid),
-             PersistenceDiagram(1, (), (), k_grid))
-    cache: dict[frozenset, tuple[PersistenceDiagram, PersistenceDiagram]] = {}
-    out = []
-    for spec in specs:
-        seq = build_sequence(graph, spec)
-        for i, vertex_set in enumerate(seq.subsets):
-            key = frozenset(vertex_set)
-            hit = cache.get(key)
-            if hit is None:
-                if not key:
-                    hit = empty  # a sublevel set can be empty (e.g. no ring atoms)
-                else:
-                    if distance_mode == "induced_subgraph":
-                        dist = geodesic_distances(graph, within=vertex_set)
-                    else:
-                        dist = full
-                    cx = build_vr_row(vertex_set, dist, k_grid)
-                    hit = reduce_complex(cx, validate=False)
-                cache[key] = hit
-            out.append((spec.kind, i, hit[0], hit[1]))
-    return out
+    rows = [(spec.kind, i, s) for spec in specs
+            for i, s in enumerate(build_sequence(graph, spec).subsets)]
+    distinct = list(dict.fromkeys(s for _, _, s in rows if s))
+    masks = np.zeros((len(distinct), graph.n_atoms), dtype=bool)
+    for r, s in enumerate(distinct):
+        masks[r, list(s)] = True
+    if distance_mode == "full_graph":
+        dists = [full] * len(distinct)
+        kept = strong_collapse(full.hops, masks, k_grid)
+    else:
+        dists = [geodesic_distances(graph, within=s) for s in distinct]
+        kept = [strong_collapse(d.hops, m[None], k_grid)[0] for d, m in zip(dists, masks)]
+    # a sublevel set can be empty (e.g. no ring atoms)
+    diagrams = {frozenset(): (PersistenceDiagram(0, (), (), k_grid),
+                              PersistenceDiagram(1, (), (), k_grid))}
+    reduced = {}
+    for s, dist, core in zip(distinct, dists, kept):
+        # Rows that keep the same vertices have the same hop block, in both
+        # modes: a shortest path through a removed vertex can pass through
+        # its dominator instead, so a collapse keeps induced distances.
+        key = core.tobytes()
+        if key not in reduced:
+            reduced[key] = reduce_complex(
+                build_vr_row(np.flatnonzero(core).tolist(), dist, k_grid), validate=False)
+        pd0, pd1 = reduced[key]
+        removed = len(s) - int(np.count_nonzero(core))  # (0, 1) sorts first
+        diagrams[s] = (replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1)
+    return [(kind, i, *diagrams[s]) for kind, i, s in rows]
 
 
 def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerprint:
@@ -187,12 +200,8 @@ def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerpri
     by_kind: dict[str, list] = {s.kind: [] for s in specs}
     for kind, _, pd0, pd1 in rows:
         by_kind[kind].append((pd0, pd1))
-    chunks = []
-    for spec in specs:
-        for dim in (0, 1):
-            for pd0, pd1 in by_kind[spec.kind]:
-                chunks.append(betti_curve(pd0 if dim == 0 else pd1, k_grid))
-    vector = np.concatenate(chunks)
+    vector = betti_curves([pds[dim] for spec in specs for dim in (0, 1)
+                           for pds in by_kind[spec.kind]], k_grid).ravel()
     if vector.shape[0] != layout.length:
         raise DataError("assembled vector does not match the layout length")
     return Fingerprint(record_id, layout, vector)

@@ -143,6 +143,17 @@ def betti_at(pd, t: int) -> int:
     return alive
 
 
+def betti_curve(pd, k_grid: int) -> np.ndarray:
+    """Betti numbers of one diagram at scales 0..k_grid, one pair at a time."""
+    diff = np.zeros(k_grid + 2, dtype=np.int64)
+    for b, d in pd.pairs:
+        diff[b] += 1
+        diff[min(d, k_grid + 1)] -= 1
+    for b in pd.essentials:
+        diff[b] += 1
+    return np.cumsum(diff[:-1])
+
+
 # ---------------------------------------------------------------------------
 # Textbook persistence: one boundary matrix, left-to-right column reduction
 

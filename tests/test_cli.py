@@ -11,7 +11,9 @@ import moltop
 from moltop.cli import main
 from moltop.errors import InternalInvariantError
 from moltop.homology import PersistenceDiagram
-from moltop.vectorize import betti_curve, read_fingerprints_csv
+from moltop.vectorize import read_fingerprints_csv
+
+from oracles import betti_curve
 
 
 @pytest.fixture()

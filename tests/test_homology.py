@@ -13,12 +13,13 @@ from moltop.homology import (
     build_vr_row,
     geodesic_distances,
     reduce_complex,
+    strong_collapse,
 )
 from moltop import homology
 from moltop.datagen import generate_dataset
 from moltop.filtration import FILTRATION_KINDS, build_sequence, make_spec
 from moltop.molgraph import DatasetRecord, load_graph_json, parse_smiles
-from moltop.vectorize import graph_from_record, prepare_graph
+from moltop.vectorize import diagram_records, graph_from_record, prepare_graph, row_diagrams
 
 from oracles import (
     betti_at,
@@ -421,3 +422,154 @@ class TestCohomologyMatchesTriangleReducer:
         for cap in range(dist.diameter + 1):
             pd0, _ = self.check(range(g.n_atoms), dist.hops, cap)
         assert len(pd0.essentials) == 3
+
+
+def collapsed_diagrams(rows, hops, cap):
+    """Diagrams of each row after ``strong_collapse`` of all rows at once,
+    each removed vertex giving PD_0 its (0, 1) pair back."""
+    hops = np.asarray(hops, dtype=np.int32)
+    masks = np.zeros((len(rows), len(hops)), dtype=bool)
+    for r, row in enumerate(rows):
+        masks[r, list(row)] = True
+    kept = strong_collapse(hops, masks, cap)
+    assert not np.any(kept & ~masks), "a collapse added a vertex"
+    out = []
+    for row, core in zip(rows, kept):
+        vertices = np.flatnonzero(core).tolist()
+        assert vertices, "a collapse emptied a row"
+        pd0, pd1 = reduce_complex(build_vr_row(vertices, DistanceMatrix(hops, cap), cap))
+        removed = len(row) - len(vertices)
+        out.append((replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1))
+    return out, kept
+
+
+def whole_diagrams(row, hops, cap):
+    return reduce_complex(build_vr_row(row, DistanceMatrix(np.asarray(hops, np.int32), cap),
+                                       cap))
+
+
+def induced_hops(adj, row):
+    """Hop counts within the subgraph ``row`` induces (UNREACHABLE elsewhere)."""
+    inside = np.zeros(len(adj), dtype=bool)
+    inside[list(row)] = True
+    return hop_distances(adj * np.outer(inside, inside))
+
+
+class TestStrongCollapse:
+    """A strongly collapsed row has the diagrams of the whole row."""
+
+    def test_bundled_graphs_both_distance_modes(self):
+        graphs = load_graph6_file(str(GRAPH6_PATH))
+        assert len(graphs) == 996
+        rng = np.random.default_rng(29)
+        removed = rows_seen = 0
+        for adj in graphs:
+            n = len(adj)
+            hops = hop_distances(adj)
+            rows = [tuple(range(n))]
+            rows += [tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                             replace=False).tolist())) for _ in range(2)]
+            for cap in sorted({0, 1, int(hops.max())}):
+                got, kept = collapsed_diagrams(rows, hops, cap)
+                for row, diagrams in zip(rows, got):
+                    assert diagrams == whole_diagrams(row, hops, cap), (adj.tolist(), row, cap)
+                removed += int(kept.size - kept.sum()) - sum(n - len(r) for r in rows)
+                rows_seen += len(rows)
+            for row in rows:
+                sub = induced_hops(adj, row)
+                got, kept = collapsed_diagrams([row], sub, n)
+                assert got[0] == whole_diagrams(row, sub, n), (adj.tolist(), row)
+                # A collapse keeps induced distances, so rows that keep the same
+                # vertices can share one reduction in induced_subgraph mode too.
+                core = np.ix_(kept[0], kept[0])
+                assert np.array_equal(induced_hops(adj, np.flatnonzero(kept[0]))[core],
+                                      sub[core])
+        assert removed > rows_seen  # the collapse does remove vertices
+
+    def test_datagen_rows_through_row_diagrams(self):
+        # row_diagrams collapses every distinct row of a molecule in one call
+        # and shares a reduction between full-graph rows that keep the same
+        # vertices; each row must still get the diagrams of its whole row.
+        for doc in generate_dataset(12, seed=7):
+            graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0,
+                                                    graph=doc["graph"]))
+            self.check_molecule(graph)
+
+    def test_disconnected_molecules(self):
+        for smiles in ("CC.O.[Cl-]", "C1CCC1.C1CCCC1.O", "[Cl-].[Cl-]"):
+            self.check_molecule(prepare_graph(parse_smiles(smiles)))
+
+    @staticmethod
+    def check_molecule(graph):
+        specs = [make_spec(k) for k in ("ATOMIC_MASS", "BOND_TYPE", "CHIRALITY")]
+        full = geodesic_distances(graph)
+        for mode in ("full_graph", "induced_subgraph"):
+            for cap in (1, 2, 14):
+                for kind, i, pd0, pd1 in row_diagrams(graph, specs, cap, mode):
+                    row = build_sequence(graph, make_spec(kind)).subsets[i]
+                    if not row:
+                        continue
+                    dist = (full if mode == "full_graph"
+                            else geodesic_distances(graph, within=row))
+                    want = reduce_complex(build_vr_row(row, dist, cap))
+                    assert (pd0, pd1) == want, (graph.name, mode, cap, kind, i)
+
+    def test_mutual_twins_keep_one_of_them(self):
+        # In a clique every vertex dominates every other; removing one twin
+        # must keep the other, so exactly one vertex is left.
+        for n in (2, 3, 5):
+            hops = 1 - np.eye(n, dtype=np.int32)
+            got, kept = collapsed_diagrams([tuple(range(n))], hops, 3)
+            assert kept.sum() == 1
+            assert got[0] == whole_diagrams(range(n), hops, 3)
+            assert got[0][0].pairs == ((0, 1),) * (n - 1)
+        # Two twins on a 4-cycle's chord: 0 and 2 both see 1 and 3 at 1.
+        adj = np.array([[0, 1, 0, 1], [1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
+        hops = hop_distances(adj)
+        got, kept = collapsed_diagrams([(0, 1, 2, 3)], hops, 2)
+        assert got[0] == whole_diagrams(range(4), hops, 2)
+
+    def test_unreachable_counts_as_infinity(self):
+        # 0 - 1 at scale 1; vertex 2 is 2 away from one of them and never
+        # joins the other.  The vertex that cannot reach 2 is dominated.
+        for far_from, stays in ((0, 1), (1, 0)):
+            hops = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]], dtype=np.int32)
+            hops[far_from, 2] = hops[2, far_from] = UNREACHABLE
+            got, kept = collapsed_diagrams([(0, 1, 2)], hops, 3)
+            assert np.flatnonzero(kept[0]).tolist() == sorted((stays, 2))
+            assert got[0] == whole_diagrams(range(3), hops, 3)
+            assert got[0][0].pairs == ((0, 1), (0, 2))
+
+    def test_no_collapse_below_scale_one(self):
+        hops = cycle_distances(6).hops
+        rows = np.ones((1, 6), dtype=bool)
+        assert np.array_equal(strong_collapse(hops, rows, 0), rows)
+
+    def test_cycles_survive(self):
+        # No vertex of a cycle of length 4 or more is dominated: its dim-1
+        # class needs every vertex.
+        for n in (4, 5, 6, 7):
+            hops = cycle_distances(n).hops
+            got, kept = collapsed_diagrams([tuple(range(n))], hops, n // 2)
+            assert kept.all()
+            assert got[0] == whole_diagrams(range(n), hops, n // 2)
+
+    def test_diagram_dump_prints_whole_rows(self):
+        graph = prepare_graph(parse_smiles("CC(O)c1ccccc1.[Cl-]"))
+        specs = [make_spec(k) for k in ("ATOMIC_MASS", "BOND_TYPE", "CHIRALITY")]
+        full = geodesic_distances(graph)
+        docs = diagram_records(graph, specs, 6, molecule_id="m")
+        assert len(docs) == 2 * (10 + 4 + 3)
+        collapsing = 0
+        for doc in docs:
+            row = build_sequence(graph, make_spec(doc["param"])).subsets[doc["row"]]
+            if not row:
+                assert doc["pairs"] == [] and doc["essentials"] == []
+                continue
+            want = reduce_complex(build_vr_row(row, full, 6))[doc["dim"]]
+            assert doc["pairs"] == [list(p) for p in want.pairs]
+            assert doc["essentials"] == list(want.essentials)
+            masks = np.zeros((1, graph.n_atoms), dtype=bool)
+            masks[0, list(row)] = True
+            collapsing += int(strong_collapse(full.hops, masks, 6).sum() < len(row))
+        assert collapsing > 0

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from moltop import sglb
 from moltop.datagen import generate_dataset
-from moltop.errors import ConfigError, DataError, LayoutMismatchError
+from moltop.errors import ConfigError, DataError, LayoutMismatchError, MoltopError
 from moltop.filtration import FILTRATION_KINDS
 from moltop.molgraph import DatasetRecord
 from moltop.sglb import (
@@ -323,6 +325,37 @@ class TestEnsemble:
             assert ma.trees == mb.trees
         assert np.array_equal(decompose(a, X).total,
                               decompose(b, X).total)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the patched function")
+    def test_dead_worker_names_the_ensemble(self, monkeypatch):
+        X, y = toy_regression(n=40)
+        cfg = SglbConfig(iterations=3, max_depth=2, ensemble_size=3, seed=7)
+        real = sglb.fit
+
+        def dies_on_seed_8(X, y, config, *args):
+            if config.seed == 8:
+                os._exit(1)
+            return real(X, y, config, *args)
+
+        monkeypatch.setattr(sglb, "fit", dies_on_seed_8)
+        with pytest.raises(MoltopError, match="3-member ensemble with seed 7") as info:
+            fit_ensemble(X, y, cfg, threads=2)
+        assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_one_row_decomposes_as_within_the_batch(self, task):
+        # Ten members: numpy would sum a lone row's member column pairwise
+        # but a wider matrix member by member.
+        X, y = toy_regression(n=60) if task != TASK_CLASSIFICATION else toy_classification(n=60)
+        cfg = SglbConfig(task=task, iterations=6, max_depth=2, ensemble_size=10, seed=3)
+        ens = fit_ensemble(X, y, cfg)
+        batch = decompose(ens, X)
+        for i in range(len(X)):
+            alone, within = decompose(ens, X[[i]]), batch.take([i])
+            for field in ("prediction", "total", "knowledge", "data"):
+                assert getattr(alone, field).tobytes() == getattr(within, field).tobytes(), \
+                    (i, field)
 
 
 class TestUncertainty:

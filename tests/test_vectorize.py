@@ -18,7 +18,7 @@ from moltop.molgraph import DatasetRecord, parse_smiles
 from moltop.vectorize import (
     FingerprintLayout,
     assemble,
-    betti_curve,
+    betti_curves,
     diagram_records,
     fingerprint_dataset,
     prepare_graph,
@@ -27,7 +27,7 @@ from moltop.vectorize import (
     write_fingerprints_csv,
 )
 
-from oracles import mirror, relabel
+from oracles import betti_curve, mirror, relabel
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 
@@ -37,22 +37,47 @@ def charged(smiles):
 
 
 class TestBettiCurve:
+    @staticmethod
+    def curve(pd, k_grid):
+        """The batched curve of one diagram, checked against the oracle."""
+        got = betti_curves([pd], k_grid)
+        assert got.shape == (1, k_grid + 1)
+        assert np.array_equal(got[0], betti_curve(pd, k_grid))
+        return got[0].tolist()
+
     def test_empty(self):
         pd = PersistenceDiagram(0, (), (), 3)
-        assert betti_curve(pd, 3).tolist() == [0, 0, 0, 0]
+        assert self.curve(pd, 3) == [0, 0, 0, 0]
 
     def test_p3_dim0(self):
         pd = PersistenceDiagram(0, ((0, 1), (0, 1)), (0,), 2)
-        assert betti_curve(pd, 2).tolist() == [3, 1, 1]
+        assert self.curve(pd, 2) == [3, 1, 1]
 
     def test_six_cycle_dim1(self):
         # oracle-derived diagram for the 6-cycle: the class lives on [1, 2)
         pd = PersistenceDiagram(1, ((1, 2),), (), 3)
-        assert betti_curve(pd, 3).tolist() == [0, 1, 0, 0]
+        assert self.curve(pd, 3) == [0, 1, 0, 0]
 
     def test_essential_contributes_from_birth_onwards(self):
         pd = PersistenceDiagram(1, (), (2,), 4)
-        assert betti_curve(pd, 4).tolist() == [0, 0, 1, 1, 1]
+        assert self.curve(pd, 4) == [0, 0, 1, 1, 1]
+
+    def test_many_diagrams_in_one_call_match_one_at_a_time(self):
+        # Deaths past the grid, empty diagrams and repeats side by side: no
+        # diagram's counts may leak into its neighbour's row.
+        rng = np.random.default_rng(5)
+        k_grid = 6
+        diagrams = [PersistenceDiagram(0, (), (), k_grid)]
+        for _ in range(60):
+            births = rng.integers(0, k_grid + 1, size=int(rng.integers(0, 6)))
+            pairs = tuple(sorted((int(b), int(b + rng.integers(1, 10))) for b in births))
+            essentials = tuple(sorted(rng.integers(0, k_grid + 1,
+                                                   size=int(rng.integers(0, 3))).tolist()))
+            diagrams.append(PersistenceDiagram(1, pairs, essentials, k_grid))
+        diagrams += diagrams[:3] + [PersistenceDiagram(0, (), (), k_grid)]
+        got = betti_curves(diagrams, k_grid)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.stack([betti_curve(pd, k_grid) for pd in diagrams]))
 
 
 class TestAssemble:
