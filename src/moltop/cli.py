@@ -23,7 +23,7 @@ from .errors import (
     read_json,
     read_text,
 )
-from .filtration import FILTRATION_KINDS
+from .filtration import FILTRATION_KINDS, canonical_kinds
 from .harness import (
     evaluate,
     load_dataset,
@@ -186,10 +186,7 @@ def _molecule_from_doc(doc):
 
 
 def _cmd_distance(args) -> int:
-    kinds = args.kinds or list(FILTRATION_KINDS)
-    bad = [k for k in kinds if k not in FILTRATION_KINDS]
-    if bad:
-        raise ConfigError(f"unknown filtration kinds {bad}")
+    kinds = canonical_kinds(args.kinds or FILTRATION_KINDS)
     if args.k_grid < 1 or not args.p >= 1:  # `not >=` also rejects NaN
         raise ConfigError("--k-grid must be positive and --p at least 1")
     docs = read_json(args.pairs, "pairs")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import math
 
 from .elements import ATOMIC_MASS
-from .errors import ChargesRequiredError, UnsupportedElementError
+from .errors import ChargesRequiredError, ConfigError, UnsupportedElementError
 from .molgraph import CHI_CCW, CHI_CW, MolecularGraph, ring_atoms
 
 ATOMIC_MASS_KIND = "ATOMIC_MASS"
@@ -17,6 +17,18 @@ PARTIAL_CHARGE_KIND = "PARTIAL_CHARGE"
 BOND_TYPE_KIND = "BOND_TYPE"
 CHIRALITY_KIND = "CHIRALITY"
 FILTRATION_KINDS = (ATOMIC_MASS_KIND, PARTIAL_CHARGE_KIND, BOND_TYPE_KIND, CHIRALITY_KIND)
+
+
+def canonical_kinds(kinds, error=ConfigError) -> tuple[str, ...]:
+    """``kinds`` in the fixed AM, PC, BT, CH order with repeats dropped;
+    ``error`` for an unknown kind or none at all."""
+    bad = [k for k in kinds if k not in FILTRATION_KINDS]
+    if bad:
+        raise error(f"unknown filtration kinds {bad}")
+    if not kinds:
+        raise error("at least one filtration kind is required")
+    return tuple(k for k in FILTRATION_KINDS if k in kinds)
+
 
 LEVEL_COUNTS = {
     ATOMIC_MASS_KIND: 10,

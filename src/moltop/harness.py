@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, DataError, read_json, read_text, typed
-from .filtration import FILTRATION_KINDS, decile_boundaries
+from .filtration import FILTRATION_KINDS, canonical_kinds, decile_boundaries
 from .molgraph import SPLIT_TAGS, DatasetRecord, parse_smiles, load_graph_json
 from .sglb import (
     TASK_CLASSIFICATION,
@@ -63,6 +63,11 @@ class RunConfig:
     repeats: int = 3
     out_dir: str = "out"
 
+    def __post_init__(self):  # checked here, so CLI overrides are checked too
+        for key, low in (("threads", 1), ("repeats", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+
     def to_dict(self) -> dict:
         return {
             "dataset": {"path": self.dataset_path, "format": self.dataset_format},
@@ -109,13 +114,7 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     if task is None:
         raise ConfigError(f"task must be regression or classification, got {doc.get('task')!r}")
 
-    kinds = typed(doc.get("kinds", list(FILTRATION_KINDS)), list, "kinds")
-    bad = [k for k in kinds if k not in FILTRATION_KINDS]
-    if bad:
-        raise ConfigError(f"unknown filtration kinds {bad}")
-    kinds = tuple(k for k in FILTRATION_KINDS if k in set(kinds))
-    if not kinds:
-        raise ConfigError("at least one filtration kind is required")
+    kinds = canonical_kinds(typed(doc.get("kinds", list(FILTRATION_KINDS)), list, "kinds"))
 
     k_grid = doc.get("k_grid")
     if k_grid is not None and typed(k_grid, int, "k_grid") < 1:
@@ -159,8 +158,6 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
 
     threads = typed(doc.get("threads", 1), int, "threads")
     repeats = typed(doc.get("repeats", 3), int, "repeats")
-    if threads < 1 or repeats < 1:
-        raise ConfigError("threads and repeats must be >= 1")
     out_dir = typed(doc.get("out_dir", "out"), str, "out_dir")
 
     return RunConfig(dataset_path=dataset_path, task=task,

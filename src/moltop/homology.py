@@ -1,10 +1,13 @@
 """Vietoris-Rips persistence over graph geodesic distances.
 
-For a vertex subset, edges enter the complex at the hop distance between
-their endpoints and triangles at the largest of their three edge scales
-(clique rule, capped at dimension 2).  The filtration order is (scale,
-dimension, sorted vertex tuple).  Triangles are never listed: an edge's
-cofacets are its in-range third vertices, read from the row's hop block.
+Hop distances come from one walk per molecule, from every source at once:
+each frontier is the last one times the bond adjacency matrix, less the
+vertices already reached; row masks walk each row within itself.  For a
+vertex subset, edges enter the complex at the hop distance between their
+endpoints and triangles at the largest of their three edge scales (clique
+rule, capped at dimension 2).  The filtration order is (scale, dimension,
+sorted vertex tuple).  Triangles are never listed: an edge's cofacets are
+its in-range third vertices, read from the row's hop block.
 
 Reduction follows Ripser (Bauer 2021) in three steps:
 
@@ -36,7 +39,8 @@ ESA 2018), so the smaller filtration has the same persistence from scale 1
 on.  Only scale 0 differs: there x is one more component, which joins a's
 at scale 1.  So PD_1 is unchanged and PD_0 loses exactly one (0, 1) pair
 per removed vertex, which the caller adds back.  Hydrogens are always
-dominated, and repeating the rule peels chains and branches.
+dominated, and repeating the rule peels chains and branches.  One call
+collapses all distinct rows of a molecule, in either distance mode.
 """
 
 from dataclasses import dataclass
@@ -51,37 +55,32 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    hops: np.ndarray  # (n, n) int32, UNREACHABLE for cross-component pairs
+    hops: np.ndarray  # (n, n) or (R, n, n) int32, UNREACHABLE between components
     diameter: int     # max finite entry
 
 
-def geodesic_distances(graph: MolecularGraph, within=None) -> DistanceMatrix:
-    """BFS hop distances; ``within`` restricts the walk to an induced subgraph."""
+def geodesic_distances(graph: MolecularGraph, rows=None) -> DistanceMatrix:
+    """Hop distances from every source at once, by frontier products: (n, n)
+    for the whole graph, or (R, n, n) with each of the (R, n) ``rows`` masks
+    walked within itself, where a vertex outside its row is UNREACHABLE."""
     n = graph.n_atoms
     if n == 0:
         raise DataError("cannot compute distances on an empty graph")
-    allowed = None if within is None else set(within)
-    adj = graph.adjacency()
-    hops = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    sources = range(n) if allowed is None else sorted(allowed)
-    for source in sources:
-        row = hops[source]
-        row[source] = 0
-        frontier = [source]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if allowed is not None and w not in allowed:
-                        continue
-                    if row[w] == UNREACHABLE:
-                        row[w] = dist
-                        nxt.append(w)
-            frontier = nxt
-    finite = hops[hops != UNREACHABLE]
-    return DistanceMatrix(hops, int(finite.max()) if finite.size else 0)
+    inside = np.ones((1, n), dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
+    adj = np.zeros((n, n))
+    for bond in graph.bonds:
+        adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1
+    adj = adj * (inside[:, :, None] & inside[:, None, :])  # bonds within each row
+    # frontier[r, s, v]: v is first reached from s at distance dist.  The
+    # products count paths of 0/1 entries, so they are exact in floats.
+    frontier = np.eye(n) * inside[:, None, :]
+    hops = np.where(frontier > 0, 0, UNREACHABLE).astype(np.int32)
+    dist = 0
+    while frontier.any():
+        dist += 1
+        frontier = (frontier @ adj > 0) & (hops == UNREACHABLE)
+        hops[frontier] = dist
+    return DistanceMatrix(hops[0] if rows is None else hops, int(hops.max(initial=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +100,12 @@ class FilteredComplex:
     eps_max: int
 
 
-def build_vr_row(vertex_set, dist: DistanceMatrix, eps_max: int) -> FilteredComplex:
+def build_vr_row(vertex_set, hops: np.ndarray, eps_max: int) -> FilteredComplex:
     """Filtered clique 2-skeleton on a vertex set; unreachable pairs never join."""
     verts = sorted(vertex_set)
     if not verts:
         raise DataError("vertex set must be non-empty")
-    hops = dist.hops[np.ix_(verts, verts)]
+    hops = hops[np.ix_(verts, verts)]
     in_range = (hops > 0) & (hops <= eps_max)  # > 0: off the diagonal, reachable
     eu, ev = np.nonzero(np.triu(in_range))     # (u, v) order
     eps = hops[eu, ev]
@@ -119,7 +118,8 @@ def build_vr_row(vertex_set, dist: DistanceMatrix, eps_max: int) -> FilteredComp
 def strong_collapse(hops: np.ndarray, rows: np.ndarray, eps_max: int) -> np.ndarray:
     """Row masks ``rows`` (R, n) less the vertices a strong collapse removes.
 
-    ``hops`` is the (n, n) hop matrix every row's complex is built from.  A
+    ``hops`` is the hop matrix every row's complex is built from: one (n, n)
+    block shared by all rows, or an (R, n, n) stack with a block per row.  A
     vertex x of a row is dominated by a row vertex a when hops[x, a] == 1
     and hops[a, y] <= hops[x, y] for every other row vertex y, UNREACHABLE
     counting as infinity.  Each round removes every dominated x with a
@@ -132,13 +132,16 @@ def strong_collapse(hops: np.ndarray, rows: np.ndarray, eps_max: int) -> np.ndar
     keep = np.array(rows, dtype=bool)
     if eps_max < 1:
         return keep  # no edges: every vertex stays its own component
+    hops = hops.reshape((-1,) + hops.shape[-2:])  # (1 or R, n, n)
     far = np.where(hops == UNREACHABLE, np.iinfo(hops.dtype).max, hops)
-    x, a = np.nonzero(hops == 1)                 # pair p: x[p] and its candidate a[p]
-    owner = np.eye(len(hops), dtype=bool)[x]     # owner[p, v]: v is x[p]
-    closer = ((far[a] > far[x]) & ~owner).T      # closer[y, p]: y is nearer x[p] than a[p]
+    x, a = np.nonzero((hops == 1).any(axis=0))   # pair p: x[p] and its candidate a[p]
+    near = hops[:, x, a] == 1                    # (1 or R, pairs): a[p] is x[p]'s neighbour
+    owner = np.eye(keep.shape[1], dtype=bool)[x]  # owner[p, v]: v is x[p]
+    # closer[., y, p]: y is nearer x[p] than a[p]
+    closer = ((far[:, a] > far[:, x]) & ~owner).swapaxes(1, 2)
     while True:
-        free = keep[:, x] & keep[:, a] & ~(keep @ closer)  # (R, pairs): a[p] dominates x[p]
-        if not free.any():
+        free = keep[:, x] & keep[:, a] & near & ~(keep[:, None] @ closer)[:, 0]
+        if not free.any():  # free[r, p]: a[p] dominates x[p] in row r
             return keep
         dominated = free @ owner
         keep &= ~((free & ((a > x) | ~dominated[:, a])) @ owner)

@@ -85,13 +85,6 @@ class MolecularGraph:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.a].append(bond.b)
-            adj[bond.b].append(bond.a)
-        return adj
-
     def degrees(self) -> list[int]:
         degree = [0] * self.n_atoms
         for bond in self.bonds:

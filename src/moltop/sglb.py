@@ -79,6 +79,8 @@ class SglbConfig:
             raise ConfigError("gamma * learning_rate must be below 1")
         if not 2 <= self.max_bins <= 255:
             raise ConfigError("max_bins must be in [2, 255]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         beta = self.beta

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import DataError, LayoutMismatchError, MoltopError, read_text, typed
 from .filtration import (
-    FILTRATION_KINDS,
     LEVEL_COUNTS,
     PARTIAL_CHARGE_KIND,
     build_sequence,
+    canonical_kinds,
     make_spec,
 )
 from .homology import (
@@ -54,10 +54,7 @@ class FingerprintLayout:
     k_grid: int
 
     def __post_init__(self):
-        if not self.kinds:
-            raise ValueError("layout needs at least one filtration kind")
-        ordered = tuple(k for k in FILTRATION_KINDS if k in self.kinds)
-        if ordered != self.kinds:
+        if canonical_kinds(self.kinds, ValueError) != self.kinds:
             raise ValueError("kinds must follow the fixed AM, PC, BT, CH order")
         if self.k_grid < 1:
             raise ValueError("k_grid must be positive")
@@ -154,40 +151,37 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
     """(kind, row index, PD_0, PD_1) for every sublevel row, in layout order.
 
     Distances default to hop counts in the full molecular graph restricted
-    to each row; induced_subgraph mode re-walks within each row instead.
-    Each distinct row is strongly collapsed first and only the vertices left
-    are built and reduced; every removed vertex gives PD_0 back its (0, 1)
-    pair.  Rows that keep the same vertices share one reduction.
+    to each row; induced_subgraph mode walks each row within itself.  One
+    walk and one strong collapse serve all distinct rows; only the vertices
+    left are built and reduced, and every removed vertex gives PD_0 back its
+    (0, 1) pair.  Rows that keep the same vertices share one reduction.
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
-    if any(a.implicit_hydrogens for a in graph.atoms):
-        raise DataError("graph must be hydrogen-expanded before fingerprinting")
-    full = geodesic_distances(graph)
+    if not graph.atoms or any(a.implicit_hydrogens for a in graph.atoms):
+        raise DataError("graph must be non-empty and hydrogen-expanded before fingerprinting")
     rows = [(spec.kind, i, s) for spec in specs
             for i, s in enumerate(build_sequence(graph, spec).subsets)]
     distinct = list(dict.fromkeys(s for _, _, s in rows if s))
     masks = np.zeros((len(distinct), graph.n_atoms), dtype=bool)
     for r, s in enumerate(distinct):
         masks[r, list(s)] = True
-    if distance_mode == "full_graph":
-        dists = [full] * len(distinct)
-        kept = strong_collapse(full.hops, masks, k_grid)
-    else:
-        dists = [geodesic_distances(graph, within=s) for s in distinct]
-        kept = [strong_collapse(d.hops, m[None], k_grid)[0] for d, m in zip(dists, masks)]
+    hops = geodesic_distances(
+        graph, masks if distance_mode == "induced_subgraph" else None).hops
+    kept = strong_collapse(hops, masks, k_grid)
+    blocks = np.broadcast_to(hops, (len(distinct),) + hops.shape[-2:])
     # a sublevel set can be empty (e.g. no ring atoms)
     diagrams = {frozenset(): (PersistenceDiagram(0, (), (), k_grid),
                               PersistenceDiagram(1, (), (), k_grid))}
     reduced = {}
-    for s, dist, core in zip(distinct, dists, kept):
+    for s, block, core in zip(distinct, blocks, kept):
         # Rows that keep the same vertices have the same hop block, in both
         # modes: a shortest path through a removed vertex can pass through
         # its dominator instead, so a collapse keeps induced distances.
         key = core.tobytes()
         if key not in reduced:
             reduced[key] = reduce_complex(
-                build_vr_row(np.flatnonzero(core).tolist(), dist, k_grid), validate=False)
+                build_vr_row(np.flatnonzero(core).tolist(), block, k_grid), validate=False)
         pd0, pd1 = reduced[key]
         removed = len(s) - int(np.count_nonzero(core))  # (0, 1) sorts first
         diagrams[s] = (replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1)
@@ -315,7 +309,7 @@ def fingerprint_dataset(records, kinds, k_grid: int, threads: int = 1,
 
 def slice_table(table: FingerprintTable, kinds) -> FingerprintTable:
     """Restrict a table to a kind subset by slicing the frozen layout blocks."""
-    kinds = tuple(k for k in FILTRATION_KINDS if k in set(kinds))
+    kinds = canonical_kinds(kinds)
     if not all(k in table.layout.kinds for k in kinds):
         raise LayoutMismatchError("requested kinds missing from the table layout")
     sub_layout = FingerprintLayout(table.layout.version, kinds, table.layout.k_grid)

@@ -610,7 +610,10 @@ def relabel(graph, perm: list[int]):
 
 def components(graph) -> list[list[int]]:
     """Sorted atom ids of each connected component, by depth-first search."""
-    adj = graph.adjacency()
+    adj = [[] for _ in graph.atoms]
+    for bond in graph.bonds:
+        adj[bond.a].append(bond.b)
+        adj[bond.b].append(bond.a)
     seen = [False] * graph.n_atoms
     out = []
     for start in range(graph.n_atoms):

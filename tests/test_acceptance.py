@@ -20,7 +20,6 @@ from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.harness import apply_split, f1_score, prc_auc, rmse, roc_auc, \
     run_config_from_dict, run_benchmark
 from moltop.homology import (
-    DistanceMatrix,
     PersistenceDiagram,
     build_vr_row,
     geodesic_distances,
@@ -111,8 +110,7 @@ def test_c01_homology_oracle_suite_connected_graphs_le7():
         n = len(adj)
         hops = hop_distances(adj)
         k = int(hops.max())
-        dist = DistanceMatrix(hops.astype(np.int32), k)
-        pd0, pd1 = reduce_complex(build_vr_row(set(range(n)), dist, max(k, 0)))
+        pd0, pd1 = reduce_complex(build_vr_row(set(range(n)), hops, max(k, 0)))
         for eps in range(k + 1):
             beta0, beta1, _ = betti_numbers_at(range(n), hops, eps)
             assert betti_at(pd0, eps) == beta0
@@ -136,7 +134,7 @@ def test_c02_cytosine_diagram_counts():
     assert g.n_atoms == 13
     dist = geodesic_distances(g)
     pd0, pd1 = reduce_complex(
-        build_vr_row({a.id for a in g.atoms}, dist, dist.diameter))
+        build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter))
     assert len(pd0.pairs) == 12
     assert len(pd0.essentials) == 1
     assert len(pd1.pairs) == 1

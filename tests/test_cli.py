@@ -258,13 +258,16 @@ def _bad_model(kind, good_model):
         tree["left"] = tree["left"][:-1]
     elif kind == "max-depth-zero":
         member["config"]["max_depth"] = 0
+    elif kind == "seed-negative":
+        member["config"]["seed"] = -1
     return doc
 
 
 _BAD_MODELS = ("not-object", "no-config", "no-members", "member-no-keys",
                "member-not-object", "tree-not-object", "config-unknown-key",
                "iterations-not-int", "feature-not-int", "feature-count-not-int",
-               "base-not-number", "layout-no-kinds", "left-short", "max-depth-zero")
+               "base-not-number", "layout-no-kinds", "left-short", "max-depth-zero",
+               "seed-negative")
 
 
 def _bad_file(kind, trained, path):
@@ -318,7 +321,8 @@ def test_unreadable_input_file_exits_3(trained, tmp_path, capsys, command, flag,
     assert err.startswith("data error:") and str(bad) in err
 
 
-@pytest.mark.parametrize("flag,value", [("--k-grid", "0"), ("--p", "0.5"), ("--p", "nan")])
+@pytest.mark.parametrize("flag,value", [("--k-grid", "0"), ("--p", "0.5"), ("--p", "nan"),
+                                        ("--kinds", "MASS")])
 def test_distance_bad_flag_exits_2(tmp_path, capsys, flag, value):
     # The pair's first molecule does not parse: flags are checked before it.
     pairs = tmp_path / "pairs.json"
@@ -361,6 +365,45 @@ def test_nan_gamma_config_exits_2(config_path, capsys):
     assert main(["bench", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "gamma" in err
+
+
+@pytest.mark.parametrize("key,value", [("repeats", 0), ("threads", 0), ("threads", -3),
+                                       ("seed", -1)])
+def test_out_of_range_run_value_exits_2(config_path, tmp_path, capsys, key, value):
+    # A command-line flag goes through the same check as the config key.
+    assert main(["bench", "--config", str(config_path), f"--{key}", str(value)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    doc = json.loads(config_path.read_text())
+    doc[key] = value
+    config_path.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_sglb_seed_exits_2(config_path, tmp_path, capsys):
+    doc = json.loads(config_path.read_text())
+    doc["sglb"]["seed"] = -2
+    config_path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kinds", [["BOND_TYPE", "ATOMIC_MASS"],
+                                   ["ATOMIC_MASS", "BOND_TYPE", "ATOMIC_MASS"]])
+def test_distance_kinds_in_any_order(tmp_path, capsys, kinds):
+    # Kinds are put in the fixed AM, PC, BT, CH order, as in a run config.
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"a": "N[C@@H](C)C(=O)O", "b": "CCO"}]))
+    argv = ["distance", "--pairs", str(pairs), "--k-grid", "6", "--kinds"]
+    assert main(argv + ["ATOMIC_MASS", "BOND_TYPE"]) == 0
+    canonical = capsys.readouterr().out
+    assert main(argv + kinds) == 0
+    assert capsys.readouterr().out == canonical
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,7 +8,6 @@ import pytest
 from moltop.errors import DataError, InternalInvariantError
 from moltop.homology import (
     UNREACHABLE,
-    DistanceMatrix,
     PersistenceDiagram,
     build_vr_row,
     geodesic_distances,
@@ -18,8 +17,21 @@ from moltop.homology import (
 from moltop import homology
 from moltop.datagen import generate_dataset
 from moltop.filtration import FILTRATION_KINDS, build_sequence, make_spec
-from moltop.molgraph import DatasetRecord, load_graph_json, parse_smiles
-from moltop.vectorize import diagram_records, graph_from_record, prepare_graph, row_diagrams
+from moltop.molgraph import (
+    Atom,
+    Bond,
+    DatasetRecord,
+    MolecularGraph,
+    load_graph_json,
+    parse_smiles,
+)
+from moltop.vectorize import (
+    DISTANCE_MODES,
+    diagram_records,
+    graph_from_record,
+    prepare_graph,
+    row_diagrams,
+)
 
 from oracles import (
     betti_at,
@@ -34,10 +46,23 @@ from oracles import (
 )
 
 
+def skeleton(adj):
+    """A carbon skeleton with the bonds of a 0/1 adjacency matrix."""
+    atoms = tuple(Atom(i, "C", 12.011) for i in range(len(adj)))
+    bonds = tuple(Bond(int(u), int(v), "SINGLE") for u, v in zip(*np.nonzero(np.triu(adj))))
+    return MolecularGraph("skeleton", atoms, bonds)
+
+
+def row_hops(graph, row):
+    """The (n, n) block of ``geodesic_distances`` walking ``graph`` within ``row``."""
+    mask = np.zeros((1, graph.n_atoms), dtype=bool)
+    mask[0, list(row)] = True
+    return geodesic_distances(graph, mask).hops[0]
+
+
 def cycle_distances(n):
-    hops = np.array([[min((i - j) % n, (j - i) % n) for j in range(n)]
+    return np.array([[min((i - j) % n, (j - i) % n) for j in range(n)]
                      for i in range(n)], dtype=np.int32)
-    return DistanceMatrix(hops, n // 2)
 
 
 def cytosine_graph():
@@ -64,9 +89,35 @@ class TestGeodesicDistances:
         assert d.hops[0, 1] == UNREACHABLE
 
     def test_empty_graph_rejected(self):
-        from moltop.molgraph import MolecularGraph
+        empty = MolecularGraph("empty", (), ())
         with pytest.raises(DataError):
-            geodesic_distances(MolecularGraph("empty", (), ()))
+            geodesic_distances(empty)
+        with pytest.raises(DataError):
+            geodesic_distances(empty, np.zeros((1, 0), dtype=bool))
+        specs = [make_spec(k) for k in FILTRATION_KINDS]
+        for mode in DISTANCE_MODES:
+            with pytest.raises(DataError):
+                row_diagrams(empty, specs, 3, mode)
+
+    def test_row_masks_match_oracle_on_bundled_graphs(self):
+        # The whole vertex set plus random rows; rows that split into pieces
+        # leave UNREACHABLE pairs inside the row.
+        rng = np.random.default_rng(5)
+        split = 0
+        for adj in load_graph6_file(str(GRAPH6_PATH)):
+            n = len(adj)
+            graph = skeleton(adj)
+            assert np.array_equal(geodesic_distances(graph).hops, hop_distances(adj))
+            masks = np.vstack([np.ones(n, dtype=bool), rng.random((4, n)) < 0.6])
+            got = geodesic_distances(graph, masks)
+            assert got.hops.shape == (len(masks), n, n)
+            for mask, hops in zip(masks, got.hops):
+                inside = np.outer(mask, mask)
+                want = np.where(inside, hop_distances(adj * inside), UNREACHABLE)
+                assert np.array_equal(hops, want), (adj.tolist(), mask.tolist())
+                split += int(np.any(inside & (hops == UNREACHABLE)))
+            assert got.diameter == max(0, got.hops.max())
+        assert split > 1000
 
     def test_matches_oracle_bfs(self, random_graphs):
         for g in random_graphs[:6]:
@@ -79,8 +130,8 @@ class TestGeodesicDistances:
         g = prepare_graph(parse_smiles("CCC"))  # propane: C0-C1-C2
         full = geodesic_distances(g)
         assert full.hops[0, 2] == 2
-        sub = geodesic_distances(g, within={0, 2})
-        assert sub.hops[0, 2] == UNREACHABLE  # the middle carbon is gone
+        sub = row_hops(g, {0, 2})
+        assert sub[0, 2] == UNREACHABLE  # the middle carbon is gone
 
     def test_induced_mode_matches_oracle_on_random_subsets(self, random_graphs):
         rng = np.random.default_rng(8)
@@ -92,10 +143,10 @@ class TestGeodesicDistances:
                 if b.a in subset and b.b in subset:
                     adj[b.a, b.b] = adj[b.b, b.a] = 1
             expected = hop_distances(adj)
-            got = geodesic_distances(g, within=subset)
+            got = row_hops(g, subset)
             for u in subset:
                 for v in subset:
-                    assert got.hops[u, v] == expected[u, v]
+                    assert got[u, v] == expected[u, v]
 
 
 def edge_pairs(cx):
@@ -116,37 +167,37 @@ def oracle_counts(cx, hops, eps):
 class TestBuildVrRow:
     def test_singleton(self):
         hops = np.zeros((1, 1), dtype=np.int32)
-        cx = build_vr_row({0}, DistanceMatrix(hops, 0), 0)
+        cx = build_vr_row({0}, hops, 0)
         assert cx.vertices == (0,)
         assert len(cx.edge_eps) == 0
         assert oracle_counts(cx, hops, 0) == (1, 0, 0)
 
     def test_four_cycle_counts(self):
-        dist = cycle_distances(4)
-        cx = build_vr_row({0, 1, 2, 3}, dist, 2)
-        assert oracle_counts(cx, dist.hops, 1) == (4, 4, 0)
-        assert oracle_counts(cx, dist.hops, 2) == (4, 6, 4)
+        hops = cycle_distances(4)
+        cx = build_vr_row({0, 1, 2, 3}, hops, 2)
+        assert oracle_counts(cx, hops, 1) == (4, 4, 0)
+        assert oracle_counts(cx, hops, 2) == (4, 6, 4)
 
     def test_complete_skeleton_at_diameter(self):
-        dist = cycle_distances(6)
-        cx = build_vr_row(set(range(6)), dist, 3)
-        assert oracle_counts(cx, dist.hops, 3) == (6, 15, 20)
+        hops = cycle_distances(6)
+        cx = build_vr_row(set(range(6)), hops, 3)
+        assert oracle_counts(cx, hops, 3) == (6, 15, 20)
 
     def test_cap_clips_edges(self):
-        dist = cycle_distances(6)
-        cx = build_vr_row(set(range(6)), dist, 1)
-        assert oracle_counts(cx, dist.hops, 1) == (6, 6, 0)
+        hops = cycle_distances(6)
+        cx = build_vr_row(set(range(6)), hops, 1)
+        assert oracle_counts(cx, hops, 1) == (6, 6, 0)
         assert len(cx.edge_eps) == 6
 
     def test_unreachable_pairs_never_join(self):
         hops = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]], dtype=np.int32)
-        cx = build_vr_row({0, 1}, DistanceMatrix(hops, 0), 5)
+        cx = build_vr_row({0, 1}, hops, 5)
         assert len(cx.edge_eps) == 0
 
     def test_filtration_order(self, random_graphs):
         g = random_graphs[0]
         dist = geodesic_distances(g)
-        cx = build_vr_row({a.id for a in g.atoms}, dist, dist.diameter)
+        cx = build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
         edges = [(e, u, v) for e, (u, v) in zip(cx.edge_eps.tolist(),
                                                  edge_pairs(cx).tolist())]
         assert edges == sorted(edges)
@@ -156,7 +207,7 @@ class TestBuildVrRow:
 class TestReduce:
     def test_path_p3(self):
         hops = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int32)
-        pd0, pd1 = reduce_complex(build_vr_row({0, 1, 2}, DistanceMatrix(hops, 2), 2))
+        pd0, pd1 = reduce_complex(build_vr_row({0, 1, 2}, hops, 2))
         assert pd0.pairs == ((0, 1), (0, 1))
         assert pd0.essentials == (0,)
         assert pd1.pairs == ()
@@ -165,9 +216,9 @@ class TestReduce:
         # One might guess the hexagon class survives until the antipodal
         # chords arrive at scale 3, but the oracle gives {(1, 2)}: at scale 2
         # the complex is an octahedron boundary, so the class is already dead.
-        hops = cycle_distances(6).hops
+        hops = cycle_distances(6)
         oracle = naive_persistence(range(6), hops, 3)
-        pd0, pd1 = reduce_complex(build_vr_row(set(range(6)), cycle_distances(6), 3))
+        pd0, pd1 = reduce_complex(build_vr_row(set(range(6)), hops, 3))
         assert list(pd1.pairs) == oracle[1][0] == [(1, 2)]
         assert list(pd0.pairs) == oracle[0][0]
         assert pd1.essentials == ()
@@ -176,7 +227,7 @@ class TestReduce:
         g = cytosine_graph()
         assert g.n_atoms == 13
         dist = geodesic_distances(g)
-        cx = build_vr_row({a.id for a in g.atoms}, dist, dist.diameter)
+        cx = build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
         pd0, pd1 = reduce_complex(cx)
         assert len(pd0.pairs) == 12
         assert len(pd0.essentials) == 1
@@ -214,13 +265,13 @@ class TestBettiAt:
 
     def test_p3_dim0(self):
         hops = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int32)
-        pd0, _ = reduce_complex(build_vr_row({0, 1, 2}, DistanceMatrix(hops, 2), 2))
+        pd0, _ = reduce_complex(build_vr_row({0, 1, 2}, hops, 2))
         assert [betti_at(pd0, t) for t in (0, 1, 2)] == [3, 1, 1]
 
     def test_six_cycle_dim1_matches_rank_oracle(self):
-        dist = cycle_distances(6)
-        _, pd1 = reduce_complex(build_vr_row(set(range(6)), dist, 3))
-        expected = [betti_numbers_at(range(6), dist.hops, t)[1] for t in range(4)]
+        hops = cycle_distances(6)
+        _, pd1 = reduce_complex(build_vr_row(set(range(6)), hops, 3))
+        expected = [betti_numbers_at(range(6), hops, t)[1] for t in range(4)]
         assert [betti_at(pd1, t) for t in range(4)] == expected == [0, 1, 0, 0]
 
     def test_out_of_grid_rejected(self):
@@ -244,8 +295,7 @@ class TestOracleEquivalence:
             n = len(adj)
             hops = hop_distances(adj)
             k = int(hops.max())
-            dist = DistanceMatrix(hops.astype(np.int32), k)
-            pd0, pd1 = reduce_complex(build_vr_row(set(range(n)), dist, max(k, 0)))
+            pd0, pd1 = reduce_complex(build_vr_row(set(range(n)), hops, max(k, 0)))
             for eps in range(k + 1):
                 b0, b1, _ = betti_numbers_at(range(n), hops, eps)
                 assert betti_at(pd0, eps) == b0
@@ -260,7 +310,7 @@ class TestOracleEquivalence:
         for g in random_graphs[:8]:
             dist = geodesic_distances(g)
             verts = {a.id for a in g.atoms}
-            cx = build_vr_row(verts, dist, dist.diameter)
+            cx = build_vr_row(verts, dist.hops, dist.diameter)
             pd0, pd1 = reduce_complex(cx)
             for eps in range(dist.diameter + 1):
                 nv, ne, nt = oracle_counts(cx, dist.hops, eps)
@@ -273,7 +323,7 @@ class TestOracleEquivalence:
         for g in random_graphs[:10]:
             dist = geodesic_distances(g)
             pd0, _ = reduce_complex(
-                build_vr_row({a.id for a in g.atoms}, dist, dist.diameter))
+                build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter))
             values = [betti_at(pd0, t) for t in range(dist.diameter + 1)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -285,8 +335,8 @@ class TestOracleEquivalence:
             dg = geodesic_distances(g)
             dh = geodesic_distances(h)
             assert dg.diameter == dh.diameter
-            pg = reduce_complex(build_vr_row({a.id for a in g.atoms}, dg, dg.diameter))
-            ph = reduce_complex(build_vr_row({a.id for a in h.atoms}, dh, dh.diameter))
+            pg = reduce_complex(build_vr_row({a.id for a in g.atoms}, dg.hops, dg.diameter))
+            ph = reduce_complex(build_vr_row({a.id for a in h.atoms}, dh.hops, dh.diameter))
             assert pg == ph  # diagrams are sorted multisets
 
     def test_subset_rows_match_naive_reduction(self, random_graphs):
@@ -300,7 +350,7 @@ class TestOracleEquivalence:
                 size = int(rng.integers(1, g.n_atoms + 1))
                 subset = set(rng.choice(g.n_atoms, size=size, replace=False).tolist())
                 cap = int(rng.integers(1, dist.diameter + 1))
-                pd0, pd1 = reduce_complex(build_vr_row(subset, dist, cap))
+                pd0, pd1 = reduce_complex(build_vr_row(subset, dist.hops, cap))
                 oracle = naive_persistence(subset, dist.hops, cap)
                 assert sorted(pd0.pairs) == oracle[0][0]
                 assert sorted(pd0.essentials) == oracle[0][1]
@@ -312,7 +362,7 @@ class TestOracleEquivalence:
         g = prepare_graph(g)
         dist = geodesic_distances(g)
         pd0, _ = reduce_complex(
-            build_vr_row({a.id for a in g.atoms}, dist, max(dist.diameter, 1)))
+            build_vr_row({a.id for a in g.atoms}, dist.hops, max(dist.diameter, 1)))
         assert len(pd0.essentials) == len(components(g))
 
     def test_pipeline_consumes_no_coordinates(self):
@@ -355,8 +405,7 @@ class TestCohomologyMatchesTriangleReducer:
 
     @staticmethod
     def check(vertices, hops, cap, calls=None):
-        dist = DistanceMatrix(np.asarray(hops, dtype=np.int32), cap)
-        cx = build_vr_row(vertices, dist, cap)
+        cx = build_vr_row(vertices, np.asarray(hops, dtype=np.int32), cap)
         if calls is not None:
             calls.append([])
         got = reduce_complex(cx)
@@ -403,14 +452,13 @@ class TestCohomologyMatchesTriangleReducer:
             for row in sorted(distinct, key=sorted):
                 rows += 1
                 self.check(row, full.hops, 14, step3_columns)
-                self.check(row, geodesic_distances(graph, within=row).hops, 14,
-                           step3_columns)
+                self.check(row, row_hops(graph, row), 14, step3_columns)
                 self.check(row, full.hops, 2, step3_columns)
         assert rows > 200
         self.assert_step3_reduced(step3_columns)
 
     def test_small_and_disconnected_rows(self):
-        hops = cycle_distances(6).hops
+        hops = cycle_distances(6)
         for row in ({0}, {0, 1}, {0, 3}, {0, 2, 4}, {0, 1, 3, 4}):
             for cap in (0, 1, 2, 3):
                 self.check(row, hops, cap)
@@ -437,15 +485,14 @@ def collapsed_diagrams(rows, hops, cap):
     for row, core in zip(rows, kept):
         vertices = np.flatnonzero(core).tolist()
         assert vertices, "a collapse emptied a row"
-        pd0, pd1 = reduce_complex(build_vr_row(vertices, DistanceMatrix(hops, cap), cap))
+        pd0, pd1 = reduce_complex(build_vr_row(vertices, hops, cap))
         removed = len(row) - len(vertices)
         out.append((replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1))
     return out, kept
 
 
 def whole_diagrams(row, hops, cap):
-    return reduce_complex(build_vr_row(row, DistanceMatrix(np.asarray(hops, np.int32), cap),
-                                       cap))
+    return reduce_complex(build_vr_row(row, np.asarray(hops, np.int32), cap))
 
 
 def induced_hops(adj, row):
@@ -509,9 +556,8 @@ class TestStrongCollapse:
                     row = build_sequence(graph, make_spec(kind)).subsets[i]
                     if not row:
                         continue
-                    dist = (full if mode == "full_graph"
-                            else geodesic_distances(graph, within=row))
-                    want = reduce_complex(build_vr_row(row, dist, cap))
+                    hops = full.hops if mode == "full_graph" else row_hops(graph, row)
+                    want = reduce_complex(build_vr_row(row, hops, cap))
                     assert (pd0, pd1) == want, (graph.name, mode, cap, kind, i)
 
     def test_mutual_twins_keep_one_of_them(self):
@@ -540,8 +586,33 @@ class TestStrongCollapse:
             assert got[0] == whole_diagrams(range(3), hops, 3)
             assert got[0][0].pairs == ((0, 1), (0, 2))
 
+    def test_per_row_blocks_match_one_call_per_row(self):
+        # induced_subgraph mode hands strong_collapse one hop block per row;
+        # a block shared by every row gives what its broadcast stack gives.
+        rng = np.random.default_rng(37)
+        for adj in load_graph6_file(str(GRAPH6_PATH)):
+            n = len(adj)
+            graph = skeleton(adj)
+            masks = rng.random((4, n)) < 0.7
+            per_row = geodesic_distances(graph, masks).hops
+            shared = geodesic_distances(graph).hops
+            for cap in (1, 2, n):
+                kept = strong_collapse(per_row, masks, cap)
+                for r in range(len(masks)):
+                    one = strong_collapse(per_row[r], masks[r:r + 1], cap)
+                    assert np.array_equal(kept[r:r + 1], one), (adj.tolist(), r, cap)
+                assert np.array_equal(
+                    strong_collapse(shared, masks, cap),
+                    strong_collapse(np.broadcast_to(shared, (4, n, n)), masks, cap))
+        # 0 and 1 are bonded in the path's block only; in the 4-cycle's block
+        # no vertex is dominated.
+        path = hop_distances(np.eye(4, k=1, dtype=int) + np.eye(4, k=-1, dtype=int))
+        cycle = cycle_distances(4)[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
+        kept = strong_collapse(np.stack([path, cycle]), np.ones((2, 4), dtype=bool), 3)
+        assert kept[1].all() and kept[0].sum() == 1
+
     def test_no_collapse_below_scale_one(self):
-        hops = cycle_distances(6).hops
+        hops = cycle_distances(6)
         rows = np.ones((1, 6), dtype=bool)
         assert np.array_equal(strong_collapse(hops, rows, 0), rows)
 
@@ -549,7 +620,7 @@ class TestStrongCollapse:
         # No vertex of a cycle of length 4 or more is dominated: its dim-1
         # class needs every vertex.
         for n in (4, 5, 6, 7):
-            hops = cycle_distances(n).hops
+            hops = cycle_distances(n)
             got, kept = collapsed_diagrams([tuple(range(n))], hops, n // 2)
             assert kept.all()
             assert got[0] == whole_diagrams(range(n), hops, n // 2)
@@ -566,7 +637,7 @@ class TestStrongCollapse:
             if not row:
                 assert doc["pairs"] == [] and doc["essentials"] == []
                 continue
-            want = reduce_complex(build_vr_row(row, full, 6))[doc["dim"]]
+            want = reduce_complex(build_vr_row(row, full.hops, 6))[doc["dim"]]
             assert doc["pairs"] == [list(p) for p in want.pairs]
             assert doc["essentials"] == list(want.essentials)
             masks = np.zeros((1, graph.n_atoms), dtype=bool)
