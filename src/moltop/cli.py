@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -37,7 +38,7 @@ from .harness import (
     write_predictions_csv,
 )
 from .metrics import matching_report
-from .molgraph import load_graph_json, parse_smiles
+from .molgraph import expand_hydrogens, load_graph_json, parse_smiles
 from .sglb import (
     RANK_CRITERIA,
     decompose,
@@ -50,7 +51,6 @@ from .vectorize import (
     diagram_records,
     graph_from_record,
     kind_specs,
-    prepare_graph,
     read_fingerprints_csv,
 )
 
@@ -179,7 +179,7 @@ def _cmd_rank(args) -> int:
 
 def _molecule_from_doc(doc):
     if isinstance(doc, str):
-        return prepare_graph(parse_smiles(doc))
+        return expand_hydrogens(parse_smiles(doc))
     if isinstance(doc, dict):
         return load_graph_json(doc)
     raise DataError("pair entries must be SMILES strings or molecule objects")
@@ -187,8 +187,8 @@ def _molecule_from_doc(doc):
 
 def _cmd_distance(args) -> int:
     kinds = canonical_kinds(args.kinds or FILTRATION_KINDS)
-    if args.k_grid < 1 or not args.p >= 1:  # `not >=` also rejects NaN
-        raise ConfigError("--k-grid must be positive and --p at least 1")
+    if args.k_grid < 1 or not 1 <= args.p < math.inf:  # also rejects NaN
+        raise ConfigError("--k-grid must be positive and --p finite and at least 1")
     docs = read_json(args.pairs, "pairs")
     if not isinstance(docs, list):
         raise DataError(f"{args.pairs}: pairs file must hold a JSON array")

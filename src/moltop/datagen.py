@@ -17,14 +17,13 @@ import numpy as np
 
 from .elements import VALENCES
 from .molgraph import (
+    Atom,
     Bond,
     CHI_CCW,
     CHI_CW,
     MolecularGraph,
     expand_hydrogens,
-    detect_rings,
-    make_atom,
-    ring_atoms,
+    ring_bonds,
 )
 from dataclasses import replace
 
@@ -108,11 +107,11 @@ def random_molecule(rng: np.random.Generator, name: str) -> MolecularGraph:
             adj[v].add(u)
             break
 
-    atoms = tuple(make_atom(i, elements[i], implicit_hydrogens=free[i])
+    atoms = tuple(Atom(i, elements[i], implicit_hydrogens=free[i])
                   for i in range(n_heavy))
     graph = MolecularGraph(name, atoms,
                            tuple(Bond(a, b, order) for a, b, order in sorted(bonds)))
-    graph = detect_rings(expand_hydrogens(graph))
+    graph = expand_hydrogens(graph)
 
     degree = graph.degrees()
     tagged = 0
@@ -156,10 +155,11 @@ def structure_scores(graph: MolecularGraph) -> tuple[float, float, float, float]
               + 1.4 * counts.get("O", 0) + 2.0 * heavy_rare
               + 0.08 * counts.get("H", 0))
 
-    rings = ring_atoms(graph)
+    cyclic = ring_bonds(graph)
+    rings = {v for pair in cyclic for v in pair}
     double_ends = set()
     for bond in graph.bonds:
-        if bond.order in ("DOUBLE", "TRIPLE") and not bond.in_ring:
+        if bond.order in ("DOUBLE", "TRIPLE") and bond.endpoints not in cyclic:
             double_ends.update(bond.endpoints)
     z_ring = len(rings) + 0.7 * len(double_ends - rings)
 

@@ -44,13 +44,6 @@ ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
 AROMATIC_SYMBOLS = ("c", "n", "o", "s")
 
 
-def atomic_mass(element: str) -> float:
-    try:
-        return ATOMIC_MASS[element]
-    except KeyError:
-        raise UnsupportedElementError(f"unsupported element {element!r}") from None
-
-
 def allowed_valences(element: str, formal_charge: int = 0) -> tuple[int, ...]:
     """Valences an atom may carry, adjusted for its formal charge.
 

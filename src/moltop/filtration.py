@@ -1,15 +1,18 @@
 """Sublevel vertex sequences for the four filtration parameters.
 
-Each parameter assigns every atom a value f(v); level i of the sequence is
-the set of atoms with f(v) <= alpha_i, so the sequence is nested and the
-last level contains every vertex.
+Each parameter assigns every atom a value f(v) through one value function
+per kind; level i of the sequence is the set of atoms with f(v) <= alpha_i,
+the spec's i-th threshold.  The canonical thresholds rise and end at or
+above every value, so their sequences are nested and the last level holds
+every vertex.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 import math
 
 from .elements import ATOMIC_MASS
-from .errors import ChargesRequiredError, ConfigError, UnsupportedElementError
+from .errors import ChargesRequiredError, ConfigError, DataError, UnsupportedElementError
 from .molgraph import CHI_CCW, CHI_CW, MolecularGraph, ring_atoms
 
 ATOMIC_MASS_KIND = "ATOMIC_MASS"
@@ -40,29 +43,41 @@ LEVEL_COUNTS = {
 # The ten elements of the mass ladder in ascending mass order (boron is
 # parseable but not part of this filtration).
 MASS_LADDER = ("H", "C", "N", "O", "F", "P", "S", "Cl", "Br", "I")
-_MASS_THRESHOLDS = tuple(ATOMIC_MASS[e] for e in MASS_LADDER)
-_BOND_TYPE_THRESHOLDS = (0, 1, 2, 3)
-_CHIRALITY_THRESHOLDS = (0, 1, 2)
+# Canonical thresholds per kind; partial charge defaults to per-molecule deciles.
+_CANONICAL_THRESHOLDS = {
+    ATOMIC_MASS_KIND: tuple(ATOMIC_MASS[e] for e in MASS_LADDER),
+    PARTIAL_CHARGE_KIND: None,
+    BOND_TYPE_KIND: (0, 1, 2, 3),
+    CHIRALITY_KIND: (0, 1, 2),
+}
+# Bond-type value of a triple or double bond's endpoints; chirality value of a tag.
+_ORDER_VALUE = {"TRIPLE": 1, "DOUBLE": 2}
+_TAG_VALUE = {CHI_CW: 1, CHI_CCW: 2}
 
 
 @dataclass(frozen=True)
 class FiltrationSpec:
     kind: str
-    levels: int
     # None for per-molecule partial-charge deciles (computed per graph).
     thresholds: tuple[float, ...] | None
 
     def __post_init__(self):
         if self.kind not in FILTRATION_KINDS:
             raise ValueError(f"unknown filtration kind {self.kind!r}")
-        if self.levels != LEVEL_COUNTS[self.kind]:
-            raise ValueError(f"{self.kind} uses {LEVEL_COUNTS[self.kind]} levels")
-        if self.thresholds is not None:
-            if len(self.thresholds) != self.levels:
-                raise ValueError("threshold count must equal the level count")
-            if self.kind != PARTIAL_CHARGE_KIND and any(
-                    a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
-                raise ValueError("thresholds must be strictly increasing")
+        if self.thresholds is None:
+            if self.kind != PARTIAL_CHARGE_KIND:
+                raise ValueError(f"{self.kind} needs explicit thresholds")
+            return
+        if len(self.thresholds) != self.levels:
+            raise ValueError(f"{self.kind} uses {self.levels} thresholds")
+        # `not <` also rejects NaN; partial-charge deciles may repeat
+        if any(not (a <= b if self.kind == PARTIAL_CHARGE_KIND else a < b)
+               for a, b in zip(self.thresholds, self.thresholds[1:])):
+            raise ValueError("thresholds must increase")
+
+    @property
+    def levels(self) -> int:
+        return LEVEL_COUNTS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -73,103 +88,74 @@ class SublevelSequence:
 
 def make_spec(kind: str, charge_thresholds=None) -> FiltrationSpec:
     """Canonical spec for a kind; charge_thresholds enables global-decile mode."""
-    if kind == ATOMIC_MASS_KIND:
-        return FiltrationSpec(kind, 10, _MASS_THRESHOLDS)
-    if kind == PARTIAL_CHARGE_KIND:
-        thresholds = None if charge_thresholds is None else tuple(charge_thresholds)
-        return FiltrationSpec(kind, 10, thresholds)
-    if kind == BOND_TYPE_KIND:
-        return FiltrationSpec(kind, 4, _BOND_TYPE_THRESHOLDS)
-    if kind == CHIRALITY_KIND:
-        return FiltrationSpec(kind, 3, _CHIRALITY_THRESHOLDS)
-    raise ValueError(f"unknown filtration kind {kind!r}")
+    if kind == PARTIAL_CHARGE_KIND and charge_thresholds is not None:
+        return FiltrationSpec(kind, tuple(charge_thresholds))
+    return FiltrationSpec(kind, _CANONICAL_THRESHOLDS.get(kind))
 
 
 def chirality_value(atom, degree: int) -> int:
     """0 for untagged atoms or degree != 4, 1 for CW centers, 2 for CCW."""
-    if degree != 4 or atom.chirality not in (CHI_CW, CHI_CCW):
-        return 0
-    return 1 if atom.chirality == CHI_CW else 2
+    return _TAG_VALUE.get(atom.chirality, 0) if degree == 4 else 0
 
 
 def decile_boundaries(values) -> tuple[float, ...]:
     """Nearest-rank decile boundaries of a value multiset."""
     ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("empty value multiset")
-    return tuple(ordered[math.ceil(i * n / 10) - 1] for i in range(1, 11))
+    if not ordered:
+        raise DataError("no values to take deciles of")
+    return tuple(ordered[math.ceil(i * len(ordered) / 10) - 1] for i in range(1, 11))
 
 
-def atomic_mass_sequence(graph: MolecularGraph) -> SublevelSequence:
-    spec = make_spec(ATOMIC_MASS_KIND)
+def _mass_values(graph: MolecularGraph) -> list[float]:
     for atom in graph.atoms:
         if atom.element not in MASS_LADDER:
             raise UnsupportedElementError(
                 f"element {atom.element!r} (atom {atom.id}) is outside the "
                 f"atomic-mass filtration ladder")
-    return _sublevels(spec, graph, lambda a: a.atomic_mass)
+    return [a.atomic_mass for a in graph.atoms]
 
 
-def partial_charge_sequence(graph: MolecularGraph,
-                            boundaries: tuple[float, ...] | None = None) -> SublevelSequence:
-    """Charge sublevels; per-molecule deciles unless boundaries are supplied."""
+def _charge_values(graph: MolecularGraph) -> list[float]:
     for atom in graph.atoms:
         if atom.partial_charge is None:
             raise ChargesRequiredError(
                 f"atom {atom.id} has no partial charge; the partial-charge "
                 f"filtration needs charges on every atom")
-    if boundaries is None:
-        boundaries = decile_boundaries(a.partial_charge for a in graph.atoms)
-    spec = FiltrationSpec(PARTIAL_CHARGE_KIND, 10, tuple(boundaries))
-    return _sublevels(spec, graph, lambda a: a.partial_charge)
+    return [a.partial_charge for a in graph.atoms]
 
 
-def chirality_sequence(graph: MolecularGraph) -> SublevelSequence:
-    spec = make_spec(CHIRALITY_KIND)
-    degree = graph.degrees()
-    values = {a.id: chirality_value(a, degree[a.id]) for a in graph.atoms}
-    return _sublevels(spec, graph, lambda a: values[a.id])
-
-
-def bond_type_sequence(graph: MolecularGraph) -> SublevelSequence:
-    spec = make_spec(BOND_TYPE_KIND)
-    rings = ring_atoms(graph)
-    triple = set()
-    double = set()
+def _bond_type_values(graph: MolecularGraph) -> list[int]:
+    """0 for ring atoms, else 1 on a triple bond, 2 on a double bond, 3 otherwise."""
+    values = [3] * graph.n_atoms
     for bond in graph.bonds:
-        if bond.order == "TRIPLE":
-            triple.update(bond.endpoints)
-        elif bond.order == "DOUBLE":
-            double.update(bond.endpoints)
+        for v in bond.endpoints:
+            values[v] = min(values[v], _ORDER_VALUE.get(bond.order, 3))
+    for v in ring_atoms(graph):
+        values[v] = 0
+    return values
 
-    def value(atom):
-        if atom.id in rings:
-            return 0
-        if atom.id in triple:
-            return 1
-        if atom.id in double:
-            return 2
-        return 3
 
-    return _sublevels(spec, graph, value)
+def _chirality_values(graph: MolecularGraph) -> list[int]:
+    degree = graph.degrees()
+    return [chirality_value(a, degree[a.id]) for a in graph.atoms]
+
+
+_VALUES = {
+    ATOMIC_MASS_KIND: _mass_values,
+    PARTIAL_CHARGE_KIND: _charge_values,
+    BOND_TYPE_KIND: _bond_type_values,
+    CHIRALITY_KIND: _chirality_values,
+}
 
 
 def build_sequence(graph: MolecularGraph, spec: FiltrationSpec) -> SublevelSequence:
-    """Dispatch to the per-kind value function for the spec's kind."""
-    if spec.kind == ATOMIC_MASS_KIND:
-        return atomic_mass_sequence(graph)
-    if spec.kind == PARTIAL_CHARGE_KIND:
-        return partial_charge_sequence(graph, spec.thresholds)
-    if spec.kind == BOND_TYPE_KIND:
-        return bond_type_sequence(graph)
-    if spec.kind == CHIRALITY_KIND:
-        return chirality_sequence(graph)
-    raise ValueError(f"unknown filtration kind {spec.kind!r}")
-
-
-def _sublevels(spec, graph, value) -> SublevelSequence:
-    subsets = []
-    for alpha in spec.thresholds:
-        subsets.append(frozenset(a.id for a in graph.atoms if value(a) <= alpha))
-    return SublevelSequence(spec, tuple(subsets))
+    """Level i holds the atoms whose value is at most the spec's threshold i:
+    a prefix of the atoms sorted once by value.  A partial-charge spec
+    without thresholds takes the molecule's own deciles."""
+    values = _VALUES[spec.kind](graph)
+    if spec.thresholds is None:
+        spec = FiltrationSpec(spec.kind, decile_boundaries(values))
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ordered = [values[v] for v in order]
+    return SublevelSequence(spec, tuple(frozenset(order[:bisect_right(ordered, alpha)])
+                                        for alpha in spec.thresholds))

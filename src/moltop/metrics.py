@@ -22,8 +22,8 @@ def wasserstein(pd_a: PersistenceDiagram, pd_b: PersistenceDiagram,
     """Exact p-Wasserstein matching distance via optimal assignment."""
     # Imported here: scipy.optimize is slow to import and only `distance` needs it.
     from scipy.optimize import linear_sum_assignment
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p < math.inf:  # also rejects NaN
+        raise ValueError("p must be finite and at least 1")
     if len(pd_a.essentials) != len(pd_b.essentials):
         return math.inf
 
@@ -77,12 +77,12 @@ class MatchingDistanceReport:
                 "vector_distance": self.vector_distance, "ratio": self.ratio}
 
 
-def matching_report(graph_a, graph_b, specs, k_grid: int, p: float = 1.0,
-                    distance_mode: str = "full_graph") -> MatchingDistanceReport:
+def matching_report(graph_a, graph_b, specs, k_grid: int,
+                    p: float = 1.0) -> MatchingDistanceReport:
     """Per-row diagram distances and the induced fingerprint distance for a pair."""
     specs = list(specs)
-    rows_a = row_diagrams(graph_a, specs, k_grid, distance_mode)
-    rows_b = row_diagrams(graph_b, specs, k_grid, distance_mode)
+    rows_a = row_diagrams(graph_a, specs, k_grid)
+    rows_b = row_diagrams(graph_b, specs, k_grid)
     if len(rows_a) != len(rows_b):
         raise DataError("graphs produced different row counts")
     per_row = []

@@ -4,7 +4,9 @@ Covers a bounded SMILES subset (organic-subset atoms, bracket atoms with
 charge and @/@@ tetrahedral marks, ring closures incl. %nn, branches, bond
 symbols - = # :, aromatic lowercase c/n/o/s, dot-separated components), a
 strict JSON graph format, implicit-hydrogen expansion against the bundled
-valence model, and ring (non-bridge) detection.
+valence model, and ring (non-bridge) detection.  A graph stores only its
+input facts: atom masses come from the element table and ring membership
+from the bonds, each computed when asked for.
 
 Tetrahedral parity convention: the parser normalizes a written @/@@ mark to
 ascending neighbor-id order (looking from the lowest-id neighbor, do the
@@ -23,11 +25,11 @@ import os
 import sys
 
 from .elements import (
+    ATOMIC_MASS,
     AROMATIC_SYMBOLS,
     ORGANIC_SUBSET,
     SUPPORTED_ELEMENTS,
     allowed_valences,
-    atomic_mass,
 )
 from .errors import DataError, SchemaError, SmilesParseError, read_json
 
@@ -48,12 +50,15 @@ _AROMATIC_MAX_DEGREE = {"C": 3, "N": 3, "O": 2, "S": 2}
 class Atom:
     id: int
     element: str
-    atomic_mass: float
     formal_charge: int = 0
     partial_charge: float | None = None
     chirality: str = CHI_NONE
     # Hydrogens owed to this atom but not yet present as vertices.
     implicit_hydrogens: int = 0
+
+    @property
+    def atomic_mass(self) -> float:
+        return ATOMIC_MASS[self.element]
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,6 @@ class Bond:
     a: int
     b: int
     order: str
-    in_ring: bool = False
 
     def __post_init__(self):
         if self.a == self.b:
@@ -86,11 +90,7 @@ class MolecularGraph:
         return len(self.atoms)
 
     def degrees(self) -> list[int]:
-        degree = [0] * self.n_atoms
-        for bond in self.bonds:
-            degree[bond.a] += 1
-            degree[bond.b] += 1
-        return degree
+        return _valence_tally(self.n_atoms, self.bonds)[1]
 
 
 SPLIT_TAGS = ("TRAIN", "VALID", "TEST")
@@ -112,13 +112,6 @@ class DatasetRecord:
             raise DataError("record needs exactly one of smiles/graph/graph_path")
         if self.split is not None and self.split not in SPLIT_TAGS:
             raise DataError(f"invalid split tag {self.split!r}")
-
-
-def make_atom(atom_id, element, formal_charge=0, partial_charge=None,
-              chirality=CHI_NONE, implicit_hydrogens=0) -> Atom:
-    """Atom with its mass filled in from the bundled table."""
-    return Atom(atom_id, element, atomic_mass(element), formal_charge,
-                partial_charge, chirality, implicit_hydrogens)
 
 
 def permutation_parity(values) -> int:
@@ -246,9 +239,9 @@ class _RingSlot:
 def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     """Parse SMILES text into a molecular graph.
 
-    Implicit hydrogens are recorded on the atoms but not expanded; ring
-    flags are not yet computed.  Chirality tags are normalized to ascending
-    neighbor-id order so isomorphic inputs produce identical tags.
+    Implicit hydrogens are recorded on the atoms but not expanded.  Chirality
+    tags are normalized to ascending neighbor-id order so isomorphic inputs
+    produce identical tags.
     """
     if not isinstance(text, str):
         raise SmilesParseError(f"SMILES must be a string, not {type(text).__name__}", 0)
@@ -401,8 +394,8 @@ def _finish_parse(atoms, bonds, name) -> MolecularGraph:
             # an odd reordering of the written neighbors reverses the turn
             clockwise = (parsed.stereo == "@@") != bool(permutation_parity(ordered))
             tag = CHI_CW if clockwise else CHI_CCW
-        out_atoms.append(make_atom(idx, parsed.element, parsed.charge,
-                                   chirality=tag, implicit_hydrogens=implicit_h))
+        out_atoms.append(Atom(idx, parsed.element, parsed.charge,
+                              chirality=tag, implicit_hydrogens=implicit_h))
     return MolecularGraph(name, tuple(out_atoms), out_bonds)
 
 
@@ -443,15 +436,16 @@ def expand_hydrogens(graph: MolecularGraph) -> MolecularGraph:
     next_id = len(atoms)
     for atom in graph.atoms:
         for _ in range(atom.implicit_hydrogens):
-            atoms.append(make_atom(next_id, "H"))
+            atoms.append(Atom(next_id, "H"))
             bonds.append(Bond(atom.id, next_id, "SINGLE"))
             next_id += 1
     bonds.sort(key=lambda b: (b.a, b.b))
     return replace(graph, atoms=tuple(atoms), bonds=tuple(bonds))
 
 
-def detect_rings(graph: MolecularGraph) -> MolecularGraph:
-    """Set in_ring on every bond: true iff the bond lies on some cycle (non-bridge)."""
+def ring_bonds(graph: MolecularGraph) -> set[tuple[int, int]]:
+    """Endpoint pairs of the bonds that lie on some cycle (the non-bridges),
+    by Tarjan's bridge walk."""
     n = graph.n_atoms
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for bi, bond in enumerate(graph.bonds):
@@ -490,18 +484,12 @@ def detect_rings(graph: MolecularGraph) -> MolecularGraph:
                 if low[v] > disc[parent]:
                     bridge[in_edge] = True
 
-    bonds = tuple(replace(b, in_ring=not bridge[i]) for i, b in enumerate(graph.bonds))
-    return replace(graph, bonds=bonds)
+    return {b.endpoints for b, cut in zip(graph.bonds, bridge) if not cut}
 
 
 def ring_atoms(graph: MolecularGraph) -> set[int]:
-    """Atom ids that are endpoints of some in-ring bond."""
-    out: set[int] = set()
-    for bond in graph.bonds:
-        if bond.in_ring:
-            out.add(bond.a)
-            out.add(bond.b)
-    return out
+    """Atom ids that are endpoints of some ring bond."""
+    return {v for pair in ring_bonds(graph) for v in pair}
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +519,8 @@ def graph_to_json_dict(graph: MolecularGraph) -> dict:
 def load_graph_json(source) -> MolecularGraph:
     """Load a molecule from a parsed dict or a JSON file path.
 
-    Fields are taken verbatim (no hydrogens are owed); ring flags are
-    recomputed.  Schema or invariant violations raise with the JSON path.
+    Fields are taken verbatim (no hydrogens are owed).  Schema or invariant
+    violations raise with the JSON path.
     """
     if isinstance(source, dict):
         return graph_from_json_dict(source)
@@ -580,8 +568,8 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
         tag = entry.get("chirality", CHI_NONE)
         if tag not in CHIRALITY_TAGS:
             raise SchemaError(f"invalid chirality {tag!r}", path + ".chirality")
-        atoms.append(make_atom(i, element, charge,
-                               None if partial is None else float(partial), tag))
+        atoms.append(Atom(i, element, charge,
+                          None if partial is None else float(partial), tag))
 
     seen_pairs = set()
     bonds = []
@@ -608,7 +596,7 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
 
     graph = MolecularGraph(name, tuple(atoms), tuple(sorted(bonds, key=lambda b: (b.a, b.b))))
     _validate_loaded(graph)
-    return detect_rings(graph)
+    return graph
 
 
 def _validate_loaded(graph: MolecularGraph):

@@ -35,7 +35,6 @@ from .homology import (
 from .molgraph import (
     DatasetRecord,
     MolecularGraph,
-    detect_rings,
     expand_hydrogens,
     load_graph_json,
     parse_smiles,
@@ -132,18 +131,11 @@ def betti_curves(diagrams, k_grid: int) -> np.ndarray:
     return np.cumsum(diff.reshape(-1, width)[:, :-1], axis=1)
 
 
-def prepare_graph(graph: MolecularGraph) -> MolecularGraph:
-    """Expand hydrogens and compute ring flags (the pipeline's canonical form)."""
-    return detect_rings(expand_hydrogens(graph))
-
-
 def graph_from_record(record: DatasetRecord) -> MolecularGraph:
-    """The record's molecule in canonical form; JSON graphs load in that form."""
+    """The record's molecule with explicit hydrogens; JSON graphs load that way."""
     if record.smiles is not None:
-        return prepare_graph(parse_smiles(record.smiles, name=record.record_id))
-    if record.graph is not None:
-        return load_graph_json(record.graph)
-    return load_graph_json(record.graph_path)
+        return expand_hydrogens(parse_smiles(record.smiles, name=record.record_id))
+    return load_graph_json(record.graph if record.graph is not None else record.graph_path)
 
 
 def row_diagrams(graph: MolecularGraph, specs, k_grid: int,

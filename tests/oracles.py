@@ -3,8 +3,9 @@
 Everything here favors directness over speed: dense GF(2) Gaussian
 elimination for Betti numbers, the textbook single-matrix column reduction
 for persistence pairs, exhaustive matching enumeration for Wasserstein
-distances, naive threshold loops for the classification metrics, and a
-plain 256-slot histogram tree grower for the boosting trainer.  None of it
+distances, naive threshold loops for the classification metrics, one scan
+of every atom per level for sublevel rows, and a plain 256-slot histogram
+tree grower for the boosting trainer.  None of it
 shares code with the production paths, except the classical boosting
 reference, which reuses the trainer's losses and base prediction so that the
 trees it is compared with can be equal.
@@ -16,6 +17,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from moltop.elements import ATOMIC_MASS
 from moltop.molgraph import CHI_CCW, CHI_CW
 from moltop.sglb import (
     _MIN_GAIN,
@@ -573,6 +575,43 @@ def cycle_edges(n, edges):
         if edge[1] in seen:
             out.add(tuple(sorted(edge)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sublevel rows by one scan of every atom per level
+
+def atom_values(graph, kind):
+    """Each atom's filtration value of ``kind``, written out case by case;
+    ring atoms come from ``cycle_edges``."""
+    if kind == "ATOMIC_MASS":
+        return [ATOMIC_MASS[a.element] for a in graph.atoms]
+    if kind == "PARTIAL_CHARGE":
+        return [a.partial_charge for a in graph.atoms]
+    degree = [0] * graph.n_atoms
+    for bond in graph.bonds:
+        degree[bond.a] += 1
+        degree[bond.b] += 1
+    if kind == "CHIRALITY":
+        return [{CHI_CW: 1, CHI_CCW: 2}.get(a.chirality, 0) if degree[a.id] == 4 else 0
+                for a in graph.atoms]
+    rings = {v for edge in cycle_edges(graph.n_atoms, [b.endpoints for b in graph.bonds])
+             for v in edge}
+    triple = {v for b in graph.bonds if b.order == "TRIPLE" for v in b.endpoints}
+    double = {v for b in graph.bonds if b.order == "DOUBLE" for v in b.endpoints}
+    return [0 if v in rings else 1 if v in triple else 2 if v in double else 3
+            for v in range(graph.n_atoms)]
+
+
+def nearest_rank_deciles(values):
+    ordered = sorted(values)
+    return tuple(ordered[math.ceil(i * len(ordered) / 10) - 1] for i in range(1, 11))
+
+
+def sublevel_sets(graph, kind, thresholds):
+    """Level i: every atom whose value is at most ``thresholds[i]``."""
+    values = atom_values(graph, kind)
+    return tuple(frozenset(a.id for a in graph.atoms if values[a.id] <= alpha)
+                 for alpha in thresholds)
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ def test_unreadable_input_file_exits_3(trained, tmp_path, capsys, command, flag,
 
 
 @pytest.mark.parametrize("flag,value", [("--k-grid", "0"), ("--p", "0.5"), ("--p", "nan"),
-                                        ("--kinds", "MASS")])
+                                        ("--p", "inf"), ("--kinds", "MASS")])
 def test_distance_bad_flag_exits_2(tmp_path, capsys, flag, value):
     # The pair's first molecule does not parse: flags are checked before it.
     pairs = tmp_path / "pairs.json"

@@ -1,35 +1,40 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moltop.datagen import assign_reference_charges, random_molecule
-from moltop.errors import ChargesRequiredError, UnsupportedElementError
+from moltop.errors import ChargesRequiredError, DataError, UnsupportedElementError
 from moltop.filtration import (
     FILTRATION_KINDS,
+    LEVEL_COUNTS,
     FiltrationSpec,
-    atomic_mass_sequence,
-    bond_type_sequence,
     build_sequence,
-    chirality_sequence,
     chirality_value,
     decile_boundaries,
     make_spec,
-    partial_charge_sequence,
 )
 from moltop.molgraph import (
     CHI_CW,
+    Atom,
+    DatasetRecord,
     MolecularGraph,
-    make_atom,
+    expand_hydrogens,
+    parse_smiles,
 )
-from moltop.vectorize import prepare_graph
-from moltop.molgraph import parse_smiles
+from moltop.vectorize import graph_from_record
 from dataclasses import replace
 
-from oracles import mirror, relabel
+from oracles import mirror, nearest_rank_deciles, relabel, sublevel_sets
 
 
 def prepared(smiles):
-    return prepare_graph(parse_smiles(smiles))
+    return expand_hydrogens(parse_smiles(smiles))
+
+
+def sequence(graph, kind, charge_thresholds=None):
+    return build_sequence(graph, make_spec(kind, charge_thresholds))
 
 
 LAMIVUDINE = "NC1=NC(=O)N(C=C1)[C@@H]1CS[C@H](CO)O1"
@@ -37,26 +42,26 @@ LAMIVUDINE = "NC1=NC(=O)N(C=C1)[C@@H]1CS[C@H](CO)O1"
 
 class TestChiralityValue:
     def test_untagged_low_degree_nitrogen(self):
-        atom = make_atom(0, "N")
+        atom = Atom(0, "N")
         assert chirality_value(atom, degree=3) == 0
 
     def test_cw_is_one(self):
-        atom = make_atom(0, "C", chirality="CW")
+        atom = Atom(0, "C", chirality="CW")
         assert chirality_value(atom, degree=4) == 1
 
     def test_ccw_is_two(self):
-        atom = make_atom(0, "C", chirality="CCW")
+        atom = Atom(0, "C", chirality="CCW")
         assert chirality_value(atom, degree=4) == 2
 
     def test_tag_with_wrong_degree_is_zero(self):
-        atom = make_atom(0, "C", chirality="CW")
+        atom = Atom(0, "C", chirality="CW")
         assert chirality_value(atom, degree=3) == 0
 
 
 class TestAtomicMass:
     def test_lamivudine_ten_nested_levels(self):
         g = prepared(LAMIVUDINE)
-        seq = atomic_mass_sequence(g)
+        seq = sequence(g, "ATOMIC_MASS")
         assert len(seq.subsets) == 10
         hydrogens = {a.id for a in g.atoms if a.element == "H"}
         assert seq.subsets[0] == hydrogens
@@ -66,7 +71,7 @@ class TestAtomicMass:
 
     def test_hydrocarbon_saturates_at_level_two(self):
         g = prepared("CCCC")
-        seq = atomic_mass_sequence(g)
+        seq = sequence(g, "ATOMIC_MASS")
         hydrogens = {a.id for a in g.atoms if a.element == "H"}
         everything = {a.id for a in g.atoms}
         assert seq.subsets[0] == hydrogens
@@ -74,28 +79,28 @@ class TestAtomicMass:
             assert level == everything
 
     def test_single_hydrogen_atom(self):
-        g = MolecularGraph("h", (make_atom(0, "H"),), ())
-        seq = atomic_mass_sequence(g)
+        g = MolecularGraph("h", (Atom(0, "H"),), ())
+        seq = sequence(g, "ATOMIC_MASS")
         assert all(level == {0} for level in seq.subsets)
 
     def test_boron_rejected(self):
-        g = MolecularGraph("b", (make_atom(0, "B"),), ())
+        g = MolecularGraph("b", (Atom(0, "B"),), ())
         with pytest.raises(UnsupportedElementError):
-            atomic_mass_sequence(g)
+            sequence(g, "ATOMIC_MASS")
 
 
 class TestPartialCharge:
     def test_equal_charges_degenerate(self):
         g = prepared("CCCC")
         g = replace(g, atoms=tuple(replace(a, partial_charge=0.25) for a in g.atoms))
-        seq = partial_charge_sequence(g)
+        seq = sequence(g, "PARTIAL_CHARGE")
         everything = {a.id for a in g.atoms}
         assert all(level == everything for level in seq.subsets)
 
     def test_twenty_distinct_charges_nearest_rank(self):
-        atoms = tuple(make_atom(i, "C", partial_charge=float(i)) for i in range(20))
+        atoms = tuple(Atom(i, "C", partial_charge=float(i)) for i in range(20))
         g = MolecularGraph("toy", atoms, ())
-        seq = partial_charge_sequence(g)
+        seq = sequence(g, "PARTIAL_CHARGE")
         assert [len(level) for level in seq.subsets] == [2 * i for i in range(1, 11)]
 
     def test_missing_charge_names_atom(self):
@@ -104,13 +109,13 @@ class TestPartialCharge:
         atoms[3] = replace(atoms[3], partial_charge=None)
         g = replace(g, atoms=tuple(atoms))
         with pytest.raises(ChargesRequiredError) as err:
-            partial_charge_sequence(g)
+            sequence(g, "PARTIAL_CHARGE")
         assert "atom 3" in str(err.value)
 
     def test_global_boundaries_override(self):
         g = assign_reference_charges(prepared("CCO"))
         bounds = decile_boundaries([-1.0, -0.5, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9, 1.0])
-        seq = partial_charge_sequence(g, boundaries=bounds)
+        seq = sequence(g, "PARTIAL_CHARGE", bounds)
         assert seq.spec.thresholds == bounds
         for lo, hi in zip(seq.subsets, seq.subsets[1:]):
             assert lo <= hi
@@ -119,10 +124,16 @@ class TestPartialCharge:
         assert decile_boundaries([5.0]) == (5.0,) * 10
         assert decile_boundaries([1.0, 2.0]) == (1.0,) * 5 + (2.0,) * 5
 
+    def test_empty_graph_is_a_data_error(self):
+        with pytest.raises(DataError):
+            decile_boundaries([])
+        with pytest.raises(DataError):
+            sequence(MolecularGraph("e", (), ()), "PARTIAL_CHARGE")
+
 
 def bond_category(atom_id, g):
     """Index of the first bond-type sublevel holding the atom (its value)."""
-    levels = bond_type_sequence(g).subsets
+    levels = sequence(g, "BOND_TYPE").subsets
     return next(i for i, level in enumerate(levels) if atom_id in level)
 
 
@@ -133,7 +144,7 @@ class TestBondType:
 
     def test_terminal_alkyne_carbon(self):
         g = prepared("CC#C")
-        seq = bond_type_sequence(g)
+        seq = sequence(g, "BOND_TYPE")
         assert bond_category(2, g) == 1
         assert 2 in seq.subsets[1]
         assert 2 not in seq.subsets[0]
@@ -143,7 +154,7 @@ class TestBondType:
         assert bond_category(0, g) == 3
 
     def test_isolated_atom_lowest_category(self):
-        g = MolecularGraph("ion", (make_atom(0, "Cl", formal_charge=-1),), ())
+        g = MolecularGraph("ion", (Atom(0, "Cl", formal_charge=-1),), ())
         assert bond_category(0, g) == 3
 
     def test_double_bond_category(self):
@@ -169,7 +180,7 @@ class TestBuildSequence:
     def test_chirality_single_cw_center(self):
         g = prepared("N[C@@H](C)C(=O)O")
         assert g.atoms[1].chirality == CHI_CW
-        seq = chirality_sequence(g)
+        seq = sequence(g, "CHIRALITY")
         everything = {a.id for a in g.atoms}
         assert seq.subsets[0] == everything - {1}
         assert seq.subsets[1] == everything
@@ -215,10 +226,66 @@ class TestBuildSequence:
             assert build_sequence(g, make_spec(kind)) == build_sequence(g, make_spec(kind))
 
 
+class TestAgainstScanOracle:
+    """The sorted-prefix levels equal one scan of every atom per level."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, small_records):
+        return [graph_from_record(DatasetRecord(d["record_id"], 0.0, graph=d["graph"]))
+                for d in small_records]
+
+    def test_canonical_specs(self, graphs):
+        for g in graphs:
+            for kind in FILTRATION_KINDS:
+                seq = sequence(g, kind)
+                want = make_spec(kind).thresholds
+                if want is None:
+                    want = nearest_rank_deciles(a.partial_charge for a in g.atoms)
+                assert seq.spec.thresholds == want
+                assert seq.subsets == sublevel_sets(g, kind, want), (g.name, kind)
+
+    def test_global_charge_thresholds(self, graphs):
+        pooled = nearest_rank_deciles(a.partial_charge for g in graphs for a in g.atoms)
+        for g in graphs:
+            assert sequence(g, "PARTIAL_CHARGE", pooled).subsets == \
+                sublevel_sets(g, "PARTIAL_CHARGE", pooled), g.name
+
+    def test_custom_thresholds_are_honoured(self, graphs):
+        rng = np.random.default_rng(17)
+        grids = {"ATOMIC_MASS": np.arange(0.0, 130.0, 0.5),
+                 "PARTIAL_CHARGE": np.arange(-0.4, 0.4, 0.01),
+                 "BOND_TYPE": np.arange(-1.0, 4.0, 0.5),
+                 "CHIRALITY": np.arange(-1.0, 3.0, 0.5)}
+        for g in graphs:
+            for kind, grid in grids.items():
+                picks = np.sort(rng.choice(grid, LEVEL_COUNTS[kind], replace=False))
+                thresholds = tuple(float(x) for x in picks)
+                seq = build_sequence(g, FiltrationSpec(kind, thresholds))
+                assert seq.subsets == sublevel_sets(g, kind, thresholds), (g.name, kind)
+
+    def test_custom_mass_thresholds(self):
+        g = prepared("CCO")
+        hydrogens = frozenset(a.id for a in g.atoms if a.element == "H")
+        seq = build_sequence(g, FiltrationSpec("ATOMIC_MASS", tuple(10.0 * i for i in range(10))))
+        assert seq.subsets == (frozenset(), hydrogens) + (frozenset(range(g.n_atoms)),) * 8
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
-        FiltrationSpec("ATOMIC_MASS", 9, None)
+        FiltrationSpec("ATOMIC_MASS", tuple(range(9)))
     with pytest.raises(ValueError):
-        FiltrationSpec("BOND_TYPE", 4, (3, 2, 1, 0))
+        FiltrationSpec("BOND_TYPE", (3, 2, 1, 0))
+    # a NaN threshold would make levels that are not nested
+    for kind, thresholds in (("ATOMIC_MASS", (math.nan,) + tuple(range(10, 100, 10))),
+                             ("PARTIAL_CHARGE", (0.0,) * 9 + (math.nan,))):
+        with pytest.raises(ValueError):
+            FiltrationSpec(kind, thresholds)
     with pytest.raises(ValueError):
         make_spec("NODE_DEGREE")
+
+
+def test_only_partial_charge_takes_no_thresholds():
+    for kind in ("ATOMIC_MASS", "BOND_TYPE", "CHIRALITY"):
+        with pytest.raises(ValueError):
+            FiltrationSpec(kind, None)
+    assert FiltrationSpec("PARTIAL_CHARGE", None).levels == 10

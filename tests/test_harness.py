@@ -21,9 +21,9 @@ from moltop.harness import (
     run_benchmark,
     run_config_from_dict,
 )
-from moltop.molgraph import DatasetRecord, parse_smiles
+from moltop.molgraph import DatasetRecord, expand_hydrogens, parse_smiles
 from moltop.sglb import decompose, load_ensemble
-from moltop.vectorize import prepare_graph, read_fingerprints_csv
+from moltop.vectorize import read_fingerprints_csv
 
 from oracles import hop_distances, naive_f1, naive_prc_auc, naive_roc_auc
 
@@ -283,7 +283,7 @@ class TestPrepareRun:
                                     "kinds": ["ATOMIC_MASS"]})
         diameters = []
         for s in smiles:
-            graph = prepare_graph(parse_smiles(s))
+            graph = expand_hydrogens(parse_smiles(s))
             adj = np.zeros((graph.n_atoms, graph.n_atoms), dtype=int)
             for bond in graph.bonds:
                 adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1

@@ -1,4 +1,3 @@
-import importlib.resources
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from moltop.molgraph import (
     Bond,
     DatasetRecord,
     MolecularGraph,
+    expand_hydrogens,
     load_graph_json,
     parse_smiles,
 )
@@ -29,7 +29,6 @@ from moltop.vectorize import (
     DISTANCE_MODES,
     diagram_records,
     graph_from_record,
-    prepare_graph,
     row_diagrams,
 )
 
@@ -48,7 +47,7 @@ from oracles import (
 
 def skeleton(adj):
     """A carbon skeleton with the bonds of a 0/1 adjacency matrix."""
-    atoms = tuple(Atom(i, "C", 12.011) for i in range(len(adj)))
+    atoms = tuple(Atom(i, "C") for i in range(len(adj)))
     bonds = tuple(Bond(int(u), int(v), "SINGLE") for u, v in zip(*np.nonzero(np.triu(adj))))
     return MolecularGraph("skeleton", atoms, bonds)
 
@@ -66,19 +65,18 @@ def cycle_distances(n):
 
 
 def cytosine_graph():
-    path = importlib.resources.files("moltop.data").joinpath("cytosine.json")
-    return load_graph_json(str(path))
+    return load_graph_json(Path(__file__).parent / "data" / "cytosine.json")
 
 
 class TestGeodesicDistances:
     def test_path(self):
-        g = prepare_graph(parse_smiles("OO"))  # H-O-O-H after expansion
+        g = expand_hydrogens(parse_smiles("OO"))  # H-O-O-H after expansion
         d = geodesic_distances(g)
         assert d.hops[2, 3] == 3  # hydrogen to hydrogen across the path
         assert d.diameter == 3
 
     def test_six_cycle(self):
-        g = prepare_graph(parse_smiles("c1ccccc1"))
+        g = expand_hydrogens(parse_smiles("c1ccccc1"))
         d = geodesic_distances(g)
         ring = [a.id for a in g.atoms if a.element == "C"]
         assert max(d.hops[u, v] for u in ring for v in ring) == 3
@@ -127,7 +125,7 @@ class TestGeodesicDistances:
             assert np.array_equal(geodesic_distances(g).hops, hop_distances(adj))
 
     def test_induced_subgraph_mode(self):
-        g = prepare_graph(parse_smiles("CCC"))  # propane: C0-C1-C2
+        g = expand_hydrogens(parse_smiles("CCC"))  # propane: C0-C1-C2
         full = geodesic_distances(g)
         assert full.hops[0, 2] == 2
         sub = row_hops(g, {0, 2})
@@ -359,7 +357,7 @@ class TestOracleEquivalence:
 
     def test_essential_count_is_component_count(self):
         g = parse_smiles("CC.O.[Cl-]")
-        g = prepare_graph(g)
+        g = expand_hydrogens(g)
         dist = geodesic_distances(g)
         pd0, _ = reduce_complex(
             build_vr_row({a.id for a in g.atoms}, dist.hops, max(dist.diameter, 1)))
@@ -465,7 +463,7 @@ class TestCohomologyMatchesTriangleReducer:
         apart = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]])
         pd0, pd1 = self.check({0, 1}, apart, 3)
         assert pd0.essentials == (0, 0) and pd1 == PersistenceDiagram(1, (), (), 3)
-        g = prepare_graph(parse_smiles("C1CCC1.C1CCCC1.O"))
+        g = expand_hydrogens(parse_smiles("C1CCC1.C1CCCC1.O"))
         dist = geodesic_distances(g)
         for cap in range(dist.diameter + 1):
             pd0, _ = self.check(range(g.n_atoms), dist.hops, cap)
@@ -544,7 +542,7 @@ class TestStrongCollapse:
 
     def test_disconnected_molecules(self):
         for smiles in ("CC.O.[Cl-]", "C1CCC1.C1CCCC1.O", "[Cl-].[Cl-]"):
-            self.check_molecule(prepare_graph(parse_smiles(smiles)))
+            self.check_molecule(expand_hydrogens(parse_smiles(smiles)))
 
     @staticmethod
     def check_molecule(graph):
@@ -626,7 +624,7 @@ class TestStrongCollapse:
             assert got[0] == whole_diagrams(range(n), hops, n // 2)
 
     def test_diagram_dump_prints_whole_rows(self):
-        graph = prepare_graph(parse_smiles("CC(O)c1ccccc1.[Cl-]"))
+        graph = expand_hydrogens(parse_smiles("CC(O)c1ccccc1.[Cl-]"))
         specs = [make_spec(k) for k in ("ATOMIC_MASS", "BOND_TYPE", "CHIRALITY")]
         full = geodesic_distances(graph)
         docs = diagram_records(graph, specs, 6, molecule_id="m")

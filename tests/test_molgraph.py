@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from moltop.molgraph import (
     CHI_CCW,
     CHI_CW,
     CHI_NONE,
+    Atom,
+    Bond,
     DatasetRecord,
-    detect_rings,
+    MolecularGraph,
     expand_hydrogens,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -21,14 +24,22 @@ from moltop.molgraph import (
     parse_smiles,
     permutation_parity,
     ring_atoms,
+    ring_bonds,
 )
 from moltop.elements import VALENCES
 
-from oracles import components, cycle_edges, mirror, relabel, valence_slots
+from oracles import (
+    components,
+    cycle_edges,
+    load_graph6_file,
+    mirror,
+    relabel,
+    valence_slots,
+)
 
 
 def prepared(smiles):
-    return detect_rings(expand_hydrogens(parse_smiles(smiles)))
+    return expand_hydrogens(parse_smiles(smiles))
 
 
 class TestParseSmiles:
@@ -189,8 +200,7 @@ class TestDetectRings:
         g = prepared("C1CC1CC1CC1")
         edges = [b.endpoints for b in g.bonds]
         expected = cycle_edges(g.n_atoms, edges)
-        got = {b.endpoints for b in g.bonds if b.in_ring}
-        assert got == expected
+        assert ring_bonds(g) == expected
         ring_carbons = {a.id for a in g.atoms
                         if a.element == "C" and a.id in ring_atoms(g)}
         assert len(ring_carbons) == 6
@@ -198,8 +208,16 @@ class TestDetectRings:
     def test_random_graphs_match_cycle_oracle(self, random_graphs):
         for g in random_graphs[:12]:
             edges = [b.endpoints for b in g.bonds]
-            assert {b.endpoints for b in g.bonds if b.in_ring} == \
-                cycle_edges(g.n_atoms, edges)
+            assert ring_bonds(g) == cycle_edges(g.n_atoms, edges)
+
+    def test_bundled_graphs_match_cycle_oracle(self):
+        graphs = load_graph6_file(Path(__file__).parent / "data" / "connected_graphs_le7.g6")
+        assert len(graphs) == 996
+        for adj in graphs:
+            edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))]
+            g = MolecularGraph("g", tuple(Atom(i, "C") for i in range(len(adj))),
+                               tuple(Bond(u, v, "SINGLE") for u, v in edges))
+            assert ring_bonds(g) == cycle_edges(len(adj), edges), adj.tolist()
 
 
 class TestJsonFormat:

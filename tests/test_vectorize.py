@@ -14,14 +14,13 @@ from moltop.errors import (
 )
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, make_spec
 from moltop.homology import PersistenceDiagram
-from moltop.molgraph import DatasetRecord, parse_smiles
+from moltop.molgraph import DatasetRecord, expand_hydrogens, parse_smiles
 from moltop.vectorize import (
     FingerprintLayout,
     assemble,
     betti_curves,
     diagram_records,
     fingerprint_dataset,
-    prepare_graph,
     read_fingerprints_csv,
     slice_table,
     write_fingerprints_csv,
@@ -33,7 +32,7 @@ ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 
 
 def charged(smiles):
-    return assign_reference_charges(prepare_graph(parse_smiles(smiles)))
+    return assign_reference_charges(expand_hydrogens(parse_smiles(smiles)))
 
 
 class TestBettiCurve:
@@ -148,7 +147,7 @@ class TestAssemble:
             assemble(g, [make_spec("ATOMIC_MASS")], 5)
 
     def test_missing_charges_propagate(self):
-        g = prepare_graph(parse_smiles("CC"))
+        g = expand_hydrogens(parse_smiles("CC"))
         with pytest.raises(DataError):
             assemble(g, ALL_SPECS, 5)
 
