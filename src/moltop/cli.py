@@ -7,6 +7,7 @@ distance, bench.  Exit codes: 0 ok, 2 config error, 3 data error,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -49,8 +50,8 @@ from .sglb import (
 )
 from .vectorize import (
     diagram_records,
-    graph_from_record,
     kind_specs,
+    map_records,
     read_fingerprints_csv,
 )
 
@@ -79,22 +80,21 @@ def _emit(text, out_dir, name) -> int:
     return 0
 
 
+def _diagram_lines(graph, record_id, specs, k_grid, distance_mode) -> str:
+    return "".join(json.dumps(doc, sort_keys=True) + "\n"
+                   for doc in diagram_records(graph, specs, k_grid, distance_mode, record_id))
+
+
 def _cmd_fingerprint(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     prep = prepare_run(cfg)
     write_fingerprint_artifacts(cfg.out_dir, prep.table, prep.load_errors)
-    if args.dump_diagrams:
-        path = os.path.join(cfg.out_dir, "diagrams.jsonl")
-        specs = kind_specs(cfg.kinds, prep.charge_thresholds)
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in prep.records:
-                try:
-                    graph = graph_from_record(record)
-                    for doc in diagram_records(graph, specs, prep.k_grid,
-                                               cfg.distance_mode, record.record_id):
-                        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-                except DataError:
-                    continue  # already in the error report
+    if args.dump_diagrams:  # a failed record is already in the error report
+        texts, _ = map_records(functools.partial(
+            _diagram_lines, specs=kind_specs(cfg.kinds, prep.charge_thresholds),
+            k_grid=prep.k_grid, distance_mode=cfg.distance_mode), prep.records, cfg.threads)
+        with open(os.path.join(cfg.out_dir, "diagrams.jsonl"), "w", encoding="utf-8") as fh:
+            fh.writelines(texts)
     print(f"fingerprinted {len(prep.table.fingerprints)} of {len(prep.records)} "
           f"records (k_grid={prep.k_grid}) -> {cfg.out_dir}")
     return 0

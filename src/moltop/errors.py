@@ -1,11 +1,15 @@
 """Exception hierarchy shared across the toolkit, the one reader of input files,
-and the one type check of the values read from them.
+the one type check of the values read from them, and the one process fan-out.
 
 The CLI maps these onto its exit-code table: configuration problems -> 2,
 data/input problems -> 3, violated internal invariants -> 4.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import json
+import os
 
 
 class MoltopError(Exception):
@@ -80,3 +84,20 @@ def read_json(path, what: str, error=DataError):
         return json.loads(read_text(path, what, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: cannot read {what} (not JSON: {exc})") from None
+
+
+def process_map(fn, tasks, threads: int, lost) -> list:
+    """``[fn(t) for t in tasks]``, in-process at one thread or task, else on at most
+    min(threads, len(tasks), CPU count) worker processes.  A worker that dies
+    raises MoltopError(lost(done)), done counting the results that returned."""
+    if threads <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    results = []
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for result in pool.map(fn, tasks, chunksize=max(1, len(tasks) // (workers * 8))):
+                results.append(result)
+    except BrokenProcessPool:
+        raise MoltopError(lost(len(results))) from None
+    return results

@@ -27,7 +27,7 @@ from .vectorize import (
     KIND_ABBREV,
     FingerprintTable,
     fingerprint_dataset,
-    graph_from_record,
+    map_records,
     slice_table,
     write_fingerprints_csv,
 )
@@ -282,6 +282,9 @@ def apply_split(records, split_mode: str = "random", split_path=None,
             tag = (row[split_col] or "").strip().upper()  # None: the row is short
             if tag not in SPLIT_TAGS:
                 raise DataError(f"{split_path} line {reader.line_num}: invalid split tag {tag!r}")
+            if row[id_col] in assignment:
+                raise DataError(f"{split_path} line {reader.line_num}: "
+                                f"repeated record id {row[id_col]!r}")
             assignment[row[id_col]] = tag
         missing = [r.record_id for r in records if r.record_id not in assignment]
         if missing:
@@ -435,12 +438,14 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     k_grid = cfg.k_grid
     charge_thresholds = None
     if k_grid is None or cfg.decile_mode == "global":
-        diameters, charges = _prescan(records)
+        # records that fail are left to the fingerprint stage's error report
+        scans, _ = map_records(_prescan, records)
         if k_grid is None:
-            if not diameters:
+            if not scans:
                 raise DataError("no graphs available to choose k_grid from")
-            k_grid = min(K_GRID_CAP, max(max(diameters), 1))
+            k_grid = min(K_GRID_CAP, max(max(d for d, _ in scans), 1))
         if cfg.decile_mode == "global":
+            charges = [c for _, graph_charges in scans for c in graph_charges]
             if not charges:
                 raise DataError("global decile mode needs partial charges")
             charge_thresholds = decile_boundaries(charges)
@@ -452,19 +457,10 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
                        time.perf_counter() - t0)
 
 
-def _prescan(records):
-    """Graph diameters and the pooled charge multiset."""
-    diameters = []
-    charges = []
-    for record in records:
-        try:
-            graph = graph_from_record(record)
-        except DataError:
-            continue  # the fingerprint stage reports per-record failures
-        diameters.append(geodesic_distances(graph).diameter)
-        charges.extend(a.partial_charge for a in graph.atoms
-                       if a.partial_charge is not None)
-    return diameters, charges
+def _prescan(graph, record_id):
+    """The graph's diameter and partial charges."""
+    return (geodesic_distances(graph).diameter,
+            [a.partial_charge for a in graph.atoms if a.partial_charge is not None])
 
 
 def training_matrix(records, table: FingerprintTable):

@@ -26,8 +26,6 @@ the knowledge (epistemic) part of the uncertainty, the average per-member
 spread gives the data (aleatoric) part.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import functools
@@ -38,7 +36,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LayoutMismatchError, MoltopError, read_json, typed
+from .errors import ConfigError, DataError, LayoutMismatchError, process_map, read_json, typed
 from .vectorize import FingerprintLayout
 
 TASK_REGRESSION = "REGRESSION_WITH_UNCERTAINTY"
@@ -434,10 +432,6 @@ class SglbEnsemble:
                 f"trained on: {layout.to_dict()} vs {self.layout.to_dict()}")
 
 
-def _member_seed(base_seed: int, m: int) -> int:
-    return base_seed + m
-
-
 def _fit_member(args):
     return fit(*args)
 
@@ -445,21 +439,14 @@ def _fit_member(args):
 def fit_ensemble(X, y, config: SglbConfig, layout: FingerprintLayout | None = None,
                  threads: int = 1) -> SglbEnsemble:
     """Train ensemble_size independent models with member seeds seed + m,
-    all from one binning of X."""
+    all from one binning of X, on up to ``threads`` worker processes."""
     X, y = _validate_training_data(X, y, config.task)
     binned = _Binned(X, config.max_bins)
-    tasks = [(X, y, replace(config, seed=_member_seed(config.seed, m)), layout, binned)
+    tasks = [(X, y, replace(config, seed=config.seed + m), layout, binned)
              for m in range(config.ensemble_size)]
-    if threads <= 1 or len(tasks) == 1:
-        members = [_fit_member(t) for t in tasks]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-                members = list(pool.map(_fit_member, tasks))
-        except BrokenProcessPool:
-            raise MoltopError(
-                f"an SGLB worker died fitting the {len(tasks)}-member ensemble "
-                f"with seed {config.seed}") from None
+    members = process_map(_fit_member, tasks, threads, lambda done: (
+        f"an SGLB worker died fitting the {len(tasks)}-member ensemble "
+        f"with seed {config.seed}"))
     return SglbEnsemble(config, tuple(members))
 
 
@@ -581,6 +568,8 @@ def _array(values, kinds, ndim, what) -> np.ndarray:
     if array is None or array.ndim != ndim or array.dtype.kind not in kinds:
         raise DataError(f"{what}: expected a {ndim}-D array of "
                         + ("integers" if kinds == "iu" else "numbers"))
+    if not np.isfinite(array).all():  # json reads NaN and Infinity
+        raise DataError(f"{what}: non-finite number")
     return array
 
 
@@ -614,8 +603,9 @@ def ensemble_from_dict(doc: dict) -> SglbEnsemble:
         raise DataError("model members must be a non-empty list")
     config = SglbConfig.from_dict(config, DataError)
     members = tuple(model_from_dict(m) for m in members)
-    if any(m.config.task != config.task for m in members):
-        raise DataError("model members must share the model's task")
+    first = (config.task, members[0].layout, members[0].feature_count)
+    if any((m.config.task, m.layout, m.feature_count) != first for m in members):
+        raise DataError("model members must share the model's task, layout and feature_count")
     return SglbEnsemble(config, members)
 
 

@@ -8,16 +8,15 @@ scale j, and essential classes count towards every column at or after their
 birth.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import csv
+import functools
 import io
 
 import numpy as np
 
-from .errors import DataError, LayoutMismatchError, MoltopError, read_text, typed
+from .errors import DataError, LayoutMismatchError, process_map, read_text, typed
 from .filtration import (
     LEVEL_COUNTS,
     PARTIAL_CHARGE_KIND,
@@ -245,58 +244,47 @@ def kind_specs(kinds, charge_thresholds=None):
             for k in kinds]
 
 
-def _fingerprint_one(args):
-    record, kinds, charge_thresholds, k_grid, distance_mode = args
+def _on_record(fn, record):
     try:
-        graph = graph_from_record(record)
-        fp = assemble(graph, kind_specs(kinds, charge_thresholds), k_grid,
-                      distance_mode, record_id=record.record_id)
-        return ("ok", fp)
+        return fn(graph_from_record(record), record.record_id), None
     except DataError as exc:  # a bad record never aborts a run; a bug does
-        return ("err", {"record_id": record.record_id, "error": str(exc)})
+        return None, {"record_id": record.record_id, "error": str(exc)}
+
+
+def map_records(fn, records, threads: int = 1):
+    """``fn(graph, record_id)`` of each record's graph in input order, on up to
+    ``threads`` processes, and the ``{"record_id", "error"}`` of each record
+    whose graph or result raised a DataError.  A dead worker raises a
+    MoltopError naming the records whose results had not returned."""
+
+    def lost(done):
+        ids = [r.record_id for r in records[done:]]
+        return (f"a worker died; {len(ids)} records had not returned: "
+                + ", ".join(ids[:10]) + (", ..." if len(ids) > 10 else ""))
+    pairs = process_map(functools.partial(_on_record, fn), records, threads, lost)
+    return [r for r, e in pairs if e is None], [e for _, e in pairs if e is not None]
+
+
+def _fingerprint(graph, record_id, specs, k_grid, distance_mode):
+    return assemble(graph, specs, k_grid, distance_mode, record_id=record_id)
 
 
 def fingerprint_dataset(records, kinds, k_grid: int, threads: int = 1,
                         distance_mode: str = "full_graph",
                         charge_thresholds=None) -> FingerprintTable:
-    """One fingerprint per record, in input order, independent of thread count.
-
-    Per-record data errors are collected; the run fails if nothing succeeds.
-    Any other exception, such as an InternalInvariantError, propagates.  A
-    worker process that dies raises a MoltopError naming the records whose
-    results had not returned.
-    """
-    records = list(records)
+    """One fingerprint per record (see ``map_records``), independent of thread
+    count, and the per-record data errors; the run fails if nothing succeeds."""
+    records, kinds = list(records), tuple(kinds)
     if not records:
         raise DataError("no records to fingerprint")
-    kinds = tuple(kinds)
-    layout = FingerprintLayout(LAYOUT_VERSION, kinds, k_grid)
-    tasks = [(r, kinds, charge_thresholds, k_grid, distance_mode) for r in records]
-    if threads <= 1:
-        results = [_fingerprint_one(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (threads * 8))
-        results = []
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for result in pool.map(_fingerprint_one, tasks, chunksize=chunk):
-                    results.append(result)
-        except BrokenProcessPool:
-            lost = [r.record_id for r in records[len(results):]]
-            raise MoltopError(
-                f"a fingerprint worker died; {len(lost)} records had not returned: "
-                + ", ".join(lost[:10]) + (", ..." if len(lost) > 10 else "")) from None
-    fingerprints = []
-    errors = []
-    for status, payload in results:
-        if status == "ok":
-            fingerprints.append(payload)
-        else:
-            errors.append(payload)
+    fingerprints, errors = map_records(functools.partial(
+        _fingerprint, specs=kind_specs(kinds, charge_thresholds), k_grid=k_grid,
+        distance_mode=distance_mode), records, threads)
     if not fingerprints:
         raise DataError(f"all {len(records)} records failed; first error: "
                         f"{errors[0]['error']}")
-    return FingerprintTable(layout, tuple(fingerprints), tuple(errors))
+    return FingerprintTable(FingerprintLayout(LAYOUT_VERSION, kinds, k_grid),
+                            tuple(fingerprints), tuple(errors))
 
 
 def slice_table(table: FingerprintTable, kinds) -> FingerprintTable:
@@ -344,18 +332,22 @@ def read_fingerprints_csv(path) -> FingerprintTable:
         layout = FingerprintLayout(meta["version"], kinds, int(meta["k_grid"]))
     except (KeyError, ValueError):
         raise DataError(f"{path}: malformed header line {magic!r}") from None
-    reader = csv.reader(fh)
+    reader = csv.reader(fh)  # file line reader.line_num + 1: it starts after the magic
     header = next(reader, [])
     if header[1:] != layout.column_names():
         raise DataError(f"{path}: column names do not match the declared layout")
-    fps = []
+    fps = {}
     for row in reader:
         try:
             vector = np.array([int(x) for x in row[1:]], dtype=np.int64)
         except ValueError:
-            raise DataError(f"{path} line {reader.line_num}: non-integer entry") from None
+            raise DataError(f"{path} line {reader.line_num + 1}: non-integer entry") from None
         if vector.shape[0] != layout.length:
-            raise DataError(f"{path} line {reader.line_num}: wrong number of entries")
-        fps.append(Fingerprint(row[0], layout, vector))
-    return FingerprintTable(layout, tuple(fps), ())
+            raise DataError(f"{path} line {reader.line_num + 1}: wrong number of entries")
+        if row[0] in fps:
+            raise DataError(f"{path} line {reader.line_num + 1}: repeated record id {row[0]!r}")
+        fps[row[0]] = Fingerprint(row[0], layout, vector)
+    if not fps:
+        raise DataError(f"{path}: no fingerprint rows")
+    return FingerprintTable(layout, tuple(fps.values()), ())
 

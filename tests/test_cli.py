@@ -96,6 +96,31 @@ def test_global_decile_dump_matches_fingerprints(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("decile_mode", ["per_molecule", "global"])
+def test_diagram_dump_is_independent_of_threads(tiny_dataset_path, tmp_path, capsys,
+                                                decile_mode):
+    # One record has no partial charges: it fails and is left out of the dump.
+    data = tmp_path / "data.jsonl"
+    data.write_text(tiny_dataset_path.read_text()
+                    + json.dumps({"record_id": "nocharge", "target": 1.0, "smiles": "C"})
+                    + "\n")
+    dumps = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        cfg = tmp_path / f"cfg{threads}.json"
+        cfg.write_text(json.dumps({"dataset": {"path": str(data)}, "task": "regression",
+                                   "k_grid": 8, "decile_mode": decile_mode,
+                                   "threads": threads, "out_dir": str(out)}))
+        assert main(["fingerprint", "--config", str(cfg), "--dump-diagrams"]) == 0
+        errors = json.loads((out / "errors.json").read_text())["fingerprint_errors"]
+        assert [e["record_id"] for e in errors] == ["nocharge"]
+        dumps.append((out / "diagrams.jsonl").read_bytes())
+    assert dumps[0] == dumps[1]
+    molecules = {json.loads(line)["molecule"] for line in dumps[0].splitlines()}
+    assert len(molecules) == 40 and "nocharge" not in molecules
+    capsys.readouterr()
+
+
 def test_internal_invariant_error_exits_4(config_path, monkeypatch, capsys):
     from moltop import vectorize
 
@@ -260,6 +285,16 @@ def _bad_model(kind, good_model):
         member["config"]["max_depth"] = 0
     elif kind == "seed-negative":
         member["config"]["seed"] = -1
+    elif kind == "threshold-nan":  # json writes the NaN literal, which json reads back
+        tree["threshold"][0] = math.nan
+    elif kind == "base-infinity":
+        member["base"][0] = math.inf
+    elif kind == "value-infinity":
+        tree["value"][0][0] = -math.inf
+    elif kind == "member-other-layout":
+        doc["members"][1]["layout"]["k_grid"] += 1
+    elif kind == "member-other-feature-count":
+        doc["members"][1]["feature_count"] += 1
     return doc
 
 
@@ -267,7 +302,8 @@ _BAD_MODELS = ("not-object", "no-config", "no-members", "member-no-keys",
                "member-not-object", "tree-not-object", "config-unknown-key",
                "iterations-not-int", "feature-not-int", "feature-count-not-int",
                "base-not-number", "layout-no-kinds", "left-short", "max-depth-zero",
-               "seed-negative")
+               "seed-negative", "threshold-nan", "base-infinity", "value-infinity",
+               "member-other-layout", "member-other-feature-count")
 
 
 def _bad_file(kind, trained, path):
@@ -287,6 +323,11 @@ def _bad_file(kind, trained, path):
     elif kind == "blank-line":
         lines = good_csv.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    elif kind == "no-rows":
+        path.write_text("\n".join(good_csv.read_text().splitlines()[:2]) + "\n")
+    elif kind == "repeated-id":
+        lines = good_csv.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[2:3]) + "\n")
     return path  # "missing": never written
 
 
@@ -299,7 +340,8 @@ def _bad_file(kind, trained, path):
       for command in ("predict", "rank-uncertainty") for kind in _BAD_MODELS],
     *[(command, "--fingerprints", kind)
       for command in ("train", "predict", "rank-uncertainty")
-      for kind in ("missing", "not-utf8", "bad-magic", "non-integer", "blank-line")],
+      for kind in ("missing", "not-utf8", "bad-magic", "non-integer", "blank-line",
+                   "no-rows", "repeated-id")],
     ("evaluate", "--predictions", "missing"),
     ("evaluate", "--predictions", "not-utf8"),
     ("distance", "--pairs", "missing"),

@@ -150,6 +150,13 @@ class TestApplySplit:
             apply_split(self.make_records(2), "file", split)
         assert f"{split} line {line}:" in str(err.value)
 
+    def test_repeated_id_names_id_and_line(self, tmp_path):
+        split = tmp_path / "split.csv"
+        split.write_text("record_id,split\nr0,TRAIN\nr1,TEST\nr0,TEST\n")
+        with pytest.raises(DataError) as err:
+            apply_split(self.make_records(2), "file", split)
+        assert f"{split} line 4:" in str(err.value) and "'r0'" in str(err.value)
+
     def test_random_sizes_80_10_10(self):
         tagged = apply_split(self.make_records(100), "random", seed=0)
         counts = {tag: sum(1 for r in tagged if r.split == tag)

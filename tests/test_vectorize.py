@@ -213,6 +213,33 @@ class TestDatasetFingerprinting:
             fingerprint_dataset(self.make_records(6), FILTRATION_KINDS, 8, threads=2)
         assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
 
+    @pytest.mark.parametrize("threads,n,cpus,workers", [
+        (64, 6, 2, 2), (64, 3, 8, 3), (2, 6, 8, 2), (1, 6, 8, None), (4, 1, 8, None)])
+    def test_worker_count_is_capped(self, monkeypatch, threads, n, cpus, workers):
+        # A stand-in pool records the size it is asked for and starts no process.
+        from moltop import errors
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(errors, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        records = self.make_records(n)
+        table = fingerprint_dataset(records, FILTRATION_KINDS, 8, threads=threads)
+        assert asked == ([] if workers is None else [workers])
+        assert table == fingerprint_dataset(records, FILTRATION_KINDS, 8)
+
     def test_graph_path_record_matches_inline_graph(self, tmp_path):
         # A record naming a molecule JSON file fingerprints like the same
         # molecule given inline.
@@ -269,6 +296,17 @@ class TestOnDiskFormats:
         path.write_text("record_id,a,b\nfoo,1,2\n")
         with pytest.raises(DataError):
             read_fingerprints_csv(path)
+
+    def test_csv_repeated_id_names_id_and_file_line(self, tmp_path):
+        table = fingerprint_dataset(TestDatasetFingerprinting().make_records(3),
+                                    FILTRATION_KINDS, 8)
+        path = tmp_path / "fp.csv"
+        write_fingerprints_csv(table, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[3:4]) + "\n")  # r001 again, on line 6
+        with pytest.raises(DataError) as err:
+            read_fingerprints_csv(path)
+        assert f"{path} line 6:" in str(err.value) and "'r001'" in str(err.value)
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
