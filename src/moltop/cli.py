@@ -149,10 +149,15 @@ def _cmd_evaluate(args) -> int:
     for column in ("record_id", "prediction"):
         if column not in (reader.fieldnames or ()):
             raise DataError(f"{args.predictions}: no {column!r} column")
+    first_line = {}
     for row in reader:
         rid = row["record_id"]
         if rid not in targets:
             raise DataError(f"prediction for unknown record {rid!r}")
+        first = first_line.setdefault(rid, reader.line_num)
+        if first != reader.line_num:
+            raise DataError(f"{args.predictions} line {reader.line_num}: repeated "
+                            f"record id {rid!r} (first on line {first})")
         try:
             prediction = float(row["prediction"])
         except (TypeError, ValueError):  # TypeError: the row has too few fields

@@ -187,17 +187,21 @@ def load_dataset(path, dataset_format: str | None = None):
     loader = {"csv": _load_csv, "jsonl": _load_jsonl}.get(dataset_format)
     if loader is None:
         raise ConfigError(f"unknown dataset format {dataset_format!r}")
-    records, errors = loader(read_text(path, "dataset"), path)
-    if not records:
+    numbered, errors = loader(read_text(path, "dataset"), path)
+    if not numbered:
         raise DataError(f"{path}: no usable records"
                         + (f" ({len(errors)} rows failed)" if errors else ""))
-    ids = [r.record_id for r in records]
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate record ids")
-    return records, errors
+    first_line = {}
+    for line, record in numbered:
+        first = first_line.setdefault(record.record_id, line)
+        if first != line:
+            raise DataError(f"{path} line {line}: repeated record id "
+                            f"{record.record_id!r} (first on line {first})")
+    return [record for _, record in numbered], errors
 
 
 def _load_csv(text, path):
+    """(line, record) pairs of the usable rows, and the errors of the others."""
     records, errors = [], []
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None:
@@ -214,13 +218,14 @@ def _load_csv(text, path):
             smiles = (row.get(smiles_col) or "").strip()
             target = _target(row.get(target_col))
             parse_smiles(smiles)  # reject unparsable rows up front
-            records.append(DatasetRecord(record_id, target, smiles=smiles))
+            records.append((reader.line_num, DatasetRecord(record_id, target, smiles=smiles)))
         except DataError as exc:
             errors.append({"record_id": record_id, "error": str(exc)})
     return records, errors
 
 
 def _load_jsonl(text, path):
+    """(line, record) pairs of the usable lines, and the errors of the others."""
     records, errors = [], []
     base_dir = os.path.dirname(os.path.abspath(str(path)))
     # newline=None splits at \n, \r and \r\n, as reading the file as text does
@@ -236,7 +241,7 @@ def _load_jsonl(text, path):
             if not isinstance(doc, dict):
                 raise DataError("record must be a JSON object")
             record_id = str(doc.get("record_id", record_id))
-            records.append(_jsonl_record(doc, record_id, base_dir))
+            records.append((i + 1, _jsonl_record(doc, record_id, base_dir)))
         except DataError as exc:
             errors.append({"record_id": record_id, "error": str(exc)})
     return records, errors

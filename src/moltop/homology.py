@@ -9,21 +9,29 @@ rule, capped at dimension 2).  The filtration order is (scale, dimension,
 sorted vertex tuple).  Triangles are never listed: an edge's cofacets are
 its in-range third vertices, read from the row's hop block.
 
-Reduction follows Ripser (Bauer 2021) in three steps:
+A molecule's rows are built and reduced together, in one stack.
+``build_rows`` puts each row's hop block into an (R, m, m) array, padded to
+the largest row with UNREACHABLE, and orders the edges of all rows by (row,
+scale, u, v), so each row keeps its own filtration order.  ``reduce_rows``
+then follows Ripser (Bauer 2021) in three steps, each over all rows at once:
 
-1. Apparent pairs, in one vectorized pass: an edge whose oldest cofacet has
-   that edge as its youngest face is paired with it without any reduction.
-   Every such pair enters at a single scale, so it has zero persistence.
+1. Apparent pairs, in one vectorized pass over an (edges, m) array of
+   triangle scales: an edge whose oldest cofacet has that edge as its
+   youngest face is paired with it without any reduction.  Every such pair
+   enters at a single scale, so it has zero persistence.
 2. A union-find sweep over the other edges in filtration order yields the
-   dimension-0 pairs.  The edges that merge components die in dimension 0;
+   dimension-0 pairs; vertex r * m + v stands for vertex v of row r, so rows
+   never join.  The edges that merge components die in dimension 0;
    clearing (Chen & Kerber 2011) drops their coboundary columns, which
    would reduce to zero.
 3. The few remaining cycle-creating edges are reduced as coboundary columns
    over GF(2) in reverse filtration order (persistent cohomology, de Silva,
-   Morozov & Vejdemo-Johansson 2011).  Columns are computed lazily from the
-   hop block; the pivot table starts with the apparent pivots, apparent
-   columns are recomputed when a reduction needs them, and only reduced
-   columns are stored.  A column that reduces to zero is an essential class.
+   Morozov & Vejdemo-Johansson 2011).  A triangle's key starts at its row's
+   offset, so columns of different rows never meet, and a column only looks
+   at its own row's vertices.  Columns are computed lazily from the hop
+   blocks; the pivot table starts with the apparent pivots, apparent columns
+   are recomputed when a reduction needs them, and only reduced columns are
+   stored.  A column that reduces to zero is an essential class.
 
 Cohomology yields the same pairs as boundary-matrix reduction in the same
 order; the test suite checks that against a triangle-list reducer, naive
@@ -40,7 +48,8 @@ on.  Only scale 0 differs: there x is one more component, which joins a's
 at scale 1.  So PD_1 is unchanged and PD_0 loses exactly one (0, 1) pair
 per removed vertex, which the caller adds back.  Hydrogens are always
 dominated, and repeating the rule peels chains and branches.  One call
-collapses all distinct rows of a molecule, in either distance mode.
+collapses all distinct rows of a molecule, in either distance mode, and the
+distinct vertex sets it keeps make up the molecule's one stack.
 """
 
 from dataclasses import dataclass
@@ -84,35 +93,46 @@ def geodesic_distances(graph: MolecularGraph, rows=None) -> DistanceMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class FilteredComplex:
-    """Filtered clique 2-skeleton of one row, with the triangles left implicit.
+class RowStack:
+    """Filtered clique 2-skeletons of several rows, built and reduced together.
 
-    Vertices enter at 0 and edges at the hop distance of their endpoints, in
-    (scale, u, v) order.  A triangle exists where all three vertex pairs are
-    in range; it enters at the largest of the three hops and is ordered by
-    (scale, a, b, c).  Local ids index ``vertices`` and the hop block.
+    Row r's hop block is hops[r, :k, :k] for its k = len(vertices[r]) local
+    vertices, padded to the largest row with UNREACHABLE.  Edges enter at the
+    hop distance of their endpoints, in (row, scale, u, v) order.
     """
-    vertices: tuple[int, ...]
-    edge_eps: np.ndarray    # (E,) in filtration order
+    vertices: tuple[tuple[int, ...], ...]
+    hops: np.ndarray        # (R, m, m) hop blocks, m the largest row
+    edge_row: np.ndarray    # (E,) in filtration order
+    edge_eps: np.ndarray    # (E,)
     edge_local: np.ndarray  # (E, 2) local vertex ids, u < v
-    hops: np.ndarray        # (n, n) hop block of the row
-    in_range: np.ndarray    # (n, n) bool: the pair is joined by eps_max
     eps_max: int
 
 
-def build_vr_row(vertex_set, hops: np.ndarray, eps_max: int) -> FilteredComplex:
-    """Filtered clique 2-skeleton on a vertex set; unreachable pairs never join."""
-    verts = sorted(vertex_set)
-    if not verts:
+def _inside(vertices) -> np.ndarray:
+    """(R, m) bool: local id j is a vertex of row r."""
+    sizes = np.array([len(row) for row in vertices], dtype=np.intp)
+    return np.arange(sizes.max(initial=0)) < sizes[:, None]
+
+
+def build_rows(vertex_sets, hops: np.ndarray, eps_max: int) -> RowStack:
+    """Filtered clique 2-skeletons on the vertex sets, in one stack; ``hops``
+    is one (n, n) block for every set or an (R, n, n) stack with a block per
+    set.  Unreachable pairs never join."""
+    verts = [sorted(s) for s in vertex_sets]
+    if not all(verts):
         raise DataError("vertex set must be non-empty")
-    hops = hops[np.ix_(verts, verts)]
-    in_range = (hops > 0) & (hops <= eps_max)  # > 0: off the diagonal, reachable
-    eu, ev = np.nonzero(np.triu(in_range))     # (u, v) order
-    eps = hops[eu, ev]
-    order = np.argsort(eps, kind="stable")
-    return FilteredComplex(tuple(verts), eps[order],
-                           np.stack([eu[order], ev[order]], axis=1), hops, in_range,
-                           int(eps_max))
+    inside = _inside(verts)
+    index = np.zeros(inside.shape, dtype=np.intp)
+    index[inside] = [v for row in verts for v in row]
+    hops = np.broadcast_to(hops, (len(verts),) + np.shape(hops)[-2:])
+    block = hops[np.arange(len(verts))[:, None, None], index[:, :, None], index[:, None, :]]
+    block = np.where(inside[:, :, None] & inside[:, None, :], block, UNREACHABLE)
+    in_range = (block > 0) & (block <= eps_max)  # > 0: off the diagonal, reachable
+    er, eu, ev = np.nonzero(np.triu(in_range))   # (row, u, v) order
+    eps = block[er, eu, ev]
+    order = np.argsort(er * (eps_max + 1) + eps, kind="stable")
+    return RowStack(tuple(map(tuple, verts)), block, er[order], eps[order],
+                    np.stack([eu[order], ev[order]], axis=1), int(eps_max))
 
 
 def strong_collapse(hops: np.ndarray, rows: np.ndarray, eps_max: int) -> np.ndarray:
@@ -155,108 +175,124 @@ class PersistenceDiagram:
     eps_max: int
 
 
-def _validate(cx: FilteredComplex):
-    n = len(cx.vertices)
-    hops = cx.hops
-    if (hops.shape != (n, n) or cx.in_range.shape != (n, n)
-            or not np.array_equal(hops, hops.T) or np.any(np.diagonal(hops) != 0)):
-        raise InternalInvariantError("hop block is not symmetric with a zero diagonal")
-    if not len(cx.edge_eps):
+def _validate(stack: RowStack):
+    hops = stack.hops
+    inside = _inside(stack.vertices)
+    if (hops.shape != inside.shape + inside.shape[-1:]
+            or not np.array_equal(hops, hops.swapaxes(1, 2))
+            or np.any(np.diagonal(hops, axis1=1, axis2=2)[inside] != 0)
+            or np.any(hops[~(inside[:, :, None] & inside[:, None, :])] != UNREACHABLE)):
+        raise InternalInvariantError(
+            "hop blocks are not symmetric with a zero diagonal and UNREACHABLE padding")
+    if not len(stack.edge_eps):
         return
-    u, v = cx.edge_local.T
-    if u.min() < 0 or v.max() >= n:
-        raise InternalInvariantError("an edge has an endpoint outside the vertex set")
-    key = (cx.edge_eps.astype(np.int64) * n + u) * n + v
+    r = stack.edge_row
+    u, v = stack.edge_local.T
+    n_rows, m = inside.shape
+    if r.min() < 0 or r.max() >= n_rows or u.min() < 0 or v.max() >= m or not inside[r, v].all():
+        raise InternalInvariantError("an edge has an endpoint outside its row")
+    key = ((r.astype(np.int64) * (stack.eps_max + 1) + stack.edge_eps) * m + u) * m + v
     if not (np.all(u < v) and np.all(np.diff(key) > 0)):
-        raise InternalInvariantError("edges are not sorted by (eps, u, v)")
+        raise InternalInvariantError("edges are not sorted by (row, eps, u, v)")
 
 
-def _triangle_key(n, eps, a, b, c):
-    """Rank key of the triangle a < b < c entering at eps: keys order like
-    (eps, a, b, c), and key // n**3 is eps."""
-    return ((eps * n + a) * n + b) * n + c
-
-
-def _coboundary(n: int, tri_eps: np.ndarray, eps_max: int, u: int, v: int) -> set:
-    """Keys of the cofacets of edge (u, v), u < v; ``tri_eps[w]`` is the scale
-    of the triangle {u, v, w}, above eps_max where there is none."""
+def _cofacets(tri_eps: np.ndarray, base: int, m: int, eps_max: int, u: int, v: int) -> set:
+    """Keys of the cofacets of edge (u, v), u < v, in a row whose triangle
+    keys start at ``base``; ``tri_eps[w]`` is the scale of the triangle
+    {u, v, w} for each row vertex w, above eps_max where there is none."""
     col = set()
     for w, eps in enumerate(tri_eps.tolist()):
         if eps <= eps_max:
-            if w < u:
-                col.add(_triangle_key(n, eps, w, u, v))
-            elif w < v:
-                col.add(_triangle_key(n, eps, u, w, v))
-            else:
-                col.add(_triangle_key(n, eps, u, v, w))
+            a, b, c = (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
+            col.add(base + ((eps * m + a) * m + b) * m + c)
     return col
 
 
-def reduce_complex(cx: FilteredComplex, validate: bool = True
-                   ) -> tuple[PersistenceDiagram, PersistenceDiagram]:
-    """Persistence pairing over GF(2); returns the (PD_0, PD_1) diagrams.
+def reduce_rows(stack: RowStack, validate: bool = True
+                ) -> list[tuple[PersistenceDiagram, PersistenceDiagram]]:
+    """Persistence pairing over GF(2); returns each row's (PD_0, PD_1).
 
     Zero-persistence pairs are dropped.  Edges that merge components pair
     vertex births at 0; the remaining edges create cycles, which triangles
-    kill in filtration order.
+    kill in filtration order.  All rows go through each step together, and
+    no step lets one row's simplices meet another's.
     """
     if validate:
-        _validate(cx)
-    n = len(cx.vertices)
-    eps_max = cx.eps_max
-    eps = cx.edge_eps
-    n_edges = len(eps)
-    u, v = cx.edge_local.T
-    rows = np.arange(n_edges)
+        _validate(stack)
+    if not stack.vertices:
+        return []
+    n_rows, m = stack.hops.shape[:2]
+    eps_max = stack.eps_max
+    eps = stack.edge_eps
+    r = stack.edge_row
+    u, v = stack.edge_local.T
+    edges = np.arange(len(eps))
+    # Triangle (a, b, c) of row r entering at eps has the key
+    # r * offset + ((eps * m + a) * m + b) * m + c: keys order like
+    # (row, eps, a, b, c), and (key - r * offset) // m**3 is eps.
+    cube = m ** 3
+    offset = (eps_max + 1) * cube
+    if n_rows * offset > np.iinfo(np.int64).max:  # keep the int64 keys exact
+        raise DataError(f"{n_rows} rows of up to {m} vertices at k_grid {eps_max} "
+                        "are too large to reduce")
 
     # 1. Apparent pairs.  tri_eps[i, w] is the scale of the triangle on edge
-    # i and vertex w, eps_max + 1 where there is none.  The cofacets of one
-    # edge order like their third vertex within a scale, so argmin (the first
-    # minimum) finds the oldest.  The youngest face sets a triangle's scale,
-    # so an apparent pair has zero persistence and is never recorded.
-    capped = np.where(cx.in_range, cx.hops, eps_max + 1)
-    tri_eps = np.maximum(capped[u], capped[v])
+    # i and vertex w of its row, eps_max + 1 where there is none.  The
+    # cofacets of one edge order like their third vertex within a scale, so
+    # argmin (the first minimum) finds the oldest.  The youngest face sets a
+    # triangle's scale, so an apparent pair has zero persistence and is never
+    # recorded.
+    capped = np.where((stack.hops > 0) & (stack.hops <= eps_max), stack.hops, eps_max + 1)
+    tri_eps = np.maximum(capped[r, u], capped[r, v])
     np.maximum(tri_eps, eps[:, None], out=tri_eps)
     w = tri_eps.argmin(axis=1)
-    oldest = tri_eps[rows, w]  # scale of each edge's oldest cofacet
-    pos = np.zeros((n, n), dtype=np.intp)
-    pos[u, v] = pos[v, u] = rows
-    apparent = (oldest <= eps_max) & (np.maximum(pos[u, w], pos[v, w]) < rows)
+    oldest = tri_eps[edges, w]  # scale of each edge's oldest cofacet
+    pos = np.zeros((n_rows, m, m), dtype=np.intp)
+    pos[r, u, v] = pos[r, v, u] = edges
+    apparent = (oldest <= eps_max) & (np.maximum(pos[r, u, w], pos[r, v, w]) < edges)
 
-    # 2. Union-find over the other edges: an apparent edge closes a cycle, so
-    # skipping it leaves the components unchanged.
-    parent = list(range(n))
+    # 2. Union-find over the other edges, on vertex ids r * m + local: an
+    # apparent edge closes a cycle, so skipping it leaves the components
+    # unchanged.
+    parent = list(range(n_rows * m))
 
     def find(x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    pd0_pairs = []
+    pd0_pairs = [[] for _ in range(n_rows)]
     positive = []
     others = np.flatnonzero(~apparent)
-    for i, a, b, e in zip(others.tolist(), u[others].tolist(), v[others].tolist(),
-                          eps[others].tolist()):
+    row_start = r * m
+    for i, row, a, b, e in zip(others.tolist(), r[others].tolist(),
+                               (row_start + u)[others].tolist(),
+                               (row_start + v)[others].tolist(), eps[others].tolist()):
         ra, rb = find(a), find(b)
         if ra == rb:
-            positive.append((i, a, b, e))
+            positive.append((i, row, e))
         else:
             parent[rb] = ra
-            pd0_pairs.append((0, e))
+            pd0_pairs[row].append((0, e))
 
-    # 3. Cohomology reduction of the remaining cycle creators, youngest first.
-    pd1_pairs = []
-    essentials = []
+    # 3. Cohomology reduction of the remaining cycle creators, youngest first;
+    # a column only loops over its own row's vertices.
+    pd1_pairs = [[] for _ in range(n_rows)]
+    essentials = [[] for _ in range(n_rows)]
     reduced = {}
     if positive:
         app = np.flatnonzero(apparent)
         lo = np.minimum(u[app], w[app])
         hi = np.maximum(v[app], w[app])
-        keys = _triangle_key(n, oldest[app].astype(np.int64), lo,
-                             u[app] + v[app] + w[app] - lo - hi, hi)
+        keys = (r[app].astype(np.int64) * offset
+                + ((oldest[app].astype(np.int64) * m + lo) * m
+                   + u[app] + v[app] + w[app] - lo - hi) * m + hi)
         pivot_of = dict(zip(keys.tolist(), app.tolist()))
-        for i, a, b, e in reversed(positive):
-            col = _coboundary(n, tri_eps[i], eps_max, a, b)
+        sizes = [len(row) for row in stack.vertices]
+        ul, vl = u.tolist(), v.tolist()
+        for i, row, e in reversed(positive):
+            base = row * offset
+            col = _cofacets(tri_eps[i, :sizes[row]], base, m, eps_max, ul[i], vl[i])
             while col:
                 low = min(col)
                 j = pivot_of.get(low)
@@ -264,22 +300,25 @@ def reduce_complex(cx: FilteredComplex, validate: bool = True
                     break
                 other = reduced.get(j)
                 if other is None:  # an apparent column, recomputed on demand
-                    other = _coboundary(n, tri_eps[j], eps_max, int(u[j]), int(v[j]))
+                    other = _cofacets(tri_eps[j, :sizes[row]], base, m, eps_max,
+                                      ul[j], vl[j])
                 col ^= other
             if col:
                 pivot_of[low] = i
                 reduced[i] = col
-                if low // n ** 3 > e:
-                    pd1_pairs.append((e, low // n ** 3))
+                death = (low - base) // cube
+                if death > e:
+                    pd1_pairs[row].append((e, death))
             else:
-                essentials.append(e)
+                essentials[row].append(e)
 
-    n_apparent = int(np.count_nonzero(apparent))
-    if len(pd0_pairs) + n_apparent + len(reduced) + len(essentials) != n_edges:
+    n_pd0 = sum(map(len, pd0_pairs))
+    n_essential = sum(map(len, essentials))
+    if n_pd0 + int(np.count_nonzero(apparent)) + len(reduced) + n_essential != len(eps):
         raise InternalInvariantError(
             "negative, apparent, reduced and essential edges do not add up to the edges")
-    pd0 = PersistenceDiagram(0, tuple(sorted(pd0_pairs)), (0,) * (n - len(pd0_pairs)),
-                             eps_max)
-    pd1 = PersistenceDiagram(1, tuple(sorted(pd1_pairs)), tuple(sorted(essentials)),
-                             eps_max)
-    return pd0, pd1
+    return [(PersistenceDiagram(0, tuple(sorted(pairs0)), (0,) * (len(row) - len(pairs0)),
+                                eps_max),
+             PersistenceDiagram(1, tuple(sorted(pairs1)), tuple(sorted(ess)), eps_max))
+            for row, pairs0, pairs1, ess in zip(stack.vertices, pd0_pairs, pd1_pairs,
+                                                essentials)]

@@ -26,9 +26,9 @@ from .filtration import (
 )
 from .homology import (
     PersistenceDiagram,
-    build_vr_row,
+    build_rows,
     geodesic_distances,
-    reduce_complex,
+    reduce_rows,
     strong_collapse,
 )
 from .molgraph import (
@@ -143,9 +143,9 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
 
     Distances default to hop counts in the full molecular graph restricted
     to each row; induced_subgraph mode walks each row within itself.  One
-    walk and one strong collapse serve all distinct rows; only the vertices
-    left are built and reduced, and every removed vertex gives PD_0 back its
-    (0, 1) pair.  Rows that keep the same vertices share one reduction.
+    walk and one strong collapse serve all distinct rows; the vertex sets
+    they keep are built and reduced in one stack, each set once, and every
+    removed vertex gives PD_0 back its (0, 1) pair.
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
@@ -160,20 +160,22 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
     hops = geodesic_distances(
         graph, masks if distance_mode == "induced_subgraph" else None).hops
     kept = strong_collapse(hops, masks, k_grid)
-    blocks = np.broadcast_to(hops, (len(distinct),) + hops.shape[-2:])
+    # Rows that keep the same vertices have the same hop block, in both modes:
+    # a shortest path through a removed vertex can pass through its dominator
+    # instead, so a collapse keeps induced distances.  One stack holds each
+    # distinct kept vertex set once.
+    first = {}
+    for r, core in enumerate(kept):
+        first.setdefault(core.tobytes(), r)
+    cores = list(first.values())
+    stack = build_rows([np.flatnonzero(kept[r]).tolist() for r in cores],
+                       hops if hops.ndim == 2 else hops[cores], k_grid)
+    reduced = dict(zip(first, reduce_rows(stack, validate=False)))
     # a sublevel set can be empty (e.g. no ring atoms)
     diagrams = {frozenset(): (PersistenceDiagram(0, (), (), k_grid),
                               PersistenceDiagram(1, (), (), k_grid))}
-    reduced = {}
-    for s, block, core in zip(distinct, blocks, kept):
-        # Rows that keep the same vertices have the same hop block, in both
-        # modes: a shortest path through a removed vertex can pass through
-        # its dominator instead, so a collapse keeps induced distances.
-        key = core.tobytes()
-        if key not in reduced:
-            reduced[key] = reduce_complex(
-                build_vr_row(np.flatnonzero(core).tolist(), block, k_grid), validate=False)
-        pd0, pd1 = reduced[key]
+    for s, core in zip(distinct, kept):
+        pd0, pd1 = reduced[core.tobytes()]
         removed = len(s) - int(np.count_nonzero(core))  # (0, 1) sorts first
         diagrams[s] = (replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1)
     return [(kind, i, *diagrams[s]) for kind, i, s in rows]

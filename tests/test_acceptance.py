@@ -18,12 +18,7 @@ from moltop.datagen import assign_reference_charges
 from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.harness import apply_split, f1_score, prc_auc, rmse, roc_auc, \
     run_config_from_dict, run_benchmark
-from moltop.homology import (
-    PersistenceDiagram,
-    build_vr_row,
-    geodesic_distances,
-    reduce_complex,
-)
+from moltop.homology import PersistenceDiagram, geodesic_distances
 from moltop.metrics import wasserstein
 from moltop.molgraph import DatasetRecord, expand_hydrogens, load_graph_json, parse_smiles
 from moltop.sglb import (
@@ -55,6 +50,7 @@ from oracles import (
     naive_roc_auc,
     relabel,
 )
+from rows import reduce_row
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 BENCH_K_GRID = 14
@@ -108,7 +104,7 @@ def test_c01_homology_oracle_suite_connected_graphs_le7():
         n = len(adj)
         hops = hop_distances(adj)
         k = int(hops.max())
-        pd0, pd1 = reduce_complex(build_vr_row(set(range(n)), hops, max(k, 0)))
+        pd0, pd1 = reduce_row(set(range(n)), hops, max(k, 0))
         for eps in range(k + 1):
             beta0, beta1, _ = betti_numbers_at(range(n), hops, eps)
             assert betti_at(pd0, eps) == beta0
@@ -130,8 +126,7 @@ def test_c02_cytosine_diagram_counts():
     g = load_graph_json(Path(__file__).parent / "data" / "cytosine.json")
     assert g.n_atoms == 13
     dist = geodesic_distances(g)
-    pd0, pd1 = reduce_complex(
-        build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter))
+    pd0, pd1 = reduce_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
     assert len(pd0.pairs) == 12
     assert len(pd0.essentials) == 1
     assert len(pd1.pairs) == 1

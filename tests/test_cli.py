@@ -124,10 +124,10 @@ def test_diagram_dump_is_independent_of_threads(tiny_dataset_path, tmp_path, cap
 def test_internal_invariant_error_exits_4(config_path, monkeypatch, capsys):
     from moltop import vectorize
 
-    def broken(cx, validate=True):
+    def broken(stack, validate=True):
         raise InternalInvariantError("reducer bookkeeping broken")
 
-    monkeypatch.setattr(vectorize, "reduce_complex", broken)
+    monkeypatch.setattr(vectorize, "reduce_rows", broken)
     assert main(["fingerprint", "--config", str(config_path)]) == 4
     assert "internal invariant" in capsys.readouterr().err
 
@@ -233,6 +233,21 @@ def test_evaluate_bad_predictions_exit_3(config_path, tiny_dataset_path, tmp_pat
                  "--predictions", str(predictions)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and named in err
+
+
+def test_evaluate_repeated_record_id_exits_3(config_path, tiny_dataset_path, tmp_path,
+                                             capsys):
+    # a repeated prediction row must not count twice in the metrics
+    ids = [json.loads(line)["record_id"]
+           for line in tiny_dataset_path.read_text().splitlines()[:3]]
+    predictions = tmp_path / "predictions.csv"
+    rows = [f"{rid},0.0" for rid in ids + ids[1:2]]
+    predictions.write_text("record_id,prediction\n" + "\n".join(rows) + "\n")
+    assert main(["evaluate", "--config", str(config_path),
+                 "--predictions", str(predictions)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"line 5: repeated record id {ids[1]!r} (first on line 3)" in err
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,22 @@ class TestLoadDataset:
         assert [r.record_id for r in records] == ["a", "b", "e"]
         assert {e["record_id"] for e in errors} == {"c", "d"}
 
+    def test_duplicate_record_id_names_the_id_and_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_csv_dataset(path, [["a", "CCO", "1.5"], ["b", "CCN", "0.5"],
+                                 ["c", "C1CC", "0.0"], ["b", "CCC", "2.0"],
+                                 ["a", "CO", "1.0"]])
+        with pytest.raises(DataError, match=r"data.csv line 5: repeated record id 'b' "
+                                            r"\(first on line 3\)"):
+            load_dataset(path)
+        path = tmp_path / "data.jsonl"
+        docs = [{"record_id": rid, "target": 1.0, "smiles": "CC"} for rid in "xyx"]
+        path.write_text("\n".join(map(json.dumps, docs[:2])) + "\n\n"
+                        + json.dumps(docs[2]) + "\n")
+        with pytest.raises(DataError, match=r"data.jsonl line 4: repeated record id 'x' "
+                                            r"\(first on line 1\)"):
+            load_dataset(path)
+
     def test_jsonl_with_inline_graphs(self, small_dataset_path, small_records):
         records, errors = load_dataset(small_dataset_path)
         assert len(records) == len(small_records)

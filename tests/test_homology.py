@@ -8,9 +8,9 @@ from moltop.errors import DataError, InternalInvariantError
 from moltop.homology import (
     UNREACHABLE,
     PersistenceDiagram,
-    build_vr_row,
+    build_rows,
     geodesic_distances,
-    reduce_complex,
+    reduce_rows,
     strong_collapse,
 )
 from moltop import homology
@@ -43,6 +43,7 @@ from oracles import (
     relabel,
     triangle_persistence,
 )
+from rows import build_row, reduce_row
 
 
 def skeleton(adj):
@@ -148,14 +149,14 @@ class TestGeodesicDistances:
 
 
 def edge_pairs(cx):
-    """(E, 2) global vertex ids of a row's edges."""
-    return np.asarray(cx.vertices)[cx.edge_local]
+    """(E, 2) global vertex ids of a one-row stack's edges."""
+    return np.asarray(cx.vertices[0])[cx.edge_local]
 
 
 def oracle_counts(cx, hops, eps):
     """(vertices, edges, triangles) at eps by the oracle; the row's edges
     must be the oracle's."""
-    verts, edges, triangles = complex_at(cx.vertices, hops, eps)
+    verts, edges, triangles = complex_at(cx.vertices[0], hops, eps)
     built = sorted(tuple(p) for p, e in zip(edge_pairs(cx).tolist(), cx.edge_eps.tolist())
                    if e <= eps)
     assert built == edges
@@ -165,37 +166,37 @@ def oracle_counts(cx, hops, eps):
 class TestBuildVrRow:
     def test_singleton(self):
         hops = np.zeros((1, 1), dtype=np.int32)
-        cx = build_vr_row({0}, hops, 0)
-        assert cx.vertices == (0,)
+        cx = build_row({0}, hops, 0)
+        assert cx.vertices == ((0,),)
         assert len(cx.edge_eps) == 0
         assert oracle_counts(cx, hops, 0) == (1, 0, 0)
 
     def test_four_cycle_counts(self):
         hops = cycle_distances(4)
-        cx = build_vr_row({0, 1, 2, 3}, hops, 2)
+        cx = build_row({0, 1, 2, 3}, hops, 2)
         assert oracle_counts(cx, hops, 1) == (4, 4, 0)
         assert oracle_counts(cx, hops, 2) == (4, 6, 4)
 
     def test_complete_skeleton_at_diameter(self):
         hops = cycle_distances(6)
-        cx = build_vr_row(set(range(6)), hops, 3)
+        cx = build_row(set(range(6)), hops, 3)
         assert oracle_counts(cx, hops, 3) == (6, 15, 20)
 
     def test_cap_clips_edges(self):
         hops = cycle_distances(6)
-        cx = build_vr_row(set(range(6)), hops, 1)
+        cx = build_row(set(range(6)), hops, 1)
         assert oracle_counts(cx, hops, 1) == (6, 6, 0)
         assert len(cx.edge_eps) == 6
 
     def test_unreachable_pairs_never_join(self):
         hops = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]], dtype=np.int32)
-        cx = build_vr_row({0, 1}, hops, 5)
+        cx = build_row({0, 1}, hops, 5)
         assert len(cx.edge_eps) == 0
 
     def test_filtration_order(self, random_graphs):
         g = random_graphs[0]
         dist = geodesic_distances(g)
-        cx = build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
+        cx = build_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
         edges = [(e, u, v) for e, (u, v) in zip(cx.edge_eps.tolist(),
                                                  edge_pairs(cx).tolist())]
         assert edges == sorted(edges)
@@ -205,7 +206,7 @@ class TestBuildVrRow:
 class TestReduce:
     def test_path_p3(self):
         hops = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int32)
-        pd0, pd1 = reduce_complex(build_vr_row({0, 1, 2}, hops, 2))
+        pd0, pd1 = reduce_row({0, 1, 2}, hops, 2)
         assert pd0.pairs == ((0, 1), (0, 1))
         assert pd0.essentials == (0,)
         assert pd1.pairs == ()
@@ -216,7 +217,7 @@ class TestReduce:
         # the complex is an octahedron boundary, so the class is already dead.
         hops = cycle_distances(6)
         oracle = naive_persistence(range(6), hops, 3)
-        pd0, pd1 = reduce_complex(build_vr_row(set(range(6)), hops, 3))
+        pd0, pd1 = reduce_row(set(range(6)), hops, 3)
         assert list(pd1.pairs) == oracle[1][0] == [(1, 2)]
         assert list(pd0.pairs) == oracle[0][0]
         assert pd1.essentials == ()
@@ -225,32 +226,41 @@ class TestReduce:
         g = cytosine_graph()
         assert g.n_atoms == 13
         dist = geodesic_distances(g)
-        cx = build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
-        pd0, pd1 = reduce_complex(cx)
+        cx = build_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
+        pd0, pd1 = reduce_rows(cx)[0]
         assert len(pd0.pairs) == 12
         assert len(pd0.essentials) == 1
         assert len(pd1.pairs) == 1
 
     def test_face_closure_violation_raises(self):
-        # each corruption of a valid row breaks one structural check
-        cx = build_vr_row(set(range(6)), cycle_distances(6), 3)
-        reduce_complex(cx, validate=True)
+        # each corruption of a valid stack breaks one structural check; the
+        # stack puts a 3-vertex row before a 6-cycle, so local ids 3 to 5 of
+        # the first row are padding
+        cx = build_rows([{0, 1, 2}, set(range(6))], cycle_distances(6), 3)
+        reduce_rows(cx, validate=True)
         asymmetric = cx.hops.copy()
-        asymmetric[0, 1] = 2
+        asymmetric[1, 0, 1] = 2
         nonzero_diagonal = cx.hops.copy()
-        nonzero_diagonal[2, 2] = 1
+        nonzero_diagonal[1, 2, 2] = 1
+        zero_padding = cx.hops.copy()
+        zero_padding[0, 3:] = zero_padding[0, :, 3:] = 0
         outside = cx.edge_local.copy()
-        outside[0, 1] = 6
-        unsorted = cx.edge_local[::-1].copy()
-        for bad in (replace(cx, hops=asymmetric), replace(cx, hops=nonzero_diagonal),
-                    replace(cx, edge_local=outside), replace(cx, edge_local=unsorted),
-                    replace(cx, edge_eps=cx.edge_eps[::-1].copy())):
-            with pytest.raises(InternalInvariantError):
-                reduce_complex(bad, validate=True)
+        outside[0, 1] = 3  # the first edge is the first row's (0, 1)
+        unsorted = cx.edge_local.copy()
+        unsorted[3:] = unsorted[:2:-1]  # the 6-cycle's edges, reversed
+        for bad, check in ((replace(cx, hops=asymmetric), "symmetric"),
+                           (replace(cx, hops=nonzero_diagonal), "zero diagonal"),
+                           (replace(cx, hops=zero_padding), "padding"),
+                           (replace(cx, edge_local=outside), "outside its row"),
+                           (replace(cx, edge_row=cx.edge_row + 1), "outside its row"),
+                           (replace(cx, edge_local=unsorted), "sorted"),
+                           (replace(cx, edge_eps=cx.edge_eps[::-1].copy()), "sorted")):
+            with pytest.raises(InternalInvariantError, match=check):
+                reduce_rows(bad, validate=True)
 
     def test_clipped_cap_creates_essential_cycle(self):
         # cap below the kill scale: the hexagon class never dies
-        pd0, pd1 = reduce_complex(build_vr_row(set(range(6)), cycle_distances(6), 1))
+        pd0, pd1 = reduce_row(set(range(6)), cycle_distances(6), 1)
         assert pd1.essentials == (1,)
         assert pd1.pairs == ()
 
@@ -263,12 +273,12 @@ class TestBettiAt:
 
     def test_p3_dim0(self):
         hops = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int32)
-        pd0, _ = reduce_complex(build_vr_row({0, 1, 2}, hops, 2))
+        pd0, _ = reduce_row({0, 1, 2}, hops, 2)
         assert [betti_at(pd0, t) for t in (0, 1, 2)] == [3, 1, 1]
 
     def test_six_cycle_dim1_matches_rank_oracle(self):
         hops = cycle_distances(6)
-        _, pd1 = reduce_complex(build_vr_row(set(range(6)), hops, 3))
+        _, pd1 = reduce_row(set(range(6)), hops, 3)
         expected = [betti_numbers_at(range(6), hops, t)[1] for t in range(4)]
         assert [betti_at(pd1, t) for t in range(4)] == expected == [0, 1, 0, 0]
 
@@ -293,7 +303,7 @@ class TestOracleEquivalence:
             n = len(adj)
             hops = hop_distances(adj)
             k = int(hops.max())
-            pd0, pd1 = reduce_complex(build_vr_row(set(range(n)), hops, max(k, 0)))
+            pd0, pd1 = reduce_row(set(range(n)), hops, max(k, 0))
             for eps in range(k + 1):
                 b0, b1, _ = betti_numbers_at(range(n), hops, eps)
                 assert betti_at(pd0, eps) == b0
@@ -308,8 +318,8 @@ class TestOracleEquivalence:
         for g in random_graphs[:8]:
             dist = geodesic_distances(g)
             verts = {a.id for a in g.atoms}
-            cx = build_vr_row(verts, dist.hops, dist.diameter)
-            pd0, pd1 = reduce_complex(cx)
+            cx = build_row(verts, dist.hops, dist.diameter)
+            pd0, pd1 = reduce_rows(cx)[0]
             for eps in range(dist.diameter + 1):
                 nv, ne, nt = oracle_counts(cx, dist.hops, eps)
                 b0, b1, b2 = betti_numbers_at(verts, dist.hops, eps)
@@ -320,8 +330,7 @@ class TestOracleEquivalence:
     def test_monotone_beta0(self, random_graphs):
         for g in random_graphs[:10]:
             dist = geodesic_distances(g)
-            pd0, _ = reduce_complex(
-                build_vr_row({a.id for a in g.atoms}, dist.hops, dist.diameter))
+            pd0, _ = reduce_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
             values = [betti_at(pd0, t) for t in range(dist.diameter + 1)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -333,8 +342,8 @@ class TestOracleEquivalence:
             dg = geodesic_distances(g)
             dh = geodesic_distances(h)
             assert dg.diameter == dh.diameter
-            pg = reduce_complex(build_vr_row({a.id for a in g.atoms}, dg.hops, dg.diameter))
-            ph = reduce_complex(build_vr_row({a.id for a in h.atoms}, dh.hops, dh.diameter))
+            pg = reduce_row({a.id for a in g.atoms}, dg.hops, dg.diameter)
+            ph = reduce_row({a.id for a in h.atoms}, dh.hops, dh.diameter)
             assert pg == ph  # diagrams are sorted multisets
 
     def test_subset_rows_match_naive_reduction(self, random_graphs):
@@ -348,7 +357,7 @@ class TestOracleEquivalence:
                 size = int(rng.integers(1, g.n_atoms + 1))
                 subset = set(rng.choice(g.n_atoms, size=size, replace=False).tolist())
                 cap = int(rng.integers(1, dist.diameter + 1))
-                pd0, pd1 = reduce_complex(build_vr_row(subset, dist.hops, cap))
+                pd0, pd1 = reduce_row(subset, dist.hops, cap)
                 oracle = naive_persistence(subset, dist.hops, cap)
                 assert sorted(pd0.pairs) == oracle[0][0]
                 assert sorted(pd0.essentials) == oracle[0][1]
@@ -359,8 +368,7 @@ class TestOracleEquivalence:
         g = parse_smiles("CC.O.[Cl-]")
         g = expand_hydrogens(g)
         dist = geodesic_distances(g)
-        pd0, _ = reduce_complex(
-            build_vr_row({a.id for a in g.atoms}, dist.hops, max(dist.diameter, 1)))
+        pd0, _ = reduce_row({a.id for a in g.atoms}, dist.hops, max(dist.diameter, 1))
         assert len(pd0.essentials) == len(components(g))
 
     def test_pipeline_consumes_no_coordinates(self):
@@ -386,15 +394,15 @@ GRAPH6_PATH = Path(__file__).parent / "data" / "connected_graphs_le7.g6"
 @pytest.fixture()
 def step3_columns(monkeypatch):
     """Edge positions whose coboundary the reducer computed lazily, one list
-    per reduce_complex call; a column is only computed there in step 3."""
+    per reduce_rows call; a column is only computed there in step 3."""
     calls = []
-    original = homology._coboundary
+    original = homology._cofacets
 
-    def counted(n, tri_eps, eps_max, u, v):
+    def counted(tri_eps, base, m, eps_max, u, v):
         calls[-1].append((u, v))
-        return original(n, tri_eps, eps_max, u, v)
+        return original(tri_eps, base, m, eps_max, u, v)
 
-    monkeypatch.setattr(homology, "_coboundary", counted)
+    monkeypatch.setattr(homology, "_cofacets", counted)
     return calls
 
 
@@ -403,10 +411,10 @@ class TestCohomologyMatchesTriangleReducer:
 
     @staticmethod
     def check(vertices, hops, cap, calls=None):
-        cx = build_vr_row(vertices, np.asarray(hops, dtype=np.int32), cap)
+        cx = build_row(vertices, np.asarray(hops, dtype=np.int32), cap)
         if calls is not None:
             calls.append([])
-        got = reduce_complex(cx)
+        got = reduce_rows(cx)[0]
         ref = triangle_persistence(vertices, hops, cap)
         want = tuple(PersistenceDiagram(dim, tuple(ref[dim][0]), tuple(ref[dim][1]), cap)
                      for dim in (0, 1))
@@ -483,14 +491,14 @@ def collapsed_diagrams(rows, hops, cap):
     for row, core in zip(rows, kept):
         vertices = np.flatnonzero(core).tolist()
         assert vertices, "a collapse emptied a row"
-        pd0, pd1 = reduce_complex(build_vr_row(vertices, hops, cap))
+        pd0, pd1 = reduce_row(vertices, hops, cap)
         removed = len(row) - len(vertices)
         out.append((replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1))
     return out, kept
 
 
 def whole_diagrams(row, hops, cap):
-    return reduce_complex(build_vr_row(row, np.asarray(hops, np.int32), cap))
+    return reduce_row(row, np.asarray(hops, np.int32), cap)
 
 
 def induced_hops(adj, row):
@@ -555,7 +563,7 @@ class TestStrongCollapse:
                     if not row:
                         continue
                     hops = full.hops if mode == "full_graph" else row_hops(graph, row)
-                    want = reduce_complex(build_vr_row(row, hops, cap))
+                    want = reduce_row(row, hops, cap)
                     assert (pd0, pd1) == want, (graph.name, mode, cap, kind, i)
 
     def test_mutual_twins_keep_one_of_them(self):
@@ -635,10 +643,113 @@ class TestStrongCollapse:
             if not row:
                 assert doc["pairs"] == [] and doc["essentials"] == []
                 continue
-            want = reduce_complex(build_vr_row(row, full.hops, 6))[doc["dim"]]
+            want = reduce_row(row, full.hops, 6)[doc["dim"]]
             assert doc["pairs"] == [list(p) for p in want.pairs]
             assert doc["essentials"] == list(want.essentials)
             masks = np.zeros((1, graph.n_atoms), dtype=bool)
             masks[0, list(row)] = True
             collapsing += int(strong_collapse(full.hops, masks, 6).sum() < len(row))
         assert collapsing > 0
+
+
+def padded_blocks(blocks):
+    """(R, n, n) stack of square hop blocks of up to n vertices, padded with
+    UNREACHABLE, so rows of different graphs can share one stack."""
+    n = max(len(b) for b in blocks)
+    out = np.full((len(blocks), n, n), UNREACHABLE, dtype=np.int32)
+    for r, block in enumerate(blocks):
+        out[r, :len(block), :len(block)] = block
+    return out
+
+
+class TestStackedRows:
+    """A row reduced in a stack with other rows gets the diagrams it gets alone."""
+
+    @staticmethod
+    def check(rows, blocks, cap):
+        got = reduce_rows(build_rows(rows, padded_blocks(blocks), cap))
+        assert len(got) == len(rows)
+        for row, block, diagrams in zip(rows, blocks, got):
+            want = reduce_row(row, np.asarray(block, dtype=np.int32), cap)
+            assert diagrams == want, (sorted(row), np.asarray(block).tolist(), cap)
+        return got
+
+    def test_layout(self):
+        hops = cycle_distances(6)
+        cx = build_rows([{0, 2, 4}, {5}, set(range(6)), {1, 0}], hops, 2)
+        assert cx.vertices == ((0, 2, 4), (5,), (0, 1, 2, 3, 4, 5), (0, 1))
+        assert cx.hops.shape == (4, 6, 6)
+        for r, row in enumerate(cx.vertices):
+            k = len(row)
+            assert np.array_equal(cx.hops[r, :k, :k], hops[np.ix_(row, row)])
+            assert np.all(cx.hops[r, k:] == UNREACHABLE)
+            assert np.all(cx.hops[r, :, k:] == UNREACHABLE)
+        key = list(zip(cx.edge_row.tolist(), cx.edge_eps.tolist(),
+                       *cx.edge_local.T.tolist()))
+        assert key == sorted(key) and len(set(key)) == len(key)
+        assert np.bincount(cx.edge_row, minlength=4).tolist() == [3, 0, 12, 1]
+        assert reduce_rows(build_rows([], hops, 2)) == []
+        with pytest.raises(DataError):
+            build_rows([{0}, set()], hops, 2)
+
+    def test_small_edgeless_and_disconnected_rows(self):
+        apart = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]])
+        two_pieces = hop_distances(np.kron(np.eye(2, dtype=int), 1 - np.eye(3, dtype=int)))
+        hexagon = cycle_distances(6)
+        rows = [{0}, {0, 1}, {0, 1}, {0, 3}, set(range(6)), {0, 1, 2, 3, 4, 5}, {2, 4}]
+        blocks = [hexagon, apart, hexagon, hexagon, two_pieces, hexagon, hexagon]
+        for cap in (0, 1, 2, 3):
+            got = self.check(rows, blocks, cap)
+            assert got[0][0].essentials == (0,)  # one vertex
+            assert got[1][0].essentials == (0, 0)  # two vertices never joined
+            assert got[4][0].essentials == (0, 0) or cap == 0
+        for cap in (1, 2):  # {0, 3} is edgeless below 3
+            assert self.check([{0, 3}, set(range(6))], [hexagon, hexagon], cap)[0][0] \
+                == PersistenceDiagram(0, (), (0, 0), cap)
+        # each row of a lone 1- or 2-vertex stack, and a stack of only those
+        for rows in ([{0}], [{0, 1}], [{0}, {0, 1}, {1}]):
+            self.check(rows, [hexagon] * len(rows), 1)
+
+    def test_random_groups_of_bundled_graph_rows(self):
+        graphs = load_graph6_file(str(GRAPH6_PATH))
+        rng = np.random.default_rng(43)
+        cycles = 0
+        for _ in range(600):
+            rows, blocks = [], []
+            for g in rng.choice(len(graphs), size=int(rng.integers(2, 7))):
+                adj = graphs[g]
+                n = len(adj)
+                row = set(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                     replace=False).tolist())
+                rows.append(row)
+                # full-graph distances or the row's own walk
+                blocks.append(hop_distances(adj) if rng.random() < 0.5
+                              else induced_hops(adj, row))
+            got = self.check(rows, blocks, int(rng.integers(1, 7)))
+            cycles += sum(bool(pd1.pairs or pd1.essentials) for _, pd1 in got) > 1
+        assert cycles > 50  # groups where several rows have dim-1 classes
+
+    def test_random_groups_of_datagen_rows(self):
+        rng = np.random.default_rng(47)
+        rows = []
+        for doc in generate_dataset(20, seed=7):
+            graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0,
+                                                    graph=doc["graph"]))
+            full = geodesic_distances(graph).hops
+            distinct = {frozenset(s) for kind in FILTRATION_KINDS
+                        for s in build_sequence(graph, make_spec(kind)).subsets if s}
+            for row in sorted(distinct, key=sorted):
+                rows.append((row, full, row_hops(graph, row)))
+        for cap in (14, 2):
+            for mode in (1, 2):  # full-graph hops, then each row's own walk
+                order = rng.permutation(len(rows))
+                for group in np.array_split(order, len(rows) // 8):
+                    self.check([rows[i][0] for i in group],
+                               [rows[i][mode] for i in group], cap)
+
+    def test_triangle_keys_stay_within_int64(self):
+        # keys run up to R * (eps_max + 1) * m**3, with m the largest row
+        hops = cycle_distances(6)
+        reduce_rows(build_rows([set(range(6))] * 2, hops, 2 ** 20))
+        with pytest.raises(DataError, match="too large"):
+            reduce_rows(build_rows([set(range(6))] * 2, hops, 2 ** 62 // 6 ** 3))

@@ -190,10 +190,10 @@ class TestDatasetFingerprinting:
         # a reducer bug must fail the run, not pass as a per-record error
         from moltop import vectorize
 
-        def broken(cx, validate=True):
+        def broken(stack, validate=True):
             raise InternalInvariantError("reducer bookkeeping broken")
 
-        monkeypatch.setattr(vectorize, "reduce_complex", broken)
+        monkeypatch.setattr(vectorize, "reduce_rows", broken)
         with pytest.raises(InternalInvariantError):
             fingerprint_dataset(self.make_records(3), FILTRATION_KINDS, 8)
 
