@@ -20,7 +20,7 @@ from .sglb import (
     TASK_REGRESSION,
     SglbConfig,
     decompose,
-    fit_ensemble,
+    fit_ensembles,
     save_ensemble,
 )
 from .vectorize import (
@@ -519,37 +519,35 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
                         "fingerprinting")
     write_fingerprint_artifacts(cfg.out_dir, table, prep.load_errors)
 
-    if ablation:
-        subsets = [(k,) for k in cfg.kinds]
-        if len(cfg.kinds) > 1:
-            subsets.append(tuple(cfg.kinds))
-    else:
-        subsets = [tuple(cfg.kinds)]
+    singles = [(k,) for k in cfg.kinds] if ablation and len(cfg.kinds) > 1 else []
+    subsets = singles + [tuple(cfg.kinds)]
 
     runs = {}
     first_predictions = []
     timing["train_seconds"] = {}
     timing["predict_seconds"] = {}
     main_label = _ensemble_label(cfg.kinds, cfg.kinds)
-
+    train_rows = split_rows["TRAIN"]
+    y_train = targets[train_rows]
+    jobs, matrices = [], []  # one job per (kind subset, repeat) ensemble, in report order
     for kinds in subsets:
-        label = _ensemble_label(kinds, cfg.kinds)
         sub = slice_table(table, kinds)
-        sub_matrix = (matrix if kinds == tuple(cfg.kinds)
-                      else sub.matrix().astype(np.float64))
-        train_rows = split_rows["TRAIN"]
-        X_train = sub_matrix[train_rows]
-        y_train = targets[train_rows]
+        matrices.append(matrix if kinds == tuple(cfg.kinds) else sub.matrix().astype(np.float64))
+        X_train = matrices[-1][train_rows]
+        jobs += [(X_train, y_train, replace(cfg.sglb, seed=cfg.sglb.seed + 7919 * repeat),
+                  sub.layout) for repeat in range(cfg.repeats)]
+    t0 = time.perf_counter()
+    ensembles = iter(fit_ensembles(jobs, cfg.threads))
+    timing["train_wall_seconds"] = time.perf_counter() - t0
+
+    for kinds, sub_matrix in zip(subsets, matrices):
+        label = _ensemble_label(kinds, cfg.kinds)
         per_split_values: dict[str, dict[str, list[float]]] = {}
         train_times, predict_times = [], []
 
         for repeat in range(cfg.repeats):
-            config_r = replace(cfg.sglb, seed=cfg.sglb.seed + 7919 * repeat)
-            t0 = time.perf_counter()
-            ensemble = fit_ensemble(X_train, y_train, config_r,
-                                    layout=sub.layout, threads=cfg.threads)
-            train_times.append(time.perf_counter() - t0)
-
+            ensemble = next(ensembles)
+            train_times.append(ensemble.train_seconds)
             t0 = time.perf_counter()
             every_row = decompose(ensemble, sub_matrix)
             for tag in SPLIT_TAGS:

@@ -26,11 +26,12 @@ the knowledge (epistemic) part of the uncertainty, the average per-member
 spread gives the data (aleatoric) part.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import functools
 import json
 import math
+import time
 import typing
 import warnings
 
@@ -416,6 +417,7 @@ def fit(X, y, config: SglbConfig, layout: FingerprintLayout | None = None,
 class SglbEnsemble:
     config: SglbConfig
     members: tuple[SglbModel, ...]
+    train_seconds: float = field(default=0.0, compare=False)  # binning + member fits
 
     @property
     def layout(self) -> FingerprintLayout | None:
@@ -433,21 +435,35 @@ class SglbEnsemble:
 
 
 def _fit_member(args):
-    return fit(*args)
+    t0 = time.perf_counter()
+    return fit(*args), time.perf_counter() - t0
+
+
+def fit_ensembles(jobs, threads: int = 1) -> list[SglbEnsemble]:
+    """One ensemble per ``(X, y, config, layout)`` job: ensemble_size models with
+    member seeds seed + m, from one binning of X made before any fit starts.  The
+    members of all jobs share one fan-out on up to ``threads`` worker processes."""
+    tasks, owners, binned_in = [], [], []
+    for X, y, config, layout in jobs:
+        t0 = time.perf_counter()
+        X, y = _validate_training_data(X, y, config.task)
+        binned = _Binned(X, config.max_bins)
+        binned_in.append((config, time.perf_counter() - t0))
+        tasks += [(X, y, replace(config, seed=config.seed + m), layout, binned)
+                  for m in range(config.ensemble_size)]
+        owners += [config] * config.ensemble_size
+    fitted = iter(process_map(_fit_member, tasks, threads, lambda done: (
+        f"an SGLB worker died fitting the {owners[done].ensemble_size}-member "
+        f"ensemble with seed {owners[done].seed}")))
+    groups = [tuple(zip(*(next(fitted) for _ in range(c.ensemble_size)))) for c, _ in binned_in]
+    return [SglbEnsemble(config, members, seconds + sum(fit_seconds))
+            for (config, seconds), (members, fit_seconds) in zip(binned_in, groups)]
 
 
 def fit_ensemble(X, y, config: SglbConfig, layout: FingerprintLayout | None = None,
                  threads: int = 1) -> SglbEnsemble:
-    """Train ensemble_size independent models with member seeds seed + m,
-    all from one binning of X, on up to ``threads`` worker processes."""
-    X, y = _validate_training_data(X, y, config.task)
-    binned = _Binned(X, config.max_bins)
-    tasks = [(X, y, replace(config, seed=config.seed + m), layout, binned)
-             for m in range(config.ensemble_size)]
-    members = process_map(_fit_member, tasks, threads, lambda done: (
-        f"an SGLB worker died fitting the {len(tasks)}-member ensemble "
-        f"with seed {config.seed}"))
-    return SglbEnsemble(config, tuple(members))
+    """The ensemble ``fit_ensembles`` fits for the one job ``(X, y, config, layout)``."""
+    return fit_ensembles([(X, y, config, layout)], threads)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from moltop.sglb import (
     decompose,
     fit,
     fit_ensemble,
+    fit_ensembles,
     regression_uncertainty,
 )
 from moltop.vectorize import (
@@ -273,13 +274,13 @@ def test_c08_ablation_trend(pipeline):
     table = pipeline["table"]
     targets = pipeline["targets"]
     train, test = pipeline["train_rows"], pipeline["test_rows"]
-    results = {}
-    for kinds in [("ATOMIC_MASS",), ("PARTIAL_CHARGE",), ("BOND_TYPE",),
-                  ("CHIRALITY",), FILTRATION_KINDS]:
-        X = slice_table(table, kinds).matrix().astype(np.float64)
-        ens = fit_ensemble(X[train], targets[train], TREND_CONFIG, threads=2)
-        report = decompose(ens, X[test])
-        results[kinds] = rmse(report.prediction, targets[test])
+    subsets = [("ATOMIC_MASS",), ("PARTIAL_CHARGE",), ("BOND_TYPE",), ("CHIRALITY",),
+               FILTRATION_KINDS]
+    matrices = [slice_table(table, kinds).matrix().astype(np.float64) for kinds in subsets]
+    ensembles = fit_ensembles([(X[train], targets[train], TREND_CONFIG, None)
+                               for X in matrices], threads=2)
+    results = {kinds: rmse(decompose(ens, X[test]).prediction, targets[test])
+               for kinds, X, ens in zip(subsets, matrices, ensembles)}
     from moltop.vectorize import KIND_ABBREV
     all_rmse = results[FILTRATION_KINDS]
     best_single = min(v for k, v in results.items() if len(k) == 1)

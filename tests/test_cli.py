@@ -182,6 +182,28 @@ def test_bench_command(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_outputs_are_independent_of_threads(config_path, tmp_path, capsys):
+    # Ten ensembles (five kind subsets, two repeats) share one fan-out at
+    # --threads 2; the artifacts equal the serial run's byte for byte, apart
+    # from the report's echo of the thread count and output directory.
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["bench", "--config", str(config_path), "--ablation", "--repeats", "2",
+                     "--threads", str(threads), "--out", str(out)]) == 0
+        report = (out / "report.json").read_bytes()
+        echo = f'"threads": {threads}\n'.encode()
+        assert report.count(echo) == 1
+        report = report.replace(echo, b"THREADS").replace(str(out).encode(), b"OUT")
+        outputs.append([report] + [(out / name).read_bytes()
+                                   for name in ("model.json", "predictions.csv")])
+        timing = json.loads((out / "timing.json").read_text())
+        assert all(len(v) == 2 for v in timing["train_seconds"].values())
+        assert timing["train_wall_seconds"] > 0
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
 def test_distance_command(tmp_path, capsys):
     pairs = [{"a": "N[C@@H](C)C(=O)O", "b": "N[C@H](C)C(=O)O"},
              {"a": "CCO", "b": "CCO"}]

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from moltop.sglb import (
     ensemble_to_dict,
     fit,
     fit_ensemble,
+    fit_ensembles,
     quantile_bin_edges,
     rank_by_uncertainty,
     regression_uncertainty,
@@ -342,6 +344,56 @@ class TestEnsemble:
         with pytest.raises(MoltopError, match="3-member ensemble with seed 7") as info:
             fit_ensemble(X, y, cfg, threads=2)
         assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the patched function")
+    def test_dead_worker_in_a_later_ensemble_names_that_ensemble(self, monkeypatch,
+                                                                 tmp_path):
+        # The member with seed 21 dies only once the first ensemble's members
+        # (seeds 7-9) have returned, so the first member whose result is missing
+        # belongs to the second ensemble.
+        X, y = toy_regression(n=40)
+        first = SglbConfig(iterations=3, max_depth=2, ensemble_size=3, seed=7)
+        second = replace(first, ensemble_size=2, seed=20)
+        real = sglb.fit
+
+        def dies_on_seed_21(X, y, config, *args):
+            if config.seed == 21:
+                for _ in range(1000):
+                    if len(list(tmp_path.iterdir())) == 3:
+                        break
+                    time.sleep(0.01)
+                time.sleep(0.5)  # lets the returned results reach the parent
+                os._exit(1)
+            model = real(X, y, config, *args)
+            if config.seed < 20:
+                (tmp_path / str(config.seed)).touch()
+            return model
+
+        monkeypatch.setattr(sglb, "fit", dies_on_seed_21)
+        with pytest.raises(MoltopError, match="2-member ensemble with seed 20") as info:
+            fit_ensembles([(X, y, first, None), (X, y, second, None)], threads=2)
+        assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
+
+    def test_one_fan_out_equals_separate_serial_fits(self):
+        # Jobs differing in task, column count, layout and ensemble size: one
+        # fan-out on two workers fits each ensemble as fit_ensemble does alone.
+        X, y = toy_regression(n=80)
+        Xc, yc = toy_classification(n=80)
+        layout = FingerprintLayout("1", ("ATOMIC_MASS",), 5)
+        rng = np.random.default_rng(4)
+        wide = np.hstack([X, rng.integers(0, 5, (80, layout.length - X.shape[1]))])
+        base = SglbConfig(iterations=6, max_depth=3)
+        jobs = [(X[:, :3], y, replace(base, ensemble_size=1, seed=3), None),
+                (wide, y, replace(base, ensemble_size=2, seed=10), layout),
+                (Xc, yc, replace(base, task=TASK_CLASSIFICATION, ensemble_size=3,
+                                 seed=0), None)]
+        ensembles = fit_ensembles(jobs, threads=2)
+        assert len(ensembles) == len(jobs)
+        for ensemble, job in zip(ensembles, jobs):
+            alone = fit_ensemble(*job, threads=1)
+            assert ensemble_to_dict(ensemble) == ensemble_to_dict(alone)
+            assert ensemble.train_seconds > 0
 
     @pytest.mark.parametrize("task", TASKS)
     def test_one_row_decomposes_as_within_the_batch(self, task):
