@@ -7,7 +7,6 @@ distance, bench.  Exit codes: 0 ok, 2 config error, 3 data error,
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -22,6 +21,7 @@ from .errors import (
     DataError,
     InternalInvariantError,
     MoltopError,
+    note_line,
     read_json,
     read_text,
 )
@@ -48,12 +48,7 @@ from .sglb import (
     rank_by_uncertainty,
     save_ensemble,
 )
-from .vectorize import (
-    diagram_records,
-    kind_specs,
-    map_records,
-    read_fingerprints_csv,
-)
+from .vectorize import diagram_records, kind_specs, read_fingerprints_csv
 
 
 def _apply_overrides(cfg, args):
@@ -80,23 +75,17 @@ def _emit(text, out_dir, name) -> int:
     return 0
 
 
-def _diagram_lines(graph, record_id, specs, k_grid, distance_mode) -> str:
-    return "".join(json.dumps(doc, sort_keys=True) + "\n"
-                   for doc in diagram_records(graph, specs, k_grid, distance_mode, record_id))
-
-
 def _cmd_fingerprint(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     prep = prepare_run(cfg)
     write_fingerprint_artifacts(cfg.out_dir, prep.table, prep.load_errors)
     if args.dump_diagrams:  # a failed record is already in the error report
-        texts, _ = map_records(functools.partial(
-            _diagram_lines, specs=kind_specs(cfg.kinds, prep.charge_thresholds),
-            k_grid=prep.k_grid, distance_mode=cfg.distance_mode), prep.records, cfg.threads)
         with open(os.path.join(cfg.out_dir, "diagrams.jsonl"), "w", encoding="utf-8") as fh:
-            fh.writelines(texts)
+            for fp, rows in zip(prep.table.fingerprints, prep.table.diagrams):
+                fh.writelines(json.dumps(doc, sort_keys=True) + "\n"
+                              for doc in diagram_records(rows, fp.record_id))
     print(f"fingerprinted {len(prep.table.fingerprints)} of {len(prep.records)} "
-          f"records (k_grid={prep.k_grid}) -> {cfg.out_dir}")
+          f"records (k_grid={prep.table.layout.k_grid}) -> {cfg.out_dir}")
     return 0
 
 
@@ -154,10 +143,7 @@ def _cmd_evaluate(args) -> int:
         rid = row["record_id"]
         if rid not in targets:
             raise DataError(f"prediction for unknown record {rid!r}")
-        first = first_line.setdefault(rid, reader.line_num)
-        if first != reader.line_num:
-            raise DataError(f"{args.predictions} line {reader.line_num}: repeated "
-                            f"record id {rid!r} (first on line {first})")
+        note_line(first_line, rid, reader.line_num, args.predictions)
         try:
             prediction = float(row["prediction"])
         except (TypeError, ValueError):  # TypeError: the row has too few fields

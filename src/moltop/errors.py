@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the toolkit, the one reader of input files,
-the one type check of the values read from them, and the one process fan-out.
+the one type check of the values read from them, the one repeated-id check,
+and the one process fan-out.
 
 The CLI maps these onto its exit-code table: configuration problems -> 2,
 data/input problems -> 3, violated internal invariants -> 4.
@@ -14,6 +15,10 @@ import os
 
 class MoltopError(Exception):
     """Base class for all toolkit errors."""
+
+    def entry(self, record_id) -> dict:
+        """The ``errors.json`` entry of a record skipped for this error."""
+        return {"record_id": record_id, "error": str(self), "error_class": type(self).__name__}
 
 
 class ConfigError(MoltopError):
@@ -84,6 +89,15 @@ def read_json(path, what: str, error=DataError):
         return json.loads(read_text(path, what, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: cannot read {what} (not JSON: {exc})") from None
+
+
+def note_line(first_line: dict, record_id, line: int, where) -> None:
+    """Note that ``record_id`` is on ``line`` of ``where``; a DataError names
+    both lines if ``first_line`` (id -> line) already has it on another."""
+    first = first_line.setdefault(record_id, line)
+    if first != line:
+        raise DataError(f"{where} line {line}: repeated record id {record_id!r} "
+                        f"(first on line {first})")
 
 
 def process_map(fn, tasks, threads: int, lost) -> list:

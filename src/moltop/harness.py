@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json, read_text, typed
+from .errors import ConfigError, DataError, note_line, read_json, read_text, typed
 from .filtration import FILTRATION_KINDS, canonical_kinds, decile_boundaries
 from .molgraph import SPLIT_TAGS, DatasetRecord, parse_smiles, load_graph_json
 from .sglb import (
@@ -31,7 +31,6 @@ from .vectorize import (
     slice_table,
     write_fingerprints_csv,
 )
-from .homology import geodesic_distances
 
 _TASK_ALIASES = {
     "regression": TASK_REGRESSION,
@@ -40,7 +39,6 @@ _TASK_ALIASES = {
     TASK_CLASSIFICATION: TASK_CLASSIFICATION,
 }
 
-K_GRID_CAP = 20
 PREDICTION_COLUMNS = ("prediction", "total_uncertainty", "knowledge_uncertainty",
                       "data_uncertainty")
 
@@ -51,7 +49,7 @@ class RunConfig:
     task: str
     dataset_format: str | None = None      # csv | jsonl; inferred when None
     kinds: tuple[str, ...] = FILTRATION_KINDS
-    k_grid: int | None = None              # None: pre-scan max diameter, capped
+    k_grid: int | None = None              # None: max diameter, capped
     decile_mode: str = "per_molecule"      # or "global"
     distance_mode: str = "full_graph"      # or "induced_subgraph"
     split_mode: str = "random"             # or "file"
@@ -193,10 +191,7 @@ def load_dataset(path, dataset_format: str | None = None):
                         + (f" ({len(errors)} rows failed)" if errors else ""))
     first_line = {}
     for line, record in numbered:
-        first = first_line.setdefault(record.record_id, line)
-        if first != line:
-            raise DataError(f"{path} line {line}: repeated record id "
-                            f"{record.record_id!r} (first on line {first})")
+        note_line(first_line, record.record_id, line, path)
     return [record for _, record in numbered], errors
 
 
@@ -220,7 +215,7 @@ def _load_csv(text, path):
             parse_smiles(smiles)  # reject unparsable rows up front
             records.append((reader.line_num, DatasetRecord(record_id, target, smiles=smiles)))
         except DataError as exc:
-            errors.append({"record_id": record_id, "error": str(exc)})
+            errors.append(exc.entry(record_id))
     return records, errors
 
 
@@ -243,7 +238,7 @@ def _load_jsonl(text, path):
             record_id = str(doc.get("record_id", record_id))
             records.append((i + 1, _jsonl_record(doc, record_id, base_dir)))
         except DataError as exc:
-            errors.append({"record_id": record_id, "error": str(exc)})
+            errors.append(exc.entry(record_id))
     return records, errors
 
 
@@ -276,7 +271,7 @@ def apply_split(records, split_mode: str = "random", split_path=None,
     """Tag every record with exactly one of TRAIN/VALID/TEST."""
     records = list(records)
     if split_mode == "file":
-        assignment = {}
+        assignment, first_line = {}, {}
         text = read_text(split_path, "split file")
         reader = csv.DictReader(io.StringIO(text, newline=""))
         fields = {name.strip().lower(): name for name in (reader.fieldnames or [])}
@@ -287,9 +282,7 @@ def apply_split(records, split_mode: str = "random", split_path=None,
             tag = (row[split_col] or "").strip().upper()  # None: the row is short
             if tag not in SPLIT_TAGS:
                 raise DataError(f"{split_path} line {reader.line_num}: invalid split tag {tag!r}")
-            if row[id_col] in assignment:
-                raise DataError(f"{split_path} line {reader.line_num}: "
-                                f"repeated record id {row[id_col]!r}")
+            note_line(first_line, row[id_col], reader.line_num, split_path)
             assignment[row[id_col]] = tag
         missing = [r.record_id for r in records if r.record_id not in assignment]
         if missing:
@@ -426,46 +419,37 @@ def load_records(cfg: RunConfig):
 class PreparedRun:
     records: list
     load_errors: list
-    table: FingerprintTable
-    k_grid: int
-    charge_thresholds: tuple[float, ...] | None  # global deciles, else None
+    table: FingerprintTable  # its layout holds the run's k_grid
     fingerprint_seconds: float
 
 
 def prepare_run(cfg: RunConfig) -> PreparedRun:
-    """Load and split the dataset, pre-scan it, and fingerprint every record.
-
-    The pre-scan picks k_grid (the largest graph diameter, capped at
-    K_GRID_CAP) when the config leaves it open, and pools partial charges
-    for global deciles.
+    """Load and split the dataset and fingerprint every record, in the one
+    pass over the records that also picks an open k_grid (see
+    ``fingerprint_dataset``).  Global deciles first pool the partial charges
+    of every molecule that has one on every atom; the others fail anyway.
     """
     records, load_errors = load_records(cfg)
-    k_grid = cfg.k_grid
     charge_thresholds = None
-    if k_grid is None or cfg.decile_mode == "global":
+    if cfg.decile_mode == "global":
         # records that fail are left to the fingerprint stage's error report
-        scans, _ = map_records(_prescan, records)
-        if k_grid is None:
-            if not scans:
-                raise DataError("no graphs available to choose k_grid from")
-            k_grid = min(K_GRID_CAP, max(max(d for d, _ in scans), 1))
-        if cfg.decile_mode == "global":
-            charges = [c for _, graph_charges in scans for c in graph_charges]
-            if not charges:
-                raise DataError("global decile mode needs partial charges")
-            charge_thresholds = decile_boundaries(charges)
+        pools, _ = map_records(_full_charges, records)
+        charges = [c for _, pool in pools for c in pool]
+        if not charges:
+            raise DataError("global decile mode needs a molecule with partial "
+                            "charges on every atom")
+        charge_thresholds = decile_boundaries(charges)
     t0 = time.perf_counter()
-    table = fingerprint_dataset(records, cfg.kinds, k_grid, threads=cfg.threads,
+    table = fingerprint_dataset(records, cfg.kinds, cfg.k_grid, threads=cfg.threads,
                                 distance_mode=cfg.distance_mode,
                                 charge_thresholds=charge_thresholds)
-    return PreparedRun(records, load_errors, table, k_grid, charge_thresholds,
-                       time.perf_counter() - t0)
+    return PreparedRun(records, load_errors, table, time.perf_counter() - t0)
 
 
-def _prescan(graph, record_id):
-    """The graph's diameter and partial charges."""
-    return (geodesic_distances(graph).diameter,
-            [a.partial_charge for a in graph.atoms if a.partial_charge is not None])
+def _full_charges(graph):
+    """The graph's partial charges if every atom has one, else none."""
+    charges = [a.partial_charge for a in graph.atoms]
+    return [] if None in charges else charges
 
 
 def training_matrix(records, table: FingerprintTable):
@@ -586,7 +570,7 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
     report = {
         "format_version": "1",
         "config": cfg.to_dict(),
-        "k_grid": prep.k_grid,
+        "k_grid": table.layout.k_grid,
         "dataset": {
             "records": len(records),
             "fingerprinted": len(table.fingerprints),

@@ -175,6 +175,18 @@ class PersistenceDiagram:
     eps_max: int
 
 
+def truncate(pd: PersistenceDiagram, eps_max: int) -> PersistenceDiagram:
+    """``pd`` cut at ``eps_max`` <= pd.eps_max, as a reduction at eps_max gives
+    it: a filtration prefix is paired as the prefix of the pairing, so a pair
+    alive at eps_max becomes an essential class and nothing born later stays."""
+    if eps_max == pd.eps_max:
+        return pd
+    essentials = ([b for b, d in pd.pairs if b <= eps_max < d]
+                  + [b for b in pd.essentials if b <= eps_max])
+    return PersistenceDiagram(pd.dim, tuple(p for p in pd.pairs if p[1] <= eps_max),
+                              tuple(sorted(essentials)), eps_max)
+
+
 def _validate(stack: RowStack):
     hops = stack.hops
     inside = _inside(stack.vertices)

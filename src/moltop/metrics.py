@@ -81,8 +81,8 @@ def matching_report(graph_a, graph_b, specs, k_grid: int,
                     p: float = 1.0) -> MatchingDistanceReport:
     """Per-row diagram distances and the induced fingerprint distance for a pair."""
     specs = list(specs)
-    rows_a = row_diagrams(graph_a, specs, k_grid)
-    rows_b = row_diagrams(graph_b, specs, k_grid)
+    rows_a, _ = row_diagrams(graph_a, specs, k_grid)
+    rows_b, _ = row_diagrams(graph_b, specs, k_grid)
     if len(rows_a) != len(rows_b):
         raise DataError("graphs produced different row counts")
     per_row = []

@@ -8,7 +8,7 @@ scale j, and essential classes count towards every column at or after their
 birth.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import csv
 import functools
@@ -16,7 +16,7 @@ import io
 
 import numpy as np
 
-from .errors import DataError, LayoutMismatchError, process_map, read_text, typed
+from .errors import DataError, LayoutMismatchError, note_line, process_map, read_text, typed
 from .filtration import (
     LEVEL_COUNTS,
     PARTIAL_CHARGE_KIND,
@@ -30,6 +30,7 @@ from .homology import (
     geodesic_distances,
     reduce_rows,
     strong_collapse,
+    truncate,
 )
 from .molgraph import (
     DatasetRecord,
@@ -43,6 +44,7 @@ LAYOUT_VERSION = "1"
 KIND_ABBREV = {"ATOMIC_MASS": "AM", "PARTIAL_CHARGE": "PC",
                "BOND_TYPE": "BT", "CHIRALITY": "CH"}
 DISTANCE_MODES = ("full_graph", "induced_subgraph")
+K_GRID_CAP = 20  # the largest k_grid an open one becomes
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ def graph_from_record(record: DatasetRecord) -> MolecularGraph:
 
 def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
                  distance_mode: str = "full_graph"):
-    """(kind, row index, PD_0, PD_1) for every sublevel row, in layout order.
+    """(kind, row index, PD_0, PD_1) for every sublevel row, in layout order,
+    and the graph's hop diameter.
 
     Distances default to hop counts in the full molecular graph restricted
     to each row; induced_subgraph mode walks each row within itself.  One
@@ -178,7 +181,9 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
         pd0, pd1 = reduced[core.tobytes()]
         removed = len(s) - int(np.count_nonzero(core))  # (0, 1) sorts first
         diagrams[s] = (replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1)
-    return [(kind, i, *diagrams[s]) for kind, i, s in rows]
+    # every kind's last level holds every atom, and its walk is the full graph's
+    diameter = int((hops if hops.ndim == 2 else hops[masks.all(axis=1)]).max())
+    return [(kind, i, *diagrams[s]) for kind, i, s in rows], diameter
 
 
 def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerprint:
@@ -199,28 +204,17 @@ def assemble(graph: MolecularGraph, specs, k_grid: int,
              record_id: str | None = None) -> Fingerprint:
     """Full per-molecule pipeline: sequences -> VR rows -> diagrams -> curves."""
     specs = list(specs)
-    rows = row_diagrams(graph, specs, k_grid, distance_mode)
+    rows, _ = row_diagrams(graph, specs, k_grid, distance_mode)
     return fingerprint_from_rows(rows, specs, k_grid,
                                  record_id if record_id is not None else graph.name)
 
 
-def diagram_records(graph: MolecularGraph, specs, k_grid: int,
-                    distance_mode: str = "full_graph",
-                    molecule_id: str | None = None) -> list[dict]:
-    """Diagram dump entries: one JSON-ready dict per (row, dimension)."""
-    name = molecule_id if molecule_id is not None else graph.name
-    out = []
-    for kind, row, pd0, pd1 in row_diagrams(graph, specs, k_grid, distance_mode):
-        for pd in (pd0, pd1):
-            out.append({
-                "molecule": name,
-                "param": kind,
-                "row": row,
-                "dim": pd.dim,
-                "pairs": [[b, d] for b, d in pd.pairs],
-                "essentials": list(pd.essentials),
-            })
-    return out
+def diagram_records(rows, molecule_id: str) -> list[dict]:
+    """Diagram dump entries of one molecule's ``row_diagrams`` rows: one
+    JSON-ready dict per (row, dimension)."""
+    return [{"molecule": molecule_id, "param": kind, "row": row, "dim": pd.dim,
+             "pairs": [[b, d] for b, d in pd.pairs], "essentials": list(pd.essentials)}
+            for kind, row, pd0, pd1 in rows for pd in (pd0, pd1)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +224,9 @@ def diagram_records(graph: MolecularGraph, specs, k_grid: int,
 class FingerprintTable:
     layout: FingerprintLayout
     fingerprints: tuple[Fingerprint, ...]
-    errors: tuple[dict, ...]  # {"record_id", "error"} per failed record
+    errors: tuple[dict, ...]  # MoltopError.entry of each failed record
+    # each fingerprint's row_diagrams rows, if the table was computed, not read
+    diagrams: tuple = field(default=(), compare=False, repr=False)
 
     def matrix(self) -> np.ndarray:
         return np.vstack([fp.vector for fp in self.fingerprints])
@@ -248,14 +244,14 @@ def kind_specs(kinds, charge_thresholds=None):
 
 def _on_record(fn, record):
     try:
-        return fn(graph_from_record(record), record.record_id), None
+        return fn(graph_from_record(record)), None
     except DataError as exc:  # a bad record never aborts a run; a bug does
-        return None, {"record_id": record.record_id, "error": str(exc)}
+        return None, exc.entry(record.record_id)
 
 
 def map_records(fn, records, threads: int = 1):
-    """``fn(graph, record_id)`` of each record's graph in input order, on up to
-    ``threads`` processes, and the ``{"record_id", "error"}`` of each record
+    """``(record_id, fn(graph))`` of each record's graph in input order, on up
+    to ``threads`` processes, and the ``MoltopError.entry`` of each record
     whose graph or result raised a DataError.  A dead worker raises a
     MoltopError naming the records whose results had not returned."""
 
@@ -264,29 +260,37 @@ def map_records(fn, records, threads: int = 1):
         return (f"a worker died; {len(ids)} records had not returned: "
                 + ", ".join(ids[:10]) + (", ..." if len(ids) > 10 else ""))
     pairs = process_map(functools.partial(_on_record, fn), records, threads, lost)
-    return [r for r, e in pairs if e is None], [e for _, e in pairs if e is not None]
+    return ([(record.record_id, r) for record, (r, e) in zip(records, pairs) if e is None],
+            [e for _, e in pairs if e is not None])
 
 
-def _fingerprint(graph, record_id, specs, k_grid, distance_mode):
-    return assemble(graph, specs, k_grid, distance_mode, record_id=record_id)
-
-
-def fingerprint_dataset(records, kinds, k_grid: int, threads: int = 1,
+def fingerprint_dataset(records, kinds, k_grid: int | None, threads: int = 1,
                         distance_mode: str = "full_graph",
                         charge_thresholds=None) -> FingerprintTable:
     """One fingerprint per record (see ``map_records``), independent of thread
-    count, and the per-record data errors; the run fails if nothing succeeds."""
+    count, with its row diagrams, and the per-record data errors; the run
+    fails if nothing succeeds.  An open (None) ``k_grid`` becomes the largest
+    diameter of the graphs that succeed, capped at K_GRID_CAP: each graph is
+    reduced at the cap, and ``truncate`` cuts its diagrams to that k_grid."""
     records, kinds = list(records), tuple(kinds)
     if not records:
         raise DataError("no records to fingerprint")
-    fingerprints, errors = map_records(functools.partial(
-        _fingerprint, specs=kind_specs(kinds, charge_thresholds), k_grid=k_grid,
+    specs = kind_specs(kinds, charge_thresholds)
+    done, errors = map_records(functools.partial(
+        row_diagrams, specs=specs, k_grid=K_GRID_CAP if k_grid is None else k_grid,
         distance_mode=distance_mode), records, threads)
-    if not fingerprints:
+    if not done:
         raise DataError(f"all {len(records)} records failed; first error: "
                         f"{errors[0]['error']}")
-    return FingerprintTable(FingerprintLayout(LAYOUT_VERSION, kinds, k_grid),
-                            tuple(fingerprints), tuple(errors))
+    if k_grid is None:
+        k_grid = min(K_GRID_CAP, max(max(diameter for _, (_, diameter) in done), 1))
+    diagrams = tuple([(kind, i, truncate(pd0, k_grid), truncate(pd1, k_grid))
+                      for kind, i, pd0, pd1 in rows] for _, (rows, _) in done)
+    return FingerprintTable(
+        FingerprintLayout(LAYOUT_VERSION, kinds, k_grid),
+        tuple(fingerprint_from_rows(rows, specs, k_grid, record_id)
+              for (record_id, _), rows in zip(done, diagrams)),
+        tuple(errors), diagrams)
 
 
 def slice_table(table: FingerprintTable, kinds) -> FingerprintTable:
@@ -338,7 +342,7 @@ def read_fingerprints_csv(path) -> FingerprintTable:
     header = next(reader, [])
     if header[1:] != layout.column_names():
         raise DataError(f"{path}: column names do not match the declared layout")
-    fps = {}
+    fps, first_line = [], {}
     for row in reader:
         try:
             vector = np.array([int(x) for x in row[1:]], dtype=np.int64)
@@ -346,10 +350,9 @@ def read_fingerprints_csv(path) -> FingerprintTable:
             raise DataError(f"{path} line {reader.line_num + 1}: non-integer entry") from None
         if vector.shape[0] != layout.length:
             raise DataError(f"{path} line {reader.line_num + 1}: wrong number of entries")
-        if row[0] in fps:
-            raise DataError(f"{path} line {reader.line_num + 1}: repeated record id {row[0]!r}")
-        fps[row[0]] = Fingerprint(row[0], layout, vector)
+        note_line(first_line, row[0], reader.line_num + 1, path)
+        fps.append(Fingerprint(row[0], layout, vector))
     if not fps:
         raise DataError(f"{path}: no fingerprint rows")
-    return FingerprintTable(layout, tuple(fps.values()), ())
+    return FingerprintTable(layout, tuple(fps), ())
 

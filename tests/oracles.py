@@ -77,6 +77,14 @@ def hop_distances(adj: np.ndarray) -> np.ndarray:
     return hops
 
 
+def graph_diameter(graph) -> int:
+    """The largest finite hop count between two atoms of ``graph``."""
+    adj = np.zeros((graph.n_atoms, graph.n_atoms), dtype=int)
+    for bond in graph.bonds:
+        adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1
+    return int(hop_distances(adj).max())
+
+
 # ---------------------------------------------------------------------------
 # Clique 2-skeleton and GF(2) ranks
 

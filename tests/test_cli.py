@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import moltop
+from moltop import vectorize
 from moltop.cli import main
 from moltop.errors import InternalInvariantError
+from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.homology import PersistenceDiagram
-from moltop.vectorize import read_fingerprints_csv
+from moltop.molgraph import DatasetRecord
+from moltop.vectorize import diagram_records, read_fingerprints_csv, row_diagrams
 
-from oracles import betti_curve
+from oracles import betti_curve, graph_diameter
 
 
 @pytest.fixture()
@@ -118,6 +121,78 @@ def test_diagram_dump_is_independent_of_threads(tiny_dataset_path, tmp_path, cap
     assert dumps[0] == dumps[1]
     molecules = {json.loads(line)["molecule"] for line in dumps[0].splitlines()}
     assert len(molecules) == 40 and "nocharge" not in molecules
+    capsys.readouterr()
+
+
+def open_k_grid_config(dataset_path, tmp_path, **overrides):
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"dataset": {"path": str(dataset_path)}, "task": "regression",
+                                "k_grid": None, "threads": 1, "repeats": 1,
+                                "out_dir": str(tmp_path / "out"),
+                                "sglb": {"iterations": 5, "max_depth": 2, "ensemble_size": 2},
+                                **overrides}))
+    return path
+
+
+@pytest.mark.parametrize("command", [["fingerprint", "--dump-diagrams"], ["bench"]])
+def test_one_parse_and_one_walk_per_record(tiny_dataset_path, tmp_path, monkeypatch,
+                                           capsys, command):
+    # The fingerprint stage picks the open k_grid, fingerprints and dumps
+    # from one pass over the records.
+    parsed, walked = [], []
+    real_parse, real_walk = vectorize.graph_from_record, vectorize.geodesic_distances
+
+    def parse(record):
+        parsed.append(record.record_id)
+        return real_parse(record)
+
+    def walk(graph, rows=None):
+        walked.append(graph.name)  # the generated graphs are named by record
+        return real_walk(graph, rows)
+
+    monkeypatch.setattr(vectorize, "graph_from_record", parse)
+    monkeypatch.setattr(vectorize, "geodesic_distances", walk)
+    cfg = open_k_grid_config(tiny_dataset_path, tmp_path)
+    assert main(command + ["--config", str(cfg)]) == 0
+    ids = sorted(json.loads(line)["record_id"]
+                 for line in tiny_dataset_path.read_text().splitlines())
+    assert sorted(parsed) == sorted(walked) == ids
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["full_graph", "induced_subgraph"])
+def test_dump_with_open_k_grid_is_row_diagrams_at_the_largest_diameter(
+        tiny_dataset_path, tmp_path, capsys, mode):
+    cfg = open_k_grid_config(tiny_dataset_path, tmp_path, distance_mode=mode)
+    assert main(["fingerprint", "--config", str(cfg), "--dump-diagrams"]) == 0
+    graphs = []
+    for line in tiny_dataset_path.read_text().splitlines():
+        doc = json.loads(line)
+        graphs.append(vectorize.graph_from_record(
+            DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"])))
+    k_grid = min(vectorize.K_GRID_CAP, max(map(graph_diameter, graphs)))
+    assert read_fingerprints_csv(tmp_path / "out" / "fingerprints.csv").layout.k_grid == k_grid
+    specs = [make_spec(k) for k in FILTRATION_KINDS]
+    want = [doc for graph in graphs
+            for doc in diagram_records(row_diagrams(graph, specs, k_grid, mode)[0], graph.name)]
+    dump = (tmp_path / "out" / "diagrams.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in dump] == want
+    capsys.readouterr()
+
+
+def test_error_entries_name_the_error_class(tiny_dataset_path, tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text(tiny_dataset_path.read_text() + "{not json\n"
+                    + json.dumps({"record_id": "nocharge", "target": 1.0, "smiles": "C"})
+                    + "\n")
+    assert main(["fingerprint", "--config", str(open_k_grid_config(data, tmp_path))]) == 0
+    errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+    assert errors == {
+        "load_errors": [{"record_id": "row40", "error": errors["load_errors"][0]["error"],
+                         "error_class": "DataError"}],
+        "fingerprint_errors": [{"record_id": "nocharge",
+                                "error": errors["fingerprint_errors"][0]["error"],
+                                "error_class": "ChargesRequiredError"}]}
     capsys.readouterr()
 
 

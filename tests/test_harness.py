@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from moltop import harness
+from moltop import vectorize
 from moltop.errors import ConfigError, DataError
 from moltop.harness import (
     apply_split,
@@ -21,11 +21,17 @@ from moltop.harness import (
     run_benchmark,
     run_config_from_dict,
 )
+from moltop.filtration import FILTRATION_KINDS
 from moltop.molgraph import DatasetRecord, expand_hydrogens, parse_smiles
 from moltop.sglb import decompose, load_ensemble
-from moltop.vectorize import read_fingerprints_csv
+from moltop.vectorize import (
+    DISTANCE_MODES,
+    fingerprint_dataset,
+    graph_from_record,
+    read_fingerprints_csv,
+)
 
-from oracles import hop_distances, naive_f1, naive_prc_auc, naive_roc_auc
+from oracles import graph_diameter, naive_f1, naive_prc_auc, naive_roc_auc
 
 
 def write_csv_dataset(path, rows):
@@ -171,7 +177,7 @@ class TestApplySplit:
         split.write_text("record_id,split\nr0,TRAIN\nr1,TEST\nr0,TEST\n")
         with pytest.raises(DataError) as err:
             apply_split(self.make_records(2), "file", split)
-        assert f"{split} line 4:" in str(err.value) and "'r0'" in str(err.value)
+        assert f"{split} line 4: repeated record id 'r0' (first on line 2)" in str(err.value)
 
     def test_random_sizes_80_10_10(self):
         tagged = apply_split(self.make_records(100), "random", seed=0)
@@ -304,19 +310,61 @@ class TestPrepareRun:
         write_csv_dataset(data, [[f"m{i}", s, "1.0"] for i, s in enumerate(smiles)])
         cfg = run_config_from_dict({"dataset": {"path": str(data)}, "task": "regression",
                                     "kinds": ["ATOMIC_MASS"]})
-        diameters = []
-        for s in smiles:
-            graph = expand_hydrogens(parse_smiles(s))
-            adj = np.zeros((graph.n_atoms, graph.n_atoms), dtype=int)
-            for bond in graph.bonds:
-                adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1
-            diameters.append(int(hop_distances(adj).max()))
+        diameters = [graph_diameter(expand_hydrogens(parse_smiles(s))) for s in smiles]
         assert max(diameters) == 7  # hexane, hydrogen to hydrogen
         prep = prepare_run(cfg)
-        assert prep.k_grid == prep.table.layout.k_grid == 7
-        monkeypatch.setattr(harness, "K_GRID_CAP", 5)
+        assert prep.table.layout.k_grid == 7
+        monkeypatch.setattr(vectorize, "K_GRID_CAP", 5)
         prep = prepare_run(cfg)
-        assert prep.k_grid == prep.table.layout.k_grid == 5
+        assert prep.table.layout.k_grid == 5
+
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    def test_open_k_grid_equals_fingerprinting_at_the_largest_diameter(
+            self, tiny_dataset_path, mode):
+        # Reducing at the cap and truncating to the largest diameter gives the
+        # fingerprints and diagrams of a run at that k_grid; in induced mode
+        # some rows have distances past it.
+        cfg = run_config_from_dict({"dataset": {"path": str(tiny_dataset_path)},
+                                    "task": "regression", "distance_mode": mode})
+        prep = prepare_run(cfg)
+        graphs = [graph_from_record(r) for r in prep.records]
+        k_grid = min(vectorize.K_GRID_CAP, max(map(graph_diameter, graphs)))
+        assert k_grid < vectorize.K_GRID_CAP
+        want = fingerprint_dataset(prep.records, FILTRATION_KINDS, k_grid, distance_mode=mode)
+        assert prep.table == want
+        assert prep.table.diagrams == want.diagrams
+
+    def test_a_record_that_fails_does_not_set_the_open_k_grid(self, tiny_dataset_path,
+                                                               tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text(tiny_dataset_path.read_text() + json.dumps(
+            {"record_id": "chain", "target": 1.0, "smiles": "C" * 24}) + "\n")
+        prep = prepare_run(run_config_from_dict({"dataset": {"path": str(data)},
+                                                 "task": "regression"}))
+        assert [e["record_id"] for e in prep.table.errors] == ["chain"]  # no charges
+        assert prep.table.layout.k_grid == max(
+            graph_diameter(graph_from_record(r)) for r in prep.records[:-1])
+
+    def test_global_deciles_pool_only_fully_charged_molecules(self, tiny_dataset_path,
+                                                              tmp_path):
+        # A partly charged molecule fails, so its charges must not move the
+        # thresholds every other record's partial-charge rows are cut at.
+        docs = [json.loads(line) for line in tiny_dataset_path.read_text().splitlines()]
+        partial = json.loads(json.dumps(docs[0]))
+        partial["record_id"] = "partial"
+        for i, atom in enumerate(partial["graph"]["atoms"]):
+            if i % 2:
+                del atom["partial_charge"]
+            else:
+                atom["partial_charge"] = 50.0 if i % 4 else -50.0
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(d) + "\n" for d in docs + [partial]))
+        runs = [prepare_run(run_config_from_dict(
+                    {"dataset": {"path": str(path)}, "task": "regression", "k_grid": 8,
+                     "decile_mode": "global"}))
+                for path in (tiny_dataset_path, data)]
+        assert [e["record_id"] for e in runs[1].table.errors] == ["partial"]
+        assert runs[1].table.fingerprints == runs[0].table.fingerprints
 
 
 def bench_config(dataset_path, out_dir, **overrides):

@@ -12,6 +12,7 @@ from moltop.homology import (
     geodesic_distances,
     reduce_rows,
     strong_collapse,
+    truncate,
 )
 from moltop import homology
 from moltop.datagen import generate_dataset
@@ -27,6 +28,7 @@ from moltop.molgraph import (
 )
 from moltop.vectorize import (
     DISTANCE_MODES,
+    K_GRID_CAP,
     diagram_records,
     graph_from_record,
     row_diagrams,
@@ -37,6 +39,7 @@ from oracles import (
     betti_numbers_at,
     complex_at,
     components,
+    graph_diameter,
     hop_distances,
     load_graph6_file,
     naive_persistence,
@@ -558,7 +561,7 @@ class TestStrongCollapse:
         full = geodesic_distances(graph)
         for mode in ("full_graph", "induced_subgraph"):
             for cap in (1, 2, 14):
-                for kind, i, pd0, pd1 in row_diagrams(graph, specs, cap, mode):
+                for kind, i, pd0, pd1 in row_diagrams(graph, specs, cap, mode)[0]:
                     row = build_sequence(graph, make_spec(kind)).subsets[i]
                     if not row:
                         continue
@@ -635,7 +638,7 @@ class TestStrongCollapse:
         graph = expand_hydrogens(parse_smiles("CC(O)c1ccccc1.[Cl-]"))
         specs = [make_spec(k) for k in ("ATOMIC_MASS", "BOND_TYPE", "CHIRALITY")]
         full = geodesic_distances(graph)
-        docs = diagram_records(graph, specs, 6, molecule_id="m")
+        docs = diagram_records(row_diagrams(graph, specs, 6)[0], "m")
         assert len(docs) == 2 * (10 + 4 + 3)
         collapsing = 0
         for doc in docs:
@@ -753,3 +756,67 @@ class TestStackedRows:
         reduce_rows(build_rows([set(range(6))] * 2, hops, 2 ** 20))
         with pytest.raises(DataError, match="too large"):
             reduce_rows(build_rows([set(range(6))] * 2, hops, 2 ** 62 // 6 ** 3))
+
+
+class TestTruncate:
+    """Diagrams reduced at a larger cap and truncated to K equal a reduction at K."""
+
+    def test_bundled_graphs_random_rows_both_modes(self):
+        graphs = load_graph6_file(str(GRAPH6_PATH))
+        assert len(graphs) == 996
+        rng = np.random.default_rng(53)
+        clipped = beyond = 0
+        for adj in graphs:
+            n = len(adj)
+            row = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+            for induced, hops in ((False, hop_distances(adj)), (True, induced_hops(adj, row))):
+                top = reduce_row(row, hops, 6)
+                for cap in range(1, 7):
+                    got = tuple(truncate(pd, cap) for pd in top)
+                    assert got == reduce_row(row, hops, cap), (adj.tolist(), row, cap)
+                    clipped += sum(b <= cap < d for pd in top for b, d in pd.pairs)
+                    beyond += induced and hops[np.ix_(row, row)].max() > cap
+        assert clipped > 100  # pairs alive at the cut become essential classes
+        assert beyond > 100   # induced rows with distances past the cut
+
+    def test_datagen_rows_both_modes(self):
+        specs = [make_spec(k) for k in FILTRATION_KINDS]
+        clipped = beyond = 0
+        for doc in generate_dataset(15, seed=3):
+            graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"]))
+            for mode in DISTANCE_MODES:
+                top, diameter = row_diagrams(graph, specs, K_GRID_CAP, mode)
+                for k in (14, 6, 3):
+                    want, _ = row_diagrams(graph, specs, k, mode)
+                    got = [(kind, i, truncate(pd0, k), truncate(pd1, k))
+                           for kind, i, pd0, pd1 in top]
+                    assert got == want, (graph.name, mode, k)
+                    clipped += sum(b <= k < d for *_, pd0, pd1 in top
+                                   for pd in (pd0, pd1) for b, d in pd.pairs)
+                    if mode == "induced_subgraph":
+                        rows = {s for kind in FILTRATION_KINDS
+                                for s in build_sequence(graph, make_spec(kind)).subsets if s}
+                        beyond += any(row_hops(graph, row).max() > k for row in rows)
+        assert clipped > 0 and beyond > 0
+
+    def test_identity_at_its_own_cap(self):
+        pd = PersistenceDiagram(1, ((1, 3), (2, 5)), (4,), 6)
+        assert truncate(pd, 6) is pd
+        assert truncate(pd, 4) == PersistenceDiagram(1, ((1, 3),), (2, 4), 4)
+        assert truncate(pd, 2) == PersistenceDiagram(1, (), (1, 2), 2)
+
+
+class TestRowDiagramsDiameter:
+    def test_full_graph_diameter_in_both_modes(self):
+        # Every kind's last level holds every atom, so the diameter is the full
+        # graph's in induced mode too, though other rows' walks run longer.
+        longer = 0
+        for doc in generate_dataset(20, seed=3):
+            graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"]))
+            want = graph_diameter(graph)
+            for kind in FILTRATION_KINDS:
+                for mode in DISTANCE_MODES:
+                    assert row_diagrams(graph, [make_spec(kind)], 2, mode)[1] == want
+                rows = [s for s in build_sequence(graph, make_spec(kind)).subsets if s]
+                longer += max(row_hops(graph, row).max() for row in rows) > want
+        assert longer > 0

@@ -112,8 +112,8 @@ class TestInducedDistance:
         report = matching_report(g, mirror(g), ALL_SPECS, 10)
         differing = [i for i, w in enumerate(report.per_row) if w != 0]
         assert len(differing) == 1
-        (_, _, a0, a1) = row_diagrams(g, ALL_SPECS, 10)[differing[0]]
-        (_, _, b0, b1) = row_diagrams(mirror(g), ALL_SPECS, 10)[differing[0]]
+        (_, _, a0, a1) = row_diagrams(g, ALL_SPECS, 10)[0][differing[0]]
+        (_, _, b0, b1) = row_diagrams(mirror(g), ALL_SPECS, 10)[0][differing[0]]
         assert report.induced == wasserstein(a0, b0) + wasserstein(a1, b1) > 0
 
     def test_three_row_toy_matches_per_row_oracle(self):
@@ -123,7 +123,7 @@ class TestInducedDistance:
                      (charged("C#N"), charged("CO"))):
             expected = sum(row_oracle(a0, b0) + row_oracle(a1, b1)
                            for (_, _, a0, a1), (_, _, b0, b1)
-                           in zip(row_diagrams(a, specs, 4), row_diagrams(b, specs, 4)))
+                           in zip(row_diagrams(a, specs, 4)[0], row_diagrams(b, specs, 4)[0]))
             induced = matching_report(a, b, specs, 4).induced
             assert induced == pytest.approx(expected, abs=1e-12)
 

@@ -22,6 +22,7 @@ from moltop.vectorize import (
     diagram_records,
     fingerprint_dataset,
     read_fingerprints_csv,
+    row_diagrams,
     slice_table,
     write_fingerprints_csv,
 )
@@ -201,14 +202,14 @@ class TestDatasetFingerprinting:
                         reason="only forked workers inherit the patched function")
     def test_dead_worker_names_the_records_not_returned(self, monkeypatch):
         from moltop import vectorize
-        real = vectorize.assemble
+        real = vectorize.graph_from_record
 
-        def dies_on_r003(graph, specs, k_grid, distance_mode, record_id):
-            if record_id == "r003":
+        def dies_on_r003(record):
+            if record.record_id == "r003":
                 os._exit(1)
-            return real(graph, specs, k_grid, distance_mode, record_id=record_id)
+            return real(record)
 
-        monkeypatch.setattr(vectorize, "assemble", dies_on_r003)
+        monkeypatch.setattr(vectorize, "graph_from_record", dies_on_r003)
         with pytest.raises(MoltopError, match="had not returned: .*r003") as info:
             fingerprint_dataset(self.make_records(6), FILTRATION_KINDS, 8, threads=2)
         assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
@@ -306,7 +307,7 @@ class TestOnDiskFormats:
         path.write_text("\n".join(lines + lines[3:4]) + "\n")  # r001 again, on line 6
         with pytest.raises(DataError) as err:
             read_fingerprints_csv(path)
-        assert f"{path} line 6:" in str(err.value) and "'r001'" in str(err.value)
+        assert f"{path} line 6: repeated record id 'r001' (first on line 4)" in str(err.value)
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
@@ -318,7 +319,7 @@ class TestOnDiskFormats:
 class TestDiagramDump:
     def test_row_and_dim_coverage(self):
         g = charged("C1CC1O")
-        docs = diagram_records(g, ALL_SPECS, 8, molecule_id="tri")
+        docs = diagram_records(row_diagrams(g, ALL_SPECS, 8)[0], "tri")
         rows = sum(LEVEL_COUNTS[k] for k in FILTRATION_KINDS)
         assert len(docs) == rows * 2
         assert {d["molecule"] for d in docs} == {"tri"}
