@@ -6,8 +6,6 @@ distance, bench.  Exit codes: 0 ok, 2 config error, 3 data error,
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -21,9 +19,10 @@ from .errors import (
     DataError,
     InternalInvariantError,
     MoltopError,
+    finite_number,
     note_line,
+    read_csv,
     read_json,
-    read_text,
 )
 from .filtration import FILTRATION_KINDS, canonical_kinds
 from .harness import (
@@ -133,22 +132,16 @@ def _cmd_evaluate(args) -> int:
     records, _ = load_dataset(cfg.dataset_path, cfg.dataset_format)
     targets = {r.record_id: r.target for r in records}
     groups: dict[str, tuple[list, list]] = {}
-    reader = csv.DictReader(io.StringIO(read_text(args.predictions, "predictions"),
-                                        newline=""))
-    for column in ("record_id", "prediction"):
-        if column not in (reader.fieldnames or ()):
-            raise DataError(f"{args.predictions}: no {column!r} column")
     first_line = {}
-    for row in reader:
+    for line, row in read_csv(args.predictions, "predictions", ("record_id", "prediction"),
+                              ("split",)):
         rid = row["record_id"]
         if rid not in targets:
             raise DataError(f"prediction for unknown record {rid!r}")
-        note_line(first_line, rid, reader.line_num, args.predictions)
-        try:
-            prediction = float(row["prediction"])
-        except (TypeError, ValueError):  # TypeError: the row has too few fields
-            raise DataError(f"{args.predictions} line {reader.line_num}: "
-                            f"non-numeric prediction {row['prediction']!r}") from None
+        note_line(first_line, rid, line, args.predictions)
+        where = f"{args.predictions} line {line}: "
+        prediction = finite_number(row["prediction"], where + "non-numeric prediction",
+                                   where + "non-finite prediction")
         bucket = groups.setdefault(row.get("split") or "ALL", ([], []))
         bucket[0].append(prediction)
         bucket[1].append(float(targets[rid]))

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the toolkit, the one reader of input files,
-the one type check of the values read from them, the one repeated-id check,
-and the one process fan-out.
+"""Exception hierarchy shared across the toolkit, the one reader of input files
+(and of CSV ones), the one type and finite-number checks of the values read from
+them, the one repeated-id check, and the one process fan-out.
 
 The CLI maps these onto its exit-code table: configuration problems -> 2,
 data/input problems -> 3, violated internal invariants -> 4.
@@ -9,7 +9,10 @@ data/input problems -> 3, violated internal invariants -> 4.
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+import csv
+import io
 import json
+import math
 import os
 
 
@@ -68,19 +71,52 @@ def typed(value, kind, key: str, error=ConfigError):
     return value
 
 
+def finite_number(value, non_numeric: str, non_finite: str) -> float:
+    """``float(value)`` if that is a finite number.  Else a DataError that says
+    ``non_numeric`` (text float() rejects, or None from a missing field) or
+    ``non_finite`` (the 'nan' and 'inf' float() reads, json's NaN and Infinity),
+    then the value."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{non_numeric} {value!r}") from None
+    if not math.isfinite(number):
+        raise DataError(f"{non_finite} {value!r}")
+    return number
+
+
 def read_text(path, what: str, error=DataError) -> str:
-    """The UTF-8 text of the file at ``path``.  Any failure to open or decode
-    it raises ``error`` naming the file (and the line of a non-UTF-8 byte)."""
+    """The UTF-8 text of the file at ``path``, less a leading byte-order mark.  Any
+    failure to open or decode it raises ``error`` naming the file (and the line of
+    a non-UTF-8 byte)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: NUL in the path
         raise error(f"{path}: cannot read {what} ({exc})") from None
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.start counts in exc.object: data less the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"{path} line {line}: cannot read {what} (not UTF-8 text)") from None
+
+
+def read_csv(path, what: str, columns, optional=()) -> list:
+    """(file line, {column: text}) for each row of the CSV file at ``path``, with
+    every one of ``columns`` and those of ``optional`` the header has.  Header
+    names match case-insensitively after strip(); a field a short row lacks is
+    None.  A missing header or column raises a DataError naming the file."""
+    reader = csv.DictReader(io.StringIO(read_text(path, what), newline=""))
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: missing CSV header")
+    fields = {name.strip().lower(): name for name in reader.fieldnames}
+    for column in columns:
+        if column not in fields:
+            raise DataError(f"{path}: no {column!r} column")
+    wanted = [(column, fields[column]) for column in (*columns, *optional)
+              if column in fields]
+    return [(reader.line_num, {column: row[name] for column, name in wanted})
+            for row in reader]
 
 
 def read_json(path, what: str, error=DataError):

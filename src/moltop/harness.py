@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, DataError, note_line, read_json, read_text, typed
+from .errors import (ConfigError, DataError, finite_number, note_line, read_csv, read_json,
+                     read_text, typed)
 from .filtration import FILTRATION_KINDS, canonical_kinds, decile_boundaries
 from .molgraph import SPLIT_TAGS, DatasetRecord, parse_smiles, load_graph_json
 from .sglb import (
@@ -139,9 +140,9 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     elif split_mode == "random":
         ratios = typed(split.get("ratios", [0.8, 0.1, 0.1]), list, "split.ratios")
         ratios = tuple(typed(r, (int, float), "split.ratios") for r in ratios)
-        if len(ratios) != 3 or any(r < 0 for r in ratios):
+        if len(ratios) != 3 or any(not r >= 0 for r in ratios):  # not: also NaN
             raise ConfigError("split.ratios must be three non-negative numbers")
-        if abs(sum(ratios) - 1.0) > 1e-9:
+        if not abs(sum(ratios) - 1.0) <= 1e-9:
             raise ConfigError("split.ratios must sum to 1")
     else:
         raise ConfigError(f"invalid split mode {split_mode!r}")
@@ -182,68 +183,50 @@ def load_dataset(path, dataset_format: str | None = None):
         dataset_format = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}.get(ext)
         if dataset_format is None:
             raise ConfigError(f"cannot infer dataset format from {path!r}")
-    loader = {"csv": _load_csv, "jsonl": _load_jsonl}.get(dataset_format)
-    if loader is None:
+    if dataset_format == "csv":  # (line, record id, document) for each row
+        table = read_csv(path, "dataset", ("smiles", "target"), ("id", "record_id"))
+        rows = [(line, row.get("id", row.get("record_id")) or f"row{i}",
+                 {"target": row["target"], "smiles": (row["smiles"] or "").strip()})
+                for i, (line, row) in enumerate(table)]
+    elif dataset_format == "jsonl":  # (line, default id, JSON text) for each line
+        # newline=None splits at \n, \r and \r\n, as reading the file as text does
+        lines = io.StringIO(read_text(path, "dataset"), newline=None)
+        rows = [(i + 1, f"row{i}", text) for i, text in enumerate(lines) if text.strip()]
+    else:
         raise ConfigError(f"unknown dataset format {dataset_format!r}")
-    numbered, errors = loader(read_text(path, "dataset"), path)
-    if not numbered:
+    base_dir = os.path.dirname(os.path.abspath(str(path)))
+    records, errors, first_line = [], [], {}
+    for line, record_id, doc in rows:
+        try:
+            if isinstance(doc, str):
+                doc = _json_object(doc)
+            record_id = str(doc.get("record_id", record_id))
+            record = _record(doc, record_id, base_dir)
+        except DataError as exc:
+            errors.append(exc.entry(record_id))
+            continue
+        note_line(first_line, record_id, line, path)
+        records.append(record)
+    if not records:
         raise DataError(f"{path}: no usable records"
                         + (f" ({len(errors)} rows failed)" if errors else ""))
-    first_line = {}
-    for line, record in numbered:
-        note_line(first_line, record.record_id, line, path)
-    return [record for _, record in numbered], errors
-
-
-def _load_csv(text, path):
-    """(line, record) pairs of the usable rows, and the errors of the others."""
-    records, errors = [], []
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None:
-        raise DataError(f"{path}: missing CSV header")
-    fields = {name.strip().lower(): name for name in reader.fieldnames}
-    smiles_col = fields.get("smiles")
-    target_col = fields.get("target")
-    id_col = fields.get("id") or fields.get("record_id")
-    if smiles_col is None or target_col is None:
-        raise DataError(f"{path}: CSV needs smiles and target columns")
-    for i, row in enumerate(reader):
-        record_id = (row.get(id_col) or f"row{i}") if id_col else f"row{i}"
-        try:
-            smiles = (row.get(smiles_col) or "").strip()
-            target = _target(row.get(target_col))
-            parse_smiles(smiles)  # reject unparsable rows up front
-            records.append((reader.line_num, DatasetRecord(record_id, target, smiles=smiles)))
-        except DataError as exc:
-            errors.append(exc.entry(record_id))
     return records, errors
 
 
-def _load_jsonl(text, path):
-    """(line, record) pairs of the usable lines, and the errors of the others."""
-    records, errors = [], []
-    base_dir = os.path.dirname(os.path.abspath(str(path)))
-    # newline=None splits at \n, \r and \r\n, as reading the file as text does
-    for i, line in enumerate(io.StringIO(text, newline=None)):
-        if not line.strip():
-            continue
-        record_id = f"row{i}"
-        try:
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON: {exc}") from None
-            if not isinstance(doc, dict):
-                raise DataError("record must be a JSON object")
-            record_id = str(doc.get("record_id", record_id))
-            records.append((i + 1, _jsonl_record(doc, record_id, base_dir)))
-        except DataError as exc:
-            errors.append(exc.entry(record_id))
-    return records, errors
+def _json_object(text) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError("record must be a JSON object")
+    return doc
 
 
-def _jsonl_record(doc, record_id, base_dir) -> DatasetRecord:
-    target = _target(doc.get("target"))
+def _record(doc, record_id, base_dir) -> DatasetRecord:
+    """The record of a dataset document: a JSONL object, or a CSV row's target and SMILES."""
+    target = finite_number(doc.get("target"), "missing or non-numeric target",
+                           "non-finite target")
     key = next((k for k in ("graph", "graph_path", "smiles") if k in doc), None)
     if key is None:
         raise DataError("record needs graph, graph_path, or smiles")
@@ -259,31 +242,18 @@ def _jsonl_record(doc, record_id, base_dir) -> DatasetRecord:
     return DatasetRecord(record_id, target, split=doc.get("split"), **{key: value})
 
 
-def _target(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):  # None when the target is missing
-        raise DataError(f"missing or non-numeric target {value!r}") from None
-
-
 def apply_split(records, split_mode: str = "random", split_path=None,
                 ratios=(0.8, 0.1, 0.1), seed: int = 0):
     """Tag every record with exactly one of TRAIN/VALID/TEST."""
     records = list(records)
     if split_mode == "file":
         assignment, first_line = {}, {}
-        text = read_text(split_path, "split file")
-        reader = csv.DictReader(io.StringIO(text, newline=""))
-        fields = {name.strip().lower(): name for name in (reader.fieldnames or [])}
-        id_col, split_col = fields.get("record_id"), fields.get("split")
-        if id_col is None or split_col is None:
-            raise DataError(f"{split_path}: split CSV needs record_id and split columns")
-        for row in reader:
-            tag = (row[split_col] or "").strip().upper()  # None: the row is short
+        for line, row in read_csv(split_path, "split file", ("record_id", "split")):
+            tag = (row["split"] or "").strip().upper()  # None: the row is short
             if tag not in SPLIT_TAGS:
-                raise DataError(f"{split_path} line {reader.line_num}: invalid split tag {tag!r}")
-            note_line(first_line, row[id_col], reader.line_num, split_path)
-            assignment[row[id_col]] = tag
+                raise DataError(f"{split_path} line {line}: invalid split tag {tag!r}")
+            note_line(first_line, row["record_id"], line, split_path)
+            assignment[row["record_id"]] = tag
         missing = [r.record_id for r in records if r.record_id not in assignment]
         if missing:
             shown = ", ".join(missing[:20])

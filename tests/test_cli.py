@@ -320,6 +320,9 @@ def test_exit_code_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("header,prediction,named", [
     ("record_id,prediction", "abc", "line 2"),
     ("id,prediction", "1.0", "'record_id' column"),
+    ("record_id,score", "1.0", "no 'prediction' column"),
+    ("record_id,prediction", "nan", "line 2: non-finite prediction 'nan'"),
+    ("record_id,prediction", "-inf", "line 2: non-finite prediction '-inf'"),
 ])
 def test_evaluate_bad_predictions_exit_3(config_path, tiny_dataset_path, tmp_path,
                                          capsys, header, prediction, named):
@@ -330,6 +333,33 @@ def test_evaluate_bad_predictions_exit_3(config_path, tiny_dataset_path, tmp_pat
                  "--predictions", str(predictions)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and named in err
+
+
+def test_evaluate_reads_headers_in_any_case(config_path, tiny_dataset_path, tmp_path,
+                                            capsys):
+    ids = [json.loads(line)["record_id"]
+           for line in tiny_dataset_path.read_text().splitlines()[:4]]
+    rows = "".join(f"{rid},{i * 0.5},{'VALID' if i % 2 else 'TEST'}\n"
+                   for i, rid in enumerate(ids))
+    metrics = []
+    for header in ("record_id,prediction,split", " Record_ID ,PREDICTION, Split "):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text(f"{header}\n{rows}")
+        assert main(["evaluate", "--config", str(config_path),
+                     "--predictions", str(predictions)]) == 0
+        metrics.append(json.loads(capsys.readouterr().out))
+    assert set(metrics[0]) == {"TEST", "VALID"}
+    assert metrics[1] == metrics[0]
+
+
+def test_nan_split_ratio_config_exits_2(config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    # NaN fails every comparison: `r < 0` and `abs(sum - 1) > 1e-9` let it through
+    doc["split"] = {"mode": "random", "ratios": [math.nan, 0.1, 0.1]}
+    config_path.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "split.ratios" in err
 
 
 def test_evaluate_repeated_record_id_exits_3(config_path, tiny_dataset_path, tmp_path,

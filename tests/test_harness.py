@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -123,6 +124,58 @@ class TestLoadDataset:
         assert [r.record_id for r in records] == ["row0", "row1", "row3"]
         assert [e["record_id"] for e in errors] == ["row2"]
 
+    def test_csv_header_names_match_in_any_case_and_spacing(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(" ID ,SMILES, Target \na,CCO,1.5\nb,CCN,0.5\n")
+        records, errors = load_dataset(path)
+        assert errors == []
+        assert [(r.record_id, r.smiles, r.target) for r in records] == [
+            ("a", "CCO", 1.5), ("b", "CCN", 0.5)]
+
+    @pytest.mark.parametrize("header,missing", [("id,smiles", "target"),
+                                                ("id,target", "smiles"), ("", "smiles")],
+                             ids=["no-target", "no-smiles", "blank-header"])
+    def test_missing_csv_column_names_file_and_column(self, tmp_path, header, missing):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\na,CCO\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: no {missing!r} column"
+
+    @pytest.mark.parametrize("name", ["data.csv", "data.jsonl"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, name):
+        # The mark must neither rename the first column nor spoil the first line.
+        rows = [("a", "CCO", 1.5), ("b", "CCN", 0.5)]
+        if name.endswith(".csv"):
+            text = "id,smiles,target\n" + "".join(f"{r},{s},{t}\n" for r, s, t in rows)
+        else:
+            text = "".join(json.dumps({"record_id": r, "smiles": s, "target": t}) + "\n"
+                           for r, s, t in rows)
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        records, errors = load_dataset(path)
+        assert errors == []
+        assert [(r.record_id, r.smiles, r.target) for r in records] == rows
+
+    @pytest.mark.parametrize("name,target", [
+        ("data.csv", "nan"), ("data.csv", "inf"), ("data.csv", "-Infinity"),
+        ("data.jsonl", math.nan), ("data.jsonl", math.inf), ("data.jsonl", "nan"),
+    ], ids=["csv-nan", "csv-inf", "csv-neg-infinity", "jsonl-NaN", "jsonl-Infinity",
+            "jsonl-nan-text"])
+    def test_non_finite_target_is_a_load_error_naming_the_record(self, tmp_path, name,
+                                                                 target):
+        rows = [("a", "CCO", 1.5), ("x", "CCN", target), ("b", "CO", 0.5)]
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            write_csv_dataset(path, rows)
+        else:  # json writes math.nan and math.inf as NaN and Infinity
+            path.write_text("".join(json.dumps({"record_id": r, "smiles": s, "target": t})
+                                    + "\n" for r, s, t in rows))
+        records, errors = load_dataset(path)
+        assert [r.record_id for r in records] == ["a", "b"]
+        assert errors == [{"record_id": "x", "error": f"non-finite target {target!r}",
+                           "error_class": "DataError"}]
+
     def test_non_utf8_file_is_a_data_error(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"id,smiles,target\na,CCO,1.0\nb,C\xff\xfeC,2.0\n")
@@ -164,13 +217,28 @@ class TestApplySplit:
     @pytest.mark.parametrize("content,line", [
         (b"record_id,split\nr0,TRAIN\nr1,\xff\n", 3),
         (b"record_id,split\nr0,TRAIN\nr1\n", 3),
-    ], ids=["not-utf8", "short-row"])
+        # the bad byte is within a mark's length of its line's start
+        (b"\xef\xbb\xbfrecord_id,split\nr0,TRAIN\n\xff,TEST\n", 3),
+    ], ids=["not-utf8", "short-row", "not-utf8-after-byte-order-mark"])
     def test_bad_split_file_names_file_and_line(self, tmp_path, content, line):
         split = tmp_path / "split.csv"
         split.write_bytes(content)
         with pytest.raises(DataError) as err:
             apply_split(self.make_records(2), "file", split)
         assert f"{split} line {line}:" in str(err.value)
+
+    def test_split_file_header_names_match_in_any_case_and_spacing(self, tmp_path):
+        split = tmp_path / "split.csv"
+        split.write_bytes(b"\xef\xbb\xbf Record_ID ,SPLIT\nr1,TEST\nr0,train\n")
+        tagged = apply_split(self.make_records(2), "file", split)
+        assert [r.split for r in tagged] == ["TRAIN", "TEST"]
+
+    def test_missing_split_column_names_file_and_column(self, tmp_path):
+        split = tmp_path / "split.csv"
+        split.write_text("record_id,tag\nr0,TRAIN\nr1,TEST\n")
+        with pytest.raises(DataError) as err:
+            apply_split(self.make_records(2), "file", split)
+        assert str(err.value) == f"{split}: no 'split' column"
 
     def test_repeated_id_names_id_and_line(self, tmp_path):
         split = tmp_path / "split.csv"
@@ -287,6 +355,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             run_config_from_dict(doc)
         assert named in str(err.value)
+
+    def test_byte_order_mark_before_config_is_ignored(self, tmp_path, small_dataset_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+            {"dataset": str(small_dataset_path), "task": "regression", "seed": 3}).encode())
+        assert load_run_config(cfg_path).seed == 3
 
     def test_missing_dataset_file(self):
         with pytest.raises(ConfigError):
