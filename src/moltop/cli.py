@@ -76,7 +76,7 @@ def _emit(text, out_dir, name) -> int:
 
 def _cmd_fingerprint(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    prep = prepare_run(cfg)
+    prep = prepare_run(cfg, diagrams=args.dump_diagrams)
     write_fingerprint_artifacts(cfg.out_dir, prep.table, prep.load_errors)
     if args.dump_diagrams:  # a failed record is already in the error report
         with open(os.path.join(cfg.out_dir, "diagrams.jsonl"), "w", encoding="utf-8") as fh:

@@ -105,18 +105,23 @@ def read_csv(path, what: str, columns, optional=()) -> list:
     """(file line, {column: text}) for each row of the CSV file at ``path``, with
     every one of ``columns`` and those of ``optional`` the header has.  Header
     names match case-insensitively after strip(); a field a short row lacks is
-    None.  A missing header or column raises a DataError naming the file."""
+    None.  A missing header or column, or a row csv rejects (such as a field past
+    csv.field_size_limit()), raises a DataError naming the file."""
     reader = csv.DictReader(io.StringIO(read_text(path, what), newline=""))
-    if reader.fieldnames is None:
-        raise DataError(f"{path}: missing CSV header")
-    fields = {name.strip().lower(): name for name in reader.fieldnames}
-    for column in columns:
-        if column not in fields:
-            raise DataError(f"{path}: no {column!r} column")
-    wanted = [(column, fields[column]) for column in (*columns, *optional)
-              if column in fields]
-    return [(reader.line_num, {column: row[name] for column, name in wanted})
-            for row in reader]
+    try:
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: missing CSV header")
+        fields = {name.strip().lower(): name for name in reader.fieldnames}
+        for column in columns:
+            if column not in fields:
+                raise DataError(f"{path}: no {column!r} column")
+        wanted = [(column, fields[column]) for column in (*columns, *optional)
+                  if column in fields]
+        return [(reader.line_num, {column: row[name] for column, name in wanted})
+                for row in reader]
+    except csv.Error as exc:  # the inner reader's line_num is the line it failed on
+        raise DataError(f"{path} line {reader.reader.line_num}: cannot read {what} "
+                        f"({exc})") from None
 
 
 def read_json(path, what: str, error=DataError):

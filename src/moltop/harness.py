@@ -197,11 +197,12 @@ def load_dataset(path, dataset_format: str | None = None):
     base_dir = os.path.dirname(os.path.abspath(str(path)))
     records, errors, first_line = [], [], {}
     for line, record_id, doc in rows:
+        target_type = str if isinstance(doc, dict) else (int, float)  # CSV text, JSON number
         try:
             if isinstance(doc, str):
                 doc = _json_object(doc)
             record_id = str(doc.get("record_id", record_id))
-            record = _record(doc, record_id, base_dir)
+            record = _record(doc, record_id, base_dir, target_type)
         except DataError as exc:
             errors.append(exc.entry(record_id))
             continue
@@ -223,10 +224,12 @@ def _json_object(text) -> dict:
     return doc
 
 
-def _record(doc, record_id, base_dir) -> DatasetRecord:
-    """The record of a dataset document: a JSONL object, or a CSV row's target and SMILES."""
+def _record(doc, record_id, base_dir, target_type) -> DatasetRecord:
+    """The record of a dataset document: a JSONL object, or a CSV row's target and
+    SMILES.  The target must be a finite number of ``target_type``."""
     target = finite_number(doc.get("target"), "missing or non-numeric target",
                            "non-finite target")
+    typed(doc["target"], target_type, "target", DataError)
     key = next((k for k in ("graph", "graph_path", "smiles") if k in doc), None)
     if key is None:
         raise DataError("record needs graph, graph_path, or smiles")
@@ -393,11 +396,12 @@ class PreparedRun:
     fingerprint_seconds: float
 
 
-def prepare_run(cfg: RunConfig) -> PreparedRun:
+def prepare_run(cfg: RunConfig, diagrams: bool = False) -> PreparedRun:
     """Load and split the dataset and fingerprint every record, in the one
     pass over the records that also picks an open k_grid (see
-    ``fingerprint_dataset``).  Global deciles first pool the partial charges
-    of every molecule that has one on every atom; the others fail anyway.
+    ``fingerprint_dataset``; the table keeps the row diagrams if
+    ``diagrams``).  Global deciles first pool the partial charges of every
+    molecule that has one on every atom; the others fail anyway.
     """
     records, load_errors = load_records(cfg)
     charge_thresholds = None
@@ -412,7 +416,7 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     t0 = time.perf_counter()
     table = fingerprint_dataset(records, cfg.kinds, cfg.k_grid, threads=cfg.threads,
                                 distance_mode=cfg.distance_mode,
-                                charge_thresholds=charge_thresholds)
+                                charge_thresholds=charge_thresholds, diagrams=diagrams)
     return PreparedRun(records, load_errors, table, time.perf_counter() - t0)
 
 

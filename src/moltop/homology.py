@@ -6,8 +6,8 @@ vertices already reached; row masks walk each row within itself.  For a
 vertex subset, edges enter the complex at the hop distance between their
 endpoints and triangles at the largest of their three edge scales (clique
 rule, capped at dimension 2).  The filtration order is (scale, dimension,
-sorted vertex tuple).  Triangles are never listed: an edge's cofacets are
-its in-range third vertices, read from the row's hop block.
+sorted vertex tuple).  Triangles are never listed on their own: an edge's
+cofacets are its in-range third vertices, read from the row's hop block.
 
 A molecule's rows are built and reduced together, in one stack.
 ``build_rows`` puts each row's hop block into an (R, m, m) array, padded to
@@ -28,10 +28,11 @@ then follows Ripser (Bauer 2021) in three steps, each over all rows at once:
    over GF(2) in reverse filtration order (persistent cohomology, de Silva,
    Morozov & Vejdemo-Johansson 2011).  A triangle's key starts at its row's
    offset, so columns of different rows never meet, and a column only looks
-   at its own row's vertices.  Columns are computed lazily from the hop
-   blocks; the pivot table starts with the apparent pivots, apparent columns
-   are recomputed when a reduction needs them, and only reduced columns are
-   stored.  A column that reduces to zero is an essential class.
+   at its own row's vertices.  Every edge's cofacet keys come from step 1's
+   triangle scales, once per stack, in one (edges, m) array, and a column is
+   one row of it; the pivot table starts with the apparent pivots, apparent
+   columns are read again when a reduction needs them, and only reduced
+   columns are stored.  A column that reduces to zero is an essential class.
 
 Cohomology yields the same pairs as boundary-matrix reduction in the same
 order; the test suite checks that against a triangle-list reducer, naive
@@ -49,7 +50,10 @@ at scale 1.  So PD_1 is unchanged and PD_0 loses exactly one (0, 1) pair
 per removed vertex, which the caller adds back.  Hydrogens are always
 dominated, and repeating the rule peels chains and branches.  One call
 collapses all distinct rows of a molecule, in either distance mode, and the
-distinct vertex sets it keeps make up the molecule's one stack.
+distinct vertex sets it keeps make up the molecule's one stack.  A round's
+domination tests are two matrix products over 0/1 entries.  They run in
+float32, which numpy hands to BLAS (its boolean products have none); each
+entry counts at most n vertices, exact in float32, so > 0 reads them exactly.
 """
 
 from dataclasses import dataclass
@@ -156,15 +160,19 @@ def strong_collapse(hops: np.ndarray, rows: np.ndarray, eps_max: int) -> np.ndar
     far = np.where(hops == UNREACHABLE, np.iinfo(hops.dtype).max, hops)
     x, a = np.nonzero((hops == 1).any(axis=0))   # pair p: x[p] and its candidate a[p]
     near = hops[:, x, a] == 1                    # (1 or R, pairs): a[p] is x[p]'s neighbour
-    owner = np.eye(keep.shape[1], dtype=bool)[x]  # owner[p, v]: v is x[p]
-    # closer[., y, p]: y is nearer x[p] than a[p]
-    closer = ((far[:, a] > far[:, x]) & ~owner).swapaxes(1, 2)
+    owner = np.eye(keep.shape[1], dtype=np.float32)[x]  # owner[p, v]: v is x[p]
+    # closer[., y, p]: y is nearer x[p] than a[p].  With owner and closer in
+    # float32 the products below run in BLAS; an entry counts at most n
+    # vertices, so > 0 is exact.
+    closer = np.ascontiguousarray(((far[:, a] > far[:, x]) & (owner == 0)).swapaxes(1, 2),
+                                  dtype=np.float32)
     while True:
-        free = keep[:, x] & keep[:, a] & near & ~(keep[:, None] @ closer)[:, 0]
+        blocked = keep @ closer[0] if len(closer) == 1 else (keep[:, None] @ closer)[:, 0]
+        free = keep[:, x] & keep[:, a] & near & (blocked == 0)
         if not free.any():  # free[r, p]: a[p] dominates x[p] in row r
             return keep
-        dominated = free @ owner
-        keep &= ~((free & ((a > x) | ~dominated[:, a])) @ owner)
+        dominated = free @ owner > 0
+        keep &= ~((free & ((a > x) | ~dominated[:, a])) @ owner > 0)
 
 
 @dataclass(frozen=True)
@@ -208,15 +216,10 @@ def _validate(stack: RowStack):
         raise InternalInvariantError("edges are not sorted by (row, eps, u, v)")
 
 
-def _cofacets(tri_eps: np.ndarray, base: int, m: int, eps_max: int, u: int, v: int) -> set:
-    """Keys of the cofacets of edge (u, v), u < v, in a row whose triangle
-    keys start at ``base``; ``tri_eps[w]`` is the scale of the triangle
-    {u, v, w} for each row vertex w, above eps_max where there is none."""
-    col = set()
-    for w, eps in enumerate(tri_eps.tolist()):
-        if eps <= eps_max:
-            a, b, c = (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
-            col.add(base + ((eps * m + a) * m + b) * m + c)
+def _column(cofacets: np.ndarray, i: int) -> set:
+    """The coboundary column of edge i: its row of triangle keys, less the -1s."""
+    col = set(cofacets[i].tolist())
+    col.discard(-1)
     return col
 
 
@@ -293,32 +296,32 @@ def reduce_rows(stack: RowStack, validate: bool = True
     essentials = [[] for _ in range(n_rows)]
     reduced = {}
     if positive:
+        # cofacets[i, w]: key of the triangle on edge i and row vertex w, -1
+        # where there is none.  With lo < mid < hi its sorted vertices and
+        # mid = u + v + w - lo - hi, lo * m**2 + mid * m + hi splits into
+        # by_u[u, w] + by_v[v, w].
+        local = np.arange(m, dtype=np.int64)
+        by_u = np.minimum(local[:, None], local) * (m * m - m) + local[:, None] * m
+        by_v = np.maximum(local[:, None], local) * (1 - m) + (local[:, None] + local) * m
+        cofacets = np.where(tri_eps <= eps_max,
+                            (tri_eps + r[:, None].astype(np.int64) * (eps_max + 1)) * cube
+                            + by_u[u] + by_v[v],
+                            -1)
         app = np.flatnonzero(apparent)
-        lo = np.minimum(u[app], w[app])
-        hi = np.maximum(v[app], w[app])
-        keys = (r[app].astype(np.int64) * offset
-                + ((oldest[app].astype(np.int64) * m + lo) * m
-                   + u[app] + v[app] + w[app] - lo - hi) * m + hi)
-        pivot_of = dict(zip(keys.tolist(), app.tolist()))
-        sizes = [len(row) for row in stack.vertices]
-        ul, vl = u.tolist(), v.tolist()
+        pivot_of = dict(zip(cofacets[app, w[app]].tolist(), app.tolist()))
         for i, row, e in reversed(positive):
-            base = row * offset
-            col = _cofacets(tri_eps[i, :sizes[row]], base, m, eps_max, ul[i], vl[i])
+            col = _column(cofacets, i)
             while col:
                 low = min(col)
                 j = pivot_of.get(low)
                 if j is None:
                     break
                 other = reduced.get(j)
-                if other is None:  # an apparent column, recomputed on demand
-                    other = _cofacets(tri_eps[j, :sizes[row]], base, m, eps_max,
-                                      ul[j], vl[j])
-                col ^= other
+                col ^= _column(cofacets, j) if other is None else other  # None: apparent
             if col:
                 pivot_of[low] = i
                 reduced[i] = col
-                death = (low - base) // cube
+                death = (low - row * offset) // cube
                 if death > e:
                     pd1_pairs[row].append((e, death))
             else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import csv
 import functools
 import io
+import itertools
 
 import numpy as np
 
@@ -121,14 +122,17 @@ def betti_curves(diagrams, k_grid: int) -> np.ndarray:
     """(len(diagrams), k_grid + 1) Betti numbers at scales 0..k_grid, from
     one bincount of births minus one of deaths, all diagrams side by side."""
     width = k_grid + 2  # the last slot takes deaths past the grid
-    births, deaths = [], []
-    for base, pd in zip(range(0, len(diagrams) * width, width), diagrams):
-        births += [base + b for b, _ in pd.pairs]
-        births += [base + b for b in pd.essentials]
-        deaths += [base + min(d, k_grid + 1) for _, d in pd.pairs]
     size = len(diagrams) * width
-    diff = (np.bincount(np.array(births, dtype=np.intp), minlength=size)
-            - np.bincount(np.array(deaths, dtype=np.intp), minlength=size))
+    base = np.arange(0, size, width)
+    flat = itertools.chain.from_iterable
+    pairs = np.fromiter(flat(flat(pd.pairs for pd in diagrams)), dtype=np.intp).reshape(-1, 2)
+    at = np.repeat(base, [len(pd.pairs) for pd in diagrams])
+    births = np.concatenate([
+        at + pairs[:, 0],
+        np.repeat(base, [len(pd.essentials) for pd in diagrams])
+        + np.fromiter(flat(pd.essentials for pd in diagrams), dtype=np.intp)])
+    diff = (np.bincount(births, minlength=size)
+            - np.bincount(at + np.minimum(pairs[:, 1], k_grid + 1), minlength=size))
     return np.cumsum(diff.reshape(-1, width)[:, :-1], axis=1)
 
 
@@ -187,13 +191,19 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
 
 
 def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerprint:
-    """Betti curves of ``row_diagrams`` output, flattened in layout order."""
+    """Betti curves of ``row_diagrams`` output at scales 0..k_grid, flattened in
+    layout order; a diagram reduced past k_grid gives its truncation's curve.
+    Rows of one sublevel set share diagram objects, each computed once."""
     layout = FingerprintLayout(LAYOUT_VERSION, tuple(s.kind for s in specs), k_grid)
     by_kind: dict[str, list] = {s.kind: [] for s in specs}
     for kind, _, pd0, pd1 in rows:
         by_kind[kind].append((pd0, pd1))
-    vector = betti_curves([pds[dim] for spec in specs for dim in (0, 1)
-                           for pds in by_kind[spec.kind]], k_grid).ravel()
+    diagrams = [pds[dim] for spec in specs for dim in (0, 1) for pds in by_kind[spec.kind]]
+    slot: dict[int, int] = {}
+    at = [slot.setdefault(id(pd), len(slot)) for pd in diagrams]
+    distinct = list({id(pd): pd for pd in diagrams}.values())
+    cap = max([k_grid] + [pd.eps_max for pd in distinct])
+    vector = betti_curves(distinct, cap)[at, :k_grid + 1].ravel()
     if vector.shape[0] != layout.length:
         raise DataError("assembled vector does not match the layout length")
     return Fingerprint(record_id, layout, vector)
@@ -225,7 +235,7 @@ class FingerprintTable:
     layout: FingerprintLayout
     fingerprints: tuple[Fingerprint, ...]
     errors: tuple[dict, ...]  # MoltopError.entry of each failed record
-    # each fingerprint's row_diagrams rows, if the table was computed, not read
+    # each fingerprint's row_diagrams rows, if computed for a diagram dump
     diagrams: tuple = field(default=(), compare=False, repr=False)
 
     def matrix(self) -> np.ndarray:
@@ -266,12 +276,13 @@ def map_records(fn, records, threads: int = 1):
 
 def fingerprint_dataset(records, kinds, k_grid: int | None, threads: int = 1,
                         distance_mode: str = "full_graph",
-                        charge_thresholds=None) -> FingerprintTable:
+                        charge_thresholds=None, diagrams: bool = False) -> FingerprintTable:
     """One fingerprint per record (see ``map_records``), independent of thread
-    count, with its row diagrams, and the per-record data errors; the run
-    fails if nothing succeeds.  An open (None) ``k_grid`` becomes the largest
-    diameter of the graphs that succeed, capped at K_GRID_CAP: each graph is
-    reduced at the cap, and ``truncate`` cuts its diagrams to that k_grid."""
+    count, with its row diagrams if ``diagrams`` (for a diagram dump), and the
+    per-record data errors; the run fails if nothing succeeds.  An open (None)
+    ``k_grid`` becomes the largest diameter of the graphs that succeed, capped
+    at K_GRID_CAP: each graph is reduced at the cap, its fingerprint is cut to
+    that k_grid, and ``truncate`` cuts its diagrams to it."""
     records, kinds = list(records), tuple(kinds)
     if not records:
         raise DataError("no records to fingerprint")
@@ -284,13 +295,13 @@ def fingerprint_dataset(records, kinds, k_grid: int | None, threads: int = 1,
                         f"{errors[0]['error']}")
     if k_grid is None:
         k_grid = min(K_GRID_CAP, max(max(diameter for _, (_, diameter) in done), 1))
-    diagrams = tuple([(kind, i, truncate(pd0, k_grid), truncate(pd1, k_grid))
-                      for kind, i, pd0, pd1 in rows] for _, (rows, _) in done)
     return FingerprintTable(
         FingerprintLayout(LAYOUT_VERSION, kinds, k_grid),
         tuple(fingerprint_from_rows(rows, specs, k_grid, record_id)
-              for (record_id, _), rows in zip(done, diagrams)),
-        tuple(errors), diagrams)
+              for record_id, (rows, _) in done),
+        tuple(errors),
+        tuple([(kind, i, truncate(pd0, k_grid), truncate(pd1, k_grid))
+               for kind, i, pd0, pd1 in rows] for _, (rows, _) in done) if diagrams else ())
 
 
 def slice_table(table: FingerprintTable, kinds) -> FingerprintTable:
@@ -339,19 +350,23 @@ def read_fingerprints_csv(path) -> FingerprintTable:
     except (KeyError, ValueError):
         raise DataError(f"{path}: malformed header line {magic!r}") from None
     reader = csv.reader(fh)  # file line reader.line_num + 1: it starts after the magic
-    header = next(reader, [])
-    if header[1:] != layout.column_names():
-        raise DataError(f"{path}: column names do not match the declared layout")
     fps, first_line = [], {}
-    for row in reader:
-        try:
-            vector = np.array([int(x) for x in row[1:]], dtype=np.int64)
-        except ValueError:
-            raise DataError(f"{path} line {reader.line_num + 1}: non-integer entry") from None
-        if vector.shape[0] != layout.length:
-            raise DataError(f"{path} line {reader.line_num + 1}: wrong number of entries")
-        note_line(first_line, row[0], reader.line_num + 1, path)
-        fps.append(Fingerprint(row[0], layout, vector))
+    try:
+        header = next(reader, [])
+        if header[1:] != layout.column_names():
+            raise DataError(f"{path}: column names do not match the declared layout")
+        for row in reader:
+            try:
+                vector = np.array([int(x) for x in row[1:]], dtype=np.int64)
+            except ValueError:
+                raise DataError(f"{path} line {reader.line_num + 1}: non-integer entry") from None
+            if vector.shape[0] != layout.length:
+                raise DataError(f"{path} line {reader.line_num + 1}: wrong number of entries")
+            note_line(first_line, row[0], reader.line_num + 1, path)
+            fps.append(Fingerprint(row[0], layout, vector))
+    except csv.Error as exc:  # such as a field past csv.field_size_limit()
+        raise DataError(f"{path} line {reader.line_num + 1}: cannot read fingerprint CSV "
+                        f"({exc})") from None
     if not fps:
         raise DataError(f"{path}: no fingerprint rows")
     return FingerprintTable(layout, tuple(fps), ())

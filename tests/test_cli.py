@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import moltop
-from moltop import vectorize
+from moltop import harness, vectorize
 from moltop.cli import main
 from moltop.errors import InternalInvariantError
 from moltop.filtration import FILTRATION_KINDS, make_spec
@@ -157,6 +157,27 @@ def test_one_parse_and_one_walk_per_record(tiny_dataset_path, tmp_path, monkeypa
     ids = sorted(json.loads(line)["record_id"]
                  for line in tiny_dataset_path.read_text().splitlines())
     assert sorted(parsed) == sorted(walked) == ids
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,kept", [(["fingerprint", "--dump-diagrams"], True),
+                                          (["fingerprint"], False), (["train"], False),
+                                          (["bench"], False)])
+def test_only_the_diagram_dump_keeps_row_diagrams(tiny_dataset_path, tmp_path, monkeypatch,
+                                                  capsys, command, kept):
+    # Training and a run without a dump hold the fingerprints, not the diagrams.
+    tables = []
+    real = harness.fingerprint_dataset
+
+    def spy(*args, **kwargs):
+        tables.append(real(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(harness, "fingerprint_dataset", spy)
+    cfg = open_k_grid_config(tiny_dataset_path, tmp_path)
+    assert main(command + ["--config", str(cfg)]) == 0
+    assert len(tables) == 1 and len(tables[0].fingerprints) > 0
+    assert bool(tables[0].diagrams) == kept
     capsys.readouterr()
 
 
@@ -315,6 +336,17 @@ def test_exit_code_data_error(tmp_path, capsys):
                                "out_dir": str(tmp_path / "out")}))
     assert main(["fingerprint", "--config", str(cfg)]) == 3
     capsys.readouterr()
+
+
+def test_csv_field_past_the_csv_limit_exits_3_naming_file_and_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(f"id,smiles,target\na,CCO,1.0\nb,{'C' * 140_000},2.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"path": str(data)}, "task": "regression",
+                               "out_dir": str(tmp_path / "out")}))
+    assert main(["fingerprint", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{data} line 3: cannot read dataset" in err
 
 
 @pytest.mark.parametrize("header,prediction,named", [

@@ -157,13 +157,17 @@ class TestLoadDataset:
         assert errors == []
         assert [(r.record_id, r.smiles, r.target) for r in records] == rows
 
-    @pytest.mark.parametrize("name,target", [
-        ("data.csv", "nan"), ("data.csv", "inf"), ("data.csv", "-Infinity"),
-        ("data.jsonl", math.nan), ("data.jsonl", math.inf), ("data.jsonl", "nan"),
+    @pytest.mark.parametrize("name,target,error", [
+        ("data.csv", "nan", None), ("data.csv", "inf", None), ("data.csv", "-Infinity", None),
+        ("data.jsonl", math.nan, None), ("data.jsonl", math.inf, None),
+        ("data.jsonl", "nan", None),
+        # a JSONL target must be a JSON number, where a CSV one is text
+        ("data.jsonl", True, "target has the wrong type: True"),
+        ("data.jsonl", "1.5", "target has the wrong type: '1.5'"),
     ], ids=["csv-nan", "csv-inf", "csv-neg-infinity", "jsonl-NaN", "jsonl-Infinity",
-            "jsonl-nan-text"])
+            "jsonl-nan-text", "jsonl-true", "jsonl-number-text"])
     def test_non_finite_target_is_a_load_error_naming_the_record(self, tmp_path, name,
-                                                                 target):
+                                                                 target, error):
         rows = [("a", "CCO", 1.5), ("x", "CCN", target), ("b", "CO", 0.5)]
         path = tmp_path / name
         if name.endswith(".csv"):
@@ -173,7 +177,7 @@ class TestLoadDataset:
                                     + "\n" for r, s, t in rows))
         records, errors = load_dataset(path)
         assert [r.record_id for r in records] == ["a", "b"]
-        assert errors == [{"record_id": "x", "error": f"non-finite target {target!r}",
+        assert errors == [{"record_id": "x", "error": error or f"non-finite target {target!r}",
                            "error_class": "DataError"}]
 
     def test_non_utf8_file_is_a_data_error(self, tmp_path):
@@ -400,11 +404,12 @@ class TestPrepareRun:
         # some rows have distances past it.
         cfg = run_config_from_dict({"dataset": {"path": str(tiny_dataset_path)},
                                     "task": "regression", "distance_mode": mode})
-        prep = prepare_run(cfg)
+        prep = prepare_run(cfg, diagrams=True)
         graphs = [graph_from_record(r) for r in prep.records]
         k_grid = min(vectorize.K_GRID_CAP, max(map(graph_diameter, graphs)))
         assert k_grid < vectorize.K_GRID_CAP
-        want = fingerprint_dataset(prep.records, FILTRATION_KINDS, k_grid, distance_mode=mode)
+        want = fingerprint_dataset(prep.records, FILTRATION_KINDS, k_grid, distance_mode=mode,
+                                   diagrams=True)
         assert prep.table == want
         assert prep.table.diagrams == want.diagrams
 

@@ -396,16 +396,16 @@ GRAPH6_PATH = Path(__file__).parent / "data" / "connected_graphs_le7.g6"
 
 @pytest.fixture()
 def step3_columns(monkeypatch):
-    """Edge positions whose coboundary the reducer computed lazily, one list
-    per reduce_rows call; a column is only computed there in step 3."""
+    """Edge positions whose coboundary column the reducer read, one list per
+    reduce_rows call; a column is only read in step 3."""
     calls = []
-    original = homology._cofacets
+    original = homology._column
 
-    def counted(tri_eps, base, m, eps_max, u, v):
-        calls[-1].append((u, v))
-        return original(tri_eps, base, m, eps_max, u, v)
+    def counted(cofacets, i):
+        calls[-1].append(i)
+        return original(cofacets, i)
 
-    monkeypatch.setattr(homology, "_cofacets", counted)
+    monkeypatch.setattr(homology, "_column", counted)
     return calls
 
 
@@ -422,9 +422,6 @@ class TestCohomologyMatchesTriangleReducer:
         want = tuple(PersistenceDiagram(dim, tuple(ref[dim][0]), tuple(ref[dim][1]), cap)
                      for dim in (0, 1))
         assert got == want, (sorted(vertices), cap)
-        if calls:
-            position = {tuple(p): i for i, p in enumerate(cx.edge_local.tolist())}
-            calls[-1] = [position[e] for e in calls[-1]]
         return got
 
     @staticmethod

@@ -309,6 +309,19 @@ class TestOnDiskFormats:
             read_fingerprints_csv(path)
         assert f"{path} line 6: repeated record id 'r001' (first on line 4)" in str(err.value)
 
+    @pytest.mark.parametrize("line", [2, 5])
+    def test_field_past_the_csv_limit_names_file_and_line(self, tmp_path, line):
+        table = fingerprint_dataset(TestDatasetFingerprinting().make_records(3),
+                                    FILTRATION_KINDS, 8)
+        path = tmp_path / "fp.csv"
+        write_fingerprints_csv(table, path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = "x" * 140_000 + lines[line - 1]  # the header or a row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            read_fingerprints_csv(path)
+        assert f"{path} line {line}: cannot read fingerprint CSV" in str(err.value)
+
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             FingerprintLayout("1", ("CHIRALITY", "ATOMIC_MASS"), 5)  # wrong order
