@@ -13,8 +13,15 @@ A molecule's rows are built and reduced together, in one stack.
 ``build_rows`` puts each row's hop block into an (R, m, m) array, padded to
 the largest row with UNREACHABLE, and orders the edges of all rows by (row,
 scale, u, v), so each row keeps its own filtration order.  ``reduce_rows``
-then follows Ripser (Bauer 2021) in three steps, each over all rows at once:
+then follows Ripser (Bauer 2021) in four steps, each over all rows at once:
 
+0. Like Ripser, it first cuts each row at its enclosing radius R, the
+   smallest eccentricity of its vertices (UNREACHABLE counting as
+   infinity), where R <= eps_max.  From scale R on the row's complex is a
+   cone on a vertex of eccentricity R: connected, with H_1 = 0.  A
+   filtration prefix is paired as the prefix of the pairing, so only edges
+   and triangles below R are reduced; each component and cycle still alive
+   below R dies at R, and nothing born later has positive persistence.
 1. Apparent pairs, in one vectorized pass over an (edges, m) array of
    triangle scales: an edge whose oldest cofacet has that edge as its
    youngest face is paired with it without any reduction.  Every such pair
@@ -237,19 +244,29 @@ def reduce_rows(stack: RowStack, validate: bool = True
     if not stack.vertices:
         return []
     n_rows, m = stack.hops.shape[:2]
-    eps_max = stack.eps_max
-    eps = stack.edge_eps
-    r = stack.edge_row
-    u, v = stack.edge_local.T
-    edges = np.arange(len(eps))
     # Triangle (a, b, c) of row r entering at eps has the key
     # r * offset + ((eps * m + a) * m + b) * m + c: keys order like
     # (row, eps, a, b, c), and (key - r * offset) // m**3 is eps.
     cube = m ** 3
-    offset = (eps_max + 1) * cube
-    if n_rows * offset > np.iinfo(np.int64).max:  # keep the int64 keys exact
-        raise DataError(f"{n_rows} rows of up to {m} vertices at k_grid {eps_max} "
+    if n_rows * (stack.eps_max + 1) * cube > np.iinfo(np.int64).max:  # keep int64 keys exact
+        raise DataError(f"{n_rows} rows of up to {m} vertices at k_grid {stack.eps_max} "
                         "are too large to reduce")
+    # Every scale is a hop distance, so capping at the largest hop reduces the
+    # same complex, and keeps eps_max + 1 within the hop blocks' dtype.
+    eps_max = min(stack.eps_max, int(stack.hops.max()))
+    offset = (eps_max + 1) * cube
+
+    # 0. The enclosing radius: each row's smallest eccentricity, eps_max + 1
+    # where it is above eps_max or infinite.  From it on the row's complex is
+    # a cone, so only the edges and triangles below it are reduced.
+    far = np.where(stack.hops == UNREACHABLE, eps_max + 1, stack.hops)
+    radius = np.minimum(np.where(_inside(stack.vertices)[:, None], far, 0).max(axis=2).min(axis=1),
+                        eps_max + 1)
+    below = stack.edge_eps < radius[stack.edge_row]
+    eps = stack.edge_eps[below]
+    r = stack.edge_row[below]
+    u, v = stack.edge_local[below].T
+    edges = np.arange(len(eps))
 
     # 1. Apparent pairs.  tri_eps[i, w] is the scale of the triangle on edge
     # i and vertex w of its row, eps_max + 1 where there is none.  The
@@ -257,7 +274,8 @@ def reduce_rows(stack: RowStack, validate: bool = True
     # argmin (the first minimum) finds the oldest.  The youngest face sets a
     # triangle's scale, so an apparent pair has zero persistence and is never
     # recorded.
-    capped = np.where((stack.hops > 0) & (stack.hops <= eps_max), stack.hops, eps_max + 1)
+    capped = np.where((stack.hops > 0) & (stack.hops < radius[:, None, None]), stack.hops,
+                      eps_max + 1)
     tri_eps = np.maximum(capped[r, u], capped[r, v])
     np.maximum(tri_eps, eps[:, None], out=tri_eps)
     w = tri_eps.argmin(axis=1)
@@ -329,11 +347,18 @@ def reduce_rows(stack: RowStack, validate: bool = True
 
     n_pd0 = sum(map(len, pd0_pairs))
     n_essential = sum(map(len, essentials))
-    if n_pd0 + int(np.count_nonzero(apparent)) + len(reduced) + n_essential != len(eps):
-        raise InternalInvariantError(
-            "negative, apparent, reduced and essential edges do not add up to the edges")
+    if (n_pd0 + int(np.count_nonzero(apparent)) + len(reduced) + n_essential
+            + int(np.count_nonzero(~below)) != len(stack.edge_eps)):
+        raise InternalInvariantError("negative, apparent, reduced, essential and cut edges "
+                                     "do not add up to the edges")
+    for row, pairs0, pairs1, ess, rad in zip(stack.vertices, pd0_pairs, pd1_pairs,
+                                             essentials, radius.tolist()):
+        if rad <= eps_max:  # the cone at rad kills every class still alive
+            pairs0 += [(0, rad)] * (len(row) - 1 - len(pairs0))
+            pairs1 += [(birth, rad) for birth in ess]
+            ess.clear()
     return [(PersistenceDiagram(0, tuple(sorted(pairs0)), (0,) * (len(row) - len(pairs0)),
-                                eps_max),
-             PersistenceDiagram(1, tuple(sorted(pairs1)), tuple(sorted(ess)), eps_max))
+                                stack.eps_max),
+             PersistenceDiagram(1, tuple(sorted(pairs1)), tuple(sorted(ess)), stack.eps_max))
             for row, pairs0, pairs1, ess in zip(stack.vertices, pd0_pairs, pd1_pairs,
                                                 essentials)]

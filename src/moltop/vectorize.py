@@ -353,13 +353,16 @@ def read_fingerprints_csv(path) -> FingerprintTable:
     fps, first_line = [], {}
     try:
         header = next(reader, [])
-        if header[1:] != layout.column_names():
+        # the width first: the names take work in the declared k_grid
+        if len(header) != layout.length + 1 or header[1:] != layout.column_names():
             raise DataError(f"{path}: column names do not match the declared layout")
         for row in reader:
             try:
                 vector = np.array([int(x) for x in row[1:]], dtype=np.int64)
             except ValueError:
                 raise DataError(f"{path} line {reader.line_num + 1}: non-integer entry") from None
+            except OverflowError:
+                raise DataError(f"{path} line {reader.line_num + 1}: entry outside int64") from None
             if vector.shape[0] != layout.length:
                 raise DataError(f"{path} line {reader.line_num + 1}: wrong number of entries")
             note_line(first_line, row[0], reader.line_num + 1, path)

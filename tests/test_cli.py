@@ -425,6 +425,21 @@ def trained(tiny_dataset_path, tmp_path_factory):
             "--model": out / "model.json"}
 
 
+def test_fingerprint_entry_outside_int64_exits_3_naming_file_and_line(trained, tmp_path,
+                                                                     capsys):
+    lines = trained["--fingerprints"].read_text().splitlines()
+    record_id, first, rest = lines[3].split(",", 2)
+    lines[3] = ",".join((record_id, "99999999999999999999", rest))
+    bad = tmp_path / "fingerprints.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**json.loads(trained["--config"].read_text()),
+                                  "out_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(config), "--fingerprints", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{bad} line 4: entry outside int64" in err
+
+
 def _bad_model(kind, good_model):
     """A JSON document that is not an ensemble, made from a good model.json."""
     if kind == "not-object":

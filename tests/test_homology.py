@@ -409,6 +409,18 @@ def step3_columns(monkeypatch):
     return calls
 
 
+def datagen_sublevel_rows():
+    """(graph, full-graph hops, row) for the distinct non-empty sublevel rows
+    of 20 datagen molecules (seed 7)."""
+    for doc in generate_dataset(20, seed=7):
+        graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"]))
+        full = geodesic_distances(graph).hops
+        distinct = {frozenset(s) for kind in FILTRATION_KINDS
+                    for s in build_sequence(graph, make_spec(kind)).subsets if s}
+        for row in sorted(distinct, key=sorted):
+            yield graph, full, row
+
+
 class TestCohomologyMatchesTriangleReducer:
     """The cohomology reducer against the triangle-list reducer it replaced."""
 
@@ -449,17 +461,11 @@ class TestCohomologyMatchesTriangleReducer:
 
     def test_datagen_sublevel_rows(self, step3_columns):
         rows = 0
-        for doc in generate_dataset(20, seed=7):
-            graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0,
-                                                    graph=doc["graph"]))
-            full = geodesic_distances(graph)
-            distinct = {frozenset(s) for kind in FILTRATION_KINDS
-                        for s in build_sequence(graph, make_spec(kind)).subsets if s}
-            for row in sorted(distinct, key=sorted):
-                rows += 1
-                self.check(row, full.hops, 14, step3_columns)
-                self.check(row, row_hops(graph, row), 14, step3_columns)
-                self.check(row, full.hops, 2, step3_columns)
+        for graph, full, row in datagen_sublevel_rows():
+            rows += 1
+            self.check(row, full, 14, step3_columns)
+            self.check(row, row_hops(graph, row), 14, step3_columns)
+            self.check(row, full, 2, step3_columns)
         assert rows > 200
         self.assert_step3_reduced(step3_columns)
 
@@ -476,6 +482,73 @@ class TestCohomologyMatchesTriangleReducer:
         for cap in range(dist.diameter + 1):
             pd0, _ = self.check(range(g.n_atoms), dist.hops, cap)
         assert len(pd0.essentials) == 3
+
+
+def enclosing_radius(vertices, hops):
+    """min over row vertices of their largest hop distance within the row,
+    UNREACHABLE counting as infinity."""
+    sub = np.asarray(hops, dtype=float)[np.ix_(sorted(vertices), sorted(vertices))]
+    sub[sub == UNREACHABLE] = np.inf
+    return sub.max(axis=1).min()
+
+
+class TestEnclosingRadius:
+    """A row whose enclosing radius R is at most the cap is reduced below R
+    only; its diagrams still equal those of the whole capped complex."""
+
+    @staticmethod
+    def check(vertices, hops, cap):
+        hops = np.asarray(hops, dtype=np.int32)
+        got = reduce_row(vertices, hops, cap)
+        for ref in (triangle_persistence(vertices, hops, cap),
+                    naive_persistence(vertices, hops, cap)):
+            want = tuple(PersistenceDiagram(dim, tuple(ref[dim][0]), tuple(ref[dim][1]), cap)
+                         for dim in (0, 1))
+            assert got == want, (sorted(vertices), cap)
+        return got
+
+    def test_four_cycle_dies_at_the_radius(self):
+        hops = cycle_distances(4)
+        assert enclosing_radius(range(4), hops) == 2
+        pd0, pd1 = self.check(range(4), hops, 2)
+        assert pd1.pairs == ((1, 2),) and pd1.essentials == ()
+        assert pd0.pairs == ((0, 1),) * 3 and pd0.essentials == (0,)
+
+    def test_six_cycle_with_and_without_a_cut(self):
+        hops = cycle_distances(6)
+        assert enclosing_radius(range(6), hops) == 3
+        for cap in (3, 2):  # R = 3: cut at cap 3, not at cap 2
+            _, pd1 = self.check(range(6), hops, cap)
+            assert pd1.pairs == ((1, 2),) and pd1.essentials == ()
+
+    def test_two_components_are_never_cut(self):
+        adj = np.zeros((6, 6), dtype=int)
+        for a, b in ((0, 1), (1, 2), (3, 4), (4, 5)):
+            adj[a, b] = adj[b, a] = 1
+        hops = hop_distances(adj)  # two paths, each of radius 1 alone
+        assert enclosing_radius(range(6), hops) == np.inf
+        for cap in range(1, 4):
+            pd0, _ = self.check(range(6), hops, cap)
+            assert pd0.essentials == (0, 0)
+
+    def test_rows_of_one_and_two_vertices(self):
+        hops = cycle_distances(6)
+        for row, radius in (({2}, 0), ({0, 1}, 1), ({0, 3}, 3)):
+            assert enclosing_radius(row, hops) == radius
+            for cap in range(4):
+                pd0, pd1 = self.check(row, hops, cap)
+                assert pd0.essentials == (0,) * (len(row) if cap < radius else 1)
+                assert pd1 == PersistenceDiagram(1, (), (), cap)
+
+    def test_datagen_rows_of_the_triangle_reducer_check_include_cut_rows(self):
+        # rows of TestCohomologyMatchesTriangleReducer.test_datagen_sublevel_rows
+        # with more than one vertex whose radius is within each cap it uses
+        cut = {14: 0, 2: 0}
+        for graph, full, row in datagen_sublevel_rows():
+            if len(row) > 1:
+                for hops, cap in ((full, 14), (row_hops(graph, row), 14), (full, 2)):
+                    cut[cap] += enclosing_radius(row, hops) <= cap
+        assert cut[14] > 100 and cut[2] > 10, cut
 
 
 def collapsed_diagrams(rows, hops, cap):
@@ -746,6 +819,13 @@ class TestStackedRows:
                 for group in np.array_split(order, len(rows) // 8):
                     self.check([rows[i][0] for i in group],
                                [rows[i][mode] for i in group], cap)
+
+    def test_caps_past_the_hop_dtype_reduce_as_at_the_largest_hop(self):
+        # an eps_max + 1 sentinel above int32 once wrapped around in the
+        # int32 hop blocks and let absent triangles in
+        for n in (4, 6, 8):
+            for cap in (2 ** 31 - 1, 2 ** 32 + 1, 2 ** 40):
+                TestEnclosingRadius.check(range(n), cycle_distances(n), cap)
 
     def test_triangle_keys_stay_within_int64(self):
         # keys run up to R * (eps_max + 1) * m**3, with m the largest row

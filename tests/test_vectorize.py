@@ -322,6 +322,18 @@ class TestOnDiskFormats:
             read_fingerprints_csv(path)
         assert f"{path} line {line}: cannot read fingerprint CSV" in str(err.value)
 
+    def test_header_k_grid_is_checked_against_the_row_width_first(self, tmp_path):
+        # building the column names of k_grid=10**12 would exhaust memory
+        table = fingerprint_dataset(TestDatasetFingerprinting().make_records(2),
+                                    FILTRATION_KINDS, 8)
+        path = tmp_path / "fp.csv"
+        write_fingerprints_csv(table, path)
+        text = path.read_text()
+        assert " k_grid=8" in text.splitlines()[0]
+        path.write_text(text.replace(" k_grid=8", f" k_grid={10 ** 12}", 1))
+        with pytest.raises(DataError, match="column names do not match the declared layout"):
+            read_fingerprints_csv(path)
+
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             FingerprintLayout("1", ("CHIRALITY", "ATOMIC_MASS"), 5)  # wrong order
