@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import csv
+import gc
 import io
 import json
 import math
@@ -149,10 +150,15 @@ def process_map(fn, tasks, threads: int, lost) -> list:
         return [fn(t) for t in tasks]
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     results = []
+    # Forked workers inherit the parent's objects, such as the records'
+    # graphs; frozen, no collection walks them until the pool is done.
+    gc.freeze()
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(fn, tasks, chunksize=max(1, len(tasks) // (workers * 8))):
                 results.append(result)
     except BrokenProcessPool:
         raise MoltopError(lost(len(results))) from None
+    finally:
+        gc.unfreeze()
     return results

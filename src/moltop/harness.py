@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (ConfigError, DataError, finite_number, note_line, read_csv, read_json,
                      read_text, typed)
 from .filtration import FILTRATION_KINDS, canonical_kinds, decile_boundaries
-from .molgraph import SPLIT_TAGS, DatasetRecord, parse_smiles, load_graph_json
+from .molgraph import SPLIT_TAGS, DatasetRecord, expand_hydrogens, load_graph_json, parse_smiles
 from .sglb import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
@@ -28,7 +28,6 @@ from .vectorize import (
     KIND_ABBREV,
     FingerprintTable,
     fingerprint_dataset,
-    map_records,
     slice_table,
     write_fingerprints_csv,
 )
@@ -225,8 +224,9 @@ def _json_object(text) -> dict:
 
 
 def _record(doc, record_id, base_dir, target_type) -> DatasetRecord:
-    """The record of a dataset document: a JSONL object, or a CSV row's target and
-    SMILES.  The target must be a finite number of ``target_type``."""
+    """The record of a dataset document, a JSONL object or a CSV row's target
+    and SMILES, with its molecule parsed.  The target must be a finite number
+    of ``target_type``."""
     target = finite_number(doc.get("target"), "missing or non-numeric target",
                            "non-finite target")
     typed(doc["target"], target_type, "target", DataError)
@@ -236,13 +236,11 @@ def _record(doc, record_id, base_dir, target_type) -> DatasetRecord:
     value = doc[key]
     if not isinstance(value, dict if key == "graph" else str):
         raise DataError(f"{key} must be " + ("an object" if key == "graph" else "a string"))
-    if key == "graph_path":
-        value = os.path.join(base_dir, value)
     if key == "smiles":
-        parse_smiles(value)  # validate up front
+        graph = expand_hydrogens(parse_smiles(value, name=record_id))
     else:
-        load_graph_json(value)
-    return DatasetRecord(record_id, target, split=doc.get("split"), **{key: value})
+        graph = load_graph_json(os.path.join(base_dir, value) if key == "graph_path" else value)
+    return DatasetRecord(record_id, target, graph, split=doc.get("split"))
 
 
 def apply_split(records, split_mode: str = "random", split_path=None,
@@ -407,8 +405,7 @@ def prepare_run(cfg: RunConfig, diagrams: bool = False) -> PreparedRun:
     charge_thresholds = None
     if cfg.decile_mode == "global":
         # records that fail are left to the fingerprint stage's error report
-        pools, _ = map_records(_full_charges, records)
-        charges = [c for _, pool in pools for c in pool]
+        charges = [c for r in records for c in _full_charges(r.graph)]
         if not charges:
             raise DataError("global decile mode needs a molecule with partial "
                             "charges on every atom")

@@ -73,16 +73,11 @@ from .molgraph import MolecularGraph
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    hops: np.ndarray  # (n, n) or (R, n, n) int32, UNREACHABLE between components
-    diameter: int     # max finite entry
-
-
-def geodesic_distances(graph: MolecularGraph, rows=None) -> DistanceMatrix:
-    """Hop distances from every source at once, by frontier products: (n, n)
-    for the whole graph, or (R, n, n) with each of the (R, n) ``rows`` masks
-    walked within itself, where a vertex outside its row is UNREACHABLE."""
+def geodesic_distances(graph: MolecularGraph, rows=None) -> np.ndarray:
+    """Int32 hop distances from every source at once, by frontier products:
+    (n, n) for the whole graph, or (R, n, n) with each of the (R, n) ``rows``
+    masks walked within itself.  Vertices in different components, and a
+    vertex outside its row, are UNREACHABLE."""
     n = graph.n_atoms
     if n == 0:
         raise DataError("cannot compute distances on an empty graph")
@@ -100,7 +95,7 @@ def geodesic_distances(graph: MolecularGraph, rows=None) -> DistanceMatrix:
         dist += 1
         frontier = (frontier @ adj > 0) & (hops == UNREACHABLE)
         hops[frontier] = dist
-    return DistanceMatrix(hops[0] if rows is None else hops, int(hops.max(initial=0)))
+    return hops[0] if rows is None else hops
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,18 +98,15 @@ SPLIT_TAGS = ("TRAIN", "VALID", "TEST")
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One labeled molecule: a SMILES string, an inline graph document, or a
-    path to a molecule JSON file, plus its target and optional split tag."""
+    """One labeled molecule, its target and optional split tag.  The dataset
+    loader stores the parsed graph; a JSON graph document given here instead
+    is loaded when the record is fingerprinted."""
     record_id: str
-    target: float | None = None
-    smiles: str | None = None
-    graph: dict | None = None
-    graph_path: str | None = None
+    target: float
+    graph: MolecularGraph | dict
     split: str | None = None
 
     def __post_init__(self):
-        if sum(s is not None for s in (self.smiles, self.graph, self.graph_path)) != 1:
-            raise DataError("record needs exactly one of smiles/graph/graph_path")
         if self.split is not None and self.split not in SPLIT_TAGS:
             raise DataError(f"invalid split tag {self.split!r}")
 

@@ -33,13 +33,7 @@ from .homology import (
     strong_collapse,
     truncate,
 )
-from .molgraph import (
-    DatasetRecord,
-    MolecularGraph,
-    expand_hydrogens,
-    load_graph_json,
-    parse_smiles,
-)
+from .molgraph import DatasetRecord, MolecularGraph, load_graph_json
 
 LAYOUT_VERSION = "1"
 KIND_ABBREV = {"ATOMIC_MASS": "AM", "PARTIAL_CHARGE": "PC",
@@ -137,10 +131,9 @@ def betti_curves(diagrams, k_grid: int) -> np.ndarray:
 
 
 def graph_from_record(record: DatasetRecord) -> MolecularGraph:
-    """The record's molecule with explicit hydrogens; JSON graphs load that way."""
-    if record.smiles is not None:
-        return expand_hydrogens(parse_smiles(record.smiles, name=record.record_id))
-    return load_graph_json(record.graph if record.graph is not None else record.graph_path)
+    """The record's molecule; a JSON graph document is loaded here."""
+    graph = record.graph
+    return load_graph_json(graph) if isinstance(graph, dict) else graph
 
 
 def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
@@ -164,8 +157,7 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
     masks = np.zeros((len(distinct), graph.n_atoms), dtype=bool)
     for r, s in enumerate(distinct):
         masks[r, list(s)] = True
-    hops = geodesic_distances(
-        graph, masks if distance_mode == "induced_subgraph" else None).hops
+    hops = geodesic_distances(graph, masks if distance_mode == "induced_subgraph" else None)
     kept = strong_collapse(hops, masks, k_grid)
     # Rows that keep the same vertices have the same hop block, in both modes:
     # a shortest path through a removed vertex can pass through its dominator
@@ -337,6 +329,13 @@ def write_fingerprints_csv(table: FingerprintTable, path):
             writer.writerow([fp.record_id] + fp.vector.tolist())
 
 
+def _plain_digits(entries) -> bool:
+    """Every entry is ASCII 0-9 only: no sign, space, underscore or other numeral,
+    so ``int`` reads it as the count the writer wrote."""
+    digits = "".join(entries)
+    return all(entries) and digits.isascii() and (digits.isdigit() or not digits)
+
+
 def read_fingerprints_csv(path) -> FingerprintTable:
     fh = io.StringIO(read_text(path, "fingerprint CSV"), newline="")
     abbrev_to_kind = {v: k for k, v in KIND_ABBREV.items()}
@@ -357,10 +356,13 @@ def read_fingerprints_csv(path) -> FingerprintTable:
         if len(header) != layout.length + 1 or header[1:] != layout.column_names():
             raise DataError(f"{path}: column names do not match the declared layout")
         for row in reader:
+            entries = row[1:]
+            if not _plain_digits(entries):
+                bad = next(x for x in entries if not _plain_digits([x]))
+                raise DataError(f"{path} line {reader.line_num + 1}: entry {bad!r} is not "
+                                "an unsigned integer in ASCII digits")
             try:
-                vector = np.array([int(x) for x in row[1:]], dtype=np.int64)
-            except ValueError:
-                raise DataError(f"{path} line {reader.line_num + 1}: non-integer entry") from None
+                vector = np.fromiter(map(int, entries), dtype=np.int64, count=len(entries))
             except OverflowError:
                 raise DataError(f"{path} line {reader.line_num + 1}: entry outside int64") from None
             if vector.shape[0] != layout.length:

@@ -126,8 +126,8 @@ def test_c01_homology_oracle_suite_connected_graphs_le7():
 def test_c02_cytosine_diagram_counts():
     g = load_graph_json(Path(__file__).parent / "data" / "cytosine.json")
     assert g.n_atoms == 13
-    dist = geodesic_distances(g)
-    pd0, pd1 = reduce_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
+    hops = geodesic_distances(g)
+    pd0, pd1 = reduce_row({a.id for a in g.atoms}, hops, hops.max())
     assert len(pd0.pairs) == 12
     assert len(pd0.essentials) == 1
     assert len(pd1.pairs) == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import moltop
-from moltop import harness, vectorize
+from moltop import harness, molgraph, vectorize
 from moltop.cli import main
 from moltop.errors import InternalInvariantError
 from moltop.filtration import FILTRATION_KINDS, make_spec
@@ -134,29 +135,57 @@ def open_k_grid_config(dataset_path, tmp_path, **overrides):
     return path
 
 
-@pytest.mark.parametrize("command", [["fingerprint", "--dump-diagrams"], ["bench"]])
+SMILES_CSV = "id,smiles,target\n" + "".join(
+    f"m{i},{smiles},{i}\n" for i, smiles in enumerate([
+        "C", "CC", "CCO", "c1ccccc1", "N[C@@H](C)C(=O)O", "CC(C)=O", "C1CC1", "OCC(O)CO",
+        "CC#N", "ClCCl"]))
+
+
+@pytest.mark.parametrize("command", [["fingerprint", "--dump-diagrams"], ["bench"], ["train"]])
 def test_one_parse_and_one_walk_per_record(tiny_dataset_path, tmp_path, monkeypatch,
                                            capsys, command):
-    # The fingerprint stage picks the open k_grid, fingerprints and dumps
-    # from one pass over the records.
+    # Every JSON graph and every SMILES string is parsed through these two
+    # functions, so each counts once per record; the fingerprint stage then
+    # picks the open k_grid, fingerprints and dumps from one walk per record.
     parsed, walked = [], []
-    real_parse, real_walk = vectorize.graph_from_record, vectorize.geodesic_distances
+    real_json, real_smiles = molgraph.graph_from_json_dict, molgraph._finish_parse
+    real_walk = vectorize.geodesic_distances
 
-    def parse(record):
-        parsed.append(record.record_id)
-        return real_parse(record)
+    def parse_json(doc):
+        parsed.append(doc["name"])  # the generated graphs are named by record
+        return real_json(doc)
+
+    def parse_smiles(atoms, bonds, name):
+        parsed.append(name)
+        return real_smiles(atoms, bonds, name)
 
     def walk(graph, rows=None):
-        walked.append(graph.name)  # the generated graphs are named by record
+        walked.append(graph.name)
         return real_walk(graph, rows)
 
-    monkeypatch.setattr(vectorize, "graph_from_record", parse)
+    monkeypatch.setattr(molgraph, "graph_from_json_dict", parse_json)
+    monkeypatch.setattr(molgraph, "_finish_parse", parse_smiles)
     monkeypatch.setattr(vectorize, "geodesic_distances", walk)
-    cfg = open_k_grid_config(tiny_dataset_path, tmp_path)
-    assert main(command + ["--config", str(cfg)]) == 0
-    ids = sorted(json.loads(line)["record_id"]
-                 for line in tiny_dataset_path.read_text().splitlines())
-    assert sorted(parsed) == sorted(walked) == ids
+    smiles = tmp_path / "data.csv"
+    smiles.write_text(SMILES_CSV)
+    datasets = [(tiny_dataset_path, {}, [json.loads(line)["record_id"] for line in
+                                         tiny_dataset_path.read_text().splitlines()]),
+                # SMILES carry no partial charges
+                (smiles, {"kinds": ["ATOMIC_MASS", "BOND_TYPE", "CHIRALITY"]},
+                 [f"m{i}" for i in range(10)])]
+    for (data, overrides, ids), decile_mode in itertools.product(datasets,
+                                                                 ["per_molecule", "global"]):
+        parsed.clear()
+        walked.clear()
+        cfg = open_k_grid_config(data, tmp_path, decile_mode=decile_mode, **overrides)
+        code = main(command + ["--config", str(cfg)])
+        assert sorted(parsed) == sorted(ids), (data, decile_mode)
+        if data == smiles and decile_mode == "global":
+            assert code == 3 and walked == []
+            assert capsys.readouterr().err == ("data error: global decile mode needs a "
+                                               "molecule with partial charges on every atom\n")
+        else:
+            assert code == 0 and sorted(walked) == sorted(ids), (data, decile_mode)
     capsys.readouterr()
 
 
@@ -214,6 +243,95 @@ def test_error_entries_name_the_error_class(tiny_dataset_path, tmp_path, capsys)
         "fingerprint_errors": [{"record_id": "nocharge",
                                 "error": errors["fingerprint_errors"][0]["error"],
                                 "error_class": "ChargesRequiredError"}]}
+    capsys.readouterr()
+
+
+def fault_dataset(tiny_dataset_path, tmp_path, fmt):
+    """Good records mixed with one of each fault a run reports, as JSONL
+    (inline graphs, a graph file and SMILES) or as a SMILES CSV.  A repeated
+    id whose second copy is malformed is only a load error: the repeated-id
+    check notes only rows that load."""
+    docs = [json.loads(line) for line in tiny_dataset_path.read_text().splitlines()[:4]]
+    if fmt == "csv":
+        path = tmp_path / "faults.csv"
+        path.write_text("id,smiles,target\na,CCO,1.5\nbad,C1CC,0.0\nt,CCN,high\n"
+                        "b,c1ccccc1,2.0\na,C(,1.0\nc,N[C@@H](C)C(=O)O,0.5\n")
+        return path
+    (tmp_path / "mol.json").write_text(json.dumps(docs[3]["graph"]))
+    lines = [json.dumps(docs[0]), "{not json",
+             json.dumps({"record_id": "schema", "target": 1.0,
+                         "graph": {"atoms": [{"element": "Xx"}]}}),
+             json.dumps({"record_id": "target", "target": "high", "graph": docs[1]["graph"]}),
+             json.dumps({"record_id": "smiles", "target": 1.0, "smiles": "C1CC"}),
+             json.dumps({"record_id": "nocharge", "target": 1.0, "smiles": "CCO"}),
+             json.dumps({"record_id": "file", "target": 2.0, "graph_path": "mol.json"}),
+             json.dumps({"record_id": "gone", "target": 1.0, "graph_path": "gone.json"}),
+             json.dumps(docs[1]),
+             json.dumps({"record_id": docs[0]["record_id"], "target": 1.0, "smiles": "C("}),
+             json.dumps(docs[2])]
+    path = tmp_path / "faults.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_error_report_of_every_dataset_fault(tiny_dataset_path, tmp_path, capsys, threads):
+    # Every entry, message, error class and the order of both lists.
+    data = fault_dataset(tiny_dataset_path, tmp_path, "jsonl")
+    cfg = open_k_grid_config(data, tmp_path, threads=threads)
+    assert main(["fingerprint", "--config", str(cfg)]) == 0
+    errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+    gone = tmp_path / "gone.json"
+    assert errors == {
+        "load_errors": [
+            {"record_id": "row1", "error_class": "DataError",
+             "error": "invalid JSON: Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"},
+            {"record_id": "schema", "error_class": "SchemaError",
+             "error": "unsupported element 'Xx' (at $.atoms[0].element)"},
+            {"record_id": "target", "error_class": "DataError",
+             "error": "missing or non-numeric target 'high'"},
+            {"record_id": "smiles", "error_class": "SmilesParseError",
+             "error": "unmatched ring closure 1 (at offset 1)"},
+            {"record_id": "gone", "error_class": "SchemaError",
+             "error": f"{gone}: cannot read molecule file ([Errno 2] No such file or "
+                      f"directory: '{gone}') (at $)"},
+            {"record_id": "mol00000", "error_class": "SmilesParseError",
+             "error": "unbalanced parentheses (at offset 1)"}],
+        "fingerprint_errors": [
+            {"record_id": "nocharge", "error_class": "ChargesRequiredError",
+             "error": "atom 0 has no partial charge; the partial-charge filtration "
+                      "needs charges on every atom"}]}
+    fingerprinted = read_fingerprints_csv(tmp_path / "out" / "fingerprints.csv").ids()
+    assert fingerprinted == ["mol00000", "file", "mol00001", "mol00002"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_error_report_of_every_csv_fault(tiny_dataset_path, tmp_path, capsys, threads):
+    # SMILES carry no partial charges: with PARTIAL_CHARGE every record
+    # fails, and without it only the load errors remain.
+    data = fault_dataset(tiny_dataset_path, tmp_path, "csv")
+    cfg = open_k_grid_config(data, tmp_path, threads=threads)
+    assert main(["fingerprint", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "data error: all 3 records failed; first error: atom 0 has no partial charge; "
+        "the partial-charge filtration needs charges on every atom\n")
+    cfg = open_k_grid_config(data, tmp_path, threads=threads,
+                             kinds=["ATOMIC_MASS", "BOND_TYPE", "CHIRALITY"])
+    assert main(["fingerprint", "--config", str(cfg)]) == 0
+    errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+    assert errors == {
+        "load_errors": [
+            {"record_id": "bad", "error_class": "SmilesParseError",
+             "error": "unmatched ring closure 1 (at offset 1)"},
+            {"record_id": "t", "error_class": "DataError",
+             "error": "missing or non-numeric target 'high'"},
+            {"record_id": "a", "error_class": "SmilesParseError",
+             "error": "unbalanced parentheses (at offset 1)"}],
+        "fingerprint_errors": []}
+    fingerprinted = read_fingerprints_csv(tmp_path / "out" / "fingerprints.csv").ids()
+    assert fingerprinted == ["a", "b", "c"]
     capsys.readouterr()
 
 

@@ -23,7 +23,7 @@ from moltop.harness import (
     run_config_from_dict,
 )
 from moltop.filtration import FILTRATION_KINDS
-from moltop.molgraph import DatasetRecord, expand_hydrogens, parse_smiles
+from moltop.molgraph import DatasetRecord, expand_hydrogens, load_graph_json, parse_smiles
 from moltop.sglb import decompose, load_ensemble
 from moltop.vectorize import (
     DISTANCE_MODES,
@@ -33,6 +33,11 @@ from moltop.vectorize import (
 )
 
 from oracles import graph_diameter, naive_f1, naive_prc_auc, naive_roc_auc
+
+
+def smiles_graph(text, record_id):
+    """The graph the loader stores for a SMILES record."""
+    return expand_hydrogens(parse_smiles(text, name=record_id))
 
 
 def write_csv_dataset(path, rows):
@@ -87,7 +92,7 @@ class TestLoadDataset:
                                     "graph_path": "h2.json"}) + "\n")
         records, errors = load_dataset(data)
         assert errors == []
-        assert records[0].graph_path.endswith("h2.json")
+        assert records[0].graph == load_graph_json(tmp_path / "h2.json")  # beside the data
 
     def test_jsonl_missing_graph_path_is_a_load_error(self, tmp_path):
         data = tmp_path / "d.jsonl"
@@ -129,8 +134,8 @@ class TestLoadDataset:
         path.write_text(" ID ,SMILES, Target \na,CCO,1.5\nb,CCN,0.5\n")
         records, errors = load_dataset(path)
         assert errors == []
-        assert [(r.record_id, r.smiles, r.target) for r in records] == [
-            ("a", "CCO", 1.5), ("b", "CCN", 0.5)]
+        assert [(r.record_id, r.graph, r.target) for r in records] == [
+            ("a", smiles_graph("CCO", "a"), 1.5), ("b", smiles_graph("CCN", "b"), 0.5)]
 
     @pytest.mark.parametrize("header,missing", [("id,smiles", "target"),
                                                 ("id,target", "smiles"), ("", "smiles")],
@@ -155,7 +160,8 @@ class TestLoadDataset:
         path.write_bytes(b"\xef\xbb\xbf" + text.encode())
         records, errors = load_dataset(path)
         assert errors == []
-        assert [(r.record_id, r.smiles, r.target) for r in records] == rows
+        assert [(r.record_id, r.graph, r.target) for r in records] == [
+            (r, smiles_graph(s, r), t) for r, s, t in rows]
 
     @pytest.mark.parametrize("name,target,error", [
         ("data.csv", "nan", None), ("data.csv", "inf", None), ("data.csv", "-Infinity", None),
@@ -201,7 +207,7 @@ class TestLoadDataset:
 
 class TestApplySplit:
     def make_records(self, n):
-        return [DatasetRecord(f"r{i}", float(i), smiles="C") for i in range(n)]
+        return [DatasetRecord(f"r{i}", float(i), smiles_graph("C", f"r{i}")) for i in range(n)]
 
     def test_split_file_exact(self, tmp_path):
         records = self.make_records(4)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moltop.errors import DataError, InternalInvariantError
 from moltop.homology import (
@@ -60,7 +61,7 @@ def row_hops(graph, row):
     """The (n, n) block of ``geodesic_distances`` walking ``graph`` within ``row``."""
     mask = np.zeros((1, graph.n_atoms), dtype=bool)
     mask[0, list(row)] = True
-    return geodesic_distances(graph, mask).hops[0]
+    return geodesic_distances(graph, mask)[0]
 
 
 def cycle_distances(n):
@@ -75,20 +76,19 @@ def cytosine_graph():
 class TestGeodesicDistances:
     def test_path(self):
         g = expand_hydrogens(parse_smiles("OO"))  # H-O-O-H after expansion
-        d = geodesic_distances(g)
-        assert d.hops[2, 3] == 3  # hydrogen to hydrogen across the path
-        assert d.diameter == 3
+        hops = geodesic_distances(g)
+        assert hops[2, 3] == 3  # hydrogen to hydrogen across the path
+        assert hops.max() == 3
 
     def test_six_cycle(self):
         g = expand_hydrogens(parse_smiles("c1ccccc1"))
-        d = geodesic_distances(g)
+        hops = geodesic_distances(g)
         ring = [a.id for a in g.atoms if a.element == "C"]
-        assert max(d.hops[u, v] for u in ring for v in ring) == 3
+        assert max(hops[u, v] for u in ring for v in ring) == 3
 
     def test_disconnected_unreachable(self):
         g = parse_smiles("[Cl-].[Cl-]")
-        d = geodesic_distances(g)
-        assert d.hops[0, 1] == UNREACHABLE
+        assert geodesic_distances(g)[0, 1] == UNREACHABLE
 
     def test_empty_graph_rejected(self):
         empty = MolecularGraph("empty", (), ())
@@ -109,16 +109,15 @@ class TestGeodesicDistances:
         for adj in load_graph6_file(str(GRAPH6_PATH)):
             n = len(adj)
             graph = skeleton(adj)
-            assert np.array_equal(geodesic_distances(graph).hops, hop_distances(adj))
+            assert np.array_equal(geodesic_distances(graph), hop_distances(adj))
             masks = np.vstack([np.ones(n, dtype=bool), rng.random((4, n)) < 0.6])
             got = geodesic_distances(graph, masks)
-            assert got.hops.shape == (len(masks), n, n)
-            for mask, hops in zip(masks, got.hops):
+            assert got.shape == (len(masks), n, n) and got.dtype == np.int32
+            for mask, hops in zip(masks, got):
                 inside = np.outer(mask, mask)
                 want = np.where(inside, hop_distances(adj * inside), UNREACHABLE)
                 assert np.array_equal(hops, want), (adj.tolist(), mask.tolist())
                 split += int(np.any(inside & (hops == UNREACHABLE)))
-            assert got.diameter == max(0, got.hops.max())
         assert split > 1000
 
     def test_matches_oracle_bfs(self, random_graphs):
@@ -126,12 +125,11 @@ class TestGeodesicDistances:
             adj = np.zeros((g.n_atoms, g.n_atoms), dtype=int)
             for b in g.bonds:
                 adj[b.a, b.b] = adj[b.b, b.a] = 1
-            assert np.array_equal(geodesic_distances(g).hops, hop_distances(adj))
+            assert np.array_equal(geodesic_distances(g), hop_distances(adj))
 
     def test_induced_subgraph_mode(self):
         g = expand_hydrogens(parse_smiles("CCC"))  # propane: C0-C1-C2
-        full = geodesic_distances(g)
-        assert full.hops[0, 2] == 2
+        assert geodesic_distances(g)[0, 2] == 2
         sub = row_hops(g, {0, 2})
         assert sub[0, 2] == UNREACHABLE  # the middle carbon is gone
 
@@ -198,12 +196,12 @@ class TestBuildVrRow:
 
     def test_filtration_order(self, random_graphs):
         g = random_graphs[0]
-        dist = geodesic_distances(g)
-        cx = build_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
+        hops = geodesic_distances(g)
+        cx = build_row({a.id for a in g.atoms}, hops, hops.max())
         edges = [(e, u, v) for e, (u, v) in zip(cx.edge_eps.tolist(),
                                                  edge_pairs(cx).tolist())]
         assert edges == sorted(edges)
-        assert oracle_counts(cx, dist.hops, dist.diameter)[1] == len(edges)
+        assert oracle_counts(cx, hops, hops.max())[1] == len(edges)
 
 
 class TestReduce:
@@ -228,8 +226,8 @@ class TestReduce:
     def test_cytosine_full_row(self):
         g = cytosine_graph()
         assert g.n_atoms == 13
-        dist = geodesic_distances(g)
-        cx = build_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
+        hops = geodesic_distances(g)
+        cx = build_row({a.id for a in g.atoms}, hops, hops.max())
         pd0, pd1 = reduce_rows(cx)[0]
         assert len(pd0.pairs) == 12
         assert len(pd0.essentials) == 1
@@ -319,22 +317,22 @@ class TestOracleEquivalence:
 
     def test_euler_consistency_on_molecules(self, random_graphs):
         for g in random_graphs[:8]:
-            dist = geodesic_distances(g)
+            hops = geodesic_distances(g)
             verts = {a.id for a in g.atoms}
-            cx = build_row(verts, dist.hops, dist.diameter)
+            cx = build_row(verts, hops, hops.max())
             pd0, pd1 = reduce_rows(cx)[0]
-            for eps in range(dist.diameter + 1):
-                nv, ne, nt = oracle_counts(cx, dist.hops, eps)
-                b0, b1, b2 = betti_numbers_at(verts, dist.hops, eps)
+            for eps in range(hops.max() + 1):
+                nv, ne, nt = oracle_counts(cx, hops, eps)
+                b0, b1, b2 = betti_numbers_at(verts, hops, eps)
                 assert nv - ne + nt == b0 - b1 + b2
                 assert betti_at(pd0, eps) == b0
                 assert betti_at(pd1, eps) == b1
 
     def test_monotone_beta0(self, random_graphs):
         for g in random_graphs[:10]:
-            dist = geodesic_distances(g)
-            pd0, _ = reduce_row({a.id for a in g.atoms}, dist.hops, dist.diameter)
-            values = [betti_at(pd0, t) for t in range(dist.diameter + 1)]
+            hops = geodesic_distances(g)
+            pd0, _ = reduce_row({a.id for a in g.atoms}, hops, hops.max())
+            values = [betti_at(pd0, t) for t in range(hops.max() + 1)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_permutation_invariance_of_diagrams(self, random_graphs):
@@ -344,9 +342,9 @@ class TestOracleEquivalence:
             h = relabel(g, perm)
             dg = geodesic_distances(g)
             dh = geodesic_distances(h)
-            assert dg.diameter == dh.diameter
-            pg = reduce_row({a.id for a in g.atoms}, dg.hops, dg.diameter)
-            ph = reduce_row({a.id for a in h.atoms}, dh.hops, dh.diameter)
+            assert dg.max() == dh.max()
+            pg = reduce_row({a.id for a in g.atoms}, dg, dg.max())
+            ph = reduce_row({a.id for a in h.atoms}, dh, dh.max())
             assert pg == ph  # diagrams are sorted multisets
 
     def test_subset_rows_match_naive_reduction(self, random_graphs):
@@ -355,13 +353,13 @@ class TestOracleEquivalence:
         # textbook reduction, not just full vertex sets
         rng = np.random.default_rng(41)
         for g in random_graphs[:6]:
-            dist = geodesic_distances(g)
+            hops = geodesic_distances(g)
             for _ in range(4):
                 size = int(rng.integers(1, g.n_atoms + 1))
                 subset = set(rng.choice(g.n_atoms, size=size, replace=False).tolist())
-                cap = int(rng.integers(1, dist.diameter + 1))
-                pd0, pd1 = reduce_row(subset, dist.hops, cap)
-                oracle = naive_persistence(subset, dist.hops, cap)
+                cap = int(rng.integers(1, hops.max() + 1))
+                pd0, pd1 = reduce_row(subset, hops, cap)
+                oracle = naive_persistence(subset, hops, cap)
                 assert sorted(pd0.pairs) == oracle[0][0]
                 assert sorted(pd0.essentials) == oracle[0][1]
                 assert sorted(pd1.pairs) == oracle[1][0]
@@ -370,8 +368,8 @@ class TestOracleEquivalence:
     def test_essential_count_is_component_count(self):
         g = parse_smiles("CC.O.[Cl-]")
         g = expand_hydrogens(g)
-        dist = geodesic_distances(g)
-        pd0, _ = reduce_row({a.id for a in g.atoms}, dist.hops, max(dist.diameter, 1))
+        hops = geodesic_distances(g)
+        pd0, _ = reduce_row({a.id for a in g.atoms}, hops, max(hops.max(), 1))
         assert len(pd0.essentials) == len(components(g))
 
     def test_pipeline_consumes_no_coordinates(self):
@@ -414,7 +412,7 @@ def datagen_sublevel_rows():
     of 20 datagen molecules (seed 7)."""
     for doc in generate_dataset(20, seed=7):
         graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"]))
-        full = geodesic_distances(graph).hops
+        full = geodesic_distances(graph)
         distinct = {frozenset(s) for kind in FILTRATION_KINDS
                     for s in build_sequence(graph, make_spec(kind)).subsets if s}
         for row in sorted(distinct, key=sorted):
@@ -478,9 +476,9 @@ class TestCohomologyMatchesTriangleReducer:
         pd0, pd1 = self.check({0, 1}, apart, 3)
         assert pd0.essentials == (0, 0) and pd1 == PersistenceDiagram(1, (), (), 3)
         g = expand_hydrogens(parse_smiles("C1CCC1.C1CCCC1.O"))
-        dist = geodesic_distances(g)
-        for cap in range(dist.diameter + 1):
-            pd0, _ = self.check(range(g.n_atoms), dist.hops, cap)
+        hops = geodesic_distances(g)
+        for cap in range(hops.max() + 1):
+            pd0, _ = self.check(range(g.n_atoms), hops, cap)
         assert len(pd0.essentials) == 3
 
 
@@ -635,7 +633,7 @@ class TestStrongCollapse:
                     row = build_sequence(graph, make_spec(kind)).subsets[i]
                     if not row:
                         continue
-                    hops = full.hops if mode == "full_graph" else row_hops(graph, row)
+                    hops = full if mode == "full_graph" else row_hops(graph, row)
                     want = reduce_row(row, hops, cap)
                     assert (pd0, pd1) == want, (graph.name, mode, cap, kind, i)
 
@@ -673,8 +671,8 @@ class TestStrongCollapse:
             n = len(adj)
             graph = skeleton(adj)
             masks = rng.random((4, n)) < 0.7
-            per_row = geodesic_distances(graph, masks).hops
-            shared = geodesic_distances(graph).hops
+            per_row = geodesic_distances(graph, masks)
+            shared = geodesic_distances(graph)
             for cap in (1, 2, n):
                 kept = strong_collapse(per_row, masks, cap)
                 for r in range(len(masks)):
@@ -716,13 +714,74 @@ class TestStrongCollapse:
             if not row:
                 assert doc["pairs"] == [] and doc["essentials"] == []
                 continue
-            want = reduce_row(row, full.hops, 6)[doc["dim"]]
+            want = reduce_row(row, full, 6)[doc["dim"]]
             assert doc["pairs"] == [list(p) for p in want.pairs]
             assert doc["essentials"] == list(want.essentials)
             masks = np.zeros((1, graph.n_atoms), dtype=bool)
             masks[0, list(row)] = True
-            collapsing += int(strong_collapse(full.hops, masks, 6).sum() < len(row))
+            collapsing += int(strong_collapse(full, masks, 6).sum() < len(row))
         assert collapsing > 0
+
+
+@st.composite
+def larger_graphs(draw):
+    """A 0/1 adjacency matrix on 8 to 18 vertices: a random graph, a cycle with
+    chords, a grid, or two disjoint cycles."""
+    family = draw(st.sampled_from(["random", "chorded-cycle", "grid", "two-cycles"]))
+    if family == "grid":
+        rows, cols = draw(st.sampled_from([(r, c) for r in range(2, 10) for c in range(r, 10)
+                                           if 8 <= r * c <= 18]))
+        n = rows * cols
+        pairs = [(i, i + 1) for i in range(n) if (i + 1) % cols]
+        pairs += [(i, i + cols) for i in range(n - cols)]
+    elif family == "two-cycles":
+        a = draw(st.integers(3, 15))
+        b = draw(st.integers(max(3, 8 - a), 18 - a))
+        n = a + b
+        pairs = [(i, (i + 1) % a) for i in range(a)]
+        pairs += [(a + i, a + (i + 1) % b) for i in range(b)]
+    else:
+        n = draw(st.integers(8, 18))
+        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if family == "random":
+            density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+            pairs = [p for p in candidates if draw(st.floats(0, 1)) < density]
+        else:
+            chords = draw(st.lists(st.sampled_from(candidates), max_size=4))
+            pairs = [(i, (i + 1) % n) for i in range(n)] + chords
+    adj = np.zeros((n, n), dtype=int)
+    for u, v in pairs:
+        adj[u, v] = adj[v, u] = 1
+    return adj
+
+
+class TestLargerGraphsAgainstTheTriangleReducer:
+    """The path ``row_diagrams`` takes, past the 7 vertices of the bundled
+    graphs: one collapse of every row, one stack of the kept vertex sets, one
+    reduction, and each removed vertex's (0, 1) pair put back in PD_0."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(adj=larger_graphs(), seed=st.integers(0, 10_000))
+    def test_collapsed_stack_matches_whole_rows(self, adj, seed):
+        n = len(adj)
+        graph = skeleton(adj)
+        rng = np.random.default_rng(seed)
+        masks = np.vstack([np.ones(n, dtype=bool), rng.random((3, n)) < 0.7])
+        masks[np.arange(1, 4), rng.integers(0, n, 3)] = True  # no empty row
+        for mode in DISTANCE_MODES:
+            hops = geodesic_distances(graph, masks if mode == "induced_subgraph" else None)
+            for cap in (0, 1, 2, 3, 4, 6, 14, 40):
+                kept = strong_collapse(hops, masks, cap)
+                stack = build_rows([np.flatnonzero(core).tolist() for core in kept], hops, cap)
+                for r, (pd0, pd1) in enumerate(reduce_rows(stack)):
+                    row = np.flatnonzero(masks[r]).tolist()
+                    removed = len(row) - int(kept[r].sum())
+                    got = (replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1)
+                    ref = triangle_persistence(row, hops if hops.ndim == 2 else hops[r], cap)
+                    want = tuple(PersistenceDiagram(dim, tuple(ref[dim][0]),
+                                                    tuple(ref[dim][1]), cap)
+                                 for dim in (0, 1))
+                    assert got == want, (adj.tolist(), row, mode, cap)
 
 
 def padded_blocks(blocks):
@@ -808,7 +867,7 @@ class TestStackedRows:
         for doc in generate_dataset(20, seed=7):
             graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0,
                                                     graph=doc["graph"]))
-            full = geodesic_distances(graph).hops
+            full = geodesic_distances(graph)
             distinct = {frozenset(s) for kind in FILTRATION_KINDS
                         for s in build_sequence(graph, make_spec(kind)).subsets if s}
             for row in sorted(distinct, key=sorted):

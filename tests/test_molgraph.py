@@ -357,13 +357,10 @@ def test_permutation_parity_matches_inversion_count():
 
 
 def test_dataset_record_validation():
+    graph = expand_hydrogens(parse_smiles("C", name="r"))
     with pytest.raises(DataError):
-        DatasetRecord("r", 1.0)  # no source
-    with pytest.raises(DataError):
-        DatasetRecord("r", 1.0, smiles="C", graph_path="x.json")
-    with pytest.raises(DataError):
-        DatasetRecord("r", 1.0, smiles="C", split="train")
-    DatasetRecord("r", 1.0, smiles="C", split="TRAIN")
+        DatasetRecord("r", 1.0, graph, split="train")
+    assert DatasetRecord("r", 1.0, graph, split="TRAIN").graph is graph
 
 
 def _json_containers(inner):

@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -14,7 +15,8 @@ from moltop.errors import (
 )
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, make_spec
 from moltop.homology import PersistenceDiagram
-from moltop.molgraph import DatasetRecord, expand_hydrogens, parse_smiles
+from moltop.harness import load_dataset
+from moltop.molgraph import DatasetRecord, MolecularGraph, expand_hydrogens, parse_smiles
 from moltop.vectorize import (
     FingerprintLayout,
     assemble,
@@ -181,7 +183,7 @@ class TestDatasetFingerprinting:
 
     def test_failures_isolated_and_reported(self):
         records = self.make_records(6)
-        records[2] = DatasetRecord("bad", 1.0, smiles="C")  # no charges -> PC fails
+        records[2] = DatasetRecord("bad", 1.0, expand_hydrogens(parse_smiles("C")))  # no charges
         table = fingerprint_dataset(records, FILTRATION_KINDS, 8)
         assert len(table.fingerprints) == 5
         assert len(table.errors) == 1
@@ -213,6 +215,7 @@ class TestDatasetFingerprinting:
         with pytest.raises(MoltopError, match="had not returned: .*r003") as info:
             fingerprint_dataset(self.make_records(6), FILTRATION_KINDS, 8, threads=2)
         assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
+        assert gc.get_freeze_count() == 0
 
     @pytest.mark.parametrize("threads,n,cpus,workers", [
         (64, 6, 2, 2), (64, 3, 8, 3), (2, 6, 8, 2), (1, 6, 8, None), (4, 1, 8, None)])
@@ -242,21 +245,26 @@ class TestDatasetFingerprinting:
         assert table == fingerprint_dataset(records, FILTRATION_KINDS, 8)
 
     def test_graph_path_record_matches_inline_graph(self, tmp_path):
-        # A record naming a molecule JSON file fingerprints like the same
-        # molecule given inline.
+        # A dataset record naming a molecule JSON file fingerprints like the
+        # same molecule given inline, or as a graph document not yet loaded.
         inline = self.make_records(5)
-        from_file = []
+        lines = []
         for record in inline:
-            path = tmp_path / f"{record.record_id}.json"
-            path.write_text(json.dumps(record.graph))
-            from_file.append(DatasetRecord(f"file-{record.record_id}", 1.0,
-                                           graph_path=str(path)))
-        table = fingerprint_dataset(inline + from_file, FILTRATION_KINDS, 8)
+            (tmp_path / f"{record.record_id}.json").write_text(json.dumps(record.graph))
+            lines += [{"record_id": record.record_id, "target": 1.0, "graph": record.graph},
+                      {"record_id": f"file-{record.record_id}", "target": 1.0,
+                       "graph_path": f"{record.record_id}.json"}]
+        (tmp_path / "data.jsonl").write_text("".join(json.dumps(d) + "\n" for d in lines))
+        loaded, errors = load_dataset(tmp_path / "data.jsonl")
+        assert errors == [] and all(isinstance(r.graph, MolecularGraph) for r in loaded)
+        table = fingerprint_dataset(loaded, FILTRATION_KINDS, 8)
         assert table.errors == ()
-        assert np.array_equal(table.matrix()[:5], table.matrix()[5:])
+        assert np.array_equal(table.matrix()[0::2], table.matrix()[1::2])
+        assert np.array_equal(fingerprint_dataset(inline, FILTRATION_KINDS, 8).matrix(),
+                              table.matrix()[0::2])
 
     def test_all_failed_raises(self):
-        records = [DatasetRecord("a", 1.0, smiles="C")]
+        records = [DatasetRecord("a", 1.0, expand_hydrogens(parse_smiles("C")))]
         with pytest.raises(DataError):
             fingerprint_dataset(records, FILTRATION_KINDS, 8)
 
@@ -270,6 +278,7 @@ class TestDatasetFingerprinting:
         parallel = fingerprint_dataset(records, FILTRATION_KINDS, 8, threads=3)
         assert serial.ids() == parallel.ids()
         assert np.array_equal(serial.matrix(), parallel.matrix())
+        assert gc.get_freeze_count() == 0  # the fan-out unfreezes what it froze
 
     def test_slice_table_matches_direct_assembly(self):
         records = self.make_records(6)
@@ -308,6 +317,29 @@ class TestOnDiskFormats:
         with pytest.raises(DataError) as err:
             read_fingerprints_csv(path)
         assert f"{path} line 6: repeated record id 'r001' (first on line 4)" in str(err.value)
+
+    @pytest.mark.parametrize("entry", ["-5", "+5", "1_0", " 7 ", "7 ", "", "1.0", "x",
+                                       "٣", "５", "²", "0x1"],
+                             ids=["negative", "plus", "underscore", "spaces", "trailing-space",
+                                  "empty", "decimal", "letter", "arabic-indic-digit",
+                                  "fullwidth-digit", "superscript", "hex"])
+    def test_entry_must_be_plain_ascii_digits(self, tmp_path, entry):
+        # The writer writes counts in plain digits; int() would read all of these.
+        table = fingerprint_dataset(TestDatasetFingerprinting().make_records(3),
+                                    FILTRATION_KINDS, 8)
+        path = tmp_path / "fp.csv"
+        write_fingerprints_csv(table, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record_id, first, rest = lines[3].split(",", 2)
+        lines[3] = ",".join((record_id, first, entry, rest.split(",", 1)[1]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_fingerprints_csv(path)
+        assert str(err.value) == (f"{path} line 4: entry {entry!r} is not an unsigned "
+                                  "integer in ASCII digits")
+        lines[3] = ",".join((record_id, first, "0" * 30 + "7", rest.split(",", 1)[1]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_fingerprints_csv(path).fingerprints[1].vector[1] == 7  # zeros lead
 
     @pytest.mark.parametrize("line", [2, 5])
     def test_field_past_the_csv_limit_names_file_and_line(self, tmp_path, line):
