@@ -544,50 +544,48 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
 
     atoms = []
     for i, entry in enumerate(raw_atoms):
-        path = f"$.atoms[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaError("atom must be an object", path)
-        extra = set(entry) - _ATOM_KEYS
-        if extra:
-            raise SchemaError(f"unknown atom keys {sorted(extra)}", path)
+            raise SchemaError("atom must be an object", f"$.atoms[{i}]")
+        if not entry.keys() <= _ATOM_KEYS:
+            raise SchemaError(f"unknown atom keys {sorted(set(entry) - _ATOM_KEYS)}",
+                              f"$.atoms[{i}]")
         element = entry.get("element")
         if element not in SUPPORTED_ELEMENTS:
-            raise SchemaError(f"unsupported element {element!r}", path + ".element")
+            raise SchemaError(f"unsupported element {element!r}", f"$.atoms[{i}].element")
         charge = entry.get("formal_charge", 0)
         if not isinstance(charge, int) or isinstance(charge, bool):
-            raise SchemaError("formal_charge must be an integer", path + ".formal_charge")
+            raise SchemaError("formal_charge must be an integer", f"$.atoms[{i}].formal_charge")
         partial = entry.get("partial_charge")
         if partial is not None and (isinstance(partial, bool)
                                     or not isinstance(partial, (int, float))
                                     or not -_FLOAT_MAX <= partial <= _FLOAT_MAX):
             raise SchemaError("partial_charge must be a finite number",
-                              path + ".partial_charge")
+                              f"$.atoms[{i}].partial_charge")
         tag = entry.get("chirality", CHI_NONE)
         if tag not in CHIRALITY_TAGS:
-            raise SchemaError(f"invalid chirality {tag!r}", path + ".chirality")
+            raise SchemaError(f"invalid chirality {tag!r}", f"$.atoms[{i}].chirality")
         atoms.append(Atom(i, element, charge,
                           None if partial is None else float(partial), tag))
 
     seen_pairs = set()
     bonds = []
     for i, entry in enumerate(raw_bonds):
-        path = f"$.bonds[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaError("bond must be an object", path)
-        extra = set(entry) - _BOND_KEYS
-        if extra:
-            raise SchemaError(f"unknown bond keys {sorted(extra)}", path)
+            raise SchemaError("bond must be an object", f"$.bonds[{i}]")
+        if not entry.keys() <= _BOND_KEYS:
+            raise SchemaError(f"unknown bond keys {sorted(set(entry) - _BOND_KEYS)}",
+                              f"$.bonds[{i}]")
         a, b, order = entry.get("a"), entry.get("b"), entry.get("order")
         for key, val in (("a", a), ("b", b)):
             if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < len(atoms):
-                raise SchemaError(f"endpoint {key} out of range", f"{path}.{key}")
+                raise SchemaError(f"endpoint {key} out of range", f"$.bonds[{i}].{key}")
         if a == b:
-            raise SchemaError("bond endpoints must differ", path)
+            raise SchemaError("bond endpoints must differ", f"$.bonds[{i}]")
         if order not in BOND_ORDERS:
-            raise SchemaError(f"invalid bond order {order!r}", path + ".order")
+            raise SchemaError(f"invalid bond order {order!r}", f"$.bonds[{i}].order")
         pair = (min(a, b), max(a, b))
         if pair in seen_pairs:
-            raise SchemaError("duplicate bond", path)
+            raise SchemaError("duplicate bond", f"$.bonds[{i}]")
         seen_pairs.add(pair)
         bonds.append(Bond(a, b, order))
 
@@ -599,17 +597,17 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
 def _validate_loaded(graph: MolecularGraph):
     bond_x2, degree, aromatic = _valence_tally(graph.n_atoms, graph.bonds)
     for atom in graph.atoms:
-        path = f"$.atoms[{atom.id}]"
         if atom.chirality != CHI_NONE and degree[atom.id] != 4:
-            raise SchemaError("chirality tag on an atom without four distinct neighbors", path)
+            raise SchemaError("chirality tag on an atom without four distinct neighbors",
+                              f"$.atoms[{atom.id}]")
         if aromatic[atom.id]:
             limit = _AROMATIC_MAX_DEGREE.get(atom.element)
             if limit is None or degree[atom.id] > limit:
-                raise SchemaError("aromatic valence violation", path)
+                raise SchemaError("aromatic valence violation", f"$.atoms[{atom.id}]")
             continue
         slots = (bond_x2[atom.id] + 1) // 2
         if slots not in allowed_valences(atom.element, atom.formal_charge):
             raise SchemaError(
                 f"valence {slots} not allowed for {atom.element} "
-                f"(charge {atom.formal_charge})", path)
+                f"(charge {atom.formal_charge})", f"$.atoms[{atom.id}]")
 

@@ -12,14 +12,19 @@ Trees grow from histograms of quantile-binned codes, binned once per ensemble.
 A column whose codes repeat an earlier column's is dropped, and each kept
 column's codes are ranked among the codes it occupies, so a histogram row is
 as wide as the most codes any kept column occupies.  One bincount fills the
-count and target rows; the split search scores only the cuts with rows on both
-sides, and two leaf children get a histogram of code column 0 alone, the only
-one a leaf value reads.  The training predictions F are updated from each
-row's leaf id.  The trees equal a 256-slot grower's bit for bit: argmax keeps
-the first maximum, cumsum is sequential so empty slots change no prefix, and a
-leaf value is summed over a zero-padded 256-slot row with each total at its
-original code, because np.sum is pairwise and its rounding depends on where
-the values sit.
+count and target rows, and the split search scores only the cuts with rows on
+both sides.  A leaf value reads code column 0 alone: when both children of a
+split are leaves, one bincount after the walk counts that column for every
+such pair's smaller child, and all leaf values come from one sum.  The
+training predictions F are updated from each row's leaf id.  The trees equal a
+256-slot grower's bit for bit: argmax keeps the first maximum, cumsum is
+sequential so empty slots change no prefix, bincount adds each slot's rows in
+ascending order, and a leaf value is summed over a zero-padded 256-slot row
+with each total at its original code, because np.sum is pairwise and its
+rounding depends on where the values sit.
+
+Prediction walks all of a model's trees at once, one level per step, then
+folds their values into F tree by tree in the order they were fitted.
 
 Ensembles are independently seeded models; disagreement among members gives
 the knowledge (epistemic) part of the uncertainty, the average per-member
@@ -68,6 +73,8 @@ class SglbConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.iterations < 1 or self.max_depth < 1 or self.ensemble_size < 1:
             raise ConfigError("iterations, max_depth and ensemble_size must be >= 1")
+        if self.min_samples_split < 1:
+            raise ConfigError(f"min_samples_split must be >= 1, got {self.min_samples_split}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError("learning_rate must be in (0, 1]")
         if self.beta is not None and not self.beta > 0:
@@ -130,18 +137,6 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(len(X), dtype=np.int32)
-        while True:
-            f = self.feature[idx]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                break
-            node = idx[active]
-            go_left = X[active, f[active]] <= self.threshold[node]
-            idx[active] = np.where(go_left, self.left[node], self.right[node])
-        return self.value[idx]
 
     def to_dict(self) -> dict:
         return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
@@ -211,32 +206,34 @@ class _TreeGrower:
     def __init__(self, binned: _Binned, max_depth: int, min_samples_split: int):
         self.binned = binned
         self.max_depth = max_depth
-        self.min_split = max(2, min_samples_split)
+        self.min_split = max(2, min_samples_split)  # a node of one row has no cut
 
-    def _histogram(self, idx: np.ndarray, targets: np.ndarray, ncols: int) -> np.ndarray:
-        """Row counts and target sums, (1 + dim, ncols, width), of code columns :ncols."""
-        binned = self.binned
-        rows, size = 1 + targets.shape[1], ncols * binned.width
-        flat = binned.slots[idx, :ncols] + np.arange(0, rows * size, size)[:, None, None]
+    def _histogram(self, slots: np.ndarray, idx: np.ndarray, targets: np.ndarray,
+                   ncols: int) -> np.ndarray:
+        """Row counts and target sums, (1 + dim, ncols, width), of the rows ``idx``;
+        ``slots`` holds each row's slots, all below ncols * width."""
+        width = self.binned.width
+        rows, size = 1 + targets.shape[1], ncols * width
+        flat = slots + np.arange(0, rows * size, size)[:, None, None]
         weights = np.empty(flat.shape)
         weights[0] = 1.0
         weights[1:] = targets[idx].T[:, :, None]
         hist = np.bincount(flat.ravel(), weights.ravel(), minlength=rows * size)
-        return hist.reshape(rows, ncols, binned.width)
+        return hist.reshape(rows, ncols, width)
 
     def _best_split(self, hist: np.ndarray):
         width = self.binned.width
-        sums = np.cumsum(hist, axis=2).reshape(hist.shape[0], -1)
+        sums = hist.cumsum(axis=2).reshape(hist.shape[0], -1)
         cnt, m = sums[0], sums[0, width - 1]
-        cand = np.flatnonzero((cnt > 0) & (cnt < m))  # never a column's last slot
+        cand = ((cnt > 0) & (cnt < m)).nonzero()[0]  # never a column's last slot
         if cand.size == 0:
             return None
-        # np.take and a contiguous total: broadcasting over strided views is slow
-        nl, sl = cnt[cand], np.take(sums[1:], cand, axis=1)
+        # take and a contiguous total: broadcasting over strided views is slow
+        nl, sl = cnt[cand], sums[1:].take(cand, axis=1)
         total = sums[1:, width - 1:width].copy()  # column 0's: others round differently
         gain = (sl * sl / nl + (total - sl) ** 2 / (m - nl)).sum(axis=0)
         gain -= (total * total / m).sum()
-        best = int(np.argmax(gain))
+        best = int(gain.argmax())
         if not gain[best] > _MIN_GAIN:
             return None
         return divmod(int(cand[best]), width)
@@ -244,66 +241,82 @@ class _TreeGrower:
     def grow(self, targets: np.ndarray) -> tuple[Tree, np.ndarray]:
         """The tree fitted to ``targets`` and each training row's leaf id."""
         n, dim = targets.shape
-        feature, threshold, left, right, value = [], [], [], [], []
-
-        def new_node():
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(np.zeros(dim))
-            return len(feature) - 1
-
-        root = new_node()
         binned = self.binned
         ncand = len(binned.active)
-        leaf_of = np.zeros(n, dtype=np.intp)
-        stack = [(root, np.arange(n, dtype=np.intp), 0, None)]
+        feature, threshold, left, right = [-1], [0.0], [-1], [-1]
         if ncand == 0:  # every feature constant: nothing to split on
-            value[root] = targets.mean(axis=0)
-            stack = []
+            return Tree(np.array(feature, dtype=np.int32), np.array(threshold),
+                        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+                        targets.mean(axis=0)[None]), np.zeros(n, dtype=np.intp)
+        # Each leaf's node id, rows and code column 0 of its histogram, the only
+        # column a leaf value reads.  When both children of a split are leaves,
+        # their histograms wait for one pass after the walk, which reads the
+        # parent's column 0 and the smaller child's rows.
+        leaves, leaf_rows, leaf_hists, pairs = [], [], [], []
+        stack = [(0, np.arange(n, dtype=np.intp), 0, None)]
         while stack:
             node, idx, depth, hist = stack.pop()
             if hist is None:
-                hist = self._histogram(idx, targets, ncand)
-            m = len(idx)
+                hist = self._histogram(binned.slots[idx], idx, targets, ncand)
             split = None
-            if depth < self.max_depth and m >= self.min_split:
+            if depth < self.max_depth and len(idx) >= self.min_split:
                 split = self._best_split(hist)
             if split is None:
-                # np.sum is pairwise: its rounding depends on where the totals sit
-                occupied = binned.occupied[0]
-                row = np.zeros((dim, 256))
-                row[:, occupied] = hist[1:, 0, :occupied.size]
-                value[node] = row.sum(axis=1) / m
-                leaf_of[idx] = node
+                leaves.append(node)
+                leaf_rows.append(idx)
+                leaf_hists.append(hist[:, 0].copy())  # frees the node's full histogram
                 continue
             j, cut = split
-            codes = binned.codes[idx, j]
-            go_left = codes <= cut
-            left_idx = idx[go_left]
-            right_idx = idx[~go_left]
+            go_left = binned.codes[idx, j] <= cut
+            left_idx, right_idx = idx[go_left], idx[~go_left]
             f = binned.active[j]
             feature[node] = int(f)
             threshold[node] = float(binned.edges[f][binned.occupied[j][cut]])
-            lchild, rchild = new_node(), new_node()
+            lchild, rchild = len(feature), len(feature) + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
             left[node], right[node] = lchild, rchild
             if len(left_idx) <= len(right_idx):
                 small_idx, big_idx, small_node, big_node = left_idx, right_idx, lchild, rchild
             else:
                 small_idx, big_idx, small_node, big_node = right_idx, left_idx, rchild, lchild
-            # Two leaves read only code column 0 of their histograms.
-            leaves = depth + 1 >= self.max_depth or len(big_idx) < self.min_split
-            ncols = 1 if leaves else ncand
-            small_hist = self._histogram(small_idx, targets, ncols)
-            stack.append((big_node, big_idx, depth + 1, hist[:, :ncols] - small_hist))
+            if depth + 1 >= self.max_depth or len(big_idx) < self.min_split:
+                pairs.append((small_node, big_node, small_idx, big_idx, hist[:, 0].copy()))
+                continue
+            small_hist = self._histogram(binned.slots[small_idx], small_idx, targets, ncand)
+            stack.append((big_node, big_idx, depth + 1, hist - small_hist))
             stack.append((small_node, small_idx, depth + 1, small_hist))
 
+        if pairs:
+            # One bincount gives every smaller child's column 0, pair p's at slot
+            # offset p * width, each slot summing its rows in ascending order as a
+            # histogram of that child alone would; the larger child's is the
+            # parent's minus it.
+            small_nodes, big_nodes, small_rows, big_rows, parents = zip(*pairs)
+            rows = np.concatenate(small_rows)
+            slots = binned.slots[rows, :1] + np.repeat(
+                np.arange(len(pairs)) * binned.width, [len(r) for r in small_rows])[:, None]
+            small = self._histogram(slots, rows, targets, len(pairs))
+            big = np.stack(parents, axis=1) - small
+            leaves += small_nodes + big_nodes
+            leaf_rows += small_rows + big_rows
+            leaf_hists += [*small.transpose(1, 0, 2), *big.transpose(1, 0, 2)]
+        # np.sum is pairwise: its rounding depends on where the totals sit
+        occupied = binned.occupied[0]
+        padded = np.zeros((len(leaves), dim, 256))
+        padded[:, :, occupied] = np.stack(leaf_hists)[:, 1:, :occupied.size]
+        counts = np.array([len(rows) for rows in leaf_rows])
+        value = np.zeros((len(feature), dim))
+        value[leaves] = padded.sum(axis=2) / counts[:, None]
+        leaf_of = np.empty(n, dtype=np.intp)
+        leaf_of[np.concatenate(leaf_rows)] = np.repeat(leaves, counts)
         return Tree(np.array(feature, dtype=np.int32),
                     np.array(threshold, dtype=np.float64),
                     np.array(left, dtype=np.int32),
                     np.array(right, dtype=np.int32),
-                    np.vstack(value)), leaf_of
+                    value), leaf_of
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +385,37 @@ class SglbModel:
         keep = 1.0 - self.config.gamma * self.config.learning_rate
         eta = self.config.learning_rate
         F = np.tile(self.base, (len(X), 1))
-        for tree in self.trees:
-            F = keep * F + eta * tree.predict(X)
+        block = max(1, _WALK_CELLS // max(1, len(X)))
+        for first in range(0, len(self.trees), block):
+            for value in _leaf_values(self.trees[first:first + block], X):
+                F = keep * F + eta * value
         return F
+
+
+_WALK_CELLS = 1 << 15  # (tree, row) cells per walk, or one tree: bounds the walk's arrays
+
+
+def _leaf_values(trees: tuple[Tree, ...], X: np.ndarray) -> np.ndarray:
+    """Each tree's prediction for each row of X, (trees, rows, out_dim).
+
+    The trees are laid end to end and walked together, one level per step,
+    until no row of any tree stands at a split node."""
+    sizes = [len(t.feature) for t in trees]
+    first = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([t.feature for t in trees])
+    split = feature >= 0
+    ids, offset = np.arange(len(feature)), np.repeat(first, sizes)
+    # a leaf's children are itself, so a row that reaches it stays there
+    left = np.where(split, np.concatenate([t.left for t in trees]) + offset, ids)
+    right = np.where(split, np.concatenate([t.right for t in trees]) + offset, ids)
+    threshold = np.concatenate([t.threshold for t in trees])
+    node = np.repeat(first, len(X)).reshape(len(trees), len(X))
+    rows = np.arange(len(X))
+    while split[node].any():
+        # a leaf's feature -1 reads the last column; its children ignore the result
+        go_left = X[rows, feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return np.concatenate([t.value for t in trees])[node]
 
 
 def _noise_std(config: SglbConfig, n: int) -> float:
@@ -408,7 +449,8 @@ def fit(X, y, config: SglbConfig, layout: FingerprintLayout | None = None,
             grads = grads + rng.normal(0.0, noise_std, grads.shape)
         tree, leaf_of = grower.grow(grads)
         trees.append(tree)
-        # == tree.predict(X): a row goes left exactly when x <= the cut threshold
+        # tree.value[leaf_of] is the tree's prediction on X: a row goes left
+        # exactly when x <= the cut threshold
         F = keep * F + eta * tree.value[leaf_of]
     return SglbModel(config, base, tuple(trees), X.shape[1], layout)
 

@@ -4,8 +4,9 @@ Everything here favors directness over speed: dense GF(2) Gaussian
 elimination for Betti numbers, the textbook single-matrix column reduction
 for persistence pairs, exhaustive matching enumeration for Wasserstein
 distances, naive threshold loops for the classification metrics, one scan
-of every atom per level for sublevel rows, and a plain 256-slot histogram
-tree grower for the boosting trainer.  None of it
+of every atom per level for sublevel rows, a plain 256-slot histogram
+tree grower for the boosting trainer, and prediction that walks one tree at
+a time.  None of it
 shares code with the production paths, except the classical boosting
 reference, which reuses the trainer's losses and base prediction so that the
 trees it is compared with can be equal.
@@ -535,6 +536,38 @@ class ReferenceTreeGrower:
 
 
 # ---------------------------------------------------------------------------
+# One tree at a time
+
+def tree_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of X reaches in ``tree``, walking that tree alone."""
+    idx = np.zeros(len(X), dtype=np.int32)
+    while True:
+        f = tree.feature[idx]
+        active = np.nonzero(f >= 0)[0]
+        if active.size == 0:
+            return idx
+        node = idx[active]
+        go_left = X[active, f[active]] <= tree.threshold[node]
+        idx[active] = np.where(go_left, tree.left[node], tree.right[node])
+
+
+def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The tree's output for each row of X, (rows, out_dim)."""
+    return tree.value[tree_leaves(tree, X)]
+
+
+def raw_predict_tree_by_tree(model: SglbModel, X) -> np.ndarray:
+    """A model's raw prediction, folding in one separately walked tree at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    keep = 1.0 - model.config.gamma * model.config.learning_rate
+    eta = model.config.learning_rate
+    F = np.tile(model.base, (len(X), 1))
+    for tree in model.trees:
+        F = keep * F + eta * tree_predict(tree, X)
+    return F
+
+
+# ---------------------------------------------------------------------------
 # Classical gradient boosting
 
 def fit_classical_reference(X, y, config, layout=None):
@@ -555,7 +588,7 @@ def fit_classical_reference(X, y, config, layout=None):
     for _ in range(config.iterations):
         tree, _ = grower.grow(grad_fn(F, y))
         trees.append(tree)
-        F = F + eta * tree.predict(X)
+        F = F + eta * tree_predict(tree, X)
     reference_config = replace(config, gamma=0.0, beta=math.inf)
     return SglbModel(reference_config, base, tuple(trees), X.shape[1], layout)
 

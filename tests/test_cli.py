@@ -592,6 +592,10 @@ def _bad_model(kind, good_model):
         member["config"]["max_depth"] = 0
     elif kind == "seed-negative":
         member["config"]["seed"] = -1
+    elif kind == "min-samples-split-zero":
+        member["config"]["min_samples_split"] = 0
+    elif kind == "min-samples-split-negative":
+        doc["config"]["min_samples_split"] = -5
     elif kind == "threshold-nan":  # json writes the NaN literal, which json reads back
         tree["threshold"][0] = math.nan
     elif kind == "base-infinity":
@@ -609,7 +613,8 @@ _BAD_MODELS = ("not-object", "no-config", "no-members", "member-no-keys",
                "member-not-object", "tree-not-object", "config-unknown-key",
                "iterations-not-int", "feature-not-int", "feature-count-not-int",
                "base-not-number", "layout-no-kinds", "left-short", "max-depth-zero",
-               "seed-negative", "threshold-nan", "base-infinity", "value-infinity",
+               "seed-negative", "min-samples-split-zero", "min-samples-split-negative",
+               "threshold-nan", "base-infinity", "value-infinity",
                "member-other-layout", "member-other-feature-count")
 
 
@@ -739,6 +744,17 @@ def test_negative_sglb_seed_exits_2(config_path, tmp_path, capsys):
     assert main(["train", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_min_samples_split_below_one_exits_2(config_path, tmp_path, capsys, value):
+    doc = json.loads(config_path.read_text())
+    doc["sglb"]["min_samples_split"] = value
+    config_path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "min_samples_split" in err
     assert not (tmp_path / "out").exists()
 
 

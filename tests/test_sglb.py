@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from moltop import sglb
 from moltop.datagen import generate_dataset
@@ -35,6 +36,9 @@ from oracles import (
     ReferenceTreeGrower,
     fit_classical_reference,
     quantile_bin_edges_loop,
+    raw_predict_tree_by_tree,
+    tree_leaves,
+    tree_predict,
 )
 
 
@@ -69,10 +73,19 @@ class TestConfig:
         {"beta": 0.0}, {"gamma": -1.0}, {"gamma": math.nan},
         {"gamma": 30.0, "learning_rate": 0.05},  # gamma * eta >= 1
         {"task": "MULTICLASS"},
+        {"min_samples_split": 0}, {"min_samples_split": -5},
     ])
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="|".join(kwargs)):
             SglbConfig(**kwargs)
+
+    def test_min_samples_split_one_trains_as_two(self):
+        # A node of one row has no cut, so 1 is valid and grows the trees 2 grows.
+        X, y = toy_regression(n=40)
+        one, two = (fit(X, y, SglbConfig(iterations=5, max_depth=6, min_samples_split=m,
+                                         seed=3)) for m in (1, 2))
+        assert one.config.min_samples_split == 1
+        assert one.trees == two.trees
 
     def test_beta_inf_roundtrips_via_json(self):
         cfg = SglbConfig(beta=math.inf)
@@ -120,7 +133,7 @@ class TestFit:
                          seed=0)
         model = fit(X, y, cfg)
         keep = 1.0 - cfg.gamma * cfg.learning_rate
-        expected = keep * model.base[0] + cfg.learning_rate * model.trees[0].predict(X)[:, 0]
+        expected = keep * model.base[0] + cfg.learning_rate * tree_predict(model.trees[0], X)[:, 0]
         assert np.array_equal(model.raw_predict(X)[:, 0], expected)
 
     def test_non_finite_inputs_rejected(self):
@@ -184,6 +197,52 @@ def few_level_columns(n=96, seed=9):
     return X, y
 
 
+_COLUMN_KINDS = ("levels", "rounded", "normal", "constant", "duplicate", "affine")
+
+
+def grower_case(n, kinds, seed, noise, dim):
+    """X of n rows with columns of the given kinds, and (n, dim) targets.
+
+    Columns are tied, constant, continuous, or copies of an earlier column
+    (exact, or under an affine map, which keeps the order but not the edges).
+    Targets have one column or two, as the two tasks' gradients do.  They are
+    a step of one column, with noise on the rows where another column is above
+    its median, so a tree can end both in pure leaves, whose search finds no
+    positive gain, and in leaves that split until max_depth or
+    min_samples_split stops them."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for kind in kinds:
+        if kind in ("duplicate", "affine") and cols:
+            col = cols[rng.integers(len(cols))]
+            cols.append(col if kind == "duplicate" else 3.0 * col - 1.0)
+        elif kind == "levels":
+            cols.append(rng.integers(0, 4, n) * 1.5)
+        elif kind == "rounded":
+            cols.append(np.round(rng.normal(size=n), 1))
+        elif kind == "normal":
+            cols.append(rng.normal(size=n))
+        else:
+            cols.append(np.full(n, 2.0))
+    X = np.column_stack(cols)
+    step, noisy = X[:, rng.integers(X.shape[1], size=2)].T
+    y = np.sign(step - np.median(step))
+    y += noise * rng.normal(size=n) * (noisy > np.median(noisy))
+    return X, np.column_stack([y, y * y - 1.0][:dim])
+
+
+@st.composite
+def grower_cases(draw):
+    """(X, targets, max_depth, min_samples_split, max_bins) on 2-60 rows."""
+    X, targets = grower_case(
+        draw(st.integers(2, 60)),
+        draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=6)),
+        draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([0.0, 0.3])),
+        draw(st.sampled_from([1, 2])))
+    return (X, targets, draw(st.integers(1, 5)), draw(st.integers(2, 30)),
+            draw(st.sampled_from([2, 7, 255])))
+
+
 @pytest.fixture(scope="module")
 def datagen_matrix():
     records = [DatasetRecord(r["record_id"], r["target"], graph=r["graph"])
@@ -234,7 +293,23 @@ class TestCompactTrainerMatchesReference:
             grower = sglb._TreeGrower(sglb._Binned(X, 255), 4, 2)
             tree, leaf_of = grower.grow(np.column_stack([targets, targets ** 2]))
             assert tree.n_nodes > 1
-            assert np.array_equal(tree.value[leaf_of], tree.predict(X))
+            assert np.array_equal(leaf_of, tree_leaves(tree, X))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grower_cases())
+    # Each example's tree mixes leaf pairs at max_depth, leaf pairs below
+    # min_samples_split and leaves where no cut had positive gain.
+    @example((*grower_case(60, _COLUMN_KINDS, 1, 0.3, 1), 4, 6, 255))
+    @example((*grower_case(60, _COLUMN_KINDS, 4, 0.3, 2), 5, 8, 255))
+    @example((*grower_case(60, _COLUMN_KINDS, 5, 0.3, 2), 4, 6, 7))
+    def test_grower_matches_reference_on_drawn_matrices(self, case):
+        X, targets, max_depth, min_samples_split, max_bins = case
+        tree, leaf_of = sglb._TreeGrower(sglb._Binned(X, max_bins), max_depth,
+                                         min_samples_split).grow(targets)
+        reference, _ = ReferenceTreeGrower(ReferenceBinned(X, max_bins), max_depth,
+                                           min_samples_split).grow(targets)
+        assert tree == reference
+        assert np.array_equal(leaf_of, tree_leaves(reference, X))
 
     def test_duplicates_keep_their_first_column(self):
         X, _ = awkward_columns()
@@ -285,6 +360,43 @@ class TestCompactTrainerMatchesReference:
         X = slice_table(table, kinds).matrix().astype(np.float64)
         cfg = SglbConfig(iterations=20, max_depth=4, seed=5)
         self.assert_same_trees(monkeypatch, X, y, cfg)
+
+
+class TestStackedPredict:
+    """raw_predict walks all of a member's trees at once; it must give the
+    tree-by-tree fold of the one-tree walk bit for bit."""
+
+    @staticmethod
+    def queries(X):
+        """The training rows, none, one, and rows far outside the training range."""
+        far = np.vstack([X.max(axis=0) + 1e6, X.min(axis=0) - 1e6, 1e300 * np.sign(X[:3])])
+        return X, X[:0], X[:1], X[[5]], far, np.vstack([far, X])
+
+    @pytest.mark.parametrize("walk_cells", [sglb._WALK_CELLS, 50, 1])
+    @pytest.mark.parametrize("task", TASKS)
+    def test_equals_the_tree_by_tree_fold(self, monkeypatch, task, walk_cells):
+        # walk_cells 50 and 1 walk the trees in blocks, down to one tree per walk.
+        monkeypatch.setattr(sglb, "_WALK_CELLS", walk_cells)
+        X, y = awkward_columns(seed=12)
+        if task == TASK_CLASSIFICATION:
+            y = (y > np.median(y)).astype(float)
+        cfg = SglbConfig(task=task, iterations=12, max_depth=5, ensemble_size=2, seed=4)
+        ensemble = fit_ensemble(X, y, cfg)
+        back = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(ensemble))))
+        model = ensemble.members[0]
+        stump = sglb.Tree(np.array([-1], dtype=np.int32), np.zeros(1),
+                          np.array([-1], dtype=np.int32), np.array([-1], dtype=np.int32),
+                          np.full((1, model.base.size), 0.75))
+        mixed = replace(model, trees=(stump, *model.trees[:5], stump, *model.trees[5:], stump))
+        # every feature constant: every tree is one leaf
+        stumps = fit(np.ones((20, 3)), np.arange(20.0) % 2, replace(cfg, iterations=4))
+        assert max(t.n_nodes for t in mixed.trees) > 15  # full-depth trees among the stumps
+        for member in (*ensemble.members, *back.members, mixed):
+            for Q in self.queries(X):
+                assert (member.raw_predict(Q).tobytes()
+                        == raw_predict_tree_by_tree(member, Q).tobytes())
+        for Q in self.queries(np.ones((20, 3))):
+            assert stumps.raw_predict(Q).tobytes() == raw_predict_tree_by_tree(stumps, Q).tobytes()
 
 
 class TestEnsemble:
