@@ -38,7 +38,7 @@ from .harness import (
     write_predictions_csv,
 )
 from .metrics import matching_report
-from .molgraph import expand_hydrogens, load_graph_json, parse_smiles
+from .molgraph import load_graph_json, parse_smiles
 from .sglb import (
     RANK_CRITERIA,
     decompose,
@@ -163,7 +163,7 @@ def _cmd_rank(args) -> int:
 
 def _molecule_from_doc(doc):
     if isinstance(doc, str):
-        return expand_hydrogens(parse_smiles(doc))
+        return parse_smiles(doc)
     if isinstance(doc, dict):
         return load_graph_json(doc)
     raise DataError("pair entries must be SMILES strings or molecule objects")

@@ -22,7 +22,7 @@ from .molgraph import (
     CHI_CCW,
     CHI_CW,
     MolecularGraph,
-    expand_hydrogens,
+    add_hydrogens,
     ring_bonds,
 )
 from dataclasses import replace
@@ -51,8 +51,8 @@ def assign_reference_charges(graph: MolecularGraph) -> MolecularGraph:
         shift = (chi_b - chi_a) * 0.05 * _ORDER_FACTOR[bond.order]
         totals[bond.a] += shift
         totals[bond.b] -= shift
-    atoms = tuple(replace(a, partial_charge=round(totals[a.id], 4))
-                  for a in graph.atoms)
+    atoms = tuple(replace(a, partial_charge=round(total, 4))
+                  for a, total in zip(graph.atoms, totals))
     return replace(graph, atoms=atoms)
 
 
@@ -107,19 +107,16 @@ def random_molecule(rng: np.random.Generator, name: str) -> MolecularGraph:
             adj[v].add(u)
             break
 
-    atoms = tuple(Atom(i, elements[i], implicit_hydrogens=free[i])
-                  for i in range(n_heavy))
-    graph = MolecularGraph(name, atoms,
+    graph = MolecularGraph(name, tuple(Atom(e) for e in elements),
                            tuple(Bond(a, b, order) for a, b, order in sorted(bonds)))
-    graph = expand_hydrogens(graph)
+    graph = add_hydrogens(graph, free)
 
-    degree = graph.degrees()
     tagged = 0
     new_atoms = list(graph.atoms)
-    for atom in graph.atoms:
-        if degree[atom.id] == 4 and tagged < 3 and rng.random() < 0.3:
+    for i, (atom, degree) in enumerate(zip(graph.atoms, graph.degrees())):
+        if degree == 4 and tagged < 3 and rng.random() < 0.3:
             tag = CHI_CW if rng.random() < 0.5 else CHI_CCW
-            new_atoms[atom.id] = replace(atom, chirality=tag)
+            new_atoms[i] = replace(atom, chirality=tag)
             tagged += 1
     graph = replace(graph, atoms=tuple(new_atoms))
     return assign_reference_charges(graph)
@@ -165,7 +162,7 @@ def structure_scores(graph: MolecularGraph) -> tuple[float, float, float, float]
 
     charges = [a.partial_charge for a in graph.atoms]
     median = sorted(charges)[(len(charges) - 1) // 2]
-    low = {a.id for a in graph.atoms if a.partial_charge <= median}
+    low = {v for v, charge in enumerate(charges) if charge <= median}
     parent = {v: v for v in low}
 
     def find(x):

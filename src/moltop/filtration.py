@@ -107,19 +107,19 @@ def decile_boundaries(values) -> tuple[float, ...]:
 
 
 def _mass_values(graph: MolecularGraph) -> list[float]:
-    for atom in graph.atoms:
+    for i, atom in enumerate(graph.atoms):
         if atom.element not in MASS_LADDER:
             raise UnsupportedElementError(
-                f"element {atom.element!r} (atom {atom.id}) is outside the "
+                f"element {atom.element!r} (atom {i}) is outside the "
                 f"atomic-mass filtration ladder")
     return [a.atomic_mass for a in graph.atoms]
 
 
 def _charge_values(graph: MolecularGraph) -> list[float]:
-    for atom in graph.atoms:
+    for i, atom in enumerate(graph.atoms):
         if atom.partial_charge is None:
             raise ChargesRequiredError(
-                f"atom {atom.id} has no partial charge; the partial-charge "
+                f"atom {i} has no partial charge; the partial-charge "
                 f"filtration needs charges on every atom")
     return [a.partial_charge for a in graph.atoms]
 
@@ -136,8 +136,7 @@ def _bond_type_values(graph: MolecularGraph) -> list[int]:
 
 
 def _chirality_values(graph: MolecularGraph) -> list[int]:
-    degree = graph.degrees()
-    return [chirality_value(a, degree[a.id]) for a in graph.atoms]
+    return [chirality_value(a, d) for a, d in zip(graph.atoms, graph.degrees())]
 
 
 _VALUES = {

@@ -15,16 +15,18 @@ import numpy as np
 from .errors import (ConfigError, DataError, finite_number, note_line, read_csv, read_json,
                      read_text, typed)
 from .filtration import FILTRATION_KINDS, canonical_kinds, decile_boundaries
-from .molgraph import SPLIT_TAGS, DatasetRecord, expand_hydrogens, load_graph_json, parse_smiles
+from .molgraph import SPLIT_TAGS, DatasetRecord, load_graph_json, parse_smiles
 from .sglb import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
+    TASKS,
     SglbConfig,
     decompose,
     fit_ensembles,
     save_ensemble,
 )
 from .vectorize import (
+    DISTANCE_MODES,
     KIND_ABBREV,
     FingerprintTable,
     fingerprint_dataset,
@@ -62,6 +64,25 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):  # checked here, so CLI overrides are checked too
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be regression or classification, got {self.task!r}")
+        if canonical_kinds(self.kinds) != tuple(self.kinds):
+            raise ConfigError(f"kinds must be distinct, in the order {FILTRATION_KINDS}")
+        if self.k_grid is not None and self.k_grid < 1:
+            raise ConfigError("k_grid must be a positive integer or null")
+        for name, value, allowed in (
+                ("decile_mode", self.decile_mode, ("per_molecule", "global")),
+                ("distance_mode", self.distance_mode, DISTANCE_MODES),
+                ("split mode", self.split_mode, ("random", "file"))):
+            if value not in allowed:
+                raise ConfigError(f"invalid {name} {value!r}")
+        ratios = self.split_ratios
+        if len(ratios) != 3 or any(not r >= 0 for r in ratios):  # `not >=` also rejects NaN
+            raise ConfigError("split.ratios must be three non-negative numbers")
+        if not abs(sum(ratios) - 1.0) <= 1e-9:
+            raise ConfigError("split.ratios must sum to 1")
+        if self.sglb.task != self.task:
+            raise ConfigError("sglb.task must match the run task")
         for key, low in (("threads", 1), ("repeats", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
@@ -108,22 +129,11 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     dataset_format = typed(dataset.get("format"), (str, type(None)), "dataset.format")
 
     task = doc.get("task")
-    task = _TASK_ALIASES.get(task) if isinstance(task, str) else None
-    if task is None:
-        raise ConfigError(f"task must be regression or classification, got {doc.get('task')!r}")
+    task = _TASK_ALIASES.get(task, task) if isinstance(task, str) else task
 
     kinds = canonical_kinds(typed(doc.get("kinds", list(FILTRATION_KINDS)), list, "kinds"))
 
-    k_grid = doc.get("k_grid")
-    if k_grid is not None and typed(k_grid, int, "k_grid") < 1:
-        raise ConfigError("k_grid must be a positive integer or null")
-
-    decile_mode = doc.get("decile_mode", "per_molecule")
-    if decile_mode not in ("per_molecule", "global"):
-        raise ConfigError(f"invalid decile_mode {decile_mode!r}")
-    distance_mode = doc.get("distance_mode", "full_graph")
-    if distance_mode not in ("full_graph", "induced_subgraph"):
-        raise ConfigError(f"invalid distance_mode {distance_mode!r}")
+    k_grid = typed(doc.get("k_grid"), (int, type(None)), "k_grid")
 
     split = typed(doc.get("split", {"mode": "random"}), dict, "split")
     split_mode = split.get("mode", "random")
@@ -139,20 +149,13 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     elif split_mode == "random":
         ratios = typed(split.get("ratios", [0.8, 0.1, 0.1]), list, "split.ratios")
         ratios = tuple(typed(r, (int, float), "split.ratios") for r in ratios)
-        if len(ratios) != 3 or any(not r >= 0 for r in ratios):  # not: also NaN
-            raise ConfigError("split.ratios must be three non-negative numbers")
-        if not abs(sum(ratios) - 1.0) <= 1e-9:
-            raise ConfigError("split.ratios must sum to 1")
-    else:
-        raise ConfigError(f"invalid split mode {split_mode!r}")
 
     seed = typed(doc.get("seed", 0), int, "seed")
     sglb_doc = dict(typed(doc.get("sglb", {}), dict, "sglb"))
-    sglb_doc.setdefault("task", task)
+    if task in TASKS:  # else the run config names the bad task
+        sglb_doc.setdefault("task", task)
     sglb_doc.setdefault("seed", seed)
     sglb = SglbConfig.from_dict(sglb_doc, ConfigError)
-    if sglb.task != task:
-        raise ConfigError("sglb.task must match the run task")
 
     threads = typed(doc.get("threads", 1), int, "threads")
     repeats = typed(doc.get("repeats", 3), int, "repeats")
@@ -160,8 +163,9 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
 
     return RunConfig(dataset_path=dataset_path, task=task,
                      dataset_format=dataset_format, kinds=kinds,
-                     k_grid=k_grid, decile_mode=decile_mode,
-                     distance_mode=distance_mode, split_mode=split_mode,
+                     k_grid=k_grid, decile_mode=doc.get("decile_mode", "per_molecule"),
+                     distance_mode=doc.get("distance_mode", "full_graph"),
+                     split_mode=split_mode,
                      split_ratios=ratios, split_path=split_path, sglb=sglb,
                      threads=threads, seed=seed, repeats=repeats,
                      out_dir=os.path.join(base_dir, out_dir))
@@ -237,7 +241,7 @@ def _record(doc, record_id, base_dir, target_type) -> DatasetRecord:
     if not isinstance(value, dict if key == "graph" else str):
         raise DataError(f"{key} must be " + ("an object" if key == "graph" else "a string"))
     if key == "smiles":
-        graph = expand_hydrogens(parse_smiles(value, name=record_id))
+        graph = parse_smiles(value, name=record_id)
     else:
         graph = load_graph_json(os.path.join(base_dir, value) if key == "graph_path" else value)
     return DatasetRecord(record_id, target, graph, split=doc.get("split"))
@@ -455,12 +459,6 @@ def _metric_summary(values_by_metric):
     return out
 
 
-def _ensemble_label(kinds, full_kinds) -> str:
-    if tuple(kinds) == tuple(full_kinds):
-        return "ALL"
-    return "+".join(KIND_ABBREV[k] for k in kinds)
-
-
 def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -> EvaluationReport:
     """Fingerprint, train, evaluate; write all artifacts under cfg.out_dir."""
     timing = {}
@@ -481,7 +479,6 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
     first_predictions = []
     timing["train_seconds"] = {}
     timing["predict_seconds"] = {}
-    main_label = _ensemble_label(cfg.kinds, cfg.kinds)
     train_rows = split_rows["TRAIN"]
     y_train = targets[train_rows]
     jobs, matrices = [], []  # one job per (kind subset, repeat) ensemble, in report order
@@ -496,7 +493,8 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
     timing["train_wall_seconds"] = time.perf_counter() - t0
 
     for kinds, sub_matrix in zip(subsets, matrices):
-        label = _ensemble_label(kinds, cfg.kinds)
+        main = kinds == tuple(cfg.kinds)  # else a single kind of the ablation
+        label = "ALL" if main else KIND_ABBREV[kinds[0]]
         per_split_values: dict[str, dict[str, list[float]]] = {}
         train_times, predict_times = [], []
 
@@ -518,14 +516,14 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
                 bucket = per_split_values.setdefault(tag, {})
                 for name, value in metrics.items():
                     bucket.setdefault(name, []).append(value)
-                if repeat == 0 and label == main_label:
+                if repeat == 0 and main:
                     ids = [table.fingerprints[row].record_id for row in rows]
                     for row, entry in zip(rows, prediction_rows(ids, report)):
                         first_predictions.append(
                             {**entry, "split": tag, "target": float(targets[row])})
             predict_times.append(time.perf_counter() - t0)
 
-            if repeat == 0 and label == main_label:
+            if repeat == 0 and main:
                 save_ensemble(ensemble, os.path.join(cfg.out_dir, "model.json"))
 
         runs[label] = {"kinds": list(kinds),

@@ -1,22 +1,24 @@
 """Molecular graphs and their ingestion.
 
 Covers a bounded SMILES subset (organic-subset atoms, bracket atoms with
-charge and @/@@ tetrahedral marks, ring closures incl. %nn, branches, bond
-symbols - = # :, aromatic lowercase c/n/o/s, dot-separated components), a
-strict JSON graph format, implicit-hydrogen expansion against the bundled
-valence model, and ring (non-bridge) detection.  A graph stores only its
-input facts: atom masses come from the element table and ring membership
-from the bonds, each computed when asked for.
+hydrogen count, charge and @/@@ tetrahedral marks, ring closures incl. %nn,
+branches, bond symbols - = # :, aromatic lowercase c/n/o/s, dot-separated
+components), a strict JSON graph format, the bundled valence model, and ring
+(non-bridge) detection.  A graph stores only its input facts, and an atom
+only its chemistry: its id is its index in ``graph.atoms``, atom masses come
+from the element table and ring membership from the bonds, each computed
+when asked for.  Every graph is hydrogen-complete: the parser adds the
+hydrogens the valence model implies (``add_hydrogens``), and JSON graphs are
+taken verbatim.
 
 Tetrahedral parity convention: the parser normalizes a written @/@@ mark to
 ascending neighbor-id order (looking from the lowest-id neighbor, do the
 remaining three, ids ascending, turn counterclockwise or clockwise), so any
-writing of the same molecule parses to the same tags.  Hydrogens that are
-still implicit count as larger than every existing id, which stays true
-after expansion because new hydrogens are appended after all heavy atoms.
-Once stored, tags are opaque per-atom data: a vertex relabeling carries them
-verbatim, a reflection swaps CW and CCW, and downstream code never
-reinterprets them geometrically.
+writing of the same molecule parses to the same tags.  Hydrogens from a
+bracket count or the valence model get ids after every written atom, so
+they sort last.  Once stored, tags are opaque per-atom data: a vertex
+relabeling carries them verbatim, a reflection swaps CW and CCW, and
+downstream code never reinterprets them geometrically.
 """
 
 from dataclasses import dataclass, replace
@@ -48,13 +50,10 @@ _AROMATIC_MAX_DEGREE = {"C": 3, "N": 3, "O": 2, "S": 2}
 
 @dataclass(frozen=True)
 class Atom:
-    id: int
     element: str
     formal_charge: int = 0
     partial_charge: float | None = None
     chirality: str = CHI_NONE
-    # Hydrogens owed to this atom but not yet present as vertices.
-    implicit_hydrogens: int = 0
 
     @property
     def atomic_mass(self) -> float:
@@ -132,8 +131,11 @@ def permutation_parity(values) -> int:
 # ---------------------------------------------------------------------------
 # SMILES parsing
 
-# Sorts after every real atom id when normalizing neighbor order.
+# A bracket hydrogen's place in a neighbor order: its id comes after every
+# written atom's.
 _PENDING_H = float("inf")
+# str.isdigit also takes other numerals, such as superscripts
+_DIGITS = "0123456789"
 
 
 class _ParsedAtom:
@@ -159,7 +161,7 @@ def _parse_bracket(text: str, start: int) -> tuple[_ParsedAtom, int]:
         raise SmilesParseError("unterminated bracket atom", start)
     body = text[start + 1:end]
     i = 0
-    if i < len(body) and body[i].isdigit():
+    if i < len(body) and body[i] in _DIGITS:
         raise SmilesParseError("isotope notation not supported", start + 1)
     element = None
     aromatic = False
@@ -195,7 +197,7 @@ def _parse_bracket(text: str, start: int) -> tuple[_ParsedAtom, int]:
     if i < len(body) and body[i] == "H":
         i += 1
         digits = ""
-        while i < len(body) and body[i].isdigit():
+        while i < len(body) and body[i] in _DIGITS:
             digits += body[i]
             i += 1
         h_count = int(digits) if digits else 1
@@ -206,7 +208,7 @@ def _parse_bracket(text: str, start: int) -> tuple[_ParsedAtom, int]:
         symbol = body[i]
         i += 1
         digits = ""
-        while i < len(body) and body[i].isdigit():
+        while i < len(body) and body[i] in _DIGITS:
             digits += body[i]
             i += 1
         if digits:
@@ -234,11 +236,10 @@ class _RingSlot:
 
 
 def parse_smiles(text: str, name: str = "") -> MolecularGraph:
-    """Parse SMILES text into a molecular graph.
-
-    Implicit hydrogens are recorded on the atoms but not expanded.  Chirality
-    tags are normalized to ascending neighbor-id order so isomorphic inputs
-    produce identical tags.
+    """Parse SMILES text into a complete molecular graph: the written atoms,
+    then their bracket and implicit hydrogens (see ``add_hydrogens``).
+    Chirality tags are normalized to ascending neighbor-id order so
+    isomorphic inputs produce identical tags.
     """
     if not isinstance(text, str):
         raise SmilesParseError(f"SMILES must be a string, not {type(text).__name__}", 0)
@@ -324,12 +325,12 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
                 raise SmilesParseError("bond symbol before component separator", pending[1])
             prev = None
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             ring_digit(int(ch), i)
             i += 1
         elif ch == "%":
             digits = text[i + 1:i + 3]
-            if len(digits) != 2 or not digits.isdigit():
+            if len(digits) != 2 or not all(c in _DIGITS for c in digits):
                 raise SmilesParseError("% must be followed by two digits", i)
             ring_digit(int(digits), i)
             i += 3
@@ -377,9 +378,9 @@ def _valence_tally(n_atoms, bonds):
 def _finish_parse(atoms, bonds, name) -> MolecularGraph:
     out_bonds = tuple(Bond(a, b, order) for (a, b), (order, _) in sorted(bonds.items()))
     bond_x2, degree, _ = _valence_tally(len(atoms), out_bonds)
-    out_atoms = []
+    out_atoms, hydrogens = [], []
     for idx, parsed in enumerate(atoms):
-        implicit_h = _implicit_hydrogens(parsed, bond_x2[idx], degree[idx])
+        hydrogens.append(_hydrogen_count(parsed, bond_x2[idx], degree[idx]))
         tag = CHI_NONE
         if parsed.stereo is not None:
             if degree[idx] + parsed.h_count != 4:
@@ -391,13 +392,13 @@ def _finish_parse(atoms, bonds, name) -> MolecularGraph:
             # an odd reordering of the written neighbors reverses the turn
             clockwise = (parsed.stereo == "@@") != bool(permutation_parity(ordered))
             tag = CHI_CW if clockwise else CHI_CCW
-        out_atoms.append(Atom(idx, parsed.element, parsed.charge,
-                              chirality=tag, implicit_hydrogens=implicit_h))
-    return MolecularGraph(name, tuple(out_atoms), out_bonds)
+        out_atoms.append(Atom(parsed.element, parsed.charge, chirality=tag))
+    return add_hydrogens(MolecularGraph(name, tuple(out_atoms), out_bonds), hydrogens)
 
 
-def _implicit_hydrogens(parsed: _ParsedAtom, bond_x2: int, degree: int) -> int:
-    """Implicit hydrogen count under the valence model; raises on overflow."""
+def _hydrogen_count(parsed: _ParsedAtom, bond_x2: int, degree: int) -> int:
+    """Hydrogens on a written atom: its bracket count, or the count the
+    valence model implies; raises on overflow."""
     if parsed.aromatic:
         limit = _AROMATIC_MAX_DEGREE[parsed.element]
         if degree + parsed.h_count > limit:  # h_count is 0 outside brackets
@@ -421,23 +422,18 @@ def _implicit_hydrogens(parsed: _ParsedAtom, bond_x2: int, degree: int) -> int:
 # ---------------------------------------------------------------------------
 # Derived-structure operations
 
-def expand_hydrogens(graph: MolecularGraph) -> MolecularGraph:
-    """Turn owed implicit hydrogens into explicit atoms with SINGLE bonds.
+def add_hydrogens(graph: MolecularGraph, counts) -> MolecularGraph:
+    """``graph`` with ``counts[i]`` hydrogens bonded to atom i by SINGLE bonds.
 
-    New hydrogens are appended after all existing atoms in parent-id order,
-    which keeps normalized chirality tags valid (hydrogen ids sort last).
-    Idempotent: expanded graphs owe no hydrogens.
+    The hydrogens are appended after all existing atoms in parent-id order,
+    which keeps normalized chirality tags valid (hydrogen ids sort last);
+    bonds are kept in endpoint order.
     """
-    atoms = [replace(a, implicit_hydrogens=0) for a in graph.atoms]
-    bonds = list(graph.bonds)
-    next_id = len(atoms)
-    for atom in graph.atoms:
-        for _ in range(atom.implicit_hydrogens):
-            atoms.append(Atom(next_id, "H"))
-            bonds.append(Bond(atom.id, next_id, "SINGLE"))
-            next_id += 1
+    parents = [i for i, count in enumerate(counts) for _ in range(count)]
+    first = graph.n_atoms
+    bonds = [*graph.bonds, *(Bond(p, first + k, "SINGLE") for k, p in enumerate(parents))]
     bonds.sort(key=lambda b: (b.a, b.b))
-    return replace(graph, atoms=tuple(atoms), bonds=tuple(bonds))
+    return replace(graph, atoms=graph.atoms + (Atom("H"),) * len(parents), bonds=tuple(bonds))
 
 
 def ring_bonds(graph: MolecularGraph) -> set[tuple[int, int]]:
@@ -498,9 +494,7 @@ _FLOAT_MAX = sys.float_info.max  # NaN and the infinities fall outside
 
 
 def graph_to_json_dict(graph: MolecularGraph) -> dict:
-    """Serialize to the documented JSON schema (hydrogen-complete graphs only)."""
-    if any(a.implicit_hydrogens for a in graph.atoms):
-        raise ValueError("serialize requires an expanded graph")
+    """Serialize to the documented JSON schema."""
     atoms = []
     for a in graph.atoms:
         entry: dict = {"element": a.element, "formal_charge": a.formal_charge}
@@ -516,7 +510,7 @@ def graph_to_json_dict(graph: MolecularGraph) -> dict:
 def load_graph_json(source) -> MolecularGraph:
     """Load a molecule from a parsed dict or a JSON file path.
 
-    Fields are taken verbatim (no hydrogens are owed).  Schema or invariant
+    Fields are taken verbatim (hydrogens must be explicit).  Schema or invariant
     violations raise with the JSON path.
     """
     if isinstance(source, dict):
@@ -564,7 +558,7 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
         tag = entry.get("chirality", CHI_NONE)
         if tag not in CHIRALITY_TAGS:
             raise SchemaError(f"invalid chirality {tag!r}", f"$.atoms[{i}].chirality")
-        atoms.append(Atom(i, element, charge,
+        atoms.append(Atom(element, charge,
                           None if partial is None else float(partial), tag))
 
     seen_pairs = set()
@@ -596,18 +590,18 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
 
 def _validate_loaded(graph: MolecularGraph):
     bond_x2, degree, aromatic = _valence_tally(graph.n_atoms, graph.bonds)
-    for atom in graph.atoms:
-        if atom.chirality != CHI_NONE and degree[atom.id] != 4:
+    for i, atom in enumerate(graph.atoms):
+        if atom.chirality != CHI_NONE and degree[i] != 4:
             raise SchemaError("chirality tag on an atom without four distinct neighbors",
-                              f"$.atoms[{atom.id}]")
-        if aromatic[atom.id]:
+                              f"$.atoms[{i}]")
+        if aromatic[i]:
             limit = _AROMATIC_MAX_DEGREE.get(atom.element)
-            if limit is None or degree[atom.id] > limit:
-                raise SchemaError("aromatic valence violation", f"$.atoms[{atom.id}]")
+            if limit is None or degree[i] > limit:
+                raise SchemaError("aromatic valence violation", f"$.atoms[{i}]")
             continue
-        slots = (bond_x2[atom.id] + 1) // 2
+        slots = (bond_x2[i] + 1) // 2
         if slots not in allowed_valences(atom.element, atom.formal_charge):
             raise SchemaError(
                 f"valence {slots} not allowed for {atom.element} "
-                f"(charge {atom.formal_charge})", f"$.atoms[{atom.id}]")
+                f"(charge {atom.formal_charge})", f"$.atoms[{i}]")
 

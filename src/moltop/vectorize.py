@@ -49,6 +49,8 @@ class FingerprintLayout:
     k_grid: int
 
     def __post_init__(self):
+        if self.version != LAYOUT_VERSION:
+            raise ValueError(f"layout version {self.version!r} is not {LAYOUT_VERSION!r}")
         if canonical_kinds(self.kinds, ValueError) != self.kinds:
             raise ValueError("kinds must follow the fixed AM, PC, BT, CH order")
         if self.k_grid < 1:
@@ -149,8 +151,8 @@ def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
-    if not graph.atoms or any(a.implicit_hydrogens for a in graph.atoms):
-        raise DataError("graph must be non-empty and hydrogen-expanded before fingerprinting")
+    if not graph.atoms:
+        raise DataError("graph must be non-empty before fingerprinting")
     rows = [(spec.kind, i, s) for spec in specs
             for i, s in enumerate(build_sequence(graph, spec).subsets)]
     distinct = list(dict.fromkeys(s for _, _, s in rows if s))
@@ -251,37 +253,33 @@ def _on_record(fn, record):
         return None, exc.entry(record.record_id)
 
 
-def map_records(fn, records, threads: int = 1):
-    """``(record_id, fn(graph))`` of each record's graph in input order, on up
-    to ``threads`` processes, and the ``MoltopError.entry`` of each record
-    whose graph or result raised a DataError.  A dead worker raises a
-    MoltopError naming the records whose results had not returned."""
-
-    def lost(done):
-        ids = [r.record_id for r in records[done:]]
-        return (f"a worker died; {len(ids)} records had not returned: "
-                + ", ".join(ids[:10]) + (", ..." if len(ids) > 10 else ""))
-    pairs = process_map(functools.partial(_on_record, fn), records, threads, lost)
-    return ([(record.record_id, r) for record, (r, e) in zip(records, pairs) if e is None],
-            [e for _, e in pairs if e is not None])
-
-
 def fingerprint_dataset(records, kinds, k_grid: int | None, threads: int = 1,
                         distance_mode: str = "full_graph",
                         charge_thresholds=None, diagrams: bool = False) -> FingerprintTable:
-    """One fingerprint per record (see ``map_records``), independent of thread
-    count, with its row diagrams if ``diagrams`` (for a diagram dump), and the
-    per-record data errors; the run fails if nothing succeeds.  An open (None)
-    ``k_grid`` becomes the largest diameter of the graphs that succeed, capped
-    at K_GRID_CAP: each graph is reduced at the cap, its fingerprint is cut to
+    """One fingerprint per record in input order, on up to ``threads``
+    processes and independent of their count, with its row diagrams if
+    ``diagrams`` (for a diagram dump), and the ``MoltopError.entry`` of each
+    record whose graph or fingerprint raised a DataError; the run fails if
+    nothing succeeds, and a dead worker raises a MoltopError naming the
+    records whose results had not returned.  An open (None) ``k_grid``
+    becomes the largest diameter of the graphs that succeed, capped at
+    K_GRID_CAP: each graph is reduced at the cap, its fingerprint is cut to
     that k_grid, and ``truncate`` cuts its diagrams to it."""
     records, kinds = list(records), tuple(kinds)
     if not records:
         raise DataError("no records to fingerprint")
     specs = kind_specs(kinds, charge_thresholds)
-    done, errors = map_records(functools.partial(
+
+    def lost(done):
+        ids = [r.record_id for r in records[done:]]
+        return (f"a worker died; {len(ids)} records had not returned: "
+                + ", ".join(ids[:10]) + (", ..." if len(ids) > 10 else ""))
+    task = functools.partial(_on_record, functools.partial(
         row_diagrams, specs=specs, k_grid=K_GRID_CAP if k_grid is None else k_grid,
-        distance_mode=distance_mode), records, threads)
+        distance_mode=distance_mode))
+    pairs = process_map(task, records, threads, lost)
+    done = [(record.record_id, r) for record, (r, e) in zip(records, pairs) if e is None]
+    errors = [e for _, e in pairs if e is not None]
     if not done:
         raise DataError(f"all {len(records)} records failed; first error: "
                         f"{errors[0]['error']}")
@@ -345,9 +343,14 @@ def read_fingerprints_csv(path) -> FingerprintTable:
     try:
         meta = dict(part.split("=", 1) for part in magic.split()[1:])
         kinds = tuple(abbrev_to_kind[a] for a in meta["kinds"].split(","))
-        layout = FingerprintLayout(meta["version"], kinds, int(meta["k_grid"]))
+        k_grid = int(meta["k_grid"])
+        version = meta["version"]
     except (KeyError, ValueError):
         raise DataError(f"{path}: malformed header line {magic!r}") from None
+    try:
+        layout = FingerprintLayout(version, kinds, k_grid)
+    except ValueError as exc:  # the layout's own checks
+        raise DataError(f"{path}: invalid fingerprint layout: {exc}") from None
     reader = csv.reader(fh)  # file line reader.line_num + 1: it starts after the magic
     fps, first_line = [], {}
     try:

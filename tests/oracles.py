@@ -633,8 +633,8 @@ def atom_values(graph, kind):
         degree[bond.a] += 1
         degree[bond.b] += 1
     if kind == "CHIRALITY":
-        return [{CHI_CW: 1, CHI_CCW: 2}.get(a.chirality, 0) if degree[a.id] == 4 else 0
-                for a in graph.atoms]
+        return [{CHI_CW: 1, CHI_CCW: 2}.get(a.chirality, 0) if d == 4 else 0
+                for a, d in zip(graph.atoms, degree)]
     rings = {v for edge in cycle_edges(graph.n_atoms, [b.endpoints for b in graph.bonds])
              for v in edge}
     triple = {v for b in graph.bonds if b.order == "TRIPLE" for v in b.endpoints}
@@ -651,7 +651,7 @@ def nearest_rank_deciles(values):
 def sublevel_sets(graph, kind, thresholds):
     """Level i: every atom whose value is at most ``thresholds[i]``."""
     values = atom_values(graph, kind)
-    return tuple(frozenset(a.id for a in graph.atoms if values[a.id] <= alpha)
+    return tuple(frozenset(v for v, value in enumerate(values) if value <= alpha)
                  for alpha in thresholds)
 
 
@@ -680,8 +680,8 @@ def relabel(graph, perm: list[int]):
     if sorted(perm) != list(range(graph.n_atoms)):
         raise ValueError("perm must be a permutation of the atom ids")
     new_atoms = [None] * graph.n_atoms
-    for atom in graph.atoms:
-        new_atoms[perm[atom.id]] = replace(atom, id=perm[atom.id])
+    for old, atom in enumerate(graph.atoms):
+        new_atoms[perm[old]] = atom
     new_bonds = tuple(sorted(
         (replace(b, a=perm[b.a], b=perm[b.b]) for b in graph.bonds),
         key=lambda b: (b.a, b.b)))
@@ -717,8 +717,8 @@ _BOND_ORDER = {"SINGLE": 1.0, "DOUBLE": 2.0, "TRIPLE": 3.0, "AROMATIC": 1.5}
 
 
 def valence_slots(graph) -> list[float]:
-    """Per-atom bond-order sum plus owed hydrogens."""
-    totals = [float(a.implicit_hydrogens) for a in graph.atoms]
+    """Per-atom bond-order sum (hydrogens are atoms, so their bonds count)."""
+    totals = [0.0] * graph.n_atoms
     for bond in graph.bonds:
         totals[bond.a] += _BOND_ORDER[bond.order]
         totals[bond.b] += _BOND_ORDER[bond.order]

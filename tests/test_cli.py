@@ -606,6 +606,8 @@ def _bad_model(kind, good_model):
         doc["members"][1]["layout"]["k_grid"] += 1
     elif kind == "member-other-feature-count":
         doc["members"][1]["feature_count"] += 1
+    elif kind == "layout-version-7":
+        member["layout"]["version"] = "7"
     return doc
 
 
@@ -615,7 +617,7 @@ _BAD_MODELS = ("not-object", "no-config", "no-members", "member-no-keys",
                "base-not-number", "layout-no-kinds", "left-short", "max-depth-zero",
                "seed-negative", "min-samples-split-zero", "min-samples-split-negative",
                "threshold-nan", "base-infinity", "value-infinity",
-               "member-other-layout", "member-other-feature-count")
+               "member-other-layout", "member-other-feature-count", "layout-version-7")
 
 
 def _bad_file(kind, trained, path):
@@ -640,6 +642,8 @@ def _bad_file(kind, trained, path):
     elif kind == "repeated-id":
         lines = good_csv.read_text().splitlines()
         path.write_text("\n".join(lines + lines[2:3]) + "\n")
+    elif kind == "layout-version-9":
+        path.write_text(good_csv.read_text().replace("version=1 ", "version=9 ", 1))
     return path  # "missing": never written
 
 
@@ -653,7 +657,7 @@ def _bad_file(kind, trained, path):
     *[(command, "--fingerprints", kind)
       for command in ("train", "predict", "rank-uncertainty")
       for kind in ("missing", "not-utf8", "bad-magic", "non-integer", "blank-line",
-                   "no-rows", "repeated-id")],
+                   "no-rows", "repeated-id", "layout-version-9")],
     ("evaluate", "--predictions", "missing"),
     ("evaluate", "--predictions", "not-utf8"),
     ("distance", "--pairs", "missing"),
@@ -673,6 +677,21 @@ def test_unreadable_input_file_exits_3(trained, tmp_path, capsys, command, flag,
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(bad) in err
+
+
+@pytest.mark.parametrize("command,flag,version", [("train", "--fingerprints", "9"),
+                                                  ("predict", "--model", "7")])
+def test_other_layout_version_exits_3_naming_it(trained, tmp_path, capsys, command, flag,
+                                                version):
+    # only layout version 1 exists; a file that declares another is not read as one
+    bad = _bad_file(f"layout-version-{version}", trained, tmp_path / "bad")
+    argv = [command, "--out", str(tmp_path / "out")]
+    for name in {"train": ("--config", "--fingerprints"),
+                 "predict": ("--model", "--fingerprints")}[command]:
+        argv += [name, str(bad if name == flag else trained[name])]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid fingerprint layout: layout version '{version}' is not '1'" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--k-grid", "0"), ("--p", "0.5"), ("--p", "nan"),

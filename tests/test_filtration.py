@@ -20,17 +20,12 @@ from moltop.molgraph import (
     Atom,
     DatasetRecord,
     MolecularGraph,
-    expand_hydrogens,
     parse_smiles,
 )
 from moltop.vectorize import graph_from_record
 from dataclasses import replace
 
 from oracles import mirror, nearest_rank_deciles, relabel, sublevel_sets
-
-
-def prepared(smiles):
-    return expand_hydrogens(parse_smiles(smiles))
 
 
 def sequence(graph, kind, charge_thresholds=None):
@@ -42,69 +37,69 @@ LAMIVUDINE = "NC1=NC(=O)N(C=C1)[C@@H]1CS[C@H](CO)O1"
 
 class TestChiralityValue:
     def test_untagged_low_degree_nitrogen(self):
-        atom = Atom(0, "N")
+        atom = Atom("N")
         assert chirality_value(atom, degree=3) == 0
 
     def test_cw_is_one(self):
-        atom = Atom(0, "C", chirality="CW")
+        atom = Atom("C", chirality="CW")
         assert chirality_value(atom, degree=4) == 1
 
     def test_ccw_is_two(self):
-        atom = Atom(0, "C", chirality="CCW")
+        atom = Atom("C", chirality="CCW")
         assert chirality_value(atom, degree=4) == 2
 
     def test_tag_with_wrong_degree_is_zero(self):
-        atom = Atom(0, "C", chirality="CW")
+        atom = Atom("C", chirality="CW")
         assert chirality_value(atom, degree=3) == 0
 
 
 class TestAtomicMass:
     def test_lamivudine_ten_nested_levels(self):
-        g = prepared(LAMIVUDINE)
+        g = parse_smiles(LAMIVUDINE)
         seq = sequence(g, "ATOMIC_MASS")
         assert len(seq.subsets) == 10
-        hydrogens = {a.id for a in g.atoms if a.element == "H"}
+        hydrogens = {i for i, a in enumerate(g.atoms) if a.element == "H"}
         assert seq.subsets[0] == hydrogens
         for lo, hi in zip(seq.subsets, seq.subsets[1:]):
             assert lo <= hi
-        assert seq.subsets[-1] == {a.id for a in g.atoms}
+        assert seq.subsets[-1] == set(range(g.n_atoms))
 
     def test_hydrocarbon_saturates_at_level_two(self):
-        g = prepared("CCCC")
+        g = parse_smiles("CCCC")
         seq = sequence(g, "ATOMIC_MASS")
-        hydrogens = {a.id for a in g.atoms if a.element == "H"}
-        everything = {a.id for a in g.atoms}
+        hydrogens = {i for i, a in enumerate(g.atoms) if a.element == "H"}
+        everything = set(range(g.n_atoms))
         assert seq.subsets[0] == hydrogens
         for level in seq.subsets[1:]:
             assert level == everything
 
     def test_single_hydrogen_atom(self):
-        g = MolecularGraph("h", (Atom(0, "H"),), ())
+        g = MolecularGraph("h", (Atom("H"),), ())
         seq = sequence(g, "ATOMIC_MASS")
         assert all(level == {0} for level in seq.subsets)
 
     def test_boron_rejected(self):
-        g = MolecularGraph("b", (Atom(0, "B"),), ())
+        g = MolecularGraph("b", (Atom("B"),), ())
         with pytest.raises(UnsupportedElementError):
             sequence(g, "ATOMIC_MASS")
 
 
 class TestPartialCharge:
     def test_equal_charges_degenerate(self):
-        g = prepared("CCCC")
+        g = parse_smiles("CCCC")
         g = replace(g, atoms=tuple(replace(a, partial_charge=0.25) for a in g.atoms))
         seq = sequence(g, "PARTIAL_CHARGE")
-        everything = {a.id for a in g.atoms}
+        everything = set(range(g.n_atoms))
         assert all(level == everything for level in seq.subsets)
 
     def test_twenty_distinct_charges_nearest_rank(self):
-        atoms = tuple(Atom(i, "C", partial_charge=float(i)) for i in range(20))
+        atoms = tuple(Atom("C", partial_charge=float(i)) for i in range(20))
         g = MolecularGraph("toy", atoms, ())
         seq = sequence(g, "PARTIAL_CHARGE")
         assert [len(level) for level in seq.subsets] == [2 * i for i in range(1, 11)]
 
     def test_missing_charge_names_atom(self):
-        g = prepared("CC")
+        g = parse_smiles("CC")
         atoms = list(replace(a, partial_charge=0.1) for a in g.atoms)
         atoms[3] = replace(atoms[3], partial_charge=None)
         g = replace(g, atoms=tuple(atoms))
@@ -113,7 +108,7 @@ class TestPartialCharge:
         assert "atom 3" in str(err.value)
 
     def test_global_boundaries_override(self):
-        g = assign_reference_charges(prepared("CCO"))
+        g = assign_reference_charges(parse_smiles("CCO"))
         bounds = decile_boundaries([-1.0, -0.5, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9, 1.0])
         seq = sequence(g, "PARTIAL_CHARGE", bounds)
         assert seq.spec.thresholds == bounds
@@ -139,32 +134,32 @@ def bond_category(atom_id, g):
 
 class TestBondType:
     def test_benzene_carbon_is_ring(self):
-        g = prepared("c1ccccc1")
+        g = parse_smiles("c1ccccc1")
         assert bond_category(0, g) == 0
 
     def test_terminal_alkyne_carbon(self):
-        g = prepared("CC#C")
+        g = parse_smiles("CC#C")
         seq = sequence(g, "BOND_TYPE")
         assert bond_category(2, g) == 1
         assert 2 in seq.subsets[1]
         assert 2 not in seq.subsets[0]
 
     def test_methane_carbon_single_only(self):
-        g = prepared("C")
+        g = parse_smiles("C")
         assert bond_category(0, g) == 3
 
     def test_isolated_atom_lowest_category(self):
-        g = MolecularGraph("ion", (Atom(0, "Cl", formal_charge=-1),), ())
+        g = MolecularGraph("ion", (Atom("Cl", formal_charge=-1),), ())
         assert bond_category(0, g) == 3
 
     def test_double_bond_category(self):
-        g = prepared("CC=O")
+        g = parse_smiles("CC=O")
         assert bond_category(1, g) == bond_category(2, g) == 2
         assert bond_category(0, g) == 3
 
     def test_minimum_category_wins(self):
         # ring atom that also touches a double bond stays in category 0
-        g = prepared("O=C1CCC1")
+        g = parse_smiles("O=C1CCC1")
         carbonyl = 1
         assert bond_category(carbonyl, g) == 0
         assert bond_category(0, g) == 2  # the carbonyl oxygen
@@ -172,16 +167,16 @@ class TestBondType:
 
 class TestBuildSequence:
     def test_chirality_achiral_all_levels_full(self):
-        g = prepared("CCO")
+        g = parse_smiles("CCO")
         seq = build_sequence(g, make_spec("CHIRALITY"))
-        everything = {a.id for a in g.atoms}
+        everything = set(range(g.n_atoms))
         assert [level for level in seq.subsets] == [everything] * 3
 
     def test_chirality_single_cw_center(self):
-        g = prepared("N[C@@H](C)C(=O)O")
+        g = parse_smiles("N[C@@H](C)C(=O)O")
         assert g.atoms[1].chirality == CHI_CW
         seq = sequence(g, "CHIRALITY")
-        everything = {a.id for a in g.atoms}
+        everything = set(range(g.n_atoms))
         assert seq.subsets[0] == everything - {1}
         assert seq.subsets[1] == everything
         assert seq.subsets[2] == everything
@@ -195,7 +190,7 @@ class TestBuildSequence:
             assert len(seq.subsets) == seq.spec.levels
             for lo, hi in zip(seq.subsets, seq.subsets[1:]):
                 assert lo <= hi
-            assert seq.subsets[-1] == {a.id for a in g.atoms}
+            assert seq.subsets[-1] == set(range(g.n_atoms))
 
     def test_relabel_equivariance(self, random_graphs):
         rng = np.random.default_rng(3)
@@ -264,8 +259,8 @@ class TestAgainstScanOracle:
                 assert seq.subsets == sublevel_sets(g, kind, thresholds), (g.name, kind)
 
     def test_custom_mass_thresholds(self):
-        g = prepared("CCO")
-        hydrogens = frozenset(a.id for a in g.atoms if a.element == "H")
+        g = parse_smiles("CCO")
+        hydrogens = frozenset(i for i, a in enumerate(g.atoms) if a.element == "H")
         seq = build_sequence(g, FiltrationSpec("ATOMIC_MASS", tuple(10.0 * i for i in range(10))))
         assert seq.subsets == (frozenset(), hydrogens) + (frozenset(range(g.n_atoms)),) * 8
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,14 +18,16 @@ from moltop.harness import (
     prc_auc,
     prediction_rows,
     prepare_run,
+    RunConfig,
     rmse,
     roc_auc,
     run_benchmark,
     run_config_from_dict,
 )
 from moltop.filtration import FILTRATION_KINDS
-from moltop.molgraph import DatasetRecord, expand_hydrogens, load_graph_json, parse_smiles
-from moltop.sglb import decompose, load_ensemble
+from moltop.molgraph import DatasetRecord, load_graph_json, parse_smiles
+from moltop.sglb import (TASK_CLASSIFICATION, TASK_REGRESSION, SglbConfig, decompose,
+                         load_ensemble)
 from moltop.vectorize import (
     DISTANCE_MODES,
     fingerprint_dataset,
@@ -33,11 +36,6 @@ from moltop.vectorize import (
 )
 
 from oracles import graph_diameter, naive_f1, naive_prc_auc, naive_roc_auc
-
-
-def smiles_graph(text, record_id):
-    """The graph the loader stores for a SMILES record."""
-    return expand_hydrogens(parse_smiles(text, name=record_id))
 
 
 def write_csv_dataset(path, rows):
@@ -135,7 +133,8 @@ class TestLoadDataset:
         records, errors = load_dataset(path)
         assert errors == []
         assert [(r.record_id, r.graph, r.target) for r in records] == [
-            ("a", smiles_graph("CCO", "a"), 1.5), ("b", smiles_graph("CCN", "b"), 0.5)]
+            ("a", parse_smiles("CCO", name="a"), 1.5),
+            ("b", parse_smiles("CCN", name="b"), 0.5)]
 
     @pytest.mark.parametrize("header,missing", [("id,smiles", "target"),
                                                 ("id,target", "smiles"), ("", "smiles")],
@@ -161,7 +160,7 @@ class TestLoadDataset:
         records, errors = load_dataset(path)
         assert errors == []
         assert [(r.record_id, r.graph, r.target) for r in records] == [
-            (r, smiles_graph(s, r), t) for r, s, t in rows]
+            (r, parse_smiles(s, name=r), t) for r, s, t in rows]
 
     @pytest.mark.parametrize("name,target,error", [
         ("data.csv", "nan", None), ("data.csv", "inf", None), ("data.csv", "-Infinity", None),
@@ -207,7 +206,8 @@ class TestLoadDataset:
 
 class TestApplySplit:
     def make_records(self, n):
-        return [DatasetRecord(f"r{i}", float(i), smiles_graph("C", f"r{i}")) for i in range(n)]
+        return [DatasetRecord(f"r{i}", float(i), parse_smiles("C", name=f"r{i}"))
+                for i in range(n)]
 
     def test_split_file_exact(self, tmp_path):
         records = self.make_records(4)
@@ -377,6 +377,47 @@ class TestRunConfig:
             run_config_from_dict({"dataset": {"path": "nope.jsonl"},
                                   "task": "regression"})
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("task", "regression", "task must be regression or classification, got 'regression'"),
+        ("task", "REGRESSION", "task must be regression or classification, got 'REGRESSION'"),
+        ("decile_mode", "globl", "invalid decile_mode 'globl'"),
+        ("distance_mode", "induced", "invalid distance_mode 'induced'"),
+        ("split_mode", "files", "invalid split mode 'files'"),
+        ("split_ratios", (0.5, 0.5), "split.ratios must be three non-negative numbers"),
+        ("split_ratios", (0.5, math.nan, 0.5), "split.ratios must be three non-negative"),
+        ("split_ratios", (0.5, 0.5, 0.5), "split.ratios must sum to 1"),
+        ("k_grid", 0, "k_grid must be a positive integer or null"),
+        ("kinds", ("CHIRALITY", "ATOMIC_MASS"), "kinds must be distinct, in the order"),
+        ("kinds", ("ATOMIC_MASS", "ATOMIC_MASS"), "kinds must be distinct, in the order"),
+        ("kinds", ("MASS",), "unknown filtration kinds ['MASS']"),
+        ("kinds", (), "at least one filtration kind is required"),
+        ("sglb", SglbConfig(task=TASK_CLASSIFICATION), "sglb.task must match the run task"),
+    ])
+    def test_run_config_checks_its_own_fields(self, small_dataset_path, key, value, message):
+        # built directly, through a CLI override (replace) or from JSON: one set of rules
+        fields = {"dataset_path": str(small_dataset_path), "task": TASK_REGRESSION}
+        for build in (lambda: RunConfig(**{**fields, key: value}),
+                      lambda: replace(RunConfig(**fields), **{key: value})):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert message in str(err.value)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("task", "regresion", "task must be regression or classification, got 'regresion'"),
+        ("task", None, "task must be regression or classification, got None"),
+        ("decile_mode", "globl", "invalid decile_mode 'globl'"),
+        ("distance_mode", "induced", "invalid distance_mode 'induced'"),
+        ("split", {"mode": "files"}, "invalid split mode 'files'"),
+        ("k_grid", 0, "k_grid must be a positive integer or null"),
+        ("sglb", {"task": "BINARY_CLASSIFICATION"}, "sglb.task must match the run task"),
+    ])
+    def test_json_config_rules(self, small_dataset_path, key, value, message):
+        doc = self.base_doc(small_dataset_path)
+        doc[key] = value
+        with pytest.raises(ConfigError) as err:
+            run_config_from_dict(doc)
+        assert str(err.value) == message
+
     def test_load_from_file_resolves_paths(self, tmp_path, small_dataset_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -394,7 +435,7 @@ class TestPrepareRun:
         write_csv_dataset(data, [[f"m{i}", s, "1.0"] for i, s in enumerate(smiles)])
         cfg = run_config_from_dict({"dataset": {"path": str(data)}, "task": "regression",
                                     "kinds": ["ATOMIC_MASS"]})
-        diameters = [graph_diameter(expand_hydrogens(parse_smiles(s))) for s in smiles]
+        diameters = [graph_diameter(parse_smiles(s)) for s in smiles]
         assert max(diameters) == 7  # hexane, hydrogen to hydrogen
         prep = prepare_run(cfg)
         assert prep.table.layout.k_grid == 7

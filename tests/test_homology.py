@@ -23,7 +23,6 @@ from moltop.molgraph import (
     Bond,
     DatasetRecord,
     MolecularGraph,
-    expand_hydrogens,
     load_graph_json,
     parse_smiles,
 )
@@ -52,7 +51,7 @@ from rows import build_row, reduce_row
 
 def skeleton(adj):
     """A carbon skeleton with the bonds of a 0/1 adjacency matrix."""
-    atoms = tuple(Atom(i, "C") for i in range(len(adj)))
+    atoms = (Atom("C"),) * len(adj)
     bonds = tuple(Bond(int(u), int(v), "SINGLE") for u, v in zip(*np.nonzero(np.triu(adj))))
     return MolecularGraph("skeleton", atoms, bonds)
 
@@ -75,15 +74,15 @@ def cytosine_graph():
 
 class TestGeodesicDistances:
     def test_path(self):
-        g = expand_hydrogens(parse_smiles("OO"))  # H-O-O-H after expansion
+        g = parse_smiles("OO")  # H-O-O-H: the parse adds both hydrogens
         hops = geodesic_distances(g)
         assert hops[2, 3] == 3  # hydrogen to hydrogen across the path
         assert hops.max() == 3
 
     def test_six_cycle(self):
-        g = expand_hydrogens(parse_smiles("c1ccccc1"))
+        g = parse_smiles("c1ccccc1")
         hops = geodesic_distances(g)
-        ring = [a.id for a in g.atoms if a.element == "C"]
+        ring = [i for i, a in enumerate(g.atoms) if a.element == "C"]
         assert max(hops[u, v] for u in ring for v in ring) == 3
 
     def test_disconnected_unreachable(self):
@@ -128,7 +127,7 @@ class TestGeodesicDistances:
             assert np.array_equal(geodesic_distances(g), hop_distances(adj))
 
     def test_induced_subgraph_mode(self):
-        g = expand_hydrogens(parse_smiles("CCC"))  # propane: C0-C1-C2
+        g = parse_smiles("CCC")  # propane: C0-C1-C2
         assert geodesic_distances(g)[0, 2] == 2
         sub = row_hops(g, {0, 2})
         assert sub[0, 2] == UNREACHABLE  # the middle carbon is gone
@@ -197,7 +196,7 @@ class TestBuildVrRow:
     def test_filtration_order(self, random_graphs):
         g = random_graphs[0]
         hops = geodesic_distances(g)
-        cx = build_row({a.id for a in g.atoms}, hops, hops.max())
+        cx = build_row(set(range(g.n_atoms)), hops, hops.max())
         edges = [(e, u, v) for e, (u, v) in zip(cx.edge_eps.tolist(),
                                                  edge_pairs(cx).tolist())]
         assert edges == sorted(edges)
@@ -227,7 +226,7 @@ class TestReduce:
         g = cytosine_graph()
         assert g.n_atoms == 13
         hops = geodesic_distances(g)
-        cx = build_row({a.id for a in g.atoms}, hops, hops.max())
+        cx = build_row(set(range(g.n_atoms)), hops, hops.max())
         pd0, pd1 = reduce_rows(cx)[0]
         assert len(pd0.pairs) == 12
         assert len(pd0.essentials) == 1
@@ -318,7 +317,7 @@ class TestOracleEquivalence:
     def test_euler_consistency_on_molecules(self, random_graphs):
         for g in random_graphs[:8]:
             hops = geodesic_distances(g)
-            verts = {a.id for a in g.atoms}
+            verts = set(range(g.n_atoms))
             cx = build_row(verts, hops, hops.max())
             pd0, pd1 = reduce_rows(cx)[0]
             for eps in range(hops.max() + 1):
@@ -331,7 +330,7 @@ class TestOracleEquivalence:
     def test_monotone_beta0(self, random_graphs):
         for g in random_graphs[:10]:
             hops = geodesic_distances(g)
-            pd0, _ = reduce_row({a.id for a in g.atoms}, hops, hops.max())
+            pd0, _ = reduce_row(set(range(g.n_atoms)), hops, hops.max())
             values = [betti_at(pd0, t) for t in range(hops.max() + 1)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -343,8 +342,8 @@ class TestOracleEquivalence:
             dg = geodesic_distances(g)
             dh = geodesic_distances(h)
             assert dg.max() == dh.max()
-            pg = reduce_row({a.id for a in g.atoms}, dg, dg.max())
-            ph = reduce_row({a.id for a in h.atoms}, dh, dh.max())
+            pg = reduce_row(set(range(g.n_atoms)), dg, dg.max())
+            ph = reduce_row(set(range(h.n_atoms)), dh, dh.max())
             assert pg == ph  # diagrams are sorted multisets
 
     def test_subset_rows_match_naive_reduction(self, random_graphs):
@@ -367,9 +366,9 @@ class TestOracleEquivalence:
 
     def test_essential_count_is_component_count(self):
         g = parse_smiles("CC.O.[Cl-]")
-        g = expand_hydrogens(g)
+        g = g
         hops = geodesic_distances(g)
-        pd0, _ = reduce_row({a.id for a in g.atoms}, hops, max(hops.max(), 1))
+        pd0, _ = reduce_row(set(range(g.n_atoms)), hops, max(hops.max(), 1))
         assert len(pd0.essentials) == len(components(g))
 
     def test_pipeline_consumes_no_coordinates(self):
@@ -475,7 +474,7 @@ class TestCohomologyMatchesTriangleReducer:
         apart = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]])
         pd0, pd1 = self.check({0, 1}, apart, 3)
         assert pd0.essentials == (0, 0) and pd1 == PersistenceDiagram(1, (), (), 3)
-        g = expand_hydrogens(parse_smiles("C1CCC1.C1CCCC1.O"))
+        g = parse_smiles("C1CCC1.C1CCCC1.O")
         hops = geodesic_distances(g)
         for cap in range(hops.max() + 1):
             pd0, _ = self.check(range(g.n_atoms), hops, cap)
@@ -621,7 +620,7 @@ class TestStrongCollapse:
 
     def test_disconnected_molecules(self):
         for smiles in ("CC.O.[Cl-]", "C1CCC1.C1CCCC1.O", "[Cl-].[Cl-]"):
-            self.check_molecule(expand_hydrogens(parse_smiles(smiles)))
+            self.check_molecule(parse_smiles(smiles))
 
     @staticmethod
     def check_molecule(graph):
@@ -703,7 +702,7 @@ class TestStrongCollapse:
             assert got[0] == whole_diagrams(range(n), hops, n // 2)
 
     def test_diagram_dump_prints_whole_rows(self):
-        graph = expand_hydrogens(parse_smiles("CC(O)c1ccccc1.[Cl-]"))
+        graph = parse_smiles("CC(O)c1ccccc1.[Cl-]")
         specs = [make_spec(k) for k in ("ATOMIC_MASS", "BOND_TYPE", "CHIRALITY")]
         full = geodesic_distances(graph)
         docs = diagram_records(row_diagrams(graph, specs, 6)[0], "m")

@@ -10,7 +10,7 @@ from moltop.errors import LayoutMismatchError
 from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.homology import PersistenceDiagram
 from moltop.metrics import fingerprint_distance, matching_report, wasserstein
-from moltop.molgraph import expand_hydrogens, graph_to_json_dict, parse_smiles
+from moltop.molgraph import graph_to_json_dict, parse_smiles
 from moltop.vectorize import (
     Fingerprint,
     FingerprintLayout,
@@ -87,7 +87,7 @@ class TestWasserstein:
 
 
 def charged(smiles):
-    return assign_reference_charges(expand_hydrogens(parse_smiles(smiles)))
+    return assign_reference_charges(parse_smiles(smiles))
 
 
 def row_oracle(a, b):
@@ -137,7 +137,7 @@ class TestInducedDistance:
 
 class TestFingerprintDistance:
     def test_self_distance_zero(self):
-        g = assign_reference_charges(expand_hydrogens(parse_smiles("CCO")))
+        g = assign_reference_charges(parse_smiles("CCO"))
         fp = assemble(g, ALL_SPECS, 8)
         assert fingerprint_distance(fp, fp) == 0.0
 
@@ -151,7 +151,7 @@ class TestFingerprintDistance:
         assert fingerprint_distance(a, b) == 2.0
 
     def test_mirror_distance_in_chirality_rows(self):
-        g = assign_reference_charges(expand_hydrogens(parse_smiles("N[C@@H](C)C(=O)O")))
+        g = assign_reference_charges(parse_smiles("N[C@@H](C)C(=O)O"))
         fp = assemble(g, ALL_SPECS, 10)
         fp_m = assemble(mirror(g), ALL_SPECS, 10)
         d = fingerprint_distance(fp, fp_m)
@@ -173,14 +173,14 @@ class TestFingerprintDistance:
 
 class TestStabilityProbe:
     def test_identical_pair_skipped_ratio(self):
-        g = assign_reference_charges(expand_hydrogens(parse_smiles("CCO")))
+        g = assign_reference_charges(parse_smiles("CCO"))
         report = matching_report(g, g, ALL_SPECS, 8)
         assert report.induced == 0.0
         assert report.vector_distance == 0.0
         assert report.ratio is None
 
     def test_single_perturbation_finite_ratio(self):
-        g = assign_reference_charges(expand_hydrogens(parse_smiles("N[C@@H](C)C(=O)O")))
+        g = assign_reference_charges(parse_smiles("N[C@@H](C)C(=O)O"))
         report = matching_report(g, mirror(g), ALL_SPECS, 10)
         assert report.induced > 0
         assert report.vector_distance > 0

@@ -17,7 +17,7 @@ from moltop.molgraph import (
     Bond,
     DatasetRecord,
     MolecularGraph,
-    expand_hydrogens,
+    add_hydrogens,
     graph_from_json_dict,
     graph_to_json_dict,
     load_graph_json,
@@ -38,40 +38,64 @@ from oracles import (
 )
 
 
-def prepared(smiles):
-    return expand_hydrogens(parse_smiles(smiles))
+def hydrogen_neighbors(graph) -> list[int]:
+    """Per atom, how many of its neighbors are hydrogens."""
+    counts = [0] * graph.n_atoms
+    for bond in graph.bonds:
+        for u, v in (bond.endpoints, bond.endpoints[::-1]):
+            counts[u] += graph.atoms[v].element == "H"
+    return counts
+
+
+def heavy_bonds(graph) -> list[tuple[int, int]]:
+    """Endpoints of the bonds between written atoms, which precede every
+    hydrogen the parser adds."""
+    first_h = next((i for i, a in enumerate(graph.atoms) if a.element == "H"), graph.n_atoms)
+    return [b.endpoints for b in graph.bonds if b.b < first_h]
 
 
 class TestParseSmiles:
     def test_single_atom(self):
         g = parse_smiles("O")
-        assert g.n_atoms == 1
-        assert g.atoms[0].element == "O"
-        assert not g.bonds
+        assert [a.element for a in g.atoms] == ["O", "H", "H"]
+        assert [b.endpoints for b in g.bonds] == [(0, 1), (0, 2)]
 
     def test_ring_closure_triangle(self):
         g = parse_smiles("C1CC1")
-        assert [a.element for a in g.atoms] == ["C", "C", "C"]
-        assert sorted(b.endpoints for b in g.bonds) == [(0, 1), (0, 2), (1, 2)]
+        assert [a.element for a in g.atoms] == ["C"] * 3 + ["H"] * 6
+        assert heavy_bonds(g) == [(0, 1), (0, 2), (1, 2)]
+        assert hydrogen_neighbors(g)[:3] == [2, 2, 2]
         assert all(b.order == "SINGLE" for b in g.bonds)
+
+    def test_hydrogens_follow_the_written_atoms_in_parent_order(self):
+        # a bracket count and the valence model both add hydrogens, after
+        # every written atom, their parents' ids ascending
+        g = parse_smiles("[NH2]C(=O)[CH3]")
+        assert [a.element for a in g.atoms] == ["N", "C", "O", "C"] + ["H"] * 5
+        assert [b.endpoints for b in g.bonds] == [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3),
+                                                  (3, 6), (3, 7), (3, 8)]
 
     def test_alanine_parity_normalization(self):
         # Independent derivation: the neighbor order written in the SMILES is
-        # (N=0, implicit H, C=2, C=3); normalized order sorts ids ascending
-        # with the pending hydrogen last, i.e. (0, 2, 3, H).  The permutation
-        # between them is [0, 2, 3, 1], whose inversion count decides the flip.
+        # (N=0, bracket H, C=2, C=3); normalized order sorts ids ascending,
+        # and the hydrogen's id follows the written atoms', i.e. (0, 2, 3, H).
+        # The permutation between them is [0, 2, 3, 1], whose inversion count
+        # decides the flip.
         written_to_sorted = [0, 2, 3, 1]
         inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
                          if written_to_sorted[i] > written_to_sorted[j])
         expect = CHI_CW if inversions % 2 == 0 else CHI_CCW  # "@@" means CW
 
         g = parse_smiles("N[C@@H](C)C(=O)O")
-        assert g.n_atoms == 6
+        assert [a.element for a in g.atoms] == ["N", "C", "C", "C", "O", "O"] + ["H"] * 7
         assert g.atoms[1].chirality == expect == CHI_CW
-        assert all(a.chirality == CHI_NONE for a in g.atoms if a.id != 1)
+        assert all(a.chirality == CHI_NONE for i, a in enumerate(g.atoms) if i != 1)
+        # N's two hydrogens come first, then the center's
+        assert [b.endpoints for b in g.bonds if 1 in b.endpoints] == [(0, 1), (1, 2), (1, 3),
+                                                                      (1, 8)]
 
     def test_leading_stereo_atom_equivalence(self):
-        # Writing the stereocenter first moves the implicit hydrogen to the
+        # Writing the stereocenter first moves the bracket hydrogen to the
         # front of the written neighbor list, flipping the written sense, so
         # these two strings denote the same molecule.  The isomorphism
         # between the parses maps sorted neighbor ids order-preservingly
@@ -83,19 +107,19 @@ class TestParseSmiles:
 
     def test_bracket_charges(self):
         g = parse_smiles("[NH4+].[Cl-]")
-        assert g.atoms[0].formal_charge == 1
-        assert g.atoms[0].implicit_hydrogens == 4
-        assert g.atoms[1].formal_charge == -1
+        assert [(a.element, a.formal_charge) for a in g.atoms] == \
+            [("N", 1), ("Cl", -1)] + [("H", 0)] * 4
+        assert hydrogen_neighbors(g)[:2] == [4, 0]
 
     def test_aromatic_ring(self):
         g = parse_smiles("c1ccccc1")
-        assert g.n_atoms == 6
-        assert all(b.order == "AROMATIC" for b in g.bonds)
-        assert all(a.implicit_hydrogens == 1 for a in g.atoms)
+        assert g.n_atoms == 12
+        assert all(b.order == "AROMATIC" for b in g.bonds if b.b < 6)
+        assert hydrogen_neighbors(g)[:6] == [1] * 6
 
     def test_percent_ring_closure(self):
         g = parse_smiles("C%12CC%12")
-        assert sorted(b.endpoints for b in g.bonds) == [(0, 1), (0, 2), (1, 2)]
+        assert heavy_bonds(g) == [(0, 1), (0, 2), (1, 2)]
         with pytest.raises(SmilesParseError):
             parse_smiles("C%1CC1")  # % needs two digits
 
@@ -118,7 +142,7 @@ class TestParseSmiles:
         assert ring_bond.order == "SINGLE"
 
     def test_lamivudine_parses(self):
-        g = prepared("NC1=NC(=O)N(C=C1)[C@@H]1CS[C@H](CO)O1")
+        g = parse_smiles("NC1=NC(=O)N(C=C1)[C@@H]1CS[C@H](CO)O1")
         counts = {}
         for a in g.atoms:
             counts[a.element] = counts.get(a.element, 0) + 1
@@ -126,8 +150,8 @@ class TestParseSmiles:
         assert sum(a.chirality != CHI_NONE for a in g.atoms) == 2
 
     def test_parsed_molecules_respect_valence_table(self):
-        # non-aromatic writings: bond-order sum plus owed hydrogens must hit
-        # an allowed valence exactly
+        # non-aromatic writings: the bond-order sum, bonds to the added
+        # hydrogens included, must hit an allowed valence exactly
         for smiles in ("C", "CC(N)C(=O)O", "O=S(=O)(O)O", "C#N", "ClC(Cl)(Cl)Cl",
                        "CP(C)C", "NC1=NC(=O)N(C=C1)C", "C1CC1CC1CC1"):
             g = parse_smiles(smiles)
@@ -163,24 +187,39 @@ class TestParseSmiles:
         assert err.value.offset == 0
         assert "must be a string" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["C\u00b2", "C1CC\u0661", "C%1\u00b2CC", "[CH\u00b2]",
+                                      "[N+\u00b2]", "[\u00b2C]"])
+    def test_only_ascii_digits_are_digits(self, text):
+        # str.isdigit takes these; int() fails on the superscript and reads
+        # the Arabic-Indic one as 1.  None of them is SMILES.
+        with pytest.raises(SmilesParseError):
+            parse_smiles(text)
+
 
 class TestExpandHydrogens:
+    """The hydrogens a parse adds, and ``add_hydrogens``."""
+
     @pytest.mark.parametrize("smiles,n_atoms,n_bonds", [
         ("C", 5, 4),          # methane
         ("C=O", 4, 3),        # formaldehyde: C gains 2 H, O gains none
         ("c1ccccc1", 12, 12),  # benzene: one H per aromatic carbon
     ])
     def test_counts(self, smiles, n_atoms, n_bonds):
-        g = expand_hydrogens(parse_smiles(smiles))
+        g = parse_smiles(smiles)
         assert g.n_atoms == n_atoms
         assert len(g.bonds) == n_bonds
 
-    def test_idempotent(self):
-        g = expand_hydrogens(parse_smiles("CC(N)C(=O)O"))
-        assert expand_hydrogens(g) == g
+    def test_add_hydrogens_appends_in_parent_order_and_sorts_bonds(self):
+        g = MolecularGraph("g", (Atom("O"), Atom("C"), Atom("N")),
+                           (Bond(0, 1, "DOUBLE"), Bond(1, 2, "SINGLE")))
+        h = add_hydrogens(g, [0, 2, 2])
+        assert h.atoms == g.atoms + (Atom("H"),) * 4
+        assert [b.endpoints for b in h.bonds] == [(0, 1), (1, 2), (1, 3), (1, 4),
+                                                  (2, 5), (2, 6)]
+        assert add_hydrogens(g, [0, 0, 0]) == g
 
     def test_valence_consistency(self, random_graphs):
-        # bond-order sum plus owed hydrogens equals a table valence
+        # every atom's bond-order sum, hydrogens included, is a table valence
         for g in random_graphs:
             for atom, slots in zip(g.atoms, valence_slots(g)):
                 assert slots in VALENCES[atom.element], atom
@@ -188,21 +227,21 @@ class TestExpandHydrogens:
 
 class TestDetectRings:
     def test_cyclopropane_all_ring(self):
-        g = prepared("C1CC1")
-        carbons = {a.id for a in g.atoms if a.element == "C"}
+        g = parse_smiles("C1CC1")
+        carbons = {i for i, a in enumerate(g.atoms) if a.element == "C"}
         assert ring_atoms(g) == carbons
 
     def test_propane_no_ring(self):
-        g = prepared("CCC")
+        g = parse_smiles("CCC")
         assert ring_atoms(g) == set()
 
     def test_two_rings_with_linker_matches_cycle_oracle(self):
-        g = prepared("C1CC1CC1CC1")
+        g = parse_smiles("C1CC1CC1CC1")
         edges = [b.endpoints for b in g.bonds]
         expected = cycle_edges(g.n_atoms, edges)
         assert ring_bonds(g) == expected
-        ring_carbons = {a.id for a in g.atoms
-                        if a.element == "C" and a.id in ring_atoms(g)}
+        ring_carbons = {i for i, a in enumerate(g.atoms)
+                        if a.element == "C" and i in ring_atoms(g)}
         assert len(ring_carbons) == 6
 
     def test_random_graphs_match_cycle_oracle(self, random_graphs):
@@ -215,7 +254,7 @@ class TestDetectRings:
         assert len(graphs) == 996
         for adj in graphs:
             edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))]
-            g = MolecularGraph("g", tuple(Atom(i, "C") for i in range(len(adj))),
+            g = MolecularGraph("g", (Atom("C"),) * len(adj),
                                tuple(Bond(u, v, "SINGLE") for u, v in edges))
             assert ring_bonds(g) == cycle_edges(len(adj), edges), adj.tolist()
 
@@ -309,7 +348,7 @@ class TestJsonFormat:
     def test_parse_serialize_parse_roundtrip(self):
         for smiles in ("N[C@@H](C)C(=O)O", "c1ccc(cc1)C(=O)O", "CC(Cl)(Br)F",
                        "O=S(=O)(O)O", "C#N", "CC1CCC(N)CC1"):
-            g = prepared(smiles)
+            g = parse_smiles(smiles)
             back = load_graph_json(json.loads(json.dumps(graph_to_json_dict(g))))
             assert back.atoms == g.atoms
             assert back.bonds == g.bonds
@@ -317,11 +356,11 @@ class TestJsonFormat:
 
 class TestMirrorAndRelabel:
     def test_achiral_mirror_identity(self):
-        g = prepared("CCO")
+        g = parse_smiles("CCO")
         assert mirror(g) == g
 
     def test_alanine_mirror_swaps_tag(self):
-        g = prepared("N[C@@H](C)C(=O)O")
+        g = parse_smiles("N[C@@H](C)C(=O)O")
         m = mirror(g)
         assert g.atoms[1].chirality == CHI_CW
         assert m.atoms[1].chirality == CHI_CCW
@@ -357,7 +396,7 @@ def test_permutation_parity_matches_inversion_count():
 
 
 def test_dataset_record_validation():
-    graph = expand_hydrogens(parse_smiles("C", name="r"))
+    graph = parse_smiles("C", name="r")
     with pytest.raises(DataError):
         DatasetRecord("r", 1.0, graph, split="train")
     assert DatasetRecord("r", 1.0, graph, split="TRAIN").graph is graph
@@ -372,7 +411,7 @@ def _json_containers(inner):
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     _json_containers, max_leaves=6)
-_BASE_DOCS = [graph_to_json_dict(assign_reference_charges(prepared(smiles)))
+_BASE_DOCS = [graph_to_json_dict(assign_reference_charges(parse_smiles(smiles)))
               for smiles in ("CCO", "c1ccccc1", "N[C@@H](C)C(=O)O", "C#N", "[NH4+]")]
 _FIELDS = {"$": ("name", "atoms", "bonds", "extra"),
            "atoms": ("element", "formal_charge", "partial_charge", "chirality", "x"),

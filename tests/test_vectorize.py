@@ -16,7 +16,7 @@ from moltop.errors import (
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, make_spec
 from moltop.homology import PersistenceDiagram
 from moltop.harness import load_dataset
-from moltop.molgraph import DatasetRecord, MolecularGraph, expand_hydrogens, parse_smiles
+from moltop.molgraph import DatasetRecord, MolecularGraph, parse_smiles
 from moltop.vectorize import (
     FingerprintLayout,
     assemble,
@@ -35,7 +35,7 @@ ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 
 
 def charged(smiles):
-    return assign_reference_charges(expand_hydrogens(parse_smiles(smiles)))
+    return assign_reference_charges(parse_smiles(smiles))
 
 
 class TestBettiCurve:
@@ -144,13 +144,12 @@ class TestAssemble:
         for row in block:
             assert len(set(row[2:].tolist())) == 1
 
-    def test_unexpanded_graph_rejected(self):
-        g = parse_smiles("CC")
-        with pytest.raises(DataError):
-            assemble(g, [make_spec("ATOMIC_MASS")], 5)
+    def test_empty_graph_rejected(self):
+        with pytest.raises(DataError, match="non-empty"):
+            assemble(MolecularGraph("none", (), ()), [make_spec("ATOMIC_MASS")], 5)
 
     def test_missing_charges_propagate(self):
-        g = expand_hydrogens(parse_smiles("CC"))
+        g = parse_smiles("CC")
         with pytest.raises(DataError):
             assemble(g, ALL_SPECS, 5)
 
@@ -183,7 +182,7 @@ class TestDatasetFingerprinting:
 
     def test_failures_isolated_and_reported(self):
         records = self.make_records(6)
-        records[2] = DatasetRecord("bad", 1.0, expand_hydrogens(parse_smiles("C")))  # no charges
+        records[2] = DatasetRecord("bad", 1.0, parse_smiles("C"))  # no charges
         table = fingerprint_dataset(records, FILTRATION_KINDS, 8)
         assert len(table.fingerprints) == 5
         assert len(table.errors) == 1
@@ -264,7 +263,7 @@ class TestDatasetFingerprinting:
                               table.matrix()[0::2])
 
     def test_all_failed_raises(self):
-        records = [DatasetRecord("a", 1.0, expand_hydrogens(parse_smiles("C")))]
+        records = [DatasetRecord("a", 1.0, parse_smiles("C"))]
         with pytest.raises(DataError):
             fingerprint_dataset(records, FILTRATION_KINDS, 8)
 
