@@ -4,12 +4,18 @@ Each parameter assigns every atom a value f(v) through one value function
 per kind; level i of the sequence is the set of atoms with f(v) <= alpha_i,
 the spec's i-th threshold.  The canonical thresholds rise and end at or
 above every value, so their sequences are nested and the last level holds
-every vertex.
+every vertex.  ``build_sequence`` gives the levels as frozensets, from one
+sort of the values; ``sublevel_rows``, which the fingerprint reads, gives
+them as one (levels, n) boolean matrix.  Values compare as numbers: the
+molecule loader stores every partial charge as a float, and the other
+kinds' values are table masses or small integers.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 import math
+
+import numpy as np
 
 from .elements import ATOMIC_MASS
 from .errors import ChargesRequiredError, ConfigError, DataError, UnsupportedElementError
@@ -147,14 +153,28 @@ _VALUES = {
 }
 
 
+def _values(graph: MolecularGraph, spec: FiltrationSpec):
+    """The atoms' values and the spec, given the molecule's own deciles if it
+    has no thresholds."""
+    values = _VALUES[spec.kind](graph)
+    if spec.thresholds is None:
+        spec = FiltrationSpec(spec.kind, decile_boundaries(values))
+    return values, spec
+
+
 def build_sequence(graph: MolecularGraph, spec: FiltrationSpec) -> SublevelSequence:
     """Level i holds the atoms whose value is at most the spec's threshold i:
     a prefix of the atoms sorted once by value.  A partial-charge spec
     without thresholds takes the molecule's own deciles."""
-    values = _VALUES[spec.kind](graph)
-    if spec.thresholds is None:
-        spec = FiltrationSpec(spec.kind, decile_boundaries(values))
+    values, spec = _values(graph, spec)
     order = sorted(range(len(values)), key=values.__getitem__)
     ordered = [values[v] for v in order]
     return SublevelSequence(spec, tuple(frozenset(order[:bisect_right(ordered, alpha)])
                                         for alpha in spec.thresholds))
+
+
+def sublevel_rows(graph: MolecularGraph, spec: FiltrationSpec) -> np.ndarray:
+    """The levels of ``build_sequence`` as one (levels, n) boolean matrix,
+    ``values <= thresholds``, with no sort."""
+    values, spec = _values(graph, spec)
+    return np.asarray(values) <= np.asarray(spec.thresholds)[:, None]

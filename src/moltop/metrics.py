@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, LayoutMismatchError
 from .homology import PersistenceDiagram
-from .vectorize import Fingerprint, fingerprint_from_rows, row_diagrams
+from .vectorize import Fingerprint, expand_cores, fingerprint_from_cores, row_cores
 
 
 def wasserstein(pd_a: PersistenceDiagram, pd_b: PersistenceDiagram,
@@ -81,8 +81,8 @@ def matching_report(graph_a, graph_b, specs, k_grid: int,
                     p: float = 1.0) -> MatchingDistanceReport:
     """Per-row diagram distances and the induced fingerprint distance for a pair."""
     specs = list(specs)
-    rows_a, _ = row_diagrams(graph_a, specs, k_grid)
-    rows_b, _ = row_diagrams(graph_b, specs, k_grid)
+    cores_a, cores_b = (row_cores(g, specs, k_grid) for g in (graph_a, graph_b))
+    rows_a, rows_b = (expand_cores(c, specs, k_grid) for c in (cores_a, cores_b))
     if len(rows_a) != len(rows_b):
         raise DataError("graphs produced different row counts")
     per_row = []
@@ -91,9 +91,9 @@ def matching_report(graph_a, graph_b, specs, k_grid: int,
         w1 = wasserstein(a1, b1, p)
         per_row.append(math.inf if math.isinf(w0) or math.isinf(w1) else w0 + w1)
     induced = math.inf if any(math.isinf(w) for w in per_row) else sum(per_row)
-    fp_a = fingerprint_from_rows(rows_a, specs, k_grid, graph_a.name)
-    fp_b = fingerprint_from_rows(rows_b, specs, k_grid, graph_b.name)
-    vector_distance = fingerprint_distance(fp_a, fp_b)
+    vector_distance = fingerprint_distance(
+        fingerprint_from_cores(cores_a, specs, k_grid, graph_a.name),
+        fingerprint_from_cores(cores_b, specs, k_grid, graph_b.name))
     ratio = None
     if induced > 0 and not math.isinf(induced):
         ratio = vector_distance / induced

@@ -668,9 +668,10 @@ def ensemble_from_dict(doc: dict) -> SglbEnsemble:
 
 
 def save_ensemble(ensemble: SglbEnsemble, path):
+    """The model as one JSON line.  ``json.dumps`` runs the C encoder, which
+    ``json.dump`` never does, and writes the same bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(ensemble), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(ensemble_to_dict(ensemble), sort_keys=True) + "\n")
 
 
 def load_ensemble(path) -> SglbEnsemble:

@@ -1,14 +1,23 @@
-"""Betti-curve fingerprints: per-row persistence diagrams flattened into a
-fixed-length integer vector with a frozen, versioned layout.
+"""Betti-curve fingerprints: the persistence of every sublevel row flattened
+into a fixed-length integer vector with a frozen, versioned layout.
 
 Layout: for each parameter kind in the fixed order AM, PC, BT, CH and each
 homology dimension 0 then 1, an m x (K_grid + 1) Betti matrix in row-major
 order.  m is the kind's level count, column j holds the Betti number at
 scale j, and essential classes count towards every column at or after their
 birth.
+
+A molecule's rows go from the filtration values to the vector as arrays.
+``row_cores`` stacks the rows of every kind into one boolean matrix and
+reduces each distinct vertex set a strong collapse keeps of them once;
+``fingerprint_from_cores`` takes the Betti curves of those core diagrams in
+one call, adds each row's removed vertices at scale 0, and gathers the
+curves in layout order.  No row-level diagram is built for a fingerprint:
+``expand_cores`` expands the cores row by row only for the diagram dump,
+the matching distances and ``row_diagrams``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import csv
 import functools
@@ -17,13 +26,14 @@ import itertools
 
 import numpy as np
 
-from .errors import DataError, LayoutMismatchError, note_line, process_map, read_text, typed
+from .errors import (DataError, InternalInvariantError, LayoutMismatchError, note_line,
+                     process_map, read_text, typed)
 from .filtration import (
     LEVEL_COUNTS,
     PARTIAL_CHARGE_KIND,
-    build_sequence,
     canonical_kinds,
     make_spec,
+    sublevel_rows,
 )
 from .homology import (
     PersistenceDiagram,
@@ -138,79 +148,140 @@ def graph_from_record(record: DatasetRecord) -> MolecularGraph:
     return load_graph_json(graph) if isinstance(graph, dict) else graph
 
 
-def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
-                 distance_mode: str = "full_graph"):
-    """(kind, row index, PD_0, PD_1) for every sublevel row, in layout order,
-    and the graph's hop diameter.
+@dataclass(frozen=True)
+class RowCores:
+    """A molecule's sublevel rows as the distinct vertex sets a strong
+    collapse keeps of them.
+
+    Layout row j (the levels of every spec, in spec order) is core
+    ``core[j]`` plus ``removed[j]`` collapsed vertices; ``core[j]`` is -1 for
+    an empty row.  A row's PD_1 is its core's, and its PD_0 is its core's
+    with one (0, 1) pair more per removed vertex.
+    """
+    diagrams: list            # (PD_0, PD_1) of each core
+    core: tuple[int, ...]     # one per layout row
+    removed: tuple[int, ...]  # one per layout row
+    diameter: int             # the graph's hop diameter
+
+
+def _distinct(rows: np.ndarray):
+    """The index of each distinct row's first occurrence, in order, and each
+    row's index into them; rows are keyed by their bytes."""
+    n = rows.shape[1]
+    data = rows.tobytes()
+    first = {}
+    at = [first.setdefault(data[i:i + n], i // n) for i in range(0, len(data), n)]
+    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return firsts, np.searchsorted(firsts, at)
+
+
+def row_cores(graph: MolecularGraph, specs, k_grid: int,
+              distance_mode: str = "full_graph") -> RowCores:
+    """The sublevel rows of ``specs`` as the diagrams of their distinct
+    collapsed vertex sets.
 
     Distances default to hop counts in the full molecular graph restricted
-    to each row; induced_subgraph mode walks each row within itself.  One
-    walk and one strong collapse serve all distinct rows; the vertex sets
-    they keep are built and reduced in one stack, each set once, and every
-    removed vertex gives PD_0 back its (0, 1) pair.
+    to each row; induced_subgraph mode walks each row within itself.  The
+    rows are one (L, n) boolean matrix; one walk and one strong collapse
+    serve its distinct non-empty rows, and the vertex sets they keep are
+    built and reduced in one stack, each set once.
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
     if not graph.atoms:
         raise DataError("graph must be non-empty before fingerprinting")
-    rows = [(spec.kind, i, s) for spec in specs
-            for i, s in enumerate(build_sequence(graph, spec).subsets)]
-    distinct = list(dict.fromkeys(s for _, _, s in rows if s))
-    masks = np.zeros((len(distinct), graph.n_atoms), dtype=bool)
-    for r, s in enumerate(distinct):
-        masks[r, list(s)] = True
+    rows = np.concatenate([sublevel_rows(graph, spec) for spec in specs])
+    filled = np.flatnonzero(rows.any(axis=1))  # a sublevel set can be empty (e.g. no ring atoms)
+    firsts, row_mask = _distinct(rows[filled])
+    masks = rows[filled[firsts]]
     hops = geodesic_distances(graph, masks if distance_mode == "induced_subgraph" else None)
     kept = strong_collapse(hops, masks, k_grid)
     # Rows that keep the same vertices have the same hop block, in both modes:
     # a shortest path through a removed vertex can pass through its dominator
     # instead, so a collapse keeps induced distances.  One stack holds each
     # distinct kept vertex set once.
-    first = {}
-    for r, core in enumerate(kept):
-        first.setdefault(core.tobytes(), r)
-    cores = list(first.values())
-    stack = build_rows([np.flatnonzero(kept[r]).tolist() for r in cores],
+    cores, mask_core = _distinct(kept)
+    sets = kept[cores]
+    members = np.nonzero(sets)[1].tolist()  # each core's vertices, one core after another
+    ends = np.cumsum(sets.sum(axis=1)).tolist()
+    stack = build_rows([members[a:b] for a, b in zip([0] + ends, ends)],
                        hops if hops.ndim == 2 else hops[cores], k_grid)
-    reduced = dict(zip(first, reduce_rows(stack, validate=False)))
-    # a sublevel set can be empty (e.g. no ring atoms)
-    diagrams = {frozenset(): (PersistenceDiagram(0, (), (), k_grid),
-                              PersistenceDiagram(1, (), (), k_grid))}
-    for s, core in zip(distinct, kept):
-        pd0, pd1 = reduced[core.tobytes()]
-        removed = len(s) - int(np.count_nonzero(core))  # (0, 1) sorts first
-        diagrams[s] = (replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1)
+    core = np.full(len(rows), -1, dtype=np.intp)
+    core[filled] = mask_core[row_mask]
+    removed = np.zeros(len(rows), dtype=np.intp)
+    removed[filled] = (masks.sum(axis=1) - kept.sum(axis=1))[row_mask]
     # every kind's last level holds every atom, and its walk is the full graph's
     diameter = int((hops if hops.ndim == 2 else hops[masks.all(axis=1)]).max())
-    return [(kind, i, *diagrams[s]) for kind, i, s in rows], diameter
+    return RowCores(reduce_rows(stack, validate=False), tuple(core.tolist()),
+                    tuple(removed.tolist()), diameter)
 
 
-def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerprint:
-    """Betti curves of ``row_diagrams`` output at scales 0..k_grid, flattened in
-    layout order; a diagram reduced past k_grid gives its truncation's curve.
-    Rows of one sublevel set share diagram objects, each computed once."""
+def expand_cores(cores: RowCores, specs, k_grid: int) -> list:
+    """(kind, row index, PD_0, PD_1) of every layout row, cut at ``k_grid``
+    (see ``truncate``): its core's diagrams, with PD_0 given back one
+    (0, 1) pair per removed vertex; (0, 1) sorts first."""
+    cut = [(truncate(pd0, k_grid), truncate(pd1, k_grid)) for pd0, pd1 in cores.diagrams]
+    empty = (PersistenceDiagram(0, (), (), k_grid), PersistenceDiagram(1, (), (), k_grid))
+    out = []
+    for (kind, i), c, removed in zip([(s.kind, i) for s in specs for i in range(s.levels)],
+                                     cores.core, cores.removed):
+        if c < 0:
+            out.append((kind, i, *empty))
+            continue
+        pd0, pd1 = cut[c]
+        out.append((kind, i, PersistenceDiagram(0, ((0, 1),) * removed + pd0.pairs,
+                                                pd0.essentials, k_grid), pd1))
+    return out
+
+
+def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
+                 distance_mode: str = "full_graph"):
+    """(kind, row index, PD_0, PD_1) for every sublevel row, in layout order,
+    and the graph's hop diameter: ``row_cores`` expanded row by row."""
+    specs = list(specs)
+    cores = row_cores(graph, specs, k_grid, distance_mode)
+    return expand_cores(cores, specs, k_grid), cores.diameter
+
+
+_EMPTY = PersistenceDiagram(0, (), (), 0)  # the diagram of an empty row
+
+
+def layout_curves(curves: np.ndarray, cores: RowCores, specs) -> np.ndarray:
+    """The layout's Betti-curve rows in layout order, from ``curves``: row 2c
+    + dim the curve of core c's PD_dim, and the last row an empty diagram's.
+    A layout row's PD_0 curve is its core's plus ``removed`` at scale 0,
+    where a (0, 1) pair is alive and nowhere else."""
+    core = np.array(cores.core)
+    empty = core < 0
+    pd0 = np.where(empty, len(curves) - 1, 2 * core)
+    rows = curves[np.stack([pd0, np.where(empty, pd0, pd0 + 1)])]  # (2, L, width)
+    rows[0, :, 0] += cores.removed
+    bounds = np.cumsum([0] + [s.levels for s in specs]).tolist()
+    return np.concatenate([rows[:, a:b].reshape(-1, rows.shape[2])
+                           for a, b in zip(bounds, bounds[1:])])
+
+
+def fingerprint_from_cores(cores: RowCores, specs, k_grid: int, record_id: str) -> Fingerprint:
+    """Betti curves of a molecule's layout rows at scales 0..k_grid, flattened
+    in layout order, from one ``betti_curves`` call over its core diagrams;
+    a diagram reduced past k_grid gives its truncation's curve."""
     layout = FingerprintLayout(LAYOUT_VERSION, tuple(s.kind for s in specs), k_grid)
-    by_kind: dict[str, list] = {s.kind: [] for s in specs}
-    for kind, _, pd0, pd1 in rows:
-        by_kind[kind].append((pd0, pd1))
-    diagrams = [pds[dim] for spec in specs for dim in (0, 1) for pds in by_kind[spec.kind]]
-    slot: dict[int, int] = {}
-    at = [slot.setdefault(id(pd), len(slot)) for pd in diagrams]
-    distinct = list({id(pd): pd for pd in diagrams}.values())
-    cap = max([k_grid] + [pd.eps_max for pd in distinct])
-    vector = betti_curves(distinct, cap)[at, :k_grid + 1].ravel()
+    diagrams = [pd for pair in cores.diagrams for pd in pair] + [_EMPTY]
+    cap = max([k_grid] + [pd.eps_max for pd, _ in cores.diagrams])
+    vector = layout_curves(betti_curves(diagrams, cap)[:, :k_grid + 1], cores, specs).ravel()
     if vector.shape[0] != layout.length:
-        raise DataError("assembled vector does not match the layout length")
+        raise InternalInvariantError("assembled vector does not match the layout length")
     return Fingerprint(record_id, layout, vector)
 
 
 def assemble(graph: MolecularGraph, specs, k_grid: int,
              distance_mode: str = "full_graph",
              record_id: str | None = None) -> Fingerprint:
-    """Full per-molecule pipeline: sequences -> VR rows -> diagrams -> curves."""
+    """Full per-molecule pipeline: sublevel rows -> collapsed cores -> diagrams
+    -> curves."""
     specs = list(specs)
-    rows, _ = row_diagrams(graph, specs, k_grid, distance_mode)
-    return fingerprint_from_rows(rows, specs, k_grid,
-                                 record_id if record_id is not None else graph.name)
+    return fingerprint_from_cores(row_cores(graph, specs, k_grid, distance_mode), specs, k_grid,
+                                  record_id if record_id is not None else graph.name)
 
 
 def diagram_records(rows, molecule_id: str) -> list[dict]:
@@ -275,23 +346,22 @@ def fingerprint_dataset(records, kinds, k_grid: int | None, threads: int = 1,
         return (f"a worker died; {len(ids)} records had not returned: "
                 + ", ".join(ids[:10]) + (", ..." if len(ids) > 10 else ""))
     task = functools.partial(_on_record, functools.partial(
-        row_diagrams, specs=specs, k_grid=K_GRID_CAP if k_grid is None else k_grid,
+        row_cores, specs=specs, k_grid=K_GRID_CAP if k_grid is None else k_grid,
         distance_mode=distance_mode))
     pairs = process_map(task, records, threads, lost)
-    done = [(record.record_id, r) for record, (r, e) in zip(records, pairs) if e is None]
+    done = [(record.record_id, c) for record, (c, e) in zip(records, pairs) if e is None]
     errors = [e for _, e in pairs if e is not None]
     if not done:
         raise DataError(f"all {len(records)} records failed; first error: "
                         f"{errors[0]['error']}")
     if k_grid is None:
-        k_grid = min(K_GRID_CAP, max(max(diameter for _, (_, diameter) in done), 1))
+        k_grid = min(K_GRID_CAP, max(max(cores.diameter for _, cores in done), 1))
     return FingerprintTable(
         FingerprintLayout(LAYOUT_VERSION, kinds, k_grid),
-        tuple(fingerprint_from_rows(rows, specs, k_grid, record_id)
-              for record_id, (rows, _) in done),
+        tuple(fingerprint_from_cores(cores, specs, k_grid, record_id)
+              for record_id, cores in done),
         tuple(errors),
-        tuple([(kind, i, truncate(pd0, k_grid), truncate(pd1, k_grid))
-               for kind, i, pd0, pd1 in rows] for _, (rows, _) in done) if diagrams else ())
+        tuple(expand_cores(cores, specs, k_grid) for _, cores in done) if diagrams else ())
 
 
 def slice_table(table: FingerprintTable, kinds) -> FingerprintTable:

@@ -4,15 +4,17 @@ Everything here favors directness over speed: dense GF(2) Gaussian
 elimination for Betti numbers, the textbook single-matrix column reduction
 for persistence pairs, exhaustive matching enumeration for Wasserstein
 distances, naive threshold loops for the classification metrics, one scan
-of every atom per level for sublevel rows, a plain 256-slot histogram
-tree grower for the boosting trainer, and prediction that walks one tree at
-a time.  None of it
+of every atom per level (or one sort and a bisection per level) for
+sublevel rows, fingerprints from one row's Betti curve at a time, a plain
+256-slot histogram tree grower for the boosting trainer, and prediction
+that walks one tree at a time.  None of it
 shares code with the production paths, except the classical boosting
 reference, which reuses the trainer's losses and base prediction so that the
 trees it is compared with can be equal.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import combinations, permutations
 
@@ -30,6 +32,7 @@ from moltop.sglb import (
     _regression_negative_gradients,
     _validate_training_data,
 )
+from moltop.vectorize import LAYOUT_VERSION, Fingerprint, FingerprintLayout
 
 UNREACHABLE = -1
 
@@ -163,6 +166,17 @@ def betti_curve(pd, k_grid: int) -> np.ndarray:
     for b in pd.essentials:
         diff[b] += 1
     return np.cumsum(diff[:-1])
+
+
+def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerprint:
+    """The fingerprint of ``row_diagrams`` rows, one row's curve at a time:
+    per kind, the PD_0 curve of each of its rows, then their PD_1 curves; a
+    diagram reduced past k_grid gives its first k_grid + 1 scales."""
+    layout = FingerprintLayout(LAYOUT_VERSION, tuple(s.kind for s in specs), k_grid)
+    curves = [betti_curve(pds[dim], max(k_grid, pds[dim].eps_max))[:k_grid + 1]
+              for spec in specs for dim in (0, 1)
+              for kind, _, *pds in rows if kind == spec.kind]
+    return Fingerprint(record_id, layout, np.concatenate(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +667,14 @@ def sublevel_sets(graph, kind, thresholds):
     values = atom_values(graph, kind)
     return tuple(frozenset(v for v, value in enumerate(values) if value <= alpha)
                  for alpha in thresholds)
+
+
+def sorted_levels(values, thresholds):
+    """Level i by one sort and a bisection: the atoms in value order up to
+    the last value at most ``thresholds[i]``."""
+    order = sorted(range(len(values)), key=lambda v: (values[v], v))
+    ordered = [values[v] for v in order]
+    return tuple(frozenset(order[:bisect_right(ordered, alpha)]) for alpha in thresholds)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,27 @@ def test_only_the_diagram_dump_keeps_row_diagrams(tiny_dataset_path, tmp_path, m
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fingerprints_never_expand_row_diagrams(tiny_dataset_path, tmp_path, monkeypatch,
+                                                capsys, threads):
+    # A fingerprint comes from the collapsed cores: only a diagram dump
+    # expands them into the diagrams of every row.
+    def expand(*args, **kwargs):
+        raise AssertionError("row diagrams expanded for a fingerprint")
+
+    monkeypatch.setattr(vectorize, "expand_cores", expand)
+    records = [DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"])
+               for doc in map(json.loads, tiny_dataset_path.read_text().splitlines())]
+    specs = [make_spec(k) for k in FILTRATION_KINDS]
+    for record in records[:5]:
+        vectorize.assemble(vectorize.graph_from_record(record), specs, 8)
+    table = vectorize.fingerprint_dataset(records, FILTRATION_KINDS, None, threads=threads)
+    assert len(table.fingerprints) == len(records) and table.diagrams == ()
+    cfg = open_k_grid_config(tiny_dataset_path, tmp_path, threads=threads)
+    assert main(["fingerprint", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mode", ["full_graph", "induced_subgraph"])
 def test_dump_with_open_k_grid_is_row_diagrams_at_the_largest_diameter(
         tiny_dataset_path, tmp_path, capsys, mode):
@@ -344,6 +365,14 @@ def test_internal_invariant_error_exits_4(config_path, monkeypatch, capsys):
     monkeypatch.setattr(vectorize, "reduce_rows", broken)
     assert main(["fingerprint", "--config", str(config_path)]) == 4
     assert "internal invariant" in capsys.readouterr().err
+
+
+def test_a_vector_off_the_layout_exits_4_not_3(config_path, monkeypatch, capsys):
+    # Only a bug can make the assembled vector miss a layout column.
+    real = vectorize.layout_curves
+    monkeypatch.setattr(vectorize, "layout_curves", lambda *args: real(*args)[:, :-1])
+    assert main(["fingerprint", "--config", str(config_path)]) == 4
+    assert "does not match the layout length" in capsys.readouterr().err
 
 
 def test_internal_invariant_error_at_load_exits_4(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from moltop.filtration import (
     chirality_value,
     decile_boundaries,
     make_spec,
+    sublevel_rows,
 )
 from moltop.molgraph import (
     CHI_CW,
@@ -25,7 +26,7 @@ from moltop.molgraph import (
 from moltop.vectorize import graph_from_record
 from dataclasses import replace
 
-from oracles import mirror, nearest_rank_deciles, relabel, sublevel_sets
+from oracles import mirror, nearest_rank_deciles, relabel, sorted_levels, sublevel_sets
 
 
 def sequence(graph, kind, charge_thresholds=None):
@@ -263,6 +264,47 @@ class TestAgainstScanOracle:
         hydrogens = frozenset(i for i, a in enumerate(g.atoms) if a.element == "H")
         seq = build_sequence(g, FiltrationSpec("ATOMIC_MASS", tuple(10.0 * i for i in range(10))))
         assert seq.subsets == (frozenset(), hydrogens) + (frozenset(range(g.n_atoms)),) * 8
+
+
+def as_sets(rows):
+    """The levels of a boolean row matrix as frozensets of atom ids."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in rows)
+
+
+# A small pool of charges makes ties, and few atoms make deciles repeat.
+CHARGES = st.lists(st.sampled_from([-0.5, -0.25, 0.0, 0.125, 0.5])
+                   | st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=12)
+
+
+class TestSublevelRows:
+    """The boolean rows are the frozenset levels, and one sort and a bisection
+    per level give them too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=CHARGES, data=st.data())
+    def test_partial_charge_rows(self, values, data):
+        graph = MolecularGraph("m", tuple(Atom("C", partial_charge=v) for v in values), ())
+        seen = sorted(set(values))
+        # global thresholds below, at, between and above the values
+        candidates = ([seen[0] - 1.0, seen[-1] + 1.0] + seen
+                      + [(a + b) / 2 for a, b in zip(seen, seen[1:])])
+        pooled = data.draw(st.none() | st.lists(st.sampled_from(candidates),
+                                                min_size=10, max_size=10).map(sorted))
+        spec = make_spec("PARTIAL_CHARGE", pooled)
+        thresholds = nearest_rank_deciles(values) if pooled is None else tuple(pooled)
+        rows = sublevel_rows(graph, spec)
+        assert rows.shape == (10, len(values)) and rows.dtype == bool
+        assert as_sets(rows) == build_sequence(graph, spec).subsets
+        assert as_sets(rows) == sorted_levels(values, thresholds)
+
+    def test_every_kind_on_datagen_molecules(self, small_records):
+        for doc in small_records[:40]:
+            graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"]))
+            for kind in FILTRATION_KINDS:
+                seq = build_sequence(graph, make_spec(kind))
+                rows = sublevel_rows(graph, make_spec(kind))
+                assert rows.shape == (LEVEL_COUNTS[kind], graph.n_atoms)
+                assert as_sets(rows) == seq.subsets, (graph.name, kind)
 
 
 def test_spec_validation():

@@ -17,6 +17,7 @@ from moltop.molgraph import DatasetRecord
 from moltop.sglb import (
     SglbConfig,
     TASK_CLASSIFICATION,
+    TASK_REGRESSION,
     TASKS,
     classification_uncertainty,
     decompose,
@@ -625,6 +626,18 @@ class TestSerialization:
         for ma, mb in zip(ens.members, back.members):
             assert ma.trees == mb.trees
             assert ma.layout == mb.layout
+
+    @pytest.mark.parametrize("toy,task", [(toy_regression, TASK_REGRESSION),
+                                          (toy_classification, TASK_CLASSIFICATION)])
+    def test_saved_bytes_are_the_pure_python_encoders(self, tmp_path, toy, task):
+        # JSONEncoder.iterencode without _one_shot is the encoder json.dump runs
+        X, y = toy()
+        ens = fit_ensemble(X, y, SglbConfig(task=task, iterations=6, max_depth=3,
+                                            ensemble_size=2, seed=0))
+        path = tmp_path / "model.json"
+        sglb.save_ensemble(ens, path)
+        want = "".join(json.JSONEncoder(sort_keys=True).iterencode(ensemble_to_dict(ens)))
+        assert path.read_bytes() == (want + "\n").encode("utf-8")
 
     def test_layout_refusal(self):
         X, y = toy_regression()

@@ -6,30 +6,47 @@ import os
 import numpy as np
 import pytest
 
-from moltop.datagen import assign_reference_charges
+from pathlib import Path
+
+from moltop.datagen import assign_reference_charges, generate_dataset
 from moltop.errors import (
     DataError,
     InternalInvariantError,
     LayoutMismatchError,
     MoltopError,
 )
-from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, make_spec
+from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, decile_boundaries, make_spec
 from moltop.homology import PersistenceDiagram
 from moltop.harness import load_dataset
-from moltop.molgraph import DatasetRecord, MolecularGraph, parse_smiles
+from moltop.molgraph import Atom, Bond, DatasetRecord, MolecularGraph, parse_smiles
 from moltop.vectorize import (
+    DISTANCE_MODES,
+    K_GRID_CAP,
     FingerprintLayout,
     assemble,
     betti_curves,
+    RowCores,
     diagram_records,
+    expand_cores,
     fingerprint_dataset,
+    fingerprint_from_cores,
+    graph_from_record,
+    kind_specs,
     read_fingerprints_csv,
+    row_cores,
     row_diagrams,
     slice_table,
     write_fingerprints_csv,
 )
 
-from oracles import betti_curve, mirror, relabel
+from oracles import (
+    betti_curve,
+    fingerprint_from_rows,
+    graph_diameter,
+    load_graph6_file,
+    mirror,
+    relabel,
+)
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 
@@ -160,6 +177,97 @@ class TestAssemble:
         fp_full = assemble(g, ALL_SPECS, 10, distance_mode="full_graph")
         fp_sub = assemble(g, ALL_SPECS, 10, distance_mode="induced_subgraph")
         assert not np.array_equal(fp_full.vector, fp_sub.vector)
+
+
+def row_by_row(graph, specs, cap, k_grid, mode, record_id=None):
+    """The oracle: the fingerprint of ``row_diagrams`` reduced at ``cap``, one
+    row's curve at a time, cut to ``k_grid``."""
+    return fingerprint_from_rows(row_diagrams(graph, specs, cap, mode)[0], specs, k_grid,
+                                 graph.name if record_id is None else record_id)
+
+
+class TestCoresMatchRowByRow:
+    """The vector built from the collapsed cores, one Betti-curve call per
+    molecule, is the vector of the row diagrams."""
+
+    def test_bundled_graphs_both_modes(self):
+        graphs = load_graph6_file(str(Path(__file__).parent / "data" / "connected_graphs_le7.g6"))
+        assert len(graphs) == 996
+        rng = np.random.default_rng(43)
+        for i, adj in enumerate(graphs):
+            # few charge values: ties, repeated deciles and rows that coincide
+            atoms = tuple(Atom("C", partial_charge=float(c))
+                          for c in rng.choice([-0.2, 0.0, 0.1, 0.3], size=len(adj)))
+            bonds = tuple(Bond(int(u), int(v), "SINGLE")
+                          for u, v in zip(*np.nonzero(np.triu(adj))))
+            graph = MolecularGraph(f"g{i}", atoms, bonds)
+            k_grid = (1, 3, 14)[i % 3]
+            for mode in DISTANCE_MODES:
+                assert assemble(graph, ALL_SPECS, k_grid, mode) == \
+                    row_by_row(graph, ALL_SPECS, k_grid, k_grid, mode), (adj.tolist(), mode)
+
+    @pytest.mark.parametrize("decile_mode", ["per_molecule", "global"])
+    def test_datagen_molecules(self, decile_mode):
+        graphs = [graph_from_record(DatasetRecord(d["record_id"], 0.0, graph=d["graph"]))
+                  for d in generate_dataset(30, seed=5)]
+        pooled = (decile_boundaries([a.partial_charge for g in graphs for a in g.atoms])
+                  if decile_mode == "global" else None)
+        specs = kind_specs(FILTRATION_KINDS, pooled)
+        for graph in graphs:
+            for mode in DISTANCE_MODES:
+                for k_grid in (1, 3, 14):
+                    assert assemble(graph, specs, k_grid, mode) == \
+                        row_by_row(graph, specs, k_grid, k_grid, mode), (graph.name, mode)
+
+    def test_empty_rows_and_single_vertex_cores(self):
+        # CCO has no ring atoms, so its first bond-type levels are empty, and
+        # a tree's whole row collapses to one vertex.
+        graph = charged("CCO")
+        cores = row_cores(graph, ALL_SPECS, 6)
+        bond_type = slice(20, 24)  # the bond-type levels of the layout rows
+        assert cores.core[bond_type] == (-1, -1, -1, cores.core[-1])
+        assert cores.removed[bond_type] == (0, 0, 0, graph.n_atoms - 1)
+        pd0, pd1 = cores.diagrams[cores.core[-1]]
+        assert (pd0.pairs, pd0.essentials, pd1.pairs, pd1.essentials) == ((), (0,), (), ())
+        for mode in DISTANCE_MODES:
+            for k_grid in (1, 3, 14):
+                assert assemble(graph, ALL_SPECS, k_grid, mode) == \
+                    row_by_row(graph, ALL_SPECS, k_grid, k_grid, mode)
+
+    def test_diagrams_reduced_past_k_grid_give_their_truncations_curves(self):
+        # Classes born past k_grid + 1 must not leak into the next core's curve.
+        specs = [make_spec("CHIRALITY")]
+        late = (PersistenceDiagram(0, ((0, 2),), (0,), K_GRID_CAP),
+                PersistenceDiagram(1, ((5, 9), (6, 7)), (8,), K_GRID_CAP))
+        plain = (PersistenceDiagram(0, ((0, 1),), (0,), K_GRID_CAP),
+                 PersistenceDiagram(1, ((1, 3),), (), K_GRID_CAP))
+        cores = RowCores([late, plain], (0, 1, -1), (2, 0, 0), 9)
+        for k_grid in (1, 2, 5, 8):
+            want = fingerprint_from_rows(expand_cores(cores, specs, K_GRID_CAP), specs, k_grid,
+                                         "m")
+            assert fingerprint_from_cores(cores, specs, k_grid, "m") == want, k_grid
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("decile_mode", ["per_molecule", "global"])
+    def test_fingerprint_dataset(self, threads, decile_mode):
+        docs = generate_dataset(12, seed=19)
+        records = [DatasetRecord(d["record_id"], 0.0, graph=d["graph"]) for d in docs]
+        graphs = [graph_from_record(r) for r in records]
+        pooled = (decile_boundaries([a.partial_charge for g in graphs for a in g.atoms])
+                  if decile_mode == "global" else None)
+        specs = kind_specs(FILTRATION_KINDS, pooled)
+        for mode in DISTANCE_MODES:
+            for k_grid in (1, 3, 14, None):
+                table = fingerprint_dataset(records, FILTRATION_KINDS, k_grid, threads, mode,
+                                            pooled, diagrams=True)
+                k = table.layout.k_grid
+                if k_grid is None:
+                    assert k == min(K_GRID_CAP, max(map(graph_diameter, graphs)))
+                cap = K_GRID_CAP if k_grid is None else k_grid
+                for graph, record, fp, rows in zip(graphs, records, table.fingerprints,
+                                                   table.diagrams):
+                    assert fp == row_by_row(graph, specs, cap, k, mode, record.record_id)
+                    assert rows == row_diagrams(graph, specs, k, mode)[0]
 
 
 class TestDatasetFingerprinting:
