@@ -4,15 +4,16 @@ Each parameter assigns every atom a value f(v) through one value function
 per kind; level i of the sequence is the set of atoms with f(v) <= alpha_i,
 the spec's i-th threshold.  The canonical thresholds rise and end at or
 above every value, so their sequences are nested and the last level holds
-every vertex.  ``build_sequence`` gives the levels as frozensets, from one
-sort of the values; ``sublevel_rows``, which the fingerprint reads, gives
-them as one (levels, n) boolean matrix.  Values compare as numbers: the
-molecule loader stores every partial charge as a float, and the other
-kinds' values are table masses or small integers.
+every vertex.  ``sublevel_rows``, which the fingerprint reads, gives the
+levels as one (levels, n) boolean matrix, ``values <= thresholds``;
+``build_sequence`` reads the same matrix off as frozensets, a view kept for
+the benchmark's molecule selection and the tests.  Values compare as
+numbers: the molecule loader stores every partial charge as a float, and
+the other kinds' values are table masses or small integers.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 import math
 
 import numpy as np
@@ -153,28 +154,25 @@ _VALUES = {
 }
 
 
-def _values(graph: MolecularGraph, spec: FiltrationSpec):
-    """The atoms' values and the spec, given the molecule's own deciles if it
-    has no thresholds."""
+def _levels(graph: MolecularGraph, spec: FiltrationSpec):
+    """The (levels, n) boolean matrix ``values <= thresholds`` and the spec,
+    given the molecule's own deciles if it has no thresholds."""
     values = _VALUES[spec.kind](graph)
     if spec.thresholds is None:
         spec = FiltrationSpec(spec.kind, decile_boundaries(values))
-    return values, spec
+    return np.asarray(values) <= np.asarray(spec.thresholds)[:, None], spec
 
 
 def build_sequence(graph: MolecularGraph, spec: FiltrationSpec) -> SublevelSequence:
-    """Level i holds the atoms whose value is at most the spec's threshold i:
-    a prefix of the atoms sorted once by value.  A partial-charge spec
-    without thresholds takes the molecule's own deciles."""
-    values, spec = _values(graph, spec)
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ordered = [values[v] for v in order]
-    return SublevelSequence(spec, tuple(frozenset(order[:bisect_right(ordered, alpha)])
-                                        for alpha in spec.thresholds))
+    """The rows of ``sublevel_rows`` as frozensets, with the spec they were
+    taken at: a partial-charge spec without thresholds takes the molecule's
+    own deciles."""
+    rows, spec = _levels(graph, spec)
+    atoms = range(rows.shape[1])
+    return SublevelSequence(spec, tuple(frozenset(compress(atoms, row)) for row in rows.tolist()))
 
 
 def sublevel_rows(graph: MolecularGraph, spec: FiltrationSpec) -> np.ndarray:
-    """The levels of ``build_sequence`` as one (levels, n) boolean matrix,
-    ``values <= thresholds``, with no sort."""
-    values, spec = _values(graph, spec)
-    return np.asarray(values) <= np.asarray(spec.thresholds)[:, None]
+    """Level i of ``spec`` as row i of a (levels, n) boolean matrix: the atoms
+    whose value is at most the spec's threshold i."""
+    return _levels(graph, spec)[0]

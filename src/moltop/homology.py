@@ -10,9 +10,10 @@ sorted vertex tuple).  Triangles are never listed on their own: an edge's
 cofacets are its in-range third vertices, read from the row's hop block.
 
 A molecule's rows are built and reduced together, in one stack.
-``build_rows`` puts each row's hop block into an (R, m, m) array, padded to
-the largest row with UNREACHABLE, and orders the edges of all rows by (row,
-scale, u, v), so each row keeps its own filtration order.  ``reduce_rows``
+``build_rows`` takes the rows as an (R, n) boolean matrix of vertex masks,
+puts each row's hop block into an (R, m, m) array, padded to the largest
+row with UNREACHABLE, and orders the edges of all rows by (row, scale,
+u, v), so each row keeps its own filtration order.  ``reduce_rows``
 then follows Ripser (Bauer 2021) in four steps, each over all rows at once:
 
 0. Like Ripser, it first cuts each row at its enclosing radius R, the
@@ -43,7 +44,9 @@ then follows Ripser (Bauer 2021) in four steps, each over all rows at once:
 
 Cohomology yields the same pairs as boundary-matrix reduction in the same
 order; the test suite checks that against a triangle-list reducer, naive
-single-matrix reduction and an independent rank oracle.
+single-matrix reduction and an independent rank oracle.  ``reduce_rows``
+trusts the structure of its stack; the tests check every stack that
+``row_cores`` builds.
 
 Before a row is built, ``strong_collapse`` shrinks it.  Say x and a are in
 the row, hops[x, a] == 1, and hops[a, y] <= hops[x, y] for every other row
@@ -102,11 +105,12 @@ def geodesic_distances(graph: MolecularGraph, rows=None) -> np.ndarray:
 class RowStack:
     """Filtered clique 2-skeletons of several rows, built and reduced together.
 
-    Row r's hop block is hops[r, :k, :k] for its k = len(vertices[r]) local
-    vertices, padded to the largest row with UNREACHABLE.  Edges enter at the
-    hop distance of their endpoints, in (row, scale, u, v) order.
+    Row r's local vertices are its set's vertices in ascending order, and its
+    hop block is hops[r, :k, :k] for the k = inside[r].sum() of them, padded
+    to the largest row with UNREACHABLE.  Edges enter at the hop distance of
+    their endpoints, in (row, scale, u, v) order.
     """
-    vertices: tuple[tuple[int, ...], ...]
+    inside: np.ndarray      # (R, m) bool: local id j is a vertex of row r
     hops: np.ndarray        # (R, m, m) hop blocks, m the largest row
     edge_row: np.ndarray    # (E,) in filtration order
     edge_eps: np.ndarray    # (E,)
@@ -114,30 +118,24 @@ class RowStack:
     eps_max: int
 
 
-def _inside(vertices) -> np.ndarray:
-    """(R, m) bool: local id j is a vertex of row r."""
-    sizes = np.array([len(row) for row in vertices], dtype=np.intp)
-    return np.arange(sizes.max(initial=0)) < sizes[:, None]
-
-
-def build_rows(vertex_sets, hops: np.ndarray, eps_max: int) -> RowStack:
-    """Filtered clique 2-skeletons on the vertex sets, in one stack; ``hops``
-    is one (n, n) block for every set or an (R, n, n) stack with a block per
-    set.  Unreachable pairs never join."""
-    verts = [sorted(s) for s in vertex_sets]
-    if not all(verts):
+def build_rows(sets: np.ndarray, hops: np.ndarray, eps_max: int) -> RowStack:
+    """Filtered clique 2-skeletons on the (R, n) boolean vertex masks
+    ``sets``, in one stack; ``hops`` is one (n, n) block for every set or an
+    (R, n, n) stack with a block per set.  Unreachable pairs never join."""
+    sizes = np.count_nonzero(sets, axis=1)
+    if not sizes.all():
         raise DataError("vertex set must be non-empty")
-    inside = _inside(verts)
+    inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
     index = np.zeros(inside.shape, dtype=np.intp)
-    index[inside] = [v for row in verts for v in row]
-    hops = np.broadcast_to(hops, (len(verts),) + np.shape(hops)[-2:])
-    block = hops[np.arange(len(verts))[:, None, None], index[:, :, None], index[:, None, :]]
+    index[inside] = np.nonzero(sets)[1]
+    hops = np.broadcast_to(hops, (len(sizes),) + np.shape(hops)[-2:])
+    block = hops[np.arange(len(sizes))[:, None, None], index[:, :, None], index[:, None, :]]
     block = np.where(inside[:, :, None] & inside[:, None, :], block, UNREACHABLE)
     in_range = (block > 0) & (block <= eps_max)  # > 0: off the diagonal, reachable
     er, eu, ev = np.nonzero(np.triu(in_range))   # (row, u, v) order
     eps = block[er, eu, ev]
     order = np.argsort(er * (eps_max + 1) + eps, kind="stable")
-    return RowStack(tuple(map(tuple, verts)), block, er[order], eps[order],
+    return RowStack(inside, block, er[order], eps[order],
                     np.stack([eu[order], ev[order]], axis=1), int(eps_max))
 
 
@@ -197,27 +195,6 @@ def truncate(pd: PersistenceDiagram, eps_max: int) -> PersistenceDiagram:
                               tuple(sorted(essentials)), eps_max)
 
 
-def _validate(stack: RowStack):
-    hops = stack.hops
-    inside = _inside(stack.vertices)
-    if (hops.shape != inside.shape + inside.shape[-1:]
-            or not np.array_equal(hops, hops.swapaxes(1, 2))
-            or np.any(np.diagonal(hops, axis1=1, axis2=2)[inside] != 0)
-            or np.any(hops[~(inside[:, :, None] & inside[:, None, :])] != UNREACHABLE)):
-        raise InternalInvariantError(
-            "hop blocks are not symmetric with a zero diagonal and UNREACHABLE padding")
-    if not len(stack.edge_eps):
-        return
-    r = stack.edge_row
-    u, v = stack.edge_local.T
-    n_rows, m = inside.shape
-    if r.min() < 0 or r.max() >= n_rows or u.min() < 0 or v.max() >= m or not inside[r, v].all():
-        raise InternalInvariantError("an edge has an endpoint outside its row")
-    key = ((r.astype(np.int64) * (stack.eps_max + 1) + stack.edge_eps) * m + u) * m + v
-    if not (np.all(u < v) and np.all(np.diff(key) > 0)):
-        raise InternalInvariantError("edges are not sorted by (row, eps, u, v)")
-
-
 def _column(cofacets: np.ndarray, i: int) -> set:
     """The coboundary column of edge i: its row of triangle keys, less the -1s."""
     col = set(cofacets[i].tolist())
@@ -225,8 +202,7 @@ def _column(cofacets: np.ndarray, i: int) -> set:
     return col
 
 
-def reduce_rows(stack: RowStack, validate: bool = True
-                ) -> list[tuple[PersistenceDiagram, PersistenceDiagram]]:
+def reduce_rows(stack: RowStack) -> list[tuple[PersistenceDiagram, PersistenceDiagram]]:
     """Persistence pairing over GF(2); returns each row's (PD_0, PD_1).
 
     Zero-persistence pairs are dropped.  Edges that merge components pair
@@ -234,9 +210,7 @@ def reduce_rows(stack: RowStack, validate: bool = True
     kill in filtration order.  All rows go through each step together, and
     no step lets one row's simplices meet another's.
     """
-    if validate:
-        _validate(stack)
-    if not stack.vertices:
+    if not len(stack.inside):
         return []
     n_rows, m = stack.hops.shape[:2]
     # Triangle (a, b, c) of row r entering at eps has the key
@@ -255,7 +229,7 @@ def reduce_rows(stack: RowStack, validate: bool = True
     # where it is above eps_max or infinite.  From it on the row's complex is
     # a cone, so only the edges and triangles below it are reduced.
     far = np.where(stack.hops == UNREACHABLE, eps_max + 1, stack.hops)
-    radius = np.minimum(np.where(_inside(stack.vertices)[:, None], far, 0).max(axis=2).min(axis=1),
+    radius = np.minimum(np.where(stack.inside[:, None], far, 0).max(axis=2).min(axis=1),
                         eps_max + 1)
     below = stack.edge_eps < radius[stack.edge_row]
     eps = stack.edge_eps[below]
@@ -346,14 +320,14 @@ def reduce_rows(stack: RowStack, validate: bool = True
             + int(np.count_nonzero(~below)) != len(stack.edge_eps)):
         raise InternalInvariantError("negative, apparent, reduced, essential and cut edges "
                                      "do not add up to the edges")
-    for row, pairs0, pairs1, ess, rad in zip(stack.vertices, pd0_pairs, pd1_pairs,
-                                             essentials, radius.tolist()):
+    sizes = np.count_nonzero(stack.inside, axis=1).tolist()
+    for size, pairs0, pairs1, ess, rad in zip(sizes, pd0_pairs, pd1_pairs, essentials,
+                                              radius.tolist()):
         if rad <= eps_max:  # the cone at rad kills every class still alive
-            pairs0 += [(0, rad)] * (len(row) - 1 - len(pairs0))
+            pairs0 += [(0, rad)] * (size - 1 - len(pairs0))
             pairs1 += [(birth, rad) for birth in ess]
             ess.clear()
-    return [(PersistenceDiagram(0, tuple(sorted(pairs0)), (0,) * (len(row) - len(pairs0)),
+    return [(PersistenceDiagram(0, tuple(sorted(pairs0)), (0,) * (size - len(pairs0)),
                                 stack.eps_max),
              PersistenceDiagram(1, tuple(sorted(pairs1)), tuple(sorted(ess)), stack.eps_max))
-            for row, pairs0, pairs1, ess in zip(stack.vertices, pd0_pairs, pd1_pairs,
-                                                essentials)]
+            for size, pairs0, pairs1, ess in zip(sizes, pd0_pairs, pd1_pairs, essentials)]

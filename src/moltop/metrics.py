@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, LayoutMismatchError
+from .errors import LayoutMismatchError
 from .homology import PersistenceDiagram
 from .vectorize import Fingerprint, expand_cores, fingerprint_from_cores, row_cores
 
@@ -83,8 +83,6 @@ def matching_report(graph_a, graph_b, specs, k_grid: int,
     specs = list(specs)
     cores_a, cores_b = (row_cores(g, specs, k_grid) for g in (graph_a, graph_b))
     rows_a, rows_b = (expand_cores(c, specs, k_grid) for c in (cores_a, cores_b))
-    if len(rows_a) != len(rows_b):
-        raise DataError("graphs produced different row counts")
     per_row = []
     for (_, _, a0, a1), (_, _, b0, b1) in zip(rows_a, rows_b):
         w0 = wasserstein(a0, b0, p)

@@ -151,7 +151,7 @@ class _ParsedAtom:
         self.charge = charge
         self.h_count = h_count
         self.stereo = stereo          # None, "@", or "@@"
-        self.neighbor_order = []      # atom ids / _PENDING_H / ring slots
+        self.neighbor_order = []      # atom ids / _PENDING_H / None until a ring closes
 
 
 def _parse_bracket(text: str, start: int) -> tuple[_ParsedAtom, int]:
@@ -226,15 +226,6 @@ def _parse_bracket(text: str, start: int) -> tuple[_ParsedAtom, int]:
     return atom, end + 1
 
 
-class _RingSlot:
-    """Placeholder in an atom's neighbor order until the ring closes."""
-
-    __slots__ = ("partner",)
-
-    def __init__(self):
-        self.partner = None
-
-
 def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     """Parse SMILES text into a complete molecular graph: the written atoms,
     then their bracket and implicit hydrogens (see ``add_hydrogens``).
@@ -251,7 +242,8 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     prev: int | None = None
     branch_stack: list[tuple[int | None, int]] = []
     pending: tuple[str, int] | None = None  # (order, offset)
-    rings: dict[int, tuple[int, str | None, _RingSlot, int]] = {}
+    # ring number -> (atom, order, the atom's neighbor_order slot, offset)
+    rings: dict[int, tuple[int, str | None, int, int]] = {}
 
     def add_bond(a: int, b: int, order: str, offset: int):
         key = (a, b) if a < b else (b, a)
@@ -293,12 +285,11 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
                 both_aromatic = atoms[open_atom].aromatic and atoms[prev].aromatic
                 order = "AROMATIC" if both_aromatic else "SINGLE"
             add_bond(open_atom, prev, order, offset)
-            slot.partner = prev
+            atoms[open_atom].neighbor_order[slot] = prev
             atoms[prev].neighbor_order.append(open_atom)
         else:
-            slot = _RingSlot()
-            rings[number] = (prev, explicit, slot, offset)
-            atoms[prev].neighbor_order.append(slot)
+            rings[number] = (prev, explicit, len(atoms[prev].neighbor_order), offset)
+            atoms[prev].neighbor_order.append(None)
         pending = None
 
     i = 0
@@ -383,14 +374,13 @@ def _finish_parse(atoms, bonds, name) -> MolecularGraph:
         hydrogens.append(_hydrogen_count(parsed, bond_x2[idx], degree[idx]))
         tag = CHI_NONE
         if parsed.stereo is not None:
-            if degree[idx] + parsed.h_count != 4:
+            # two hydrogens are not distinct neighbors
+            if degree[idx] + parsed.h_count != 4 or parsed.h_count > 1:
                 raise SmilesParseError(
                     "chirality mark on an atom without four distinct neighbors",
                     parsed.offset)
-            ordered = [s.partner if isinstance(s, _RingSlot) else s
-                       for s in parsed.neighbor_order]
             # an odd reordering of the written neighbors reverses the turn
-            clockwise = (parsed.stereo == "@@") != bool(permutation_parity(ordered))
+            clockwise = (parsed.stereo == "@@") != bool(permutation_parity(parsed.neighbor_order))
             tag = CHI_CW if clockwise else CHI_CCW
         out_atoms.append(Atom(parsed.element, parsed.charge, chirality=tag))
     return add_hydrogens(MolecularGraph(name, tuple(out_atoms), out_bonds), hydrogens)

@@ -8,13 +8,14 @@ scale j, and essential classes count towards every column at or after their
 birth.
 
 A molecule's rows go from the filtration values to the vector as arrays.
-``row_cores`` stacks the rows of every kind into one boolean matrix and
-reduces each distinct vertex set a strong collapse keeps of them once;
+``row_cores`` stacks the rows of every kind into one boolean matrix, and a
+strong collapse keeps a vertex mask of each; the distinct kept masks go to
+the stack builder as they are, and each is reduced once.
 ``fingerprint_from_cores`` takes the Betti curves of those core diagrams in
 one call, adds each row's removed vertices at scale 0, and gathers the
 curves in layout order.  No row-level diagram is built for a fingerprint:
-``expand_cores`` expands the cores row by row only for the diagram dump,
-the matching distances and ``row_diagrams``.
+``expand_cores`` expands the cores row by row only for the diagram dump and
+the matching distances.
 """
 
 from dataclasses import dataclass, field
@@ -201,18 +202,14 @@ def row_cores(graph: MolecularGraph, specs, k_grid: int,
     # instead, so a collapse keeps induced distances.  One stack holds each
     # distinct kept vertex set once.
     cores, mask_core = _distinct(kept)
-    sets = kept[cores]
-    members = np.nonzero(sets)[1].tolist()  # each core's vertices, one core after another
-    ends = np.cumsum(sets.sum(axis=1)).tolist()
-    stack = build_rows([members[a:b] for a, b in zip([0] + ends, ends)],
-                       hops if hops.ndim == 2 else hops[cores], k_grid)
+    stack = build_rows(kept[cores], hops if hops.ndim == 2 else hops[cores], k_grid)
     core = np.full(len(rows), -1, dtype=np.intp)
     core[filled] = mask_core[row_mask]
     removed = np.zeros(len(rows), dtype=np.intp)
     removed[filled] = (masks.sum(axis=1) - kept.sum(axis=1))[row_mask]
     # every kind's last level holds every atom, and its walk is the full graph's
     diameter = int((hops if hops.ndim == 2 else hops[masks.all(axis=1)]).max())
-    return RowCores(reduce_rows(stack, validate=False), tuple(core.tolist()),
+    return RowCores(reduce_rows(stack), tuple(core.tolist()),
                     tuple(removed.tolist()), diameter)
 
 
@@ -232,15 +229,6 @@ def expand_cores(cores: RowCores, specs, k_grid: int) -> list:
         out.append((kind, i, PersistenceDiagram(0, ((0, 1),) * removed + pd0.pairs,
                                                 pd0.essentials, k_grid), pd1))
     return out
-
-
-def row_diagrams(graph: MolecularGraph, specs, k_grid: int,
-                 distance_mode: str = "full_graph"):
-    """(kind, row index, PD_0, PD_1) for every sublevel row, in layout order,
-    and the graph's hop diameter: ``row_cores`` expanded row by row."""
-    specs = list(specs)
-    cores = row_cores(graph, specs, k_grid, distance_mode)
-    return expand_cores(cores, specs, k_grid), cores.diameter
 
 
 _EMPTY = PersistenceDiagram(0, (), (), 0)  # the diagram of an empty row
@@ -285,7 +273,7 @@ def assemble(graph: MolecularGraph, specs, k_grid: int,
 
 
 def diagram_records(rows, molecule_id: str) -> list[dict]:
-    """Diagram dump entries of one molecule's ``row_diagrams`` rows: one
+    """Diagram dump entries of one molecule's ``expand_cores`` rows: one
     JSON-ready dict per (row, dimension)."""
     return [{"molecule": molecule_id, "param": kind, "row": row, "dim": pd.dim,
              "pairs": [[b, d] for b, d in pd.pairs], "essentials": list(pd.essentials)}
@@ -300,7 +288,7 @@ class FingerprintTable:
     layout: FingerprintLayout
     fingerprints: tuple[Fingerprint, ...]
     errors: tuple[dict, ...]  # MoltopError.entry of each failed record
-    # each fingerprint's row_diagrams rows, if computed for a diagram dump
+    # each fingerprint's expand_cores rows, if computed for a diagram dump
     diagrams: tuple = field(default=(), compare=False, repr=False)
 
     def matrix(self) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 Everything here favors directness over speed: dense GF(2) Gaussian
 elimination for Betti numbers, the textbook single-matrix column reduction
-for persistence pairs, exhaustive matching enumeration for Wasserstein
+for persistence pairs, a check of the structure a row stack must have
+before it is reduced, exhaustive matching enumeration for Wasserstein
 distances, naive threshold loops for the classification metrics, one scan
 of every atom per level (or one sort and a bisection per level) for
 sublevel rows, fingerprints from one row's Betti curve at a time, a plain
 256-slot histogram tree grower for the boosting trainer, and prediction
-that walks one tree at a time.  None of it
-shares code with the production paths, except the classical boosting
-reference, which reuses the trainer's losses and base prediction so that the
-trees it is compared with can be equal.
+that walks one tree at a time.  None of it shares code with the production
+paths, except the classical boosting reference, which reuses the trainer's
+losses and base prediction so that the trees it is compared with can be
+equal.
 """
 
 import math
@@ -21,6 +22,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from moltop.elements import ATOMIC_MASS
+from moltop.errors import InternalInvariantError
 from moltop.molgraph import CHI_CCW, CHI_CW
 from moltop.sglb import (
     _MIN_GAIN,
@@ -240,6 +242,30 @@ def naive_persistence(vertices, hops, eps_max):
 
 # ---------------------------------------------------------------------------
 # Triangle-list persistence: every triangle built, boundary columns reduced
+
+def check_stack(stack):
+    """Raise InternalInvariantError unless ``stack``'s hop blocks are symmetric
+    with a zero diagonal and UNREACHABLE padding, and its edges lie within
+    their rows in (row, eps, u, v) order."""
+    hops = stack.hops
+    inside = stack.inside
+    if (hops.shape != inside.shape + inside.shape[-1:]
+            or not np.array_equal(hops, hops.swapaxes(1, 2))
+            or np.any(np.diagonal(hops, axis1=1, axis2=2)[inside] != 0)
+            or np.any(hops[~(inside[:, :, None] & inside[:, None, :])] != UNREACHABLE)):
+        raise InternalInvariantError(
+            "hop blocks are not symmetric with a zero diagonal and UNREACHABLE padding")
+    if not len(stack.edge_eps):
+        return
+    r = stack.edge_row
+    u, v = stack.edge_local.T
+    n_rows, m = inside.shape
+    if r.min() < 0 or r.max() >= n_rows or u.min() < 0 or v.max() >= m or not inside[r, v].all():
+        raise InternalInvariantError("an edge has an endpoint outside its row")
+    key = ((r.astype(np.int64) * (stack.eps_max + 1) + stack.edge_eps) * m + u) * m + v
+    if not (np.all(u < v) and np.all(np.diff(key) > 0)):
+        raise InternalInvariantError("edges are not sorted by (row, eps, u, v)")
+
 
 def triangle_complex(vertices, hops, eps_max):
     """Edge and triangle arrays of the capped clique 2-skeleton.

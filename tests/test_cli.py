@@ -15,9 +15,10 @@ from moltop.errors import InternalInvariantError
 from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.homology import PersistenceDiagram
 from moltop.molgraph import DatasetRecord
-from moltop.vectorize import diagram_records, read_fingerprints_csv, row_diagrams
+from moltop.vectorize import diagram_records, read_fingerprints_csv
 
 from oracles import betti_curve, graph_diameter
+from rows import row_diagrams
 
 
 @pytest.fixture()
@@ -359,7 +360,7 @@ def test_error_report_of_every_csv_fault(tiny_dataset_path, tmp_path, capsys, th
 def test_internal_invariant_error_exits_4(config_path, monkeypatch, capsys):
     from moltop import vectorize
 
-    def broken(stack, validate=True):
+    def broken(stack):
         raise InternalInvariantError("reducer bookkeeping broken")
 
     monkeypatch.setattr(vectorize, "reduce_rows", broken)

@@ -31,12 +31,12 @@ from moltop.vectorize import (
     K_GRID_CAP,
     diagram_records,
     graph_from_record,
-    row_diagrams,
 )
 
 from oracles import (
     betti_at,
     betti_numbers_at,
+    check_stack,
     complex_at,
     components,
     graph_diameter,
@@ -46,7 +46,7 @@ from oracles import (
     relabel,
     triangle_persistence,
 )
-from rows import build_row, reduce_row
+from rows import build_row, build_stack, reduce_row, row_diagrams
 
 
 def skeleton(adj):
@@ -148,16 +148,17 @@ class TestGeodesicDistances:
                     assert got[u, v] == expected[u, v]
 
 
-def edge_pairs(cx):
-    """(E, 2) global vertex ids of a one-row stack's edges."""
-    return np.asarray(cx.vertices[0])[cx.edge_local]
+def edge_pairs(cx, vertices):
+    """(E, 2) global vertex ids of the edges of a one-row stack on ``vertices``."""
+    return np.array(sorted(vertices))[cx.edge_local]
 
 
-def oracle_counts(cx, hops, eps):
-    """(vertices, edges, triangles) at eps by the oracle; the row's edges
-    must be the oracle's."""
-    verts, edges, triangles = complex_at(cx.vertices[0], hops, eps)
-    built = sorted(tuple(p) for p, e in zip(edge_pairs(cx).tolist(), cx.edge_eps.tolist())
+def oracle_counts(cx, vertices, hops, eps):
+    """(vertices, edges, triangles) at eps by the oracle; the edges of the row
+    on ``vertices`` must be the oracle's."""
+    verts, edges, triangles = complex_at(sorted(vertices), hops, eps)
+    built = sorted(tuple(p) for p, e in zip(edge_pairs(cx, vertices).tolist(),
+                                            cx.edge_eps.tolist())
                    if e <= eps)
     assert built == edges
     return len(verts), len(edges), len(triangles)
@@ -167,25 +168,25 @@ class TestBuildVrRow:
     def test_singleton(self):
         hops = np.zeros((1, 1), dtype=np.int32)
         cx = build_row({0}, hops, 0)
-        assert cx.vertices == ((0,),)
+        assert cx.inside.tolist() == [[True]]
         assert len(cx.edge_eps) == 0
-        assert oracle_counts(cx, hops, 0) == (1, 0, 0)
+        assert oracle_counts(cx, {0}, hops, 0) == (1, 0, 0)
 
     def test_four_cycle_counts(self):
         hops = cycle_distances(4)
         cx = build_row({0, 1, 2, 3}, hops, 2)
-        assert oracle_counts(cx, hops, 1) == (4, 4, 0)
-        assert oracle_counts(cx, hops, 2) == (4, 6, 4)
+        assert oracle_counts(cx, {0, 1, 2, 3}, hops, 1) == (4, 4, 0)
+        assert oracle_counts(cx, {0, 1, 2, 3}, hops, 2) == (4, 6, 4)
 
     def test_complete_skeleton_at_diameter(self):
         hops = cycle_distances(6)
         cx = build_row(set(range(6)), hops, 3)
-        assert oracle_counts(cx, hops, 3) == (6, 15, 20)
+        assert oracle_counts(cx, range(6), hops, 3) == (6, 15, 20)
 
     def test_cap_clips_edges(self):
         hops = cycle_distances(6)
         cx = build_row(set(range(6)), hops, 1)
-        assert oracle_counts(cx, hops, 1) == (6, 6, 0)
+        assert oracle_counts(cx, range(6), hops, 1) == (6, 6, 0)
         assert len(cx.edge_eps) == 6
 
     def test_unreachable_pairs_never_join(self):
@@ -196,11 +197,12 @@ class TestBuildVrRow:
     def test_filtration_order(self, random_graphs):
         g = random_graphs[0]
         hops = geodesic_distances(g)
-        cx = build_row(set(range(g.n_atoms)), hops, hops.max())
+        vertices = range(g.n_atoms)
+        cx = build_row(vertices, hops, hops.max())
         edges = [(e, u, v) for e, (u, v) in zip(cx.edge_eps.tolist(),
-                                                 edge_pairs(cx).tolist())]
+                                                 edge_pairs(cx, vertices).tolist())]
         assert edges == sorted(edges)
-        assert oracle_counts(cx, hops, hops.max())[1] == len(edges)
+        assert oracle_counts(cx, vertices, hops, hops.max())[1] == len(edges)
 
 
 class TestReduce:
@@ -236,8 +238,7 @@ class TestReduce:
         # each corruption of a valid stack breaks one structural check; the
         # stack puts a 3-vertex row before a 6-cycle, so local ids 3 to 5 of
         # the first row are padding
-        cx = build_rows([{0, 1, 2}, set(range(6))], cycle_distances(6), 3)
-        reduce_rows(cx, validate=True)
+        cx = build_stack([{0, 1, 2}, set(range(6))], cycle_distances(6), 3)
         asymmetric = cx.hops.copy()
         asymmetric[1, 0, 1] = 2
         nonzero_diagonal = cx.hops.copy()
@@ -256,7 +257,7 @@ class TestReduce:
                            (replace(cx, edge_local=unsorted), "sorted"),
                            (replace(cx, edge_eps=cx.edge_eps[::-1].copy()), "sorted")):
             with pytest.raises(InternalInvariantError, match=check):
-                reduce_rows(bad, validate=True)
+                check_stack(bad)
 
     def test_clipped_cap_creates_essential_cycle(self):
         # cap below the kill scale: the hexagon class never dies
@@ -321,7 +322,7 @@ class TestOracleEquivalence:
             cx = build_row(verts, hops, hops.max())
             pd0, pd1 = reduce_rows(cx)[0]
             for eps in range(hops.max() + 1):
-                nv, ne, nt = oracle_counts(cx, hops, eps)
+                nv, ne, nt = oracle_counts(cx, verts, hops, eps)
                 b0, b1, b2 = betti_numbers_at(verts, hops, eps)
                 assert nv - ne + nt == b0 - b1 + b2
                 assert betti_at(pd0, eps) == b0
@@ -755,7 +756,7 @@ def larger_graphs(draw):
 
 
 class TestLargerGraphsAgainstTheTriangleReducer:
-    """The path ``row_diagrams`` takes, past the 7 vertices of the bundled
+    """The path ``row_cores`` takes, past the 7 vertices of the bundled
     graphs: one collapse of every row, one stack of the kept vertex sets, one
     reduction, and each removed vertex's (0, 1) pair put back in PD_0."""
 
@@ -771,7 +772,8 @@ class TestLargerGraphsAgainstTheTriangleReducer:
             hops = geodesic_distances(graph, masks if mode == "induced_subgraph" else None)
             for cap in (0, 1, 2, 3, 4, 6, 14, 40):
                 kept = strong_collapse(hops, masks, cap)
-                stack = build_rows([np.flatnonzero(core).tolist() for core in kept], hops, cap)
+                stack = build_rows(kept, hops, cap)
+                check_stack(stack)
                 for r, (pd0, pd1) in enumerate(reduce_rows(stack)):
                     row = np.flatnonzero(masks[r]).tolist()
                     removed = len(row) - int(kept[r].sum())
@@ -798,7 +800,7 @@ class TestStackedRows:
 
     @staticmethod
     def check(rows, blocks, cap):
-        got = reduce_rows(build_rows(rows, padded_blocks(blocks), cap))
+        got = reduce_rows(build_stack(rows, padded_blocks(blocks), cap))
         assert len(got) == len(rows)
         for row, block, diagrams in zip(rows, blocks, got):
             want = reduce_row(row, np.asarray(block, dtype=np.int32), cap)
@@ -807,10 +809,12 @@ class TestStackedRows:
 
     def test_layout(self):
         hops = cycle_distances(6)
-        cx = build_rows([{0, 2, 4}, {5}, set(range(6)), {1, 0}], hops, 2)
-        assert cx.vertices == ((0, 2, 4), (5,), (0, 1, 2, 3, 4, 5), (0, 1))
+        sets = [{0, 2, 4}, {5}, set(range(6)), {1, 0}]
+        cx = build_stack(sets, hops, 2)
+        rows = [sorted(s) for s in sets]  # local ids follow the vertex ids
+        assert cx.inside.sum(axis=1).tolist() == [3, 1, 6, 2]
         assert cx.hops.shape == (4, 6, 6)
-        for r, row in enumerate(cx.vertices):
+        for r, row in enumerate(rows):
             k = len(row)
             assert np.array_equal(cx.hops[r, :k, :k], hops[np.ix_(row, row)])
             assert np.all(cx.hops[r, k:] == UNREACHABLE)
@@ -819,9 +823,9 @@ class TestStackedRows:
                        *cx.edge_local.T.tolist()))
         assert key == sorted(key) and len(set(key)) == len(key)
         assert np.bincount(cx.edge_row, minlength=4).tolist() == [3, 0, 12, 1]
-        assert reduce_rows(build_rows([], hops, 2)) == []
+        assert reduce_rows(build_stack([], hops, 2)) == []
         with pytest.raises(DataError):
-            build_rows([{0}, set()], hops, 2)
+            build_stack([{0}, set()], hops, 2)
 
     def test_small_edgeless_and_disconnected_rows(self):
         apart = np.array([[0, UNREACHABLE], [UNREACHABLE, 0]])
@@ -888,9 +892,9 @@ class TestStackedRows:
     def test_triangle_keys_stay_within_int64(self):
         # keys run up to R * (eps_max + 1) * m**3, with m the largest row
         hops = cycle_distances(6)
-        reduce_rows(build_rows([set(range(6))] * 2, hops, 2 ** 20))
+        reduce_rows(build_stack([set(range(6))] * 2, hops, 2 ** 20))
         with pytest.raises(DataError, match="too large"):
-            reduce_rows(build_rows([set(range(6))] * 2, hops, 2 ** 62 // 6 ** 3))
+            reduce_rows(build_stack([set(range(6))] * 2, hops, 2 ** 62 // 6 ** 3))
 
 
 class TestTruncate:

@@ -15,10 +15,10 @@ from moltop.vectorize import (
     Fingerprint,
     FingerprintLayout,
     assemble,
-    row_diagrams,
 )
 
 from oracles import exhaustive_wasserstein, mirror
+from rows import row_diagrams
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 

@@ -175,6 +175,14 @@ class TestParseSmiles:
         assert catchword in str(err.value)
         assert "offset" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["[C@H2](F)Cl", "[C@@H2](F)Cl", "[C@H3]F", "F[C@@H3]"])
+    def test_stereo_mark_with_two_hydrogens_rejected(self, text):
+        # Two hydrogens are not distinct neighbors.  The two writings of
+        # CH2FCl once parsed with opposite tags, and CH3F was tagged.
+        with pytest.raises(SmilesParseError, match="four distinct neighbors") as err:
+            parse_smiles(text)
+        assert err.value.offset == text.index("[")
+
     def test_error_offset_points_at_problem(self):
         with pytest.raises(SmilesParseError) as err:
             parse_smiles("CCCC(O")

@@ -8,6 +8,7 @@ import pytest
 
 from pathlib import Path
 
+from moltop import vectorize
 from moltop.datagen import assign_reference_charges, generate_dataset
 from moltop.errors import (
     DataError,
@@ -16,7 +17,7 @@ from moltop.errors import (
     MoltopError,
 )
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, decile_boundaries, make_spec
-from moltop.homology import PersistenceDiagram
+from moltop.homology import PersistenceDiagram, reduce_rows
 from moltop.harness import load_dataset
 from moltop.molgraph import Atom, Bond, DatasetRecord, MolecularGraph, parse_smiles
 from moltop.vectorize import (
@@ -34,19 +35,20 @@ from moltop.vectorize import (
     kind_specs,
     read_fingerprints_csv,
     row_cores,
-    row_diagrams,
     slice_table,
     write_fingerprints_csv,
 )
 
 from oracles import (
     betti_curve,
+    check_stack,
     fingerprint_from_rows,
     graph_diameter,
     load_graph6_file,
     mirror,
     relabel,
 )
+from rows import row_diagrams
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 
@@ -186,25 +188,30 @@ def row_by_row(graph, specs, cap, k_grid, mode, record_id=None):
                                  graph.name if record_id is None else record_id)
 
 
+def bundled_molecules():
+    """The 996 bundled graphs as carbon skeletons with partial charges."""
+    graphs = load_graph6_file(str(Path(__file__).parent / "data" / "connected_graphs_le7.g6"))
+    assert len(graphs) == 996
+    rng = np.random.default_rng(43)
+    for i, adj in enumerate(graphs):
+        # few charge values: ties, repeated deciles and rows that coincide
+        atoms = tuple(Atom("C", partial_charge=float(c))
+                      for c in rng.choice([-0.2, 0.0, 0.1, 0.3], size=len(adj)))
+        bonds = tuple(Bond(int(u), int(v), "SINGLE")
+                      for u, v in zip(*np.nonzero(np.triu(adj))))
+        yield MolecularGraph(f"g{i}", atoms, bonds)
+
+
 class TestCoresMatchRowByRow:
     """The vector built from the collapsed cores, one Betti-curve call per
     molecule, is the vector of the row diagrams."""
 
     def test_bundled_graphs_both_modes(self):
-        graphs = load_graph6_file(str(Path(__file__).parent / "data" / "connected_graphs_le7.g6"))
-        assert len(graphs) == 996
-        rng = np.random.default_rng(43)
-        for i, adj in enumerate(graphs):
-            # few charge values: ties, repeated deciles and rows that coincide
-            atoms = tuple(Atom("C", partial_charge=float(c))
-                          for c in rng.choice([-0.2, 0.0, 0.1, 0.3], size=len(adj)))
-            bonds = tuple(Bond(int(u), int(v), "SINGLE")
-                          for u, v in zip(*np.nonzero(np.triu(adj))))
-            graph = MolecularGraph(f"g{i}", atoms, bonds)
+        for i, graph in enumerate(bundled_molecules()):
             k_grid = (1, 3, 14)[i % 3]
             for mode in DISTANCE_MODES:
                 assert assemble(graph, ALL_SPECS, k_grid, mode) == \
-                    row_by_row(graph, ALL_SPECS, k_grid, k_grid, mode), (adj.tolist(), mode)
+                    row_by_row(graph, ALL_SPECS, k_grid, k_grid, mode), (graph.bonds, mode)
 
     @pytest.mark.parametrize("decile_mode", ["per_molecule", "global"])
     def test_datagen_molecules(self, decile_mode):
@@ -270,6 +277,29 @@ class TestCoresMatchRowByRow:
                     assert rows == row_diagrams(graph, specs, k, mode)[0]
 
 
+class TestRowCoresStacks:
+    """Every stack ``row_cores`` reduces has the structure ``check_stack``
+    asks for: the library itself never checks it."""
+
+    def test_bundled_graphs_and_datagen_molecules(self, monkeypatch):
+        rows = []
+
+        def checked(stack):
+            check_stack(stack)
+            rows.append(len(stack.inside))
+            return reduce_rows(stack)
+
+        monkeypatch.setattr(vectorize, "reduce_rows", checked)
+        datagen = [graph_from_record(DatasetRecord(d["record_id"], 0.0, graph=d["graph"]))
+                   for d in generate_dataset(30, seed=5)]
+        graphs = [*bundled_molecules(), *datagen]
+        for graph in graphs:
+            for mode in DISTANCE_MODES:
+                for k_grid in (1, 3, 14):
+                    row_cores(graph, ALL_SPECS, k_grid, mode)
+        assert len(rows) == len(graphs) * 2 * 3 and max(rows) > 1
+
+
 class TestDatasetFingerprinting:
     def make_records(self, n=12):
         smiles = ["C", "CC", "CCO", "c1ccccc1", "N[C@@H](C)C(=O)O", "CC(C)=O",
@@ -300,7 +330,7 @@ class TestDatasetFingerprinting:
         # a reducer bug must fail the run, not pass as a per-record error
         from moltop import vectorize
 
-        def broken(stack, validate=True):
+        def broken(stack):
             raise InternalInvariantError("reducer bookkeeping broken")
 
         monkeypatch.setattr(vectorize, "reduce_rows", broken)
