@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, finite_number, note_line, read_csv, read_json,
                      read_text, typed)
-from .filtration import FILTRATION_KINDS, canonical_kinds, decile_boundaries
+from .filtration import FILTRATION_KINDS, PARTIAL_CHARGE_KIND, canonical_kinds, decile_boundaries
 from .molgraph import SPLIT_TAGS, DatasetRecord, load_graph_json, parse_smiles
 from .sglb import (
     TASK_CLASSIFICATION,
@@ -403,11 +403,12 @@ def prepare_run(cfg: RunConfig, diagrams: bool = False) -> PreparedRun:
     pass over the records that also picks an open k_grid (see
     ``fingerprint_dataset``; the table keeps the row diagrams if
     ``diagrams``).  Global deciles first pool the partial charges of every
-    molecule that has one on every atom; the others fail anyway.
+    molecule that has one on every atom, if the run has a partial-charge
+    filtration; the others fail anyway.
     """
     records, load_errors = load_records(cfg)
     charge_thresholds = None
-    if cfg.decile_mode == "global":
+    if cfg.decile_mode == "global" and PARTIAL_CHARGE_KIND in cfg.kinds:
         # records that fail are left to the fingerprint stage's error report
         charges = [c for r in records for c in _full_charges(r.graph)]
         if not charges:

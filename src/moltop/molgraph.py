@@ -4,12 +4,17 @@ Covers a bounded SMILES subset (organic-subset atoms, bracket atoms with
 hydrogen count, charge and @/@@ tetrahedral marks, ring closures incl. %nn,
 branches, bond symbols - = # :, aromatic lowercase c/n/o/s, dot-separated
 components), a strict JSON graph format, the bundled valence model, and ring
-(non-bridge) detection.  A graph stores only its input facts, and an atom
-only its chemistry: its id is its index in ``graph.atoms``, atom masses come
-from the element table and ring membership from the bonds, each computed
-when asked for.  Every graph is hydrogen-complete: the parser adds the
-hydrogens the valence model implies (``add_hydrogens``), and JSON graphs are
-taken verbatim.
+(non-bridge) detection.  A parsed molecule obeys the JSON format's rules:
+aromatic bonds join aromatic atoms, and every aromatic atom has one.  A
+graph stores only its input facts, and an atom only its chemistry: its id
+is its index in ``graph.atoms``, atom masses come from the element table
+and ring membership from the bonds, each computed when asked for.  Every
+graph is hydrogen-complete: the parser adds the hydrogens the valence model
+implies (``add_hydrogens``), and JSON graphs are taken verbatim.
+
+Ring bonds come from a breadth-first spanning forest: each bond outside it
+closes a cycle with the forest path between its endpoints, and the ring
+bonds are the bonds on those cycles.
 
 Tetrahedral parity convention: the parser normalizes a written @/@@ mark to
 ascending neighbor-id order (looking from the lowest-id neighbor, do the
@@ -21,9 +26,10 @@ relabeling carries them verbatim, a reflection swaps CW and CCW, and
 downstream code never reinterprets them geometrically.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import os
+import re
 import sys
 
 from .elements import (
@@ -111,21 +117,9 @@ class DatasetRecord:
 
 
 def permutation_parity(values) -> int:
-    """0 if sorting ``values`` is an even permutation, 1 if odd."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    seen = [False] * len(order)
-    parity = 0
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """0 if sorting ``values`` is an even permutation, 1 if odd: the parity
+    of its inversion count."""
+    return sum(a > b for i, a in enumerate(values) for b in values[i + 1:]) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,95 +129,47 @@ def permutation_parity(values) -> int:
 # written atom's.
 _PENDING_H = float("inf")
 # str.isdigit also takes other numerals, such as superscripts
-_DIGITS = "0123456789"
+_DIGITS = frozenset("0123456789")
+# A bracket atom (unterminated if it has no "]"), a two-letter organic
+# atom, a %nn ring closure, or one character.
+_TOKEN = re.compile(r"\[[^\]]*\]?|Cl|Br|%[0-9]{2}|.", re.S)
+# A bracket atom's element, mark, hydrogen count and charge.
+_BRACKET = re.compile(r"([cnos]|[A-Z][a-z]?)?(@@?)?(H[0-9]*)?([+-][0-9]+|\++|-+)?")
 
 
+@dataclass(slots=True)
 class _ParsedAtom:
-    __slots__ = ("element", "aromatic", "charge", "h_count", "bracket",
-                 "stereo", "neighbor_order", "offset")
-
-    def __init__(self, element, aromatic, offset, bracket=False, charge=0,
-                 h_count=0, stereo=None):
-        self.element = element
-        self.aromatic = aromatic
-        self.offset = offset
-        self.bracket = bracket
-        self.charge = charge
-        self.h_count = h_count
-        self.stereo = stereo          # None, "@", or "@@"
-        self.neighbor_order = []      # atom ids / _PENDING_H / None until a ring closes
+    element: str
+    aromatic: bool
+    offset: int
+    bracket: bool = False
+    charge: int = 0
+    h_count: int = 0
+    stereo: str | None = None  # None, "@", or "@@"
+    # atom ids, _PENDING_H, or None until a ring closes
+    neighbor_order: list = field(default_factory=list)
 
 
-def _parse_bracket(text: str, start: int) -> tuple[_ParsedAtom, int]:
-    """Parse a bracket atom starting at text[start] == '['; returns atom and end index."""
-    end = text.find("]", start)
-    if end < 0:
+def _parse_bracket(token: str, start: int) -> _ParsedAtom:
+    """The atom of a bracket token written at offset ``start``."""
+    if not token.endswith("]"):
         raise SmilesParseError("unterminated bracket atom", start)
-    body = text[start + 1:end]
-    i = 0
-    if i < len(body) and body[i] in _DIGITS:
-        raise SmilesParseError("isotope notation not supported", start + 1)
-    element = None
-    aromatic = False
-    if i < len(body) and body[i] in AROMATIC_SYMBOLS:
-        element = body[i].upper()
-        aromatic = True
-        i += 1
-    elif i < len(body) and body[i].isupper():
-        # a lowercase follower always belongs to a two-letter element symbol
-        if i + 1 < len(body) and body[i + 1].islower():
-            two = body[i:i + 2]
-            if two not in SUPPORTED_ELEMENTS:
-                raise SmilesParseError(f"unsupported element {two!r}", start + 1 + i)
-            element = two
-            i += 2
-        elif body[i] in SUPPORTED_ELEMENTS:
-            element = body[i]
-            i += 1
-        else:
-            raise SmilesParseError(f"unsupported element {body[i]!r}", start + 1 + i)
-    if element is None:
-        raise SmilesParseError("missing element in bracket atom", start + 1)
-
-    stereo = None
-    if body[i:i + 2] == "@@":
-        stereo = "@@"
-        i += 2
-    elif body[i:i + 1] == "@":
-        stereo = "@"
-        i += 1
-
-    h_count = 0
-    if i < len(body) and body[i] == "H":
-        i += 1
-        digits = ""
-        while i < len(body) and body[i] in _DIGITS:
-            digits += body[i]
-            i += 1
-        h_count = int(digits) if digits else 1
-
-    charge = 0
-    if i < len(body) and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        symbol = body[i]
-        i += 1
-        digits = ""
-        while i < len(body) and body[i] in _DIGITS:
-            digits += body[i]
-            i += 1
-        if digits:
-            charge = sign * int(digits)
-        else:
-            charge = sign
-            while i < len(body) and body[i] == symbol:
-                charge += sign
-                i += 1
-
-    if i != len(body):
-        raise SmilesParseError(f"unexpected {body[i]!r} in bracket atom", start + 1 + i)
-    atom = _ParsedAtom(element, aromatic, start, bracket=True, charge=charge,
-                       h_count=h_count, stereo=stereo)
-    return atom, end + 1
+    body = token[1:-1]
+    match = _BRACKET.match(body)
+    symbol, stereo, hydrogens, charge = match.groups()
+    if symbol is None:
+        raise SmilesParseError("isotope notation not supported" if body[:1] in _DIGITS
+                               else "missing element in bracket atom", start + 1)
+    if symbol.capitalize() not in SUPPORTED_ELEMENTS:
+        raise SmilesParseError(f"unsupported element {symbol!r}", start + 1)
+    if match.end() < len(body):
+        raise SmilesParseError(f"unexpected {body[match.end()]!r} in bracket atom",
+                               start + 1 + match.end())
+    if charge and charge[-1] in "+-":  # the sign repeated
+        charge = charge[0] + str(len(charge))
+    return _ParsedAtom(symbol.capitalize(), symbol in AROMATIC_SYMBOLS, start, bracket=True,
+                       charge=int(charge or 0), stereo=stereo,
+                       h_count=int(hydrogens[1:] or 1) if hydrogens else 0)
 
 
 def parse_smiles(text: str, name: str = "") -> MolecularGraph:
@@ -292,57 +238,41 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
             atoms[prev].neighbor_order.append(None)
         pending = None
 
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "(":
+    end = 0
+    for token in _TOKEN.findall(text):
+        i, end = end, end + len(token)  # the token's offset
+        if token == "(":
             if prev is None:
                 raise SmilesParseError("branch without a preceding atom", i)
             branch_stack.append((prev, i))
-            i += 1
-        elif ch == ")":
+        elif token == ")":
             if not branch_stack:
                 raise SmilesParseError("unbalanced parentheses", i)
+            if pending is not None:
+                raise SmilesParseError("dangling bond symbol", pending[1])
             prev = branch_stack.pop()[0]
-            i += 1
-        elif ch in _BOND_SYMBOLS:
+        elif token in _BOND_SYMBOLS:
             if pending is not None:
                 raise SmilesParseError("consecutive bond symbols", i)
-            pending = (_BOND_SYMBOLS[ch], i)
-            i += 1
-        elif ch == ".":
+            pending = (_BOND_SYMBOLS[token], i)
+        elif token == ".":
             if pending is not None:
                 raise SmilesParseError("bond symbol before component separator", pending[1])
             prev = None
-            i += 1
-        elif ch in _DIGITS:
-            ring_digit(int(ch), i)
-            i += 1
-        elif ch == "%":
-            digits = text[i + 1:i + 3]
-            if len(digits) != 2 or not all(c in _DIGITS for c in digits):
+        elif token in _DIGITS:
+            ring_digit(int(token), i)
+        elif token[0] == "%":
+            if token == "%":
                 raise SmilesParseError("% must be followed by two digits", i)
-            ring_digit(int(digits), i)
-            i += 3
-        elif ch == "[":
-            parsed, i = _parse_bracket(text, i)
-            new_atom(parsed)
-        elif ch in AROMATIC_SYMBOLS:
-            new_atom(_ParsedAtom(ch.upper(), True, i))
-            i += 1
-        elif ch.isupper():
-            two = text[i:i + 2]
-            if two in ("Cl", "Br"):
-                new_atom(_ParsedAtom(two, False, i))
-                i += 2
-            elif ch in ORGANIC_SUBSET:
-                new_atom(_ParsedAtom(ch, False, i))
-                i += 1
-            else:
-                raise SmilesParseError(f"unsupported element {ch!r}", i)
+            ring_digit(int(token[1:]), i)
+        elif token[0] == "[":
+            new_atom(_parse_bracket(token, i))
+        elif token in AROMATIC_SYMBOLS or token in ORGANIC_SUBSET:
+            new_atom(_ParsedAtom(token.capitalize(), token in AROMATIC_SYMBOLS, i))
+        elif token.isupper():
+            raise SmilesParseError(f"unsupported element {token!r}", i)
         else:
-            raise SmilesParseError(f"unexpected character {ch!r}", i)
+            raise SmilesParseError(f"unexpected character {token!r}", i)
 
     if pending is not None:
         raise SmilesParseError("dangling bond symbol", pending[1])
@@ -351,7 +281,8 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     if rings:
         number = next(iter(rings))
         raise SmilesParseError(f"unmatched ring closure {number}", rings[number][3])
-
+    if not atoms:
+        raise SmilesParseError("no atoms", 0)
     return _finish_parse(atoms, bonds, name)
 
 
@@ -368,7 +299,7 @@ def _valence_tally(n_atoms, bonds):
 
 def _finish_parse(atoms, bonds, name) -> MolecularGraph:
     out_bonds = tuple(Bond(a, b, order) for (a, b), (order, _) in sorted(bonds.items()))
-    bond_x2, degree, _ = _valence_tally(len(atoms), out_bonds)
+    bond_x2, degree, aromatic = _valence_tally(len(atoms), out_bonds)
     out_atoms, hydrogens = [], []
     for idx, parsed in enumerate(atoms):
         hydrogens.append(_hydrogen_count(parsed, bond_x2[idx], degree[idx]))
@@ -383,6 +314,14 @@ def _finish_parse(atoms, bonds, name) -> MolecularGraph:
             clockwise = (parsed.stereo == "@@") != bool(permutation_parity(parsed.neighbor_order))
             tag = CHI_CW if clockwise else CHI_CCW
         out_atoms.append(Atom(parsed.element, parsed.charge, chirality=tag))
+    # what graph_from_json_dict also demands: aromatic bonds join aromatic
+    # atoms, and every aromatic atom has one
+    for (a, b), (order, offset) in bonds.items():
+        if order == "AROMATIC" and not (atoms[a].aromatic and atoms[b].aromatic):
+            raise SmilesParseError("aromatic bond to an aliphatic atom", offset)
+    for parsed, has_aromatic_bond in zip(atoms, aromatic):
+        if parsed.aromatic and not has_aromatic_bond:
+            raise SmilesParseError("aromatic atom without an aromatic bond", parsed.offset)
     return add_hydrogens(MolecularGraph(name, tuple(out_atoms), out_bonds), hydrogens)
 
 
@@ -427,47 +366,37 @@ def add_hydrogens(graph: MolecularGraph, counts) -> MolecularGraph:
 
 
 def ring_bonds(graph: MolecularGraph) -> set[tuple[int, int]]:
-    """Endpoint pairs of the bonds that lie on some cycle (the non-bridges),
-    by Tarjan's bridge walk."""
-    n = graph.n_atoms
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bi, bond in enumerate(graph.bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
+    """Endpoint pairs of the bonds that lie on some cycle (the non-bridges).
 
-    bridge = [False] * len(graph.bonds)
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, ei in it:
-                if ei == in_edge:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, ei, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridge[in_edge] = True
-
-    return {b.endpoints for b, cut in zip(graph.bonds, bridge) if not cut}
+    Each bond outside a breadth-first spanning forest closes a cycle with
+    the forest path between its endpoints; the bonds on those cycles are
+    exactly the bonds on some cycle.
+    """
+    adj: list[list[int]] = [[] for _ in graph.atoms]
+    for bond in graph.bonds:
+        adj[bond.a].append(bond.b)
+        adj[bond.b].append(bond.a)
+    parent, depth = [-1] * graph.n_atoms, [-1] * graph.n_atoms
+    for root in range(graph.n_atoms):
+        if depth[root] < 0:
+            depth[root] = 0
+            queue = [root]
+            for v in queue:
+                for w in adj[v]:
+                    if depth[w] < 0:
+                        parent[w], depth[w] = v, depth[v] + 1
+                        queue.append(w)
+    rings = set()
+    for u, v in (bond.endpoints for bond in graph.bonds):
+        if parent[u] == v or parent[v] == u:
+            continue  # a forest bond
+        rings.add((u, v))
+        while u != v:  # up the forest path, the deeper end first
+            if depth[u] < depth[v]:
+                u, v = v, u
+            rings.add((min(u, parent[u]), max(u, parent[u])))
+            u = parent[u]
+    return rings
 
 
 def ring_atoms(graph: MolecularGraph) -> set[int]:

@@ -7,11 +7,12 @@ before it is reduced, exhaustive matching enumeration for Wasserstein
 distances, naive threshold loops for the classification metrics, one scan
 of every atom per level (or one sort and a bisection per level) for
 sublevel rows, fingerprints from one row's Betti curve at a time, a plain
-256-slot histogram tree grower for the boosting trainer, and prediction
-that walks one tree at a time.  None of it shares code with the production
-paths, except the classical boosting reference, which reuses the trainer's
-losses and base prediction so that the trees it is compared with can be
-equal.
+256-slot histogram tree grower for the boosting trainer, prediction
+that walks one tree at a time, edge-removal reachability for ring bonds,
+and a cycle walk for permutation parity.  None of it shares code with the
+production paths, except the classical boosting reference, which reuses
+the trainer's losses and base prediction so that the trees it is compared
+with can be equal.
 """
 
 import math
@@ -704,8 +705,27 @@ def sorted_levels(values, thresholds):
 
 
 # ---------------------------------------------------------------------------
-# Molecular-graph helpers: reflection, relabeling, connected components and
-# valence slots
+# Molecular-graph helpers: permutation parity, reflection, relabeling,
+# connected components and valence slots
+
+def cycle_parity(values) -> int:
+    """0 if sorting ``values`` is an even permutation, 1 if odd: each cycle
+    of the sorting permutation of length L is L - 1 transpositions."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    seen = [False] * len(order)
+    parity = 0
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = order[i]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
+
 
 _MIRROR_TAG = {CHI_CW: CHI_CCW, CHI_CCW: CHI_CW}
 

@@ -181,13 +181,29 @@ def test_one_parse_and_one_walk_per_record(tiny_dataset_path, tmp_path, monkeypa
         cfg = open_k_grid_config(data, tmp_path, decile_mode=decile_mode, **overrides)
         code = main(command + ["--config", str(cfg)])
         assert sorted(parsed) == sorted(ids), (data, decile_mode)
-        if data == smiles and decile_mode == "global":
-            assert code == 3 and walked == []
-            assert capsys.readouterr().err == ("data error: global decile mode needs a "
-                                               "molecule with partial charges on every atom\n")
-        else:
-            assert code == 0 and sorted(walked) == sorted(ids), (data, decile_mode)
+        assert code == 0 and sorted(walked) == sorted(ids), (data, decile_mode)
     capsys.readouterr()
+
+
+def test_global_deciles_without_a_charge_filtration(tmp_path, capsys):
+    # SMILES carry no partial charges, and a run without the charge
+    # filtration has no deciles to pool, so both decile modes agree.
+    data = tmp_path / "data.csv"
+    data.write_text(SMILES_CSV)
+    outputs = []
+    for decile_mode in ("per_molecule", "global"):
+        cfg = open_k_grid_config(data, tmp_path, decile_mode=decile_mode,
+                                 out_dir=str(tmp_path / decile_mode),
+                                 kinds=["ATOMIC_MASS", "BOND_TYPE", "CHIRALITY"])
+        assert main(["fingerprint", "--config", str(cfg)]) == 0
+        outputs.append((tmp_path / decile_mode / "fingerprints.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    # with the charge filtration, global deciles still need charges
+    cfg = open_k_grid_config(data, tmp_path, decile_mode="global")
+    assert main(["fingerprint", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == ("data error: global decile mode needs a molecule "
+                                       "with partial charges on every atom\n")
 
 
 @pytest.mark.parametrize("command,kept", [(["fingerprint", "--dump-diagrams"], True),

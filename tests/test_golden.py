@@ -54,6 +54,16 @@ def test_generated_dataset_bytes(count, seed, digest, bench_records):
     ("[H][H]", "6a902fa5c4816657b0c89aed5f6e0bdfabff1f118e9c51039cac0c2e5fe6fb0a"),
     ("[CH2]=[CH2]", "bee4c85d7c132cf9fb2c757475c034eeb114167b42ba9cd443163d2474665ad2"),
     ("BrC(I)F", "f0ca5131867dc903abc6b039698427adee6f042ee15c9ffa41ad3b31412e5f6a"),
+    # bracket charges and hydrogen counts in every written form: a repeated
+    # sign, a count, a zero-padded count, and an aromatic anion in a ring
+    ("[CH2++]", "17fb7a67d34d5f0a469c86a3d9f277afeba715e9d1d9f8f158f78dab5a865073"),
+    ("[CH2+2]", "17fb7a67d34d5f0a469c86a3d9f277afeba715e9d1d9f8f158f78dab5a865073"),
+    ("[O--]", "02834008fd898996afe269b8570fc182ffce8a4f843deca13a18a6d1aa6428fe"),
+    ("[O-02]", "02834008fd898996afe269b8570fc182ffce8a4f843deca13a18a6d1aa6428fe"),
+    ("C[OH]", "de11d7d16c69b08b132547e63c698b3c9b750f97e206a8257afa88c35e5dc3de"),
+    ("[OH2]", "453227f5f33d38b6cb635cce2842549c9123b86bb0e9cff17da3f61f9bd009e3"),
+    ("[OH02]", "453227f5f33d38b6cb635cce2842549c9123b86bb0e9cff17da3f61f9bd009e3"),
+    ("c1cc[cH-]c1", "65d8f6c2e2aa7fbc3b674d25c0699f6e826a77dc7adfa2ecbb3c105f75adbd72"),
 ])
 def test_parsed_molecule_json_bytes(smiles, digest):
     graph = parse_smiles(smiles, name="m")

@@ -31,6 +31,7 @@ from moltop.elements import VALENCES
 from oracles import (
     components,
     cycle_edges,
+    cycle_parity,
     load_graph6_file,
     mirror,
     relabel,
@@ -202,6 +203,62 @@ class TestParseSmiles:
         # the Arabic-Indic one as 1.  None of them is SMILES.
         with pytest.raises(SmilesParseError):
             parse_smiles(text)
+
+    @pytest.mark.parametrize("text,message,offset", [
+        # bracket atoms
+        ("CC[C", "unterminated bracket atom", 2),
+        ("C[13CH4]", "isotope notation not supported", 2),
+        ("C[Xe]", "unsupported element 'Xe'", 2),
+        ("C[X]", "unsupported element 'X'", 2),
+        ("C[]", "missing element in bracket atom", 2),
+        ("C[CH3*]", "unexpected '*' in bracket atom", 5),
+        # the text as a whole
+        (123, "SMILES must be a string, not int", 0),
+        ("", "empty SMILES", 0),
+        # bonds and ring closures
+        ("CC11", "ring closure forms a self-bond", 3),
+        ("C12CC12", "duplicate bond", 6),
+        ("C.=C", "bond symbol without a preceding atom", 2),
+        ("1C", "ring closure before any atom", 0),
+        ("C=1CC-1", "conflicting ring-closure bond orders", 6),
+        # tokens
+        ("(C)", "branch without a preceding atom", 0),
+        ("CC)C", "unbalanced parentheses", 2),
+        ("CC=#C", "consecutive bond symbols", 3),
+        ("CC=.C", "bond symbol before component separator", 2),
+        ("CC%1C", "% must be followed by two digits", 2),
+        ("CX", "unsupported element 'X'", 1),
+        ("CC*", "unexpected character '*'", 2),
+        # at the end of the text
+        ("CC=", "dangling bond symbol", 2),
+        ("CC(C", "unbalanced parentheses", 2),
+        ("CC1CC", "unmatched ring closure 1", 2),
+        # the finished molecule
+        ("C[S@](=O)C", "chirality mark on an atom without four distinct neighbors", 1),
+        ("c1cc[cH](c)(c)c1", "valence overflow", 4),
+        ("C[CH5]", "valence overflow", 1),
+        ("CC(F)(F)(F)F", "valence overflow", 1),
+        # a bond symbol must have an atom after it in its branch
+        ("C(C=)C", "dangling bond symbol", 3),
+        ("C(=)C", "dangling bond symbol", 2),
+        # the JSON loader's rules (and OpenSMILES'): an aromatic atom needs an
+        # aromatic bond, an aromatic bond two aromatic atoms, a molecule an atom
+        ("c", "aromatic atom without an aromatic bond", 0),
+        ("n", "aromatic atom without an aromatic bond", 0),
+        ("[nH]", "aromatic atom without an aromatic bond", 0),
+        ("CcC", "aromatic atom without an aromatic bond", 1),
+        ("C:C", "aromatic bond to an aliphatic atom", 1),
+        ("cc:S", "aromatic bond to an aliphatic atom", 2),
+        ("C1CCCCC:1", "aromatic bond to an aliphatic atom", 8),
+        (".", "no atoms", 0),
+        ("..", "no atoms", 0),
+    ])
+    def test_parse_error_messages_and_offsets(self, text, message, offset):
+        # one input for each place the parser raises
+        with pytest.raises(SmilesParseError) as err:
+            parse_smiles(text)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
 
 
 class TestExpandHydrogens:
@@ -400,7 +457,7 @@ def test_permutation_parity_matches_inversion_count():
         seq = list(rng.permutation(rng.integers(1, 8)).astype(int))
         inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
                          if seq[i] > seq[j])
-        assert permutation_parity(seq) == inversions % 2
+        assert permutation_parity(seq) == cycle_parity(seq) == inversions % 2
 
 
 def test_dataset_record_validation():
@@ -469,6 +526,8 @@ class TestRejectionTaxonomy:
     @given(text=st.text(alphabet=_SMILES_ALPHABET, max_size=24))
     def test_smiles_strings(self, text):
         try:
-            parse_smiles(text)
+            graph = parse_smiles(text)
         except SmilesParseError as exc:
             assert 0 <= exc.offset <= len(text)
+        else:  # a parsed molecule is one the JSON loader takes back unchanged
+            assert graph_from_json_dict(graph_to_json_dict(graph)) == graph
