@@ -21,6 +21,7 @@ from .sglb import (
     TASK_REGRESSION,
     TASKS,
     SglbConfig,
+    binary_labels,
     decompose,
     fit_ensembles,
     save_ensemble,
@@ -111,63 +112,62 @@ _CONFIG_KEYS = {"dataset", "task", "kinds", "k_grid", "decile_mode",
                 "repeats", "out_dir"}
 
 
+def _check_keys(section: dict, keys, name: str):
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
+
+
+def _config_path(base_dir, section: dict, name: str) -> str:
+    """``section["path"]`` joined to the config's directory; the file must exist."""
+    path = os.path.join(base_dir, typed(section["path"], str, f"{name}.path"))
+    if not os.path.exists(path):
+        raise ConfigError(f"{name} file not found: {path}")
+    return path
+
+
 def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
+    """The run config of a JSON document whose paths are relative to
+    ``base_dir``.  A key the document leaves out takes ``RunConfig``'s
+    default, and the sglb seed defaults to the run seed."""
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-
+    _check_keys(doc, _CONFIG_KEYS, "config")
     dataset = doc.get("dataset")
     if isinstance(dataset, str):
         dataset = {"path": dataset}
     if not isinstance(dataset, dict) or "path" not in dataset:
         raise ConfigError("config needs dataset.path")
-    dataset_path = os.path.join(base_dir, typed(dataset["path"], str, "dataset.path"))
-    if not os.path.exists(dataset_path):
-        raise ConfigError(f"dataset file not found: {dataset_path}")
-    dataset_format = typed(dataset.get("format"), (str, type(None)), "dataset.format")
-
+    _check_keys(dataset, ("path", "format"), "dataset")
     task = doc.get("task")
-    task = _TASK_ALIASES.get(task, task) if isinstance(task, str) else task
+    fields = {"dataset_path": _config_path(base_dir, dataset, "dataset"),
+              "dataset_format": typed(dataset.get("format"), (str, type(None)),
+                                      "dataset.format"),
+              "task": _TASK_ALIASES.get(task, task) if isinstance(task, str) else task}
+    if "kinds" in doc:
+        fields["kinds"] = canonical_kinds(typed(doc["kinds"], list, "kinds"))
+    fields.update((key, typed(doc[key], kind, key)) for key, kind in (
+        ("k_grid", (int, type(None))), ("seed", int), ("threads", int), ("repeats", int))
+        if key in doc)
+    fields.update((key, doc[key]) for key in ("decile_mode", "distance_mode") if key in doc)
 
-    kinds = canonical_kinds(typed(doc.get("kinds", list(FILTRATION_KINDS)), list, "kinds"))
-
-    k_grid = typed(doc.get("k_grid"), (int, type(None)), "k_grid")
-
-    split = typed(doc.get("split", {"mode": "random"}), dict, "split")
-    split_mode = split.get("mode", "random")
-    split_path = None
-    ratios = (0.8, 0.1, 0.1)
-    if split_mode == "file":
-        split_path = split.get("path")
-        if split_path is None:
+    split = typed(doc.get("split", {}), dict, "split")
+    _check_keys(split, ("mode", "ratios", "path"), "split")
+    fields["split_mode"] = split.get("mode", RunConfig.split_mode)
+    if fields["split_mode"] == "file":
+        if split.get("path") is None:
             raise ConfigError("file split needs split.path")
-        split_path = os.path.join(base_dir, typed(split_path, str, "split.path"))
-        if not os.path.exists(split_path):
-            raise ConfigError(f"split file not found: {split_path}")
-    elif split_mode == "random":
-        ratios = typed(split.get("ratios", [0.8, 0.1, 0.1]), list, "split.ratios")
-        ratios = tuple(typed(r, (int, float), "split.ratios") for r in ratios)
+        fields["split_path"] = _config_path(base_dir, split, "split")
+    elif fields["split_mode"] == "random" and "ratios" in split:
+        fields["split_ratios"] = tuple(typed(r, (int, float), "split.ratios")
+                                       for r in typed(split["ratios"], list, "split.ratios"))
 
-    seed = typed(doc.get("seed", 0), int, "seed")
-    sglb_doc = dict(typed(doc.get("sglb", {}), dict, "sglb"))
-    if task in TASKS:  # else the run config names the bad task
-        sglb_doc.setdefault("task", task)
-    sglb_doc.setdefault("seed", seed)
-    sglb = SglbConfig.from_dict(sglb_doc, ConfigError)
-
-    threads = typed(doc.get("threads", 1), int, "threads")
-    repeats = typed(doc.get("repeats", 3), int, "repeats")
-    out_dir = typed(doc.get("out_dir", "out"), str, "out_dir")
-
-    return RunConfig(dataset_path=dataset_path, task=task,
-                     dataset_format=dataset_format, kinds=kinds,
-                     k_grid=k_grid, decile_mode=doc.get("decile_mode", "per_molecule"),
-                     distance_mode=doc.get("distance_mode", "full_graph"),
-                     split_mode=split_mode,
-                     split_ratios=ratios, split_path=split_path, sglb=sglb,
-                     threads=threads, seed=seed, repeats=repeats,
+    sglb = dict(typed(doc.get("sglb", {}), dict, "sglb"))
+    if fields["task"] in TASKS:  # else the run config names the bad task
+        sglb.setdefault("task", fields["task"])
+    sglb.setdefault("seed", fields.get("seed", RunConfig.seed))
+    out_dir = typed(doc.get("out_dir", RunConfig.out_dir), str, "out_dir")
+    return RunConfig(**fields, sglb=SglbConfig.from_dict(sglb, ConfigError),
                      out_dir=os.path.join(base_dir, out_dir))
 
 
@@ -247,8 +247,8 @@ def _record(doc, record_id, base_dir, target_type) -> DatasetRecord:
     return DatasetRecord(record_id, target, graph, split=doc.get("split"))
 
 
-def apply_split(records, split_mode: str = "random", split_path=None,
-                ratios=(0.8, 0.1, 0.1), seed: int = 0):
+def apply_split(records, split_mode: str = RunConfig.split_mode, split_path=None,
+                ratios=RunConfig.split_ratios, seed: int = RunConfig.seed):
     """Tag every record with exactly one of TRAIN/VALID/TEST."""
     records = list(records)
     if split_mode == "file":
@@ -269,18 +269,11 @@ def apply_split(records, split_mode: str = "random", split_path=None,
     if split_mode != "random":
         raise ConfigError(f"invalid split mode {split_mode!r}")
     n = len(records)
-    order = np.random.default_rng(seed).permutation(n)
-    n_train = int(n * ratios[0])
-    n_valid = int(n * ratios[1])
-    tags = [""] * n
-    for pos, rec_idx in enumerate(order):
-        if pos < n_train:
-            tags[rec_idx] = "TRAIN"
-        elif pos < n_train + n_valid:
-            tags[rec_idx] = "VALID"
-        else:
-            tags[rec_idx] = "TEST"
-    return [replace(r, split=tags[i]) for i, r in enumerate(records)]
+    n_train, n_valid = int(n * ratios[0]), int(n * ratios[1])
+    tags = np.empty(n, dtype=object)  # the records at the permutation's positions
+    tags[np.random.default_rng(seed).permutation(n)] = (
+        ["TRAIN"] * n_train + ["VALID"] * n_valid + ["TEST"] * n)[:n]
+    return [replace(r, split=tag) for r, tag in zip(records, tags)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +283,6 @@ def rmse(predictions, labels) -> float:
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     return float(np.sqrt(np.mean((predictions - labels) ** 2)))
-
-
-def _check_binary(labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.float64)
-    if not np.isin(np.unique(labels), (0.0, 1.0)).all():
-        raise DataError("classification labels must be 0/1")
-    if np.unique(labels).size < 2:
-        raise DataError("AUC is undefined for a single-class label vector")
-    return labels
 
 
 def _score_sweep(scores, labels):
@@ -314,7 +298,7 @@ def _score_sweep(scores, labels):
 
 def roc_auc(scores, labels) -> float:
     """Trapezoidal area under TPR vs FPR over all distinct score thresholds."""
-    _, cum_tp, cum_called = _score_sweep(scores, _check_binary(labels))
+    _, cum_tp, cum_called = _score_sweep(scores, binary_labels(labels))
     cum_fp = cum_called - cum_tp
     tpr = np.concatenate([[0.0], cum_tp / cum_tp[-1]])
     fpr = np.concatenate([[0.0], cum_fp / cum_fp[-1]])
@@ -325,7 +309,7 @@ def prc_auc(scores, labels) -> float:
     """Step-rule area under precision vs recall, swept over q in the distinct
     scores and q = 0 in descending order.  A sample is called positive at q
     when its score exceeds q; thresholds that call no sample are skipped."""
-    values, cum_tp, cum_called = _score_sweep(scores, _check_binary(labels))
+    values, cum_tp, cum_called = _score_sweep(scores, binary_labels(labels))
     qs = np.union1d(values, [0.0])[::-1]
     above = np.searchsorted(-values, -qs, side="left")  # groups scoring above each q
     tp_gt = np.concatenate([[0.0], cum_tp])[above]
@@ -371,10 +355,8 @@ def evaluate(predictions, labels, task: str) -> dict:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    task: str
-    metrics: dict          # split -> metric -> {"mean", "std", "values"}
-    predictions: list      # per-sample rows (repeat 0)
-    timing: dict           # stage -> seconds (not part of report.json determinism)
+    metrics: dict          # run label -> kinds, and split -> metric -> {"mean", "std", "values"}
+    predictions: list      # per-record rows of the ALL ensemble of repeat 0
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +397,10 @@ def prepare_run(cfg: RunConfig, diagrams: bool = False) -> PreparedRun:
             raise DataError("global decile mode needs a molecule with partial "
                             "charges on every atom")
         charge_thresholds = decile_boundaries(charges)
-    t0 = time.perf_counter()
-    table = fingerprint_dataset(records, cfg.kinds, cfg.k_grid, threads=cfg.threads,
-                                distance_mode=cfg.distance_mode,
-                                charge_thresholds=charge_thresholds, diagrams=diagrams)
-    return PreparedRun(records, load_errors, table, time.perf_counter() - t0)
+    table, seconds = _timed(fingerprint_dataset, records, cfg.kinds, cfg.k_grid,
+                            threads=cfg.threads, distance_mode=cfg.distance_mode,
+                            charge_thresholds=charge_thresholds, diagrams=diagrams)
+    return PreparedRun(records, load_errors, table, seconds)
 
 
 def _full_charges(graph):
@@ -450,99 +431,77 @@ def write_fingerprint_artifacts(out_dir, table: FingerprintTable, load_errors):
                 {"load_errors": list(load_errors), "fingerprint_errors": list(table.errors)})
 
 
-def _metric_summary(values_by_metric):
+def _metric_summary(per_repeat: list[dict]) -> dict:
+    """Each metric's mean, std and values over the repeats."""
     out = {}
-    for metric, values in values_by_metric.items():
+    for metric in per_repeat[0]:
+        values = [float(m[metric]) for m in per_repeat]
         arr = np.asarray(values, dtype=np.float64)
-        out[metric] = {"mean": float(arr.mean()),
-                       "std": float(arr.std()),
-                       "values": [float(v) for v in values]}
+        out[metric] = {"mean": float(arr.mean()), "std": float(arr.std()), "values": values}
     return out
+
+
+def _timed(fn, *args, **kwargs):
+    """``fn``'s result and its wall seconds."""
+    t0 = time.perf_counter()
+    return fn(*args, **kwargs), time.perf_counter() - t0
 
 
 def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -> EvaluationReport:
     """Fingerprint, train, evaluate; write all artifacts under cfg.out_dir."""
-    timing = {}
     t_start = time.perf_counter()
     prep = prepare_run(cfg)
-    records, table = prep.records, prep.table
-    timing["fingerprint_seconds"] = prep.fingerprint_seconds
-    matrix, targets, split_rows = training_matrix(records, table)
+    table = prep.table
+    matrix, targets, split_rows = training_matrix(prep.records, table)
     if not split_rows["TRAIN"] or not split_rows["TEST"]:
         raise DataError("TRAIN and TEST splits must both be non-empty after "
                         "fingerprinting")
     write_fingerprint_artifacts(cfg.out_dir, table, prep.load_errors)
 
-    singles = [(k,) for k in cfg.kinds] if ablation and len(cfg.kinds) > 1 else []
-    subsets = singles + [tuple(cfg.kinds)]
-
-    runs = {}
-    first_predictions = []
-    timing["train_seconds"] = {}
-    timing["predict_seconds"] = {}
+    kinds = tuple(cfg.kinds)
+    subsets = ([(k,) for k in kinds] if ablation and len(kinds) > 1 else []) + [kinds]
+    matrices = [matrix if subset == kinds else
+                slice_table(table, subset).matrix().astype(np.float64) for subset in subsets]
     train_rows = split_rows["TRAIN"]
     y_train = targets[train_rows]
-    jobs, matrices = [], []  # one job per (kind subset, repeat) ensemble, in report order
-    for kinds in subsets:
-        sub = slice_table(table, kinds)
-        matrices.append(matrix if kinds == tuple(cfg.kinds) else sub.matrix().astype(np.float64))
-        X_train = matrices[-1][train_rows]
-        jobs += [(X_train, y_train, replace(cfg.sglb, seed=cfg.sglb.seed + 7919 * repeat),
-                  sub.layout) for repeat in range(cfg.repeats)]
-    t0 = time.perf_counter()
-    ensembles = iter(fit_ensembles(jobs, cfg.threads))
-    timing["train_wall_seconds"] = time.perf_counter() - t0
+    # one job per (kind subset, repeat) ensemble, in report order; the
+    # repeats of a subset share its training rows
+    jobs = [(X_train, y_train, replace(cfg.sglb, seed=cfg.sglb.seed + 7919 * repeat),
+             replace(table.layout, kinds=subset))
+            for subset, X_train in ((s, X[train_rows]) for s, X in zip(subsets, matrices))
+            for repeat in range(cfg.repeats)]
+    fitted, train_wall_seconds = _timed(fit_ensembles, jobs, cfg.threads)
+    ensembles = iter(fitted)
+    # regression runs report, per split, the RMSE of predicting the TRAIN mean
+    baseline = {tag: {"constant_mean_rmse": rmse(np.full(len(rows), float(np.mean(y_train))),
+                                                 targets[rows])}
+                if cfg.task == TASK_REGRESSION else {} for tag, rows in split_rows.items() if rows}
 
-    for kinds, sub_matrix in zip(subsets, matrices):
-        main = kinds == tuple(cfg.kinds)  # else a single kind of the ablation
-        label = "ALL" if main else KIND_ABBREV[kinds[0]]
-        per_split_values: dict[str, dict[str, list[float]]] = {}
-        train_times, predict_times = [], []
+    runs, train_seconds, predict_seconds = {}, {}, {}
+    for subset, X in zip(subsets, matrices):
+        label = "ALL" if subset == kinds else KIND_ABBREV[subset[0]]
+        group = [next(ensembles) for _ in range(cfg.repeats)]
+        reports, predict_seconds[label] = zip(*(_timed(decompose, e, X) for e in group))
+        train_seconds[label] = [e.train_seconds for e in group]
+        runs[label] = {"kinds": list(subset), "metrics": {
+            tag: _metric_summary([{**evaluate(r.prediction[rows], targets[rows], cfg.task),
+                                   **baseline[tag]} for r in reports])
+            for tag, rows in sorted(split_rows.items()) if rows}}
 
-        for repeat in range(cfg.repeats):
-            ensemble = next(ensembles)
-            train_times.append(ensemble.train_seconds)
-            t0 = time.perf_counter()
-            every_row = decompose(ensemble, sub_matrix)
-            for tag in SPLIT_TAGS:
-                rows = split_rows[tag]
-                if not rows:
-                    continue
-                report = every_row.take(rows)
-                metrics = evaluate(report.prediction, targets[rows], cfg.task)
-                if cfg.task == TASK_REGRESSION:
-                    const = float(np.mean(y_train))
-                    metrics["constant_mean_rmse"] = rmse(
-                        np.full(len(rows), const), targets[rows])
-                bucket = per_split_values.setdefault(tag, {})
-                for name, value in metrics.items():
-                    bucket.setdefault(name, []).append(value)
-                if repeat == 0 and main:
-                    ids = [table.fingerprints[row].record_id for row in rows]
-                    for row, entry in zip(rows, prediction_rows(ids, report)):
-                        first_predictions.append(
-                            {**entry, "split": tag, "target": float(targets[row])})
-            predict_times.append(time.perf_counter() - t0)
-
-            if repeat == 0 and main:
-                save_ensemble(ensemble, os.path.join(cfg.out_dir, "model.json"))
-
-        runs[label] = {"kinds": list(kinds),
-                       "metrics": {tag: _metric_summary(vals)
-                                   for tag, vals in sorted(per_split_values.items())}}
-        timing["train_seconds"][label] = train_times
-        timing["predict_seconds"][label] = predict_times
-
-    first_predictions.sort(key=lambda row: row["record_id"])
-    write_predictions_csv(os.path.join(cfg.out_dir, "predictions.csv"),
-                          first_predictions, ("record_id", "split", "target"))
-
-    report = {
+    # the loop ends on ALL, whose first repeat gives the model and the predictions
+    save_ensemble(group[0], os.path.join(cfg.out_dir, "model.json"))
+    tag_of = {row: tag for tag, rows in split_rows.items() for row in rows}
+    predictions = sorted(({**entry, "split": tag_of[row], "target": float(targets[row])}
+                          for row, entry in enumerate(prediction_rows(table.ids(), reports[0]))),
+                         key=lambda entry: entry["record_id"])
+    write_predictions_csv(os.path.join(cfg.out_dir, "predictions.csv"), predictions,
+                          ("record_id", "split", "target"))
+    _write_json(os.path.join(cfg.out_dir, "report.json"), {
         "format_version": "1",
         "config": cfg.to_dict(),
         "k_grid": table.layout.k_grid,
         "dataset": {
-            "records": len(records),
+            "records": len(prep.records),
             "fingerprinted": len(table.fingerprints),
             "load_errors": len(prep.load_errors),
             "fingerprint_errors": len(table.errors),
@@ -550,16 +509,16 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
         },
         "ablation": ablation,
         "runs": runs,
-    }
-    _write_json(os.path.join(cfg.out_dir, "report.json"), report)
-
-    timing["total_seconds"] = time.perf_counter() - t_start
-    _write_json(os.path.join(cfg.out_dir, "timing.json"), timing)
-
+    })
+    _write_json(os.path.join(cfg.out_dir, "timing.json"), {
+        "fingerprint_seconds": prep.fingerprint_seconds,
+        "train_wall_seconds": train_wall_seconds,
+        "train_seconds": train_seconds,
+        "predict_seconds": predict_seconds,
+        "total_seconds": time.perf_counter() - t_start})
     if plots:
-        _write_plots(cfg, first_predictions)
-
-    return EvaluationReport(cfg.task, runs, first_predictions, timing)
+        _write_plots(cfg, predictions)
+    return EvaluationReport(runs, predictions)
 
 
 def _write_json(path, doc):
@@ -590,54 +549,45 @@ def write_predictions_csv(path, rows, id_columns=("record_id",)):
 # Static SVG plots (prediction vs uncertainty bands)
 
 def _write_plots(cfg: RunConfig, predictions):
-    rows = [r for r in predictions if r["split"] == "TEST"]
-    if not rows:
-        return
-    rows = sorted(rows, key=lambda r: (r["prediction"], r["record_id"]))
-    xs = list(range(len(rows)))
+    """``uncertainty_band.svg``: the TEST predictions in rising order within
+    their total-uncertainty band (one standard deviation for regression), and
+    the targets as dots."""
+    width, height, pad = 720, 420, 48
+    rows = sorted((r for r in predictions if r["split"] == "TEST"),
+                  key=lambda r: (r["prediction"], r["record_id"]))
     mean = [r["prediction"] for r in rows]
-    if cfg.task == TASK_REGRESSION:
-        half = [math.sqrt(max(r["total_uncertainty"], 0.0)) for r in rows]
-    else:
-        half = [r["total_uncertainty"] for r in rows]
+    half = [math.sqrt(max(r["total_uncertainty"], 0.0)) if cfg.task == TASK_REGRESSION
+            else r["total_uncertainty"] for r in rows]
     lo = [m - h for m, h in zip(mean, half)]
     hi = [m + h for m, h in zip(mean, half)]
     targets = [r["target"] for r in rows]
-    path = os.path.join(cfg.out_dir, "uncertainty_band.svg")
-    _svg_band(path, xs, mean, lo, hi, targets,
-              title=f"{cfg.task}: prediction with total-uncertainty band")
-
-
-def _svg_band(path, xs, mean, lo, hi, targets, title, width=720, height=420):
-    pad = 48
-    x_min, x_max = min(xs), max(xs)
+    x_max = max(len(rows) - 1, 1)
     y_min = min(min(lo), min(targets))
     y_max = max(max(hi), max(targets))
     if y_max == y_min:
         y_max = y_min + 1.0
-    if x_max == x_min:
-        x_max = x_min + 1
 
     def sx(x):
-        return pad + (x - x_min) / (x_max - x_min) * (width - 2 * pad)
+        return pad + x / x_max * (width - 2 * pad)
 
     def sy(y):
         return height - pad - (y - y_min) / (y_max - y_min) * (height - 2 * pad)
 
-    band = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, hi))
-    band += " " + " ".join(f"{sx(x):.2f},{sy(y):.2f}"
-                           for x, y in zip(reversed(xs), reversed(lo)))
-    line = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, mean))
+    def points(xs, ys):
+        return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+
+    xs = range(len(rows))
+    band = points(xs, hi) + " " + points(reversed(xs), reversed(lo))
+    line = points(xs, mean)
     dots = "".join(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1.6" '
-                   f'fill="#444455" fill-opacity="0.55"/>'
-                   for x, y in zip(xs, targets))
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<polygon points="{band}" fill="#7aa6d8" fill-opacity="0.35"/>'
-        f'<polyline points="{line}" fill="none" stroke="#c03a3a" stroke-width="1.6"/>'
-        f"{dots}"
-        f'<text x="{pad}" y="24" font-family="monospace" font-size="13">{title}</text>'
-        f"</svg>\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+                   f'fill="#444455" fill-opacity="0.55"/>' for x, y in zip(xs, targets))
+    title = f"{cfg.task}: prediction with total-uncertainty band"
+    with open(os.path.join(cfg.out_dir, "uncertainty_band.svg"), "w", encoding="utf-8") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+            f'<rect width="{width}" height="{height}" fill="white"/>'
+            f'<polygon points="{band}" fill="#7aa6d8" fill-opacity="0.35"/>'
+            f'<polyline points="{line}" fill="none" stroke="#c03a3a" stroke-width="1.6"/>'
+            f"{dots}"
+            f'<text x="{pad}" y="24" font-family="monospace" font-size="13">{title}</text>'
+            f"</svg>\n")

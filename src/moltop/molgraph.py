@@ -244,6 +244,8 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
         if token == "(":
             if prev is None:
                 raise SmilesParseError("branch without a preceding atom", i)
+            if pending is not None:
+                raise SmilesParseError("bond symbol before branch", pending[1])
             branch_stack.append((prev, i))
         elif token == ")":
             if not branch_stack:

@@ -359,12 +359,19 @@ def _validate_training_data(X, y, task):
     if not np.isfinite(y).all():
         raise DataError("targets contain non-finite values")
     if task == TASK_CLASSIFICATION:
-        labels = np.unique(y)
-        if not np.isin(labels, (0.0, 1.0)).all():
-            raise DataError("classification targets must be 0/1")
-        if labels.size < 2:
-            raise DataError("classification needs both classes present")
+        binary_labels(y)
     return X, y
+
+
+def binary_labels(y) -> np.ndarray:
+    """``y`` as floats, if its labels are 0/1 and both classes occur."""
+    y = np.asarray(y, dtype=np.float64)
+    classes = np.unique(y)
+    if not np.isin(classes, (0.0, 1.0)).all():
+        raise DataError("classification targets must be 0/1")
+    if classes.size < 2:
+        raise DataError("classification needs both classes present")
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ of every atom per level (or one sort and a bisection per level) for
 sublevel rows, fingerprints from one row's Betti curve at a time, a plain
 256-slot histogram tree grower for the boosting trainer, prediction
 that walks one tree at a time, edge-removal reachability for ring bonds,
-and a cycle walk for permutation parity.  None of it shares code with the
+a cycle walk for permutation parity, and a walk over the positions of a
+random split.  None of it shares code with the
 production paths, except the classical boosting reference, which reuses
 the trainer's losses and base prediction so that the trees it is compared
 with can be equal.
@@ -446,6 +447,24 @@ def naive_f1(scores, labels, threshold=0.5):
 # ---------------------------------------------------------------------------
 # Plain 256-slot histogram tree growing: every varying column, duplicates
 # included, gets a full 256-slot histogram row.
+
+def random_split_tags(n, ratios, seed) -> list[str]:
+    """The split tag of each of n records: the seeded permutation's first
+    n * ratios[0] positions (rounded down) name TRAIN records, the next
+    n * ratios[1] VALID ones, and the rest TEST ones."""
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = int(n * ratios[0])
+    n_valid = int(n * ratios[1])
+    tags = [""] * n
+    for pos, rec_idx in enumerate(order):
+        if pos < n_train:
+            tags[rec_idx] = "TRAIN"
+        elif pos < n_train + n_valid:
+            tags[rec_idx] = "VALID"
+        else:
+            tags[rec_idx] = "TEST"
+    return tags
+
 
 def quantile_bin_edges_loop(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
     """Per-feature ascending split-candidate values, one np.quantile per column."""

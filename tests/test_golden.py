@@ -1,6 +1,7 @@
 """Golden pins: the generated datasets and the molecule JSON of a SMILES
-corpus, byte for byte.  A change to parsing, hydrogen placement, stereo
-normalization or dataset generation that moves any byte fails here."""
+corpus and the artifacts of one ``bench`` run, byte for byte.  A change to
+parsing, hydrogen placement, stereo normalization, dataset generation or the
+benchmark runner that moves any byte fails here."""
 
 import hashlib
 import json
@@ -8,6 +9,7 @@ import json
 import pytest
 
 from moltop.datagen import generate_dataset
+from moltop.harness import run_benchmark, run_config_from_dict
 from moltop.molgraph import graph_to_json_dict, parse_smiles
 
 
@@ -68,3 +70,26 @@ def test_generated_dataset_bytes(count, seed, digest, bench_records):
 def test_parsed_molecule_json_bytes(smiles, digest):
     graph = parse_smiles(smiles, name="m")
     assert sha256(json.dumps(graph_to_json_dict(graph), sort_keys=True)) == digest
+
+
+def test_bench_artifact_bytes(tiny_dataset_path, tmp_path):
+    # report.json echoes the dataset path and out_dir; both are normalised
+    out = tmp_path / "out"
+    cfg = run_config_from_dict({
+        "dataset": str(tiny_dataset_path), "task": "regression", "repeats": 2,
+        "out_dir": str(out), "sglb": {"iterations": 20, "max_depth": 3, "ensemble_size": 2}})
+    run_benchmark(cfg, ablation=True, plots=True)
+    report = (out / "report.json").read_text(encoding="utf-8")
+    texts = {"report.json": report.replace(str(out), "OUT").replace(str(tiny_dataset_path),
+                                                                    "DATA")}
+    for name in ("predictions.csv", "model.json", "uncertainty_band.svg"):
+        texts[name] = (out / name).read_text(encoding="utf-8")
+    assert {name: sha256(text) for name, text in texts.items()} == {
+        "report.json": "d5c570c4f9daefaee89696a006d0cbf5b64e9228f7452cdcb544336ad8ba4a4a",
+        "predictions.csv": "b7c2099987ad65d1ccf400e55d5d3518587742a6c68e3919d735ca8f0a422880",
+        "model.json": "39b4ebb74a9a3b09e7a0b2cbe79633fb79bde74b0d1e82600abfe7200ae9b685",
+        "uncertainty_band.svg": "81a9c7bf510e6fde148820c55eba4aa17c93d1447cf05519dc73ebc1df5c37aa",
+    }
+    assert set(json.loads((out / "timing.json").read_text())) == {
+        "fingerprint_seconds", "train_wall_seconds", "train_seconds", "predict_seconds",
+        "total_seconds"}

@@ -35,7 +35,7 @@ from moltop.vectorize import (
     read_fingerprints_csv,
 )
 
-from oracles import graph_diameter, naive_f1, naive_prc_auc, naive_roc_auc
+from oracles import graph_diameter, naive_f1, naive_prc_auc, naive_roc_auc, random_split_tags
 
 
 def write_csv_dataset(path, rows):
@@ -271,6 +271,14 @@ class TestApplySplit:
         c = apply_split(records, "random", seed=12)
         assert [r.split for r in a] != [r.split for r in c]
 
+    @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (0.0, 0.3, 0.7)])
+    def test_random_tags_equal_the_per_position_oracle(self, ratios):
+        records = self.make_records(30)
+        for n in range(31):
+            for seed in range(5):
+                tagged = apply_split(records[:n], "random", ratios=ratios, seed=seed)
+                assert [r.split for r in tagged] == random_split_tags(n, ratios, seed)
+
 
 class TestMetrics:
     def test_perfect_ranking_roc(self):
@@ -294,10 +302,13 @@ class TestMetrics:
             naive_prc_auc(scores, labels), abs=1e-12)
 
     def test_single_class_rejected(self):
-        with pytest.raises(DataError):
+        # the trainer's rule and message (sglb.binary_labels)
+        with pytest.raises(DataError, match="^classification needs both classes present$"):
             roc_auc([0.5, 0.6], [1, 1])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^classification needs both classes present$"):
             evaluate([0.5, 0.6], [0, 0], "classification")
+        with pytest.raises(DataError, match="^classification targets must be 0/1$"):
+            prc_auc([0.5, 0.6], [0, 2])
 
     def test_rmse(self):
         assert rmse([1.0, 2.0], [1.0, 4.0]) == pytest.approx(np.sqrt(2.0))
@@ -339,6 +350,13 @@ class TestRunConfig:
         doc["dataste"] = "typo"
         with pytest.raises(ConfigError):
             run_config_from_dict(doc)
+
+    def test_dataset_and_task_alone_take_the_defaults(self, tmp_path):
+        (tmp_path / "data.jsonl").write_text("", encoding="utf-8")
+        cfg = run_config_from_dict({"dataset": "data.jsonl", "task": "regression"},
+                                   str(tmp_path))
+        assert cfg == RunConfig(dataset_path=str(tmp_path / "data.jsonl"),
+                                task=TASK_REGRESSION, out_dir=str(tmp_path / "out"))
 
     def test_ratio_validation(self, small_dataset_path):
         doc = self.base_doc(small_dataset_path)
@@ -410,10 +428,13 @@ class TestRunConfig:
         ("split", {"mode": "files"}, "invalid split mode 'files'"),
         ("k_grid", 0, "k_grid must be a positive integer or null"),
         ("sglb", {"task": "BINARY_CLASSIFICATION"}, "sglb.task must match the run task"),
+        # a misspelt key in a section
+        ("split", {"mode": "random", "ratio": [0.5, 0.25, 0.25]}, "unknown split keys ['ratio']"),
+        ("dataset", {"fromat": "csv"}, "unknown dataset keys ['fromat']"),
     ])
     def test_json_config_rules(self, small_dataset_path, key, value, message):
         doc = self.base_doc(small_dataset_path)
-        doc[key] = value
+        doc[key] = {**doc[key], **value} if key == "dataset" else value
         with pytest.raises(ConfigError) as err:
             run_config_from_dict(doc)
         assert str(err.value) == message

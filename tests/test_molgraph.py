@@ -226,6 +226,7 @@ class TestParseSmiles:
         ("CC)C", "unbalanced parentheses", 2),
         ("CC=#C", "consecutive bond symbols", 3),
         ("CC=.C", "bond symbol before component separator", 2),
+        ("C=(C)C", "bond symbol before branch", 1),
         ("CC%1C", "% must be followed by two digits", 2),
         ("CX", "unsupported element 'X'", 1),
         ("CC*", "unexpected character '*'", 2),
