@@ -10,10 +10,9 @@ sublevel rows, fingerprints from one row's Betti curve at a time, a plain
 256-slot histogram tree grower for the boosting trainer, prediction
 that walks one tree at a time, edge-removal reachability for ring bonds,
 a cycle walk for permutation parity, and a walk over the positions of a
-random split.  None of it shares code with the
-production paths, except the classical boosting reference, which reuses
-the trainer's losses and base prediction so that the trees it is compared
-with can be equal.
+random split.  None of it shares code with the production paths, except
+the classical boosting reference, which reuses the trainer's losses and
+base prediction so that the trees it is compared with can be equal.
 """
 
 import math
@@ -444,10 +443,6 @@ def naive_f1(scores, labels, threshold=0.5):
     return 2 * precision * recall / (precision + recall)
 
 
-# ---------------------------------------------------------------------------
-# Plain 256-slot histogram tree growing: every varying column, duplicates
-# included, gets a full 256-slot histogram row.
-
 def random_split_tags(n, ratios, seed) -> list[str]:
     """The split tag of each of n records: the seeded permutation's first
     n * ratios[0] positions (rounded down) name TRAIN records, the next
@@ -465,6 +460,10 @@ def random_split_tags(n, ratios, seed) -> list[str]:
             tags[rec_idx] = "TEST"
     return tags
 
+
+# ---------------------------------------------------------------------------
+# Plain 256-slot histogram tree growing: every varying column, duplicates
+# included, gets a full 256-slot histogram row.
 
 def quantile_bin_edges_loop(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
     """Per-feature ascending split-candidate values, one np.quantile per column."""
