@@ -143,6 +143,8 @@ def _bond_type_values(graph: MolecularGraph) -> list[int]:
 
 
 def _chirality_values(graph: MolecularGraph) -> list[int]:
+    if not any(a.chirality in _TAG_VALUE for a in graph.atoms):
+        return [0] * graph.n_atoms  # no tag: no valence tally
     return [chirality_value(a, d) for a, d in zip(graph.atoms, graph.degrees())]
 
 

@@ -154,6 +154,9 @@ def run_config_from_dict(doc: dict, base_dir: str = ".") -> RunConfig:
     split = typed(doc.get("split", {}), dict, "split")
     _check_keys(split, ("mode", "ratios", "path"), "split")
     fields["split_mode"] = split.get("mode", RunConfig.split_mode)
+    for key, wrong in (("ratios", "file"), ("path", "random")):
+        if key in split and fields["split_mode"] == wrong:
+            raise ConfigError(f"split.{key} does not apply to a {wrong} split")
     if fields["split_mode"] == "file":
         if split.get("path") is None:
             raise ConfigError("file split needs split.path")

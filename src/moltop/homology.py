@@ -13,16 +13,16 @@ A molecule's rows are built and reduced together, in one stack.
 ``build_rows`` takes the rows as an (R, n) boolean matrix of vertex masks,
 puts each row's hop block into an (R, m, m) array, padded to the largest
 row with UNREACHABLE, and orders the edges of all rows by (row, scale,
-u, v), so each row keeps its own filtration order.  ``reduce_rows``
-then follows Ripser (Bauer 2021) in four steps, each over all rows at once:
+u, v), so each row keeps its own filtration order.  Like Ripser (Bauer
+2021), it builds only the edges below each row's enclosing radius R, the
+smallest eccentricity of its vertices (UNREACHABLE counting as infinity),
+where R <= eps_max.  From R on the complex is a cone on a vertex of
+eccentricity R, connected with H_1 = 0, and a filtration prefix is paired
+as the prefix of the pairing: each component and cycle still alive below R
+dies at R, and nothing born later has positive persistence.
+``reduce_rows`` then follows Ripser in three steps, each over all rows at
+once, into one ``Pairing`` of every class's row, dimension, birth and death.
 
-0. Like Ripser, it first cuts each row at its enclosing radius R, the
-   smallest eccentricity of its vertices (UNREACHABLE counting as
-   infinity), where R <= eps_max.  From scale R on the row's complex is a
-   cone on a vertex of eccentricity R: connected, with H_1 = 0.  A
-   filtration prefix is paired as the prefix of the pairing, so only edges
-   and triangles below R are reduced; each component and cycle still alive
-   below R dies at R, and nothing born later has positive persistence.
 1. Apparent pairs, in one vectorized pass over an (edges, m) array of
    triangle scales: an edge whose oldest cofacet has that edge as its
    youngest face is paired with it without any reduction.  Every such pair
@@ -84,21 +84,23 @@ def geodesic_distances(graph: MolecularGraph, rows=None) -> np.ndarray:
     n = graph.n_atoms
     if n == 0:
         raise DataError("cannot compute distances on an empty graph")
-    inside = np.ones((1, n), dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
+    ends = np.array([(bond.a, bond.b) for bond in graph.bonds], dtype=np.intp).reshape(-1, 2)
     adj = np.zeros((n, n))
-    for bond in graph.bonds:
-        adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1
-    adj = adj * (inside[:, :, None] & inside[:, None, :])  # bonds within each row
-    # frontier[r, s, v]: v is first reached from s at distance dist.  The
+    adj[ends, ends[:, ::-1]] = 1
+    # frontier[(r,) s, v]: v is first reached from s at distance dist.  The
     # products count paths of 0/1 entries, so they are exact in floats.
-    frontier = np.eye(n) * inside[:, None, :]
+    frontier = np.eye(n)
+    if rows is not None:
+        inside = np.asarray(rows, dtype=bool)
+        adj = adj * (inside[:, :, None] & inside[:, None, :])  # bonds within each row
+        frontier = frontier * inside[:, None, :]
     hops = np.where(frontier > 0, 0, UNREACHABLE).astype(np.int32)
     dist = 0
     while frontier.any():
         dist += 1
         frontier = (frontier @ adj > 0) & (hops == UNREACHABLE)
         hops[frontier] = dist
-    return hops[0] if rows is None else hops
+    return hops
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +110,12 @@ class RowStack:
     Row r's local vertices are its set's vertices in ascending order, and its
     hop block is hops[r, :k, :k] for the k = inside[r].sum() of them, padded
     to the largest row with UNREACHABLE.  Edges enter at the hop distance of
-    their endpoints, in (row, scale, u, v) order.
+    their endpoints, in (row, scale, u, v) order, and only below their row's
+    radius.
     """
     inside: np.ndarray      # (R, m) bool: local id j is a vertex of row r
     hops: np.ndarray        # (R, m, m) hop blocks, m the largest row
+    radius: np.ndarray      # (R,) enclosing radii, capped at min(eps_max, largest hop) + 1
     edge_row: np.ndarray    # (E,) in filtration order
     edge_eps: np.ndarray    # (E,)
     edge_local: np.ndarray  # (E, 2) local vertex ids, u < v
@@ -120,8 +124,9 @@ class RowStack:
 
 def build_rows(sets: np.ndarray, hops: np.ndarray, eps_max: int) -> RowStack:
     """Filtered clique 2-skeletons on the (R, n) boolean vertex masks
-    ``sets``, in one stack; ``hops`` is one (n, n) block for every set or an
-    (R, n, n) stack with a block per set.  Unreachable pairs never join."""
+    ``sets``, in one stack, each cut at its enclosing radius; ``hops`` is one
+    (n, n) block for every set or an (R, n, n) stack with a block per set.
+    Unreachable pairs never join."""
     sizes = np.count_nonzero(sets, axis=1)
     if not sizes.all():
         raise DataError("vertex set must be non-empty")
@@ -131,11 +136,17 @@ def build_rows(sets: np.ndarray, hops: np.ndarray, eps_max: int) -> RowStack:
     hops = np.broadcast_to(hops, (len(sizes),) + np.shape(hops)[-2:])
     block = hops[np.arange(len(sizes))[:, None, None], index[:, :, None], index[:, None, :]]
     block = np.where(inside[:, :, None] & inside[:, None, :], block, UNREACHABLE)
-    in_range = (block > 0) & (block <= eps_max)  # > 0: off the diagonal, reachable
-    er, eu, ev = np.nonzero(np.triu(in_range))   # (row, u, v) order
-    eps = block[er, eu, ev]
-    order = np.argsort(er * (eps_max + 1) + eps, kind="stable")
-    return RowStack(inside, block, er[order], eps[order],
+    # Every scale is a hop distance, so no edge enters past top - 1.  A row's
+    # radius is its smallest eccentricity, capped at top: a padding vertex
+    # reaches no row vertex, so its eccentricity is top.
+    top = min(eps_max, int(block.max(initial=0))) + 1
+    far = np.where(block == UNREACHABLE, top, np.minimum(block, top))
+    radius = np.where(inside[:, None], far, 0).max(axis=2, initial=0).min(axis=1, initial=top)
+    # > 0: off the diagonal and reachable; below the radius, so at most eps_max
+    er, eu, ev = np.nonzero(np.triu((block > 0) & (block < radius[:, None, None])))
+    eps = block[er, eu, ev]  # (row, u, v) order
+    order = np.argsort(er * top + eps, kind="stable")
+    return RowStack(inside, block, radius, er[order], eps[order],
                     np.stack([eu[order], ev[order]], axis=1), int(eps_max))
 
 
@@ -183,16 +194,31 @@ class PersistenceDiagram:
     eps_max: int
 
 
-def truncate(pd: PersistenceDiagram, eps_max: int) -> PersistenceDiagram:
-    """``pd`` cut at ``eps_max`` <= pd.eps_max, as a reduction at eps_max gives
-    it: a filtration prefix is paired as the prefix of the pairing, so a pair
-    alive at eps_max becomes an essential class and nothing born later stays."""
-    if eps_max == pd.eps_max:
-        return pd
-    essentials = ([b for b, d in pd.pairs if b <= eps_max < d]
-                  + [b for b in pd.essentials if b <= eps_max])
-    return PersistenceDiagram(pd.dim, tuple(p for p in pd.pairs if p[1] <= eps_max),
-                              tuple(sorted(essentials)), eps_max)
+@dataclass(frozen=True, eq=False)
+class Pairing:
+    """The classes of positive persistence of a stack's rows, as flat arrays:
+    class i, of row row[i] in dimension dim[i], lives on [birth[i],
+    death[i]), and death[i] is eps_max + 1 for an essential class."""
+    row: np.ndarray
+    dim: np.ndarray
+    birth: np.ndarray
+    death: np.ndarray
+    eps_max: int
+    rows: int
+
+    def diagrams(self, eps_max: int | None = None) -> list:
+        """Each row's (PD_0, PD_1), cut at ``eps_max`` <= self.eps_max as a
+        reduction at eps_max gives them: a filtration prefix is paired as the
+        prefix of the pairing, so a class alive at eps_max becomes essential
+        and nothing born later stays."""
+        cap = self.eps_max if eps_max is None else eps_max
+        out = [([], [], [], []) for _ in range(self.rows)]  # pairs, essentials per dim
+        for r, dim, birth, death in sorted(zip(self.row.tolist(), self.dim.tolist(),
+                                               self.birth.tolist(), self.death.tolist())):
+            if birth <= cap:
+                out[r][2 * dim + (death > cap)].append(birth if death > cap else (birth, death))
+        return [(PersistenceDiagram(0, tuple(p0), tuple(e0), cap),
+                 PersistenceDiagram(1, tuple(p1), tuple(e1), cap)) for p0, e0, p1, e1 in out]
 
 
 def _column(cofacets: np.ndarray, i: int) -> set:
@@ -202,17 +228,17 @@ def _column(cofacets: np.ndarray, i: int) -> set:
     return col
 
 
-def reduce_rows(stack: RowStack) -> list[tuple[PersistenceDiagram, PersistenceDiagram]]:
-    """Persistence pairing over GF(2); returns each row's (PD_0, PD_1).
+def reduce_rows(stack: RowStack) -> Pairing:
+    """Persistence pairing over GF(2) of every row of ``stack``.
 
     Zero-persistence pairs are dropped.  Edges that merge components pair
     vertex births at 0; the remaining edges create cycles, which triangles
     kill in filtration order.  All rows go through each step together, and
     no step lets one row's simplices meet another's.
     """
-    if not len(stack.inside):
-        return []
     n_rows, m = stack.hops.shape[:2]
+    if not n_rows:
+        return Pairing(*np.zeros((4, 0), dtype=np.int64), stack.eps_max, 0)
     # Triangle (a, b, c) of row r entering at eps has the key
     # r * offset + ((eps * m + a) * m + b) * m + c: keys order like
     # (row, eps, a, b, c), and (key - r * offset) // m**3 is eps.
@@ -224,27 +250,21 @@ def reduce_rows(stack: RowStack) -> list[tuple[PersistenceDiagram, PersistenceDi
     # same complex, and keeps eps_max + 1 within the hop blocks' dtype.
     eps_max = min(stack.eps_max, int(stack.hops.max()))
     offset = (eps_max + 1) * cube
-
-    # 0. The enclosing radius: each row's smallest eccentricity, eps_max + 1
-    # where it is above eps_max or infinite.  From it on the row's complex is
-    # a cone, so only the edges and triangles below it are reduced.
-    far = np.where(stack.hops == UNREACHABLE, eps_max + 1, stack.hops)
-    radius = np.minimum(np.where(stack.inside[:, None], far, 0).max(axis=2).min(axis=1),
-                        eps_max + 1)
-    below = stack.edge_eps < radius[stack.edge_row]
-    eps = stack.edge_eps[below]
-    r = stack.edge_row[below]
-    u, v = stack.edge_local[below].T
+    eps, r = stack.edge_eps, stack.edge_row
+    u, v = stack.edge_local.T
     edges = np.arange(len(eps))
+    # Where a row's radius is within eps_max, the cone there kills every
+    # class still alive but one component; elsewhere they are essential.
+    fate = [rad if rad <= eps_max else stack.eps_max + 1 for rad in stack.radius.tolist()]
 
     # 1. Apparent pairs.  tri_eps[i, w] is the scale of the triangle on edge
-    # i and vertex w of its row, eps_max + 1 where there is none.  The
-    # cofacets of one edge order like their third vertex within a scale, so
-    # argmin (the first minimum) finds the oldest.  The youngest face sets a
-    # triangle's scale, so an apparent pair has zero persistence and is never
-    # recorded.
-    capped = np.where((stack.hops > 0) & (stack.hops < radius[:, None, None]), stack.hops,
-                      eps_max + 1)
+    # i and vertex w of its row, eps_max + 1 where there is none below the
+    # row's radius.  The cofacets of one edge order like their third vertex
+    # within a scale, so argmin (the first minimum) finds the oldest.  The
+    # youngest face sets a triangle's scale, so an apparent pair has zero
+    # persistence and is never recorded.
+    capped = np.where((stack.hops > 0) & (stack.hops < stack.radius[:, None, None]),
+                      stack.hops, eps_max + 1)
     tri_eps = np.maximum(capped[r, u], capped[r, v])
     np.maximum(tri_eps, eps[:, None], out=tri_eps)
     w = tri_eps.argmin(axis=1)
@@ -263,7 +283,8 @@ def reduce_rows(stack: RowStack) -> list[tuple[PersistenceDiagram, PersistenceDi
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    pd0_pairs = [[] for _ in range(n_rows)]
+    classes = []  # (row, dim, birth, death) of each class of positive persistence
+    merges = [0] * n_rows
     positive = []
     others = np.flatnonzero(~apparent)
     row_start = r * m
@@ -275,13 +296,13 @@ def reduce_rows(stack: RowStack) -> list[tuple[PersistenceDiagram, PersistenceDi
             positive.append((i, row, e))
         else:
             parent[rb] = ra
-            pd0_pairs[row].append((0, e))
+            merges[row] += 1
+            classes.append((row, 0, 0, e))
 
     # 3. Cohomology reduction of the remaining cycle creators, youngest first;
     # a column only loops over its own row's vertices.
-    pd1_pairs = [[] for _ in range(n_rows)]
-    essentials = [[] for _ in range(n_rows)]
     reduced = {}
+    n_essential = 0
     if positive:
         # cofacets[i, w]: key of the triangle on edge i and row vertex w, -1
         # where there is none.  With lo < mid < hi its sorted vertices and
@@ -310,24 +331,17 @@ def reduce_rows(stack: RowStack) -> list[tuple[PersistenceDiagram, PersistenceDi
                 reduced[i] = col
                 death = (low - row * offset) // cube
                 if death > e:
-                    pd1_pairs[row].append((e, death))
+                    classes.append((row, 1, e, death))
             else:
-                essentials[row].append(e)
+                n_essential += 1
+                classes.append((row, 1, e, fate[row]))
 
-    n_pd0 = sum(map(len, pd0_pairs))
-    n_essential = sum(map(len, essentials))
-    if (n_pd0 + int(np.count_nonzero(apparent)) + len(reduced) + n_essential
-            + int(np.count_nonzero(~below)) != len(stack.edge_eps)):
-        raise InternalInvariantError("negative, apparent, reduced, essential and cut edges "
+    if sum(merges) + int(np.count_nonzero(apparent)) + len(reduced) + n_essential != len(eps):
+        raise InternalInvariantError("negative, apparent, reduced and essential edges "
                                      "do not add up to the edges")
-    sizes = np.count_nonzero(stack.inside, axis=1).tolist()
-    for size, pairs0, pairs1, ess, rad in zip(sizes, pd0_pairs, pd1_pairs, essentials,
-                                              radius.tolist()):
-        if rad <= eps_max:  # the cone at rad kills every class still alive
-            pairs0 += [(0, rad)] * (size - 1 - len(pairs0))
-            pairs1 += [(birth, rad) for birth in ess]
-            ess.clear()
-    return [(PersistenceDiagram(0, tuple(sorted(pairs0)), (0,) * (size - len(pairs0)),
-                                stack.eps_max),
-             PersistenceDiagram(1, tuple(sorted(pairs1)), tuple(sorted(ess)), stack.eps_max))
-            for size, pairs0, pairs1, ess in zip(sizes, pd0_pairs, pd1_pairs, essentials)]
+    # Every vertex is born at 0.  Of the components no edge merges, one per
+    # row never dies and the others meet their row's fate.
+    for row, size in enumerate(np.count_nonzero(stack.inside, axis=1).tolist()):
+        classes += ([(row, 0, 0, fate[row])] * (size - 1 - merges[row])
+                    + [(row, 0, 0, stack.eps_max + 1)])
+    return Pairing(*np.array(classes, dtype=np.int64).T, stack.eps_max, n_rows)

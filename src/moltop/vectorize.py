@@ -10,12 +10,13 @@ birth.
 A molecule's rows go from the filtration values to the vector as arrays.
 ``row_cores`` stacks the rows of every kind into one boolean matrix, and a
 strong collapse keeps a vertex mask of each; the distinct kept masks go to
-the stack builder as they are, and each is reduced once.
-``fingerprint_from_cores`` takes the Betti curves of those core diagrams in
-one call, adds each row's removed vertices at scale 0, and gathers the
-curves in layout order.  No row-level diagram is built for a fingerprint:
-``expand_cores`` expands the cores row by row only for the diagram dump and
-the matching distances.
+the stack builder as they are, and each is reduced once, into one
+``Pairing`` of flat class arrays.  ``fingerprint_from_cores`` takes the
+Betti curves of every core from two bincounts over those arrays, adds each
+row's removed vertices at scale 0, and gathers the curves in layout order.
+No diagram is built for a fingerprint: ``expand_cores`` builds them from
+the pairing, row by row, only for the diagram dump and the matching
+distances.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 import csv
 import functools
 import io
-import itertools
 
 import numpy as np
 
@@ -37,12 +37,12 @@ from .filtration import (
     sublevel_rows,
 )
 from .homology import (
+    Pairing,
     PersistenceDiagram,
     build_rows,
     geodesic_distances,
     reduce_rows,
     strong_collapse,
-    truncate,
 )
 from .molgraph import DatasetRecord, MolecularGraph, load_graph_json
 
@@ -125,24 +125,6 @@ class Fingerprint:
                 and np.array_equal(self.vector, other.vector))
 
 
-def betti_curves(diagrams, k_grid: int) -> np.ndarray:
-    """(len(diagrams), k_grid + 1) Betti numbers at scales 0..k_grid, from
-    one bincount of births minus one of deaths, all diagrams side by side."""
-    width = k_grid + 2  # the last slot takes deaths past the grid
-    size = len(diagrams) * width
-    base = np.arange(0, size, width)
-    flat = itertools.chain.from_iterable
-    pairs = np.fromiter(flat(flat(pd.pairs for pd in diagrams)), dtype=np.intp).reshape(-1, 2)
-    at = np.repeat(base, [len(pd.pairs) for pd in diagrams])
-    births = np.concatenate([
-        at + pairs[:, 0],
-        np.repeat(base, [len(pd.essentials) for pd in diagrams])
-        + np.fromiter(flat(pd.essentials for pd in diagrams), dtype=np.intp)])
-    diff = (np.bincount(births, minlength=size)
-            - np.bincount(at + np.minimum(pairs[:, 1], k_grid + 1), minlength=size))
-    return np.cumsum(diff.reshape(-1, width)[:, :-1], axis=1)
-
-
 def graph_from_record(record: DatasetRecord) -> MolecularGraph:
     """The record's molecule; a JSON graph document is loaded here."""
     graph = record.graph
@@ -159,7 +141,7 @@ class RowCores:
     an empty row.  A row's PD_1 is its core's, and its PD_0 is its core's
     with one (0, 1) pair more per removed vertex.
     """
-    diagrams: list            # (PD_0, PD_1) of each core
+    pairing: Pairing          # of the cores' stack: core c is its row c
     core: tuple[int, ...]     # one per layout row
     removed: tuple[int, ...]  # one per layout row
     diameter: int             # the graph's hop diameter
@@ -178,7 +160,7 @@ def _distinct(rows: np.ndarray):
 
 def row_cores(graph: MolecularGraph, specs, k_grid: int,
               distance_mode: str = "full_graph") -> RowCores:
-    """The sublevel rows of ``specs`` as the diagrams of their distinct
+    """The sublevel rows of ``specs`` as the pairing of their distinct
     collapsed vertex sets.
 
     Distances default to hop counts in the full molecular graph restricted
@@ -215,23 +197,14 @@ def row_cores(graph: MolecularGraph, specs, k_grid: int,
 
 def expand_cores(cores: RowCores, specs, k_grid: int) -> list:
     """(kind, row index, PD_0, PD_1) of every layout row, cut at ``k_grid``
-    (see ``truncate``): its core's diagrams, with PD_0 given back one
+    (see ``Pairing.diagrams``): its core's diagrams, with PD_0 given back one
     (0, 1) pair per removed vertex; (0, 1) sorts first."""
-    cut = [(truncate(pd0, k_grid), truncate(pd1, k_grid)) for pd0, pd1 in cores.diagrams]
     empty = (PersistenceDiagram(0, (), (), k_grid), PersistenceDiagram(1, (), (), k_grid))
-    out = []
-    for (kind, i), c, removed in zip([(s.kind, i) for s in specs for i in range(s.levels)],
-                                     cores.core, cores.removed):
-        if c < 0:
-            out.append((kind, i, *empty))
-            continue
-        pd0, pd1 = cut[c]
-        out.append((kind, i, PersistenceDiagram(0, ((0, 1),) * removed + pd0.pairs,
-                                                pd0.essentials, k_grid), pd1))
-    return out
-
-
-_EMPTY = PersistenceDiagram(0, (), (), 0)  # the diagram of an empty row
+    cut = cores.pairing.diagrams(k_grid) + [empty]  # core -1: an empty row
+    return [(kind, i, PersistenceDiagram(0, ((0, 1),) * removed + cut[c][0].pairs,
+                                         cut[c][0].essentials, k_grid), cut[c][1])
+            for (kind, i), c, removed in zip([(s.kind, i) for s in specs for i in range(s.levels)],
+                                             cores.core, cores.removed)]
 
 
 def layout_curves(curves: np.ndarray, cores: RowCores, specs) -> np.ndarray:
@@ -251,12 +224,19 @@ def layout_curves(curves: np.ndarray, cores: RowCores, specs) -> np.ndarray:
 
 def fingerprint_from_cores(cores: RowCores, specs, k_grid: int, record_id: str) -> Fingerprint:
     """Betti curves of a molecule's layout rows at scales 0..k_grid, flattened
-    in layout order, from one ``betti_curves`` call over its core diagrams;
-    a diagram reduced past k_grid gives its truncation's curve."""
+    in layout order.  Core c's PD_dim curve is slot 2c + dim of one bincount
+    of the pairing's births less one of its deaths, and the last slot is an
+    empty row's; a class born past k_grid counts nowhere, and one dying past
+    it counts to the end."""
     layout = FingerprintLayout(LAYOUT_VERSION, tuple(s.kind for s in specs), k_grid)
-    diagrams = [pd for pair in cores.diagrams for pd in pair] + [_EMPTY]
-    cap = max([k_grid] + [pd.eps_max for pd, _ in cores.diagrams])
-    vector = layout_curves(betti_curves(diagrams, cap)[:, :k_grid + 1], cores, specs).ravel()
+    p = cores.pairing
+    width = k_grid + 2  # the last column takes births and deaths past the grid
+    slot = (2 * p.row + p.dim) * width
+    size = (2 * p.rows + 1) * width
+    diff = (np.bincount(slot + np.minimum(p.birth, k_grid + 1), minlength=size)
+            - np.bincount(slot + np.minimum(p.death, k_grid + 1), minlength=size))
+    curves = np.cumsum(diff.reshape(-1, width)[:, :-1], axis=1)
+    vector = layout_curves(curves, cores, specs).ravel()
     if vector.shape[0] != layout.length:
         raise InternalInvariantError("assembled vector does not match the layout length")
     return Fingerprint(record_id, layout, vector)
@@ -323,7 +303,7 @@ def fingerprint_dataset(records, kinds, k_grid: int | None, threads: int = 1,
     records whose results had not returned.  An open (None) ``k_grid``
     becomes the largest diameter of the graphs that succeed, capped at
     K_GRID_CAP: each graph is reduced at the cap, its fingerprint is cut to
-    that k_grid, and ``truncate`` cuts its diagrams to it."""
+    that k_grid, and ``Pairing.diagrams`` cuts its diagrams to it."""
     records, kinds = list(records), tuple(kinds)
     if not records:
         raise DataError("no records to fingerprint")

@@ -3,11 +3,13 @@
 Everything here favors directness over speed: dense GF(2) Gaussian
 elimination for Betti numbers, the textbook single-matrix column reduction
 for persistence pairs, a check of the structure a row stack must have
-before it is reduced, exhaustive matching enumeration for Wasserstein
-distances, naive threshold loops for the classification metrics, one scan
-of every atom per level (or one sort and a bisection per level) for
-sublevel rows, fingerprints from one row's Betti curve at a time, a plain
-256-slot histogram tree grower for the boosting trainer, prediction
+before it is reduced, enclosing radii by one scan of each vertex's
+distances, diagrams cut one pair at a time, exhaustive matching enumeration
+for Wasserstein distances, naive threshold loops for the classification
+metrics, one scan of every atom per level (or one sort and a bisection per
+level) for sublevel rows, fingerprints from one row's Betti curve at a
+time, Betti curves of many diagrams from one bincount over their tuples,
+a plain 256-slot histogram tree grower for the boosting trainer, prediction
 that walks one tree at a time, edge-removal reachability for ring bonds,
 a cycle walk for permutation parity, and a walk over the positions of a
 random split.  None of it shares code with the production paths, except
@@ -18,12 +20,13 @@ base prediction so that the trees it is compared with can be equal.
 import math
 from bisect import bisect_right
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from moltop.elements import ATOMIC_MASS
 from moltop.errors import InternalInvariantError
+from moltop.homology import PersistenceDiagram
 from moltop.molgraph import CHI_CCW, CHI_CW
 from moltop.sglb import (
     _MIN_GAIN,
@@ -106,6 +109,15 @@ def complex_at(vertices, hops, eps):
     return verts, edges, triangles
 
 
+def enclosing_radius(vertices, hops):
+    """min over ``vertices`` of their largest hop distance to one another,
+    UNREACHABLE counting as infinity."""
+    def eccentricity(u):
+        far = [math.inf if hops[u, v] == UNREACHABLE else int(hops[u, v]) for v in vertices]
+        return max(far)
+    return min(eccentricity(u) for u in vertices)
+
+
 def gf2_rank(matrix: np.ndarray) -> int:
     m = matrix.copy() % 2
     rank = 0
@@ -169,6 +181,36 @@ def betti_curve(pd, k_grid: int) -> np.ndarray:
     for b in pd.essentials:
         diff[b] += 1
     return np.cumsum(diff[:-1])
+
+
+def betti_curves(diagrams, k_grid: int) -> np.ndarray:
+    """(len(diagrams), k_grid + 1) Betti numbers at scales 0..k_grid, from
+    one bincount of births minus one of deaths, all diagrams side by side."""
+    width = k_grid + 2  # the last slot takes deaths past the grid
+    size = len(diagrams) * width
+    base = np.arange(0, size, width)
+    flat = chain.from_iterable
+    pairs = np.fromiter(flat(flat(pd.pairs for pd in diagrams)), dtype=np.intp).reshape(-1, 2)
+    at = np.repeat(base, [len(pd.pairs) for pd in diagrams])
+    births = np.concatenate([
+        at + pairs[:, 0],
+        np.repeat(base, [len(pd.essentials) for pd in diagrams])
+        + np.fromiter(flat(pd.essentials for pd in diagrams), dtype=np.intp)])
+    diff = (np.bincount(births, minlength=size)
+            - np.bincount(at + np.minimum(pairs[:, 1], k_grid + 1), minlength=size))
+    return np.cumsum(diff.reshape(-1, width)[:, :-1], axis=1)
+
+
+def truncate(pd, eps_max: int):
+    """``pd`` cut at ``eps_max`` <= pd.eps_max, one pair at a time: a pair
+    alive at eps_max becomes an essential class and nothing born later
+    stays."""
+    if eps_max == pd.eps_max:
+        return pd
+    essentials = ([b for b, d in pd.pairs if b <= eps_max < d]
+                  + [b for b in pd.essentials if b <= eps_max])
+    return PersistenceDiagram(pd.dim, tuple(p for p in pd.pairs if p[1] <= eps_max),
+                              tuple(sorted(essentials)), eps_max)
 
 
 def fingerprint_from_rows(rows, specs, k_grid: int, record_id: str) -> Fingerprint:
@@ -246,8 +288,10 @@ def naive_persistence(vertices, hops, eps_max):
 
 def check_stack(stack):
     """Raise InternalInvariantError unless ``stack``'s hop blocks are symmetric
-    with a zero diagonal and UNREACHABLE padding, and its edges lie within
-    their rows in (row, eps, u, v) order."""
+    with a zero diagonal and UNREACHABLE padding, each row's radius is its
+    enclosing radius where that is at most eps_max (else one past the cap
+    min(eps_max, largest hop)), and its edges lie within their rows in (row,
+    eps, u, v) order, each below its row's enclosing radius."""
     hops = stack.hops
     inside = stack.inside
     if (hops.shape != inside.shape + inside.shape[-1:]
@@ -256,6 +300,11 @@ def check_stack(stack):
             or np.any(hops[~(inside[:, :, None] & inside[:, None, :])] != UNREACHABLE)):
         raise InternalInvariantError(
             "hop blocks are not symmetric with a zero diagonal and UNREACHABLE padding")
+    radii = [enclosing_radius(np.flatnonzero(row).tolist(), block)
+             for row, block in zip(inside, hops)]
+    past = min(stack.eps_max, int(hops.max(initial=0))) + 1
+    if stack.radius.tolist() != [r if r <= stack.eps_max else past for r in radii]:
+        raise InternalInvariantError("a row's radius is not its enclosing radius")
     if not len(stack.edge_eps):
         return
     r = stack.edge_row
@@ -266,6 +315,8 @@ def check_stack(stack):
     key = ((r.astype(np.int64) * (stack.eps_max + 1) + stack.edge_eps) * m + u) * m + v
     if not (np.all(u < v) and np.all(np.diff(key) > 0)):
         raise InternalInvariantError("edges are not sorted by (row, eps, u, v)")
+    if any(e >= radii[row] for row, e in zip(r.tolist(), stack.edge_eps.tolist())):
+        raise InternalInvariantError("an edge is at or past its row's enclosing radius")
 
 
 def triangle_complex(vertices, hops, eps_max):

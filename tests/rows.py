@@ -26,7 +26,7 @@ def build_row(vertices, hops, eps_max):
 
 def reduce_row(vertices, hops, eps_max):
     """(PD_0, PD_1) of the row on ``vertices``, reduced alone."""
-    return reduce_rows(build_row(vertices, hops, eps_max))[0]
+    return reduce_rows(build_row(vertices, hops, eps_max)).diagrams()[0]
 
 
 def row_diagrams(graph, specs, k_grid, distance_mode="full_graph"):

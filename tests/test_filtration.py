@@ -182,6 +182,24 @@ class TestBuildSequence:
         assert seq.subsets[1] == everything
         assert seq.subsets[2] == everything
 
+    def test_chirality_tallies_valences_only_for_tagged_molecules(self, monkeypatch):
+        # an untagged molecule is all zeros without a valence tally; a tagged
+        # one still reads its degrees, since a graph built in code may carry a
+        # tag on an atom without four neighbours
+        tallies = []
+        real = MolecularGraph.degrees
+        monkeypatch.setattr(MolecularGraph, "degrees",
+                            lambda graph: tallies.append(graph.name) or real(graph))
+        untagged = parse_smiles("CC(N)C(=O)O", "untagged")
+        assert sublevel_rows(untagged, make_spec("CHIRALITY")).all()
+        assert tallies == []
+        tagged = replace(untagged, name="tagged",
+                         atoms=(untagged.atoms[0], replace(untagged.atoms[1], chirality=CHI_CW),
+                                *untagged.atoms[2:]))
+        assert sublevel_rows(tagged, make_spec("CHIRALITY"))[0].tolist() == \
+            [i != 1 for i in range(tagged.n_atoms)]
+        assert tallies == ["tagged"]
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_nesting_property(self, seed):

@@ -431,6 +431,11 @@ class TestRunConfig:
         # a misspelt key in a section
         ("split", {"mode": "random", "ratio": [0.5, 0.25, 0.25]}, "unknown split keys ['ratio']"),
         ("dataset", {"fromat": "csv"}, "unknown dataset keys ['fromat']"),
+        # a key of the other split mode
+        ("split", {"mode": "file", "path": "split.csv", "ratios": [0.5, 0.5, 0.5]},
+         "split.ratios does not apply to a file split"),
+        ("split", {"mode": "random", "path": "nope.csv"},
+         "split.path does not apply to a random split"),
     ])
     def test_json_config_rules(self, small_dataset_path, key, value, message):
         doc = self.base_doc(small_dataset_path)

@@ -13,7 +13,6 @@ from moltop.homology import (
     geodesic_distances,
     reduce_rows,
     strong_collapse,
-    truncate,
 )
 from moltop import homology
 from moltop.datagen import generate_dataset
@@ -39,12 +38,15 @@ from oracles import (
     check_stack,
     complex_at,
     components,
+    enclosing_radius,
     graph_diameter,
     hop_distances,
     load_graph6_file,
     naive_persistence,
     relabel,
+    triangle_complex,
     triangle_persistence,
+    truncate,
 )
 from rows import build_row, build_stack, reduce_row, row_diagrams
 
@@ -155,12 +157,14 @@ def edge_pairs(cx, vertices):
 
 def oracle_counts(cx, vertices, hops, eps):
     """(vertices, edges, triangles) at eps by the oracle; the edges of the row
-    on ``vertices`` must be the oracle's."""
+    on ``vertices`` up to eps must be the oracle's below the row's enclosing
+    radius, the only ones built."""
     verts, edges, triangles = complex_at(sorted(vertices), hops, eps)
+    radius = enclosing_radius(vertices, hops)
     built = sorted(tuple(p) for p, e in zip(edge_pairs(cx, vertices).tolist(),
                                             cx.edge_eps.tolist())
                    if e <= eps)
-    assert built == edges
+    assert built == [(u, v) for u, v in edges if hops[u, v] < radius]
     return len(verts), len(edges), len(triangles)
 
 
@@ -173,15 +177,19 @@ class TestBuildVrRow:
         assert oracle_counts(cx, {0}, hops, 0) == (1, 0, 0)
 
     def test_four_cycle_counts(self):
+        # radius 2: the two diagonals and the four triangles are never built
         hops = cycle_distances(4)
         cx = build_row({0, 1, 2, 3}, hops, 2)
         assert oracle_counts(cx, {0, 1, 2, 3}, hops, 1) == (4, 4, 0)
         assert oracle_counts(cx, {0, 1, 2, 3}, hops, 2) == (4, 6, 4)
+        assert cx.radius.tolist() == [2] and len(cx.edge_eps) == 4
 
     def test_complete_skeleton_at_diameter(self):
+        # radius 3: the three antipodal chords are never built
         hops = cycle_distances(6)
         cx = build_row(set(range(6)), hops, 3)
         assert oracle_counts(cx, range(6), hops, 3) == (6, 15, 20)
+        assert cx.radius.tolist() == [3] and len(cx.edge_eps) == 12
 
     def test_cap_clips_edges(self):
         hops = cycle_distances(6)
@@ -202,7 +210,9 @@ class TestBuildVrRow:
         edges = [(e, u, v) for e, (u, v) in zip(cx.edge_eps.tolist(),
                                                  edge_pairs(cx, vertices).tolist())]
         assert edges == sorted(edges)
-        assert oracle_counts(cx, vertices, hops, hops.max())[1] == len(edges)
+        radius = enclosing_radius(vertices, hops)
+        assert oracle_counts(cx, vertices, hops, hops.max())[1] > len(edges) \
+            == oracle_counts(cx, vertices, hops, radius - 1)[1]
 
 
 class TestReduce:
@@ -229,7 +239,7 @@ class TestReduce:
         assert g.n_atoms == 13
         hops = geodesic_distances(g)
         cx = build_row(set(range(g.n_atoms)), hops, hops.max())
-        pd0, pd1 = reduce_rows(cx)[0]
+        pd0, pd1 = reduce_rows(cx).diagrams()[0]
         assert len(pd0.pairs) == 12
         assert len(pd0.essentials) == 1
         assert len(pd1.pairs) == 1
@@ -237,8 +247,10 @@ class TestReduce:
     def test_face_closure_violation_raises(self):
         # each corruption of a valid stack breaks one structural check; the
         # stack puts a 3-vertex row before a 6-cycle, so local ids 3 to 5 of
-        # the first row are padding
-        cx = build_stack([{0, 1, 2}, set(range(6))], cycle_distances(6), 3)
+        # the first row are padding.  The first row's radius is 2, so its one
+        # edge is (0, 1) at 1; the 6-cycle's is 3, so its chords are not built.
+        cx = build_stack([{0, 1, 3}, set(range(6))], cycle_distances(6), 3)
+        assert cx.radius.tolist() == [2, 3] and len(cx.edge_eps) == 1 + 12
         asymmetric = cx.hops.copy()
         asymmetric[1, 0, 1] = 2
         nonzero_diagonal = cx.hops.copy()
@@ -246,18 +258,27 @@ class TestReduce:
         zero_padding = cx.hops.copy()
         zero_padding[0, 3:] = zero_padding[0, :, 3:] = 0
         outside = cx.edge_local.copy()
-        outside[0, 1] = 3  # the first edge is the first row's (0, 1)
+        outside[0, 1] = 3
         unsorted = cx.edge_local.copy()
-        unsorted[3:] = unsorted[:2:-1]  # the 6-cycle's edges, reversed
+        unsorted[1:] = unsorted[:0:-1]  # the 6-cycle's edges, reversed
+        # the 6-cycle's chords, which enter at its radius
+        chords = replace(cx, edge_row=np.append(cx.edge_row, [1, 1, 1]),
+                         edge_eps=np.append(cx.edge_eps, [3, 3, 3]),
+                         edge_local=np.vstack([cx.edge_local, [[0, 3], [1, 4], [2, 5]]]))
         for bad, check in ((replace(cx, hops=asymmetric), "symmetric"),
                            (replace(cx, hops=nonzero_diagonal), "zero diagonal"),
                            (replace(cx, hops=zero_padding), "padding"),
+                           (replace(cx, radius=cx.radius - 1), "radius is not"),
+                           (replace(cx, radius=np.array([2, 4])), "radius is not"),
                            (replace(cx, edge_local=outside), "outside its row"),
                            (replace(cx, edge_row=cx.edge_row + 1), "outside its row"),
                            (replace(cx, edge_local=unsorted), "sorted"),
-                           (replace(cx, edge_eps=cx.edge_eps[::-1].copy()), "sorted")):
+                           (replace(cx, edge_eps=cx.edge_eps[::-1].copy()), "sorted"),
+                           (chords, "at or past its row's enclosing radius")):
             with pytest.raises(InternalInvariantError, match=check):
                 check_stack(bad)
+        # a row cut by the cap keeps one past it as its radius: the 6-cycle at 2
+        assert build_stack([set(range(6))], cycle_distances(6), 2).radius.tolist() == [3]
 
     def test_clipped_cap_creates_essential_cycle(self):
         # cap below the kill scale: the hexagon class never dies
@@ -320,7 +341,7 @@ class TestOracleEquivalence:
             hops = geodesic_distances(g)
             verts = set(range(g.n_atoms))
             cx = build_row(verts, hops, hops.max())
-            pd0, pd1 = reduce_rows(cx)[0]
+            pd0, pd1 = reduce_rows(cx).diagrams()[0]
             for eps in range(hops.max() + 1):
                 nv, ne, nt = oracle_counts(cx, verts, hops, eps)
                 b0, b1, b2 = betti_numbers_at(verts, hops, eps)
@@ -427,7 +448,7 @@ class TestCohomologyMatchesTriangleReducer:
         cx = build_row(vertices, np.asarray(hops, dtype=np.int32), cap)
         if calls is not None:
             calls.append([])
-        got = reduce_rows(cx)[0]
+        got = reduce_rows(cx).diagrams()[0]
         ref = triangle_persistence(vertices, hops, cap)
         want = tuple(PersistenceDiagram(dim, tuple(ref[dim][0]), tuple(ref[dim][1]), cap)
                      for dim in (0, 1))
@@ -480,14 +501,6 @@ class TestCohomologyMatchesTriangleReducer:
         for cap in range(hops.max() + 1):
             pd0, _ = self.check(range(g.n_atoms), hops, cap)
         assert len(pd0.essentials) == 3
-
-
-def enclosing_radius(vertices, hops):
-    """min over row vertices of their largest hop distance within the row,
-    UNREACHABLE counting as infinity."""
-    sub = np.asarray(hops, dtype=float)[np.ix_(sorted(vertices), sorted(vertices))]
-    sub[sub == UNREACHABLE] = np.inf
-    return sub.max(axis=1).min()
 
 
 class TestEnclosingRadius:
@@ -547,6 +560,44 @@ class TestEnclosingRadius:
                 for hops, cap in ((full, 14), (row_hops(graph, row), 14), (full, 2)):
                     cut[cap] += enclosing_radius(row, hops) <= cap
         assert cut[14] > 100 and cut[2] > 10, cut
+
+
+class TestBuiltEdges:
+    """``build_rows`` builds exactly the oracle complex's edges below each
+    row's enclosing radius, in filtration order."""
+
+    @staticmethod
+    def check(vertices, hops, cap):
+        """Whether the radius cut an edge of the capped complex."""
+        cx = build_row(vertices, hops, cap)
+        eps, pairs, *_ = triangle_complex(vertices, hops, cap)
+        radius = enclosing_radius(vertices, hops)
+        want = [(e, u, v) for e, (u, v) in zip(eps.tolist(), pairs.tolist()) if e < radius]
+        got = list(zip(cx.edge_eps.tolist(), *edge_pairs(cx, vertices).T.tolist()))
+        assert got == want, (sorted(vertices), np.asarray(hops).tolist(), cap)
+        return len(want) < len(eps)
+
+    def test_bundled_graphs_both_modes(self):
+        graphs = load_graph6_file(str(GRAPH6_PATH))
+        rng = np.random.default_rng(59)
+        cut = kept = 0
+        for adj in graphs:
+            n = len(adj)
+            full = hop_distances(adj)
+            row = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+            for vertices, hops in ((range(n), full), (row, full), (row, induced_hops(adj, row))):
+                for cap in sorted({1, 2, int(hops.max())}):
+                    if self.check(vertices, hops, cap):
+                        cut += 1
+                    else:
+                        kept += 1
+        assert cut > 1000 and kept > 1000
+
+    def test_datagen_rows_both_modes(self):
+        for graph, full, row in datagen_sublevel_rows():
+            for hops in (full, row_hops(graph, row)):
+                for cap in (2, 14):
+                    self.check(row, hops, cap)
 
 
 def collapsed_diagrams(rows, hops, cap):
@@ -774,7 +825,7 @@ class TestLargerGraphsAgainstTheTriangleReducer:
                 kept = strong_collapse(hops, masks, cap)
                 stack = build_rows(kept, hops, cap)
                 check_stack(stack)
-                for r, (pd0, pd1) in enumerate(reduce_rows(stack)):
+                for r, (pd0, pd1) in enumerate(reduce_rows(stack).diagrams()):
                     row = np.flatnonzero(masks[r]).tolist()
                     removed = len(row) - int(kept[r].sum())
                     got = (replace(pd0, pairs=((0, 1),) * removed + pd0.pairs), pd1)
@@ -800,7 +851,7 @@ class TestStackedRows:
 
     @staticmethod
     def check(rows, blocks, cap):
-        got = reduce_rows(build_stack(rows, padded_blocks(blocks), cap))
+        got = reduce_rows(build_stack(rows, padded_blocks(blocks), cap)).diagrams()
         assert len(got) == len(rows)
         for row, block, diagrams in zip(rows, blocks, got):
             want = reduce_row(row, np.asarray(block, dtype=np.int32), cap)
@@ -809,10 +860,10 @@ class TestStackedRows:
 
     def test_layout(self):
         hops = cycle_distances(6)
-        sets = [{0, 2, 4}, {5}, set(range(6)), {1, 0}]
+        sets = [{0, 1, 3}, {5}, set(range(6)), {2, 0, 1, 3}]
         cx = build_stack(sets, hops, 2)
         rows = [sorted(s) for s in sets]  # local ids follow the vertex ids
-        assert cx.inside.sum(axis=1).tolist() == [3, 1, 6, 2]
+        assert cx.inside.sum(axis=1).tolist() == [3, 1, 6, 4]
         assert cx.hops.shape == (4, 6, 6)
         for r, row in enumerate(rows):
             k = len(row)
@@ -822,8 +873,10 @@ class TestStackedRows:
         key = list(zip(cx.edge_row.tolist(), cx.edge_eps.tolist(),
                        *cx.edge_local.T.tolist()))
         assert key == sorted(key) and len(set(key)) == len(key)
-        assert np.bincount(cx.edge_row, minlength=4).tolist() == [3, 0, 12, 1]
-        assert reduce_rows(build_stack([], hops, 2)) == []
+        # radii 2 and 0; the 6-cycle's 3 is past the cap, so it keeps 3 = 2 + 1
+        assert cx.radius.tolist() == [2, 0, 3, 2]
+        assert np.bincount(cx.edge_row, minlength=4).tolist() == [1, 0, 12, 3]
+        assert reduce_rows(build_stack([], hops, 2)).diagrams() == []
         with pytest.raises(DataError):
             build_stack([{0}, set()], hops, 2)
 

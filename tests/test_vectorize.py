@@ -17,7 +17,7 @@ from moltop.errors import (
     MoltopError,
 )
 from moltop.filtration import FILTRATION_KINDS, LEVEL_COUNTS, decile_boundaries, make_spec
-from moltop.homology import PersistenceDiagram, reduce_rows
+from moltop.homology import Pairing, PersistenceDiagram, reduce_rows
 from moltop.harness import load_dataset
 from moltop.molgraph import Atom, Bond, DatasetRecord, MolecularGraph, parse_smiles
 from moltop.vectorize import (
@@ -25,7 +25,6 @@ from moltop.vectorize import (
     K_GRID_CAP,
     FingerprintLayout,
     assemble,
-    betti_curves,
     RowCores,
     diagram_records,
     expand_cores,
@@ -41,6 +40,7 @@ from moltop.vectorize import (
 
 from oracles import (
     betti_curve,
+    betti_curves,
     check_stack,
     fingerprint_from_rows,
     graph_diameter,
@@ -188,6 +188,14 @@ def row_by_row(graph, specs, cap, k_grid, mode, record_id=None):
                                  graph.name if record_id is None else record_id)
 
 
+def pairing_of(diagrams, eps_max):
+    """The ``Pairing`` of rows with the (PD_0, PD_1) ``diagrams``."""
+    classes = [(r, pd.dim, b, d) for r, pds in enumerate(diagrams) for pd in pds
+               for b, d in pd.pairs + tuple((b, eps_max + 1) for b in pd.essentials)]
+    return Pairing(*np.array(classes, dtype=np.int64).reshape(-1, 4).T, eps_max,
+                   len(diagrams))
+
+
 def bundled_molecules():
     """The 996 bundled graphs as carbon skeletons with partial charges."""
     graphs = load_graph6_file(str(Path(__file__).parent / "data" / "connected_graphs_le7.g6"))
@@ -234,7 +242,7 @@ class TestCoresMatchRowByRow:
         bond_type = slice(20, 24)  # the bond-type levels of the layout rows
         assert cores.core[bond_type] == (-1, -1, -1, cores.core[-1])
         assert cores.removed[bond_type] == (0, 0, 0, graph.n_atoms - 1)
-        pd0, pd1 = cores.diagrams[cores.core[-1]]
+        pd0, pd1 = cores.pairing.diagrams()[cores.core[-1]]
         assert (pd0.pairs, pd0.essentials, pd1.pairs, pd1.essentials) == ((), (0,), (), ())
         for mode in DISTANCE_MODES:
             for k_grid in (1, 3, 14):
@@ -248,7 +256,8 @@ class TestCoresMatchRowByRow:
                 PersistenceDiagram(1, ((5, 9), (6, 7)), (8,), K_GRID_CAP))
         plain = (PersistenceDiagram(0, ((0, 1),), (0,), K_GRID_CAP),
                  PersistenceDiagram(1, ((1, 3),), (), K_GRID_CAP))
-        cores = RowCores([late, plain], (0, 1, -1), (2, 0, 0), 9)
+        cores = RowCores(pairing_of([late, plain], K_GRID_CAP), (0, 1, -1), (2, 0, 0), 9)
+        assert cores.pairing.diagrams() == [late, plain]
         for k_grid in (1, 2, 5, 8):
             want = fingerprint_from_rows(expand_cores(cores, specs, K_GRID_CAP), specs, k_grid,
                                          "m")
@@ -275,6 +284,45 @@ class TestCoresMatchRowByRow:
                                                    table.diagrams):
                     assert fp == row_by_row(graph, specs, cap, k, mode, record.record_id)
                     assert rows == row_diagrams(graph, specs, k, mode)[0]
+
+
+class TestPairingCurves:
+    """The curves ``fingerprint_from_cores`` counts from the pairing's arrays
+    are the oracle ``betti_curves`` of the ``expand_cores`` rows, for a fixed
+    k_grid and for an open one: reduced at K_GRID_CAP, then cut."""
+
+    @staticmethod
+    def check(cores, specs, k_grid):
+        rows = expand_cores(cores, specs, k_grid)
+        diagrams = [pds[dim] for spec in specs for dim in (0, 1)
+                    for kind, _, *pds in rows if kind == spec.kind]
+        got = fingerprint_from_cores(cores, specs, k_grid, "m").vector
+        assert np.array_equal(got, betti_curves(diagrams, k_grid).ravel()), k_grid
+
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    def test_datagen_molecules(self, mode):
+        graphs = [graph_from_record(DatasetRecord(d["record_id"], 0.0, graph=d["graph"]))
+                  for d in generate_dataset(30, seed=5)]
+        cut = 0
+        for graph in graphs:
+            for k_grid in (1, 3, 14):
+                self.check(row_cores(graph, ALL_SPECS, k_grid, mode), ALL_SPECS, k_grid)
+            cores = row_cores(graph, ALL_SPECS, K_GRID_CAP, mode)
+            for k_grid in (1, 2, 3, 6, 14, K_GRID_CAP):
+                self.check(cores, ALL_SPECS, k_grid)
+            p = cores.pairing
+            cut += int(np.count_nonzero((p.birth <= 3) & (p.death > 3)
+                                        & (p.death <= K_GRID_CAP)))
+        assert cut > 0  # classes alive at a cut that die before the cap
+
+    def test_bundled_graphs(self):
+        for i, graph in enumerate(bundled_molecules()):
+            mode = DISTANCE_MODES[i % 2]
+            self.check(row_cores(graph, ALL_SPECS, (1, 3)[i % 2], mode), ALL_SPECS,
+                       (1, 3)[i % 2])
+            cores = row_cores(graph, ALL_SPECS, K_GRID_CAP, mode)
+            for k_grid in (1, 2, 6):
+                self.check(cores, ALL_SPECS, k_grid)
 
 
 class TestRowCoresStacks:
