@@ -4,12 +4,14 @@ Each parameter assigns every atom a value f(v) through one value function
 per kind; level i of the sequence is the set of atoms with f(v) <= alpha_i,
 the spec's i-th threshold.  The canonical thresholds rise and end at or
 above every value, so their sequences are nested and the last level holds
-every vertex.  ``sublevel_rows``, which the fingerprint reads, gives the
-levels as one (levels, n) boolean matrix, ``values <= thresholds``;
-``build_sequence`` reads the same matrix off as frozensets, a view kept for
-the benchmark's molecule selection and the tests.  Values compare as
-numbers: the molecule loader stores every partial charge as a float, and
-the other kinds' values are table masses or small integers.
+every vertex.  ``layout_rows``, which the fingerprint reads, gives the
+levels of several specs as one boolean matrix from one comparison: each
+kind's values, once per level, against the specs' thresholds end to end.
+``sublevel_rows`` is that matrix for one spec, and ``build_sequence`` reads
+it off as frozensets, a view kept for the benchmark's molecule selection
+and the tests.  Values compare as float64: the molecule loader stores every
+partial charge as a float, and the other kinds' values are table masses or
+small integers, which float64 holds exactly.
 """
 
 from dataclasses import dataclass
@@ -135,17 +137,17 @@ def _bond_type_values(graph: MolecularGraph) -> list[int]:
     """0 for ring atoms, else 1 on a triple bond, 2 on a double bond, 3 otherwise."""
     values = [3] * graph.n_atoms
     for bond in graph.bonds:
-        for v in bond.endpoints:
-            values[v] = min(values[v], _ORDER_VALUE.get(bond.order, 3))
+        for v in (bond.a, bond.b) if bond.order in _ORDER_VALUE else ():
+            values[v] = min(values[v], _ORDER_VALUE[bond.order])
     for v in ring_atoms(graph):
         values[v] = 0
     return values
 
 
 def _chirality_values(graph: MolecularGraph) -> list[int]:
-    if not any(a.chirality in _TAG_VALUE for a in graph.atoms):
-        return [0] * graph.n_atoms  # no tag: no valence tally
-    return [chirality_value(a, d) for a, d in zip(graph.atoms, graph.degrees())]
+    ends = [v for bond in graph.bonds for v in (bond.a, bond.b)]  # counted for tags only
+    return [chirality_value(a, ends.count(i)) if a.chirality in _TAG_VALUE else 0
+            for i, a in enumerate(graph.atoms)]
 
 
 _VALUES = {
@@ -156,25 +158,28 @@ _VALUES = {
 }
 
 
-def _levels(graph: MolecularGraph, spec: FiltrationSpec):
-    """The (levels, n) boolean matrix ``values <= thresholds`` and the spec,
-    given the molecule's own deciles if it has no thresholds."""
-    values = _VALUES[spec.kind](graph)
-    if spec.thresholds is None:
-        spec = FiltrationSpec(spec.kind, decile_boundaries(values))
-    return np.asarray(values) <= np.asarray(spec.thresholds)[:, None], spec
+def layout_rows(graph: MolecularGraph, specs):
+    """The levels of every spec in spec order as one boolean (levels, n) matrix,
+    and each spec's thresholds: the molecule's own deciles where it has none.
+    Values are read in spec order, so the first spec that cannot read raises."""
+    values = [_VALUES[spec.kind](graph) for spec in specs]
+    thresholds = [decile_boundaries(v) if spec.thresholds is None else spec.thresholds
+                  for spec, v in zip(specs, values)]
+    levels = np.repeat(np.array(values, dtype=float), [len(t) for t in thresholds], axis=0)
+    return levels <= np.array([t for ts in thresholds for t in ts])[:, None], thresholds
 
 
 def build_sequence(graph: MolecularGraph, spec: FiltrationSpec) -> SublevelSequence:
     """The rows of ``sublevel_rows`` as frozensets, with the spec they were
     taken at: a partial-charge spec without thresholds takes the molecule's
     own deciles."""
-    rows, spec = _levels(graph, spec)
+    rows, (thresholds,) = layout_rows(graph, [spec])
     atoms = range(rows.shape[1])
-    return SublevelSequence(spec, tuple(frozenset(compress(atoms, row)) for row in rows.tolist()))
+    return SublevelSequence(FiltrationSpec(spec.kind, thresholds),
+                            tuple(frozenset(compress(atoms, row)) for row in rows.tolist()))
 
 
 def sublevel_rows(graph: MolecularGraph, spec: FiltrationSpec) -> np.ndarray:
     """Level i of ``spec`` as row i of a (levels, n) boolean matrix: the atoms
     whose value is at most the spec's threshold i."""
-    return _levels(graph, spec)[0]
+    return layout_rows(graph, [spec])[0]

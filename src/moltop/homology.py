@@ -67,6 +67,7 @@ entry counts at most n vertices, exact in float32, so > 0 reads them exactly.
 """
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -130,24 +131,26 @@ def build_rows(sets: np.ndarray, hops: np.ndarray, eps_max: int) -> RowStack:
     sizes = np.count_nonzero(sets, axis=1)
     if not sizes.all():
         raise DataError("vertex set must be non-empty")
-    inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    index = np.zeros(inside.shape, dtype=np.intp)
+    m = int(sizes.max(initial=0))
+    inside = np.arange(m) < sizes[:, None]
+    # padding repeats a row's first vertex: the row's eccentricities stay
+    index = np.repeat(sets.argmax(axis=1)[:, None], m, axis=1)
     index[inside] = np.nonzero(sets)[1]
-    hops = np.broadcast_to(hops, (len(sizes),) + np.shape(hops)[-2:])
-    block = hops[np.arange(len(sizes))[:, None, None], index[:, :, None], index[:, None, :]]
-    block = np.where(inside[:, :, None] & inside[:, None, :], block, UNREACHABLE)
-    # Every scale is a hop distance, so no edge enters past top - 1.  A row's
-    # radius is its smallest eccentricity, capped at top: a padding vertex
-    # reaches no row vertex, so its eccentricity is top.
+    block = (hops[index[:, :, None], index[:, None, :]] if hops.ndim == 2  # one for all rows
+             else hops[np.arange(len(sizes))[:, None, None], index[:, :, None], index[:, None, :]])
+    # Every scale is a hop distance, so no edge enters past top - 1.  Read
+    # unsigned, UNREACHABLE is larger than any hop, so a row's smallest
+    # eccentricity is its radius, capped at top.
     top = min(eps_max, int(block.max(initial=0))) + 1
-    far = np.where(block == UNREACHABLE, top, np.minimum(block, top))
-    radius = np.where(inside[:, None], far, 0).max(axis=2, initial=0).min(axis=1, initial=top)
-    # > 0: off the diagonal and reachable; below the radius, so at most eps_max
-    er, eu, ev = np.nonzero(np.triu((block > 0) & (block < radius[:, None, None])))
+    far = block.view(f"u{block.itemsize}")
+    radius = np.minimum(far.max(axis=2, initial=0).min(axis=1, initial=top), top)
+    block[~inside] = block.swapaxes(1, 2)[~inside] = UNREACHABLE
+    # below the radius, so reachable and at most eps_max
+    er, eu, ev = np.nonzero((far < radius[:, None, None]) & _block_tables(m)[0])
     eps = block[er, eu, ev]  # (row, u, v) order
     order = np.argsort(er * top + eps, kind="stable")
-    return RowStack(inside, block, radius, er[order], eps[order],
-                    np.stack([eu[order], ev[order]], axis=1), int(eps_max))
+    return RowStack(inside, block, radius.astype(block.dtype), er[order], eps[order],
+                    np.column_stack([eu[order], ev[order]]), int(eps_max))
 
 
 def strong_collapse(hops: np.ndarray, rows: np.ndarray, eps_max: int) -> np.ndarray:
@@ -168,7 +171,7 @@ def strong_collapse(hops: np.ndarray, rows: np.ndarray, eps_max: int) -> np.ndar
     if eps_max < 1:
         return keep  # no edges: every vertex stays its own component
     hops = hops.reshape((-1,) + hops.shape[-2:])  # (1 or R, n, n)
-    far = np.where(hops == UNREACHABLE, np.iinfo(hops.dtype).max, hops)
+    far = hops.view(f"u{hops.itemsize}")  # UNREACHABLE reads as the largest value
     x, a = np.nonzero((hops == 1).any(axis=0))   # pair p: x[p] and its candidate a[p]
     near = hops[:, x, a] == 1                    # (1 or R, pairs): a[p] is x[p]'s neighbour
     owner = np.eye(keep.shape[1], dtype=np.float32)[x]  # owner[p, v]: v is x[p]
@@ -283,21 +286,20 @@ def reduce_rows(stack: RowStack) -> Pairing:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    classes = []  # (row, dim, birth, death) of each class of positive persistence
+    classes = []  # row, dim, birth, death of each class of positive persistence, flat
     merges = [0] * n_rows
     positive = []
     others = np.flatnonzero(~apparent)
-    row_start = r * m
-    for i, row, a, b, e in zip(others.tolist(), r[others].tolist(),
-                               (row_start + u)[others].tolist(),
-                               (row_start + v)[others].tolist(), eps[others].tolist()):
+    rows = r[others]
+    ends = (stack.edge_local[others] + rows[:, None] * m).T.tolist()
+    for i, row, a, b, e in zip(others.tolist(), rows.tolist(), *ends, eps[others].tolist()):
         ra, rb = find(a), find(b)
         if ra == rb:
             positive.append((i, row, e))
         else:
             parent[rb] = ra
             merges[row] += 1
-            classes.append((row, 0, 0, e))
+            classes += (row, 0, 0, e)
 
     # 3. Cohomology reduction of the remaining cycle creators, youngest first;
     # a column only loops over its own row's vertices.
@@ -305,12 +307,8 @@ def reduce_rows(stack: RowStack) -> Pairing:
     n_essential = 0
     if positive:
         # cofacets[i, w]: key of the triangle on edge i and row vertex w, -1
-        # where there is none.  With lo < mid < hi its sorted vertices and
-        # mid = u + v + w - lo - hi, lo * m**2 + mid * m + hi splits into
-        # by_u[u, w] + by_v[v, w].
-        local = np.arange(m, dtype=np.int64)
-        by_u = np.minimum(local[:, None], local) * (m * m - m) + local[:, None] * m
-        by_v = np.maximum(local[:, None], local) * (1 - m) + (local[:, None] + local) * m
+        # where there is none.
+        _, by_u, by_v = _block_tables(m)
         cofacets = np.where(tri_eps <= eps_max,
                             (tri_eps + r[:, None].astype(np.int64) * (eps_max + 1)) * cube
                             + by_u[u] + by_v[v],
@@ -331,10 +329,10 @@ def reduce_rows(stack: RowStack) -> Pairing:
                 reduced[i] = col
                 death = (low - row * offset) // cube
                 if death > e:
-                    classes.append((row, 1, e, death))
+                    classes += (row, 1, e, death)
             else:
                 n_essential += 1
-                classes.append((row, 1, e, fate[row]))
+                classes += (row, 1, e, fate[row])
 
     if sum(merges) + int(np.count_nonzero(apparent)) + len(reduced) + n_essential != len(eps):
         raise InternalInvariantError("negative, apparent, reduced and essential edges "
@@ -342,6 +340,17 @@ def reduce_rows(stack: RowStack) -> Pairing:
     # Every vertex is born at 0.  Of the components no edge merges, one per
     # row never dies and the others meet their row's fate.
     for row, size in enumerate(np.count_nonzero(stack.inside, axis=1).tolist()):
-        classes += ([(row, 0, 0, fate[row])] * (size - 1 - merges[row])
-                    + [(row, 0, 0, stack.eps_max + 1)])
-    return Pairing(*np.array(classes, dtype=np.int64).T, stack.eps_max, n_rows)
+        classes += ((row, 0, 0, fate[row]) * (size - 1 - merges[row])
+                    + (row, 0, 0, stack.eps_max + 1))
+    return Pairing(*np.array(classes, dtype=np.int64).reshape(-1, 4).T, stack.eps_max, n_rows)
+
+
+@functools.lru_cache(maxsize=64)  # three (m, m) tables per size
+def _block_tables(m: int):
+    """The mask u < v of an (m, m) block, and by_u, by_v with by_u[u, w] +
+    by_v[v, w] == (lo * m + mid) * m + hi, lo < mid < hi the vertices of the
+    triangle on edge (u, v) and vertex w: mid is u + v + w - lo - hi."""
+    local = np.arange(m, dtype=np.int64)
+    return (local[:, None] < local,
+            np.minimum(local[:, None], local) * (m * m - m) + local[:, None] * m,
+            np.maximum(local[:, None], local) * (1 - m) + (local[:, None] + local) * m)

@@ -8,12 +8,12 @@ scale j, and essential classes count towards every column at or after their
 birth.
 
 A molecule's rows go from the filtration values to the vector as arrays.
-``row_cores`` stacks the rows of every kind into one boolean matrix, and a
-strong collapse keeps a vertex mask of each; the distinct kept masks go to
-the stack builder as they are, and each is reduced once, into one
-``Pairing`` of flat class arrays.  ``fingerprint_from_cores`` takes the
-Betti curves of every core from two bincounts over those arrays, adds each
-row's removed vertices at scale 0, and gathers the curves in layout order.
+``row_cores`` takes the rows of every kind from one comparison, as one
+boolean matrix, and a strong collapse keeps a vertex mask of each; the
+distinct kept masks go to the stack builder as they are, and each is
+reduced once, into one ``Pairing`` of flat class arrays.  The Betti curves
+of every core come from two bincounts over those arrays; each row's removed
+vertices are added at scale 0, and one gather puts the curves in layout order.
 No diagram is built for a fingerprint: ``expand_cores`` builds them from
 the pairing, row by row, only for the diagram dump and the matching
 distances.
@@ -33,8 +33,8 @@ from .filtration import (
     LEVEL_COUNTS,
     PARTIAL_CHARGE_KIND,
     canonical_kinds,
+    layout_rows,
     make_spec,
-    sublevel_rows,
 )
 from .homology import (
     Pairing,
@@ -173,7 +173,7 @@ def row_cores(graph: MolecularGraph, specs, k_grid: int,
         raise ValueError(f"unknown distance mode {distance_mode!r}")
     if not graph.atoms:
         raise DataError("graph must be non-empty before fingerprinting")
-    rows = np.concatenate([sublevel_rows(graph, spec) for spec in specs])
+    rows = layout_rows(graph, specs)[0]
     filled = np.flatnonzero(rows.any(axis=1))  # a sublevel set can be empty (e.g. no ring atoms)
     firsts, row_mask = _distinct(rows[filled])
     masks = rows[filled[firsts]]
@@ -213,13 +213,19 @@ def layout_curves(curves: np.ndarray, cores: RowCores, specs) -> np.ndarray:
     A layout row's PD_0 curve is its core's plus ``removed`` at scale 0,
     where a (0, 1) pair is alive and nowhere else."""
     core = np.array(cores.core)
-    empty = core < 0
-    pd0 = np.where(empty, len(curves) - 1, 2 * core)
-    rows = curves[np.stack([pd0, np.where(empty, pd0, pd0 + 1)])]  # (2, L, width)
-    rows[0, :, 0] += cores.removed
-    bounds = np.cumsum([0] + [s.levels for s in specs]).tolist()
-    return np.concatenate([rows[:, a:b].reshape(-1, rows.shape[2])
-                           for a, b in zip(bounds, bounds[1:])])
+    pd0 = np.where(core < 0, len(curves) - 1, 2 * core)
+    slot = np.concatenate([pd0, pd0 + (core >= 0)])
+    order = _layout_order(tuple(s.levels for s in specs))
+    rows = curves[slot[order]]
+    rows[:, 0] += np.array(cores.removed + (0,) * len(core))[order]
+    return rows
+
+
+@functools.cache
+def _layout_order(levels: tuple[int, ...]) -> np.ndarray:
+    """Layout order of the (dim, row) slots dim * rows + row of specs with
+    ``levels`` levels: each kind's PD_0 rows, then its PD_1 rows."""
+    return np.argsort(np.tile(np.repeat(np.arange(len(levels)), levels), 2), kind="stable")
 
 
 def fingerprint_from_cores(cores: RowCores, specs, k_grid: int, record_id: str) -> Fingerprint:

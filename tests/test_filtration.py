@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,24 +10,31 @@ from moltop.errors import ChargesRequiredError, DataError, UnsupportedElementErr
 from moltop.filtration import (
     FILTRATION_KINDS,
     LEVEL_COUNTS,
+    MASS_LADDER,
     FiltrationSpec,
     build_sequence,
     chirality_value,
     decile_boundaries,
+    layout_rows,
     make_spec,
     sublevel_rows,
 )
 from moltop.molgraph import (
+    BOND_ORDERS,
+    CHI_CCW,
     CHI_CW,
+    CHI_NONE,
     Atom,
+    Bond,
     DatasetRecord,
     MolecularGraph,
     parse_smiles,
 )
-from moltop.vectorize import graph_from_record
+from moltop.vectorize import graph_from_record, row_cores
 from dataclasses import replace
 
-from oracles import mirror, nearest_rank_deciles, relabel, sorted_levels, sublevel_sets
+from oracles import (load_graph6_file, mirror, nearest_rank_deciles, relabel, sorted_levels,
+                     sublevel_sets)
 
 
 def sequence(graph, kind, charge_thresholds=None):
@@ -183,22 +191,20 @@ class TestBuildSequence:
         assert seq.subsets[2] == everything
 
     def test_chirality_tallies_valences_only_for_tagged_molecules(self, monkeypatch):
-        # an untagged molecule is all zeros without a valence tally; a tagged
-        # one still reads its degrees, since a graph built in code may carry a
-        # tag on an atom without four neighbours
-        tallies = []
-        real = MolecularGraph.degrees
+        # no molecule takes a full valence tally: an untagged one is all zeros,
+        # and a tagged atom has only its own bonds counted, since a graph built
+        # in code may carry a tag on an atom without four neighbours
         monkeypatch.setattr(MolecularGraph, "degrees",
-                            lambda graph: tallies.append(graph.name) or real(graph))
+                            lambda graph: pytest.fail(f"valence tally of {graph.name}"))
         untagged = parse_smiles("CC(N)C(=O)O", "untagged")
         assert sublevel_rows(untagged, make_spec("CHIRALITY")).all()
-        assert tallies == []
-        tagged = replace(untagged, name="tagged",
-                         atoms=(untagged.atoms[0], replace(untagged.atoms[1], chirality=CHI_CW),
-                                *untagged.atoms[2:]))
-        assert sublevel_rows(tagged, make_spec("CHIRALITY"))[0].tolist() == \
-            [i != 1 for i in range(tagged.n_atoms)]
-        assert tallies == ["tagged"]
+        atoms = list(untagged.atoms)
+        atoms[1] = replace(atoms[1], chirality=CHI_CW)   # four neighbours
+        atoms[4] = replace(atoms[4], chirality=CHI_CCW)  # the carbonyl O: one
+        rows = sublevel_rows(replace(untagged, name="tagged", atoms=tuple(atoms)),
+                             make_spec("CHIRALITY"))
+        assert rows[0].tolist() == [i != 1 for i in range(untagged.n_atoms)]
+        assert rows[1].all()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -323,6 +329,71 @@ class TestSublevelRows:
                 rows = sublevel_rows(graph, make_spec(kind))
                 assert rows.shape == (LEVEL_COUNTS[kind], graph.n_atoms)
                 assert as_sets(rows) == seq.subsets, (graph.name, kind)
+
+
+class TestLayoutRows:
+    """Every spec's levels from one comparison equal, spec by spec and end to
+    end, the scan oracle's levels and each spec's own ``build_sequence``."""
+
+    @staticmethod
+    def check(graph, specs):
+        rows, thresholds = layout_rows(graph, specs)
+        want = [nearest_rank_deciles(a.partial_charge for a in graph.atoms)
+                if s.thresholds is None else s.thresholds for s in specs]
+        assert thresholds == want
+        assert rows.shape == (sum(s.levels for s in specs), graph.n_atoms)
+        assert rows.dtype == bool
+        assert as_sets(rows) == tuple(level for s, t in zip(specs, want)
+                                      for level in sublevel_sets(graph, s.kind, t))
+        assert as_sets(rows) == tuple(level for s in specs
+                                      for level in build_sequence(graph, s).subsets)
+        return rows
+
+    def test_bundled_graphs(self):
+        # random elements, charges from a small pool (ties), bond orders and tags
+        graphs = load_graph6_file(str(Path(__file__).parent / "data" / "connected_graphs_le7.g6"))
+        assert len(graphs) == 996
+        rng = np.random.default_rng(61)
+        pooled = (-0.6, -0.5, -0.25, -0.25, 0.0, 0.0, 0.1, 0.125, 0.5, 0.7)
+        no_rings = 0
+        for i, adj in enumerate(graphs):
+            atoms = tuple(Atom(str(rng.choice(MASS_LADDER)),
+                               partial_charge=float(rng.choice([-0.5, -0.25, 0.0, 0.125, 0.5])),
+                               chirality=str(rng.choice([CHI_NONE, CHI_CW, CHI_CCW])))
+                          for _ in adj)
+            bonds = tuple(Bond(int(u), int(v), str(rng.choice(BOND_ORDERS)))
+                          for u, v in zip(*np.nonzero(np.triu(adj))))
+            graph = MolecularGraph(f"g{i}", atoms, bonds)
+            for charges in (None, pooled):
+                rows = self.check(graph, [make_spec(k, charges) for k in FILTRATION_KINDS])
+            no_rings += not rows[20].any()  # bond type's level 0: the ring atoms
+            kinds = [k for k in FILTRATION_KINDS if rng.random() < 0.5] or ["CHIRALITY"]
+            self.check(graph, [make_spec(k) for k in kinds])
+        assert no_rings > 0
+
+    def test_datagen_molecules(self, small_records):
+        graphs = [graph_from_record(DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"]))
+                  for doc in small_records]
+        pooled = nearest_rank_deciles(a.partial_charge for g in graphs for a in g.atoms)
+        for graph in graphs:
+            for charges in (None, pooled):
+                self.check(graph, [make_spec(k, charges) for k in FILTRATION_KINDS])
+            self.check(graph, [make_spec("PARTIAL_CHARGE"), make_spec("BOND_TYPE")])
+
+    def test_the_first_spec_that_cannot_read_raises(self):
+        # atom 0 has no partial charge and atom 1 is off the mass ladder
+        graph = MolecularGraph("m", (Atom("C"), Atom("B", partial_charge=0.0)),
+                               (Bond(0, 1, "SINGLE"),))
+        for kinds, error in (
+                (FILTRATION_KINDS, UnsupportedElementError),
+                (("PARTIAL_CHARGE", "ATOMIC_MASS"), ChargesRequiredError),
+                (("BOND_TYPE", "CHIRALITY", "PARTIAL_CHARGE"), ChargesRequiredError)):
+            for charges in (None, (0.0,) * 10):
+                with pytest.raises(DataError) as err:
+                    layout_rows(graph, [make_spec(k, charges) for k in kinds])
+                assert type(err.value) is error, kinds
+        with pytest.raises(UnsupportedElementError):
+            row_cores(graph, [make_spec(k) for k in FILTRATION_KINDS], 2)
 
 
 def test_spec_validation():

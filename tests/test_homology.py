@@ -935,6 +935,37 @@ class TestStackedRows:
                     self.check([rows[i][0] for i in group],
                                [rows[i][mode] for i in group], cap)
 
+    def test_hop_dtypes_and_shared_blocks_build_equal_stacks(self, small_records):
+        # one (n, n) block serves every row through a two-index gather, a stack
+        # of (R, n, n) blocks through a three-index one; int32 and int64 hops
+        # give the same stack, and the hops passed in are left as they were
+        graphs = [skeleton(adj) for adj in load_graph6_file(str(GRAPH6_PATH))[::7]]
+        graphs += [graph_from_record(DatasetRecord(d["record_id"], 0.0, graph=d["graph"]))
+                   for d in small_records[:30]]
+        rng = np.random.default_rng(59)
+        for graph in graphs:
+            n = graph.n_atoms
+            masks = np.vstack([np.ones(n, dtype=bool), rng.random((4, n)) < 0.6])
+            masks[np.arange(1, 5), rng.integers(0, n, 4)] = True  # no empty row
+            for hops in (geodesic_distances(graph), geodesic_distances(graph, masks)):
+                blocks = [hops.astype(np.int64), np.broadcast_to(hops, masks.shape + (n,))]
+                if hops.ndim == 2:
+                    blocks += [np.repeat(hops[None].astype(np.int64), len(masks), axis=0)]
+                before = hops.copy()
+                for cap in (1, 2, 14):
+                    want = build_rows(masks, hops, cap)
+                    check_stack(want)
+                    for other in blocks:
+                        got = build_rows(masks, other, cap)
+                        check_stack(got)
+                        for name in ("inside", "hops", "radius", "edge_row", "edge_eps",
+                                     "edge_local"):
+                            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                                (graph.name, other.dtype, other.ndim, cap, name)
+                        assert got.hops.dtype == other.dtype
+                        assert reduce_rows(got).diagrams() == reduce_rows(want).diagrams()
+                assert np.array_equal(hops, before)
+
     def test_caps_past_the_hop_dtype_reduce_as_at_the_largest_hop(self):
         # an eps_max + 1 sentinel above int32 once wrapped around in the
         # int32 hop blocks and let absent triangles in
