@@ -5,27 +5,21 @@ elements (explicit hydrogens, ring systems, tetrahedral stereocenters,
 heuristic partial charges) together with a regression target that mixes
 mass-profile, ring/bond, charge-cluster, and chirality structure, so every
 filtration family carries signal.  Fixed (count, seed) pairs reproduce the
-dataset byte for byte.
+dataset byte for byte.  Elements are drawn by ``Generator.choice``'s rule, one
+``random()`` double bisected into the weights' CDF; each molecule is built once.
 
 Run ``python -m moltop.datagen --out bench.jsonl`` to materialize it.
 """
 
 import argparse
 import json
+from bisect import bisect_right
 
 import numpy as np
 
 from .elements import VALENCES
-from .molgraph import (
-    Atom,
-    Bond,
-    CHI_CCW,
-    CHI_CW,
-    MolecularGraph,
-    add_hydrogens,
-    ring_bonds,
-)
-from dataclasses import replace
+from .molgraph import (CHI_CCW, CHI_CW, CHI_NONE, Atom, Bond, MolecularGraph,
+                       graph_to_json_dict, ring_bonds)
 
 # Pauling electronegativities, used only to fabricate plausible input charges.
 ELECTRONEGATIVITY = {"H": 2.20, "B": 2.04, "C": 2.55, "N": 3.04, "O": 3.44,
@@ -34,7 +28,21 @@ ELECTRONEGATIVITY = {"H": 2.20, "B": 2.04, "C": 2.55, "N": 3.04, "O": 3.44,
 
 _ELEMENT_POOL = ("C", "N", "O", "S", "F", "Cl", "Br", "P", "I")
 _ELEMENT_WEIGHTS = (0.62, 0.12, 0.12, 0.04, 0.04, 0.03, 0.015, 0.01, 0.005)
+# Generator.choice(pool, p=weights) returns pool[bisect_right(this, rng.random())].
+_ELEMENT_CDF = np.cumsum(_ELEMENT_WEIGHTS)
+_ELEMENT_CDF = (_ELEMENT_CDF / _ELEMENT_CDF[-1]).tolist()
 _ORDER_FACTOR = {"SINGLE": 1.0, "DOUBLE": 1.6, "TRIPLE": 2.0, "AROMATIC": 1.3}
+
+
+def _reference_charges(elements, bonds) -> list[float]:
+    """Electronegativity-difference charges of atoms ``elements`` joined by
+    ``(a, b, order)`` bonds, summed in bond order and rounded to 4 places."""
+    totals, chi = [0.0] * len(elements), [ELECTRONEGATIVITY[e] for e in elements]
+    for a, b, order in bonds:
+        shift = (chi[b] - chi[a]) * 0.05 * _ORDER_FACTOR[order]
+        totals[a] += shift
+        totals[b] -= shift
+    return [round(total, 4) for total in totals]
 
 
 def assign_reference_charges(graph: MolecularGraph) -> MolecularGraph:
@@ -44,22 +52,21 @@ def assign_reference_charges(graph: MolecularGraph) -> MolecularGraph:
     *input data* for datasets and tests.  Values depend only on local bond
     structure, so they commute with relabeling and mirroring.
     """
-    totals = [0.0] * graph.n_atoms
-    for bond in graph.bonds:
-        chi_a = ELECTRONEGATIVITY[graph.atoms[bond.a].element]
-        chi_b = ELECTRONEGATIVITY[graph.atoms[bond.b].element]
-        shift = (chi_b - chi_a) * 0.05 * _ORDER_FACTOR[bond.order]
-        totals[bond.a] += shift
-        totals[bond.b] -= shift
-    atoms = tuple(replace(a, partial_charge=round(total, 4))
-                  for a, total in zip(graph.atoms, totals))
-    return replace(graph, atoms=atoms)
+    charges = _reference_charges([a.element for a in graph.atoms],
+                                 ((b.a, b.b, b.order) for b in graph.bonds))
+    return MolecularGraph(graph.name, tuple(
+        Atom(a.element, a.formal_charge, charge, a.chirality)
+        for a, charge in zip(graph.atoms, charges)), graph.bonds)
+
+
+def _draw_element(rng: np.random.Generator) -> str:
+    return _ELEMENT_POOL[bisect_right(_ELEMENT_CDF, rng.random())]
 
 
 def random_molecule(rng: np.random.Generator, name: str) -> MolecularGraph:
     """One connected, valence-correct molecule with explicit hydrogens."""
     target_heavy = int(rng.integers(5, 23))
-    first = str(rng.choice(_ELEMENT_POOL, p=_ELEMENT_WEIGHTS))
+    first = _draw_element(rng)
     if VALENCES[first][0] < 2:
         first = "C"  # a terminal first atom cannot grow a tree
     elements = [first]
@@ -72,11 +79,11 @@ def random_molecule(rng: np.random.Generator, name: str) -> MolecularGraph:
         if not open_atoms:
             break
         child = len(elements)
-        element = str(rng.choice(_ELEMENT_POOL, p=_ELEMENT_WEIGHTS))
+        element = _draw_element(rng)
         elements.append(element)
         free.append(VALENCES[element][0])
         adj.append(set())
-        parent = int(open_atoms[rng.integers(len(open_atoms))])
+        parent = open_atoms[rng.integers(len(open_atoms))]
         order = "SINGLE"
         if free[parent] >= 2 and free[child] >= 2 and rng.random() < 0.12:
             order = "DOUBLE"
@@ -107,19 +114,19 @@ def random_molecule(rng: np.random.Generator, name: str) -> MolecularGraph:
             adj[v].add(u)
             break
 
-    graph = MolecularGraph(name, tuple(Atom(e) for e in elements),
-                           tuple(Bond(a, b, order) for a, b, order in sorted(bonds)))
-    graph = add_hydrogens(graph, free)
-
+    parents = [v for v in range(n_heavy) for _ in range(free[v])]  # hydrogens, in parent order
+    bonds += [(p, n_heavy + k, "SINGLE") for k, p in enumerate(parents)]
+    elements += ["H"] * len(parents)
+    bonds.sort()  # every bond is (low, high) and no pair repeats
+    tags = [CHI_NONE] * len(elements)
     tagged = 0
-    new_atoms = list(graph.atoms)
-    for i, (atom, degree) in enumerate(zip(graph.atoms, graph.degrees())):
-        if degree == 4 and tagged < 3 and rng.random() < 0.3:
-            tag = CHI_CW if rng.random() < 0.5 else CHI_CCW
-            new_atoms[i] = replace(atom, chirality=tag)
+    for v in range(n_heavy):  # a hydrogen has degree 1
+        if len(adj[v]) + free[v] == 4 and tagged < 3 and rng.random() < 0.3:
+            tags[v] = CHI_CW if rng.random() < 0.5 else CHI_CCW
             tagged += 1
-    graph = replace(graph, atoms=tuple(new_atoms))
-    return assign_reference_charges(graph)
+    charges = _reference_charges(elements, bonds)
+    return MolecularGraph(name, tuple(map(Atom, elements, [0] * len(elements), charges, tags)),
+                          tuple(Bond(a, b, order) for a, b, order in bonds))
 
 
 def _hop_distance(adj, source, goal) -> int:
@@ -193,7 +200,6 @@ def generate_dataset(count: int = 1128, seed: int = 7) -> list[dict]:
     noise = rng.normal(0.0, 1.0, count)
     targets = (1.0 * z[:, 0] + 0.8 * z[:, 1] + 0.6 * z[:, 2] + 0.5 * z[:, 3]
                + 0.35 * noise)
-    from .molgraph import graph_to_json_dict
     return [{"record_id": g.name, "target": round(float(t), 6),
              "graph": graph_to_json_dict(g)}
             for g, t in zip(graphs, targets)]

@@ -491,7 +491,8 @@ def _fit_member(args):
 def fit_ensembles(jobs, threads: int = 1) -> list[SglbEnsemble]:
     """One ensemble per ``(X, y, config, layout)`` job: ensemble_size models with
     member seeds seed + m, from one binning of X made before any fit starts.  The
-    members of all jobs share one fan-out on up to ``threads`` worker processes."""
+    members of all jobs share one fan-out on up to ``threads`` worker processes,
+    submitted widest binned codes first so that the longest fits do not run last."""
     tasks, owners, binned_in = [], [], []
     for X, y, config, layout in jobs:
         t0 = time.perf_counter()
@@ -501,9 +502,11 @@ def fit_ensembles(jobs, threads: int = 1) -> list[SglbEnsemble]:
         tasks += [(X, y, replace(config, seed=config.seed + m), layout, binned)
                   for m in range(config.ensemble_size)]
         owners += [config] * config.ensemble_size
-    fitted = iter(process_map(_fit_member, tasks, threads, lambda done: (
-        f"an SGLB worker died fitting the {owners[done].ensemble_size}-member "
-        f"ensemble with seed {owners[done].seed}")))
+    order = sorted(range(len(tasks)), key=lambda t: -tasks[t][4].codes.size)
+    fitted = process_map(_fit_member, [tasks[t] for t in order], threads, lambda done: (
+        f"an SGLB worker died fitting the {owners[order[done]].ensemble_size}-member "
+        f"ensemble with seed {owners[order[done]].seed}"))
+    fitted = iter([member for _, member in sorted(zip(order, fitted))])
     groups = [tuple(zip(*(next(fitted) for _ in range(c.ensemble_size)))) for c, _ in binned_in]
     return [SglbEnsemble(config, members, seconds + sum(fit_seconds))
             for (config, seconds), (members, fit_seconds) in zip(binned_in, groups)]

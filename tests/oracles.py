@@ -11,10 +11,13 @@ level) for sublevel rows, fingerprints from one row's Betti curve at a
 time, Betti curves of many diagrams from one bincount over their tuples,
 a plain 256-slot histogram tree grower for the boosting trainer, prediction
 that walks one tree at a time, edge-removal reachability for ring bonds,
-a cycle walk for permutation parity, and a walk over the positions of a
-random split.  None of it shares code with the production paths, except
-the classical boosting reference, which reuses the trainer's losses and
-base prediction so that the trees it is compared with can be equal.
+a cycle walk for permutation parity, a walk over the positions of a
+random split, and the synthetic molecule generator drawing each element
+with ``Generator.choice`` and copying atoms with ``replace``.  None of it
+shares code with the production paths, except the classical boosting
+reference, which reuses the trainer's losses and base prediction so that
+the trees it is compared with can be equal, and that molecule generator,
+which reuses datagen's tables and ring-closure walk for the same reason.
 """
 
 import math
@@ -24,10 +27,17 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from moltop.elements import ATOMIC_MASS
+from moltop.datagen import (
+    ELECTRONEGATIVITY,
+    _ELEMENT_POOL,
+    _ELEMENT_WEIGHTS,
+    _ORDER_FACTOR,
+    _hop_distance,
+)
+from moltop.elements import ATOMIC_MASS, VALENCES
 from moltop.errors import InternalInvariantError
 from moltop.homology import PersistenceDiagram
-from moltop.molgraph import CHI_CCW, CHI_CW
+from moltop.molgraph import CHI_CCW, CHI_CW, Atom, Bond, MolecularGraph, add_hydrogens
 from moltop.sglb import (
     _MIN_GAIN,
     TASK_REGRESSION,
@@ -860,3 +870,86 @@ def valence_slots(graph) -> list[float]:
         totals[bond.a] += _BOND_ORDER[bond.order]
         totals[bond.b] += _BOND_ORDER[bond.order]
     return totals
+
+
+def assign_reference_charges_by_replace(graph):
+    """``datagen.assign_reference_charges`` as one pass over the bonds and a
+    ``replace`` of every atom."""
+    totals = [0.0] * graph.n_atoms
+    for bond in graph.bonds:
+        chi_a = ELECTRONEGATIVITY[graph.atoms[bond.a].element]
+        chi_b = ELECTRONEGATIVITY[graph.atoms[bond.b].element]
+        shift = (chi_b - chi_a) * 0.05 * _ORDER_FACTOR[bond.order]
+        totals[bond.a] += shift
+        totals[bond.b] -= shift
+    atoms = tuple(replace(a, partial_charge=round(total, 4))
+                  for a, total in zip(graph.atoms, totals))
+    return replace(graph, atoms=atoms)
+
+
+def random_molecule_by_replace(rng: np.random.Generator, name: str):
+    """``datagen.random_molecule`` drawing each element with
+    ``Generator.choice``, adding the hydrogens with ``add_hydrogens``, reading
+    degrees from the graph, and copying every changed atom with ``replace``."""
+    target_heavy = int(rng.integers(5, 23))
+    first = str(rng.choice(_ELEMENT_POOL, p=_ELEMENT_WEIGHTS))
+    if VALENCES[first][0] < 2:
+        first = "C"
+    elements = [first]
+    free = [VALENCES[first][0]]
+    bonds: list[tuple[int, int, str]] = []
+    adj: list[set[int]] = [set()]
+
+    while len(elements) < target_heavy:
+        open_atoms = [v for v in range(len(elements)) if free[v] >= 1]
+        if not open_atoms:
+            break
+        child = len(elements)
+        element = str(rng.choice(_ELEMENT_POOL, p=_ELEMENT_WEIGHTS))
+        elements.append(element)
+        free.append(VALENCES[element][0])
+        adj.append(set())
+        parent = int(open_atoms[rng.integers(len(open_atoms))])
+        order = "SINGLE"
+        if free[parent] >= 2 and free[child] >= 2 and rng.random() < 0.12:
+            order = "DOUBLE"
+            if free[parent] >= 3 and free[child] >= 3 and rng.random() < 0.15:
+                order = "TRIPLE"
+        used = {"SINGLE": 1, "DOUBLE": 2, "TRIPLE": 3}[order]
+        free[parent] -= used
+        free[child] -= used
+        bonds.append((parent, child, order))
+        adj[parent].add(child)
+        adj[child].add(parent)
+    n_heavy = len(elements)
+
+    for _ in range(int(rng.integers(0, 3))):
+        candidates = [v for v in range(n_heavy) if free[v] >= 1]
+        if len(candidates) < 2:
+            break
+        for _attempt in range(8):
+            u, v = (int(x) for x in rng.choice(candidates, size=2, replace=False))
+            if v in adj[u]:
+                continue
+            if not 2 <= _hop_distance(adj, u, v) <= 7:
+                continue
+            free[u] -= 1
+            free[v] -= 1
+            bonds.append((min(u, v), max(u, v), "SINGLE"))
+            adj[u].add(v)
+            adj[v].add(u)
+            break
+
+    graph = MolecularGraph(name, tuple(Atom(e) for e in elements),
+                           tuple(Bond(a, b, order) for a, b, order in sorted(bonds)))
+    graph = add_hydrogens(graph, free)
+
+    tagged = 0
+    new_atoms = list(graph.atoms)
+    for i, (atom, degree) in enumerate(zip(graph.atoms, graph.degrees())):
+        if degree == 4 and tagged < 3 and rng.random() < 0.3:
+            tag = CHI_CW if rng.random() < 0.5 else CHI_CCW
+            new_atoms[i] = replace(atom, chirality=tag)
+            tagged += 1
+    graph = replace(graph, atoms=tuple(new_atoms))
+    return assign_reference_charges_by_replace(graph)

@@ -462,9 +462,11 @@ class TestEnsemble:
                         reason="only forked workers inherit the patched function")
     def test_dead_worker_in_a_later_ensemble_names_that_ensemble(self, monkeypatch,
                                                                  tmp_path):
-        # The member with seed 21 dies only once the first ensemble's members
-        # (seeds 7-9) have returned, so the first member whose result is missing
-        # belongs to the second ensemble.
+        # The second ensemble is wider, so its members (seeds 20-21) are
+        # submitted first.  The member with seed 21 dies only once the first
+        # ensemble's members (seeds 7-9) have returned, so one result (seed 20)
+        # came back and the first missing one belongs to the second ensemble,
+        # while the second member in job order belongs to the first.
         X, y = toy_regression(n=40)
         first = SglbConfig(iterations=3, max_depth=2, ensemble_size=3, seed=7)
         second = replace(first, ensemble_size=2, seed=20)
@@ -485,8 +487,26 @@ class TestEnsemble:
 
         monkeypatch.setattr(sglb, "fit", dies_on_seed_21)
         with pytest.raises(MoltopError, match="2-member ensemble with seed 20") as info:
-            fit_ensembles([(X, y, first, None), (X, y, second, None)], threads=2)
+            fit_ensembles([(X[:, :3], y, first, None), (X, y, second, None)], threads=2)
         assert type(info.value) is MoltopError  # the CLI's exit 4, not a data error
+
+    def test_members_are_submitted_widest_first_and_returned_in_job_order(self, monkeypatch):
+        X, y = toy_regression(n=40)
+        base = SglbConfig(iterations=2, max_depth=2, ensemble_size=2)
+        jobs = [(X[:, :2], y, replace(base, seed=1), None), (X, y, replace(base, seed=5), None),
+                (X[:, :4], y, replace(base, seed=9), None)]
+        submitted, real = [], sglb.process_map
+
+        def recording(fn, tasks, threads, lost):
+            submitted.extend((task[2].seed, task[4].codes.size) for task in tasks)
+            return real(fn, tasks, threads, lost)
+
+        monkeypatch.setattr(sglb, "process_map", recording)
+        ensembles = fit_ensembles(jobs)
+        assert submitted == [(5, 240), (6, 240), (9, 160), (10, 160), (1, 80), (2, 80)]
+        assert [[m.config.seed for m in e.members] for e in ensembles] == [[1, 2], [5, 6], [9, 10]]
+        for ensemble, job in zip(ensembles, jobs):
+            assert ensemble_to_dict(ensemble) == ensemble_to_dict(fit_ensemble(*job))
 
     def test_one_fan_out_equals_separate_serial_fits(self):
         # Jobs differing in task, column count, layout and ensemble size: one
