@@ -143,12 +143,16 @@ def note_line(first_line: dict, record_id, line: int, where) -> None:
 
 
 def process_map(fn, tasks, threads: int, lost) -> list:
-    """``[fn(t) for t in tasks]``, in-process at one thread or task, else on at most
-    min(threads, len(tasks), CPU count) worker processes.  A worker that dies
-    raises MoltopError(lost(done)), done counting the results that returned."""
-    if threads <= 1 or len(tasks) <= 1:
+    """``[fn(t) for t in tasks]`` on min(threads, len(tasks), usable CPUs) worker
+    processes, or in-process when that is one.  The usable CPUs are those this
+    process may run on (its affinity mask), where the platform says.  A worker
+    that dies raises MoltopError(lost(done)), done counting the results that
+    returned."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(tasks), cpus)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
     results = []
     # Forked workers inherit the parent's objects, such as the records'
     # graphs; frozen, no collection walks them until the pool is done.

@@ -145,9 +145,13 @@ def _bond_type_values(graph: MolecularGraph) -> list[int]:
 
 
 def _chirality_values(graph: MolecularGraph) -> list[int]:
-    ends = [v for bond in graph.bonds for v in (bond.a, bond.b)]  # counted for tags only
-    return [chirality_value(a, ends.count(i)) if a.chirality in _TAG_VALUE else 0
-            for i, a in enumerate(graph.atoms)]
+    values = [0] * graph.n_atoms
+    tagged = [i for i, a in enumerate(graph.atoms) if a.chirality in _TAG_VALUE]
+    if tagged:  # the degrees of tagged atoms only
+        ends = [v for bond in graph.bonds for v in (bond.a, bond.b)]
+        for i in tagged:
+            values[i] = chirality_value(graph.atoms[i], ends.count(i))
+    return values
 
 
 _VALUES = {

@@ -28,6 +28,7 @@ downstream code never reinterprets them geometrically.
 
 from dataclasses import dataclass, field, replace
 
+import math
 import os
 import re
 import sys
@@ -73,6 +74,8 @@ class Bond:
     order: str
 
     def __post_init__(self):
+        if type(self.a) is int and type(self.b) is int and self.a < self.b:
+            return  # already normalized
         if self.a == self.b:
             raise ValueError(f"self-bond on atom {self.a}")
         low, high = (self.b, self.a) if self.a > self.b else (self.a, self.b)
@@ -457,7 +460,9 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
     if not isinstance(raw_bonds, list):
         raise SchemaError("bonds must be an array", "$.bonds")
 
-    atoms = []
+    # Equal atoms are one object, built once per distinct chemistry of this
+    # molecule; the key tells a -0.0 partial charge from 0.0.
+    atoms, distinct = [], {}
     for i, entry in enumerate(raw_atoms):
         if not isinstance(entry, dict):
             raise SchemaError("atom must be an object", f"$.atoms[{i}]")
@@ -471,19 +476,26 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
         if not isinstance(charge, int) or isinstance(charge, bool):
             raise SchemaError("formal_charge must be an integer", f"$.atoms[{i}].formal_charge")
         partial = entry.get("partial_charge")
-        if partial is not None and (isinstance(partial, bool)
-                                    or not isinstance(partial, (int, float))
-                                    or not -_FLOAT_MAX <= partial <= _FLOAT_MAX):
-            raise SchemaError("partial_charge must be a finite number",
-                              f"$.atoms[{i}].partial_charge")
+        if partial is not None:
+            if (isinstance(partial, bool) or not isinstance(partial, (int, float))
+                    or not -_FLOAT_MAX <= partial <= _FLOAT_MAX):
+                raise SchemaError("partial_charge must be a finite number",
+                                  f"$.atoms[{i}].partial_charge")
+            partial = float(partial)
         tag = entry.get("chirality", CHI_NONE)
         if tag not in CHIRALITY_TAGS:
             raise SchemaError(f"invalid chirality {tag!r}", f"$.atoms[{i}].chirality")
-        atoms.append(Atom(element, charge,
-                          None if partial is None else float(partial), tag))
+        key = (element, charge, partial, tag, partial == 0.0 and math.copysign(1.0, partial))
+        atom = distinct.get(key)
+        if atom is None:
+            atom = distinct[key] = Atom(element, charge, partial, tag)
+        atoms.append(atom)
 
-    seen_pairs = set()
-    bonds = []
+    # Each bond's sorted endpoint pair, and per atom what the valence checks
+    # read: twice its bond-order sum, its degree, and whether it has an
+    # aromatic bond.
+    n = len(atoms)
+    pairs, bond_x2, degree, aromatic = {}, [0] * n, [0] * n, [False] * n
     for i, entry in enumerate(raw_bonds):
         if not isinstance(entry, dict):
             raise SchemaError("bond must be an object", f"$.bonds[{i}]")
@@ -491,27 +503,33 @@ def graph_from_json_dict(doc: dict) -> MolecularGraph:
             raise SchemaError(f"unknown bond keys {sorted(set(entry) - _BOND_KEYS)}",
                               f"$.bonds[{i}]")
         a, b, order = entry.get("a"), entry.get("b"), entry.get("order")
-        for key, val in (("a", a), ("b", b)):
-            if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < len(atoms):
-                raise SchemaError(f"endpoint {key} out of range", f"$.bonds[{i}].{key}")
+        if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):
+            for key, val in (("a", a), ("b", b)):
+                if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < n:
+                    raise SchemaError(f"endpoint {key} out of range", f"$.bonds[{i}].{key}")
         if a == b:
             raise SchemaError("bond endpoints must differ", f"$.bonds[{i}]")
         if order not in BOND_ORDERS:
             raise SchemaError(f"invalid bond order {order!r}", f"$.bonds[{i}].order")
-        pair = (min(a, b), max(a, b))
-        if pair in seen_pairs:
+        pair = (a, b) if a < b else (b, a)
+        if pair in pairs:
             raise SchemaError("duplicate bond", f"$.bonds[{i}]")
-        seen_pairs.add(pair)
-        bonds.append(Bond(a, b, order))
+        pairs[pair] = order
+        x2 = _ORDER_X2[order]
+        bond_x2[a] += x2
+        bond_x2[b] += x2
+        degree[a] += 1
+        degree[b] += 1
+        if order == "AROMATIC":
+            aromatic[a] = aromatic[b] = True
 
-    graph = MolecularGraph(name, tuple(atoms), tuple(sorted(bonds, key=lambda b: (b.a, b.b))))
-    _validate_loaded(graph)
-    return graph
+    _validate_loaded(atoms, bond_x2, degree, aromatic)
+    return MolecularGraph(name, tuple(atoms),
+                          tuple(Bond(a, b, order) for (a, b), order in sorted(pairs.items())))
 
 
-def _validate_loaded(graph: MolecularGraph):
-    bond_x2, degree, aromatic = _valence_tally(graph.n_atoms, graph.bonds)
-    for i, atom in enumerate(graph.atoms):
+def _validate_loaded(atoms, bond_x2, degree, aromatic):
+    for i, atom in enumerate(atoms):
         if atom.chirality != CHI_NONE and degree[i] != 4:
             raise SchemaError("chirality tag on an atom without four distinct neighbors",
                               f"$.atoms[{i}]")

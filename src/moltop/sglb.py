@@ -166,13 +166,28 @@ class Tree:
 # Histogram tree growing
 
 def quantile_bin_edges(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
-    """Per-feature ascending split-candidate values from training quantiles."""
-    probs = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-    varying = np.flatnonzero((X != X[0]).any(axis=0))
-    quantiles = np.quantile(X[:, varying], probs, axis=0)
+    """Per-feature ascending split-candidate values from training quantiles:
+    the distinct ``np.quantile(..., method="linear")`` values, taken from one
+    sort of the varying columns by numpy's own rule (virtual index (n-1)q and
+    its ``_lerp``), so the edges are numpy's up to the sign of a zero."""
     edges = [np.empty(0)] * X.shape[1]
+    varying = np.flatnonzero((X != X[0]).any(axis=0))
+    if varying.size == 0:
+        return edges
+    ordered = np.sort(X[:, varying], axis=0)
+    # every prob is below 1, so every index is below the last row's
+    index = (len(X) - 1) * np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    below = np.floor(index)
+    gamma = (index - below)[:, None]
+    low, high = ordered[below.astype(np.intp)], ordered[below.astype(np.intp) + 1]
+    diff = high - low
+    quantiles = np.where(gamma >= 0.5, high - diff * (1 - gamma), low + diff * gamma)
+    # rising with the level, as np.unique would sort them: keep the first of
+    # each run of equal values
+    fresh = np.ones(quantiles.shape, dtype=bool)
+    fresh[1:] = quantiles[1:] != quantiles[:-1]
     for j, f in enumerate(varying):
-        edges[f] = np.unique(quantiles[:, j])
+        edges[f] = quantiles[fresh[:, j], j]
     return edges
 
 

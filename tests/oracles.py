@@ -12,12 +12,16 @@ time, Betti curves of many diagrams from one bincount over their tuples,
 a plain 256-slot histogram tree grower for the boosting trainer, prediction
 that walks one tree at a time, edge-removal reachability for ring bonds,
 a cycle walk for permutation parity, a walk over the positions of a
-random split, and the synthetic molecule generator drawing each element
-with ``Generator.choice`` and copying atoms with ``replace``.  None of it
-shares code with the production paths, except the classical boosting
-reference, which reuses the trainer's losses and base prediction so that
-the trees it is compared with can be equal, and that molecule generator,
-which reuses datagen's tables and ring-closure walk for the same reason.
+random split, the synthetic molecule generator drawing each element
+with ``Generator.choice`` and copying atoms with ``replace``, and the JSON
+molecule loader that builds one ``Atom`` per atom entry and validates the
+valences in a second pass over the sorted bonds.  None of it shares code
+with the production paths, except the classical boosting reference, which
+reuses the trainer's losses and base prediction so that the trees it is
+compared with can be equal, that molecule generator, which reuses datagen's
+tables and ring-closure walk for the same reason, and that loader, which
+reuses the JSON format's key sets and the valence model so that its
+messages can be equal.
 """
 
 import math
@@ -34,10 +38,25 @@ from moltop.datagen import (
     _ORDER_FACTOR,
     _hop_distance,
 )
-from moltop.elements import ATOMIC_MASS, VALENCES
-from moltop.errors import InternalInvariantError
+from moltop.elements import ATOMIC_MASS, SUPPORTED_ELEMENTS, VALENCES, allowed_valences
+from moltop.errors import InternalInvariantError, SchemaError
 from moltop.homology import PersistenceDiagram
-from moltop.molgraph import CHI_CCW, CHI_CW, Atom, Bond, MolecularGraph, add_hydrogens
+from moltop.molgraph import (
+    _AROMATIC_MAX_DEGREE,
+    _ATOM_KEYS,
+    _BOND_KEYS,
+    _FLOAT_MAX,
+    _ORDER_X2,
+    BOND_ORDERS,
+    CHI_CCW,
+    CHI_CW,
+    CHI_NONE,
+    CHIRALITY_TAGS,
+    Atom,
+    Bond,
+    MolecularGraph,
+    add_hydrogens,
+)
 from moltop.sglb import (
     _MIN_GAIN,
     TASK_REGRESSION,
@@ -953,3 +972,97 @@ def random_molecule_by_replace(rng: np.random.Generator, name: str):
             tagged += 1
     graph = replace(graph, atoms=tuple(new_atoms))
     return assign_reference_charges_by_replace(graph)
+
+
+# ---------------------------------------------------------------------------
+# The JSON molecule loader: one Atom per atom entry, then the valences
+# checked over the sorted bonds.
+
+def graph_from_json_dict_reference(doc: dict) -> MolecularGraph:
+    """``molgraph.graph_from_json_dict`` with one ``Atom`` built per atom entry,
+    each ``Bond`` normalized by its constructor, and the valence tally taken
+    in a second pass over the sorted bonds."""
+    if not isinstance(doc, dict):
+        raise SchemaError("molecule document must be an object")
+    extra = set(doc) - {"name", "atoms", "bonds"}
+    if extra:
+        raise SchemaError(f"unknown keys {sorted(extra)}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError("name must be a string", "$.name")
+    raw_atoms = doc.get("atoms")
+    raw_bonds = doc.get("bonds", [])
+    if not isinstance(raw_atoms, list) or not raw_atoms:
+        raise SchemaError("atoms must be a non-empty array", "$.atoms")
+    if not isinstance(raw_bonds, list):
+        raise SchemaError("bonds must be an array", "$.bonds")
+
+    atoms = []
+    for i, entry in enumerate(raw_atoms):
+        if not isinstance(entry, dict):
+            raise SchemaError("atom must be an object", f"$.atoms[{i}]")
+        if not entry.keys() <= _ATOM_KEYS:
+            raise SchemaError(f"unknown atom keys {sorted(set(entry) - _ATOM_KEYS)}",
+                              f"$.atoms[{i}]")
+        element = entry.get("element")
+        if element not in SUPPORTED_ELEMENTS:
+            raise SchemaError(f"unsupported element {element!r}", f"$.atoms[{i}].element")
+        charge = entry.get("formal_charge", 0)
+        if not isinstance(charge, int) or isinstance(charge, bool):
+            raise SchemaError("formal_charge must be an integer", f"$.atoms[{i}].formal_charge")
+        partial = entry.get("partial_charge")
+        if partial is not None and (isinstance(partial, bool)
+                                    or not isinstance(partial, (int, float))
+                                    or not -_FLOAT_MAX <= partial <= _FLOAT_MAX):
+            raise SchemaError("partial_charge must be a finite number",
+                              f"$.atoms[{i}].partial_charge")
+        tag = entry.get("chirality", CHI_NONE)
+        if tag not in CHIRALITY_TAGS:
+            raise SchemaError(f"invalid chirality {tag!r}", f"$.atoms[{i}].chirality")
+        atoms.append(Atom(element, charge,
+                          None if partial is None else float(partial), tag))
+
+    seen_pairs = set()
+    bonds = []
+    for i, entry in enumerate(raw_bonds):
+        if not isinstance(entry, dict):
+            raise SchemaError("bond must be an object", f"$.bonds[{i}]")
+        if not entry.keys() <= _BOND_KEYS:
+            raise SchemaError(f"unknown bond keys {sorted(set(entry) - _BOND_KEYS)}",
+                              f"$.bonds[{i}]")
+        a, b, order = entry.get("a"), entry.get("b"), entry.get("order")
+        for key, val in (("a", a), ("b", b)):
+            if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < len(atoms):
+                raise SchemaError(f"endpoint {key} out of range", f"$.bonds[{i}].{key}")
+        if a == b:
+            raise SchemaError("bond endpoints must differ", f"$.bonds[{i}]")
+        if order not in BOND_ORDERS:
+            raise SchemaError(f"invalid bond order {order!r}", f"$.bonds[{i}].order")
+        pair = (min(a, b), max(a, b))
+        if pair in seen_pairs:
+            raise SchemaError("duplicate bond", f"$.bonds[{i}]")
+        seen_pairs.add(pair)
+        bonds.append(Bond(a, b, order))
+
+    graph = MolecularGraph(name, tuple(atoms), tuple(sorted(bonds, key=lambda b: (b.a, b.b))))
+    bond_x2, degree, aromatic = [0] * graph.n_atoms, [0] * graph.n_atoms, [False] * graph.n_atoms
+    for bond in graph.bonds:
+        for v in bond.endpoints:
+            bond_x2[v] += _ORDER_X2[bond.order]
+            degree[v] += 1
+            aromatic[v] = aromatic[v] or bond.order == "AROMATIC"
+    for i, atom in enumerate(graph.atoms):
+        if atom.chirality != CHI_NONE and degree[i] != 4:
+            raise SchemaError("chirality tag on an atom without four distinct neighbors",
+                              f"$.atoms[{i}]")
+        if aromatic[i]:
+            limit = _AROMATIC_MAX_DEGREE.get(atom.element)
+            if limit is None or degree[i] > limit:
+                raise SchemaError("aromatic valence violation", f"$.atoms[{i}]")
+            continue
+        slots = (bond_x2[i] + 1) // 2
+        if slots not in allowed_valences(atom.element, atom.formal_charge):
+            raise SchemaError(
+                f"valence {slots} not allowed for {atom.element} "
+                f"(charge {atom.formal_charge})", f"$.atoms[{i}]")
+    return graph

@@ -32,6 +32,7 @@ from oracles import (
     components,
     cycle_edges,
     cycle_parity,
+    graph_from_json_dict_reference,
     load_graph6_file,
     mirror,
     relabel,
@@ -522,6 +523,17 @@ class TestRejectionTaxonomy:
             graph_from_json_dict(doc)
         except SchemaError as exc:
             assert exc.path.startswith("$")
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=molecule_documents())
+    def test_molecule_documents_load_as_the_reference_loads_them(self, doc):
+        def outcome(load):
+            try:
+                return repr(load(copy.deepcopy(doc)))
+            except SchemaError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(graph_from_json_dict) == outcome(graph_from_json_dict_reference)
 
     @settings(max_examples=400, deadline=None)
     @given(text=st.text(alphabet=_SMILES_ALPHABET, max_size=24))

@@ -175,6 +175,70 @@ def awkward_columns(n=96, seed=5):
     return X, y
 
 
+def random_matrices(seed, signed_zeros=False):
+    """Matrices of normal, tied, huge-and-tiny and nearly equal columns, or of
+    -0.0, 0.0, 1.0 and -1.0 entries."""
+    rng = np.random.default_rng(seed)
+    for trial in range(120):
+        n, m = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        if signed_zeros:
+            yield rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n, m))
+        elif trial % 4 == 0:
+            yield rng.normal(size=(n, m))
+        elif trial % 4 == 1:
+            yield rng.integers(0, 4, size=(n, m)).astype(float)
+        elif trial % 4 == 2:
+            yield rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 300, size=(n, m))
+        else:
+            yield 1e15 * np.round(rng.normal(size=(n, m)), 1) + rng.integers(0, 3, (n, m))
+
+
+class TestQuantileEdges:
+    """The edges from one sort are np.quantile's distinct values, bit for bit,
+    except that a column holding both -0.0 and 0.0 may give a zero edge the
+    other sign.  ``x <= -0.0`` is the test ``x <= 0.0`` is, so the codes,
+    splits and predictions stay the same; only model.json's text can differ."""
+
+    @pytest.mark.parametrize("max_bins", [2, 7, 255])
+    def test_bit_equal_to_np_quantile(self, max_bins):
+        for X in random_matrices(max_bins):
+            edges, expected = quantile_bin_edges(X, max_bins), quantile_bin_edges_loop(X, max_bins)
+            assert [e.tobytes() for e in edges] == [e.tobytes() for e in expected]
+
+    def test_fingerprint_matrix_bit_equal(self, small_records):
+        records = [DatasetRecord(r["record_id"], r["target"], r["graph"])
+                   for r in small_records[:60]]
+        X = fingerprint_dataset(records, FILTRATION_KINDS, 14).matrix()
+        for max_bins in (2, 7, 255):
+            edges, expected = quantile_bin_edges(X, max_bins), quantile_bin_edges_loop(X, max_bins)
+            assert [e.tobytes() for e in edges] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("max_bins", [2, 7, 255])
+    def test_signed_zeros_change_no_code_split_or_prediction(self, monkeypatch, max_bins):
+        flipped = 0
+        for seed, X in enumerate(random_matrices(max_bins, signed_zeros=True)):
+            edges, expected = quantile_bin_edges(X, max_bins), quantile_bin_edges_loop(X, max_bins)
+            assert all(np.array_equal(a, b) for a, b in zip(edges, expected))
+            flipped += [e.tobytes() for e in edges] != [e.tobytes() for e in expected]
+            binned = sglb._Binned(X, max_bins)
+            with monkeypatch.context() as patched:
+                patched.setattr(sglb, "quantile_bin_edges", quantile_bin_edges_loop)
+                reference = sglb._Binned(X, max_bins)
+            assert np.array_equal(binned.codes, reference.codes)
+            assert np.array_equal(binned.active, reference.active)
+            assert binned.width == reference.width
+            if seed % 10 == 0:
+                y = X.sum(axis=1) + 0.1 * seed
+                cfg = SglbConfig(iterations=5, max_depth=3, max_bins=max_bins, seed=seed)
+                model = fit(X, y, cfg)
+                with monkeypatch.context() as patched:
+                    patched.setattr(sglb, "quantile_bin_edges", quantile_bin_edges_loop)
+                    expected_model = fit(X, y, cfg)
+                assert all(a == b for a, b in zip(model.trees, expected_model.trees))
+                assert np.array_equal(model.raw_predict(X), expected_model.raw_predict(X))
+        assert flipped  # the exception is real, not hypothetical
+
+
 def distinct_value_columns(n=300, seed=6):
     """One column per distinct-value count 1..255, each value drawn at least once."""
     rng = np.random.default_rng(seed)

@@ -403,7 +403,8 @@ class TestDatasetFingerprinting:
         assert gc.get_freeze_count() == 0
 
     @pytest.mark.parametrize("threads,n,cpus,workers", [
-        (64, 6, 2, 2), (64, 3, 8, 3), (2, 6, 8, 2), (1, 6, 8, None), (4, 1, 8, None)])
+        (64, 6, 2, 2), (64, 3, 8, 3), (2, 6, 8, 2), (1, 6, 8, None), (4, 1, 8, None),
+        (4, 6, 1, None)])
     def test_worker_count_is_capped(self, monkeypatch, threads, n, cpus, workers):
         # A stand-in pool records the size it is asked for and starts no process.
         from moltop import errors
@@ -423,10 +424,26 @@ class TestDatasetFingerprinting:
                 return map(fn, items)
 
         monkeypatch.setattr(errors, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         records = self.make_records(n)
         table = fingerprint_dataset(records, FILTRATION_KINDS, 8, threads=threads)
         assert asked == ([] if workers is None else [workers])
+        assert table == fingerprint_dataset(records, FILTRATION_KINDS, 8)
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        # Two CPUs on the machine, but this process may run on one of them.
+        from moltop import errors
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(errors, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        records = self.make_records(4)
+        table = fingerprint_dataset(records, FILTRATION_KINDS, 8, threads=2)
         assert table == fingerprint_dataset(records, FILTRATION_KINDS, 8)
 
     def test_graph_path_record_matches_inline_graph(self, tmp_path):
