@@ -80,10 +80,10 @@ def _cmd_fingerprint(args) -> int:
     write_fingerprint_artifacts(cfg.out_dir, prep.table, prep.load_errors)
     if args.dump_diagrams:  # a failed record is already in the error report
         with open(os.path.join(cfg.out_dir, "diagrams.jsonl"), "w", encoding="utf-8") as fh:
-            for fp, rows in zip(prep.table.fingerprints, prep.table.diagrams):
+            for record_id, rows in zip(prep.table.record_ids, prep.table.diagrams):
                 fh.writelines(json.dumps(doc, sort_keys=True) + "\n"
-                              for doc in diagram_records(rows, fp.record_id))
-    print(f"fingerprinted {len(prep.table.fingerprints)} of {len(prep.records)} "
+                              for doc in diagram_records(rows, record_id))
+    print(f"fingerprinted {len(prep.table.record_ids)} of {len(prep.records)} "
           f"records (k_grid={prep.table.layout.k_grid}) -> {cfg.out_dir}")
     return 0
 
@@ -123,7 +123,7 @@ def _cmd_predict(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "predictions.csv")
     write_predictions_csv(path, prediction_rows(table.ids(), decompose(ensemble, X)))
-    print(f"wrote predictions for {len(table.fingerprints)} records -> {path}")
+    print(f"wrote predictions for {len(table.record_ids)} records -> {path}")
     return 0
 
 

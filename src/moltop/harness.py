@@ -415,14 +415,13 @@ def _full_charges(graph):
 def training_matrix(records, table: FingerprintTable):
     """Float feature matrix, targets and the table rows of each split tag."""
     by_id = {r.record_id: r for r in records}
-    missing = [fp.record_id for fp in table.fingerprints if fp.record_id not in by_id]
+    missing = [rid for rid in table.record_ids if rid not in by_id]
     if missing:
         raise DataError(f"fingerprints reference unknown records: {missing[:10]}")
     split_rows: dict[str, list[int]] = {tag: [] for tag in SPLIT_TAGS}
-    for row, fp in enumerate(table.fingerprints):
-        split_rows[by_id[fp.record_id].split].append(row)
-    targets = np.array([by_id[fp.record_id].target for fp in table.fingerprints],
-                       dtype=np.float64)
+    for row, rid in enumerate(table.record_ids):
+        split_rows[by_id[rid].split].append(row)
+    targets = np.array([by_id[rid].target for rid in table.record_ids], dtype=np.float64)
     return table.matrix().astype(np.float64), targets, split_rows
 
 
@@ -505,7 +504,7 @@ def run_benchmark(cfg: RunConfig, ablation: bool = False, plots: bool = False) -
         "k_grid": table.layout.k_grid,
         "dataset": {
             "records": len(prep.records),
-            "fingerprinted": len(table.fingerprints),
+            "fingerprinted": len(table.record_ids),
             "load_errors": len(prep.load_errors),
             "fingerprint_errors": len(table.errors),
             "split_sizes": {tag: len(rows) for tag, rows in split_rows.items()},

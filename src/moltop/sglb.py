@@ -43,7 +43,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, DataError, LayoutMismatchError, process_map, read_json, typed
-from .vectorize import FingerprintLayout
+from .vectorize import FingerprintLayout, _distinct
 
 TASK_REGRESSION = "REGRESSION_WITH_UNCERTAINTY"
 TASK_CLASSIFICATION = "BINARY_CLASSIFICATION"
@@ -166,17 +166,24 @@ class Tree:
 # Histogram tree growing
 
 def quantile_bin_edges(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
-    """Per-feature ascending split-candidate values from training quantiles:
-    the distinct ``np.quantile(..., method="linear")`` values, taken from one
-    sort of the varying columns by numpy's own rule (virtual index (n-1)q and
-    its ``_lerp``), so the edges are numpy's up to the sign of a zero."""
+    """Per-feature ascending split-candidate values from training quantiles (see
+    ``_column_edges``); none for a constant feature."""
     edges = [np.empty(0)] * X.shape[1]
     varying = np.flatnonzero((X != X[0]).any(axis=0))
-    if varying.size == 0:
-        return edges
-    ordered = np.sort(X[:, varying], axis=0)
+    for f, e in zip(varying, _column_edges(X[:, varying], max_bins)):
+        edges[f] = e
+    return edges
+
+
+def _column_edges(columns: np.ndarray, max_bins: int) -> list[np.ndarray]:
+    """Each column's distinct ``np.quantile(..., method="linear")`` values, taken
+    from one sort of the columns by numpy's own rule (virtual index (n-1)q and
+    its ``_lerp``), so the edges are numpy's up to the sign of a zero."""
+    if columns.shape[1] == 0:  # nothing to sort, and maybe a single row
+        return []
+    ordered = np.sort(columns, axis=0)
     # every prob is below 1, so every index is below the last row's
-    index = (len(X) - 1) * np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    index = (len(columns) - 1) * np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
     below = np.floor(index)
     gamma = (index - below)[:, None]
     low, high = ordered[below.astype(np.intp)], ordered[below.astype(np.intp) + 1]
@@ -186,9 +193,7 @@ def quantile_bin_edges(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
     # each run of equal values
     fresh = np.ones(quantiles.shape, dtype=bool)
     fresh[1:] = quantiles[1:] != quantiles[:-1]
-    for j, f in enumerate(varying):
-        edges[f] = quantiles[fresh[:, j], j]
-    return edges
+    return [quantiles[fresh[:, j], j] for j in range(columns.shape[1])]
 
 
 class _Binned:
@@ -196,23 +201,33 @@ class _Binned:
 
     A kept column's code is the rank of the row's quantile bin among the bins
     the column occupies, so cut ``r`` of column ``j`` is the threshold
-    ``edges[active[j]][occupied[j][r]]``."""
+    ``edges[active[j]][occupied[j][r]]``.  Equal feature columns share their
+    edges and bins, so each is binned once; of columns with equal bins, the
+    first is kept."""
 
     def __init__(self, X: np.ndarray, max_bins: int):
-        self.edges = quantile_bin_edges(X, max_bins)
-        varying = [f for f, e in enumerate(self.edges) if e.size]
-        codes = np.zeros((X.shape[0], len(varying)), dtype=np.uint8)
-        for j, f in enumerate(varying):
-            # code <= c exactly when x <= edges[c]
-            codes[:, j] = np.searchsorted(self.edges[f], X[:, f], side="left")
-        keep = np.sort(np.unique(codes, axis=1, return_index=True)[1])
-        self.active = np.array(varying, dtype=np.intp)[keep]
-        self.codes = np.empty((X.shape[0], keep.size), dtype=np.uint8)
-        self.occupied = []  # each kept column's occupied bin codes, ascending
-        for j, k in enumerate(keep):
-            occupied, self.codes[:, j] = np.unique(codes[:, k], return_inverse=True)
-            self.occupied.append(occupied)
-        self.width = max((o.size for o in self.occupied), default=0)
+        varying = np.flatnonzero((X != X[0]).any(axis=0))
+        firsts, copy_of = _distinct(X[:, varying].T)
+        columns = X[:, varying[firsts]]
+        edges = _column_edges(columns, max_bins)
+        self.edges = [np.empty(0)] * X.shape[1]
+        for f, c in zip(varying.tolist(), copy_of.tolist()):
+            self.edges[f] = edges[c]
+        bins = np.empty((len(edges), X.shape[0]), dtype=np.uint8)
+        for j, e in enumerate(edges):
+            # bin <= c exactly when x <= e[c]
+            bins[j] = np.searchsorted(e, columns[:, j], side="left")
+        keep = _distinct(bins)[0]
+        bins = bins[keep]
+        self.active = varying[firsts[keep]]
+        # a bin's rank among the bins its column occupies: the count of occupied
+        # bins up to it, less one
+        occupancy = np.zeros((keep.size, 256), dtype=bool)
+        occupancy[np.arange(keep.size)[:, None], bins] = True
+        rank = np.cumsum(occupancy, axis=1, dtype=np.uint8) - np.uint8(1)
+        self.codes = np.take_along_axis(rank, bins, axis=1).T.copy()
+        self.occupied = [np.flatnonzero(o) for o in occupancy]  # ascending codes
+        self.width = int(occupancy.sum(axis=1).max(initial=0))
         # histogram slot of each row's code: column j's slots start at j * width
         self.slots = self.codes + np.arange(keep.size, dtype=np.intp) * self.width
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import csv
 import functools
-import io
+import itertools
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class RowCores:
 def _distinct(rows: np.ndarray):
     """The index of each distinct row's first occurrence, in order, and each
     row's index into them; rows are keyed by their bytes."""
-    n = rows.shape[1]
+    n = rows.shape[1] * rows.itemsize
     data = rows.tobytes()
     first = {}
     at = [first.setdefault(data[i:i + n], i // n) for i in range(0, len(data), n)]
@@ -269,19 +269,33 @@ def diagram_records(rows, molecule_id: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Dataset-level fingerprinting
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FingerprintTable:
+    """Fingerprints as one int64 block: row i is record ``record_ids[i]``'s vector."""
     layout: FingerprintLayout
-    fingerprints: tuple[Fingerprint, ...]
+    record_ids: tuple[str, ...]
+    block: np.ndarray  # int64, (len(record_ids), layout.length)
     errors: tuple[dict, ...]  # MoltopError.entry of each failed record
     # each fingerprint's expand_cores rows, if computed for a diagram dump
-    diagrams: tuple = field(default=(), compare=False, repr=False)
+    diagrams: tuple = field(default=(), repr=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, FingerprintTable)
+                and (self.layout, self.record_ids, self.errors)
+                == (other.layout, other.record_ids, other.errors)
+                and np.array_equal(self.block, other.block))
+
+    @property
+    def fingerprints(self) -> tuple[Fingerprint, ...]:
+        """One ``Fingerprint`` per row, its vector a view of the block."""
+        return tuple(Fingerprint(record_id, self.layout, vector)
+                     for record_id, vector in zip(self.record_ids, self.block))
 
     def matrix(self) -> np.ndarray:
-        return np.vstack([fp.vector for fp in self.fingerprints])
+        return self.block
 
     def ids(self) -> list[str]:
-        return [fp.record_id for fp in self.fingerprints]
+        return list(self.record_ids)
 
 
 def kind_specs(kinds, charge_thresholds=None):
@@ -330,11 +344,12 @@ def fingerprint_dataset(records, kinds, k_grid: int | None, threads: int = 1,
                         f"{errors[0]['error']}")
     if k_grid is None:
         k_grid = min(K_GRID_CAP, max(max(cores.diameter for _, cores in done), 1))
+    layout = FingerprintLayout(LAYOUT_VERSION, kinds, k_grid)
+    block = np.empty((len(done), layout.length), dtype=np.int64)
+    for row, (record_id, cores) in zip(block, done):
+        row[:] = fingerprint_from_cores(cores, specs, k_grid, record_id).vector
     return FingerprintTable(
-        FingerprintLayout(LAYOUT_VERSION, kinds, k_grid),
-        tuple(fingerprint_from_cores(cores, specs, k_grid, record_id)
-              for record_id, cores in done),
-        tuple(errors),
+        layout, tuple(record_id for record_id, _ in done), block, tuple(errors),
         tuple(expand_cores(cores, specs, k_grid) for _, cores in done) if diagrams else ())
 
 
@@ -345,12 +360,10 @@ def slice_table(table: FingerprintTable, kinds) -> FingerprintTable:
         raise LayoutMismatchError("requested kinds missing from the table layout")
     sub_layout = FingerprintLayout(table.layout.version, kinds, table.layout.k_grid)
     blocks = table.layout.block_slices()
-    keep = [blocks[(k, dim)] for k in kinds for dim in (0, 1)]
-    fps = tuple(
-        Fingerprint(fp.record_id, sub_layout,
-                    np.concatenate([fp.vector[s] for s in keep]))
-        for fp in table.fingerprints)
-    return FingerprintTable(sub_layout, fps, table.errors)
+    columns = np.concatenate([np.arange(blocks[(k, dim)].start, blocks[(k, dim)].stop)
+                              for k in kinds for dim in (0, 1)])
+    return FingerprintTable(sub_layout, table.record_ids, table.block.take(columns, axis=1),
+                            table.errors)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +380,8 @@ def write_fingerprints_csv(table: FingerprintTable, path):
                  f"k_grid={layout.k_grid}\n")
         writer = csv.writer(fh)
         writer.writerow(["record_id"] + layout.column_names())
-        for fp in table.fingerprints:
-            writer.writerow([fp.record_id] + fp.vector.tolist())
+        for record_id, vector in zip(table.record_ids, table.block):
+            writer.writerow([record_id] + vector.tolist())
 
 
 def _plain_digits(entries) -> bool:
@@ -378,10 +391,49 @@ def _plain_digits(entries) -> bool:
     return all(entries) and digits.isascii() and (digits.isdigit() or not digits)
 
 
+def _plain_entries(text: str) -> bool:
+    """``text`` is one or more comma-separated entries that ``_plain_digits`` accepts."""
+    return (text.isascii() and not text.encode().translate(None, b"0123456789,")
+            and text != "" and text[0] != "," and text[-1] != "," and ",," not in text)
+
+
+def _lines(text: str):
+    r"""The lines of ``text`` with their ends, as ``io.StringIO(text, newline="")``
+    reads them: a line ends at a \n, a \r\n or a lone \r."""
+    start, lf = 0, -1
+    while start < len(text):
+        if lf < start:
+            lf = text.find("\n", start)
+            lf = len(text) if lf < 0 else lf
+        cr = text.find("\r", start, lf)
+        end = lf + 1 if cr < 0 or cr == lf - 1 else cr + 1
+        yield text[start:end]
+        start = end
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _above_int64(digits: str) -> bool:
+    """The plain-digit entry ``digits`` is above the int64 maximum; compared as
+    text, so any length reads in the same time."""
+    digits = digits.lstrip("0")
+    return (len(digits), digits) > (len(str(_INT64_MAX)), str(_INT64_MAX))
+
+
 def read_fingerprints_csv(path) -> FingerprintTable:
-    fh = io.StringIO(read_text(path, "fingerprint CSV"), newline="")
+    """The table in the fingerprint CSV at ``path``; DataError naming the file and
+    line of the first fault.
+
+    A row's entries go from the line's text to the block in one
+    ``np.fromstring``, after a check that they are plain digits.  A line holding
+    a quote, or longer than ``csv.field_size_limit()``, is read by the csv module
+    instead, which takes a quoted field across line ends and enforces the limit.
+    """
+    text = read_text(path, "fingerprint CSV")
+    lines = _lines(text)
     abbrev_to_kind = {v: k for k, v in KIND_ABBREV.items()}
-    magic = fh.readline().strip()
+    magic = next(lines, "").strip()
     if not magic.startswith(_CSV_MAGIC):
         raise DataError(f"{path}: not a fingerprint CSV")
     try:
@@ -395,31 +447,58 @@ def read_fingerprints_csv(path) -> FingerprintTable:
         layout = FingerprintLayout(version, kinds, k_grid)
     except ValueError as exc:  # the layout's own checks
         raise DataError(f"{path}: invalid fingerprint layout: {exc}") from None
-    reader = csv.reader(fh)  # file line reader.line_num + 1: it starts after the magic
-    fps, first_line = [], {}
-    try:
-        header = next(reader, [])
-        # the width first: the names take work in the declared k_grid
-        if len(header) != layout.length + 1 or header[1:] != layout.column_names():
-            raise DataError(f"{path}: column names do not match the declared layout")
-        for row in reader:
-            entries = row[1:]
-            if not _plain_digits(entries):
-                bad = next(x for x in entries if not _plain_digits([x]))
-                raise DataError(f"{path} line {reader.line_num + 1}: entry {bad!r} is not "
-                                "an unsigned integer in ASCII digits")
-            try:
-                vector = np.fromiter(map(int, entries), dtype=np.int64, count=len(entries))
-            except OverflowError:
-                raise DataError(f"{path} line {reader.line_num + 1}: entry outside int64") from None
-            if vector.shape[0] != layout.length:
-                raise DataError(f"{path} line {reader.line_num + 1}: wrong number of entries")
-            note_line(first_line, row[0], reader.line_num + 1, path)
-            fps.append(Fingerprint(row[0], layout, vector))
-    except csv.Error as exc:  # such as a field past csv.field_size_limit()
-        raise DataError(f"{path} line {reader.line_num + 1}: cannot read fingerprint CSV "
-                        f"({exc})") from None
-    if not fps:
-        raise DataError(f"{path}: no fingerprint rows")
-    return FingerprintTable(layout, tuple(fps), ())
+    line = 1  # the file line last read
+    limit = csv.field_size_limit()
 
+    def csv_record(first: str) -> list[str]:
+        """The fields of the record that starts with line ``first``."""
+        nonlocal line
+        reader = csv.reader(itertools.chain((first,), lines))
+        try:
+            return next(reader)
+        except csv.Error as exc:  # such as a field past csv.field_size_limit()
+            raise DataError(f"{path} line {line + reader.line_num}: cannot read fingerprint "
+                            f"CSV ({exc})") from None
+        finally:
+            line += reader.line_num
+
+    def bad_entry(entries) -> DataError:
+        bad = next(x for x in entries if not _plain_digits([x]))
+        return DataError(f"{path} line {line}: entry {bad!r} is not an unsigned integer in "
+                         "ASCII digits")
+
+    first = next(lines, None)
+    header = [] if first is None else csv_record(first)
+    # the width first: the names take work in the declared k_grid
+    length = layout.length
+    if len(header) != length + 1 or header[1:] != layout.column_names():
+        raise DataError(f"{path}: column names do not match the declared layout")
+    # a row takes a line or more and two characters or more per entry
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    block = np.empty((max(0, min(ends + 1 - line, len(text) // (2 * length))), length),
+                     dtype=np.int64)
+    record_ids, first_line = [], {}
+    for row in lines:
+        if '"' in row or len(row) > limit:
+            fields = csv_record(row)
+            record_id, entries = (fields or [""])[0], fields[1:]
+            if not _plain_digits(entries):
+                raise bad_entry(entries)
+            entries = ",".join(entries)
+        else:
+            line += 1
+            record_id, comma, entries = row.rstrip("\r\n").partition(",")
+            if comma and not _plain_entries(entries):
+                raise bad_entry(entries.split(","))
+        vector = np.fromstring(entries, dtype=np.int64, sep=",")
+        # fromstring saturates: an entry read as the largest int64 may be past it
+        if (vector == _INT64_MAX).any() and any(map(_above_int64, entries.split(","))):
+            raise DataError(f"{path} line {line}: entry outside int64")
+        if vector.shape[0] != length:
+            raise DataError(f"{path} line {line}: wrong number of entries")
+        note_line(first_line, record_id, line, path)
+        block[len(record_ids)] = vector
+        record_ids.append(record_id)
+    if not record_ids:
+        raise DataError(f"{path}: no fingerprint rows")
+    return FingerprintTable(layout, tuple(record_ids), block[:len(record_ids)], ())

@@ -9,8 +9,10 @@ for Wasserstein distances, naive threshold loops for the classification
 metrics, one scan of every atom per level (or one sort and a bisection per
 level) for sublevel rows, fingerprints from one row's Betti curve at a
 time, Betti curves of many diagrams from one bincount over their tuples,
-a plain 256-slot histogram tree grower for the boosting trainer, prediction
-that walks one tree at a time, edge-removal reachability for ring bonds,
+a plain 256-slot histogram tree grower for the boosting trainer, binning
+with one search and one ``np.unique`` per column, prediction that walks one
+tree at a time, the fingerprint CSV read row by row with ``csv.reader`` and
+``int``, edge-removal reachability for ring bonds,
 a cycle walk for permutation parity, a walk over the positions of a
 random split, the synthetic molecule generator drawing each element
 with ``Generator.choice`` and copying atoms with ``replace``, and the JSON
@@ -21,9 +23,12 @@ reuses the trainer's losses and base prediction so that the trees it is
 compared with can be equal, that molecule generator, which reuses datagen's
 tables and ring-closure walk for the same reason, and that loader, which
 reuses the JSON format's key sets and the valence model so that its
-messages can be equal.
+messages can be equal, and that CSV reader, which reuses the layout, the
+entry rule and the repeated-id check for the same reason.
 """
 
+import csv
+import io
 import math
 from bisect import bisect_right
 from dataclasses import replace
@@ -39,7 +44,7 @@ from moltop.datagen import (
     _hop_distance,
 )
 from moltop.elements import ATOMIC_MASS, SUPPORTED_ELEMENTS, VALENCES, allowed_valences
-from moltop.errors import InternalInvariantError, SchemaError
+from moltop.errors import DataError, InternalInvariantError, SchemaError, note_line, read_text
 from moltop.homology import PersistenceDiagram
 from moltop.molgraph import (
     _AROMATIC_MAX_DEGREE,
@@ -67,7 +72,14 @@ from moltop.sglb import (
     _regression_negative_gradients,
     _validate_training_data,
 )
-from moltop.vectorize import LAYOUT_VERSION, Fingerprint, FingerprintLayout
+from moltop.vectorize import (
+    _CSV_MAGIC,
+    KIND_ABBREV,
+    LAYOUT_VERSION,
+    Fingerprint,
+    FingerprintLayout,
+    _plain_digits,
+)
 
 UNREACHABLE = -1
 
@@ -573,6 +585,28 @@ class ReferenceBinned:
         self.offsets = (np.arange(len(self.active)) * 256).astype(np.intp)
 
 
+class LoopBinned:
+    """``sglb._Binned`` by per-column loops: one search per varying column, the
+    kept columns from ``np.unique(axis=1)`` and each one's codes from its own
+    ``np.unique(return_inverse=True)``."""
+
+    def __init__(self, X: np.ndarray, max_bins: int):
+        self.edges = quantile_bin_edges_loop(X, max_bins)
+        varying = [f for f, e in enumerate(self.edges) if e.size]
+        codes = np.zeros((X.shape[0], len(varying)), dtype=np.uint8)
+        for j, f in enumerate(varying):
+            codes[:, j] = np.searchsorted(self.edges[f], X[:, f], side="left")
+        keep = np.sort(np.unique(codes, axis=1, return_index=True)[1])
+        self.active = np.array(varying, dtype=np.intp)[keep]
+        self.codes = np.empty((X.shape[0], keep.size), dtype=np.uint8)
+        self.occupied = []
+        for j, k in enumerate(keep):
+            occupied, self.codes[:, j] = np.unique(codes[:, k], return_inverse=True)
+            self.occupied.append(occupied)
+        self.width = max((o.size for o in self.occupied), default=0)
+        self.slots = self.codes + np.arange(keep.size, dtype=np.intp) * self.width
+
+
 class ReferenceTreeGrower:
     def __init__(self, binned: ReferenceBinned, max_depth: int, min_samples_split: int):
         self.binned = binned
@@ -1066,3 +1100,55 @@ def graph_from_json_dict_reference(doc: dict) -> MolecularGraph:
                 f"valence {slots} not allowed for {atom.element} "
                 f"(charge {atom.formal_charge})", f"$.atoms[{i}]")
     return graph
+
+
+# ---------------------------------------------------------------------------
+# The fingerprint CSV read row by row: csv.reader splits every line and int
+# reads every entry.
+
+def read_fingerprints_csv_rows(path):
+    """(record ids, layout, int64 block) of the fingerprint CSV at ``path``, or the
+    DataError ``vectorize.read_fingerprints_csv`` must raise."""
+    fh = io.StringIO(read_text(path, "fingerprint CSV"), newline="")
+    abbrev_to_kind = {v: k for k, v in KIND_ABBREV.items()}
+    magic = fh.readline().strip()
+    if not magic.startswith(_CSV_MAGIC):
+        raise DataError(f"{path}: not a fingerprint CSV")
+    try:
+        meta = dict(part.split("=", 1) for part in magic.split()[1:])
+        kinds = tuple(abbrev_to_kind[a] for a in meta["kinds"].split(","))
+        k_grid = int(meta["k_grid"])
+        version = meta["version"]
+    except (KeyError, ValueError):
+        raise DataError(f"{path}: malformed header line {magic!r}") from None
+    try:
+        layout = FingerprintLayout(version, kinds, k_grid)
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid fingerprint layout: {exc}") from None
+    reader = csv.reader(fh)  # file line reader.line_num + 1: it starts after the magic
+    ids, vectors, first_line = [], [], {}
+    try:
+        header = next(reader, [])
+        if len(header) != layout.length + 1 or header[1:] != layout.column_names():
+            raise DataError(f"{path}: column names do not match the declared layout")
+        for row in reader:
+            entries = row[1:]
+            if not _plain_digits(entries):
+                bad = next(x for x in entries if not _plain_digits([x]))
+                raise DataError(f"{path} line {reader.line_num + 1}: entry {bad!r} is not "
+                                "an unsigned integer in ASCII digits")
+            try:
+                vector = np.fromiter(map(int, entries), dtype=np.int64, count=len(entries))
+            except OverflowError:
+                raise DataError(f"{path} line {reader.line_num + 1}: entry outside int64") from None
+            if vector.shape[0] != layout.length:
+                raise DataError(f"{path} line {reader.line_num + 1}: wrong number of entries")
+            note_line(first_line, row[0], reader.line_num + 1, path)
+            ids.append(row[0])
+            vectors.append(vector)
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num + 1}: cannot read fingerprint CSV "
+                        f"({exc})") from None
+    if not vectors:
+        raise DataError(f"{path}: no fingerprint rows")
+    return ids, layout, np.vstack(vectors)

@@ -33,6 +33,7 @@ from moltop.sglb import (
 from moltop.vectorize import FingerprintLayout, fingerprint_dataset, slice_table
 
 from oracles import (
+    LoopBinned,
     ReferenceBinned,
     ReferenceTreeGrower,
     fit_classical_reference,
@@ -220,23 +221,65 @@ class TestQuantileEdges:
             edges, expected = quantile_bin_edges(X, max_bins), quantile_bin_edges_loop(X, max_bins)
             assert all(np.array_equal(a, b) for a, b in zip(edges, expected))
             flipped += [e.tobytes() for e in edges] != [e.tobytes() for e in expected]
-            binned = sglb._Binned(X, max_bins)
-            with monkeypatch.context() as patched:
-                patched.setattr(sglb, "quantile_bin_edges", quantile_bin_edges_loop)
-                reference = sglb._Binned(X, max_bins)
-            assert np.array_equal(binned.codes, reference.codes)
-            assert np.array_equal(binned.active, reference.active)
-            assert binned.width == reference.width
+            assert_binned_as_loops(X, max_bins)  # LoopBinned bins by np.quantile's edges
             if seed % 10 == 0:
                 y = X.sum(axis=1) + 0.1 * seed
                 cfg = SglbConfig(iterations=5, max_depth=3, max_bins=max_bins, seed=seed)
                 model = fit(X, y, cfg)
                 with monkeypatch.context() as patched:
-                    patched.setattr(sglb, "quantile_bin_edges", quantile_bin_edges_loop)
+                    patched.setattr(sglb, "_Binned", LoopBinned)
                     expected_model = fit(X, y, cfg)
                 assert all(a == b for a, b in zip(model.trees, expected_model.trees))
                 assert np.array_equal(model.raw_predict(X), expected_model.raw_predict(X))
         assert flipped  # the exception is real, not hypothetical
+
+
+def assert_binned_as_loops(X, max_bins):
+    binned, loops = sglb._Binned(X, max_bins), LoopBinned(X, max_bins)
+    assert np.array_equal(binned.active, loops.active)
+    assert binned.codes.dtype == loops.codes.dtype and np.array_equal(binned.codes, loops.codes)
+    assert len(binned.occupied) == len(loops.occupied)
+    assert all(np.array_equal(a, b) for a, b in zip(binned.occupied, loops.occupied))
+    assert binned.width == loops.width
+    assert binned.slots.dtype == loops.slots.dtype and np.array_equal(binned.slots, loops.slots)
+    assert all(np.array_equal(a, b) for a, b in zip(binned.edges, loops.edges))
+
+
+def binning_cases(n=80, seed=12):
+    """Random, tied, constant and duplicate columns, and two rank-equal ones: the
+    same rows in the same order, in other bins, since the quantile edges between
+    1 and the next float can only be one or the other."""
+    rng = np.random.default_rng(seed)
+    random, tied = rng.normal(size=(n, 3)), np.round(rng.normal(size=(n, 3)), 1)
+    levels = rng.integers(0, 3, n)
+    rank_equal = [levels * 1.0, np.array([0.0, 1.0, np.nextafter(1.0, 2.0)])[levels]]
+    return np.column_stack([random, tied, np.full((n, 2), 3.0), tied[:, 1], random[:, 0],
+                            2.0 * random[:, 2] + 1.0, *rank_equal])
+
+
+class TestBinnedMatchesLoops:
+    """``_Binned`` from whole-matrix steps equals the per-column loops."""
+
+    @pytest.mark.parametrize("max_bins", [2, 7, 255])
+    def test_random_tied_constant_duplicate_and_rank_equal_columns(self, max_bins):
+        X = binning_cases()
+        for rows in (X, X[:1], X[:2], X[:7]):
+            assert_binned_as_loops(rows, max_bins)
+        for X in random_matrices(max_bins):
+            assert_binned_as_loops(X, max_bins)
+
+    def test_rank_equal_columns_are_both_kept(self):
+        X = binning_cases()
+        binned = sglb._Binned(X, 255)
+        assert binned.active[-2:].tolist() == [X.shape[1] - 2, X.shape[1] - 1]
+        assert np.array_equal(binned.codes[:, -2], binned.codes[:, -1])
+
+    @pytest.mark.parametrize("kinds", [(k,) for k in FILTRATION_KINDS] + [FILTRATION_KINDS],
+                             ids=lambda kinds: "+".join(k[:4] for k in kinds))
+    def test_datagen_ablation_slices(self, datagen_matrix, kinds):
+        X = slice_table(datagen_matrix[0], kinds).matrix().astype(np.float64)
+        for max_bins in (2, 7, 255):
+            assert_binned_as_loops(X, max_bins)
 
 
 def distinct_value_columns(n=300, seed=6):

@@ -1,10 +1,14 @@
 import gc
+import io
 import json
 import multiprocessing
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from moltop.vectorize import (
     DISTANCE_MODES,
     K_GRID_CAP,
     FingerprintLayout,
+    FingerprintTable,
     assemble,
     RowCores,
     diagram_records,
@@ -46,6 +51,7 @@ from oracles import (
     graph_diameter,
     load_graph6_file,
     mirror,
+    read_fingerprints_csv_rows,
     relabel,
 )
 from rows import row_diagrams
@@ -573,6 +579,152 @@ class TestOnDiskFormats:
             FingerprintLayout("1", ("CHIRALITY", "ATOMIC_MASS"), 5)  # wrong order
         with pytest.raises(ValueError):
             FingerprintLayout("1", (), 5)
+
+
+def read_as_row_by_row(path):
+    """The one-pass reader's table has the row-by-row reader's ids, layout and
+    block, or its DataError has the row-by-row one's message; returns that
+    message, or None."""
+    try:
+        ids, layout, block = read_fingerprints_csv_rows(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            read_fingerprints_csv(path)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return str(exc)
+    table = read_fingerprints_csv(path)
+    assert (table.ids(), table.layout) == (ids, layout)
+    assert table.block.dtype == np.int64 and np.array_equal(table.block, block)
+    return None
+
+
+def _entry(value):
+    """The edit putting ``value`` as the second entry of the first row."""
+    def edit(lines):
+        record_id, first, rest = lines[2].split(",", 2)
+        lines[2] = ",".join((record_id, first, value, rest.split(",", 1)[1]))
+    return edit
+
+
+def _row(index, edit):
+    def apply(lines):
+        lines[index] = edit(lines[index])
+    return apply
+
+
+_INT64_MAX = str(np.iinfo(np.int64).max)
+_PAST_LIMIT = "x" * 140_000
+# name -> (edit of the file's lines, whether the reader accepts the result)
+_CSV_EDITS = {
+    **{f"entry-{i}": (_entry(v), False) for i, v in enumerate(
+        ["-5", "+5", "1_0", " 7 ", "7 ", "", "1.0", "x", "٣", "５", "²", "0x1"])},
+    "int64-max": (_entry(_INT64_MAX), True),
+    "int64-max-plus-one": (_entry(str(int(_INT64_MAX) + 1)), False),
+    "int64-max-plus-one-zeros-lead": (_entry("0" * 30 + str(int(_INT64_MAX) + 1)), False),
+    "zeros-lead": (_entry("0" * 30 + "7"), True),
+    "quoted-entry": (_entry('"5"'), True),
+    "short-row": (_row(3, lambda row: row.rsplit(",", 1)[0]), False),
+    "long-row": (_row(3, lambda row: row + ",0"), False),
+    "blank-line": (lambda lines: lines.insert(3, ""), False),
+    "repeated-id": (lambda lines: lines.append(lines[2]), False),
+    "quote-in-unquoted-id": (_row(4, lambda row: 'a"b' + row), True),
+    "header-past-csv-limit": (_row(1, lambda row: _PAST_LIMIT + row), False),
+    "row-past-csv-limit": (_row(4, lambda row: _PAST_LIMIT + row), False),
+    "no-rows": (lambda lines: lines.__delitem__(slice(2, None)), False),
+    "no-header": (lambda lines: lines.__delitem__(slice(1, None)), False),
+}
+
+
+class TestCsvReaderMatchesRowByRow:
+    """``read_fingerprints_csv`` converts a row's text in one numpy call and
+    falls back to the csv module for quotes and long lines; it reads every
+    file as the row-by-row reader does, message for message."""
+
+    @pytest.fixture(scope="class")
+    def table(self, small_records):
+        records = [DatasetRecord(r["record_id"], r["target"], r["graph"])
+                   for r in small_records[:8]]
+        return fingerprint_dataset(records, FILTRATION_KINDS, 4)
+
+    @pytest.fixture
+    def written(self, table, tmp_path):
+        path = tmp_path / "fp.csv"
+        write_fingerprints_csv(table, path)
+        return path
+
+    def test_datagen_round_trip(self, table, written):
+        assert read_as_row_by_row(written) is None
+        assert read_fingerprints_csv(written) == replace(table, errors=())
+
+    @pytest.mark.parametrize("name", list(_CSV_EDITS))
+    def test_edited_file(self, written, name):
+        edit, accepted = _CSV_EDITS[name]
+        lines = written.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        written.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert (read_as_row_by_row(written) is None) == accepted
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_line_ends_and_byte_order_mark(self, written, end, bom):
+        lines = written.read_text(encoding="utf-8").splitlines()
+        for last in (end, ""):
+            written.write_text(bom + end.join(lines) + last, encoding="utf-8", newline="")
+            assert read_as_row_by_row(written) is None
+
+    @pytest.mark.parametrize("record_id", ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "\r"])
+    def test_quoted_ids(self, table, written, record_id):
+        ids = (record_id,) + table.record_ids[1:]
+        write_fingerprints_csv(replace(table, record_ids=ids), written)
+        assert read_as_row_by_row(written) is None
+        assert read_fingerprints_csv(written).ids() == list(ids)
+        # the lines after a quoted id keep their numbers
+        with open(written, "a", encoding="utf-8", newline="") as fh:
+            fh.write(written.read_text(encoding="utf-8").splitlines(keepends=True)[-1])
+        assert "repeated record id" in read_as_row_by_row(written)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab,\"\r\n\x85\u2028", max_size=30))
+    def test_lines_as_stringio_reads_them(self, text):
+        assert list(vectorize._lines(text)) == list(io.StringIO(text, newline=""))
+
+    def test_empty_file(self, written):
+        written.write_bytes(b"")
+        assert read_as_row_by_row(written) == f"{written}: not a fingerprint CSV"
+
+    def test_entry_past_int64_of_any_length(self, written):
+        # int() refuses strings of more than 4300 digits; such an entry is
+        # outside int64 like any other
+        lines = written.read_text(encoding="utf-8").splitlines()
+        _entry("9" * 5000)(lines)
+        written.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_fingerprints_csv(written)
+        assert str(err.value) == f"{written} line 3: entry outside int64"
+
+    def test_transient_memory_no_larger_than_row_by_row(self, tmp_path):
+        # Freed blocks of more than about 1.5 MB move glibc's mmap threshold,
+        # and with it the cost of later numpy allocations.  perfbench's train
+        # workload reads a 128-row CSV at k_grid 14.
+        layout = FingerprintLayout(vectorize.LAYOUT_VERSION, FILTRATION_KINDS, 14)
+        rng = np.random.default_rng(3)
+        path = tmp_path / "fp.csv"
+        write_fingerprints_csv(FingerprintTable(
+            layout, tuple(f"m{i:04d}" for i in range(128)),
+            rng.integers(0, 30, (128, layout.length)), ()), path)
+
+        def transient(read):
+            read(path)  # first-call allocations, such as lazy imports
+            tracemalloc.start()
+            try:
+                kept = read(path)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del kept
+            return peak - current
+
+        assert transient(read_fingerprints_csv) <= transient(read_fingerprints_csv_rows)
 
 
 class TestDiagramDump:
