@@ -36,27 +36,15 @@ _ORDER_FACTOR = {"SINGLE": 1.0, "DOUBLE": 1.6, "TRIPLE": 2.0, "AROMATIC": 1.3}
 
 def _reference_charges(elements, bonds) -> list[float]:
     """Electronegativity-difference charges of atoms ``elements`` joined by
-    ``(a, b, order)`` bonds, summed in bond order and rounded to 4 places."""
+    ``(a, b, order)`` bonds, summed in bond order and rounded to 4 places: the
+    dataset's input charges, which depend only on local bond structure, so they
+    commute with relabeling and mirroring."""
     totals, chi = [0.0] * len(elements), [ELECTRONEGATIVITY[e] for e in elements]
     for a, b, order in bonds:
         shift = (chi[b] - chi[a]) * 0.05 * _ORDER_FACTOR[order]
         totals[a] += shift
         totals[b] -= shift
     return [round(total, 4) for total in totals]
-
-
-def assign_reference_charges(graph: MolecularGraph) -> MolecularGraph:
-    """Attach deterministic electronegativity-difference charges to every atom.
-
-    The toolkit itself never computes charges; this helper fabricates the
-    *input data* for datasets and tests.  Values depend only on local bond
-    structure, so they commute with relabeling and mirroring.
-    """
-    charges = _reference_charges([a.element for a in graph.atoms],
-                                 ((b.a, b.b, b.order) for b in graph.bonds))
-    return MolecularGraph(graph.name, tuple(
-        Atom(a.element, a.formal_charge, charge, a.chirality)
-        for a, charge in zip(graph.atoms, charges)), graph.bonds)
 
 
 def _draw_element(rng: np.random.Generator) -> str:

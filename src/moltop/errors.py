@@ -6,9 +6,6 @@ The CLI maps these onto its exit-code table: configuration problems -> 2,
 data/input problems -> 3, violated internal invariants -> 4.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-
 import csv
 import gc
 import io
@@ -153,6 +150,9 @@ def process_map(fn, tasks, threads: int, lost) -> list:
     workers = min(threads, len(tasks), cpus)
     if workers <= 1:
         return [fn(t) for t in tasks]
+    # Imported here: concurrent.futures is slow to import and only a pool needs it.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     results = []
     # Forked workers inherit the parent's objects, such as the records'
     # graphs; frozen, no collection walks them until the pool is done.

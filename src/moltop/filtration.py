@@ -7,11 +7,11 @@ above every value, so their sequences are nested and the last level holds
 every vertex.  ``layout_rows``, which the fingerprint reads, gives the
 levels of several specs as one boolean matrix from one comparison: each
 kind's values, once per level, against the specs' thresholds end to end.
-``sublevel_rows`` is that matrix for one spec, and ``build_sequence`` reads
-it off as frozensets, a view kept for the benchmark's molecule selection
-and the tests.  Values compare as float64: the molecule loader stores every
-partial charge as a float, and the other kinds' values are table masses or
-small integers, which float64 holds exactly.
+``build_sequence`` reads one spec's rows off as frozensets, a view kept for
+the benchmark's molecule selection and the tests.  Values compare as
+float64: the molecule loader stores every partial charge as a float, and the
+other kinds' values are table masses or small integers, which float64 holds
+exactly.
 """
 
 from dataclasses import dataclass
@@ -174,16 +174,11 @@ def layout_rows(graph: MolecularGraph, specs):
 
 
 def build_sequence(graph: MolecularGraph, spec: FiltrationSpec) -> SublevelSequence:
-    """The rows of ``sublevel_rows`` as frozensets, with the spec they were
-    taken at: a partial-charge spec without thresholds takes the molecule's
-    own deciles."""
+    """The rows ``layout_rows`` gives ``spec`` as frozensets, with the spec
+    they were taken at: a partial-charge spec without thresholds takes the
+    molecule's own deciles."""
     rows, (thresholds,) = layout_rows(graph, [spec])
     atoms = range(rows.shape[1])
     return SublevelSequence(FiltrationSpec(spec.kind, thresholds),
                             tuple(frozenset(compress(atoms, row)) for row in rows.tolist()))
 
-
-def sublevel_rows(graph: MolecularGraph, spec: FiltrationSpec) -> np.ndarray:
-    """Level i of ``spec`` as row i of a (levels, n) boolean matrix: the atoms
-    whose value is at most the spec's threshold i."""
-    return layout_rows(graph, [spec])[0]

@@ -6,7 +6,7 @@ Essential classes are matched separately by birth; diagrams with different
 essential counts are infinitely far apart (flagged, not raised).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import math
 
@@ -73,8 +73,7 @@ class MatchingDistanceReport:
     ratio: float | None              # vector_distance / induced when induced > 0
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "per_row": list(self.per_row), "induced": self.induced,
-                "vector_distance": self.vector_distance, "ratio": self.ratio}
+        return asdict(self)
 
 
 def matching_report(graph_a, graph_b, specs, k_grid: int,

@@ -97,9 +97,6 @@ class MolecularGraph:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def degrees(self) -> list[int]:
-        return _valence_tally(self.n_atoms, self.bonds)[1]
-
 
 SPLIT_TAGS = ("TRAIN", "VALID", "TEST")
 

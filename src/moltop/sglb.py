@@ -31,7 +31,7 @@ the knowledge (epistemic) part of the uncertainty, the average per-member
 spread gives the data (aleatoric) part.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import functools
 import json
@@ -89,14 +89,8 @@ class SglbConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        beta = self.beta
-        if beta is not None and math.isinf(beta):
-            beta = "inf"
-        return {"task": self.task, "iterations": self.iterations,
-                "max_depth": self.max_depth, "learning_rate": self.learning_rate,
-                "min_samples_split": self.min_samples_split, "beta": beta,
-                "gamma": self.gamma, "ensemble_size": self.ensemble_size,
-                "max_bins": self.max_bins, "seed": self.seed}
+        doc = asdict(self)
+        return {**doc, "beta": "inf"} if self.beta == math.inf else doc
 
     @classmethod
     def from_dict(cls, doc: dict, error=ConfigError) -> "SglbConfig":
@@ -125,30 +119,24 @@ class Tree:
     left: np.ndarray       # int32 child ids
     right: np.ndarray
     value: np.ndarray      # float64 (nodes, out_dim); meaningful at leaves
+    _ARRAYS = ("feature", "threshold", "left", "right", "value")  # not a field: no annotation
 
     def __eq__(self, other):
-        return (isinstance(other, Tree)
-                and np.array_equal(self.feature, other.feature)
-                and np.array_equal(self.threshold, other.threshold)
-                and np.array_equal(self.left, other.left)
-                and np.array_equal(self.right, other.right)
-                and np.array_equal(self.value, other.value))
+        return isinstance(other, Tree) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in self._ARRAYS)
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
     def to_dict(self) -> dict:
-        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(), "right": self.right.tolist(),
-                "value": self.value.tolist()}
+        return {a: getattr(self, a).tolist() for a in self._ARRAYS}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tree":
         """Tree from its JSON form; DataError unless every array holds one entry
         per node and each split node's children come after it."""
-        feature, threshold, left, right, value = _fields(
-            doc, ("feature", "threshold", "left", "right", "value"), "tree")
+        feature, threshold, left, right, value = _fields(doc, cls._ARRAYS, "tree")
         feature, left, right = (_array(a, "iu", 1, "tree ids") for a in (feature, left, right))
         threshold = _array(threshold, "iuf", 1, "tree thresholds")
         value = _array(value, "iuf", 2, "tree values")
@@ -502,10 +490,6 @@ class SglbEnsemble:
     def layout(self) -> FingerprintLayout | None:
         return self.members[0].layout
 
-    @property
-    def task(self) -> str:
-        return self.config.task
-
     def require_layout(self, layout: FingerprintLayout):
         if self.layout is not None and layout != self.layout:
             raise LayoutMismatchError(
@@ -558,11 +542,6 @@ class UncertaintyReport:
     knowledge: np.ndarray   # epistemic: ensemble disagreement
     data: np.ndarray        # aleatoric: expected per-member spread
 
-    def take(self, rows) -> "UncertaintyReport":
-        """The report of the rows at ``rows``."""
-        return UncertaintyReport(self.prediction[rows], self.total[rows],
-                                 self.knowledge[rows], self.data[rows])
-
 
 def binary_entropy(p: np.ndarray) -> np.ndarray:
     """Entropy in nats of a Bernoulli(p), with 0 log 0 = 0."""
@@ -604,7 +583,7 @@ def regression_uncertainty(member_means: np.ndarray,
 def decompose(ensemble: SglbEnsemble, X) -> UncertaintyReport:
     """Uncertainty report for the ensemble's task, from one forward pass per member."""
     F = np.stack([m.raw_predict(X) for m in ensemble.members])  # (M, n, out_dim)
-    if ensemble.task == TASK_REGRESSION:
+    if ensemble.config.task == TASK_REGRESSION:
         return regression_uncertainty(F[..., 0], np.exp(np.clip(F[..., 1], -30.0, 30.0)))
     return classification_uncertainty(_sigmoid(F[..., 0]))
 

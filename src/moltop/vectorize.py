@@ -31,7 +31,6 @@ from .errors import (DataError, InternalInvariantError, LayoutMismatchError, not
                      process_map, read_text, typed)
 from .filtration import (
     LEVEL_COUNTS,
-    PARTIAL_CHARGE_KIND,
     canonical_kinds,
     layout_rows,
     make_spec,
@@ -86,15 +85,11 @@ class FingerprintLayout:
                 offset += size
         return out
 
-    def column_names(self) -> list[str]:
-        names = []
-        for kind in self.kinds:
-            abbrev = KIND_ABBREV[kind]
-            for dim in (0, 1):
-                for row in range(LEVEL_COUNTS[kind]):
-                    for t in range(self.row_width):
-                        names.append(f"{abbrev}_h{dim}_r{row:02d}_t{t:02d}")
-        return names
+    @functools.lru_cache(maxsize=32)  # once per layout, for the CSV writer and reader
+    def column_names(self) -> tuple[str, ...]:
+        return tuple(f"{KIND_ABBREV[kind]}_h{dim}_r{row:02d}_t{t:02d}" for kind in self.kinds
+                     for dim in (0, 1) for row in range(LEVEL_COUNTS[kind])
+                     for t in range(self.row_width))
 
     def to_dict(self) -> dict:
         return {"version": self.version, "kinds": list(self.kinds), "k_grid": self.k_grid}
@@ -285,12 +280,6 @@ class FingerprintTable:
                 == (other.layout, other.record_ids, other.errors)
                 and np.array_equal(self.block, other.block))
 
-    @property
-    def fingerprints(self) -> tuple[Fingerprint, ...]:
-        """One ``Fingerprint`` per row, its vector a view of the block."""
-        return tuple(Fingerprint(record_id, self.layout, vector)
-                     for record_id, vector in zip(self.record_ids, self.block))
-
     def matrix(self) -> np.ndarray:
         return self.block
 
@@ -301,8 +290,7 @@ class FingerprintTable:
 def kind_specs(kinds, charge_thresholds=None):
     """Specs for ``kinds``; charge thresholds put the partial-charge spec in
     global-decile mode."""
-    return [make_spec(k, charge_thresholds if k == PARTIAL_CHARGE_KIND else None)
-            for k in kinds]
+    return [make_spec(k, charge_thresholds) for k in kinds]
 
 
 def _on_record(fn, record):
@@ -379,7 +367,7 @@ def write_fingerprints_csv(table: FingerprintTable, path):
                  f"kinds={','.join(KIND_ABBREV[k] for k in layout.kinds)} "
                  f"k_grid={layout.k_grid}\n")
         writer = csv.writer(fh)
-        writer.writerow(["record_id"] + layout.column_names())
+        writer.writerow(("record_id",) + layout.column_names())
         for record_id, vector in zip(table.record_ids, table.block):
             writer.writerow([record_id] + vector.tolist())
 
@@ -471,7 +459,7 @@ def read_fingerprints_csv(path) -> FingerprintTable:
     header = [] if first is None else csv_record(first)
     # the width first: the names take work in the declared k_grid
     length = layout.length
-    if len(header) != length + 1 or header[1:] != layout.column_names():
+    if len(header) != length + 1 or tuple(header[1:]) != layout.column_names():
         raise DataError(f"{path}: column names do not match the declared layout")
     # a row takes a line or more and two characters or more per entry
     ends = text.count("\n") + text.count("\r") - text.count("\r\n")

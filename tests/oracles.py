@@ -926,8 +926,9 @@ def valence_slots(graph) -> list[float]:
 
 
 def assign_reference_charges_by_replace(graph):
-    """``datagen.assign_reference_charges`` as one pass over the bonds and a
-    ``replace`` of every atom."""
+    """``graph`` with the charges ``datagen._reference_charges`` gives its atoms,
+    from one pass over the bonds and a ``replace`` of every atom: the charged
+    molecules the tests build from SMILES."""
     totals = [0.0] * graph.n_atoms
     for bond in graph.bonds:
         chi_a = ELECTRONEGATIVITY[graph.atoms[bond.a].element]
@@ -999,7 +1000,8 @@ def random_molecule_by_replace(rng: np.random.Generator, name: str):
 
     tagged = 0
     new_atoms = list(graph.atoms)
-    for i, (atom, degree) in enumerate(zip(graph.atoms, graph.degrees())):
+    degrees = [sum(v in b.endpoints for b in graph.bonds) for v in range(graph.n_atoms)]
+    for i, (atom, degree) in enumerate(zip(graph.atoms, degrees)):
         if degree == 4 and tagged < 3 and rng.random() < 0.3:
             tag = CHI_CW if rng.random() < 0.5 else CHI_CCW
             new_atoms[i] = replace(atom, chirality=tag)
@@ -1129,7 +1131,7 @@ def read_fingerprints_csv_rows(path):
     ids, vectors, first_line = [], [], {}
     try:
         header = next(reader, [])
-        if len(header) != layout.length + 1 or header[1:] != layout.column_names():
+        if len(header) != layout.length + 1 or tuple(header[1:]) != layout.column_names():
             raise DataError(f"{path}: column names do not match the declared layout")
         for row in reader:
             entries = row[1:]

@@ -91,13 +91,13 @@ def test_global_decile_dump_matches_fingerprints(config_path, tmp_path, capsys):
             curves.setdefault((entry["molecule"], entry["dim"]), []).append(
                 (entry["row"], betti_curve(pd, table.layout.k_grid)))
     blocks = table.layout.block_slices()
-    assert len(table.fingerprints) > 10
-    for fp in table.fingerprints:
+    assert len(table.record_ids) > 10
+    for record_id, vector in zip(table.record_ids, table.block):
         for dim in (0, 1):
-            rows = [curve for _, curve in sorted(curves[(fp.record_id, dim)],
+            rows = [curve for _, curve in sorted(curves[(record_id, dim)],
                                                  key=lambda rc: rc[0])]
             assert np.array_equal(np.concatenate(rows),
-                                  fp.vector[blocks[("PARTIAL_CHARGE", dim)]])
+                                  vector[blocks[("PARTIAL_CHARGE", dim)]])
     capsys.readouterr()
 
 
@@ -222,7 +222,7 @@ def test_only_the_diagram_dump_keeps_row_diagrams(tiny_dataset_path, tmp_path, m
     monkeypatch.setattr(harness, "fingerprint_dataset", spy)
     cfg = open_k_grid_config(tiny_dataset_path, tmp_path)
     assert main(command + ["--config", str(cfg)]) == 0
-    assert len(tables) == 1 and len(tables[0].fingerprints) > 0
+    assert len(tables) == 1 and len(tables[0].record_ids) > 0
     assert bool(tables[0].diagrams) == kept
     capsys.readouterr()
 
@@ -242,7 +242,7 @@ def test_fingerprints_never_expand_row_diagrams(tiny_dataset_path, tmp_path, mon
     for record in records[:5]:
         vectorize.assemble(vectorize.graph_from_record(record), specs, 8)
     table = vectorize.fingerprint_dataset(records, FILTRATION_KINDS, None, threads=threads)
-    assert len(table.fingerprints) == len(records) and table.diagrams == ()
+    assert len(table.record_ids) == len(records) and table.diagrams == ()
     cfg = open_k_grid_config(tiny_dataset_path, tmp_path, threads=threads)
     assert main(["fingerprint", "--config", str(cfg)]) == 0
     capsys.readouterr()
@@ -838,12 +838,13 @@ def test_distance_kinds_in_any_order(tmp_path, capsys, kinds):
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported inside the two functions that need it, so the
-    # regression commands do not pay for loading it.
+    # regression commands do not pay for loading it; concurrent.futures only
+    # when a worker pool starts, so single-process commands do not either.
     src = os.path.dirname(os.path.dirname(moltop.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, moltop.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, moltop.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

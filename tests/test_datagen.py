@@ -11,7 +11,7 @@ from moltop.datagen import (
     _ELEMENT_POOL,
     _ELEMENT_WEIGHTS,
     _draw_element,
-    assign_reference_charges,
+    _reference_charges,
     random_molecule,
 )
 from moltop.molgraph import CHI_CCW, CHI_CW, parse_smiles
@@ -85,9 +85,6 @@ def test_molecules_equal_the_replace_built_ones(seed):
 def test_random_graphs_and_their_charges_equal_the_replace_built_ones(random_graphs):
     rng = np.random.default_rng(31)  # the fixture's stream
     assert random_graphs == [random_molecule_by_replace(rng, f"rg{i}") for i in range(40)]
-    for graph in random_graphs:
-        bare = replace(graph, atoms=tuple(replace(a, partial_charge=None) for a in graph.atoms))
-        assert assign_reference_charges(bare) == assign_reference_charges_by_replace(bare) == graph
 
 
 SMILES = ["[NH4+].[Cl-]", "C[N+](C)(C)C.[O-]C(=O)C", "[O-][N+](=O)c1ccccc1", "[BH4-]",
@@ -99,8 +96,9 @@ def test_reference_charges_keep_formal_charges_and_tags():
     formal, tags = set(), set()
     for smiles in SMILES:
         parsed = parse_smiles(smiles, name="m")
-        charged = assign_reference_charges(parsed)
-        assert charged == assign_reference_charges_by_replace(parsed), smiles
+        charged = assign_reference_charges_by_replace(parsed)
+        assert [a.partial_charge for a in charged.atoms] == _reference_charges(
+            [a.element for a in parsed.atoms], ((b.a, b.b, b.order) for b in parsed.bonds)), smiles
         assert charged.name == parsed.name and charged.bonds == parsed.bonds
         assert [replace(a, partial_charge=None) for a in charged.atoms] == list(parsed.atoms)
         assert all(a.partial_charge is not None for a in charged.atoms)

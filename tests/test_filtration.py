@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moltop.datagen import assign_reference_charges, random_molecule
+from moltop import molgraph
+from moltop.datagen import random_molecule
 from moltop.errors import ChargesRequiredError, DataError, UnsupportedElementError
 from moltop.filtration import (
     FILTRATION_KINDS,
@@ -17,7 +18,6 @@ from moltop.filtration import (
     decile_boundaries,
     layout_rows,
     make_spec,
-    sublevel_rows,
 )
 from moltop.molgraph import (
     BOND_ORDERS,
@@ -33,8 +33,8 @@ from moltop.molgraph import (
 from moltop.vectorize import graph_from_record, row_cores
 from dataclasses import replace
 
-from oracles import (load_graph6_file, mirror, nearest_rank_deciles, relabel, sorted_levels,
-                     sublevel_sets)
+from oracles import (assign_reference_charges_by_replace, load_graph6_file, mirror,
+                     nearest_rank_deciles, relabel, sorted_levels, sublevel_sets)
 
 
 def sequence(graph, kind, charge_thresholds=None):
@@ -117,7 +117,7 @@ class TestPartialCharge:
         assert "atom 3" in str(err.value)
 
     def test_global_boundaries_override(self):
-        g = assign_reference_charges(parse_smiles("CCO"))
+        g = assign_reference_charges_by_replace(parse_smiles("CCO"))
         bounds = decile_boundaries([-1.0, -0.5, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9, 1.0])
         seq = sequence(g, "PARTIAL_CHARGE", bounds)
         assert seq.spec.thresholds == bounds
@@ -194,15 +194,15 @@ class TestBuildSequence:
         # no molecule takes a full valence tally: an untagged one is all zeros,
         # and a tagged atom has only its own bonds counted, since a graph built
         # in code may carry a tag on an atom without four neighbours
-        monkeypatch.setattr(MolecularGraph, "degrees",
-                            lambda graph: pytest.fail(f"valence tally of {graph.name}"))
         untagged = parse_smiles("CC(N)C(=O)O", "untagged")
-        assert sublevel_rows(untagged, make_spec("CHIRALITY")).all()
+        monkeypatch.setattr(molgraph, "_valence_tally",
+                            lambda n_atoms, bonds: pytest.fail(f"valence tally of {n_atoms} atoms"))
+        assert layout_rows(untagged, [make_spec("CHIRALITY")])[0].all()
         atoms = list(untagged.atoms)
         atoms[1] = replace(atoms[1], chirality=CHI_CW)   # four neighbours
         atoms[4] = replace(atoms[4], chirality=CHI_CCW)  # the carbonyl O: one
-        rows = sublevel_rows(replace(untagged, name="tagged", atoms=tuple(atoms)),
-                             make_spec("CHIRALITY"))
+        rows, _ = layout_rows(replace(untagged, name="tagged", atoms=tuple(atoms)),
+                              [make_spec("CHIRALITY")])
         assert rows[0].tolist() == [i != 1 for i in range(untagged.n_atoms)]
         assert rows[1].all()
 
@@ -301,8 +301,8 @@ CHARGES = st.lists(st.sampled_from([-0.5, -0.25, 0.0, 0.125, 0.5])
 
 
 class TestSublevelRows:
-    """The boolean rows are the frozenset levels, and one sort and a bisection
-    per level give them too."""
+    """One spec's boolean rows from ``layout_rows`` are the frozenset levels,
+    and one sort and a bisection per level give them too."""
 
     @settings(max_examples=300, deadline=None)
     @given(values=CHARGES, data=st.data())
@@ -316,7 +316,7 @@ class TestSublevelRows:
                                                 min_size=10, max_size=10).map(sorted))
         spec = make_spec("PARTIAL_CHARGE", pooled)
         thresholds = nearest_rank_deciles(values) if pooled is None else tuple(pooled)
-        rows = sublevel_rows(graph, spec)
+        rows, _ = layout_rows(graph, [spec])
         assert rows.shape == (10, len(values)) and rows.dtype == bool
         assert as_sets(rows) == build_sequence(graph, spec).subsets
         assert as_sets(rows) == sorted_levels(values, thresholds)
@@ -326,7 +326,7 @@ class TestSublevelRows:
             graph = graph_from_record(DatasetRecord(doc["record_id"], 0.0, graph=doc["graph"]))
             for kind in FILTRATION_KINDS:
                 seq = build_sequence(graph, make_spec(kind))
-                rows = sublevel_rows(graph, make_spec(kind))
+                rows, _ = layout_rows(graph, [make_spec(kind)])
                 assert rows.shape == (LEVEL_COUNTS[kind], graph.n_atoms)
                 assert as_sets(rows) == seq.subsets, (graph.name, kind)
 

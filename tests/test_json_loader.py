@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moltop.datagen import assign_reference_charges, generate_dataset, random_molecule
+from moltop.datagen import generate_dataset, random_molecule
 from moltop.elements import SUPPORTED_ELEMENTS, VALENCES
 from moltop.errors import SchemaError
 from moltop.molgraph import (
@@ -24,7 +24,8 @@ from moltop.molgraph import (
     parse_smiles,
 )
 
-from oracles import graph_from_json_dict_reference, load_graph6_file
+from oracles import (assign_reference_charges_by_replace, graph_from_json_dict_reference,
+                     load_graph6_file)
 
 
 def outcome(load, doc):
@@ -116,7 +117,7 @@ class TestLoaderMatchesReference:
     def test_smiles_documents(self, smiles):
         graph = parse_smiles(smiles, name=smiles)
         for doc in (graph_to_json_dict(graph),
-                    graph_to_json_dict(assign_reference_charges(graph))):
+                    graph_to_json_dict(assign_reference_charges_by_replace(graph))):
             assert isinstance(assert_loaders_agree(doc), str)  # loaded, not rejected
 
 
@@ -124,7 +125,7 @@ class TestLoaderMatchesReference:
 # Malformed documents: each fault breaks one check at one place.
 
 # Alanine: N0 C1 C2 C3 O4 O5 then hydrogens 6-12; atom 1 carries a tag.
-_BASE = graph_to_json_dict(assign_reference_charges(parse_smiles("N[C@@H](C)C(=O)O")))
+_BASE = graph_to_json_dict(assign_reference_charges_by_replace(parse_smiles("N[C@@H](C)C(=O)O")))
 _N = len(_BASE["atoms"])
 # Within an entry, the checks run in this order.
 _ATOM_CHECKS = {"element": 0, "formal_charge": 1, "partial_charge": 2, "chirality": 3}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from moltop.cli import main
-from moltop.datagen import assign_reference_charges
 from moltop.errors import LayoutMismatchError
 from moltop.filtration import FILTRATION_KINDS, make_spec
 from moltop.homology import PersistenceDiagram
@@ -17,7 +16,7 @@ from moltop.vectorize import (
     assemble,
 )
 
-from oracles import exhaustive_wasserstein, mirror
+from oracles import assign_reference_charges_by_replace, exhaustive_wasserstein, mirror
 from rows import row_diagrams
 
 ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
@@ -87,7 +86,7 @@ class TestWasserstein:
 
 
 def charged(smiles):
-    return assign_reference_charges(parse_smiles(smiles))
+    return assign_reference_charges_by_replace(parse_smiles(smiles))
 
 
 def row_oracle(a, b):
@@ -137,7 +136,7 @@ class TestInducedDistance:
 
 class TestFingerprintDistance:
     def test_self_distance_zero(self):
-        g = assign_reference_charges(parse_smiles("CCO"))
+        g = assign_reference_charges_by_replace(parse_smiles("CCO"))
         fp = assemble(g, ALL_SPECS, 8)
         assert fingerprint_distance(fp, fp) == 0.0
 
@@ -151,7 +150,7 @@ class TestFingerprintDistance:
         assert fingerprint_distance(a, b) == 2.0
 
     def test_mirror_distance_in_chirality_rows(self):
-        g = assign_reference_charges(parse_smiles("N[C@@H](C)C(=O)O"))
+        g = assign_reference_charges_by_replace(parse_smiles("N[C@@H](C)C(=O)O"))
         fp = assemble(g, ALL_SPECS, 10)
         fp_m = assemble(mirror(g), ALL_SPECS, 10)
         d = fingerprint_distance(fp, fp_m)
@@ -173,14 +172,14 @@ class TestFingerprintDistance:
 
 class TestStabilityProbe:
     def test_identical_pair_skipped_ratio(self):
-        g = assign_reference_charges(parse_smiles("CCO"))
+        g = assign_reference_charges_by_replace(parse_smiles("CCO"))
         report = matching_report(g, g, ALL_SPECS, 8)
         assert report.induced == 0.0
         assert report.vector_distance == 0.0
         assert report.ratio is None
 
     def test_single_perturbation_finite_ratio(self):
-        g = assign_reference_charges(parse_smiles("N[C@@H](C)C(=O)O"))
+        g = assign_reference_charges_by_replace(parse_smiles("N[C@@H](C)C(=O)O"))
         report = matching_report(g, mirror(g), ALL_SPECS, 10)
         assert report.induced > 0
         assert report.vector_distance > 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moltop.datagen import assign_reference_charges, random_molecule
+from moltop.datagen import random_molecule
 from moltop.errors import DataError, SchemaError, SmilesParseError
 from moltop.molgraph import (
     CHI_CCW,
@@ -29,6 +29,7 @@ from moltop.molgraph import (
 from moltop.elements import VALENCES
 
 from oracles import (
+    assign_reference_charges_by_replace,
     components,
     cycle_edges,
     cycle_parity,
@@ -478,7 +479,7 @@ def _json_containers(inner):
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     _json_containers, max_leaves=6)
-_BASE_DOCS = [graph_to_json_dict(assign_reference_charges(parse_smiles(smiles)))
+_BASE_DOCS = [graph_to_json_dict(assign_reference_charges_by_replace(parse_smiles(smiles)))
               for smiles in ("CCO", "c1ccccc1", "N[C@@H](C)C(=O)O", "C#N", "[NH4+]")]
 _FIELDS = {"$": ("name", "atoms", "bonds", "extra"),
            "atoms": ("element", "formal_charge", "partial_charge", "chirality", "x"),

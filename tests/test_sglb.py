@@ -644,9 +644,9 @@ class TestEnsemble:
         ens = fit_ensemble(X, y, cfg)
         batch = decompose(ens, X)
         for i in range(len(X)):
-            alone, within = decompose(ens, X[[i]]), batch.take([i])
+            alone = decompose(ens, X[[i]])
             for field in ("prediction", "total", "knowledge", "data"):
-                assert getattr(alone, field).tobytes() == getattr(within, field).tobytes(), \
+                assert getattr(alone, field).tobytes() == getattr(batch, field)[[i]].tobytes(), \
                     (i, field)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
 from moltop import vectorize
-from moltop.datagen import assign_reference_charges, generate_dataset
+from moltop.datagen import generate_dataset
 from moltop.errors import (
     DataError,
     InternalInvariantError,
@@ -27,6 +28,7 @@ from moltop.molgraph import Atom, Bond, DatasetRecord, MolecularGraph, parse_smi
 from moltop.vectorize import (
     DISTANCE_MODES,
     K_GRID_CAP,
+    Fingerprint,
     FingerprintLayout,
     FingerprintTable,
     assemble,
@@ -44,6 +46,7 @@ from moltop.vectorize import (
 )
 
 from oracles import (
+    assign_reference_charges_by_replace,
     betti_curve,
     betti_curves,
     check_stack,
@@ -60,7 +63,7 @@ ALL_SPECS = [make_spec(k) for k in FILTRATION_KINDS]
 
 
 def charged(smiles):
-    return assign_reference_charges(parse_smiles(smiles))
+    return assign_reference_charges_by_replace(parse_smiles(smiles))
 
 
 class TestBettiCurve:
@@ -286,9 +289,10 @@ class TestCoresMatchRowByRow:
                 if k_grid is None:
                     assert k == min(K_GRID_CAP, max(map(graph_diameter, graphs)))
                 cap = K_GRID_CAP if k_grid is None else k_grid
-                for graph, record, fp, rows in zip(graphs, records, table.fingerprints,
-                                                   table.diagrams):
-                    assert fp == row_by_row(graph, specs, cap, k, mode, record.record_id)
+                for graph, record, record_id, vector, rows in zip(
+                        graphs, records, table.record_ids, table.block, table.diagrams):
+                    assert (Fingerprint(record_id, table.layout, vector)
+                            == row_by_row(graph, specs, cap, k, mode, record.record_id))
                     assert rows == row_diagrams(graph, specs, k, mode)[0]
 
 
@@ -368,7 +372,7 @@ class TestDatasetFingerprinting:
     def test_one_fingerprint_per_record(self):
         records = self.make_records()
         table = fingerprint_dataset(records, FILTRATION_KINDS, 8)
-        assert len(table.fingerprints) == len(records)
+        assert len(table.record_ids) == len(records)
         assert table.errors == ()
         assert table.ids() == [r.record_id for r in records]
 
@@ -376,7 +380,7 @@ class TestDatasetFingerprinting:
         records = self.make_records(6)
         records[2] = DatasetRecord("bad", 1.0, parse_smiles("C"))  # no charges
         table = fingerprint_dataset(records, FILTRATION_KINDS, 8)
-        assert len(table.fingerprints) == 5
+        assert len(table.record_ids) == 5
         assert len(table.errors) == 1
         assert table.errors[0]["record_id"] == "bad"
 
@@ -413,7 +417,6 @@ class TestDatasetFingerprinting:
         (4, 6, 1, None)])
     def test_worker_count_is_capped(self, monkeypatch, threads, n, cpus, workers):
         # A stand-in pool records the size it is asked for and starts no process.
-        from moltop import errors
         asked = []
 
         class Pool:
@@ -429,7 +432,7 @@ class TestDatasetFingerprinting:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(errors, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -440,12 +443,10 @@ class TestDatasetFingerprinting:
 
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
         # Two CPUs on the machine, but this process may run on one of them.
-        from moltop import errors
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(errors, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         records = self.make_records(4)
@@ -509,6 +510,17 @@ class TestOnDiskFormats:
         assert back.ids() == table.ids()
         assert np.array_equal(back.matrix(), table.matrix())
 
+    def test_two_reads_build_the_column_names_once(self, tmp_path):
+        table = fingerprint_dataset(TestDatasetFingerprinting().make_records(3),
+                                    FILTRATION_KINDS, 8)
+        path = tmp_path / "fp.csv"
+        write_fingerprints_csv(table, path)
+        names = path.read_text(encoding="utf-8").splitlines()[1].split(",")[1:]
+        FingerprintLayout.column_names.cache_clear()
+        assert read_fingerprints_csv(path) == read_fingerprints_csv(path) == table
+        assert FingerprintLayout.column_names.cache_info().misses == 1
+        assert table.layout.column_names() == tuple(names)
+
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("record_id,a,b\nfoo,1,2\n")
@@ -547,7 +559,7 @@ class TestOnDiskFormats:
                                   "integer in ASCII digits")
         lines[3] = ",".join((record_id, first, "0" * 30 + "7", rest.split(",", 1)[1]))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert read_fingerprints_csv(path).fingerprints[1].vector[1] == 7  # zeros lead
+        assert read_fingerprints_csv(path).block[1, 1] == 7  # zeros lead
 
     @pytest.mark.parametrize("line", [2, 5])
     def test_field_past_the_csv_limit_names_file_and_line(self, tmp_path, line):
